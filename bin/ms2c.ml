@@ -81,158 +81,51 @@ type worker_result = {
   w_out : string;  (** rendered C; [""] when fatal *)
   w_map : Ms2_syntax.Emit.entry list;  (** per-file source map (absolute lines) *)
   w_findings : string list;  (** object-level semantic-check findings *)
-  w_stats : Ms2.Api.stats;
+  w_stats : Ms2.Api.stats option;
+      (** the worker engine's counters; [None] when the worker died or
+          failed internally *)
   w_events : Obs.event list;
       (** the worker's recorded trace events (empty unless --trace-out) *)
   w_metrics : Obs.Metrics.snapshot option;
-      (** the worker's metrics registry, for parent-side absorption *)
+      (** a forked worker's own registry counts, absorbed by the parent
+          as it reaps the worker *)
 }
 
-let zero_stats : Ms2.Api.stats =
+(* A worker that produced nothing: one diagnostic, no output, no stats. *)
+let lost_result (diag : string) : worker_result =
   {
-    Ms2.Api.invocations_expanded = 0;
-    meta_declarations_run = 0;
-    macros_defined = 0;
-    fuel_consumed = 0;
-    nodes_produced = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
-    cache_bypasses = 0;
-    cache_bypass_trace = 0;
-    cache_bypass_failpoints = 0;
-    cache_bypass_uncacheable = 0;
-    cache_bypass_budget = 0;
-    fragments_speculated = 0;
-    fragments_committed = 0;
-    fragments_revalidated = 0;
-    fragments_abort_defs_bump = 0;
-    fragments_abort_gensym_mint = 0;
-    fragments_abort_meta_decl = 0;
-    fragments_abort_stale_read = 0;
-    fragments_abort_foreign_closure = 0;
-    pattern_memo_hits = 0;
-    pattern_memo_misses = 0;
-    firstset_memo_hits = 0;
-    firstset_memo_misses = 0;
-  }
-
-let sum_stats (a : Ms2.Api.stats) (b : Ms2.Api.stats) : Ms2.Api.stats =
-  {
-    Ms2.Api.invocations_expanded =
-      a.Ms2.Api.invocations_expanded + b.Ms2.Api.invocations_expanded;
-    meta_declarations_run =
-      a.Ms2.Api.meta_declarations_run + b.Ms2.Api.meta_declarations_run;
-    macros_defined = a.Ms2.Api.macros_defined + b.Ms2.Api.macros_defined;
-    fuel_consumed = a.Ms2.Api.fuel_consumed + b.Ms2.Api.fuel_consumed;
-    nodes_produced = a.Ms2.Api.nodes_produced + b.Ms2.Api.nodes_produced;
-    cache_hits = a.Ms2.Api.cache_hits + b.Ms2.Api.cache_hits;
-    cache_misses = a.Ms2.Api.cache_misses + b.Ms2.Api.cache_misses;
-    cache_evictions = a.Ms2.Api.cache_evictions + b.Ms2.Api.cache_evictions;
-    cache_bypasses = a.Ms2.Api.cache_bypasses + b.Ms2.Api.cache_bypasses;
-    cache_bypass_trace =
-      a.Ms2.Api.cache_bypass_trace + b.Ms2.Api.cache_bypass_trace;
-    cache_bypass_failpoints =
-      a.Ms2.Api.cache_bypass_failpoints + b.Ms2.Api.cache_bypass_failpoints;
-    cache_bypass_uncacheable =
-      a.Ms2.Api.cache_bypass_uncacheable + b.Ms2.Api.cache_bypass_uncacheable;
-    cache_bypass_budget =
-      a.Ms2.Api.cache_bypass_budget + b.Ms2.Api.cache_bypass_budget;
-    fragments_speculated =
-      a.Ms2.Api.fragments_speculated + b.Ms2.Api.fragments_speculated;
-    fragments_committed =
-      a.Ms2.Api.fragments_committed + b.Ms2.Api.fragments_committed;
-    fragments_revalidated =
-      a.Ms2.Api.fragments_revalidated + b.Ms2.Api.fragments_revalidated;
-    fragments_abort_defs_bump =
-      a.Ms2.Api.fragments_abort_defs_bump
-      + b.Ms2.Api.fragments_abort_defs_bump;
-    fragments_abort_gensym_mint =
-      a.Ms2.Api.fragments_abort_gensym_mint
-      + b.Ms2.Api.fragments_abort_gensym_mint;
-    fragments_abort_meta_decl =
-      a.Ms2.Api.fragments_abort_meta_decl
-      + b.Ms2.Api.fragments_abort_meta_decl;
-    fragments_abort_stale_read =
-      a.Ms2.Api.fragments_abort_stale_read
-      + b.Ms2.Api.fragments_abort_stale_read;
-    fragments_abort_foreign_closure =
-      a.Ms2.Api.fragments_abort_foreign_closure
-      + b.Ms2.Api.fragments_abort_foreign_closure;
-    (* the memo counters are process-global snapshots, not per-engine
-       deltas: summing them would double-count, so merge by max (in the
-       fork driver each child reports its own process's totals — max is
-       the best single-process view available) *)
-    pattern_memo_hits =
-      max a.Ms2.Api.pattern_memo_hits b.Ms2.Api.pattern_memo_hits;
-    pattern_memo_misses =
-      max a.Ms2.Api.pattern_memo_misses b.Ms2.Api.pattern_memo_misses;
-    firstset_memo_hits =
-      max a.Ms2.Api.firstset_memo_hits b.Ms2.Api.firstset_memo_hits;
-    firstset_memo_misses =
-      max a.Ms2.Api.firstset_memo_misses b.Ms2.Api.firstset_memo_misses;
+    w_diags = [ diag ];
+    w_fatal = true;
+    w_recovered = false;
+    w_out = "";
+    w_map = [];
+    w_findings = [];
+    w_stats = None;
+    w_events = [];
+    w_metrics = None;
   }
 
 type stats_format = Stats_text | Stats_json
 
-(* Publish a (possibly summed) stats snapshot into the metrics registry
-   under the same names {!Ms2.Engine.publish_metrics} uses, so the JSON
-   stats format and --metrics dumps share one schema. *)
-let stats_to_registry (s : Ms2.Api.stats) =
-  let set name v = Obs.Metrics.set (Obs.Metrics.counter name) v in
-  set "engine.invocations_expanded" s.Ms2.Api.invocations_expanded;
-  set "engine.meta_declarations_run" s.Ms2.Api.meta_declarations_run;
-  set "engine.macros_defined" s.Ms2.Api.macros_defined;
-  set "engine.fuel_consumed" s.Ms2.Api.fuel_consumed;
-  set "engine.nodes_produced" s.Ms2.Api.nodes_produced;
-  set "cache.hits" s.Ms2.Api.cache_hits;
-  set "cache.misses" s.Ms2.Api.cache_misses;
-  set "cache.evictions" s.Ms2.Api.cache_evictions;
-  set "cache.bypasses" s.Ms2.Api.cache_bypasses;
-  set "cache.bypass.trace" s.Ms2.Api.cache_bypass_trace;
-  set "cache.bypass.failpoints" s.Ms2.Api.cache_bypass_failpoints;
-  set "cache.bypass.uncacheable" s.Ms2.Api.cache_bypass_uncacheable;
-  set "cache.bypass.budget" s.Ms2.Api.cache_bypass_budget;
-  set "fragments.speculated" s.Ms2.Api.fragments_speculated;
-  set "fragments.committed" s.Ms2.Api.fragments_committed;
-  set "fragments.revalidated" s.Ms2.Api.fragments_revalidated;
-  set "fragments.abort.defs_bump" s.Ms2.Api.fragments_abort_defs_bump;
-  set "fragments.abort.gensym_mint" s.Ms2.Api.fragments_abort_gensym_mint;
-  set "fragments.abort.meta_decl" s.Ms2.Api.fragments_abort_meta_decl;
-  set "fragments.abort.stale_read" s.Ms2.Api.fragments_abort_stale_read;
-  set "fragments.abort.foreign_closure"
-    s.Ms2.Api.fragments_abort_foreign_closure;
-  set "parser.pattern_memo.hits" s.Ms2.Api.pattern_memo_hits;
-  set "parser.pattern_memo.misses" s.Ms2.Api.pattern_memo_misses;
-  set "pattern.firstset.memo_hits" s.Ms2.Api.firstset_memo_hits;
-  set "pattern.firstset.memo_misses" s.Ms2.Api.firstset_memo_misses
-
-(* The resolved job count and pool mode, recorded in the registry so
-   [--stats-format=json] and [--metrics] dumps carry them ([--jobs 0] /
-   [--jobs auto] resolves to the machine's recommended domain count, so
-   the resolved value is run-specific information).  The mode is a
-   one-hot pair of counters, Prometheus-style. *)
-let record_jobs_meta ~jobs ~jobs_mode =
+(* Publish a driver's engine totals into the metrics registry, with the
+   resolved job count and pool mode ([--jobs 0] / [--jobs auto] resolves
+   to the machine's recommended domain count, so the resolved value is
+   run-specific information; the mode is a one-hot pair of counters,
+   Prometheus-style).  Every report — [--stats] in either format,
+   [--metrics] — renders the registry after this one call. *)
+let publish_run ?store ~jobs ~jobs_mode (engines : Ms2.Api.stats list) =
+  Ms2.Api.publish_metrics ?store engines;
   let set name v = Obs.Metrics.set (Obs.Metrics.counter name) v in
   set "driver.jobs" jobs;
   set "driver.jobs_mode.domains" (if jobs_mode = Mode_domains then 1 else 0);
   set "driver.jobs_mode.fork" (if jobs_mode = Mode_fork then 1 else 0)
 
-let print_stats ?(format = Stats_text) ?jobs (s : Ms2.Api.stats) =
+let print_stats ~format ~jobs ~jobs_mode =
   match format with
-  | Stats_json ->
-      (* same schema as --metrics: the registry already holds the
-         hot-path counters; fold the engine totals in and dump it *)
-      stats_to_registry s;
-      (match jobs with
-      | Some (n, mode) -> record_jobs_meta ~jobs:n ~jobs_mode:mode
-      | None -> ());
-      prerr_endline (Obs.Metrics.to_json ())
+  | Stats_json -> prerr_endline (Obs.Metrics.to_json ())
   | Stats_text ->
-      (match jobs with
-      | Some (n, mode) ->
-          Printf.eprintf "jobs: %d (%s)\n" n (jobs_mode_name mode)
-      | None -> ());
+      let s = Ms2.Api.published_stats () in
+      Printf.eprintf "jobs: %d (%s)\n" jobs (jobs_mode_name jobs_mode);
       Printf.eprintf
         "macros defined: %d\nmeta declarations run: %d\ninvocations \
          expanded: %d\nfuel consumed: %d\nAST nodes produced: %d\ncache \
@@ -320,25 +213,20 @@ let run_pool ~jobs ~keep_going ~(source_of : int -> string)
     match Unix.fork () with
     | 0 ->
         Unix.close rd;
+        (* start from an empty registry, so the snapshot shipped home
+           holds this worker's counts only, not the parent's again *)
+        Obs.Metrics.reset ();
         let result =
           try work i
           with e ->
-            {
-              w_diags =
-                [ Printf.sprintf "ms2c: worker %d: internal error: %s" i
-                    (Printexc.to_string e) ];
-              w_fatal = true;
-              w_recovered = false;
-              w_out = "";
-              w_map = [];
-              w_findings = [];
-              w_stats = zero_stats;
-              w_events = [];
-              w_metrics = None;
-            }
+            lost_result
+              (Printf.sprintf "ms2c: worker %d: internal error: %s" i
+                 (Printexc.to_string e))
         in
         let oc = Unix.out_channel_of_descr wr in
-        Marshal.to_channel oc result [];
+        Marshal.to_channel oc
+          { result with w_metrics = Some (Obs.Metrics.snapshot ()) }
+          [];
         close_out oc;
         exit 0
     | pid ->
@@ -368,29 +256,20 @@ let run_pool ~jobs ~keep_going ~(source_of : int -> string)
               (* the worker died before shipping a result: say how, and
                  pin the diagnostic to the file it was expanding *)
               let source = source_of i in
-              let d =
-                Diag.make
-                  ~loc:(file_start_loc source)
-                  Diag.Expansion
-                  (Printf.sprintf
-                     "worker expanding %s %s; its output is lost%s" source
-                     (describe_worker_death status)
-                     (if keep_going then "" else " (rerun with --keep-going \
-                                                  to expand the remaining \
-                                                  files anyway)"))
-              in
-              {
-                w_diags = [ render d ];
-                w_fatal = true;
-                w_recovered = false;
-                w_out = "";
-                w_map = [];
-                w_findings = [];
-                w_stats = zero_stats;
-                w_events = [];
-                w_metrics = None;
-              }
+              lost_result
+                (render
+                   (Diag.make
+                      ~loc:(file_start_loc source)
+                      Diag.Expansion
+                      (Printf.sprintf
+                         "worker expanding %s %s; its output is lost%s" source
+                         (describe_worker_death status)
+                         (if keep_going then ""
+                          else
+                            " (rerun with --keep-going to expand the \
+                             remaining files anyway)"))))
         in
+        Option.iter Obs.Metrics.absorb r.w_metrics;
         if r.w_fatal && not keep_going then fatal_seen := true;
         results.(i) <- Some r
   in
@@ -418,24 +297,13 @@ let run_domains ~jobs ~keep_going ~(source_of : int -> string)
   let work i =
     try work i
     with e ->
-      let d =
-        Diag.make
-          ~loc:(file_start_loc (source_of i))
-          Diag.Expansion
-          (Printf.sprintf "internal error expanding %s: %s" (source_of i)
-             (Printexc.to_string e))
-      in
-      {
-        w_diags = [ render d ];
-        w_fatal = true;
-        w_recovered = false;
-        w_out = "";
-        w_map = [];
-        w_findings = [];
-        w_stats = zero_stats;
-        w_events = [];
-        w_metrics = None;
-      }
+      lost_result
+        (render
+           (Diag.make
+              ~loc:(file_start_loc (source_of i))
+              Diag.Expansion
+              (Printf.sprintf "internal error expanding %s: %s" (source_of i)
+                 (Printexc.to_string e))))
   in
   Pool.map ~jobs ~stop:(fun r -> r.w_fatal && not keep_going) n work
 
@@ -724,9 +592,6 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
   let frags = Array.of_list fragments in
   let n = Array.length frags in
   let want_map = line_directives || sourcemap <> None in
-  let want_telemetry =
-    trace_out <> None || metrics <> None || stats_format = Stats_json
-  in
   (* domains share one cache store: a fragment expanded on one domain
      replays on every other, and hit/miss/eviction counters merge.  A
      --cache-file forces a store in every mode: it is what gets loaded
@@ -830,28 +695,20 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
         | _ -> ())
     | Mode_domains -> ());
     (* fork: each worker records into its own process-global sinks and
-       ships events + a metrics snapshot home over the result pipe.
-       domains: the recorder is domain-local, so starting it here scopes
-       the event batch to this file on this domain. *)
+       ships its events home over the result pipe.  domains: the
+       recorder is domain-local, so starting it here scopes the event
+       batch to this file on this domain. *)
     if trace_out <> None then Obs.start_recording ();
     let engine =
       Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic ~prelude
         ~cache ?cache_store:store ()
     in
-    let telemetry () =
-      if not want_telemetry then ([], None)
+    let events () =
+      if trace_out = None then []
       else
         match jobs_mode with
-        | Mode_fork ->
-            Ms2.Api.publish_metrics engine;
-            ( (if trace_out <> None then Obs.events () else []),
-              Some (Obs.Metrics.snapshot ()) )
-        | Mode_domains ->
-            (* the metrics registry is shared in-process — shipping a
-               snapshot home for absorption would double-count; engine
-               totals reach the registry once, after the pool joins *)
-            ( (if trace_out <> None then Obs.stop_recording () else []),
-              None )
+        | Mode_fork -> Obs.events ()
+        | Mode_domains -> Obs.stop_recording ()
     in
     match
       Diag.protect (fun () ->
@@ -868,7 +725,6 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
                 ~mode:Ms2_syntax.Pretty.strict decls,
               [] )
         in
-        let events, snapshot = telemetry () in
         {
           w_diags = List.map render_diag recovered;
           w_fatal = false;
@@ -877,9 +733,9 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
           w_map = map;
           w_findings =
             (if semantic_check then Ms2.Api.check_program decls else []);
-          w_stats = Ms2.Api.stats engine;
-          w_events = events;
-          w_metrics = snapshot;
+          w_stats = Some (Ms2.Api.stats engine);
+          w_events = events ();
+          w_metrics = None;
         }
     | Error d ->
         let recovered = Ms2.Api.diagnostics engine in
@@ -891,7 +747,6 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
           if keep_going then render_diag d :: List.map render_diag recovered
           else List.map render_diag recovered @ [ render_diag d ]
         in
-        let events, snapshot = telemetry () in
         {
           w_diags = diags;
           w_fatal = true;
@@ -899,9 +754,9 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
           w_out = "";
           w_map = [];
           w_findings = [];
-          w_stats = Ms2.Api.stats engine;
-          w_events = events;
-          w_metrics = snapshot;
+          w_stats = Some (Ms2.Api.stats engine);
+          w_events = events ();
+          w_metrics = None;
         }
   in
   (* journal wrapper: a replayed file returns its journaled result
@@ -927,9 +782,7 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
                 jr_build = Build_id.hex ();
                 jr_payload =
                   Journal.b64_encode
-                    (Marshal.to_string
-                       { r with w_events = []; w_metrics = None }
-                       []);
+                    (Marshal.to_string { r with w_events = [] } []);
               }
             in
             (match Journal.append w rec_ with
@@ -979,7 +832,6 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
       let buf = Buffer.create 65536 in
       let map = ref [] in
       let off = ref 0 in
-      let stats_acc = ref zero_stats in
       let findings = ref [] in
       Array.iter
         (function
@@ -1023,7 +875,6 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
                     :: !map)
                 r.w_map;
               off := !off + count_newlines text;
-              stats_acc := sum_stats !stats_acc r.w_stats;
               findings := !findings @ r.w_findings)
         results;
       (match sourcemap with
@@ -1051,41 +902,19 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
                  results)
           in
           write_atomic ~diag_format path (Obs.chrome_trace tracks));
-      (* with a shared store the merged view lives in the store, not in
-         the per-engine counters: every engine reads the store's global
-         eviction count, so summing per-engine stats would multiply it
-         by the number of files.  Hits and misses sum correctly, but
-         take all three from the store for one coherent merged view. *)
-      (match store with
-      | None -> ()
-      | Some s ->
-          let hits, misses, evictions, entries, used_bytes =
-            Ms2.Api.shared_cache_stats s
-          in
-          stats_acc :=
-            { !stats_acc with
-              Ms2.Api.cache_hits = hits;
-              cache_misses = misses;
-              cache_evictions = evictions
-            };
-          if want_telemetry then begin
-            Obs.Metrics.gauge "cache.entries" (float_of_int entries);
-            Obs.Metrics.gauge "cache.used_bytes" (float_of_int used_bytes)
-          end);
-      if want_telemetry then begin
-        Array.iter
-          (function
-            | Some { w_metrics = Some snap; _ } -> Obs.Metrics.absorb snap
-            | _ -> ())
-          results;
-        stats_to_registry !stats_acc;
-        record_jobs_meta ~jobs ~jobs_mode
-      end;
+      (* a store counts the cache traffic only where the engines share
+         it: under fork each worker has its own copy-on-write copy *)
+      publish_run
+        ?store:(if jobs_mode = Mode_domains then store else None)
+        ~jobs ~jobs_mode
+        (List.filter_map
+           (fun r -> Option.bind r (fun r -> r.w_stats))
+           (Array.to_list results));
       (match metrics with
       | None -> ()
       | Some path -> write_atomic ~diag_format path (Obs.Metrics.to_json ()));
       if stats then
-        print_stats ~format:stats_format ~jobs:(jobs, jobs_mode) !stats_acc;
+        print_stats ~format:stats_format ~jobs ~jobs_mode;
       report_snapshot ~stats snap_load snap_save;
       if semantic_check && !findings <> [] then begin
         List.iter prerr_endline !findings;
@@ -1181,12 +1010,7 @@ let expand_cmd =
           (match output with
           | None -> print_string out
           | Some path -> write_atomic ~diag_format path out);
-          if trace_out <> None || metrics <> None
-             || stats_format = Stats_json
-          then begin
-            Ms2.Api.publish_metrics engine;
-            record_jobs_meta ~jobs ~jobs_mode
-          end;
+          publish_run ~jobs ~jobs_mode [ Ms2.Api.stats engine ];
           (match trace_out with
           | None -> ()
           | Some path ->
@@ -1197,8 +1021,7 @@ let expand_cmd =
           | Some path ->
               write_atomic ~diag_format path (Obs.Metrics.to_json ()));
           if stats then
-            print_stats ~format:stats_format ~jobs:(jobs, jobs_mode)
-              (Ms2.Api.stats engine);
+            print_stats ~format:stats_format ~jobs ~jobs_mode;
           let snap_save =
             match (store, cache_file) with
             | Some s, Some path -> save_cache_file s path

@@ -382,25 +382,16 @@ let note_anomaly (st : state) ~(kind : string) ~(trace : string)
 (* Live metrics publication and Prometheus export                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold every shard engine's statistics plus daemon-level gauges into
-   the metrics registry.  Engine stats fields are plain mutable ints
-   owned by the shard domains; reading them from here is a benign data
-   race (single-word reads of monotone counters), the same trade the
-   [stats] admin method has always made via its dispatch-free reads. *)
+(* Fold the daemon's engine totals (summed over every shard, cache
+   traffic from the shared store) plus daemon-level gauges into the
+   metrics registry.  Engine stats fields are plain mutable ints owned
+   by the shard domains; reading them from here is a benign data race
+   (single-word reads of monotone counters). *)
 let publish_all_metrics (st : state) : unit =
-  Array.iter (fun sh -> Ms2.Api.publish_metrics sh.sh_engine) st.shards;
-  (* with a shared store the per-engine cache counters undercount (each
-     shard sees only its own traffic): the merged store view wins *)
-  (match st.store with
-  | None -> ()
-  | Some s ->
-      let h, m, e, entries, bytes = Ms2.Api.shared_cache_stats s in
-      let set name v = Obs.Metrics.set (Obs.Metrics.counter name) v in
-      set "cache.hits" h;
-      set "cache.misses" m;
-      set "cache.evictions" e;
-      Obs.Metrics.gauge "cache.entries" (float_of_int entries);
-      Obs.Metrics.gauge "cache.used_bytes" (float_of_int bytes));
+  Ms2.Api.publish_metrics ?store:st.store
+    (List.map
+       (fun sh -> Ms2.Api.stats sh.sh_engine)
+       (Array.to_list st.shards));
   Mutex.lock st.st_mutex;
   let served = st.served and avg = st.avg_ms in
   Mutex.unlock st.st_mutex;
@@ -799,19 +790,9 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
       let in_flight = Atomic.get st.in_flight in
       dispatch st sh (fun () ->
           let ss = get_session st sh now req.Proto.rq_session in
-          let es = Ms2.Api.stats sh.sh_engine in
-          (* with a shared store, cache traffic is daemon-global; the
-             shard engine's own counters cover the single-shard case *)
-          let hits, misses, evictions =
-            match st.store with
-            | Some s ->
-                let h, m, e, _, _ = Ms2.Api.shared_cache_stats s in
-                (h, m, e)
-            | None ->
-                ( es.Ms2.Api.cache_hits,
-                  es.Ms2.Api.cache_misses,
-                  es.Ms2.Api.cache_evictions )
-          in
+          (* daemon-wide totals, the same numbers [metrics] reports *)
+          publish_all_metrics st;
+          let es = Ms2.Api.published_stats () in
           let sessions =
             Array.fold_left
               (fun acc sh -> acc + Hashtbl.length sh.sh_sessions)
@@ -837,9 +818,9 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
                  ("session", session_json ss);
                  ("engine",
                   Json.Obj
-                    [ ("cache_hits", Json.Int hits);
-                      ("cache_misses", Json.Int misses);
-                      ("cache_evictions", Json.Int evictions);
+                    [ ("cache_hits", Json.Int es.Ms2.Api.cache_hits);
+                      ("cache_misses", Json.Int es.Ms2.Api.cache_misses);
+                      ("cache_evictions", Json.Int es.Ms2.Api.cache_evictions);
                       ("invocations_expanded",
                        Json.Int es.Ms2.Api.invocations_expanded);
                       ("fuel_consumed", Json.Int es.Ms2.Api.fuel_consumed) ]) ]))

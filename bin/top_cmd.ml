@@ -346,6 +346,7 @@ let compute (prev : sample option) (cur : sample) : view =
       (Option.bind (Json.member cur.s_health "anomalies") Json.list)
       ~default:[]
   in
+  let engine = Ms2.Api.stats_of_counters (counter m) in
   {
     v_ts_us = cur.s_time *. 1e6;
     v_interval_ms = Option.map (fun dt -> dt *. 1e3) dt;
@@ -359,8 +360,8 @@ let compute (prev : sample option) (cur : sample) : view =
     v_avg_ms = health_float cur "avg_ms";
     v_req_per_s = req_per_s;
     v_methods = methods;
-    v_cache_hits = counter m "cache.hits";
-    v_cache_misses = counter m "cache.misses";
+    v_cache_hits = engine.Ms2.Api.cache_hits;
+    v_cache_misses = engine.Ms2.Api.cache_misses;
     v_speculated = counter m "fragments.speculated";
     v_committed = counter m "fragments.committed";
     v_aborts =

@@ -74,10 +74,12 @@ type shared_cache = Engine.cached_run Cache.t
    their counters live in the metrics registry and are surfaced in
    {!stats} so CLI/serve stats output shows them without a registry
    walk. *)
-let c_pattern_memo_hits = Obs.Metrics.counter "parser.pattern_memo.hits"
-let c_pattern_memo_misses = Obs.Metrics.counter "parser.pattern_memo.misses"
-let c_firstset_memo_hits = Obs.Metrics.counter "pattern.firstset.memo_hits"
-let c_firstset_memo_misses = Obs.Metrics.counter "pattern.firstset.memo_misses"
+let memo_counter name = (name, Obs.Metrics.counter name)
+let pattern_memo_hits = memo_counter "parser.pattern_memo.hits"
+let pattern_memo_misses = memo_counter "parser.pattern_memo.misses"
+let firstset_memo_hits = memo_counter "pattern.firstset.memo_hits"
+let firstset_memo_misses = memo_counter "pattern.firstset.memo_misses"
+let memo_value (_, c) = Obs.Metrics.value c
 
 let create_shared_cache ?cache_bytes () : shared_cache =
   Engine.create_store ?budget_bytes:cache_bytes ()
@@ -185,15 +187,119 @@ let stats (engine : engine) : stats =
       engine.Engine.stats.Engine.frag_abort_stale_read;
     fragments_abort_foreign_closure =
       engine.Engine.stats.Engine.frag_abort_foreign_closure;
-    pattern_memo_hits = Obs.Metrics.value c_pattern_memo_hits;
-    pattern_memo_misses = Obs.Metrics.value c_pattern_memo_misses;
-    firstset_memo_hits = Obs.Metrics.value c_firstset_memo_hits;
-    firstset_memo_misses = Obs.Metrics.value c_firstset_memo_misses;
+    pattern_memo_hits = memo_value pattern_memo_hits;
+    pattern_memo_misses = memo_value pattern_memo_misses;
+    firstset_memo_hits = memo_value firstset_memo_hits;
+    firstset_memo_misses = memo_value firstset_memo_misses;
   }
 
-(** Publish an engine's statistics into the {!Ms2_support.Obs.Metrics}
-    registry (see {!Engine.publish_metrics}). *)
-let publish_metrics = Engine.publish_metrics
+(* The per-engine counters under their registry names — the one table
+   behind {!publish_metrics} and {!stats_of_counters}.  A row reads its
+   counter off one engine's {!stats}; the cache-traffic rows can also
+   read the merged view of a store the engines share. *)
+let engine_counter ?of_store name (of_stats : stats -> int) =
+  (name, of_stats, of_store)
+
+let c_invocations =
+  engine_counter "engine.invocations_expanded" (fun s ->
+      s.invocations_expanded)
+
+let c_meta_runs =
+  engine_counter "engine.meta_declarations_run" (fun s ->
+      s.meta_declarations_run)
+
+let c_macros =
+  engine_counter "engine.macros_defined" (fun s -> s.macros_defined)
+let c_fuel = engine_counter "engine.fuel_consumed" (fun s -> s.fuel_consumed)
+let c_nodes = engine_counter "engine.nodes_produced" (fun s -> s.nodes_produced)
+
+let c_hits =
+  engine_counter "cache.hits" ~of_store:Cache.hits (fun s -> s.cache_hits)
+
+let c_misses =
+  engine_counter "cache.misses" ~of_store:Cache.misses (fun s ->
+      s.cache_misses)
+
+let c_evictions =
+  engine_counter "cache.evictions" ~of_store:Cache.evictions (fun s ->
+      s.cache_evictions)
+
+let c_bypasses = engine_counter "cache.bypasses" (fun s -> s.cache_bypasses)
+
+let c_bypass_trace =
+  engine_counter "cache.bypass.trace" (fun s -> s.cache_bypass_trace)
+
+let c_bypass_failpoints =
+  engine_counter "cache.bypass.failpoints" (fun s -> s.cache_bypass_failpoints)
+
+let c_bypass_uncacheable =
+  engine_counter "cache.bypass.uncacheable" (fun s ->
+      s.cache_bypass_uncacheable)
+
+let c_bypass_budget =
+  engine_counter "cache.bypass.budget" (fun s -> s.cache_bypass_budget)
+
+let engine_counters =
+  [ c_invocations; c_meta_runs; c_macros; c_fuel; c_nodes; c_hits; c_misses;
+    c_evictions; c_bypasses; c_bypass_trace; c_bypass_failpoints;
+    c_bypass_uncacheable; c_bypass_budget ]
+
+(** Set every per-engine registry counter to its sum over [engines].
+    With [store] — the store those engines share in this process — the
+    cache traffic is the store's merged view instead (each engine's own
+    eviction count already {e is} the store's, so summing would multiply
+    it), and the store's occupancy gauges are published too. *)
+let publish_metrics ?(store : shared_cache option) (engines : stats list) :
+    unit =
+  List.iter
+    (fun (name, of_stats, of_store) ->
+      Obs.Metrics.set (Obs.Metrics.counter name)
+        (match (store, of_store) with
+        | Some s, Some read -> read s
+        | _ -> List.fold_left (fun acc e -> acc + of_stats e) 0 engines))
+    engine_counters;
+  Option.iter
+    (fun s ->
+      Obs.Metrics.gauge "cache.entries" (float_of_int (Cache.length s));
+      Obs.Metrics.gauge "cache.used_bytes" (float_of_int (Cache.used_bytes s)))
+    store
+
+(** Read the {!stats} fields off a metrics dump, given its counter
+    lookup by registry name: the published per-engine counters plus the
+    speculation and memo counters the pipeline keeps in the registry
+    itself. *)
+let stats_of_counters (r : string -> int) : stats =
+  let v (name, _, _) = r name in
+  {
+    invocations_expanded = v c_invocations;
+    meta_declarations_run = v c_meta_runs;
+    macros_defined = v c_macros;
+    fuel_consumed = v c_fuel;
+    nodes_produced = v c_nodes;
+    cache_hits = v c_hits;
+    cache_misses = v c_misses;
+    cache_evictions = v c_evictions;
+    cache_bypasses = v c_bypasses;
+    cache_bypass_trace = v c_bypass_trace;
+    cache_bypass_failpoints = v c_bypass_failpoints;
+    cache_bypass_uncacheable = v c_bypass_uncacheable;
+    cache_bypass_budget = v c_bypass_budget;
+    fragments_speculated = r "fragments.speculated";
+    fragments_committed = r "fragments.committed";
+    fragments_revalidated = r "fragments.revalidated";
+    fragments_abort_defs_bump = r "fragments.abort.defs_bump";
+    fragments_abort_gensym_mint = r "fragments.abort.gensym_mint";
+    fragments_abort_meta_decl = r "fragments.abort.meta_decl";
+    fragments_abort_stale_read = r "fragments.abort.stale_read";
+    fragments_abort_foreign_closure = r "fragments.abort.foreign_closure";
+    pattern_memo_hits = r (fst pattern_memo_hits);
+    pattern_memo_misses = r (fst pattern_memo_misses);
+    firstset_memo_hits = r (fst firstset_memo_hits);
+    firstset_memo_misses = r (fst firstset_memo_misses);
+  }
+
+let published_stats () : stats =
+  stats_of_counters (fun name -> Obs.Metrics.value (Obs.Metrics.counter name))
 
 (** Diagnostics recorded by an engine's recovery mode, oldest first. *)
 let diagnostics (engine : engine) : Diag.t list = Engine.diagnostics engine

@@ -150,10 +150,24 @@ val stats : engine -> stats
 (** Snapshot of the engine's expansion-cost counters, including fuel
     and produced-AST accounting. *)
 
-val publish_metrics : engine -> unit
-(** Publish the engine's statistics into the
-    {!Ms2_support.Obs.Metrics} registry under [engine.*] and [cache.*]
-    (idempotent absolute sets; call before dumping the registry). *)
+val publish_metrics : ?store:shared_cache -> stats list -> unit
+(** Publish engine statistics into the {!Ms2_support.Obs.Metrics}
+    registry: each [engine.*]/[cache.*] counter is set to its sum over
+    the given engines (absolute sets, so republishing is idempotent;
+    call once before reporting).  [store] is the store those engines
+    share in this process: when given, [cache.hits]/[misses]/[evictions]
+    are its merged view and its [cache.entries]/[cache.used_bytes]
+    gauges are published too. *)
+
+val stats_of_counters : (string -> int) -> stats
+(** Read the {!stats} fields off a metrics dump, given its counter
+    lookup by registry name (e.g. a parsed [ms2-metrics-1] document):
+    the counters {!publish_metrics} sets, plus the [fragments.*] and
+    memo counters the pipeline maintains in the registry directly. *)
+
+val published_stats : unit -> stats
+(** {!stats_of_counters} over this process's registry — what [--stats],
+    [--metrics] and the daemon's [metrics] all render. *)
 
 val diagnostics : engine -> Diag.t list
 (** Diagnostics recorded by the engine's recovery mode, oldest first

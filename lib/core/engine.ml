@@ -2067,34 +2067,3 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
               ld_warnings = 0;
               ld_error = None;
             })
-
-(* ------------------------------------------------------------------ *)
-(* Metrics publication                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Publish the engine's point-in-time statistics into the {!Obs.Metrics}
-    registry (under [engine.*] and [cache.*]), so [--metrics] dumps and
-    worker snapshots carry them alongside the hot-path counters the
-    pipeline stages maintain themselves.  Uses absolute [set], so calling
-    it repeatedly is idempotent per engine. *)
-let publish_metrics (t : t) : unit =
-  let set name v = Obs.Metrics.set (Obs.Metrics.counter name) v in
-  set "engine.invocations_expanded" t.stats.invocations_expanded;
-  set "engine.meta_declarations_run" t.stats.meta_declarations_run;
-  set "engine.macros_defined" t.stats.macros_defined;
-  set "engine.fuel_consumed" (fuel_consumed t);
-  set "engine.nodes_produced" (nodes_produced t);
-  set "cache.hits" t.stats.cache_hits;
-  set "cache.misses" t.stats.cache_misses;
-  set "cache.evictions" (cache_evictions t);
-  set "cache.bypasses" t.stats.cache_bypasses;
-  set "cache.bypass.trace" t.stats.cache_bypass_trace;
-  set "cache.bypass.failpoints" t.stats.cache_bypass_failpoints;
-  set "cache.bypass.uncacheable" t.stats.cache_bypass_uncacheable;
-  set "cache.bypass.budget" t.stats.cache_bypass_budget;
-  match t.cache with
-  | None -> ()
-  | Some cache ->
-      Obs.Metrics.gauge "cache.entries" (float_of_int (Cache.length cache));
-      Obs.Metrics.gauge "cache.used_bytes"
-        (float_of_int (Cache.used_bytes cache))

@@ -226,12 +226,6 @@ val cache_evictions : t -> int
     than per miss (the sweep costs more than the rest of the store
     path), so read this instead of [stats.cache_evictions]. *)
 
-val publish_metrics : t -> unit
-(** Publish the engine's point-in-time statistics (and cache occupancy
-    gauges) into the {!Obs.Metrics} registry under [engine.*] and
-    [cache.*].  Idempotent per engine (absolute sets, not increments);
-    call before {!Obs.Metrics.to_json} or a worker snapshot. *)
-
 (** {1 Durable cache snapshots}
 
     Persist a shared expansion-cache store across processes so a

@@ -12,12 +12,13 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** Run [ms2c args], returning (exit code, stdout, stderr). *)
-let run_cli args =
+(** Run [ms2c args] (with [env], e.g. ["VAR=value"], prepended),
+    returning (exit code, stdout, stderr). *)
+let run_cli ?(env = "") args =
   let out = Filename.temp_file "ms2c_jobs" ".out" in
   let err = Filename.temp_file "ms2c_jobs" ".err" in
   let code =
-    Sys.command (Printf.sprintf "%s %s > %s 2> %s" ms2c args out err)
+    Sys.command (Printf.sprintf "%s %s %s > %s 2> %s" env ms2c args out err)
   in
   let stdout = read_file out and stderr = read_file err in
   Sys.remove out;
@@ -224,6 +225,199 @@ let stats_report_cache_counters () =
          in
          contains ~sub:"cache hits: 0" err'))
 
+(* ------------------------------------------------------------------ *)
+(* Statistics: one registry behind every rendering                     *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Ms2_support.Json
+
+(* The counters of an [ms2-metrics-1] document, by registry name. *)
+let json_counters (doc : string) : string -> int =
+  match Json.parse doc with
+  | Error e -> Alcotest.failf "unparseable metrics JSON: %s" e
+  | Ok v -> (
+      match Json.member v "counters" with
+      | None -> Alcotest.fail "metrics JSON has no counters"
+      | Some c -> fun name ->
+          (match Option.bind (Json.member c name) Json.int with
+          | Some n -> n
+          | None -> Alcotest.failf "metrics JSON lacks counter %s" name))
+
+(* Every counter the text [--stats] block prints, as (registry name,
+   value) pairs: each text line is matched against its registry names in
+   order of appearance. *)
+let text_counters (err : string) : (string * int) list =
+  let ints line =
+    let b = Buffer.create 8 and acc = ref [] in
+    let flush () =
+      if Buffer.length b > 0 then begin
+        acc := int_of_string (Buffer.contents b) :: !acc;
+        Buffer.clear b
+      end
+    in
+    String.iter
+      (fun c -> if c >= '0' && c <= '9' then Buffer.add_char b c else flush ())
+      line;
+    flush ();
+    List.rev !acc
+  in
+  let lines =
+    [ ("jobs: ", [ "driver.jobs" ]);
+      ("macros defined: ", [ "engine.macros_defined" ]);
+      ("meta declarations run: ", [ "engine.meta_declarations_run" ]);
+      ("invocations expanded: ", [ "engine.invocations_expanded" ]);
+      ("fuel consumed: ", [ "engine.fuel_consumed" ]);
+      ("AST nodes produced: ", [ "engine.nodes_produced" ]);
+      ("cache hits: ", [ "cache.hits" ]);
+      ("cache misses: ", [ "cache.misses" ]);
+      ("cache evictions: ", [ "cache.evictions" ]);
+      ("cache bypasses: ", [ "cache.bypasses" ]);
+      ("  bypassed for: ",
+       [ "cache.bypass.trace"; "cache.bypass.failpoints";
+         "cache.bypass.uncacheable"; "cache.bypass.budget" ]);
+      ("fragments speculated: ",
+       [ "fragments.speculated"; "fragments.committed";
+         "fragments.revalidated" ]);
+      ("  aborted for: ",
+       [ "fragments.abort.defs_bump"; "fragments.abort.gensym_mint";
+         "fragments.abort.meta_decl"; "fragments.abort.stale_read";
+         "fragments.abort.foreign_closure" ]);
+      ("pattern memo: ",
+       [ "parser.pattern_memo.hits"; "parser.pattern_memo.misses";
+         "pattern.firstset.memo_hits"; "pattern.firstset.memo_misses" ]) ]
+  in
+  List.concat_map
+    (fun line ->
+      match
+        List.find_opt
+          (fun (prefix, _) -> String.starts_with ~prefix line)
+          lines
+      with
+      | None -> []
+      | Some (_, names) ->
+          let values = ints line in
+          Alcotest.(check int)
+            (Printf.sprintf "numbers on %S" line)
+            (List.length names) (List.length values);
+          List.combine names values)
+    (String.split_on_char '\n' err)
+
+(* A file whose 15 top-level uses speculate deterministically under
+   --fragment-jobs 2: 12 commit, the 3 anonymous structs revalidate. *)
+let speculating_file () =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b
+    "syntax exp TRPL {| ( $$exp::e ) |} { return `( (3 * $(e)) ); }\n";
+  for i = 0 to 11 do
+    Buffer.add_string b
+      (Printf.sprintf "int u%d(int x) { return TRPL(x + %d); }\n" i i);
+    if i mod 4 = 3 then
+      Buffer.add_string b
+        (Printf.sprintf "struct { int a; int b; } s%d;\n" i)
+  done;
+  write_fixture "spec" (Buffer.contents b)
+
+let text_json_agree () =
+  (* distinct self-contained files: every counter is deterministic (no
+     cross-file cache traffic for the domain scheduler to reorder) *)
+  with_files
+    [ good_file 1; good_file 2; good_file 3; speculating_file () ]
+    (fun files ->
+      let args = String.concat " " files in
+      List.iter
+        (fun mode ->
+          let run fmt =
+            let code, _, err =
+              run_cli
+                (Printf.sprintf "expand %s --fragment-jobs 2 --stats %s %s"
+                   mode fmt args)
+            in
+            Alcotest.(check int) (mode ^ " exit") 0 code;
+            err
+          in
+          let text = text_counters (run "") in
+          let json = json_counters (run "--stats-format=json") in
+          Alcotest.(check bool)
+            (mode ^ ": text prints the engine counters")
+            true
+            (List.mem_assoc "engine.invocations_expanded" text
+            && List.mem_assoc "fragments.speculated" text);
+          List.iter
+            (fun (name, v) ->
+              Alcotest.(check int) (Printf.sprintf "%s: %s" mode name)
+                v (json name))
+            text)
+        [ "--jobs 1"; "--jobs 2"; "--jobs 2 --jobs-mode=fork" ])
+
+(* A snapshot primed by an earlier batch replays under fork exactly as
+   under domains: the forked workers' own hits are what --stats counts,
+   and the parent's one snapshot load is what --metrics counts. *)
+let fork_cache_file_counters () =
+  let snap = Filename.temp_file "ms2c_jobs_snap" ".bin" in
+  let metrics = Filename.temp_file "ms2c_jobs_metrics" ".json" in
+  with_files
+    [ good_file 1; good_file 2; good_file 3; snap; metrics ]
+    (fun files ->
+      let args = String.concat " " (List.filteri (fun i _ -> i < 3) files) in
+      Sys.remove snap;
+      let c, _, _ =
+        run_cli
+          (Printf.sprintf "expand --jobs 2 --cache-file %s %s" snap args)
+      in
+      Alcotest.(check int) "priming run" 0 c;
+      List.iter
+        (fun mode ->
+          let c, _, err =
+            run_cli
+              (Printf.sprintf
+                 "expand --jobs 2 --jobs-mode=%s --cache-file %s --stats \
+                  --metrics %s %s"
+                 mode snap metrics args)
+          in
+          Alcotest.(check int) (mode ^ " exit") 0 c;
+          Alcotest.(check bool)
+            (mode ^ ": every file replays from the snapshot")
+            true
+            (contains ~sub:"cache hits: 3\n" err);
+          Alcotest.(check int)
+            (mode ^ ": snapshot entries loaded once")
+            3
+            (json_counters (read_file metrics) "snapshot.load.entries"))
+        [ "domains"; "fork" ])
+
+(* A forked worker killed before it ships a result (the stand-in for an
+   OOM kill) costs its file only: a located diagnostic, the other files'
+   output, and statistics over the workers that did report. *)
+let fork_worker_death () =
+  with_files [ good_file 1; good_file 2; good_file 3 ] (fun files ->
+      let args = String.concat " " files in
+      let victim = List.nth files 1 in
+      let env = Printf.sprintf "MS2_TEST_WORKER_KILL=%s" victim in
+      let code, out, err =
+        run_cli ~env
+          (Printf.sprintf "expand --jobs 2 --jobs-mode=fork --keep-going \
+                           --stats %s"
+             args)
+      in
+      Alcotest.(check int) "degraded exits 3" 3 code;
+      Alcotest.(check bool) "the death is diagnosed" true
+        (contains ~sub:"killed by SIGKILL" err
+        && contains ~sub:(Filename.basename victim) err);
+      Alcotest.(check bool) "f1 and f3 survive" true
+        (contains ~sub:"int f1" out && contains ~sub:"int f3" out);
+      Alcotest.(check bool) "the lost file contributes nothing" false
+        (contains ~sub:"int f2" out);
+      Alcotest.(check bool) "stats cover the two surviving workers" true
+        (contains ~sub:"invocations expanded: 2\n" err);
+      let code, out, err =
+        run_cli ~env (Printf.sprintf "expand --jobs 2 --jobs-mode=fork %s" args)
+      in
+      Alcotest.(check int) "fatal exits 1" 1 code;
+      Alcotest.(check string) "no output on fatal" "" out;
+      Alcotest.(check bool) "rerun hint" true
+        (contains ~sub:"killed by SIGKILL" err
+        && contains ~sub:"rerun with --keep-going" err))
+
 let () =
   Alcotest.run "jobs"
     [
@@ -252,5 +446,13 @@ let () =
             no_cache_byte_identical;
           Alcotest.test_case "cache counters in --stats" `Quick
             stats_report_cache_counters;
+        ] );
+      ( "statistics",
+        [
+          Alcotest.test_case "text and JSON --stats agree" `Quick
+            text_json_agree;
+          Alcotest.test_case "fork --cache-file counters" `Quick
+            fork_cache_file_counters;
+          Alcotest.test_case "fork worker death" `Quick fork_worker_death;
         ] );
     ]

@@ -349,7 +349,37 @@ let health_metrics_workers () =
             c)
           0 buckets
       in
-      Alcotest.(check int) "+Inf bucket equals count" count last)
+      Alcotest.(check int) "+Inf bucket equals count" count last;
+      (* the engine counters cover the whole daemon: six two-invocation
+         requests spread over both shards add up, whichever shard ran
+         them (sessions a and b already hold one invocation and one
+         definition between them) *)
+      let invocations =
+        List.fold_left
+          (fun acc session ->
+            let r =
+              expand d ~session
+                (defs_text
+                ^ "int h(void) { return TWICE((1)) + TWICE((2)); }\n")
+            in
+            Alcotest.(check bool) ("expand " ^ session) true (is_ok r);
+            acc + int_at r [ "request"; "invocations" ])
+          1
+          [ "a"; "b"; "c"; "d"; "e"; "f" ]
+      in
+      Alcotest.(check int) "two invocations a request" 13 invocations;
+      let m = rpc d [ ("method", Json.Str "metrics") ] in
+      let counter name = int_at m [ "metrics"; "counters"; name ] in
+      Alcotest.(check int) "engine.invocations_expanded sums the shards"
+        invocations
+        (counter "engine.invocations_expanded");
+      Alcotest.(check int) "engine.macros_defined sums the shards" 7
+        (counter "engine.macros_defined");
+      let s =
+        rpc d [ ("method", Json.Str "stats"); ("session", Json.Str "a") ]
+      in
+      Alcotest.(check int) "stats reports the daemon-wide total" invocations
+        (int_at s [ "engine"; "invocations_expanded" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition: a strict line-level parser                   *)
