@@ -223,6 +223,9 @@ let run_pool ~jobs ~keep_going ~(source_of : int -> string)
               (Printf.sprintf "ms2c: worker %d: internal error: %s" i
                  (Printexc.to_string e))
         in
+        (* publish like every driver, so the snapshot also carries this
+           process's own gauges ([intern.spellings]) *)
+        Ms2.Api.publish_metrics (Option.to_list result.w_stats);
         let oc = Unix.out_channel_of_descr wr in
         Marshal.to_channel oc
           { result with w_metrics = Some (Obs.Metrics.snapshot ()) }

@@ -248,7 +248,9 @@ let engine_counters =
     With [store] — the store those engines share in this process — the
     cache traffic is the store's merged view instead (each engine's own
     eviction count already {e is} the store's, so summing would multiply
-    it), and the store's occupancy gauges are published too. *)
+    it), and the store's occupancy gauges are published too.  The
+    interner's size, [intern.spellings], is a high-water mark: it never
+    drops below a reading absorbed from a forked worker. *)
 let publish_metrics ?(store : shared_cache option) (engines : stats list) :
     unit =
   List.iter
@@ -258,6 +260,7 @@ let publish_metrics ?(store : shared_cache option) (engines : stats list) :
         | Some s, Some read -> read s
         | _ -> List.fold_left (fun acc e -> acc + of_stats e) 0 engines))
     engine_counters;
+  Obs.Metrics.gauge_max "intern.spellings" (float_of_int (Intern.interned ()));
   Option.iter
     (fun s ->
       Obs.Metrics.gauge "cache.entries" (float_of_int (Cache.length s));

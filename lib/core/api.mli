@@ -157,7 +157,9 @@ val publish_metrics : ?store:shared_cache -> stats list -> unit
     call once before reporting).  [store] is the store those engines
     share in this process: when given, [cache.hits]/[misses]/[evictions]
     are its merged view and its [cache.entries]/[cache.used_bytes]
-    gauges are published too. *)
+    gauges are published too.  The [intern.spellings] gauge reports
+    the process-wide interner's size ({!Ms2_support.Intern.interned}),
+    never below a reading already in the registry. *)
 
 val stats_of_counters : (string -> int) -> stats
 (** Read the {!stats} fields off a metrics dump, given its counter

@@ -17,18 +17,22 @@
 
     {b Domain safety.}  The lexer probes this table once per identifier
     token, from every domain at once under [--jobs-mode=domains], so the
-    read path must never take a lock.  The table is therefore an
-    {e immutable} open-hashing snapshot published through an [Atomic.t]:
-    a reader grabs the current snapshot with one atomic load and scans a
-    bucket of an array that, once published, is never written again.
-    Inserts take a mutex, re-check against the latest snapshot (two
+    read path must never take a lock.  The table is an open-hashing
+    bucket array published through an [Atomic.t]: a reader grabs the
+    current generation with one atomic load and scans one bucket.
+    Inserts take a mutex, re-check against the latest generation (two
     domains racing on a new spelling must agree on one symbol — the
-    physical-equality contract depends on it), then publish a copied
-    bucket array with the new symbol consed in.  Copying is
-    O(bucket count) per insert, which sounds expensive and is not: the
-    set of distinct identifiers a compiler-shaped process sees is small
-    and front-loaded, so inserts vanish after warmup while reads run
-    forever.
+    physical-equality contract depends on it), cons the new symbol onto
+    the live bucket in place, and publish the bumped size.  A bucket
+    slot only ever moves from one immutable, fully built list to a
+    longer one with the old list as its tail, so a reader racing the
+    store sees either the old head or the new one, and both are
+    correct lists.  A reader whose generation misses a spelling another
+    domain just added falls through to the locked re-check.  A new
+    bucket array is allocated only when the table doubles, so an insert
+    costs O(1) amortized: C mints fresh names with every declaration
+    and every [symbolconc], and a daemon keeps minting them for as long
+    as it runs.
 
     The table is global and append-only: symbols are never collected.
     That is the right trade for a compiler-shaped process — the set of
@@ -42,9 +46,9 @@ type t = {
   uid : int;  (** dense allocation order, for cheap total ordering *)
 }
 
-(* One published generation of the table.  [buckets] is frozen at
-   publication: lock-free readers scan it with no fence beyond the
-   initial [Atomic.get]. *)
+(* One published generation of the table.  Under [write_lock] an
+   insert conses onto a slot of the live [buckets] in place; a
+   generation's array is replaced only when the table doubles. *)
 type table = {
   buckets : t list array;
   mask : int;  (** [Array.length buckets - 1]; length is a power of two *)
@@ -67,46 +71,43 @@ let find_in (tbl : table) (s : string) (h : int) : t option =
   in
   scan tbl.buckets.(h land tbl.mask)
 
-(* Under [write_lock]: publish a new generation containing [sym]. *)
+(* Under [write_lock]: [tbl] rehashed into a bucket array twice as
+   long.  The old array is never written again, so readers still
+   holding its generation keep scanning valid (if shorter) buckets. *)
+let grown (tbl : table) : table =
+  let len = (tbl.mask + 1) * 2 in
+  let buckets = Array.make len [] and mask = len - 1 in
+  Array.iter
+    (List.iter (fun s ->
+         buckets.(s.hash land mask) <- s :: buckets.(s.hash land mask)))
+    tbl.buckets;
+  { tbl with buckets; mask }
+
+(* Under [write_lock]: add [sym] to the live generation and publish the
+   bumped size. *)
 let publish_with (tbl : table) (sym : t) : unit =
-  let need_grow = tbl.size + 1 > (tbl.mask + 1) * 3 / 4 in
-  let next =
-    if need_grow then begin
-      let len = (tbl.mask + 1) * 2 in
-      let buckets = Array.make len [] and mask = len - 1 in
-      Array.iter
-        (List.iter (fun s -> buckets.(s.hash land mask) <- s :: buckets.(s.hash land mask)))
-        tbl.buckets;
-      { buckets; mask; size = tbl.size }
-    end
-    else
-      { tbl with buckets = Array.copy tbl.buckets }
+  let tbl =
+    if tbl.size + 1 > (tbl.mask + 1) * 3 / 4 then grown tbl else tbl
   in
-  let slot = sym.hash land next.mask in
-  next.buckets.(slot) <- sym :: next.buckets.(slot);
-  Atomic.set state { next with size = next.size + 1 }
+  let slot = sym.hash land tbl.mask in
+  tbl.buckets.(slot) <- sym :: tbl.buckets.(slot);
+  Atomic.set state { tbl with size = tbl.size + 1 }
 
 let intern (s : string) : t =
   let h = Hashtbl.hash s in
   match find_in (Atomic.get state) s h with
   | Some sym -> sym
-  | None -> (
-      Mutex.lock write_lock;
-      (* Re-check against the latest generation: another domain may
-         have interned [s] between our read and the lock. *)
-      let tbl = Atomic.get state in
-      match find_in tbl s h with
-      | Some sym ->
-          Mutex.unlock write_lock;
-          sym
-      | None ->
-          let sym = { str = s; hash = h; uid = tbl.size } in
-          publish_with tbl sym;
-          Mutex.unlock write_lock;
-          sym
-      | exception e ->
-          Mutex.unlock write_lock;
-          raise e)
+  | None ->
+      Mutex.protect write_lock (fun () ->
+          (* Re-check against the latest generation: another domain may
+             have interned [s] between our read and the lock. *)
+          let tbl = Atomic.get state in
+          match find_in tbl s h with
+          | Some sym -> sym
+          | None ->
+              let sym = { str = s; hash = h; uid = tbl.size } in
+              publish_with tbl sym;
+              sym)
 
 (** The canonical copy of [s]: spelling-equal strings map to one shared
     allocation, so later [String.equal]s on canonical strings hit their

@@ -1,6 +1,7 @@
 (** Global string interning: one allocation and one hash per distinct
-    spelling, process-wide.  See the implementation notes in
-    [intern.ml]. *)
+    spelling, process-wide.  Looking up a known spelling takes no lock;
+    interning a new one takes a mutex and costs O(1) amortized.  See the
+    implementation notes in [intern.ml]. *)
 
 type t = private {
   str : string;  (** canonical spelling, unique per contents *)

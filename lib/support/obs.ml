@@ -467,6 +467,14 @@ module Metrics = struct
   let gauge name v = locked (fun () -> Hashtbl.replace gauges name v)
 
   (* assumes [registry_mutex] held *)
+  let gauge_max_locked name v =
+    match Hashtbl.find_opt gauges name with
+    | Some v0 when v0 >= v -> ()
+    | _ -> Hashtbl.replace gauges name v
+
+  let gauge_max name v = locked (fun () -> gauge_max_locked name v)
+
+  (* assumes [registry_mutex] held *)
   let histogram_locked name =
     match Hashtbl.find_opt histograms name with
     | Some h -> h
@@ -520,12 +528,7 @@ module Metrics = struct
             let c = counter_locked k in
             ignore (Atomic.fetch_and_add c.c_v v))
           s.sn_counters;
-        List.iter
-          (fun (k, v) ->
-            match Hashtbl.find_opt gauges k with
-            | Some v0 when v0 >= v -> ()
-            | _ -> Hashtbl.replace gauges k v)
-          s.sn_gauges;
+        List.iter (fun (k, v) -> gauge_max_locked k v) s.sn_gauges;
         List.iter
           (fun (k, count, sum, buckets) ->
             let h = histogram_locked k in

@@ -350,6 +350,17 @@ let health_metrics_workers () =
           0 buckets
       in
       Alcotest.(check int) "+Inf bucket equals count" count last;
+      (* the interner's size is a gauge, and it grows with the fresh
+         identifiers the requests below carry *)
+      let spellings metrics =
+        match
+          Option.bind (Json.member metrics "gauges") (fun g ->
+              Option.bind (Json.member g "intern.spellings") Json.number)
+        with
+        | Some v -> v
+        | None -> Alcotest.fail "no intern.spellings gauge"
+      in
+      let spellings0 = spellings metrics in
       (* the engine counters cover the whole daemon: six two-invocation
          requests spread over both shards add up, whichever shard ran
          them (sessions a and b already hold one invocation and one
@@ -359,8 +370,8 @@ let health_metrics_workers () =
           (fun acc session ->
             let r =
               expand d ~session
-                (defs_text
-                ^ "int h(void) { return TWICE((1)) + TWICE((2)); }\n")
+                (defs_text ^ "int fresh_" ^ session
+                ^ "_h(void) { return TWICE((1)) + TWICE((2)); }\n")
             in
             Alcotest.(check bool) ("expand " ^ session) true (is_ok r);
             acc + int_at r [ "request"; "invocations" ])
@@ -370,6 +381,11 @@ let health_metrics_workers () =
       Alcotest.(check int) "two invocations a request" 13 invocations;
       let m = rpc d [ ("method", Json.Str "metrics") ] in
       let counter name = int_at m [ "metrics"; "counters"; name ] in
+      (match Json.member m "metrics" with
+      | Some metrics ->
+          Alcotest.(check bool) "intern.spellings grows" true
+            (spellings metrics > spellings0)
+      | None -> Alcotest.fail "no metrics member");
       Alcotest.(check int) "engine.invocations_expanded sums the shards"
         invocations
         (counter "engine.invocations_expanded");
