@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test faults txn-sweep serve-sweep recovery-sweep \
-        bench bench-fuel bench-provenance bench-txn bench-perf bench-obs \
+        bench bench-perf bench-obs \
         bench-serve figures examples expand clean
 
 all: build
@@ -37,18 +37,6 @@ recovery-sweep:
 # regenerate the paper's figures and all timing tables
 bench:
 	dune exec bench/main.exe
-
-# fuel-accounting overhead table (writes BENCH_FUEL.json)
-bench-fuel:
-	dune exec bench/main.exe fuel
-
-# provenance-stamping overhead table (writes BENCH_PROVENANCE.json)
-bench-provenance:
-	dune exec bench/main.exe provenance
-
-# transactional-checkpoint overhead table (writes BENCH_TXN.json)
-bench-txn:
-	dune exec bench/main.exe txn
 
 # hot-path / cache / parallel-speedup tables (writes BENCH_PERF.json)
 bench-perf:

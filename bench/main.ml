@@ -264,231 +264,6 @@ let ablation_tests () =
         (Staged.stage (run_hygiene ~hygienic:true)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Fuel accounting overhead                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The resilient pipeline charges every interpreter step and every
-   filled template node against a budget.  This table measures what that
-   governance costs: the same workloads expanded with the production
-   budgets ({!Ms2_support.Limits.default}) and with the budgets disabled
-   ({!Ms2_support.Limits.unlimited}, the max_int sentinel — the
-   counters never trip and impose their minimum possible cost).  The
-   target is <5% overhead. *)
-
-let fuel_pairs () =
-  [ ("fuel-heavy (2000-step meta loop x8)", Workloads.fuel_heavy 2000);
-    ("myenum (32 constants)", Workloads.myenum 32);
-    ("Painting x32", Workloads.painting 32) ]
-
-let fuel_tests () =
-  let run ~limits src () =
-    let engine = Ms2.Engine.create ~limits () in
-    match Ms2.Api.expand ~source:"bench" engine src with
-    | Ok out -> Sys.opaque_identity (String.length out)
-    | Error e -> failwith e
-  in
-  Test.make_grouped ~name:"fuel"
-    (List.concat_map
-       (fun (name, src) ->
-         [ Test.make ~name:(name ^ ": budgets off")
-             (Staged.stage (run ~limits:Ms2_support.Limits.unlimited src));
-           Test.make ~name:(name ^ ": budgets on")
-             (Staged.stage (run ~limits:Ms2_support.Limits.default src)) ])
-       (fuel_pairs ()))
-
-let run_fuel () =
-  let results = measure_tests (fuel_tests ()) in
-  print_estimates
-    "Fuel accounting overhead (default budgets vs unlimited sentinel)"
-    results;
-  let ests = estimates results in
-  let find suffix name = List.assoc_opt ("fuel/" ^ name ^ ": " ^ suffix) ests in
-  rule "Derived: overhead of enforced budgets (<5% target)";
-  let rows =
-    List.filter_map
-      (fun (name, _) ->
-        match (find "budgets on" name, find "budgets off" name) with
-        | Some on, Some off when off > 0. ->
-            let pct = (on -. off) /. off *. 100. in
-            Printf.printf "  %-42s %+.2f%%\n" name pct;
-            Some (name, off, on, pct)
-        | _, _ -> None)
-      (fuel_pairs ())
-  in
-  (* machine-readable record alongside the other BENCH_*.json trackers *)
-  let oc = open_tracker "BENCH_FUEL.json" in
-  Printf.fprintf oc "{\n  \"quota_s\": %g,\n  \"workloads\": [\n" quota;
-  List.iteri
-    (fun i (name, off, on, pct) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"ns_per_run_unlimited\": %.1f, \
-         \"ns_per_run_default\": %.1f, \"overhead_percent\": %.2f}%s\n"
-        name off on pct
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  let mean =
-    match rows with
-    | [] -> 0.
-    | _ ->
-        List.fold_left (fun a (_, _, _, p) -> a +. p) 0. rows
-        /. float_of_int (List.length rows)
-  in
-  Printf.fprintf oc "  ],\n  \"mean_overhead_percent\": %.2f\n}\n" mean;
-  close_tracker "BENCH_FUEL.json" oc;
-  Printf.printf "\n  mean overhead: %+.2f%%  (written to BENCH_FUEL.json)\n"
-    mean
-
-(* ------------------------------------------------------------------ *)
-(* Provenance stamping overhead                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Every filled template node gets an origin stamped onto its location
-   (the expansion-backtrace chain behind diagnostics, --line-directives
-   and --sourcemap).  This table measures what the stamping costs: the
-   same workloads expanded with provenance on (the default) and off
-   ([Engine.create ~provenance:false], the benchmarking ablation).  The
-   target is <5% overhead. *)
-
-let provenance_pairs () =
-  [ ("myenum (32 constants)", Workloads.myenum 32);
-    ("Painting x32", Workloads.painting 32);
-    ("Painting nested 16 deep", Workloads.painting_nested 16) ]
-
-let provenance_tests () =
-  let run ~provenance src () =
-    let engine = Ms2.Engine.create ~provenance () in
-    match Ms2.Api.expand ~source:"bench" engine src with
-    | Ok out -> Sys.opaque_identity (String.length out)
-    | Error e -> failwith e
-  in
-  Test.make_grouped ~name:"provenance"
-    (List.concat_map
-       (fun (name, src) ->
-         [ Test.make ~name:(name ^ ": provenance off")
-             (Staged.stage (run ~provenance:false src));
-           Test.make ~name:(name ^ ": provenance on")
-             (Staged.stage (run ~provenance:true src)) ])
-       (provenance_pairs ()))
-
-let run_provenance () =
-  let results = measure_tests (provenance_tests ()) in
-  print_estimates
-    "Provenance stamping overhead (expansion backtraces on vs off)"
-    results;
-  let ests = estimates results in
-  let find suffix name =
-    List.assoc_opt ("provenance/" ^ name ^ ": " ^ suffix) ests
-  in
-  rule "Derived: overhead of provenance stamping (<5% target)";
-  let rows =
-    List.filter_map
-      (fun (name, _) ->
-        match (find "provenance on" name, find "provenance off" name) with
-        | Some on, Some off when off > 0. ->
-            let pct = (on -. off) /. off *. 100. in
-            Printf.printf "  %-42s %+.2f%%\n" name pct;
-            Some (name, off, on, pct)
-        | _, _ -> None)
-      (provenance_pairs ())
-  in
-  let oc = open_tracker "BENCH_PROVENANCE.json" in
-  Printf.fprintf oc "{\n  \"quota_s\": %g,\n  \"workloads\": [\n" quota;
-  List.iteri
-    (fun i (name, off, on, pct) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"ns_per_run_off\": %.1f, \
-         \"ns_per_run_on\": %.1f, \"overhead_percent\": %.2f}%s\n"
-        name off on pct
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  let mean =
-    match rows with
-    | [] -> 0.
-    | _ ->
-        List.fold_left (fun a (_, _, _, p) -> a +. p) 0. rows
-        /. float_of_int (List.length rows)
-  in
-  Printf.fprintf oc "  ],\n  \"mean_overhead_percent\": %.2f\n}\n" mean;
-  close_tracker "BENCH_PROVENANCE.json" oc;
-  Printf.printf
-    "\n  mean overhead: %+.2f%%  (written to BENCH_PROVENANCE.json)\n" mean
-
-(* ------------------------------------------------------------------ *)
-(* Transactional checkpoint overhead                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* A transactional engine snapshots its session state (macro tables,
-   type environment, meta globals, object-level scopes) at every
-   fragment entry so a failed fragment can roll back.  This table
-   measures what the clean path pays for that insurance: the same
-   workloads expanded with [~transactional:true] (the default) and
-   [false] (the ablation).  The checkpoint is per *fragment*, not per
-   invocation, so the cost should be one table copy amortized over the
-   whole expansion — the target is <2% overhead. *)
-
-let txn_pairs () =
-  [ ("myenum (32 constants)", Workloads.myenum 32);
-    ("Painting x32", Workloads.painting 32);
-    ("define: 64 macros", Workloads.many_macros 64) ]
-
-let txn_tests () =
-  let run ~transactional src () =
-    let engine = Ms2.Engine.create ~transactional () in
-    match Ms2.Api.expand ~source:"bench" engine src with
-    | Ok out -> Sys.opaque_identity (String.length out)
-    | Error e -> failwith e
-  in
-  Test.make_grouped ~name:"txn"
-    (List.concat_map
-       (fun (name, src) ->
-         [ Test.make ~name:(name ^ ": checkpoints off")
-             (Staged.stage (run ~transactional:false src));
-           Test.make ~name:(name ^ ": checkpoints on")
-             (Staged.stage (run ~transactional:true src)) ])
-       (txn_pairs ()))
-
-let run_txn () =
-  let results = measure_tests (txn_tests ()) in
-  print_estimates
-    "Transactional checkpoint overhead (fragment snapshots on vs off)"
-    results;
-  let ests = estimates results in
-  let find suffix name = List.assoc_opt ("txn/" ^ name ^ ": " ^ suffix) ests in
-  rule "Derived: overhead of fragment checkpointing (<2% target)";
-  let rows =
-    List.filter_map
-      (fun (name, _) ->
-        match (find "checkpoints on" name, find "checkpoints off" name) with
-        | Some on, Some off when off > 0. ->
-            let pct = (on -. off) /. off *. 100. in
-            Printf.printf "  %-42s %+.2f%%\n" name pct;
-            Some (name, off, on, pct)
-        | _, _ -> None)
-      (txn_pairs ())
-  in
-  let oc = open_tracker "BENCH_TXN.json" in
-  Printf.fprintf oc "{\n  \"quota_s\": %g,\n  \"workloads\": [\n" quota;
-  List.iteri
-    (fun i (name, off, on, pct) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"ns_per_run_off\": %.1f, \
-         \"ns_per_run_on\": %.1f, \"overhead_percent\": %.2f}%s\n"
-        name off on pct
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  let mean =
-    match rows with
-    | [] -> 0.
-    | _ ->
-        List.fold_left (fun a (_, _, _, p) -> a +. p) 0. rows
-        /. float_of_int (List.length rows)
-  in
-  Printf.fprintf oc "  ],\n  \"mean_overhead_percent\": %.2f\n}\n" mean;
-  close_tracker "BENCH_TXN.json" oc;
-  Printf.printf "\n  mean overhead: %+.2f%%  (written to BENCH_TXN.json)\n"
-    mean
-
-(* ------------------------------------------------------------------ *)
 (* perf: throughput-engine trajectory (cache, interning, parallelism)  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1317,9 +1092,6 @@ let () =
   | "time" -> run_time ()
   | "sweep" -> run_sweep ()
   | "penalty" -> run_penalty ()
-  | "fuel" -> run_fuel ()
-  | "provenance" -> run_provenance ()
-  | "txn" -> run_txn ()
   | "perf" -> run_perf ()
   | "obs" -> run_obs ()
   | "serve" -> run_serve ()
@@ -1328,15 +1100,12 @@ let () =
       run_time ();
       run_sweep ();
       run_penalty ();
-      run_fuel ();
-      run_provenance ();
-      run_txn ();
       run_perf ();
       run_obs ();
       run_serve ()
   | other ->
       Printf.eprintf
-        "unknown mode %S (expected figures | time | sweep | penalty | fuel \
-         | provenance | txn | perf | obs | serve)\n"
+        "unknown mode %S (expected figures | time | sweep | penalty | perf \
+         | obs | serve)\n"
         other;
       exit 2

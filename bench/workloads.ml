@@ -145,29 +145,6 @@ let many_macros n =
     (Printf.sprintf "int g() { m%d(1); return 0; }\n" n);
   Buffer.contents b
 
-(** [fuel_heavy iters] — an interpreter-bound workload for measuring the
-    cost of fuel accounting: one macro whose body runs an [iters]-step
-    meta loop per invocation (so nearly all time is spent in
-    [Interp.eval]/[exec_stmt], where fuel is charged), invoked 8 times. *)
-let fuel_heavy iters =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "syntax exp checksum {| ( $$exp::seed ) |} {\n\
-       \  int i;\n\
-       \  int acc;\n\
-       \  acc = 0;\n\
-       \  i = 0;\n\
-       \  while (i < %d) { acc = acc + i * 3; i = i + 1; }\n\
-       \  if (acc < 0) error(\"impossible\");\n\
-       \  return `($seed + 1);\n\
-        }\n"
-       iters);
-  for i = 1 to 8 do
-    Buffer.add_string b (Printf.sprintf "int w%d = checksum(x + %d);\n" i i)
-  done;
-  Buffer.contents b
-
 (** [wide_struct n] — a field-lookup-bound workload: a macro binds an
     [n]-field tuple pattern (the regression case is [n = 64]) and its
     body selects every field in a meta loop, so expansion time is

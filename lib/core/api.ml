@@ -101,19 +101,19 @@ let save_shared_cache = Engine.save_store
 
 let load_shared_cache = Engine.load_store
 
-let create_engine ?limits ?compile_patterns ?hygienic ?recover ?provenance
-    ?transactional ?cache ?cache_bytes ?cache_store ?(prelude = false) () =
+let create_engine ?limits ?compile_patterns ?hygienic ?recover ?cache
+    ?cache_bytes ?cache_store ?(prelude = false) () =
   let engine =
-    Engine.create ?limits ?compile_patterns ?hygienic ?recover ?provenance
-      ?transactional ?cache ?cache_bytes ?cache_store ()
+    Engine.create ?limits ?compile_patterns ?hygienic ?recover ?cache
+      ?cache_bytes ?cache_store ()
   in
   if prelude then Prelude.load engine;
   engine
 
 (** A session checkpoint: capture with {!checkpoint}, restore with
     {!rollback}.  {!Engine.expand_source} already checkpoints around
-    each fragment when the engine is transactional (the default); these
-    re-exports serve callers managing coarser units of work. *)
+    each fragment; these re-exports serve callers managing coarser
+    units of work. *)
 type checkpoint = Engine.checkpoint
 
 let checkpoint = Engine.checkpoint
@@ -340,14 +340,14 @@ let expand_checked ?(engine = Engine.create ()) ?source (text : string) :
     invariant ever broke (recording the breach in {!Session.isolated}).
 
     Sharing one engine, rather than one engine per session, is what
-    makes sessions cheap: the string interner, compiled-pattern memos
-    and the content-addressed expansion cache are all engine-level, so
-    every session benefits from every other session's warm cache —
-    while the rollback boundary keeps the *semantic* state (macro
-    tables, meta globals, symbol table) strictly per-session.  The
-    engine-side cost is {!Engine.rollback} restoring [defs_version] to
-    the checkpoint's value, keeping cache keys stable across session
-    switches. *)
+    makes sessions cheap: the content-addressed expansion cache is
+    engine-level (the string interner and compiled-pattern memos are
+    process-global), so every session benefits from every other
+    session's warm cache — while the rollback boundary keeps the
+    *semantic* state (macro tables, meta globals, symbol table)
+    strictly per-session.  The engine-side cost is {!Engine.rollback}
+    restoring [defs_version] to the checkpoint's value, keeping cache
+    keys stable across session switches. *)
 module Session = struct
   (* the whole-engine counters; [stats] is rebound below per session *)
   let engine_stats = stats

@@ -93,8 +93,6 @@ val create_engine :
   ?compile_patterns:bool ->
   ?hygienic:bool ->
   ?recover:bool ->
-  ?provenance:bool ->
-  ?transactional:bool ->
   ?cache:bool ->
   ?cache_bytes:int ->
   ?cache_store:shared_cache ->
@@ -104,11 +102,6 @@ val create_engine :
 (** @param limits resource bounds (default {!Ms2_support.Limits.default})
     @param recover record expansion failures and degrade gracefully
     instead of aborting at the first one (default false)
-    @param provenance stamp expansion backtraces onto produced
-    locations (default true; disable only for overhead benchmarking)
-    @param transactional checkpoint session state around each fragment
-    and roll it back on failure (default true; disable only for
-    overhead benchmarking)
     @param cache content-addressed expansion caching: an identical
     fragment expanded against identical session state replays the
     recorded output and state delta (default true; disable for the
@@ -119,9 +112,9 @@ val create_engine :
     @param prelude load the standard macro library ({!Prelude}) *)
 
 type checkpoint = Engine.checkpoint
-(** A session checkpoint.  Fragment-level isolation is automatic on
-    transactional engines; {!checkpoint}/{!rollback} serve callers
-    managing coarser units (e.g. a whole multi-file batch). *)
+(** A session checkpoint.  Fragment-level isolation is automatic;
+    {!checkpoint}/{!rollback} serve callers managing coarser units
+    (e.g. a whole multi-file batch). *)
 
 val checkpoint : engine -> checkpoint
 val rollback : engine -> checkpoint -> unit
@@ -191,11 +184,11 @@ val expand_checked :
     engine back to the session's committed state, runs the fragment, and
     commits the new checkpoint on success.  A failed fragment rolls back
     (verified against {!Engine.fingerprint} on every failure) and can
-    never poison another session.  Because the engine is shared, the
-    string interner, compiled-pattern memos and the expansion cache are
-    shared too — a fragment cached by one session replays for all of
-    them — while macro tables, meta globals and the symbol table stay
-    strictly per-session. *)
+    never poison another session.  Because the engine is shared, its
+    expansion cache is shared too — a fragment cached by one session
+    replays for all of them — and the string interner and
+    compiled-pattern memos are process-global; macro tables, meta
+    globals and the symbol table stay strictly per-session. *)
 module Session : sig
   type t
 

@@ -15,8 +15,8 @@
       and the object-level symbol table — a [metadcl] fragment mutates
       these without touching the macro tables;
     - the resource limits and the engine's behavior flags (hygiene,
-      provenance, recovery, pattern compilation): each changes the
-      produced program or its locations.
+      recovery, pattern compilation): each changes the produced program
+      or its locations.
 
     Keys are {e over}-precise by construction: any state difference that
     cannot actually influence the output merely costs a miss, never a

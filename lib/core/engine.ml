@@ -101,17 +101,7 @@ type t = {
   watchdog : Watchdog.t;
       (** wall-clock deadline (same object the budget polls): armed per
           fragment from [limits.timeout_ms], narrowed per invocation *)
-  transactional : bool;
-      (** checkpoint session state on {!expand_source} entry and roll it
-          back when the fragment fails, so one bad fragment cannot
-          corrupt the session.  On by default; the [false] setting
-          exists so the bench harness can measure checkpoint overhead *)
   compile_patterns : bool;
-  provenance : bool;
-      (** stamp expansion provenance (macro + call site) onto every
-          produced location, forming diagnostic backtraces.  On by
-          default; the [false] setting exists so the bench harness can
-          measure the stamping overhead *)
   mutable recover : bool;
       (** graceful degradation: a failed invocation is recorded in
           [diags] and replaced by a placeholder of its syntactic type
@@ -286,16 +276,13 @@ let expand_invocation (t : t) (inv : invocation) : Value.t =
       in
       let compute () =
         try
-          if not t.provenance then run ()
-          else begin
-            (* push the frame for the duration of the body: the filler
-               reads it to stamp everything this invocation produces *)
-            let saved = !(t.env.Value.provenance) in
-            t.env.Value.provenance := frame;
-            Fun.protect
-              ~finally:(fun () -> t.env.Value.provenance := saved)
-              run
-          end
+          (* push the frame for the duration of the body: the filler
+             reads it to stamp everything this invocation produces *)
+          let saved = !(t.env.Value.provenance) in
+          t.env.Value.provenance := frame;
+          Fun.protect
+            ~finally:(fun () -> t.env.Value.provenance := saved)
+            run
         with
         | Diag.Error ({ Diag.phase = Diag.Expansion | Diag.Resource; _ } as d)
           ->
@@ -306,9 +293,7 @@ let expand_invocation (t : t) (inv : invocation) : Value.t =
                it is already stamped with it. *)
             let loc' =
               if Loc.is_dummy d.Diag.loc then loc
-              else if
-                (not t.provenance) || Loc.origin d.Diag.loc == frame
-              then d.Diag.loc
+              else if Loc.origin d.Diag.loc == frame then d.Diag.loc
               else
                 Loc.push_frame ~macro:inv.inv_name.id_name ~call_site:loc
                   d.Diag.loc
@@ -388,8 +373,8 @@ let create_store ?budget_bytes () : cached_run Cache.t =
   Cache.create ?budget_bytes ()
 
 let create ?(limits = Limits.default) ?(compile_patterns = true)
-    ?(hygienic = false) ?(recover = false) ?(provenance = true)
-    ?(transactional = true) ?(cache = true) ?cache_bytes ?cache_store () : t =
+    ?(hygienic = false) ?(recover = false) ?(cache = true) ?cache_bytes
+    ?cache_store () : t =
   let gensym = Gensym.create () in
   let budget = Value.create_budget ~fuel:limits.Limits.fuel () in
   let env = Value.create_env ~gensym ~budget () in
@@ -407,9 +392,7 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
       gensym;
       limits;
       watchdog = budget.Value.watchdog;
-      transactional;
       compile_patterns;
-      provenance;
       recover;
       diags = Diag.collector ~max_errors:limits.Limits.max_errors ();
       trace = None;
@@ -467,8 +450,7 @@ let restore_table dst src =
   Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
 
 let rollback (t : t) (cp : checkpoint) : unit =
-  (* restore, not bump: see [cp_version].  Callers that mutated tables
-     without a checkpoint still bump explicitly before failing. *)
+  (* restore, not bump: see [cp_version] *)
   t.defs_version <- cp.cp_version;
   restore_table t.macros cp.cp_macros;
   restore_table t.compiled cp.cp_compiled;
@@ -864,79 +846,6 @@ and promote_globals _t _decl = ()
 let expand_program (t : t) (prog : program) : program =
   List.concat_map (process_top t) prog
 
-(** The location failures with no better span (end-of-input,
-    [Stack_overflow]) are reported at: the start of the fragment. *)
-let fragment_start ~source : Loc.t =
-  let p = { Loc.line = 1; col = 0; offset = 0 } in
-  Loc.make ~source ~start_pos:p ~end_pos:p
-
-(** Parse (with this engine's macro table and meta type environment,
-    so definitions from earlier calls remain in force) and expand.
-
-    The transactional boundary: session state is checkpointed on entry
-    and rolled back if the fragment fails — whether by a fatal
-    diagnostic, a stack overflow (converted to a located [E0606]
-    resource diagnostic), or any other escaping exception — so the
-    session stays usable for the next fragment.  The fragment watchdog
-    ([limits.timeout_ms]) is armed for the duration; [deadline_ms] (a
-    caller's remaining budget, e.g. a serve request's propagated
-    deadline) can only narrow it, never extend it. *)
-let expand_source_uncached (t : t) ?deadline_ms ~source (text : string) :
-    program =
-  let loc0 = fragment_start ~source in
-  let cp =
-    if t.transactional then
-      Some (Obs.with_span ~cat:"txn" "checkpoint" (fun () -> checkpoint t))
-    else None
-  in
-  let rollback_traced cp =
-    Obs.with_span ~cat:"txn" "rollback" (fun () -> rollback t cp)
-  in
-  let fragment_ms =
-    match deadline_ms with
-    | Some d -> min t.limits.Limits.timeout_ms d
-    | None -> t.limits.Limits.timeout_ms
-  in
-  Watchdog.arm t.watchdog ~ms:fragment_ms;
-  let run () =
-    Failpoint.hit ~watchdog:t.watchdog ~loc:loc0 "engine/fragment";
-    let st =
-      (* State.of_string tokenizes eagerly: this span is the lexer's *)
-      Obs.with_span ~cat:"lex"
-        ~args:(fun () -> [ ("bytes", Obs.Int (String.length text)) ])
-        "lex"
-        (fun () ->
-          State.of_string ~macros:t.macros ~tenv:t.tenv ~compiled:t.compiled
-            ~watchdog:t.watchdog ~source text)
-    in
-    st.State.compile_patterns <- t.compile_patterns;
-    let prog =
-      Obs.with_span ~cat:"parse" "parse" (fun () ->
-          Parser.parse_program st)
-    in
-    Obs.with_span ~cat:"expand" "expand-walk" (fun () ->
-        expand_program t prog)
-  in
-  match run () with
-  | prog ->
-      Watchdog.disarm t.watchdog;
-      prog
-  | exception Stack_overflow ->
-      Watchdog.disarm t.watchdog;
-      (* even without a rollback, the aborted parse may have registered
-         signatures into the shared tables — the version must move *)
-      t.defs_version <- fresh_version ();
-      Option.iter rollback_traced cp;
-      Diag.error ~loc:loc0 ~code:Diag.code_stack Diag.Resource
-        "stack overflow while expanding %s (a pathologically deep program, \
-         or runaway recursion in a macro)"
-        source
-  | exception e ->
-      Watchdog.disarm t.watchdog;
-      t.defs_version <- fresh_version ();
-      Option.iter rollback_traced cp;
-      raise e
-
 (* ------------------------------------------------------------------ *)
 (* Intra-file fragment parallelism                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1173,8 +1082,7 @@ let frag_worker (ctx : frag_ctx) : frag_worker_state =
       let m = ctx.fx_main in
       let w =
         create ~limits:m.limits ~compile_patterns:m.compile_patterns
-          ~hygienic:m.env.Value.hygienic ~recover:false
-          ~provenance:m.provenance ~transactional:false ~cache:false ()
+          ~hygienic:m.env.Value.hygienic ~recover:false ~cache:false ()
       in
       let globals =
         List.filter_map
@@ -1428,86 +1336,102 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
   done;
   List.concat (List.rev !chunks)
 
-(** Fragment-parallel counterpart of {!expand_source_uncached}: same
-    transactional boundary, same failure behavior, same output bytes.
-    Degrades to the sequential path when the observability or trace
-    modes need a faithful sequential event stream, when the engine is
-    not transactional (speculation needs checkpoints), or when the file
-    has too few fragments to win. *)
-let expand_source_fragmented (t : t) ~(jobs : int) ~(fragment_min : int)
-    ?deadline_ms ~source (text : string) : program =
-  if t.trace <> None then begin
-    (match t.trace with
-    | Some fmt ->
+(* ------------------------------------------------------------------ *)
+(* The fragment runner                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(** The location failures with no better span (end-of-input,
+    [Stack_overflow]) are reported at: the start of the fragment. *)
+let fragment_start ~source : Loc.t =
+  let p = { Loc.line = 1; col = 0; offset = 0 } in
+  Loc.make ~source ~start_pos:p ~end_pos:p
+
+(* Files with fewer top-level fragments than this expand sequentially
+   even when speculation is on: too few to pay back the checkpoint and
+   the pool. *)
+let speculation_min_fragments = 8
+
+(** Parse (with this engine's macro table and meta type environment,
+    so definitions from earlier calls remain in force) and expand.
+
+    The transactional boundary: session state is checkpointed on entry
+    and rolled back if the fragment fails — whether by a fatal
+    diagnostic, a stack overflow (converted to a located [E0606]
+    resource diagnostic), or any other escaping exception — so the
+    session stays usable for the next fragment.  The fragment watchdog
+    ([limits.timeout_ms]) is armed for the duration; [deadline_ms] (a
+    caller's remaining budget, e.g. a serve request's propagated
+    deadline) can only narrow it, never extend it.
+
+    The walk after the parse is the only choice: {!frag_commit_walk}
+    when [fragment_jobs > 1], the file has at least
+    {!speculation_min_fragments} fragments, and no mode needs a
+    faithful sequential event stream (trace, profile, recording);
+    {!expand_program} otherwise.  Both produce the same bytes. *)
+let expand_source_uncached (t : t) ?deadline_ms ~fragment_jobs ~source
+    (text : string) : program =
+  if fragment_jobs > 1 then
+    Option.iter
+      (fun fmt ->
         Format.fprintf fmt
-          "fragments: expanding %s sequentially (trace mode is on)@." source
-    | None -> ());
-    expand_source_uncached t ?deadline_ms ~source text
-  end
-  else if
-    jobs < 2 || (not t.transactional) || Obs.Profile.enabled ()
-    || Obs.recording ()
-  then expand_source_uncached t ?deadline_ms ~source text
-  else begin
-    let loc0 = fragment_start ~source in
-    let cp =
-      Some (Obs.with_span ~cat:"txn" "checkpoint" (fun () -> checkpoint t))
+          "fragments: expanding %s sequentially (trace mode is on)@." source)
+      t.trace;
+  let speculate =
+    fragment_jobs > 1 && t.trace = None
+    && not (Obs.Profile.enabled () || Obs.recording ())
+  in
+  let loc0 = fragment_start ~source in
+  let cp = Obs.with_span ~cat:"txn" "checkpoint" (fun () -> checkpoint t) in
+  let fragment_ms =
+    match deadline_ms with
+    | Some d -> min t.limits.Limits.timeout_ms d
+    | None -> t.limits.Limits.timeout_ms
+  in
+  Watchdog.arm t.watchdog ~ms:fragment_ms;
+  let run () =
+    Failpoint.hit ~watchdog:t.watchdog ~loc:loc0 "engine/fragment";
+    let st =
+      (* State.of_string tokenizes eagerly: this span is the lexer's *)
+      Obs.with_span ~cat:"lex"
+        ~args:(fun () -> [ ("bytes", Obs.Int (String.length text)) ])
+        "lex"
+        (fun () ->
+          State.of_string ~macros:t.macros ~tenv:t.tenv ~compiled:t.compiled
+            ~watchdog:t.watchdog ~source text)
     in
-    let rollback_traced cp =
-      Obs.with_span ~cat:"txn" "rollback" (fun () -> rollback t cp)
+    st.State.compile_patterns <- t.compile_patterns;
+    let frags = if speculate then Prescan.split st.State.toks else [] in
+    let prog =
+      Obs.with_span ~cat:"parse" "parse" (fun () -> Parser.parse_program st)
     in
-    let fragment_ms =
-      match deadline_ms with
-      | Some d -> min t.limits.Limits.timeout_ms d
-      | None -> t.limits.Limits.timeout_ms
-    in
-    Watchdog.arm t.watchdog ~ms:fragment_ms;
-    let run () =
-      Failpoint.hit ~watchdog:t.watchdog ~loc:loc0 "engine/fragment";
-      let st =
-        Obs.with_span ~cat:"lex"
-          ~args:(fun () -> [ ("bytes", Obs.Int (String.length text)) ])
-          "lex"
-          (fun () ->
-            State.of_string ~macros:t.macros ~tenv:t.tenv ~compiled:t.compiled
-              ~watchdog:t.watchdog ~source text)
-      in
-      st.State.compile_patterns <- t.compile_patterns;
-      let frags = Prescan.split st.State.toks in
-      let prog =
-        Obs.with_span ~cat:"parse" "parse" (fun () ->
-            Parser.parse_program st)
-      in
-      let plan = plan_fragments frags prog in
-      if Array.length plan < max 2 fragment_min then
-        Obs.with_span ~cat:"expand" "expand-walk" (fun () ->
-            expand_program t prog)
-      else
-        Obs.with_span ~cat:"expand"
-          ~args:(fun () ->
-            [ ("fragments", Obs.Int (Array.length plan));
-              ("jobs", Obs.Int jobs) ])
-          "expand-walk-fragments"
-          (fun () -> frag_commit_walk t ~jobs ~fragment_ms plan)
-    in
-    match run () with
-    | prog ->
-        Watchdog.disarm t.watchdog;
-        prog
-    | exception Stack_overflow ->
-        Watchdog.disarm t.watchdog;
-        t.defs_version <- fresh_version ();
-        Option.iter rollback_traced cp;
-        Diag.error ~loc:loc0 ~code:Diag.code_stack Diag.Resource
-          "stack overflow while expanding %s (a pathologically deep \
-           program, or runaway recursion in a macro)"
-          source
-    | exception e ->
-        Watchdog.disarm t.watchdog;
-        t.defs_version <- fresh_version ();
-        Option.iter rollback_traced cp;
-        raise e
-  end
+    let plan = if speculate then plan_fragments frags prog else [||] in
+    if Array.length plan < speculation_min_fragments then
+      Obs.with_span ~cat:"expand" "expand-walk" (fun () ->
+          expand_program t prog)
+    else
+      Obs.with_span ~cat:"expand"
+        ~args:(fun () ->
+          [ ("fragments", Obs.Int (Array.length plan));
+            ("jobs", Obs.Int fragment_jobs) ])
+        "expand-walk-fragments"
+        (fun () -> frag_commit_walk t ~jobs:fragment_jobs ~fragment_ms plan)
+  in
+  match run () with
+  | prog ->
+      Watchdog.disarm t.watchdog;
+      prog
+  | exception e -> (
+      Watchdog.disarm t.watchdog;
+      (* also undoes signatures the aborted parse registered into the
+         shared tables, and returns [defs_version] to the checkpoint's *)
+      Obs.with_span ~cat:"txn" "rollback" (fun () -> rollback t cp);
+      match e with
+      | Stack_overflow ->
+          Diag.error ~loc:loc0 ~code:Diag.code_stack Diag.Resource
+            "stack overflow while expanding %s (a pathologically deep \
+             program, or runaway recursion in a macro)"
+            source
+      | e -> raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed expansion cache                                   *)
@@ -1516,9 +1440,8 @@ let expand_source_fragmented (t : t) ~(jobs : int) ~(fragment_min : int)
 (* Behavior flags that change the produced program or its locations;
    part of the cache key. *)
 let cache_flags (t : t) : string =
-  Printf.sprintf "hyg=%b prov=%b rec=%b cp=%b txn=%b"
-    t.env.Value.hygienic t.provenance t.recover t.compile_patterns
-    t.transactional
+  Printf.sprintf "hyg=%b rec=%b cp=%b" t.env.Value.hygienic t.recover
+    t.compile_patterns
 
 (* Why the cache stood aside for a fragment.  Each reason has its own
    labeled counter so the split is visible in [stats] output; the
@@ -1605,17 +1528,14 @@ let replay (t : t) (e : cached_run) ~source (text : string) : program =
     recur (the entry would be dead), and a run that did not cannot
     depend on them — replaying it is bit-for-bit the rerun. *)
 let expand_source (t : t) ?(source = "<string>") ?deadline_ms
-    ?(fragment_jobs = 1) ?(fragment_min = 8) (text : string) : program =
-  (* fragment parallelism replaces only the *uncached* runner; the
+    ?(fragment_jobs = 1) (text : string) : program =
+  (* fragment parallelism lives only in the *uncached* runner; the
      cache layer (probe, store, bypass accounting) is identical either
      way, and the store-side mint guards hold because committed
      speculative fragments never touch the main gensym or anonymous-tag
      counters (aborted ones are discarded with their worker state). *)
   let run_uncached () =
-    if fragment_jobs > 1 then
-      expand_source_fragmented t ~jobs:fragment_jobs ~fragment_min
-        ?deadline_ms ~source text
-    else expand_source_uncached t ?deadline_ms ~source text
+    expand_source_uncached t ?deadline_ms ~fragment_jobs ~source text
   in
   Obs.with_span ~cat:"fragment"
     ~args:(fun () ->

@@ -91,12 +91,7 @@ type t = {
   watchdog : Watchdog.t;
       (** wall-clock deadline: armed per fragment, narrowed per
           invocation *)
-  transactional : bool;
-      (** checkpoint/rollback session state around each fragment *)
   compile_patterns : bool;
-  provenance : bool;
-      (** stamp expansion provenance onto produced locations (backtrace
-          chains); off only for overhead benchmarking *)
   mutable recover : bool;  (** graceful degradation on *)
   diags : Diag.collector;  (** diagnostics recorded by recovery mode *)
   mutable trace : Format.formatter option;
@@ -124,9 +119,8 @@ val create_store : ?budget_bytes:int -> unit -> cached_run Cache.t
 
 val create :
   ?limits:Limits.t -> ?compile_patterns:bool -> ?hygienic:bool ->
-  ?recover:bool -> ?provenance:bool -> ?transactional:bool ->
-  ?cache:bool -> ?cache_bytes:int -> ?cache_store:cached_run Cache.t ->
-  unit -> t
+  ?recover:bool -> ?cache:bool -> ?cache_bytes:int ->
+  ?cache_store:cached_run Cache.t -> unit -> t
 (** @param limits resource bounds (default {!Limits.default})
     @param compile_patterns compile invocation parsers at definition
     time (default true; disable for the ablation benchmark)
@@ -134,12 +128,6 @@ val create :
     locals (default false)
     @param recover record expansion failures and substitute placeholder
     nodes instead of aborting at the first one (default false)
-    @param provenance stamp expansion provenance (macro + call site)
-    onto every produced location (default true; disable only for the
-    overhead benchmark)
-    @param transactional checkpoint session state on each
-    {!expand_source} and roll it back when the fragment fails (default
-    true; disable only for the overhead benchmark)
     @param cache content-addressed expansion caching: identical
     fragments expanded against identical session state replay their
     recorded output and state delta instead of re-running (default
@@ -187,7 +175,6 @@ val expand_source :
   ?source:string ->
   ?deadline_ms:int ->
   ?fragment_jobs:int ->
-  ?fragment_min:int ->
   string ->
   program
 (** Parse with this engine's macro table and meta type environment
@@ -206,10 +193,10 @@ val expand_source :
     speculation whose reads turn out stale at commit time is discarded
     and re-expanded sequentially, so the output — bytes, diagnostics,
     diagnostic order, first-fatal behavior, resource accounting — is
-    identical to a sequential run.  Files with fewer than
-    [fragment_min] fragments (default 8), trace mode (announced in the
-    trace log), profile/recording observability modes, and
-    non-transactional engines all degrade to the sequential path. *)
+    identical to a sequential run.  Files with fewer than 8 top-level
+    fragments, trace mode (announced in the trace log), and
+    profile/recording observability modes all degrade to the
+    sequential path. *)
 
 val diagnostics : t -> Diag.t list
 (** Diagnostics recorded by recovery mode so far, oldest first. *)

@@ -39,19 +39,6 @@ type t = {
   invocation_timeout_ms : int;  (** wall-clock deadline per invocation *)
 }
 
-(** No bound ever fires (the seed system's behaviour, except for the
-    nesting depth, which was always guarded). *)
-let unlimited =
-  {
-    fuel = max_int;
-    invocation_fuel = max_int;
-    max_nodes = max_int;
-    max_depth = 200;
-    max_errors = max_int;
-    timeout_ms = max_int;
-    invocation_timeout_ms = max_int;
-  }
-
 (** Generous production defaults: far above anything a legitimate macro
     library needs, low enough that a nonterminating macro fails in well
     under a second (and a stalling one within a minute). *)

@@ -18,9 +18,6 @@ type t = {
           fragment deadline) *)
 }
 
-val unlimited : t
-(** No budget ever fires; [max_depth] stays at its classic 200. *)
-
 val default : t
 (** Generous production defaults (documented in MANUAL.md): fuel 1e8,
     per-invocation fuel 1e7, 2e6 nodes per invocation, depth 200,

@@ -11,6 +11,8 @@
       exactly — an anonymous struct mints a tag (worker abort), a
       macro-generating macro bumps the definition version mid-run
       (abort + version-poisons every later fragment of the run);
+    - threshold: seven pure fragments stay sequential, eight
+      speculate;
     - chaos: an [engine/fragment] failpoint firing inside speculative
       workers forces rollback of every fragment, and the sequential
       re-expansion still produces byte-identical output;
@@ -180,6 +182,35 @@ let generated_macro_abort () =
       Alcotest.(check int) "3 committed ahead of the definition" 3 k;
       Alcotest.(check int) "defining + poisoned fragments revalidated" 5 r)
 
+(* The speculation threshold: a file needs at least eight top-level
+   fragments before [--fragment-jobs 2] speculates.  Seven pure
+   functions stay on the sequential walk; eight speculate, and all
+   commit.  Either way the output matches [--fragment-jobs 1]. *)
+let pure_source n =
+  String.concat ""
+    (List.init n (fun i ->
+         Printf.sprintf "int pure%d(int x) { return x + %d; }\n" i i))
+
+let fragment_threshold () =
+  let speculated n =
+    let f = write_fixture (Printf.sprintf "pure%d" n) (pure_source n) in
+    with_files [ f ] (fun files ->
+        ignore
+          (check_identity ~jobs:2
+             ~what:(Printf.sprintf "%d pure fragments" n) "" files);
+        let c, _, err =
+          run_cli
+            (Printf.sprintf
+               "expand --fragment-jobs 2 --stats --stats-format=json %s"
+               (List.hd files))
+        in
+        Alcotest.(check int) "stats run exit" 0 c;
+        let s, _, _ = frag_counters err in
+        s)
+  in
+  Alcotest.(check int) "7 fragments: sequential walk" 0 (speculated 7);
+  Alcotest.(check bool) "8 fragments: speculation runs" true (speculated 8 > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide byte-identity                                           *)
 (* ------------------------------------------------------------------ *)
@@ -332,6 +363,8 @@ let () =
         [
           Alcotest.test_case "mid-run macro definition aborts" `Quick
             generated_macro_abort;
+          Alcotest.test_case "eight fragments before speculation" `Quick
+            fragment_threshold;
         ] );
       ( "chaos",
         [

@@ -265,20 +265,6 @@ let fragment_isolation_automatic () =
       Alcotest.failf "session unusable after bad fragment: %s"
         (Diag.to_string d)
 
-let non_transactional_leaks () =
-  (* the ablation: with ~transactional:false the same bad fragment
-     leaves its half-registered signature behind — this is the failure
-     mode the checkpoint exists to prevent *)
-  let engine = Ms2.Api.create_engine ~transactional:false () in
-  prime engine;
-  let fp = Engine.fingerprint engine in
-  let bad = "syntax stmt evil {| ; |} { return `{y = 9;}; }\nint oops(" in
-  (match Ms2.Api.expand_diag ~engine ~source:"bad.mc" bad with
-  | Ok out -> Alcotest.failf "expected a parse error, got:\n%s" out
-  | Error _ -> ());
-  Alcotest.(check bool) "state leaked without transactions" false
-    (fp = Engine.fingerprint engine)
-
 (* ------------------------------------------------------------------ *)
 (* Wall-clock watchdog                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -324,14 +310,26 @@ let invocation_deadline () =
 (* Stack-overflow containment                                          *)
 (* ------------------------------------------------------------------ *)
 
-let stack_overflow_contained () =
+(* Eight plain top-level declarations ahead of the deep one: enough
+   fragments that [fragment_jobs >= 2] takes the speculative walk, so the
+   overflow is contained by the same boundary either way. *)
+let deep_after_plain_src n =
+  String.concat ""
+    (List.init 8 (fun i -> Printf.sprintf "int plain%d = %d;\n" i i))
+  ^ deep_src n
+
+let stack_overflow_contained ~fragment_jobs () =
   let engine = Ms2.Api.create_engine () in
   prime engine;
   let fp = Engine.fingerprint engine in
   (* whether 300k-deep nesting overflows depends on the runtime's stack
      limit; the invariant is the same either way: no crash, state
      intact, session usable *)
-  (match Ms2.Api.expand_diag ~engine ~source:"deep.mc" (deep_src 300_000) with
+  (match
+     Diag.protect (fun () ->
+         Engine.expand_source engine ~source:"deep.mc" ~fragment_jobs
+           (deep_after_plain_src 300_000))
+   with
   | Ok _ -> ()
   | Error d ->
       Alcotest.(check string) "contained as E0606" Diag.code_stack d.Diag.code;
@@ -532,14 +530,16 @@ let () =
           tc "spec grammar" spec_grammar ] );
       ( "checkpoint/rollback",
         [ tc "checkpoint round-trips and is reusable" checkpoint_roundtrip;
-          tc "fragment isolation is automatic" fragment_isolation_automatic;
-          tc "ablation: non-transactional engines leak"
-            non_transactional_leaks ] );
+          tc "fragment isolation is automatic" fragment_isolation_automatic
+        ] );
       ( "watchdog",
         [ tc "fragment deadline bounds a stalling macro" fragment_deadline;
           tc "invocation deadline narrows alone" invocation_deadline ] );
       ( "stack overflow",
-        [ tc "contained and rolled back" stack_overflow_contained ] );
+        [ tc "contained and rolled back"
+            (stack_overflow_contained ~fragment_jobs:1);
+          tc "contained and rolled back, speculative walk"
+            (stack_overflow_contained ~fragment_jobs:2) ] );
       ( "cli",
         [ tc "keep-going isolates bad files in a batch" cli_batch_isolation;
           tc "batch is fatal without keep-going"
