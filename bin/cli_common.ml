@@ -13,12 +13,10 @@ let exit_degraded = 3
 
 type diag_format = Text | Json
 
-let emit_diag fmt (d : Diag.t) =
-  match fmt with
-  | Text -> prerr_endline (Diag.render d)
-  | Json -> prerr_endline (Diag.to_json d)
+let render_diag fmt (d : Diag.t) =
+  match fmt with Text -> Diag.render d | Json -> Diag.to_json d
 
-let emit_diags fmt ds = List.iter (emit_diag fmt) ds
+let emit_diag fmt (d : Diag.t) = prerr_endline (render_diag fmt d)
 
 let file_start_loc source =
   let p = { Loc.line = 1; col = 0; offset = 0 } in
@@ -153,7 +151,7 @@ let limits_of ~fuel ~invocation_fuel ~max_nodes ~max_errors ~timeout_ms
   }
 
 (* The six budget flags composed into one {!Ms2_support.Limits.t} term,
-   for commands (serve) that don't need the individual values. *)
+   for commands that don't need the individual values. *)
 let limits_term : Limits.t Term.t =
   Term.(
     const (fun fuel invocation_fuel max_nodes max_errors timeout_ms

@@ -16,24 +16,26 @@ module Obs = Ms2_support.Obs
 module Pool = Ms2_support.Pool
 module Atomic_io = Ms2_support.Atomic_io
 module Build_id = Ms2_support.Build_id
+module Loc = Ms2_support.Loc
+module Emit = Ms2_syntax.Emit
 
-(* How [--jobs N] (N > 1) parallelizes: shared-memory OCaml domains
-   over one work-stealing pool (the default — shares the expansion
-   cache and interner, no process setup), or forked worker processes
-   (the PR-4 pool, kept as a fallback: full address-space isolation,
-   e.g. against native-code crashes).  Both produce output and
-   diagnostics byte-identical to [--jobs 1], in input order. *)
+(* Where per-file engines run: shared-memory OCaml domains over one
+   work-stealing pool (the default — shares the expansion cache and
+   interner, no process setup), or forked worker processes (full
+   address-space isolation, e.g. against native-code crashes; on a
+   batch whose files share no cache entries it is also the faster
+   mode: it beat domains in 82 of 88 pairs on corpus-macros, see
+   EXPERIMENTS.md).  Both produce output and diagnostics in input
+   order, byte-identical to each other. *)
 type jobs_mode = Mode_domains | Mode_fork
 
 let jobs_mode_name = function
   | Mode_domains -> "domains"
   | Mode_fork -> "fork"
 
-(* Each input file is a separate fragment pushed through the same
-   engine — "meta-programming constructs and regular programs that
-   invoke macros can either be located in separate files, or mixed
-   together" (paper §2).  Diagnostics carry per-file source names.
-   An unreadable input (vanished file, directory, permissions) is a
+(* Read every input file (or stdin) as a [(source, text)] unit for
+   {!expand_batch}; diagnostics carry per-file source names.  An
+   unreadable input (vanished file, directory, permissions) is a
    diagnostic like any other, not an uncaught exception. *)
 let with_fragments ~diag_format files k =
   let fragments =
@@ -64,22 +66,22 @@ let with_fragments ~diag_format files k =
 (* Worker pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* With [--jobs N] (N > 1) each input file is expanded by a forked
-   worker against a fresh engine: files are independent compilation
-   units, so macro definitions do not flow between them (the default
-   [--jobs 1] keeps the shared-session sequential pipeline, where they
-   do).  A worker ships its result — rendered output, pre-rendered
-   diagnostics, source-map entries, statistics — back over a pipe via
-   [Marshal]; the parent reassembles everything in input order, so
-   diagnostics and output bytes are deterministic regardless of
-   completion order.  Armed failpoints and watchdog deadlines are
-   inherited across [fork] and keep working inside workers. *)
+(* What expanding one input file produced.  With per-file engines each
+   file is expanded by a worker against a fresh engine: files are
+   independent compilation units, so macro definitions do not flow
+   between them (under one shared engine they do).  A forked worker
+   ships its result — rendered output, pre-rendered diagnostics,
+   source-map entries, statistics — back over a pipe via [Marshal]; the
+   parent reassembles everything in input order, so diagnostics and
+   output bytes are deterministic regardless of completion order.
+   Armed failpoints and watchdog deadlines are inherited across [fork]
+   and keep working inside workers. *)
 type worker_result = {
   w_diags : string list;  (** pre-rendered, in emission order *)
   w_fatal : bool;  (** the file failed wholly (no output from it) *)
   w_recovered : bool;  (** keep-going salvaged at least one diagnostic *)
   w_out : string;  (** rendered C; [""] when fatal *)
-  w_map : Ms2_syntax.Emit.entry list;  (** per-file source map (absolute lines) *)
+  w_map : Emit.entry list;  (** per-file source map (absolute lines) *)
   w_findings : string list;  (** object-level semantic-check findings *)
   w_stats : Ms2.Api.stats option;
       (** the worker engine's counters; [None] when the worker died or
@@ -192,8 +194,8 @@ let describe_worker_death (status : Unix.process_status) : string =
 (* Run [work i] for every fragment index, at most [jobs] forked workers
    at a time, returning results in input order.  The parent stops
    launching new workers once a fatal result arrives and [keep_going] is
-   off (the sequential pipeline would never have reached those files),
-   but always drains workers already running.  Results of indices past
+   off (a shared engine would never have reached those files), but
+   always drains workers already running.  Results of indices past
    the first fatal one are dropped by the caller.  [source_of]/[render]
    shape the diagnostic for a worker that died without a result (e.g.
    OOM-killed): it is located at the file the worker was expanding, and
@@ -291,9 +293,11 @@ let run_pool ~jobs ~keep_going ~(source_of : int -> string)
    (when enabled) one expansion-cache store.  Cancellation mirrors the
    fork pool's: without [keep_going] a fatal result cancels only the
    items {e after} it in input order, so the first fatal index the
-   caller sees is the one [--jobs 1] would have stopped at.  A worker
-   exception is turned into a fatal per-file result here (the domain
-   equivalent of a worker death — there is no process to die). *)
+   caller sees is the one an input-order run would have stopped at.
+   At [~jobs:1] every item runs inline on the calling domain, in input
+   order: the shared engine's loop.  A worker exception is turned into
+   a fatal per-file result here (the domain equivalent of a worker
+   death — there is no process to die). *)
 let run_domains ~jobs ~keep_going ~(source_of : int -> string)
     ~(render : Diag.t -> string) ~(work : int -> worker_result) (n : int) :
     worker_result option array =
@@ -355,8 +359,9 @@ let trace_out_arg =
        ~doc:"Record pipeline spans (per-invocation expansion, lexing, \
              parsing, cache traffic, checkpoints) and write them to \
              $(docv) as Chrome trace-event JSON, loadable in Perfetto or \
-             chrome://tracing.  Under --jobs each worker becomes its own \
-             process track, merged in input order.")
+             chrome://tracing.  Each input file becomes its own process \
+             track, in input order; under one shared engine its setup \
+             (e.g. the --prelude load) lands on the first file's track.")
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
@@ -397,12 +402,13 @@ let jobs_conv : int Arg.conv =
 let jobs_arg =
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N"
        ~doc:"Expand input files with $(docv) parallel workers (see \
-             $(b,--jobs-mode)).  Above 1 each file is an independent \
-             compilation unit (macro definitions do not flow between \
-             files); the default 1 keeps the shared-session sequential \
-             pipeline.  $(b,0) or $(b,auto) resolves to the machine's \
-             recommended domain count.  Output and diagnostics are \
-             emitted in input order either way.")
+             $(b,--jobs-mode)).  Above 1, with several files, each file \
+             gets its own engine and is an independent compilation unit \
+             (macro definitions do not flow between files); at the \
+             default 1 one engine is shared by all files, in input \
+             order, and definitions do flow.  $(b,0) or $(b,auto) \
+             resolves to the machine's recommended domain count.  Output \
+             and diagnostics are emitted in input order either way.")
 
 let fragment_jobs_arg =
   Arg.(value & opt jobs_conv 1 & info [ "fragment-jobs" ] ~docv:"N"
@@ -425,10 +431,11 @@ let jobs_mode_arg =
        ~doc:"How --jobs parallelizes: $(b,domains) (shared-memory OCaml \
              domains — the workers share the expansion cache and the \
              string interner; the default) or $(b,fork) (one forked \
-             process per file: slower, but each file is isolated in its \
-             own address space, which survives native-code crashes and \
-             OOM kills of individual workers).  Output is byte-identical \
-             either way.")
+             process per file, each isolated in its own address space, \
+             which survives native-code crashes and OOM kills of \
+             individual workers; on batches whose files share no cache \
+             entries it is also the faster mode).  Output is \
+             byte-identical either way.")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
@@ -464,9 +471,9 @@ let journal_arg =
              result payload) to $(docv) as each input file completes, \
              so a batch killed mid-run can be finished with \
              $(b,--resume) at the cost of only the file in flight.  \
-             Forces the independent-compilation-units batch driver \
-             (each file is its own unit, as under --jobs), and is \
-             mutually exclusive with --trace.")
+             Gives every file its own engine at any job count (each \
+             file is an independent compilation unit, as under --jobs), \
+             and is mutually exclusive with --trace.")
 
 let resume_arg =
   Arg.(value & flag & info [ "resume" ]
@@ -504,7 +511,7 @@ let flags_digest ~limits ~hygienic ~prelude ~keep_going ~line_directives
           (match diag_format with Text -> "text" | Json -> "json")
           want_map))
 
-(* Console reporting for the persistence layer, shared by both drivers. *)
+(* Console reporting for the persistence layer. *)
 let warn_snapshot_load (l : Ms2.Engine.snapshot_load) =
   match l.Ms2.Engine.ld_error with
   | Some msg ->
@@ -548,52 +555,48 @@ let save_cache_file (store : Ms2.Api.shared_cache) (path : string) :
       Printf.eprintf "ms2c: warning: cache snapshot not saved: %s\n%!" msg;
       None
 
-(* Expand every fragment through one (transactional) engine.  Without
-   [--keep-going] the first fatal failure aborts the run (exit 1).  With
-   it, each file is an isolated transaction: a fatal failure is reported
-   immediately, the engine's rollback discards whatever the bad file had
-   half-registered, and the remaining files still expand (exit 3). *)
-let expand_fragments ?(fragment_jobs = 1) ~engine ~keep_going ~diag_format
-    fragments : Ms2_syntax.Ast.program * bool =
-  let failed = ref false in
-  let prog =
-    List.concat_map
-      (fun (source, text) ->
-        match
-          Diag.protect (fun () ->
-              Ms2.Engine.expand_source engine ~source ~fragment_jobs text)
-        with
-        | Ok decls -> decls
-        | Error d when keep_going ->
-            emit_diag diag_format d;
-            failed := true;
-            []
-        | Error d ->
-            (* show what recovery salvaged before the fatal error *)
-            emit_diags diag_format (Ms2.Api.diagnostics engine);
-            emit_diag diag_format d;
-            exit exit_fatal)
-      fragments
-  in
-  (prog, !failed)
-
 let count_newlines s =
   let n = ref 0 in
   String.iter (fun c -> if c = '\n' then incr n) s;
   !n
 
-(* The parallel driver: one worker per file — a forked process
-   ([--jobs-mode=fork]) or a task on a work-stealing domain pool
-   ([--jobs-mode=domains], the default) — each with a fresh engine; see
-   {!worker_result}.  Everything user-visible is reassembled in input
-   order, so both modes are byte-identical to each other and to
-   [--jobs 1] on self-contained files. *)
-let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
-    ~hygienic ~prelude ~cache ~line_directives ~sourcemap ~semantic_check
-    ~stats ~stats_format ~trace_out ~metrics ~output ~diag_format ~journal
-    ~resume ~cache_file fragments =
+let write_output ~diag_format output text =
+  match output with
+  | None -> print_string text
+  | Some path -> write_atomic ~diag_format path text
+
+(* The one driver behind [expand], [check] and [profile].  Each input
+   file is one unit for {!Ms2.Api.expand_unit}; what differs is only
+   the engine it runs on:
+
+   - shared: one engine runs every file inline, in input order, so
+     definitions flow from file to file — "meta-programming constructs
+     and regular programs that invoke macros can either be located in
+     separate files, or mixed together" (paper §2).  This is [--jobs 1],
+     [--trace] and any single input;
+   - per-file: a fresh engine for each file, on a worker — a task on a
+     work-stealing domain pool ([--jobs-mode=domains]) or a forked
+     process ([--jobs-mode=fork]); see {!worker_result}.  This is
+     [--jobs N] over several files, and [--journal] at any job count:
+     its per-file records only make sense for independent units.
+
+   Everything user-visible is reassembled in input order, so output,
+   diagnostics and source maps are byte-identical across [--jobs] on
+   self-contained files.  Without [keep_going] the first fatal file
+   ends the run (exit 1) after its diagnostics and before any output;
+   with it, each file is an isolated transaction (a fatal file rolls
+   back and contributes nothing) and the run exits 3.  [deliver] gets
+   the stitched expansion. *)
+let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
+    ?(hygienic = false) ?(prelude = false) ?(trace = false)
+    ?(line_directives = false) ?sourcemap ?(semantic_check = false)
+    ?(stats = false) ?(stats_format = Stats_text) ?trace_out ?metrics
+    ?journal ?(resume = false) ?cache_file ~limits ~keep_going ~cache
+    ~diag_format ~deliver fragments =
   let frags = Array.of_list fragments in
   let n = Array.length frags in
+  let per_file = journal <> None || (jobs > 1 && n > 1 && not trace) in
+  let forked = per_file && jobs_mode = Mode_fork in
   let want_map = line_directives || sourcemap <> None in
   (* domains share one cache store: a fragment expanded on one domain
      replays on every other, and hit/miss/eviction counters merge.  A
@@ -602,7 +605,7 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
      copy-on-write; their new entries stay private, so the save keeps
      what was loaded — bounded staleness, never corruption). *)
   let store =
-    if cache && (jobs_mode = Mode_domains || cache_file <> None) then
+    if cache && (cache_file <> None || (per_file && not forked)) then
       Some (Ms2.Api.create_shared_cache ())
     else None
   in
@@ -681,86 +684,70 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
             Printf.eprintf "ms2c: cannot open journal: %s\n%!" msg;
             exit exit_fatal)
   in
-  let render_diag d =
-    match diag_format with Text -> Diag.render d | Json -> Diag.to_json d
+  let new_engine () =
+    let engine =
+      Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic ~prelude
+        ~cache ?cache_store:store ()
+    in
+    if trace then engine.Ms2.Engine.trace <- Some Format.err_formatter;
+    engine
   in
+  (* recording starts first, so the shared engine's setup (the prelude
+     load) lands on file 0's trace track *)
+  let shared =
+    if per_file then None
+    else begin
+      if trace_out <> None then Obs.start_recording ();
+      Some (new_engine ())
+    end
+  in
+  (* a shared engine's files form one program, checked whole at the end *)
+  let programs = Array.make n [] in
   let work i =
     let source, text = frags.(i) in
     (* deterministic stand-in for an OOM kill: a worker whose file
        matches this env var SIGKILLs itself before doing any work, so
        the parent's died-without-a-result path is testable.  Fork-only:
        in a domain the SIGKILL would take out the whole process. *)
-    (match jobs_mode with
-    | Mode_fork -> (
-        match Sys.getenv_opt "MS2_TEST_WORKER_KILL" with
-        | Some victim when victim = source ->
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-        | _ -> ())
-    | Mode_domains -> ());
+    (match Sys.getenv_opt "MS2_TEST_WORKER_KILL" with
+    | Some victim when forked && victim = source ->
+        Unix.kill (Unix.getpid ()) Sys.sigkill
+    | _ -> ());
     (* fork: each worker records into its own process-global sinks and
-       ships its events home over the result pipe.  domains: the
+       ships its events home over the result pipe.  Otherwise the
        recorder is domain-local, so starting it here scopes the event
        batch to this file on this domain. *)
     if trace_out <> None then Obs.start_recording ();
-    let engine =
-      Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic ~prelude
-        ~cache ?cache_store:store ()
+    let engine = match shared with Some e -> e | None -> new_engine () in
+    let u =
+      Ms2.Api.expand_unit ~line_directives ~map:want_map ~fragment_jobs engine
+        ~source text
     in
-    let events () =
-      if trace_out = None then []
-      else
-        match jobs_mode with
-        | Mode_fork -> Obs.events ()
-        | Mode_domains -> Obs.stop_recording ()
+    let checked =
+      if semantic_check && Option.is_none u.u_fatal then u.u_program else None
     in
-    match
-      Diag.protect (fun () ->
-          Ms2.Engine.expand_source engine ~source ~fragment_jobs text)
-    with
-    | Ok decls ->
-        let recovered = Ms2.Api.diagnostics engine in
-        let out, map =
-          if want_map then
-            let r = Ms2_syntax.Emit.program ~line_directives decls in
-            (r.Ms2_syntax.Emit.text, r.Ms2_syntax.Emit.map)
-          else
-            ( Ms2_syntax.Pretty.program_to_string
-                ~mode:Ms2_syntax.Pretty.strict decls,
-              [] )
-        in
-        {
-          w_diags = List.map render_diag recovered;
-          w_fatal = false;
-          w_recovered = recovered <> [];
-          w_out = out;
-          w_map = map;
-          w_findings =
-            (if semantic_check then Ms2.Api.check_program decls else []);
-          w_stats = Some (Ms2.Api.stats engine);
-          w_events = events ();
-          w_metrics = None;
-        }
-    | Error d ->
-        let recovered = Ms2.Api.diagnostics engine in
-        (* mirror the sequential pipeline's emission order: keep-going
-           reports the fatal diagnostic as it happens (recovered ones
-           follow at the end); a hard stop shows what recovery salvaged
-           first, then the fatal diagnostic *)
-        let diags =
-          if keep_going then render_diag d :: List.map render_diag recovered
-          else List.map render_diag recovered @ [ render_diag d ]
-        in
-        {
-          w_diags = diags;
-          w_fatal = true;
-          w_recovered = recovered <> [];
-          w_out = "";
-          w_map = [];
-          w_findings = [];
-          w_stats = Some (Ms2.Api.stats engine);
-          w_events = events ();
-          w_metrics = None;
-        }
+    if not per_file then Option.iter (fun p -> programs.(i) <- p) checked;
+    {
+      (* the fatal diagnostic leads, then what --keep-going recovered *)
+      w_diags =
+        List.map (render_diag diag_format)
+          (Option.to_list u.u_fatal @ u.u_recovered);
+      w_fatal = Option.is_some u.u_fatal;
+      w_recovered = u.u_recovered <> [];
+      w_out = u.u_output;
+      w_map = u.u_map;
+      w_findings =
+        (match checked with
+        | Some p when per_file -> Ms2.Api.check_program p
+        | _ -> []);
+      (* a shared engine's cumulative counters are published once *)
+      w_stats = (if per_file then Some (Ms2.Api.stats engine) else None);
+      w_events =
+        (if trace_out = None then []
+         else if forked then Obs.events ()
+         else Obs.stop_recording ());
+      w_metrics = None;
+    }
   in
   (* journal wrapper: a replayed file returns its journaled result
      untouched (and is not re-journaled); a freshly expanded one is
@@ -798,11 +785,12 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
   in
   let results =
     let source_of i = fst frags.(i) in
-    match jobs_mode with
-    | Mode_fork ->
-        run_pool ~jobs ~keep_going ~source_of ~render:render_diag ~work n
-    | Mode_domains ->
-        run_domains ~jobs ~keep_going ~source_of ~render:render_diag ~work n
+    let render = render_diag diag_format in
+    if forked then run_pool ~jobs ~keep_going ~source_of ~render ~work n
+    else
+      run_domains
+        ~jobs:(if per_file then jobs else 1)
+        ~keep_going ~source_of ~render ~work n
   in
   (match jwriter with None -> () | Some w -> Journal.close_writer w);
   (* snapshot now, before any exit path: the store already holds every
@@ -813,122 +801,90 @@ let expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
     | Some path, Some s -> save_cache_file s path
     | _ -> None
   in
-  let first_fatal = ref None in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Some r when r.w_fatal && !first_fatal = None -> first_fatal := Some i
-      | _ -> ())
-    results;
-  match !first_fatal with
-  | Some k when not keep_going ->
-      (* the sequential pipeline stops at the first fatal file: emit
-         diagnostics up to and including it, produce no output, exit 1 *)
-      for i = 0 to k do
-        match results.(i) with
-        | Some r -> List.iter prerr_endline r.w_diags
-        | None -> ()
-      done;
-      exit exit_fatal
-  | _ ->
-      let degraded = ref false in
-      let buf = Buffer.create 65536 in
-      let map = ref [] in
-      let off = ref 0 in
-      let findings = ref [] in
-      Array.iter
-        (function
-          | None -> ()
-          | Some r ->
-              List.iter prerr_endline r.w_diags;
-              if r.w_fatal || r.w_recovered then degraded := true;
-              (* keep per-file renderings line-aligned under
-                 concatenation so source-map offsets stay exact *)
-              let text =
-                (* an empty program renders as a lone newline
-                   ([pp_program]'s closing [@.]); under concatenation it
-                   contributes no declarations, hence no lines *)
-                if r.w_out = "\n" then ""
-                else if
-                  r.w_out <> "" && r.w_out.[String.length r.w_out - 1] <> '\n'
-                then r.w_out ^ "\n"
-                else r.w_out
-              in
-              (* the single-render pipeline separates top-level
-                 declarations with a blank line carrying a dummy-loc map
-                 entry; reproduce both between files *)
-              if text <> "" && Buffer.length buf > 0 then begin
-                Buffer.add_char buf '\n';
-                incr off;
-                map :=
-                  {
-                    Ms2_syntax.Emit.out_line = !off;
-                    loc = Ms2_support.Loc.dummy;
-                  }
-                  :: !map
-              end;
-              Buffer.add_string buf text;
-              List.iter
-                (fun e ->
-                  map :=
-                    { e with
-                      Ms2_syntax.Emit.out_line =
-                        e.Ms2_syntax.Emit.out_line + !off
-                    }
-                    :: !map)
-                r.w_map;
-              off := !off + count_newlines text;
-              findings := !findings @ r.w_findings)
-        results;
-      (match sourcemap with
-      | None -> ()
-      | Some path ->
-          write_atomic ~diag_format path
-            (Ms2_syntax.Emit.sourcemap_to_string (List.rev !map)));
-      (* zero surviving declarations render as "\n" in one shot
-         ([pp_program]'s closing [@.] over an empty list) — match it *)
-      let out = if Buffer.length buf = 0 then "\n" else Buffer.contents buf in
-      (match output with
-      | None -> print_string out
-      | Some path -> write_atomic ~diag_format path out);
-      (* merge worker telemetry in input order: track [i] (= trace pid
-         [i]) is input file [i], whatever order the workers finished in *)
-      (match trace_out with
-      | None -> ()
-      | Some path ->
-          let tracks =
-            Array.to_list
-              (Array.mapi
-                 (fun i r ->
-                   ( fst frags.(i),
-                     match r with Some r -> r.w_events | None -> [] ))
-                 results)
-          in
-          write_atomic ~diag_format path (Obs.chrome_trace tracks));
-      (* a store counts the cache traffic only where the engines share
-         it: under fork each worker has its own copy-on-write copy *)
-      publish_run
-        ?store:(if jobs_mode = Mode_domains then store else None)
-        ~jobs ~jobs_mode
-        (List.filter_map
-           (fun r -> Option.bind r (fun r -> r.w_stats))
-           (Array.to_list results));
-      (match metrics with
-      | None -> ()
-      | Some path -> write_atomic ~diag_format path (Obs.Metrics.to_json ()));
-      if stats then
-        print_stats ~format:stats_format ~jobs ~jobs_mode;
-      report_snapshot ~stats snap_load snap_save;
-      if semantic_check && !findings <> [] then begin
-        List.iter prerr_endline !findings;
-        exit exit_fatal
+  (* without keep_going the run stops at the first fatal file: the
+     diagnostics up to and including it, no output, exit 1 *)
+  let rec upto = function
+    | r :: _ when r.w_fatal && not keep_going -> [ r ]
+    | r :: rest -> r :: upto rest
+    | [] -> []
+  in
+  let done_ = upto (List.filter_map Fun.id (Array.to_list results)) in
+  List.iter (fun r -> List.iter prerr_endline r.w_diags) done_;
+  if (not keep_going) && List.exists (fun r -> r.w_fatal) done_ then
+    exit exit_fatal;
+  let buf = Buffer.create 65536 in
+  let map = ref [] in
+  let off = ref 0 in
+  List.iter
+    (fun r ->
+      (* keep per-file renderings line-aligned under concatenation
+         so source-map offsets stay exact *)
+      let text =
+        (* an empty program renders as a lone newline
+           ([pp_program]'s closing [@.]); under concatenation it
+           contributes no declarations, hence no lines *)
+        if r.w_out = "\n" then ""
+        else if
+          r.w_out <> "" && r.w_out.[String.length r.w_out - 1] <> '\n'
+        then r.w_out ^ "\n"
+        else r.w_out
+      in
+      (* a single render of the whole program separates top-level
+         declarations with a blank line carrying a dummy-loc map
+         entry; reproduce both between files *)
+      if text <> "" && Buffer.length buf > 0 then begin
+        Buffer.add_char buf '\n';
+        incr off;
+        map := { Emit.out_line = !off; loc = Loc.dummy } :: !map
       end;
-      if !degraded then exit exit_degraded
+      Buffer.add_string buf text;
+      List.iter
+        (fun e ->
+          map := { e with Emit.out_line = e.Emit.out_line + !off } :: !map)
+        r.w_map;
+      off := !off + count_newlines text)
+    done_;
+  let write_file dest contents =
+    Option.iter (fun path -> write_atomic ~diag_format path (contents ())) dest
+  in
+  write_file sourcemap (fun () -> Emit.sourcemap_to_string (List.rev !map));
+  (* zero surviving declarations render as "\n" in one shot
+     ([pp_program]'s closing [@.] over an empty list) — match it *)
+  deliver (if Buffer.length buf = 0 then "\n" else Buffer.contents buf);
+  (* track [i] (= trace pid [i]) is input file [i], whatever order
+     the workers finished in *)
+  let track i r =
+    (fst frags.(i), match r with Some r -> r.w_events | None -> [])
+  in
+  write_file trace_out (fun () ->
+      Obs.chrome_trace (Array.to_list (Array.mapi track results)));
+  (* a store counts the cache traffic only where the engines share
+     it: under fork each worker has its own copy-on-write copy, and
+     a lone shared engine counts its own *)
+  publish_run
+    ?store:(if per_file && not forked then store else None)
+    ~jobs ~jobs_mode
+    (match shared with
+    | Some e -> [ Ms2.Api.stats e ]
+    | None -> List.filter_map (fun r -> r.w_stats) done_);
+  write_file metrics Obs.Metrics.to_json;
+  if stats then print_stats ~format:stats_format ~jobs ~jobs_mode;
+  report_snapshot ~stats snap_load snap_save;
+  let findings =
+    if not semantic_check then []
+    else if per_file then List.concat_map (fun r -> r.w_findings) done_
+    else Ms2.Api.check_program (List.concat (Array.to_list programs))
+  in
+  if findings <> [] then begin
+    List.iter prerr_endline findings;
+    exit exit_fatal
+  end;
+  if List.exists (fun r -> r.w_fatal || r.w_recovered) done_ then
+    exit exit_degraded
 
 let expand_cmd =
   let run files output stats stats_format hygienic semantic_check prelude
-      trace trace_out metrics jobs fragment_jobs jobs_mode no_cache fuel
-      invocation_fuel max_nodes max_errors timeout_ms invocation_timeout_ms
+      trace trace_out metrics jobs fragment_jobs jobs_mode no_cache limits
       failpoints keep_going line_directives sourcemap journal resume
       cache_file diag_format =
     arm_failpoints failpoints;
@@ -939,8 +895,8 @@ let expand_cmd =
     if journal <> None && trace then begin
       prerr_endline
         "ms2c: --journal and --trace are mutually exclusive (the journal \
-         runs the independent-compilation-units batch driver; --trace \
-         needs the shared-session sequential pipeline)";
+         gives every file its own engine; --trace needs one engine shared \
+         by all files)";
       exit exit_fatal
     end;
     (* [--jobs 0] / [--jobs auto]: one worker per recommended domain *)
@@ -951,95 +907,12 @@ let expand_cmd =
       if fragment_jobs = 0 then max 1 (Pool.recommended () / max 1 jobs)
       else fragment_jobs
     in
-    with_fragments ~diag_format files (fun fragments ->
-        let limits =
-          limits_of ~fuel ~invocation_fuel ~max_nodes ~max_errors
-            ~timeout_ms ~invocation_timeout_ms
-        in
-        (* the pool only pays off with several files; --trace keeps the
-           sequential path so the interleaving of trace output stays
-           deterministic.  A journal forces the batch driver at any job
-           count: its per-file records only make sense when each file is
-           an independent compilation unit. *)
-        if journal <> None
-           || (jobs > 1 && List.length fragments > 1 && not trace)
-        then
-          expand_parallel ~jobs ~fragment_jobs ~jobs_mode ~limits ~keep_going
-            ~hygienic ~prelude ~cache:(not no_cache) ~line_directives
-            ~sourcemap ~semantic_check ~stats ~stats_format ~trace_out
-            ~metrics ~output ~diag_format ~journal ~resume ~cache_file
-            fragments
-        else begin
-          if trace_out <> None then Obs.start_recording ();
-          (* the sequential pipeline supports --cache-file through the
-             same shared-store snapshot path the batch driver uses *)
-          let store, snap_load =
-            match cache_file with
-            | Some path when not no_cache ->
-                let s = Ms2.Api.create_shared_cache () in
-                (Some s, Some (load_cache_file s path))
-            | _ -> (None, None)
-          in
-          let engine =
-            Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic
-              ~prelude ~cache:(not no_cache) ?cache_store:store ()
-          in
-          if trace then
-            engine.Ms2.Engine.trace <- Some Format.err_formatter;
-          let prog, failed =
-            expand_fragments ~fragment_jobs ~engine ~keep_going ~diag_format
-              fragments
-          in
-          let recovered = Ms2.Api.diagnostics engine in
-          emit_diags diag_format recovered;
-          let out =
-            if line_directives || sourcemap <> None then begin
-              (* the provenance-aware emitter: same strict rendering, but
-                 every output line is tracked back to the construct (and
-                 expansion chain) that produced it *)
-              let r = Ms2_syntax.Emit.program ~line_directives prog in
-              (match sourcemap with
-              | None -> ()
-              | Some path ->
-                  write_atomic ~diag_format path
-                    (Ms2_syntax.Emit.sourcemap_to_string
-                       r.Ms2_syntax.Emit.map));
-              r.Ms2_syntax.Emit.text
-            end
-            else
-              Ms2_syntax.Pretty.program_to_string
-                ~mode:Ms2_syntax.Pretty.strict prog
-          in
-          (match output with
-          | None -> print_string out
-          | Some path -> write_atomic ~diag_format path out);
-          publish_run ~jobs ~jobs_mode [ Ms2.Api.stats engine ];
-          (match trace_out with
-          | None -> ()
-          | Some path ->
-              write_atomic ~diag_format path
-                (Obs.chrome_trace [ ("ms2c", Obs.events ()) ]));
-          (match metrics with
-          | None -> ()
-          | Some path ->
-              write_atomic ~diag_format path (Obs.Metrics.to_json ()));
-          if stats then
-            print_stats ~format:stats_format ~jobs ~jobs_mode;
-          let snap_save =
-            match (store, cache_file) with
-            | Some s, Some path -> save_cache_file s path
-            | _ -> None
-          in
-          report_snapshot ~stats snap_load snap_save;
-          if semantic_check then begin
-            match Ms2.Api.check_program prog with
-            | [] -> ()
-            | findings ->
-                List.iter prerr_endline findings;
-                exit exit_fatal
-          end;
-          if failed || recovered <> [] then exit exit_degraded
-        end)
+    with_fragments ~diag_format files
+      (expand_batch ~jobs ~fragment_jobs ~jobs_mode ~hygienic ~prelude ~trace
+         ~line_directives ?sourcemap ~semantic_check ~stats ~stats_format
+         ?trace_out ?metrics ?journal ~resume ?cache_file ~limits ~keep_going
+         ~cache:(not no_cache) ~diag_format
+         ~deliver:(write_output ~diag_format output))
   in
   Cmd.v
     (Cmd.info "expand" ~doc:"Expand syntax macros to pure C")
@@ -1047,45 +920,28 @@ let expand_cmd =
       const run $ files_arg $ output_arg $ stats_arg $ stats_format_arg
       $ hygienic_arg $ semantic_check_arg $ prelude_arg $ trace_arg
       $ trace_out_arg $ metrics_arg $ jobs_arg $ fragment_jobs_arg
-      $ jobs_mode_arg $ no_cache_arg $ fuel_arg $ invocation_fuel_arg
-      $ max_nodes_arg $ max_errors_arg $ timeout_arg
-      $ invocation_timeout_arg $ failpoints_arg $ keep_going_arg
-      $ line_directives_arg $ sourcemap_arg $ journal_arg $ resume_arg
-      $ cache_file_arg $ diag_format_arg)
+      $ jobs_mode_arg $ no_cache_arg $ limits_term $ failpoints_arg
+      $ keep_going_arg $ line_directives_arg $ sourcemap_arg $ journal_arg
+      $ resume_arg $ cache_file_arg $ diag_format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let check_cmd =
-  let run files no_cache fuel invocation_fuel max_nodes max_errors timeout_ms
-      invocation_timeout_ms failpoints keep_going diag_format =
+  let run files no_cache limits failpoints keep_going diag_format =
     arm_failpoints failpoints;
-    with_fragments ~diag_format files (fun fragments ->
-        let limits =
-          limits_of ~fuel ~invocation_fuel ~max_nodes ~max_errors
-            ~timeout_ms ~invocation_timeout_ms
-        in
-        let engine =
-          Ms2.Api.create_engine ~limits ~recover:keep_going
-            ~cache:(not no_cache) ()
-        in
-        let _, failed =
-          expand_fragments ~engine ~keep_going ~diag_format fragments
-        in
-        let recovered = Ms2.Api.diagnostics engine in
-        emit_diags diag_format recovered;
-        if failed || recovered <> [] then exit exit_degraded
-        else prerr_endline "ok")
+    with_fragments ~diag_format files
+      (expand_batch ~limits ~keep_going ~cache:(not no_cache) ~diag_format
+         ~deliver:ignore);
+    prerr_endline "ok"
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:"Parse, type check and expand without printing the result")
     Term.(
-      const run $ files_arg $ no_cache_arg $ fuel_arg $ invocation_fuel_arg
-      $ max_nodes_arg $ max_errors_arg $ timeout_arg
-      $ invocation_timeout_arg $ failpoints_arg $ keep_going_arg
-      $ diag_format_arg)
+      const run $ files_arg $ no_cache_arg $ limits_term $ failpoints_arg
+      $ keep_going_arg $ diag_format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)
@@ -1102,35 +958,21 @@ let profile_format_arg =
              first) or $(b,json) (schema ms2-profile-1, same order).")
 
 let profile_cmd =
-  let run files output format hygienic prelude no_cache fuel invocation_fuel
-      max_nodes max_errors timeout_ms invocation_timeout_ms failpoints
+  let run files output format hygienic prelude no_cache limits failpoints
       keep_going diag_format =
     arm_failpoints failpoints;
-    with_fragments ~diag_format files (fun fragments ->
-        let limits =
-          limits_of ~fuel ~invocation_fuel ~max_nodes ~max_errors
-            ~timeout_ms ~invocation_timeout_ms
-        in
-        Obs.Profile.enable ();
-        let engine =
-          Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic
-            ~prelude ~cache:(not no_cache) ()
-        in
-        let _, failed =
-          expand_fragments ~engine ~keep_going ~diag_format fragments
-        in
-        let recovered = Ms2.Api.diagnostics engine in
-        emit_diags diag_format recovered;
-        let rows = Obs.Profile.report () in
-        let out =
-          match format with
-          | Profile_text -> Obs.Profile.report_to_text rows
-          | Profile_json -> Obs.Profile.report_to_json rows
-        in
-        (match output with
-        | None -> print_string out
-        | Some path -> write_atomic ~diag_format path out);
-        if failed || recovered <> [] then exit exit_degraded)
+    Obs.Profile.enable ();
+    (* the report replaces the expansion as what gets written *)
+    let deliver _ =
+      let rows = Obs.Profile.report () in
+      write_output ~diag_format output
+        (match format with
+        | Profile_text -> Obs.Profile.report_to_text rows
+        | Profile_json -> Obs.Profile.report_to_json rows)
+    in
+    with_fragments ~diag_format files
+      (expand_batch ~hygienic ~prelude ~limits ~keep_going
+         ~cache:(not no_cache) ~diag_format ~deliver)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1139,10 +981,8 @@ let profile_cmd =
              and maximum expansion depth, hottest (by self time) first.")
     Term.(
       const run $ files_arg $ output_arg $ profile_format_arg
-      $ hygienic_arg $ prelude_arg $ no_cache_arg $ fuel_arg
-      $ invocation_fuel_arg $ max_nodes_arg $ max_errors_arg $ timeout_arg
-      $ invocation_timeout_arg $ failpoints_arg $ keep_going_arg
-      $ diag_format_arg)
+      $ hygienic_arg $ prelude_arg $ no_cache_arg $ limits_term
+      $ failpoints_arg $ keep_going_arg $ diag_format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* figures                                                             *)

@@ -119,23 +119,69 @@ type checkpoint = Engine.checkpoint
 let checkpoint = Engine.checkpoint
 let rollback = Engine.rollback
 
+(** One unit's expansion, rendered: see {!expand_unit}. *)
+type unit_result = {
+  u_output : string;  (** rendered C; [""] when fatal *)
+  u_map : Ms2_syntax.Emit.entry list;  (** its source map, when asked for *)
+  u_program : Ms2_syntax.Ast.program option;
+      (** the expansion; [None] when it failed (and rolled back) *)
+  u_fatal : Diag.t option;
+  u_recovered : Diag.t list;  (** recovered diagnostics this unit added *)
+}
+
+(** Expand [text] as one unit of work on [engine] and render it once:
+    strict {!Pretty}, or {!Ms2_syntax.Emit} when [line_directives] or
+    [map] asks for provenance.  The recovered diagnostics are the ones
+    the engine's collector gained during this call, so a shared engine
+    reports each unit's own.  A stack overflow in the renderer (an
+    expansion can be legal yet too deep to print recursively) becomes a
+    located resource diagnostic; the expansion itself then stands
+    committed, with [u_program] set. *)
+let expand_unit ?(line_directives = false) ?(map = false) ?deadline_ms
+    ?fragment_jobs (engine : engine) ?(source = "<string>") (text : string) :
+    unit_result =
+  let seen = Diag.count engine.Engine.diags in
+  let result ?(out = ("", [])) program fatal =
+    {
+      u_output = fst out;
+      u_map = snd out;
+      u_program = program;
+      u_fatal = fatal;
+      u_recovered =
+        List.filteri (fun i _ -> i >= seen) (Engine.diagnostics engine);
+    }
+  in
+  match
+    Diag.protect (fun () ->
+        Engine.expand_source engine ~source ?deadline_ms ?fragment_jobs text)
+  with
+  | Error d -> result None (Some d)
+  | Ok prog -> (
+      match
+        if line_directives || map then
+          let r = Ms2_syntax.Emit.program ~line_directives prog in
+          (r.Ms2_syntax.Emit.text, r.Ms2_syntax.Emit.map)
+        else (Pretty.program_to_string ~mode:Pretty.strict prog, [])
+      with
+      | out -> result ~out (Some prog) None
+      | exception Stack_overflow ->
+          let p = { Loc.line = 1; col = 0; offset = 0 } in
+          result (Some prog)
+            (Some
+               (Diag.make
+                  ~loc:(Loc.make ~source ~start_pos:p ~end_pos:p)
+                  ~code:Diag.code_stack Diag.Resource
+                  (Printf.sprintf
+                     "stack overflow while rendering the expansion of %s \
+                      (the produced program is pathologically deep)"
+                     source))))
+
 (** Parse and expand [text], rendering the result as pure C.  Raises
     {!Ms2_support.Diag.Error} on any lexical, syntax, pattern, type or
-    expansion error.  A stack overflow in the renderer (an expansion can
-    be legal yet too deep to print recursively) is converted to a
-    located resource diagnostic rather than escaping. *)
+    expansion error, or when the result is too deep to render. *)
 let expand_exn ?(engine = Engine.create ()) ?source (text : string) : string =
-  let prog = Engine.expand_source engine ?source text in
-  try Pretty.program_to_string ~mode:Pretty.strict prog
-  with Stack_overflow ->
-    let p = { Loc.line = 1; col = 0; offset = 0 } in
-    let source = Option.value source ~default:"<string>" in
-    Diag.error
-      ~loc:(Loc.make ~source ~start_pos:p ~end_pos:p)
-      ~code:Diag.code_stack Diag.Resource
-      "stack overflow while rendering the expansion of %s (the produced \
-       program is pathologically deep)"
-      source
+  let u = expand_unit engine ?source text in
+  match u.u_fatal with Some d -> raise (Diag.Error d) | None -> u.u_output
 
 (** Like {!expand_exn} but catching diagnostics, structured. *)
 let expand_diag ?engine ?source (text : string) : (string, Diag.t) result =
@@ -319,11 +365,11 @@ let check_program (prog : Ms2_syntax.Ast.program) : string list =
     and any findings of the object-level type checker. *)
 let expand_checked ?(engine = Engine.create ()) ?source (text : string) :
     (string * string list, string) result =
-  Result.map_error Diag.to_string
-    (Diag.protect (fun () ->
-         let prog = Engine.expand_source engine ?source text in
-         let rendered = Pretty.program_to_string ~mode:Pretty.strict prog in
-         (rendered, check_program prog)))
+  let u = expand_unit engine ?source text in
+  match u.u_fatal with
+  | Some d -> Error (Diag.to_string d)
+  | None ->
+      Ok (u.u_output, check_program (Option.value u.u_program ~default:[]))
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -455,45 +501,25 @@ module Session = struct
     Engine.rollback e s.sn_cp;
     let st0 = engine_stats e in
     s.sn_requests <- s.sn_requests + 1;
-    match
-      Diag.protect (fun () ->
-          Engine.expand_source e ~source ?deadline_ms ?fragment_jobs text)
-    with
-    | Result.Error diag ->
-        let d = absorb_delta s st0 in
+    let u = expand_unit e ~source ?deadline_ms ?fragment_jobs text in
+    let d = absorb_delta s st0 in
+    match u.u_fatal with
+    | None ->
+        (* commit: the session's next request starts from here *)
+        s.sn_cp <- Engine.checkpoint e;
+        s.sn_fp <- Engine.fingerprint e;
+        Ok (u.u_output, d)
+    | Some diag ->
         s.sn_failures <- s.sn_failures + 1;
-        (* the engine's own transaction already rolled the fragment
-           back; verify before letting the next request in.  A breach
-           here is an engine bug — contain it by force-restoring the
-           session checkpoint, and record it. *)
-        if Engine.fingerprint e <> s.sn_fp then begin
+        (* an expansion that could not be rendered committed: undo it,
+           a deliberate unwind.  A failed one was already rolled back by
+           the engine's own transaction; verify before letting the next
+           request in.  A breach there is an engine bug — contain it by
+           force-restoring the session checkpoint, and record it. *)
+        if Option.is_some u.u_program then Engine.rollback e s.sn_cp
+        else if Engine.fingerprint e <> s.sn_fp then begin
           s.sn_isolated <- false;
           Engine.rollback e s.sn_cp
         end;
-        Result.Error (diag, d)
-    | Ok prog -> (
-        match Pretty.program_to_string ~mode:Pretty.strict prog with
-        | rendered ->
-            let d = absorb_delta s st0 in
-            (* commit: the session's next request starts from here *)
-            s.sn_cp <- Engine.checkpoint e;
-            s.sn_fp <- Engine.fingerprint e;
-            Ok (rendered, d)
-        | exception Stack_overflow ->
-            let d = absorb_delta s st0 in
-            s.sn_failures <- s.sn_failures + 1;
-            (* the expansion committed but cannot be rendered: undo the
-               commit.  Deliberate unwind, not an isolation breach. *)
-            Engine.rollback e s.sn_cp;
-            let p = { Loc.line = 1; col = 0; offset = 0 } in
-            let diag =
-              Diag.make
-                ~loc:(Loc.make ~source ~start_pos:p ~end_pos:p)
-                ~code:Diag.code_stack Diag.Resource
-                (Printf.sprintf
-                   "stack overflow while rendering the expansion of %s (the \
-                    produced program is pathologically deep)"
-                   source)
-            in
-            Result.Error (diag, d))
+        Error (diag, d)
 end

@@ -119,6 +119,31 @@ type checkpoint = Engine.checkpoint
 val checkpoint : engine -> checkpoint
 val rollback : engine -> checkpoint -> unit
 
+(** One unit's expansion, rendered. *)
+type unit_result = {
+  u_output : string;  (** rendered C; [""] when fatal *)
+  u_map : Ms2_syntax.Emit.entry list;
+      (** its line-by-line source map ([[]] unless asked for) *)
+  u_program : Ms2_syntax.Ast.program option;
+      (** the expansion; [None] when it failed (and rolled back) *)
+  u_fatal : Diag.t option;  (** why the unit produced no output *)
+  u_recovered : Diag.t list;
+      (** recovered diagnostics this unit added, oldest first *)
+}
+
+val expand_unit :
+  ?line_directives:bool -> ?map:bool -> ?deadline_ms:int ->
+  ?fragment_jobs:int -> engine -> ?source:string -> string -> unit_result
+(** The one "expand a unit" step every driver shares: run
+    {!Engine.expand_source} on [engine] under {!Diag.protect}, then
+    render once — strict {!Ms2_syntax.Pretty}, or {!Ms2_syntax.Emit}
+    when [map] asks for a source map or [line_directives] for [#line]
+    directives.  [u_recovered] is the collector's growth during this
+    call, so units sharing one engine each see their own.  A stack
+    overflow while rendering becomes a located [E0606] in [u_fatal],
+    with [u_program] still set: the expansion stands committed and the
+    caller decides whether to roll it back. *)
+
 val expand_exn : ?engine:engine -> ?source:string -> string -> string
 (** Parse and expand, rendering pure C.
     @raise Ms2_support.Diag.Error on any error. *)

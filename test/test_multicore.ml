@@ -78,6 +78,16 @@ let meta_file i =
 let bad_file i =
   write_fixture (Printf.sprintf "bad%d" i) (Printf.sprintf "int b%d( { ;\n" i)
 
+(* A file whose macro fails at expansion time: recovered under
+   --keep-going, so the file still produces output. *)
+let erroring_file i =
+  write_fixture
+    (Printf.sprintf "r%d" i)
+    (Printf.sprintf
+       "syntax exp BAD%d {| $$exp::a |} { error(\"boom\"); return a; }\n\
+        int r%d(int a) { return BAD%d(a); }\n"
+       i i i)
+
 (* Run the same invocation at --jobs 1 and on a domain pool, asserting
    exit code, stdout and stderr are byte-identical; returns the
    sequential triple for additional checks. *)
@@ -183,14 +193,19 @@ let first_fatal_in_input_order () =
         (contains ~sub:"int b4" err))
 
 let keep_going_diag_order () =
+  (* a recovered diagnostic ahead of a fatal file: both are reported
+     in input order at every job count *)
   let files =
-    [ bad_file 1; macro_file 2; bad_file 3; meta_file 4; bad_file 5 ]
+    [ erroring_file 0; bad_file 1; macro_file 2; bad_file 3; meta_file 4;
+      bad_file 5 ]
   in
   with_files files (fun files ->
       let c, _, err =
         check_identity ~what:"keep-going sweep" "--keep-going" files
       in
       Alcotest.(check int) "degraded exits 3" 3 c;
+      Alcotest.(check bool) "recovered error reported" true
+        (contains ~sub:"macro error: boom" err);
       List.iter
         (fun i ->
           Alcotest.(check bool)
