@@ -17,7 +17,7 @@ module Pool = Ms2_support.Pool
 module Atomic_io = Ms2_support.Atomic_io
 module Build_id = Ms2_support.Build_id
 module Loc = Ms2_support.Loc
-module Emit = Ms2_syntax.Emit
+module Pretty = Ms2_syntax.Pretty
 
 (* Where per-file engines run: shared-memory OCaml domains over one
    work-stealing pool (the default — shares the expansion cache and
@@ -81,7 +81,7 @@ type worker_result = {
   w_fatal : bool;  (** the file failed wholly (no output from it) *)
   w_recovered : bool;  (** keep-going salvaged at least one diagnostic *)
   w_out : string;  (** rendered C; [""] when fatal *)
-  w_map : Emit.entry list;  (** per-file source map (absolute lines) *)
+  w_map : Loc.t array;  (** per-file source map, one entry per line *)
   w_findings : string list;  (** object-level semantic-check findings *)
   w_stats : Ms2.Api.stats option;
       (** the worker engine's counters; [None] when the worker died or
@@ -100,7 +100,7 @@ let lost_result (diag : string) : worker_result =
     w_fatal = true;
     w_recovered = false;
     w_out = "";
-    w_map = [];
+    w_map = [||];
     w_findings = [];
     w_stats = None;
     w_events = [];
@@ -555,11 +555,6 @@ let save_cache_file (store : Ms2.Api.shared_cache) (path : string) :
       Printf.eprintf "ms2c: warning: cache snapshot not saved: %s\n%!" msg;
       None
 
-let count_newlines s =
-  let n = ref 0 in
-  String.iter (fun c -> if c = '\n' then incr n) s;
-  !n
-
 let write_output ~diag_format output text =
   match output with
   | None -> print_string text
@@ -720,8 +715,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
     if trace_out <> None then Obs.start_recording ();
     let engine = match shared with Some e -> e | None -> new_engine () in
     let u =
-      Ms2.Api.expand_unit ~line_directives ~map:want_map ~fragment_jobs engine
-        ~source text
+      Ms2.Api.expand_unit ~line_directives ~fragment_jobs engine ~source text
     in
     let checked =
       if semantic_check && Option.is_none u.u_fatal then u.u_program else None
@@ -735,7 +729,8 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
       w_fatal = Option.is_some u.u_fatal;
       w_recovered = u.u_recovered <> [];
       w_out = u.u_output;
-      w_map = u.u_map;
+      (* the map rides the result pipe and the journal only when wanted *)
+      w_map = (if want_map then u.u_map else [||]);
       w_findings =
         (match checked with
         | Some p when per_file -> Ms2.Api.check_program p
@@ -813,43 +808,31 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
   if (not keep_going) && List.exists (fun r -> r.w_fatal) done_ then
     exit exit_fatal;
   let buf = Buffer.create 65536 in
-  let map = ref [] in
-  let off = ref 0 in
+  let maps = ref [] in
   List.iter
     (fun r ->
-      (* keep per-file renderings line-aligned under concatenation
-         so source-map offsets stay exact *)
-      let text =
-        (* an empty program renders as a lone newline
-           ([pp_program]'s closing [@.]); under concatenation it
-           contributes no declarations, hence no lines *)
-        if r.w_out = "\n" then ""
-        else if
-          r.w_out <> "" && r.w_out.[String.length r.w_out - 1] <> '\n'
-        then r.w_out ^ "\n"
-        else r.w_out
-      in
+      (* an empty program renders as a lone newline; under
+         concatenation it contributes no declarations, hence no lines.
+         Any other rendering ends with a newline, and its map has one
+         entry per line, so the maps concatenate as the texts do. *)
+      let text = if r.w_out = "\n" then "" else r.w_out in
       (* a single render of the whole program separates top-level
          declarations with a blank line carrying a dummy-loc map
          entry; reproduce both between files *)
       if text <> "" && Buffer.length buf > 0 then begin
         Buffer.add_char buf '\n';
-        incr off;
-        map := { Emit.out_line = !off; loc = Loc.dummy } :: !map
+        maps := [| Loc.dummy |] :: !maps
       end;
       Buffer.add_string buf text;
-      List.iter
-        (fun e ->
-          map := { e with Emit.out_line = e.Emit.out_line + !off } :: !map)
-        r.w_map;
-      off := !off + count_newlines text)
+      maps := r.w_map :: !maps)
     done_;
   let write_file dest contents =
     Option.iter (fun path -> write_atomic ~diag_format path (contents ())) dest
   in
-  write_file sourcemap (fun () -> Emit.sourcemap_to_string (List.rev !map));
+  write_file sourcemap (fun () ->
+      Pretty.sourcemap_to_string (Array.concat (List.rev !maps)));
   (* zero surviving declarations render as "\n" in one shot
-     ([pp_program]'s closing [@.] over an empty list) — match it *)
+     (the lone newline of an empty program) — match it *)
   deliver (if Buffer.length buf = 0 then "\n" else Buffer.contents buf);
   (* track [i] (= trace pid [i]) is input file [i], whatever order
      the workers finished in *)

@@ -122,29 +122,27 @@ let rollback = Engine.rollback
 (** One unit's expansion, rendered: see {!expand_unit}. *)
 type unit_result = {
   u_output : string;  (** rendered C; [""] when fatal *)
-  u_map : Ms2_syntax.Emit.entry list;  (** its source map, when asked for *)
+  u_map : Loc.t array;  (** its line-by-line source map *)
   u_program : Ms2_syntax.Ast.program option;
       (** the expansion; [None] when it failed (and rolled back) *)
   u_fatal : Diag.t option;
   u_recovered : Diag.t list;  (** recovered diagnostics this unit added *)
 }
 
-(** Expand [text] as one unit of work on [engine] and render it once:
-    strict {!Pretty}, or {!Ms2_syntax.Emit} when [line_directives] or
-    [map] asks for provenance.  The recovered diagnostics are the ones
-    the engine's collector gained during this call, so a shared engine
-    reports each unit's own.  A stack overflow in the renderer (an
-    expansion can be legal yet too deep to print recursively) becomes a
-    located resource diagnostic; the expansion itself then stands
-    committed, with [u_program] set. *)
-let expand_unit ?(line_directives = false) ?(map = false) ?deadline_ms
-    ?fragment_jobs (engine : engine) ?(source = "<string>") (text : string) :
-    unit_result =
+(** Expand [text] as one unit of work on [engine] and render it once
+    with {!Pretty.program}, source map included.  The recovered
+    diagnostics are the ones the engine's collector gained during this
+    call, so a shared engine reports each unit's own.  A stack overflow
+    in the renderer (an expansion can be legal yet too deep to print
+    recursively) becomes a located resource diagnostic; the expansion
+    itself then stands committed, with [u_program] set. *)
+let expand_unit ?line_directives ?deadline_ms ?fragment_jobs
+    (engine : engine) ?(source = "<string>") (text : string) : unit_result =
   let seen = Diag.count engine.Engine.diags in
-  let result ?(out = ("", [])) program fatal =
+  let result ?(out = { Pretty.text = ""; map = [||] }) program fatal =
     {
-      u_output = fst out;
-      u_map = snd out;
+      u_output = out.text;
+      u_map = out.map;
       u_program = program;
       u_fatal = fatal;
       u_recovered =
@@ -158,10 +156,8 @@ let expand_unit ?(line_directives = false) ?(map = false) ?deadline_ms
   | Error d -> result None (Some d)
   | Ok prog -> (
       match
-        if line_directives || map then
-          let r = Ms2_syntax.Emit.program ~line_directives prog in
-          (r.Ms2_syntax.Emit.text, r.Ms2_syntax.Emit.map)
-        else (Pretty.program_to_string ~mode:Pretty.strict prog, [])
+        Obs.with_span ~cat:"render" "render" (fun () ->
+            Pretty.program ?line_directives prog)
       with
       | out -> result ~out (Some prog) None
       | exception Stack_overflow ->

@@ -122,8 +122,8 @@ val rollback : engine -> checkpoint -> unit
 (** One unit's expansion, rendered. *)
 type unit_result = {
   u_output : string;  (** rendered C; [""] when fatal *)
-  u_map : Ms2_syntax.Emit.entry list;
-      (** its line-by-line source map ([[]] unless asked for) *)
+  u_map : Loc.t array;
+      (** its line-by-line source map (see {!Ms2_syntax.Pretty.result}) *)
   u_program : Ms2_syntax.Ast.program option;
       (** the expansion; [None] when it failed (and rolled back) *)
   u_fatal : Diag.t option;  (** why the unit produced no output *)
@@ -132,12 +132,12 @@ type unit_result = {
 }
 
 val expand_unit :
-  ?line_directives:bool -> ?map:bool -> ?deadline_ms:int ->
+  ?line_directives:bool -> ?deadline_ms:int ->
   ?fragment_jobs:int -> engine -> ?source:string -> string -> unit_result
 (** The one "expand a unit" step every driver shares: run
     {!Engine.expand_source} on [engine] under {!Diag.protect}, then
-    render once — strict {!Ms2_syntax.Pretty}, or {!Ms2_syntax.Emit}
-    when [map] asks for a source map or [line_directives] for [#line]
+    render once with {!Ms2_syntax.Pretty.program} (a [render] span),
+    which yields the source map and, with [line_directives], [#line]
     directives.  [u_recovered] is the collector's growth during this
     call, so units sharing one engine each see their own.  A stack
     overflow while rendering becomes a located [E0606] in [u_fatal],

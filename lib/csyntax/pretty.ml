@@ -1,4 +1,4 @@
-(** Pretty-printer: AST back to concrete C.
+(** C renderer: AST back to concrete C, in one walk over a [Buffer].
 
     Two modes:
     - default mode prints meta constructs too (placeholders as [$(e)],
@@ -7,17 +7,26 @@
     - [strict] mode raises {!Meta_residue} on any meta construct, which
       the expansion engine uses to guarantee its output is pure C.
 
+    The walk writes explicit two-space indentation and never wraps, so
+    a construct prints the same wherever it sits.  It counts output
+    lines as it writes them and records, for each one, the location of
+    the construct that produced it: that is the source map, and with
+    [line_directives] the same bookkeeping interleaves [#line]
+    directives.
+
     Expression printing is precedence-aware and re-parses to the same
-    AST (a property test in [test/test_roundtrip.ml] checks this). *)
+    AST (property tests in [test/test_props.ml] check this). *)
 
 open Ast
+module Loc = Ms2_support.Loc
+module Diag = Ms2_support.Diag
 
 exception Meta_residue of string
 
 type mode = { strict : bool }
 
-let residue mode what =
-  if mode.strict then raise (Meta_residue what)
+let relaxed = { strict = false }
+let strict = { strict = true }
 
 (* ------------------------------------------------------------------ *)
 (* Precedence                                                          *)
@@ -78,372 +87,455 @@ let constant_str = function
   | Cstring s -> Printf.sprintf "%S" s
 
 (* ------------------------------------------------------------------ *)
+(* Writer state                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type result = { text : string; map : Loc.t array }
+
+type st = {
+  buf : Buffer.t;
+  mode : mode;
+  line_directives : bool;
+  mutable line_start : int;  (** buffer offset of the current line *)
+  mutable loc : Loc.t;  (** producer of the current line *)
+  mutable lines : int;  (** lines ended so far *)
+  mutable locs : Loc.t array;  (** [locs.(i)]: producer of line [i + 1] *)
+  mutable presumed : (string * int) option;
+      (** where the C compiler believes it is — [Some (file, line)]
+          after a [#line] directive, advanced by every line; [None]
+          before any directive *)
+}
+
+let create ?(line_directives = false) mode =
+  { buf = Buffer.create 256; mode; line_directives;
+    line_start = 0; loc = Loc.dummy; lines = 0; locs = [||];
+    presumed = None }
+
+let residue st what = if st.mode.strict then raise (Meta_residue what)
+let str st s = Buffer.add_string st.buf s
+let col st = Buffer.length st.buf - st.line_start
+
+(** End the current line, attributing it to [st.loc]. *)
+let newline st =
+  Buffer.add_char st.buf '\n';
+  st.line_start <- Buffer.length st.buf;
+  let n = st.lines in
+  if n = Array.length st.locs then begin
+    let grown = Array.make (max 16 (2 * n)) Loc.dummy in
+    Array.blit st.locs 0 grown 0 n;
+    st.locs <- grown
+  end;
+  st.locs.(n) <- st.loc;
+  st.lines <- n + 1;
+  match st.presumed with
+  | Some (f, l) -> st.presumed <- Some (f, l + 1)
+  | None -> ()
+
+let indent st n =
+  for _ = 1 to n do
+    Buffer.add_char st.buf ' '
+  done
+
+let nl st n =
+  newline st;
+  indent st n
+
+(** At the start of a line: attribute the lines that follow to [loc],
+    and with [line_directives] point the C compiler at [loc]'s
+    outermost user-written span ({!Loc.root}) unless it already
+    presumes to be there.  Unknown locations emit no directive. *)
+let attribute st (loc : Loc.t) =
+  st.loc <- loc;
+  if st.line_directives then begin
+    let r = Loc.root loc in
+    let want = (r.Loc.source, r.Loc.start_pos.Loc.line) in
+    if (not (Loc.is_dummy r)) && st.presumed <> Some want then begin
+      Printf.bprintf st.buf "#line %d \"%s\"" (snd want)
+        (Diag.json_escape (fst want));
+      newline st;
+      st.presumed <- Some want
+    end
+  end
+
+let list st sep f = function
+  | [] -> ()
+  | x :: xs -> f x; List.iter (fun x -> str st sep; f x) xs
+
+let opt f = function Some x -> f x | None -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec pp_expr mode min_prec ppf expr =
-  let prec = expr_prec expr.e in
-  let atom fmt = Fmt.pf ppf fmt in
-  let body ppf () =
-    match expr.e with
-    | E_ident id -> Fmt.string ppf id.id_name
-    | E_const c -> Fmt.string ppf (constant_str c)
-    | E_call (f, args) ->
-        Fmt.pf ppf "%a(%a)" (pp_expr mode 16) f
-          (Fmt.list ~sep:(Fmt.any ", ") (pp_expr mode 2))
-          args
-    | E_index (a, i) ->
-        Fmt.pf ppf "%a[%a]" (pp_expr mode 16) a (pp_expr mode 0) i
-    | E_member (e, f) ->
-        Fmt.pf ppf "%a.%a" (pp_expr mode 16) e (pp_id_or_splice mode) f
-    | E_arrow (e, f) ->
-        Fmt.pf ppf "%a->%a" (pp_expr mode 16) e (pp_id_or_splice mode) f
-    | E_postincr e -> Fmt.pf ppf "%a++" (pp_expr mode 16) e
-    | E_postdecr e -> Fmt.pf ppf "%a--" (pp_expr mode 16) e
-    | E_unary (op, e) ->
-        (* avoid gluing "- -x" into "--x", "+ +x" into "++x", and
-           "& &x" into "&&x": a space keeps the lexer from max-munching
-           the two operators into one token *)
-        let sep =
-          match (op, e.e) with
-          | Neg, E_unary ((Neg | Predecr), _) -> " "
-          | Plus, E_unary ((Plus | Preincr), _) -> " "
-          | Addr, E_unary (Addr, _) -> " "
-          | _, _ -> ""
-        in
-        Fmt.pf ppf "%s%s%a" (unop_str op) sep (pp_expr mode 15) e
-    | E_cast (ct, e) ->
-        Fmt.pf ppf "(%a)%a" (pp_ctype mode) ct (pp_expr mode 14) e
-    | E_sizeof_expr e -> Fmt.pf ppf "sizeof(%a)" (pp_expr mode 0) e
-    | E_sizeof_type ct -> Fmt.pf ppf "sizeof(%a)" (pp_ctype mode) ct
-    | E_binary (op, a, b) ->
-        let p = binop_prec op in
-        (* left-associative: right operand needs higher precedence *)
-        Fmt.pf ppf "%a %s %a" (pp_expr mode p) a (binop_str op)
-          (pp_expr mode (p + 1)) b
-    | E_cond (c, t, e) ->
-        Fmt.pf ppf "%a ? %a : %a" (pp_expr mode 4) c (pp_expr mode 2) t
-          (pp_expr mode 3) e
-    | E_assign (op, l, r) ->
-        (* C restricts assignment targets to unary-expressions *)
-        Fmt.pf ppf "%a %s %a" (pp_expr mode 15) l (assignop_str op)
-          (pp_expr mode 2) r
-    | E_comma (a, b) ->
-        Fmt.pf ppf "%a, %a" (pp_expr mode 1) a (pp_expr mode 2) b
-    | E_backquote t ->
-        residue mode "backquote template";
-        pp_template mode ppf t
-    | E_lambda (params, body) ->
-        residue mode "anonymous meta function";
-        Fmt.pf ppf "(%a; %a)"
-          (Fmt.list ~sep:(Fmt.any ", ") (pp_param mode))
-          params (pp_expr mode 2) body
-    | E_splice sp -> pp_splice mode ppf sp
-    | E_macro inv ->
-        residue mode "macro invocation";
-        pp_invocation mode ppf inv
-  in
-  if prec < min_prec then atom "(%a)" body () else body ppf ()
+let rec expr st min_prec e =
+  let paren = expr_prec e.e < min_prec in
+  if paren then str st "(";
+  (match e.e with
+  | E_ident id -> str st id.id_name
+  | E_const c -> str st (constant_str c)
+  | E_call (f, args) ->
+      expr st 16 f; str st "("; list st ", " (expr st 2) args; str st ")"
+  | E_index (a, i) -> expr st 16 a; str st "["; expr st 0 i; str st "]"
+  | E_member (e, f) -> expr st 16 e; str st "."; id_or_splice st f
+  | E_arrow (e, f) -> expr st 16 e; str st "->"; id_or_splice st f
+  | E_postincr e -> expr st 16 e; str st "++"
+  | E_postdecr e -> expr st 16 e; str st "--"
+  | E_unary (op, e) ->
+      str st (unop_str op);
+      (* avoid gluing "- -x" into "--x", "+ +x" into "++x", and
+         "& &x" into "&&x": a space keeps the lexer from max-munching
+         the two operators into one token *)
+      (match (op, e.e) with
+      | Neg, E_unary ((Neg | Predecr), _)
+      | Plus, E_unary ((Plus | Preincr), _)
+      | Addr, E_unary (Addr, _) -> str st " "
+      | _, _ -> ());
+      expr st 15 e
+  | E_cast (ct, e) -> str st "("; ctype st ct; str st ")"; expr st 14 e
+  | E_sizeof_expr e -> str st "sizeof("; expr st 0 e; str st ")"
+  | E_sizeof_type ct -> str st "sizeof("; ctype st ct; str st ")"
+  | E_binary (op, a, b) ->
+      let p = binop_prec op in
+      (* left-associative: right operand needs higher precedence *)
+      expr st p a; str st " "; str st (binop_str op); str st " ";
+      expr st (p + 1) b
+  | E_cond (c, t, e) ->
+      expr st 4 c; str st " ? "; expr st 2 t; str st " : "; expr st 3 e
+  | E_assign (op, l, r) ->
+      (* C restricts assignment targets to unary-expressions *)
+      expr st 15 l; str st " "; str st (assignop_str op); str st " ";
+      expr st 2 r
+  | E_comma (a, b) -> expr st 1 a; str st ", "; expr st 2 b
+  | E_backquote t -> residue st "backquote template"; template st t
+  | E_lambda (params, body) ->
+      residue st "anonymous meta function";
+      str st "("; list st ", " (param st) params; str st "; ";
+      expr st 2 body; str st ")"
+  | E_splice sp -> splice st sp
+  | E_macro inv -> residue st "macro invocation"; invocation st inv);
+  if paren then str st ")"
 
-and pp_id_or_splice mode ppf = function
-  | Ii_id id -> Fmt.string ppf id.id_name
-  | Ii_splice sp -> pp_splice mode ppf sp
+and id_or_splice st = function
+  | Ii_id id -> str st id.id_name
+  | Ii_splice sp -> splice st sp
 
-and pp_splice mode ppf sp =
-  residue mode "placeholder";
+and splice st sp =
+  residue st "placeholder";
   match sp.sp_expr.e with
-  | E_ident id -> Fmt.pf ppf "$%s" id.id_name
-  | _ -> Fmt.pf ppf "$(%a)" (pp_expr mode 0) sp.sp_expr
+  | E_ident id -> str st "$"; str st id.id_name
+  | _ -> str st "$("; expr st 0 sp.sp_expr; str st ")"
 
-and pp_invocation mode ppf inv =
-  let rec actual ppf = function
-    | Act_node n -> pp_node mode ppf n
-    | Act_list l ->
-        Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ", ") actual) l
+and invocation st inv =
+  let rec actual = function
+    | Act_node n -> node st n
+    | Act_list l -> str st "["; list st ", " actual l; str st "]"
     | Act_tuple fields ->
-        let f ppf (name, a) = Fmt.pf ppf "%s=%a" name actual a in
-        Fmt.pf ppf "(%a)" (Fmt.list ~sep:(Fmt.any ", ") f) fields
+        str st "(";
+        list st ", " (fun (n, a) -> str st n; str st "="; actual a) fields;
+        str st ")"
   in
-  let binding ppf (name, a) = Fmt.pf ppf "%s: %a" name actual a in
-  Fmt.pf ppf "%s<<%a>>" inv.inv_name.id_name
-    (Fmt.list ~sep:(Fmt.any ", ") binding)
-    inv.inv_actuals
+  str st inv.inv_name.id_name;
+  str st "<<";
+  list st ", " (fun (name, a) -> str st name; str st ": "; actual a)
+    inv.inv_actuals;
+  str st ">>"
 
-and pp_node mode ppf = function
-  | N_id id -> Fmt.string ppf id.id_name
-  | N_exp e -> pp_expr mode 0 ppf e
-  | N_num c -> Fmt.string ppf (constant_str c)
-  | N_stmt s -> pp_stmt mode ppf s
-  | N_decl d -> pp_decl mode ppf d
-  | N_typespec specs -> pp_specs mode ppf specs
-  | N_declarator d -> pp_declarator mode ppf d
-  | N_init_declarator d -> pp_init_declarator mode ppf d
-  | N_param p -> pp_param mode ppf p
-  | N_enumerator e -> pp_enumerator mode ppf e
+and node st = function
+  | N_id id -> str st id.id_name
+  | N_exp e -> expr st 0 e
+  | N_num c -> str st (constant_str c)
+  | N_stmt s -> stmt st s
+  | N_decl d -> decl st d
+  | N_typespec specs -> spec_list st specs
+  | N_declarator d -> declarator st 0 d
+  | N_init_declarator d -> init_declarator st d
+  | N_param p -> param st p
+  | N_enumerator e -> enumerator st e
 
 (* ------------------------------------------------------------------ *)
 (* Declarations                                                        *)
 (* ------------------------------------------------------------------ *)
 
-and pp_spec mode ppf = function
-  | S_void -> Fmt.string ppf "void"
-  | S_char -> Fmt.string ppf "char"
-  | S_int -> Fmt.string ppf "int"
-  | S_float -> Fmt.string ppf "float"
-  | S_double -> Fmt.string ppf "double"
-  | S_short -> Fmt.string ppf "short"
-  | S_long -> Fmt.string ppf "long"
-  | S_signed -> Fmt.string ppf "signed"
-  | S_unsigned -> Fmt.string ppf "unsigned"
-  | S_named id -> Fmt.string ppf id.id_name
-  | S_enum es -> pp_enum_spec mode ppf es
-  | S_struct (tag, fields) -> pp_su mode "struct" ppf (tag, fields)
-  | S_union (tag, fields) -> pp_su mode "union" ppf (tag, fields)
-  | S_typedef -> Fmt.string ppf "typedef"
-  | S_extern -> Fmt.string ppf "extern"
-  | S_static -> Fmt.string ppf "static"
-  | S_auto -> Fmt.string ppf "auto"
-  | S_register -> Fmt.string ppf "register"
-  | S_const -> Fmt.string ppf "const"
-  | S_volatile -> Fmt.string ppf "volatile"
+and spec st = function
+  | S_void -> str st "void"
+  | S_char -> str st "char"
+  | S_int -> str st "int"
+  | S_float -> str st "float"
+  | S_double -> str st "double"
+  | S_short -> str st "short"
+  | S_long -> str st "long"
+  | S_signed -> str st "signed"
+  | S_unsigned -> str st "unsigned"
+  | S_named id -> str st id.id_name
+  | S_enum es ->
+      str st "enum";
+      opt (fun t -> str st " "; id_or_splice st t) es.enum_tag;
+      let items l = str st " {"; list st ", " (enumerator st) l; str st "}" in
+      opt items es.enum_items
+  | S_struct (tag, fields) -> struct_or_union st "struct" tag fields
+  | S_union (tag, fields) -> struct_or_union st "union" tag fields
+  | S_typedef -> str st "typedef"
+  | S_extern -> str st "extern"
+  | S_static -> str st "static"
+  | S_auto -> str st "auto"
+  | S_register -> str st "register"
+  | S_const -> str st "const"
+  | S_volatile -> str st "volatile"
   | S_ast sort ->
-      residue mode "AST type specifier";
-      Fmt.pf ppf "@@%s" (Ms2_mtype.Sort.keyword sort)
-  | S_splice sp -> pp_splice mode ppf sp
+      residue st "AST type specifier";
+      str st "@"; str st (Ms2_mtype.Sort.keyword sort)
+  | S_splice sp -> splice st sp
 
-and pp_specs mode ppf specs =
-  Fmt.list ~sep:(Fmt.any " ") (pp_spec mode) ppf specs
+and spec_list st specs = list st " " (spec st) specs
 
-and pp_enum_spec mode ppf es =
-  Fmt.string ppf "enum";
-  Option.iter
-    (function
-      | Ii_id t -> Fmt.pf ppf " %s" t.id_name
-      | Ii_splice sp -> Fmt.pf ppf " %a" (pp_splice mode) sp)
-    es.enum_tag;
-  match es.enum_items with
-  | None -> ()
-  | Some items ->
-      Fmt.pf ppf " {%a}"
-        (Fmt.list ~sep:(Fmt.any ", ") (pp_enumerator mode))
-        items
+and enumerator st = function
+  | Enum_item (id, None) -> id_or_splice st id
+  | Enum_item (id, Some e) -> id_or_splice st id; str st " = "; expr st 2 e
+  | Enum_splice sp -> splice st sp
 
-and pp_enumerator mode ppf = function
-  | Enum_item (id, None) -> pp_id_or_splice mode ppf id
-  | Enum_item (id, Some e) ->
-      Fmt.pf ppf "%a = %a" (pp_id_or_splice mode) id (pp_expr mode 2) e
-  | Enum_splice sp -> pp_splice mode ppf sp
-
-and pp_su mode kw ppf (tag, fields) =
-  Fmt.string ppf kw;
-  Option.iter (fun t -> Fmt.pf ppf " %a" (pp_id_or_splice mode) t) tag;
-  match fields with
-  | None -> ()
-  | Some fields ->
-      let field ppf f =
-        Fmt.pf ppf "%a %a;" (pp_specs mode) f.f_specs
-          (Fmt.list ~sep:(Fmt.any ", ") (pp_declarator mode))
-          f.f_declarators
-      in
-      Fmt.pf ppf " { %a }" (Fmt.list ~sep:Fmt.sp field) fields
+and struct_or_union st kw tag fields =
+  str st kw;
+  opt (fun t -> str st " "; id_or_splice st t) tag;
+  let field f =
+    spec_list st f.f_specs; str st " ";
+    list st ", " (declarator st 0) f.f_declarators; str st ";"
+  in
+  opt (fun fields -> str st " { "; list st " " field fields; str st " }") fields
 
 (* Declarator printing uses the standard inside-out algorithm: pointers
    bind less tightly than array/function suffixes, so a pointer applied
    to an array or function declarator needs parentheses. *)
-and pp_declarator mode ppf d = pp_declarator_prec mode 0 ppf d
-
-and pp_declarator_prec mode min_prec ppf = function
-  | D_ident id -> Fmt.string ppf id.id_name
+and declarator st min_prec = function
+  | D_ident id -> str st id.id_name
   | D_abstract -> ()
-  | D_splice sp -> pp_splice mode ppf sp
+  | D_splice sp -> splice st sp
   | D_pointer d ->
-      let body ppf () = Fmt.pf ppf "*%a" (pp_declarator_prec mode 0) d in
-      if min_prec > 0 then Fmt.pf ppf "(%a)" body () else body ppf ()
+      if min_prec > 0 then str st "(";
+      str st "*"; declarator st 0 d;
+      if min_prec > 0 then str st ")"
   | D_array (d, size) ->
-      Fmt.pf ppf "%a[%a]"
-        (pp_declarator_prec mode 1)
-        d
-        (Fmt.option (pp_expr mode 0))
-        size
+      declarator st 1 d; str st "["; opt (expr st 0) size; str st "]"
   | D_func (d, params) ->
-      Fmt.pf ppf "%a(%a)"
-        (pp_declarator_prec mode 1)
-        d
-        (Fmt.list ~sep:(Fmt.any ", ") (pp_param mode))
-        params
+      declarator st 1 d; str st "("; list st ", " (param st) params;
+      str st ")"
 
-and pp_param mode ppf = function
-  | P_decl (specs, D_abstract) -> pp_specs mode ppf specs
-  | P_decl (specs, d) ->
-      Fmt.pf ppf "%a %a" (pp_specs mode) specs (pp_declarator mode) d
-  | P_name id -> Fmt.string ppf id.id_name
-  | P_ellipsis -> Fmt.string ppf "..."
-  | P_splice sp -> pp_splice mode ppf sp
+and param st = function
+  | P_decl (specs, d) -> ctype st { ct_specs = specs; ct_decl = d }
+  | P_name id -> str st id.id_name
+  | P_ellipsis -> str st "..."
+  | P_splice sp -> splice st sp
 
-and pp_ctype mode ppf ct =
+and ctype st ct =
+  spec_list st ct.ct_specs;
   match ct.ct_decl with
-  | D_abstract -> pp_specs mode ppf ct.ct_specs
-  | d -> Fmt.pf ppf "%a %a" (pp_specs mode) ct.ct_specs (pp_declarator mode) d
+  | D_abstract -> ()
+  | d -> str st " "; declarator st 0 d
 
-and pp_init_declarator mode ppf = function
-  | Init_decl (d, None) -> pp_declarator mode ppf d
-  | Init_decl (d, Some i) ->
-      Fmt.pf ppf "%a = %a" (pp_declarator mode) d (pp_init mode) i
-  | Init_splice sp -> pp_splice mode ppf sp
+and init_declarator st = function
+  | Init_decl (d, None) -> declarator st 0 d
+  | Init_decl (d, Some i) -> declarator st 0 d; str st " = "; init st i
+  | Init_splice sp -> splice st sp
 
-and pp_init mode ppf = function
-  | I_expr e -> pp_expr mode 2 ppf e
-  | I_list items ->
-      Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") (pp_init mode)) items
+and init st = function
+  | I_expr e -> expr st 2 e
+  | I_list items -> str st "{"; list st ", " (init st) items; str st "}"
 
-and pp_decl mode ppf decl =
-  match decl.d with
-  | Decl_plain (specs, []) -> Fmt.pf ppf "@[%a;@]" (pp_specs mode) specs
+(* [top]: a declaration of the program itself.  A top-level function
+   attributes its lines piecewise — header, each K&R declaration, the
+   body braces, each block item — so lines produced by different
+   invocations carry different provenance. *)
+and decl ?(top = false) st d =
+  match d.d with
   | Decl_plain (specs, decls) ->
-      Fmt.pf ppf "@[%a %a;@]" (pp_specs mode) specs
-        (Fmt.list ~sep:(Fmt.any ", ") (pp_init_declarator mode))
-        decls
-  | Decl_fun (specs, d, kr_decls, body) ->
-      let specs_part ppf () =
-        if specs = [] then pp_declarator mode ppf d
-        else Fmt.pf ppf "%a %a" (pp_specs mode) specs (pp_declarator mode) d
-      in
-      if kr_decls = [] then
-        Fmt.pf ppf "@[<v>%a@,%a@]" specs_part () (pp_stmt mode) body
-      else
-        Fmt.pf ppf "@[<v>%a@,%a@,%a@]" specs_part ()
-          (Fmt.list ~sep:Fmt.cut (pp_decl mode))
-          kr_decls (pp_stmt mode) body
-  | Decl_metadcl d ->
-      residue mode "metadcl";
-      Fmt.pf ppf "metadcl %a" (pp_decl mode) d
+      spec_list st specs;
+      if decls <> [] then str st " ";
+      list st ", " (init_declarator st) decls;
+      str st ";"
+  | Decl_fun (specs, dr, kr, body) ->
+      let c = col st in
+      let track = top && match body.s with St_compound _ -> true | _ -> false in
+      if specs <> [] then (spec_list st specs; str st " ");
+      declarator st 0 dr;
+      List.iter
+        (fun kd ->
+          newline st;
+          if track then attribute st kd.dloc;
+          indent st c;
+          decl st kd)
+        kr;
+      newline st;
+      if track then attribute st body.sloc;
+      indent st c;
+      stmt ~track st body
+  | Decl_metadcl d -> residue st "metadcl"; str st "metadcl "; decl st d
   | Decl_macro_def md ->
-      residue mode "macro definition";
-      pp_macro_def mode ppf md
-  | Decl_splice sp -> pp_splice mode ppf sp
-  | Decl_macro inv ->
-      residue mode "macro invocation";
-      pp_invocation mode ppf inv
+      residue st "macro definition";
+      let c = col st in
+      str st "syntax "; str st (Ms2_mtype.Mtype.to_string md.m_ret);
+      str st " "; id_or_splice st md.m_name;
+      str st " {| "; pattern st md.m_pattern; str st " |}";
+      nl st c;
+      stmt st md.m_body
+  | Decl_splice sp -> splice st sp
+  | Decl_macro inv -> residue st "macro invocation"; invocation st inv
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 (* ------------------------------------------------------------------ *)
 
-and pp_stmt mode ppf stmt =
-  match stmt.s with
-  | St_expr e -> Fmt.pf ppf "@[%a;@]" (pp_expr mode 0) e
+(* [track]: the body of a top-level function (see {!decl}). *)
+and stmt ?(track = false) st s =
+  let c = col st in
+  match s.s with
+  | St_expr e -> expr st 0 e; str st ";"
   | St_compound items ->
-      let item ppf = function
-        | Bi_decl d -> pp_decl mode ppf d
-        | Bi_stmt s -> pp_stmt mode ppf s
-      in
-      Fmt.pf ppf "@[<v>{@;<0 2>@[<v>%a@]@,}@]"
-        (Fmt.list ~sep:Fmt.cut item)
-        items
-  | St_if (c, t, None) ->
-      Fmt.pf ppf "@[<v 2>if (%a)@,%a@]" (pp_expr mode 0) c (pp_stmt mode) t
-  | St_if (c, t, Some e) ->
-      Fmt.pf ppf "@[<v>@[<v 2>if (%a)@,%a@]@,@[<v 2>else@,%a@]@]"
-        (pp_expr mode 0) c (pp_stmt mode) t (pp_stmt mode) e
-  | St_while (c, body) ->
-      Fmt.pf ppf "@[<v 2>while (%a)@,%a@]" (pp_expr mode 0) c (pp_stmt mode)
-        body
-  | St_do (body, c) ->
-      Fmt.pf ppf "@[<v 2>do@,%a@]@,while (%a);" (pp_stmt mode) body
-        (pp_expr mode 0) c
-  | St_for (init, cond, step, body) ->
-      Fmt.pf ppf "@[<v 2>for (%a; %a; %a)@,%a@]"
-        (Fmt.option (pp_expr mode 0))
-        init
-        (Fmt.option (pp_expr mode 0))
-        cond
-        (Fmt.option (pp_expr mode 0))
-        step (pp_stmt mode) body
-  | St_switch (e, body) ->
-      Fmt.pf ppf "@[<v 2>switch (%a)@,%a@]" (pp_expr mode 0) e (pp_stmt mode)
-        body
-  | St_case (e, s) ->
-      Fmt.pf ppf "@[<v 2>case %a:@,%a@]" (pp_expr mode 0) e (pp_stmt mode) s
-  | St_default s -> Fmt.pf ppf "@[<v 2>default:@,%a@]" (pp_stmt mode) s
-  | St_return None -> Fmt.string ppf "return;"
-  | St_return (Some e) -> Fmt.pf ppf "@[return %a;@]" (pp_expr mode 0) e
-  | St_break -> Fmt.string ppf "break;"
-  | St_continue -> Fmt.string ppf "continue;"
-  | St_goto id -> Fmt.pf ppf "goto %s;" id.id_name
-  | St_label (id, s) -> Fmt.pf ppf "@[<v>%s:@,%a@]" id.id_name (pp_stmt mode) s
-  | St_null -> Fmt.string ppf ";"
-  | St_splice sp -> pp_splice mode ppf sp
-  | St_macro inv ->
-      residue mode "macro invocation";
-      pp_invocation mode ppf inv
+      str st "{";
+      if items = [] then nl st (c + 2);
+      List.iter
+        (fun item ->
+          newline st;
+          if track then
+            attribute st
+              (match item with Bi_decl d -> d.dloc | Bi_stmt s -> s.sloc);
+          indent st (c + 2);
+          match item with Bi_decl d -> decl st d | Bi_stmt s -> stmt st s)
+        items;
+      newline st;
+      if track then attribute st s.sloc;
+      indent st c;
+      str st "}"
+  | St_if (e, t, f) ->
+      head st "if" e;
+      sub st c t;
+      opt (fun f -> nl st c; str st "else"; sub st c f) f
+  | St_while (e, body) -> head st "while" e; sub st c body
+  | St_do (body, e) ->
+      str st "do"; sub st c body; nl st c; head st "while" e; str st ";"
+  | St_for (i, cond, step, body) ->
+      str st "for ("; opt (expr st 0) i;
+      str st "; "; opt (expr st 0) cond;
+      str st "; "; opt (expr st 0) step;
+      str st ")"; sub st c body
+  | St_switch (e, body) -> head st "switch" e; sub st c body
+  | St_case (e, s) -> str st "case "; expr st 0 e; str st ":"; sub st c s
+  | St_default s -> str st "default:"; sub st c s
+  | St_return None -> str st "return;"
+  | St_return (Some e) -> str st "return "; expr st 0 e; str st ";"
+  | St_break -> str st "break;"
+  | St_continue -> str st "continue;"
+  | St_goto id -> str st "goto "; str st id.id_name; str st ";"
+  | St_label (id, s) -> str st id.id_name; str st ":"; nl st c; stmt st s
+  | St_null -> str st ";"
+  | St_splice sp -> splice st sp
+  | St_macro inv -> residue st "macro invocation"; invocation st inv
+
+(* a substatement goes on its own line, two columns in *)
+and sub st c s = nl st (c + 2); stmt st s
+and head st kw e = str st kw; str st " ("; expr st 0 e; str st ")"
 
 (* ------------------------------------------------------------------ *)
-(* Meta constructs                                                     *)
+(* Meta constructs (relaxed mode only: strict raises before reaching   *)
+(* them)                                                               *)
 (* ------------------------------------------------------------------ *)
 
-and pp_template mode ppf = function
-  | T_exp e -> Fmt.pf ppf "`(%a)" (pp_expr mode 0) e
-  | T_stmt s -> Fmt.pf ppf "`{%a}" (pp_stmt { strict = false }) s
-  | T_decl d -> Fmt.pf ppf "`[%a]" (pp_decl { strict = false }) d
+and template st = function
+  | T_exp e -> str st "`("; expr st 0 e; str st ")"
+  | T_stmt s -> str st "`{"; stmt st s; str st "}"
+  | T_decl d -> str st "`["; decl st d; str st "]"
   | T_general (ps, a) ->
-      Fmt.pf ppf "`{|%a :: %a|}" pp_pspec ps
-        (fun ppf a ->
-          let rec actual ppf = function
-            | Act_node n -> pp_node { strict = false } ppf n
-            | Act_list l -> Fmt.list ~sep:(Fmt.any " ") actual ppf l
-            | Act_tuple fs ->
-                Fmt.list ~sep:(Fmt.any " ")
-                  (fun ppf (_, a) -> actual ppf a)
-                  ppf fs
-          in
-          actual ppf a)
-        a
+      let rec actual = function
+        | Act_node n -> node st n
+        | Act_list l -> list st " " actual l
+        | Act_tuple fs -> list st " " (fun (_, a) -> actual a) fs
+      in
+      str st "`{|"; pspec st ps; str st " :: "; actual a; str st "|}"
 
-and pp_pspec ppf = function
-  | Ps_sort s -> Fmt.string ppf (Ms2_mtype.Sort.keyword s)
-  | Ps_plus (None, p) -> Fmt.pf ppf "+%a" pp_pspec p
-  | Ps_plus (Some tok, p) -> Fmt.pf ppf "+/%s %a" (Token.to_string tok) pp_pspec p
-  | Ps_star (None, p) -> Fmt.pf ppf "*%a" pp_pspec p
-  | Ps_star (Some tok, p) -> Fmt.pf ppf "*/%s %a" (Token.to_string tok) pp_pspec p
-  | Ps_opt (None, p) -> Fmt.pf ppf "?%a" pp_pspec p
-  | Ps_opt (Some tok, p) -> Fmt.pf ppf "?%s %a" (Token.to_string tok) pp_pspec p
-  | Ps_tuple pat -> Fmt.pf ppf ".(%a)" pp_pattern pat
+and pspec st = function
+  | Ps_sort s -> str st (Ms2_mtype.Sort.keyword s)
+  | Ps_plus (sep, p) -> repeat st "+" "/" sep p
+  | Ps_star (sep, p) -> repeat st "*" "/" sep p
+  | Ps_opt (sep, p) -> repeat st "?" "" sep p
+  | Ps_tuple pat -> str st ".("; pattern st pat; str st ")"
 
-and pp_pattern ppf pat =
-  let elem ppf = function
-    | Pe_token tok -> Fmt.string ppf (Token.to_string tok)
-    | Pe_binder b ->
-        Fmt.pf ppf "$$%a :: %s" pp_pspec b.b_spec b.b_name.id_name
-  in
-  Fmt.list ~sep:(Fmt.any " ") elem ppf pat
+and repeat st op sep_mark sep p =
+  str st op;
+  opt
+    (fun tok -> str st sep_mark; str st (Token.to_string tok); str st " ")
+    sep;
+  pspec st p
 
-and pp_macro_def _mode ppf md =
-  Fmt.pf ppf "@[<v>syntax %s %a {| %a |}@,%a@]"
-    (Ms2_mtype.Mtype.to_string md.m_ret)
-    (pp_id_or_splice { strict = false })
-    md.m_name pp_pattern md.m_pattern
-    (pp_stmt { strict = false })
-    md.m_body
+and pattern st pat =
+  list st " "
+    (function
+      | Pe_token tok -> str st (Token.to_string tok)
+      | Pe_binder b ->
+          str st "$$"; pspec st b.b_spec;
+          str st " :: "; str st b.b_name.id_name)
+    pat
 
 (* ------------------------------------------------------------------ *)
-(* Programs / entry points                                             *)
+(* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let pp_program mode ppf (prog : program) =
-  Fmt.pf ppf "@[<v>%a@]@."
-    (Fmt.list ~sep:(Fmt.any "@,@,") (pp_decl mode))
-    prog
+let render mode f x =
+  let st = create mode in
+  f st x;
+  Buffer.contents st.buf
 
-let relaxed = { strict = false }
-let strict = { strict = true }
+let expr_to_string ?(mode = relaxed) e = render mode (fun st -> expr st 0) e
+let stmt_to_string ?(mode = relaxed) s = render mode (fun st -> stmt st) s
+let decl_to_string ?(mode = relaxed) d = render mode (fun st -> decl st) d
+let node_to_string ?(mode = relaxed) n = render mode node n
 
-let expr_to_string ?(mode = relaxed) e = Fmt.str "%a" (pp_expr mode 0) e
-let stmt_to_string ?(mode = relaxed) s = Fmt.str "%a" (pp_stmt mode) s
-let decl_to_string ?(mode = relaxed) d = Fmt.str "%a" (pp_decl mode) d
-let node_to_string ?(mode = relaxed) n = Fmt.str "%a" (pp_node mode) n
+let walk ?line_directives mode (prog : program) =
+  let st = create ?line_directives mode in
+  (* the empty program is a lone newline, not a line of C *)
+  if prog = [] then Buffer.add_char st.buf '\n';
+  List.iteri
+    (fun i d ->
+      if i > 0 then begin
+        (* the blank separator belongs to no construct *)
+        st.loc <- Loc.dummy;
+        newline st
+      end;
+      attribute st d.dloc;
+      decl ~top:true st d;
+      newline st)
+    prog;
+  st
 
-(** Render a whole program as C source.  With [~strict:true] (the
-    default for engine output) any surviving meta construct raises
-    {!Meta_residue}. *)
+let program ?line_directives prog =
+  let st = walk ?line_directives strict prog in
+  { text = Buffer.contents st.buf; map = Array.sub st.locs 0 st.lines }
+
 let program_to_string ?(mode = relaxed) prog =
-  Fmt.str "%a" (pp_program mode) prog
+  Buffer.contents (walk mode prog).buf
+
+(* ------------------------------------------------------------------ *)
+(* Source-map serialization                                            *)
+(* ------------------------------------------------------------------ *)
+
+let loc_fields (loc : Loc.t) =
+  if Loc.is_dummy loc then
+    {|"source":null,"line":null,"col":null,"end_line":null,"end_col":null|}
+  else
+    Printf.sprintf
+      {|"source":"%s","line":%d,"col":%d,"end_line":%d,"end_col":%d|}
+      (Diag.json_escape loc.Loc.source)
+      loc.Loc.start_pos.Loc.line loc.Loc.start_pos.Loc.col
+      loc.Loc.end_pos.Loc.line loc.Loc.end_pos.Loc.col
+
+let entry_to_json out_line loc =
+  let frame f =
+    Printf.sprintf {|{"macro":"%s",%s}|}
+      (Diag.json_escape f.Loc.macro)
+      (loc_fields f.Loc.call_site)
+  in
+  Printf.sprintf {|{"out_line":%d,%s,"stack":[%s]}|} out_line
+    (loc_fields loc)
+    (String.concat "," (List.map frame (Loc.backtrace loc)))
+
+let sourcemap_to_string (map : Loc.t array) : string =
+  Array.to_list map
+  |> List.mapi (fun i loc -> entry_to_json (i + 1) loc ^ "\n")
+  |> String.concat ""

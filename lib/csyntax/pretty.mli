@@ -1,12 +1,13 @@
-(** Pretty-printer: AST back to concrete C.
+(** C renderer: AST back to concrete C, in one [Buffer] walk.
 
     [strict] mode raises {!Meta_residue} on any meta construct — the
     expansion engine's guarantee that its output is pure C.  The relaxed
     mode prints meta constructs too (placeholders, templates, macro
     definitions), for diagnostics.
 
-    Expression printing is precedence-aware: the printed form re-parses
-    to a structurally identical tree. *)
+    Output is two-space indented and never wrapped.  Expression printing
+    is precedence-aware: the printed form re-parses to a structurally
+    identical tree. *)
 
 open Ast
 
@@ -19,38 +20,9 @@ val strict : mode
 
 (** {1 Token spellings} *)
 
-val binop_prec : binop -> int
-val expr_prec : expr_desc -> int
 val unop_str : unop -> string
 val binop_str : binop -> string
-val assignop_str : assignop -> string
 val constant_str : constant -> string
-
-(** {1 Printers}
-
-    [pp_expr mode min_prec] parenthesizes when the expression's
-    precedence is below [min_prec]. *)
-
-val pp_expr : mode -> int -> Format.formatter -> expr -> unit
-val pp_splice : mode -> Format.formatter -> splice -> unit
-val pp_invocation : mode -> Format.formatter -> invocation -> unit
-val pp_node : mode -> Format.formatter -> node -> unit
-val pp_spec : mode -> Format.formatter -> spec -> unit
-val pp_specs : mode -> Format.formatter -> spec list -> unit
-val pp_enum_spec : mode -> Format.formatter -> enum_spec -> unit
-val pp_enumerator : mode -> Format.formatter -> enumerator -> unit
-val pp_declarator : mode -> Format.formatter -> declarator -> unit
-val pp_param : mode -> Format.formatter -> param -> unit
-val pp_ctype : mode -> Format.formatter -> ctype -> unit
-val pp_init_declarator : mode -> Format.formatter -> init_declarator -> unit
-val pp_init : mode -> Format.formatter -> init -> unit
-val pp_decl : mode -> Format.formatter -> decl -> unit
-val pp_stmt : mode -> Format.formatter -> stmt -> unit
-val pp_template : mode -> Format.formatter -> template -> unit
-val pp_pspec : Format.formatter -> pspec -> unit
-val pp_pattern : Format.formatter -> pattern -> unit
-val pp_macro_def : mode -> Format.formatter -> macro_def -> unit
-val pp_program : mode -> Format.formatter -> program -> unit
 
 (** {1 String entry points} *)
 
@@ -62,3 +34,33 @@ val node_to_string : ?mode:mode -> node -> string
 val program_to_string : ?mode:mode -> program -> string
 (** Render a whole program; with {!strict}, meta residue raises
     {!Meta_residue}. *)
+
+(** {1 Provenance: source maps and [#line] directives} *)
+
+type result = {
+  text : string;  (** exactly {!program_to_string}[ ~mode:strict], plus
+                      any directives *)
+  map : Ms2_support.Loc.t array;
+      (** the source map: [map.(i)] is the location (expansion chain
+          included) of the construct that produced line [i + 1] of
+          [text]; dummy for the blank separators between
+          declarations *)
+}
+
+val program : ?line_directives:bool -> program -> result
+(** Render an expanded program (strict mode) with its line-by-line
+    source map.  A top-level function's lines are attributed piecewise:
+    header, each K&R declaration, body braces, each block item of the
+    body — so lines produced by different invocations carry different
+    provenance.  With [line_directives] (default false), a [#line]
+    directive pointing at a construct's outermost user-written span
+    ({!Ms2_support.Loc.root}) precedes it whenever the compiler's
+    presumed position would otherwise be wrong; removing the directive
+    lines leaves exactly the plain text. *)
+
+val sourcemap_to_string : Ms2_support.Loc.t array -> string
+(** One JSON object per line of the map, newline-separated, in line
+    order: [{"out_line":N,"source":...,"line":...,"col":...,
+    "end_line":...,"end_col":...,"stack":[{"macro":...,...},...]}] with
+    the expansion stack innermost-first (same conventions as
+    {!Ms2_support.Diag.to_json}). *)

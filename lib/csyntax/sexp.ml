@@ -77,7 +77,7 @@ let of_init_declarators = function
       splice_atom sp
   | decls -> L (List.map of_init_declarator decls)
 
-let spec_atom spec = Atom (Fmt.str "%a" (Pretty.pp_spec Pretty.relaxed) spec)
+let spec_atom spec = Atom (Pretty.node_to_string (N_typespec [ spec ]))
 
 let of_decl decl =
   match decl.d with
@@ -141,7 +141,8 @@ let rec of_stmt stmt =
   | St_null -> Atom "null"
   | St_macro inv -> atom "(macro %s)" inv.inv_name.id_name
 
-let of_node = function
+let of_node n =
+  match n with
   | N_id id -> L [ Atom "id"; Atom id.id_name ]
   | N_exp e -> of_expr e
   | N_num c -> L [ Atom "num"; Atom (Pretty.constant_str c) ]
@@ -150,10 +151,8 @@ let of_node = function
   | N_typespec specs -> L (Atom "typespec" :: List.map spec_atom specs)
   | N_declarator d -> of_declarator_sexp d
   | N_init_declarator d -> of_init_declarator d
-  | N_param p -> atom "(param %S)" (Fmt.str "%a" (Pretty.pp_param Pretty.relaxed) p)
-  | N_enumerator e ->
-      atom "(enumerator %S)"
-        (Fmt.str "%a" (Pretty.pp_enumerator Pretty.relaxed) e)
+  | N_param _ -> atom "(param %S)" (Pretty.node_to_string n)
+  | N_enumerator _ -> atom "(enumerator %S)" (Pretty.node_to_string n)
 
 let decl_to_string d = to_string (of_decl d)
 let stmt_to_string s = to_string (of_stmt s)

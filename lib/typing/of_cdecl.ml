@@ -50,8 +50,7 @@ let rec base_of_specs ~loc (specs : spec list) : base =
       Scalar Mtype.Int
   | rest ->
       error loc "these specifiers do not form a meta-level type: %s"
-        (Fmt.str "%a" (Ms2_syntax.Pretty.pp_specs Ms2_syntax.Pretty.relaxed)
-           rest)
+        (Ms2_syntax.Pretty.node_to_string (N_typespec rest))
 
 (** [of_declarator base d] applies the declarator [d] to the base type
     using the standard C inside-out reading: the type constructor is

@@ -281,7 +281,8 @@ let trace_out_spans () =
           Alcotest.(check bool) "pipeline stage spans" true
             (contains ~sub:"\"name\": \"lex\"" json
             && contains ~sub:"\"name\": \"parse\"" json
-            && contains ~sub:"\"name\": \"fragment\"" json);
+            && contains ~sub:"\"name\": \"fragment\"" json
+            && contains ~sub:"\"name\": \"render\", \"cat\": \"render\"" json);
           Alcotest.(check bool)
             "INNER's logical parent travels in span args" true
             (contains ~sub:"\"parent_macro\": \"OUTER\"" json);

@@ -74,6 +74,32 @@ let escapes () =
     (canon {|char *s = "a\n\"b\"\\";|})
     (canon (canon {|char *s = "a\n\"b\"\\";|}))
 
+(* A specifier wider than any margin stays on its declaration's line:
+   the renderer never wraps. *)
+let wide_struct_one_line () =
+  let src =
+    "int f() { struct point_tag { int alpha_coord; int beta_coord; \
+     int gamma_coord; int dd; } p; return 0; }"
+  in
+  let local prog =
+    match prog with
+    | [ { Ms2_syntax.Ast.d =
+            Decl_fun (_, _, _, { s = St_compound (Bi_decl d :: _); _ });
+          _ } ] ->
+        Ms2_syntax.Sexp.decl_to_string d
+    | _ -> Alcotest.fail "expected one function with a local declaration"
+  in
+  let prog = pprog src in
+  let out = Ms2_syntax.Pretty.program_to_string prog in
+  Alcotest.(check (list string)) "one line per declaration"
+    [ "int f()"; "{";
+      "  struct point_tag { int alpha_coord; int beta_coord; int \
+       gamma_coord; int dd; } p;";
+      "  return 0;"; "}"; "" ]
+    (String.split_on_char '\n' out);
+  Alcotest.(check string) "re-parses to the same tree" (local prog)
+    (local (pprog out))
+
 let () =
   Alcotest.run "pretty"
     [ ( "pretty",
@@ -82,4 +108,5 @@ let () =
           tc "strict mode rejects meta residue" strict_rejects_meta;
           tc "relaxed mode prints meta constructs" relaxed_prints_meta;
           tc "complex declarators" declarators_roundtrip;
-          tc "string escapes" escapes ] ) ]
+          tc "string escapes" escapes;
+          tc "wide struct stays on one line" wide_struct_one_line ] ) ]

@@ -275,6 +275,58 @@ let cli_sourcemap () =
   Alcotest.(check bool) "user lines have no stack" true
     (List.exists (fun e -> contains ~sub:{|"stack":[]|} e) entries)
 
+(* Every emit mode renders the same C: the source map never changes
+   stdout, and [--line-directives] only adds [#line] lines.  A 40-deep
+   [if] nest puts the innermost lines at column 160, well past any
+   pretty-printer margin, and an empty function body prints a
+   whitespace-only line that every mode must keep. *)
+let emit_modes_byte_identical () =
+  let depth = 40 in
+  let src =
+    "int f(int a)\n{\n"
+    ^ String.concat "" (List.init depth (fun _ -> "if (a) { "))
+    ^ "a++; " ^ String.make depth '}' ^ "\n}\nint g(void) {}\n"
+  in
+  let file = Filename.temp_file "ms2c_nest" ".mc" in
+  let map_file = Filename.temp_file "ms2c_nest" ".map" in
+  let oc = open_out_bin file in
+  output_string oc src;
+  close_out oc;
+  let expand flags =
+    let code, out, _ = run_cli (Printf.sprintf "expand %s %s" flags file) in
+    Alcotest.(check int) ("clean exit " ^ flags) 0 code;
+    out
+  in
+  let plain = expand "" in
+  let mapped = expand ("--sourcemap " ^ map_file) in
+  let directed = expand "--line-directives" in
+  Sys.remove file;
+  Sys.remove map_file;
+  Alcotest.(check string) "--sourcemap leaves stdout alone" plain mapped;
+  let undirected =
+    String.concat "\n"
+      (List.filter
+         (fun l -> not (String.starts_with ~prefix:"#line" l))
+         (String.split_on_char '\n' directed))
+  in
+  Alcotest.(check string) "--line-directives only adds #line lines" plain
+    undirected;
+  (* line 1 is the header and line 2 the body's brace; nesting level k
+     (an [if], then its block, alternately) starts on line k + 2 *)
+  let lines = Array.of_list (String.split_on_char '\n' plain) in
+  for k = 1 to 2 * depth do
+    let line = lines.(k + 1) in
+    let text = String.trim line in
+    Alcotest.(check int)
+      (Printf.sprintf "level %d indentation" k)
+      (2 * k)
+      (String.length line - String.length text);
+    Alcotest.(check string)
+      (Printf.sprintf "level %d text" k)
+      (if k mod 2 = 1 then "if (a)" else "{")
+      text
+  done
+
 let cli_trace_shows_chain () =
   let code, _, err =
     run_cli ("expand --trace " ^ corpus_dir ^ "/nested_ok.mc -o /dev/null")
@@ -311,4 +363,5 @@ let () =
             cli_line_directives;
           tc "--sourcemap covers every output line" cli_sourcemap;
           tc "--trace shows the producing chain" cli_trace_shows_chain;
-          tc "json diagnostics carry the chain" cli_json_diag_chain ] ) ]
+          tc "json diagnostics carry the chain" cli_json_diag_chain;
+          tc "emit modes are byte-identical" emit_modes_byte_identical ] ) ]
