@@ -1,8 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test faults txn-sweep serve-sweep recovery-sweep \
-        bench bench-perf bench-obs \
-        bench-serve figures examples expand clean
+        bench bench-obs figures examples clean
 
 all: build
 
@@ -34,24 +33,15 @@ recovery-sweep:
 	dune build bin/ms2c.exe
 	dune exec test/test_recovery.exe
 
-# regenerate the paper's figures and all timing tables
+# regenerate the paper's figures, all timing tables and BENCH_OBS.json
 bench:
 	dune exec bench/main.exe
 
-# hot-path / cache / parallel-speedup tables (writes BENCH_PERF.json)
-bench-perf:
-	dune exec bench/main.exe perf
-
-# telemetry overhead table: disabled-sink and recording costs
+# telemetry overhead table: disabled-sink and recording costs, plus the
+# uncached clean-path overhead of the expansion cache
 # (writes BENCH_OBS.json)
 bench-obs:
 	dune exec bench/main.exe obs
-
-# daemon latency/throughput vs one ms2c process per request
-# (writes BENCH_SERVE.json)
-bench-serve:
-	dune build bin/ms2c.exe
-	dune exec bench/main.exe serve
 
 figures:
 	dune exec bench/main.exe figures

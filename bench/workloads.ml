@@ -145,74 +145,9 @@ let many_macros n =
     (Printf.sprintf "int g() { m%d(1); return 0; }\n" n);
   Buffer.contents b
 
-(** [wide_struct n] — a field-lookup-bound workload: a macro binds an
-    [n]-field tuple pattern (the regression case is [n = 64]) and its
-    body selects every field in a meta loop, so expansion time is
-    dominated by tuple-field resolution; the expansion also declares an
-    [n]-field C struct and reads every member, exercising
-    [Senv.field_type] on a wide layout.  Regression guard for the
-    interned-key indexes replacing the old association-list scans. *)
-let wide_struct n =
-  let b = Buffer.create 4096 in
-  (* macro: $$.( $$num::f0 , ... )::p ; body sums p->f0 ... p->f{n-1}
-     ten times over *)
-  Buffer.add_string b "syntax exp widesum {| ( $$.( ";
-  for i = 0 to n - 1 do
-    if i > 0 then Buffer.add_string b " , ";
-    Buffer.add_string b (Printf.sprintf "$$num::f%d" i)
-  done;
-  Buffer.add_string b " )::p ) |} {\n  int acc;\n  int i;\n  acc = 0;\n";
-  Buffer.add_string b "  i = 0;\n  while (i < 10) {\n";
-  for i = 0 to n - 1 do
-    Buffer.add_string b
-      (Printf.sprintf "    acc = acc + num_value(p->f%d);\n" i)
-  done;
-  Buffer.add_string b "    i = i + 1;\n  }\n  return make_num(acc);\n}\n";
-  (* the C side: an [n]-wide struct with every member read *)
-  Buffer.add_string b "struct wide {\n";
-  for i = 0 to n - 1 do
-    Buffer.add_string b (Printf.sprintf "  int f%d;\n" i)
-  done;
-  Buffer.add_string b "};\nint total(struct wide w)\n{\n  int t;\n  t = 0;\n";
-  for i = 0 to n - 1 do
-    Buffer.add_string b (Printf.sprintf "  t = t + w.f%d;\n" i)
-  done;
-  Buffer.add_string b "  return t + widesum(";
-  for i = 0 to n - 1 do
-    if i > 0 then Buffer.add_string b ", ";
-    Buffer.add_string b (string_of_int i)
-  done;
-  Buffer.add_string b ");\n}\n";
-  Buffer.contents b
-
 (** Pure-C control for the penalty comparison: the [expansion] of a
     source, as a string. *)
 let expanded_form src =
   match Ms2.Api.expand_string src with
   | Ok out -> out
   | Error e -> failwith ("workload does not expand: " ^ e)
-
-(** [fragment_corpus n] — an [n]-fragment translation unit for the
-    intra-file fragment-parallelism benchmark: the [myenum] definition
-    (a barrier fragment) followed by [n] ten-constant [myenum]
-    declarations, each a pure top-level fragment whose expansion runs
-    the meta interpreter (two [map]s, [symbolconc], [pstring] per
-    declaration).  Measured with [--trace-out] at [--fragment-jobs 1]
-    on a 2-CPU x86-64 VM, n = 500: about 0.2 ms of pipeline work per
-    fragment, of which ~0.12 ms is the [myenum] expansion (meta eval
-    with its template fills; matching ~4 µs), ~0.04 ms the rest of the
-    expansion walk, ~0.03 ms lexing and ~5 µs parsing.  The whole
-    process takes 0.16–0.19 s wall, so startup and rendering are a
-    large share at that size. *)
-let fragment_corpus n =
-  let b = Buffer.create (n * 120) in
-  Buffer.add_string b myenum_defs;
-  for i = 0 to n - 1 do
-    Buffer.add_string b (Printf.sprintf "myenum col%d { " i);
-    for j = 0 to 9 do
-      if j > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "e%d_%d" i j)
-    done;
-    Buffer.add_string b " };\n"
-  done;
-  Buffer.contents b

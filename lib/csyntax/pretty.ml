@@ -19,7 +19,7 @@
 
 open Ast
 module Loc = Ms2_support.Loc
-module Diag = Ms2_support.Diag
+module Json = Ms2_support.Json
 
 exception Meta_residue of string
 
@@ -151,7 +151,7 @@ let attribute st (loc : Loc.t) =
     let want = (r.Loc.source, r.Loc.start_pos.Loc.line) in
     if (not (Loc.is_dummy r)) && st.presumed <> Some want then begin
       Printf.bprintf st.buf "#line %d \"%s\"" (snd want)
-        (Diag.json_escape (fst want));
+        (Json.escape (fst want));
       newline st;
       st.presumed <- Some want
     end
@@ -521,14 +521,14 @@ let loc_fields (loc : Loc.t) =
   else
     Printf.sprintf
       {|"source":"%s","line":%d,"col":%d,"end_line":%d,"end_col":%d|}
-      (Diag.json_escape loc.Loc.source)
+      (Json.escape loc.Loc.source)
       loc.Loc.start_pos.Loc.line loc.Loc.start_pos.Loc.col
       loc.Loc.end_pos.Loc.line loc.Loc.end_pos.Loc.col
 
 let entry_to_json out_line loc =
   let frame f =
     Printf.sprintf {|{"macro":"%s",%s}|}
-      (Diag.json_escape f.Loc.macro)
+      (Json.escape f.Loc.macro)
       (loc_fields f.Loc.call_site)
   in
   Printf.sprintf {|{"out_line":%d,%s,"stack":[%s]}|} out_line

@@ -1367,24 +1367,28 @@ and compile_continue sep p : State.t -> bool =
 
 and compile_pattern (pat : pattern) : State.compiled_pattern =
   let key = pattern_key pat in
-  Mutex.lock compiled_pattern_memo_lock;
-  let cached = Hashtbl.find_opt compiled_pattern_memo key in
-  Mutex.unlock compiled_pattern_memo_lock;
-  match cached with
+  let locked f = Mutex.protect compiled_pattern_memo_lock f in
+  match locked (fun () -> Hashtbl.find_opt compiled_pattern_memo key) with
   | Some compiled ->
       Obs.Metrics.incr c_pat_memo_hits;
       compiled
   | None ->
-      Obs.Metrics.incr c_pat_memo_misses;
       let compiled = compile_pattern_uncached pat in
-      Mutex.lock compiled_pattern_memo_lock;
-      (if Hashtbl.length compiled_pattern_memo >= compiled_pattern_memo_cap
-       then Hashtbl.reset compiled_pattern_memo;
-       match Hashtbl.find_opt compiled_pattern_memo key with
-       | Some _ -> ()  (* another domain won the race; either closure works *)
-       | None -> Hashtbl.add compiled_pattern_memo key compiled);
-      Mutex.unlock compiled_pattern_memo_lock;
-      compiled
+      (* Counted at the locked insert, not at the probe: the domain that
+         inserts counts the miss and a racer that finds the key counts a
+         hit, so the totals are the same whatever the interleaving. *)
+      locked (fun () ->
+          match Hashtbl.find_opt compiled_pattern_memo key with
+          | Some winner ->
+              Obs.Metrics.incr c_pat_memo_hits;
+              winner
+          | None ->
+              if Hashtbl.length compiled_pattern_memo
+                 >= compiled_pattern_memo_cap
+              then Hashtbl.reset compiled_pattern_memo;
+              Hashtbl.add compiled_pattern_memo key compiled;
+              Obs.Metrics.incr c_pat_memo_misses;
+              compiled)
 
 and compile_pattern_uncached (pat : pattern) : State.compiled_pattern =
   let steps =

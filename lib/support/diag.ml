@@ -185,22 +185,6 @@ let render t =
 (* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** The span of [loc] as JSON object fields (no braces); null fields for
     dummy locations.  Shared between {!to_json} and the expansion-stack
     frames. *)
@@ -210,7 +194,7 @@ let loc_json_fields loc =
   else
     Printf.sprintf
       {|"source":"%s","line":%d,"col":%d,"end_line":%d,"end_col":%d|}
-      (json_escape loc.Loc.source)
+      (Json.escape loc.Loc.source)
       loc.Loc.start_pos.Loc.line loc.Loc.start_pos.Loc.col
       loc.Loc.end_pos.Loc.line loc.Loc.end_pos.Loc.col
 
@@ -231,7 +215,7 @@ let to_json t =
         in
         let frame_json f =
           Printf.sprintf {|{"macro":"%s",%s}|}
-            (json_escape f.Loc.macro)
+            (Json.escape f.Loc.macro)
             (loc_json_fields f.Loc.call_site)
         in
         let elided =
@@ -246,8 +230,8 @@ let to_json t =
   in
   Printf.sprintf
     {|{"severity":"%s","code":"%s","phase":"%s",%s,"message":"%s"%s}|}
-    (severity_name t.severity) (json_escape t.code) (phase_slug t.phase)
-    (loc_json_fields t.loc) (json_escape t.message) stack_fields
+    (severity_name t.severity) (Json.escape t.code) (phase_slug t.phase)
+    (loc_json_fields t.loc) (Json.escape t.message) stack_fields
 
 (* ------------------------------------------------------------------ *)
 (* Collector                                                           *)

@@ -96,10 +96,6 @@ val render : t -> string
     innermost first, capped at {!Loc.max_backtrace_frames}) when the
     location has one. *)
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal (used by the
-    source-map emitter as well). *)
-
 val to_json : t -> string
 (** One diagnostic as a single-line JSON object with stable field order:
     severity, code, phase, source, line, col, end_line, end_col,

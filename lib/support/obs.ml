@@ -326,25 +326,9 @@ module Flight = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* JSON helpers (no JSON library in the image: hand-rolled, stable     *)
-(* field order, proper string escaping)                                *)
+(* JSON helpers (hand-rolled for a stable field order; strings go      *)
+(* through Json.escape)                                                *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape (s : string) : string =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* JSON has no NaN/Infinity literals; clamp the pathological cases. *)
 let json_float (x : float) : string =
@@ -356,7 +340,7 @@ let json_float (x : float) : string =
 let value_to_json = function
   | Int n -> string_of_int n
   | Float x -> json_float x
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | Bool b -> if b then "true" else "false"
 
 let payload_to_json (p : payload) : string =
@@ -364,7 +348,7 @@ let payload_to_json (p : payload) : string =
   ^ String.concat ", "
       (List.map
          (fun (k, v) ->
-           Printf.sprintf "\"%s\": %s" (json_escape k) (value_to_json v))
+           Printf.sprintf "\"%s\": %s" (Json.escape k) (value_to_json v))
          p)
   ^ "}"
 
@@ -372,7 +356,7 @@ let event_to_json (e : event) : string =
   Printf.sprintf
     "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \"ts\": %.1f, \
      \"dur\": %.1f, \"args\": %s}"
-    (json_escape e.ev_name) (json_escape e.ev_cat) e.ev_ph e.ev_ts_us
+    (Json.escape e.ev_name) (Json.escape e.ev_cat) e.ev_ph e.ev_ts_us
     e.ev_dur_us
     (payload_to_json e.ev_args)
 
@@ -395,7 +379,7 @@ let chrome_trace (procs : (string * event list) list) : string =
         (Printf.sprintf
            "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \
             \"tid\": 0, \"args\": {\"name\": \"%s\"}}"
-           pid (json_escape pname));
+           pid (Json.escape pname));
       List.iter
         (fun e ->
           let dur =
@@ -407,7 +391,7 @@ let chrome_trace (procs : (string * event list) list) : string =
             (Printf.sprintf
                "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%c\", \
                 \"ts\": %.1f%s, \"pid\": %d, \"tid\": 0, \"args\": %s}"
-               (json_escape e.ev_name) (json_escape e.ev_cat) e.ev_ph
+               (Json.escape e.ev_name) (Json.escape e.ev_cat) e.ev_ph
                e.ev_ts_us dur pid
                (payload_to_json e.ev_args)))
         evs)
@@ -552,7 +536,7 @@ module Metrics = struct
             (fun i k ->
               Buffer.add_string b (if i = 0 then "\n" else ",\n");
               Buffer.add_string b
-                (Printf.sprintf "    \"%s\": %s" (json_escape k) (render k)))
+                (Printf.sprintf "    \"%s\": %s" (Json.escape k) (render k)))
             keys;
           if keys <> [] then Buffer.add_string b "\n  ";
           Buffer.add_string b "}"
@@ -820,7 +804,7 @@ module Profile = struct
               \"cached_invocations\": %d, \"self_ms\": %.3f, \
               \"total_ms\": %.3f, \"fuel\": %d, \"nodes\": %d, \
               \"cache_hit_rate\": %.3f, \"max_depth\": %d}"
-             (json_escape r.pr_macro) r.pr_count r.pr_cached
+             (Json.escape r.pr_macro) r.pr_count r.pr_cached
              (r.pr_self_us /. 1e3) (r.pr_total_us /. 1e3) r.pr_fuel
              r.pr_nodes (hit_rate r) r.pr_max_depth))
       rows;

@@ -317,6 +317,48 @@ let speculating_file () =
   done;
   write_fixture "spec" (Buffer.contents b)
 
+(* Two domains compile the same fresh patterns in lockstep: a spin
+   barrier before each pattern sends both into the memo probe together,
+   so they race on every pattern.  The process-global pattern memo must
+   still count exactly one miss and one hit per pattern, whichever
+   domain inserts: the flake this pins had both racers count a miss, so
+   two runs of one batch could disagree.  Fewer patterns than the
+   memo's 512-entry cap, so no reset interferes. *)
+let pattern_memo_race () =
+  let module Ast = Ms2_syntax.Ast in
+  let counter name = Ms2_support.Obs.Metrics.(value (counter name)) in
+  let hits () = counter "parser.pattern_memo.hits"
+  and misses () = counter "parser.pattern_memo.misses" in
+  let n = 200 in
+  let pats =
+    Array.init n (fun i ->
+        Ast.Pe_token (Ms2_syntax.Token.IDENT (Printf.sprintf "memo_race_%d" i))
+        :: List.init 20 (fun j ->
+               Ast.Pe_binder
+                 { b_spec = Ast.Ps_sort Ms2_mtype.Sort.Exp;
+                   b_name = Ast.ident (Printf.sprintf "e%d" j) }))
+  in
+  let h0 = hits () and m0 = misses () in
+  let arrived = Atomic.make 0 in
+  let sweep () =
+    Array.iteri
+      (fun k pat ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 * (k + 1) do
+          Domain.cpu_relax ()
+        done;
+        let (_ : Ms2_parser.State.compiled_pattern) =
+          Ms2_parser.Parser.compile_pattern pat
+        in
+        ())
+      pats
+  in
+  let d = Domain.spawn sweep in
+  sweep ();
+  Domain.join d;
+  Alcotest.(check int) "one miss per pattern" n (misses () - m0);
+  Alcotest.(check int) "one hit per pattern" n (hits () - h0)
+
 let text_json_agree () =
   (* distinct self-contained files: every counter is deterministic (no
      cross-file cache traffic for the domain scheduler to reorder), and
@@ -472,5 +514,7 @@ let () =
           Alcotest.test_case "fork --cache-file counters" `Quick
             fork_cache_file_counters;
           Alcotest.test_case "fork worker death" `Quick fork_worker_death;
+          Alcotest.test_case "pattern memo counts one miss across domains"
+            `Quick pattern_memo_race;
         ] );
     ]

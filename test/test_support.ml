@@ -124,6 +124,19 @@ let diag_backtrace_json () =
   Alcotest.(check bool) "no stack field" false
     (Tutil.contains ~sub:"expansion_stack" plain)
 
+(* One JSON string escaper serves diagnostics, telemetry and source
+   maps: the short escapes, [\b] and [\f] included, and [\u00XX] for
+   the other control characters. *)
+let json_escapes () =
+  let module Json = Ms2_support.Json in
+  Alcotest.(check string) "Json.escape"
+    {|q\"s\\n\nr\rt\tb\bf\fu\u0001|}
+    (Json.escape "q\"s\\n\nr\rt\tb\bf\012u\001");
+  let j =
+    Diag.to_json (Diag.make ~loc:(mk_loc 1 1) Diag.Expansion "a\bb\012c")
+  in
+  Tutil.check_contains ~msg:"diagnostic message" j {|"message":"a\bb\fc"|}
+
 let loc_printing () =
   Tutil.check_contains ~msg:"single line"
     (Loc.to_string (mk_loc 3 3)) "f.c:3:0-5";
@@ -251,6 +264,7 @@ let () =
           Tutil.tc "location provenance chains" loc_provenance;
           Tutil.tc "backtrace rendering" loc_backtrace_rendering;
           Tutil.tc "backtrace json" diag_backtrace_json;
+          Tutil.tc "one JSON escaper" json_escapes;
           Tutil.tc "location printing" loc_printing;
           Tutil.tc "phase names" diag_phases;
           Tutil.tc "diagnostics raise and render" diag_raise_and_protect;
