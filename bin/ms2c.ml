@@ -530,6 +530,8 @@ let report_snapshot ~stats (load : Ms2.Engine.snapshot_load option)
           l.Ms2.Engine.ld_warnings
     | None -> ());
     match save with
+    | Some s when s.Ms2.Engine.sv_unchanged ->
+        prerr_string "cache snapshot: unchanged, not rewritten\n"
     | Some s ->
         Printf.eprintf
           "cache snapshot: saved %d entries (%d skipped, %d bytes)\n"
@@ -540,10 +542,10 @@ let report_snapshot ~stats (load : Ms2.Engine.snapshot_load option)
 
 (* Load a snapshot into a shared store, sweeping temp-file orphans a
    crashed writer may have left beside it first. *)
-let load_cache_file (store : Ms2.Api.shared_cache) (path : string) :
+let load_cache_file ~parallel (store : Ms2.Api.shared_cache) (path : string) :
     Ms2.Engine.snapshot_load =
   ignore (Atomic_io.sweep_stale (Filename.dirname path));
-  let l = Ms2.Api.load_shared_cache store path in
+  let l = Ms2.Api.load_shared_cache ~parallel store path in
   warn_snapshot_load l;
   l
 
@@ -604,9 +606,24 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
       Some (Ms2.Api.create_shared_cache ())
     else None
   in
+  (* the snapshot load and save run on the driver, outside any file's
+     recording: they get a trace track of their own *)
+  let driver_events = ref [] in
+  let on_driver_track f =
+    if trace_out = None then f ()
+    else begin
+      Obs.start_recording ();
+      Fun.protect f ~finally:(fun () ->
+          driver_events := !driver_events @ Obs.stop_recording ())
+    end
+  in
   let snap_load =
     match (cache_file, store) with
-    | Some path, Some s -> Some (load_cache_file s path)
+    | Some path, Some s ->
+        (* a helper domain is fine unless workers are forked later *)
+        Some
+          (on_driver_track (fun () ->
+               load_cache_file ~parallel:(not forked) s path))
     | _ -> None
   in
   let flagsd =
@@ -718,7 +735,9 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
       Ms2.Api.expand_unit ~line_directives ~fragment_jobs engine ~source text
     in
     let checked =
-      if semantic_check && Option.is_none u.u_fatal then u.u_program else None
+      if semantic_check && Option.is_none u.u_fatal then
+        Option.map Lazy.force u.u_program
+      else None
     in
     if not per_file then Option.iter (fun p -> programs.(i) <- p) checked;
     {
@@ -793,7 +812,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
      keeping too *)
   let snap_save =
     match (cache_file, store) with
-    | Some path, Some s -> save_cache_file s path
+    | Some path, Some s -> on_driver_track (fun () -> save_cache_file s path)
     | _ -> None
   in
   (* without keep_going the run stops at the first fatal file: the
@@ -835,12 +854,16 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
      (the lone newline of an empty program) — match it *)
   deliver (if Buffer.length buf = 0 then "\n" else Buffer.contents buf);
   (* track [i] (= trace pid [i]) is input file [i], whatever order
-     the workers finished in *)
+     the workers finished in; the driver's track, when it recorded
+     anything, comes after the files *)
   let track i r =
     (fst frags.(i), match r with Some r -> r.w_events | None -> [])
   in
+  let driver =
+    if !driver_events = [] then [] else [ ("driver", !driver_events) ]
+  in
   write_file trace_out (fun () ->
-      Obs.chrome_trace (Array.to_list (Array.mapi track results)));
+      Obs.chrome_trace (Array.to_list (Array.mapi track results) @ driver));
   (* a store counts the cache traffic only where the engines share
      it: under fork each worker has its own copy-on-write copy, and
      a lone shared engine counts its own *)

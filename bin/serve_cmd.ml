@@ -195,7 +195,8 @@ type state = {
   mutable snap_served : int;
       (** [served] at the last snapshot — [served > snap_served] means
           the store is dirty *)
-  mutable snap_saves : int;  (** successful snapshot writes *)
+  mutable snap_saves : int;
+      (** snapshot files written (an unchanged store writes none) *)
   mutable last_active : float;
       (** when the event loop last dispatched a request *)
   slow_ms : int;
@@ -431,14 +432,16 @@ let export_prometheus (st : state) : unit =
    point-in-time cut even while worker domains keep expanding.  A save
    failure is a warning, never a crash — the daemon serves on, merely
    colder after the next restart. *)
-let save_snapshot (st : state) : (int * int, string) result option =
+let save_snapshot (st : state) :
+    (Ms2.Engine.snapshot_save, string) result option =
   match (st.cache_file, st.store) with
   | Some path, Some store -> (
       match Ms2.Api.save_shared_cache store path with
       | Ok sv ->
           st.snap_served <- st.served;
-          st.snap_saves <- st.snap_saves + 1;
-          Some (Ok (sv.Ms2.Engine.sv_entries, sv.Ms2.Engine.sv_bytes))
+          if not sv.Ms2.Engine.sv_unchanged then
+            st.snap_saves <- st.snap_saves + 1;
+          Some (Ok sv)
       | Error msg ->
           Printf.eprintf
             "ms2c serve: warning: cache snapshot not saved: %s\n%!" msg;
@@ -746,12 +749,13 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
   | "snapshot" -> (
       (* on-demand durable snapshot of the shared expansion cache *)
       match save_snapshot st with
-      | Some (Ok (entries, bytes)) ->
+      | Some (Ok sv) ->
           send c
             (Proto.ok_response ~trace_id:trace ~id
                [ ("path", Json.Str (Option.get st.cache_file));
-                 ("entries", Json.Int entries);
-                 ("bytes", Json.Int bytes) ])
+                 ("entries", Json.Int sv.Ms2.Engine.sv_entries);
+                 ("bytes", Json.Int sv.Ms2.Engine.sv_bytes);
+                 ("unchanged", Json.Bool sv.Ms2.Engine.sv_unchanged) ])
       | Some (Error msg) ->
           send c
             (Proto.error_response ~trace_id:trace ~id ~kind:Proto.Internal

@@ -123,20 +123,28 @@ let rollback = Engine.rollback
 type unit_result = {
   u_output : string;  (** rendered C; [""] when fatal *)
   u_map : Loc.t array;  (** its line-by-line source map *)
-  u_program : Ms2_syntax.Ast.program option;
-      (** the expansion; [None] when it failed (and rolled back) *)
+  u_program : Ms2_syntax.Ast.program Lazy.t option;
+      (** the expansion; [None] when it failed (and rolled back).  Lazy:
+          a hit that replayed its stored render decodes a restored
+          entry's program only when this is forced *)
   u_fatal : Diag.t option;
   u_recovered : Diag.t list;  (** recovered diagnostics this unit added *)
 }
 
+let render_hits = Obs.Metrics.counter "cache.render_hits"
+
 (** Expand [text] as one unit of work on [engine] and render it once
-    with {!Pretty.program}, source map included.  The recovered
-    diagnostics are the ones the engine's collector gained during this
-    call, so a shared engine reports each unit's own.  A stack overflow
-    in the renderer (an expansion can be legal yet too deep to print
-    recursively) becomes a located resource diagnostic; the expansion
-    itself then stands committed, with [u_program] set. *)
-let expand_unit ?line_directives ?deadline_ms ?fragment_jobs
+    with {!Pretty.program}, source map included — or, on a cache hit
+    whose entry already holds a render for this [line_directives],
+    return that render without calling {!Pretty} (counted as
+    [cache.render_hits]); a fresh render is attached to the unit's
+    cache entry for the next hit.  The recovered diagnostics are the
+    ones the engine's collector gained during this call, so a shared
+    engine reports each unit's own.  A stack overflow in the renderer
+    (an expansion can be legal yet too deep to print recursively)
+    becomes a located resource diagnostic; the expansion itself then
+    stands committed, with [u_program] set. *)
+let expand_unit ?(line_directives = false) ?deadline_ms ?fragment_jobs
     (engine : engine) ?(source = "<string>") (text : string) : unit_result =
   let seen = Diag.count engine.Engine.diags in
   let result ?(out = { Pretty.text = ""; map = [||] }) program fatal =
@@ -151,26 +159,35 @@ let expand_unit ?line_directives ?deadline_ms ?fragment_jobs
   in
   match
     Diag.protect (fun () ->
-        Engine.expand_source engine ~source ?deadline_ms ?fragment_jobs text)
+        Engine.expand_source_entry engine ~source ?deadline_ms ?fragment_jobs
+          text)
   with
   | Error d -> result None (Some d)
-  | Ok prog -> (
-      match
-        Obs.with_span ~cat:"render" "render" (fun () ->
-            Pretty.program ?line_directives prog)
-      with
-      | out -> result ~out (Some prog) None
-      | exception Stack_overflow ->
-          let p = { Loc.line = 1; col = 0; offset = 0 } in
-          result (Some prog)
-            (Some
-               (Diag.make
-                  ~loc:(Loc.make ~source ~start_pos:p ~end_pos:p)
-                  ~code:Diag.code_stack Diag.Resource
-                  (Printf.sprintf
-                     "stack overflow while rendering the expansion of %s \
-                      (the produced program is pathologically deep)"
-                     source))))
+  | Ok x -> (
+      let program = Some (lazy (Engine.expansion_program x)) in
+      match Engine.rendered x ~line_directives with
+      | Some out ->
+          Obs.Metrics.incr render_hits;
+          result ~out program None
+      | None -> (
+          match
+            Obs.with_span ~cat:"render" "render" (fun () ->
+                Pretty.program ~line_directives (Engine.expansion_program x))
+          with
+          | out ->
+              Engine.remember_render engine x ~line_directives out;
+              result ~out program None
+          | exception Stack_overflow ->
+              let p = { Loc.line = 1; col = 0; offset = 0 } in
+              result program
+                (Some
+                   (Diag.make
+                      ~loc:(Loc.make ~source ~start_pos:p ~end_pos:p)
+                      ~code:Diag.code_stack Diag.Resource
+                      (Printf.sprintf
+                         "stack overflow while rendering the expansion of \
+                          %s (the produced program is pathologically deep)"
+                         source)))))
 
 (** Parse and expand [text], rendering the result as pure C.  Raises
     {!Ms2_support.Diag.Error} on any lexical, syntax, pattern, type or
@@ -365,7 +382,9 @@ let expand_checked ?(engine = Engine.create ()) ?source (text : string) :
   match u.u_fatal with
   | Some d -> Error (Diag.to_string d)
   | None ->
-      Ok (u.u_output, check_program (Option.value u.u_program ~default:[]))
+      Ok
+        ( u.u_output,
+          check_program (Option.fold ~none:[] ~some:Lazy.force u.u_program) )
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)

@@ -83,7 +83,8 @@ val save_shared_cache :
 (** Persist the store to a durable snapshot file (atomic + fsynced);
     see {!Engine.save_store}. *)
 
-val load_shared_cache : shared_cache -> string -> Engine.snapshot_load
+val load_shared_cache :
+  ?parallel:bool -> shared_cache -> string -> Engine.snapshot_load
 (** Restore a snapshot; never raises — missing file is a silent cold
     start, a corrupt file degrades cold with [ld_warnings] set.  See
     {!Engine.load_store}. *)
@@ -124,8 +125,10 @@ type unit_result = {
   u_output : string;  (** rendered C; [""] when fatal *)
   u_map : Loc.t array;
       (** its line-by-line source map (see {!Ms2_syntax.Pretty.result}) *)
-  u_program : Ms2_syntax.Ast.program option;
-      (** the expansion; [None] when it failed (and rolled back) *)
+  u_program : Ms2_syntax.Ast.program Lazy.t option;
+      (** the expansion; [None] when it failed (and rolled back).  A
+          hit that replayed a stored render decodes a restored entry's
+          program only when this is forced *)
   u_fatal : Diag.t option;  (** why the unit produced no output *)
   u_recovered : Diag.t list;
       (** recovered diagnostics this unit added, oldest first *)
@@ -135,11 +138,15 @@ val expand_unit :
   ?line_directives:bool -> ?deadline_ms:int ->
   ?fragment_jobs:int -> engine -> ?source:string -> string -> unit_result
 (** The one "expand a unit" step every driver shares: run
-    {!Engine.expand_source} on [engine] under {!Diag.protect}, then
-    render once with {!Ms2_syntax.Pretty.program} (a [render] span),
-    which yields the source map and, with [line_directives], [#line]
-    directives.  [u_recovered] is the collector's growth during this
-    call, so units sharing one engine each see their own.  A stack
+    {!Engine.expand_source_entry} on [engine] under {!Diag.protect},
+    then render once with {!Ms2_syntax.Pretty.program} (a [render]
+    span), which yields the source map and, with [line_directives],
+    [#line] directives.  On a cache hit whose entry already holds a
+    render for this [line_directives], that render is returned without
+    calling the renderer (counted as [cache.render_hits]); a fresh
+    render is attached to the unit's cache entry.  [u_recovered] is the
+    collector's growth during this call, so units sharing one engine
+    each see their own.  A stack
     overflow while rendering becomes a located [E0606] in [u_fatal],
     with [u_program] still set: the expansion stands committed and the
     caller decides whether to roll it back. *)

@@ -40,25 +40,34 @@
     fresh names really runs, and cached replays are exactly the runs
     whose output provably does not mention fresh names.
 
-    {b The store} is a string-keyed table with last-use ticks and a
-    byte budget; insertion evicts least-recently-used entries until the
-    new entry fits.  Callers pass a byte estimate with each entry
-    ([Obj.reachable_words] is the fallback, but walking a whole stored
-    run is itself a measurable clean-path cost, and it over-counts
-    structure shared with live engine state).
+    {b The store} is a string-keyed table with last-use ticks and one
+    byte budget for the whole store; an insertion that takes the total
+    over it evicts least-recently-used entries until it fits again, and
+    any entry no larger than the whole budget is admitted.  Callers
+    pass a byte estimate with each entry ([Obj.reachable_words] is the
+    fallback, but walking a whole stored run is itself a measurable
+    clean-path cost, and it over-counts structure shared with live
+    engine state).
 
     {b Domain safety.}  Under [--jobs-mode=domains] every worker reads
     and writes one shared store, so the table is {e sharded}: 16
-    independent LRU shards, each with its own mutex, table, recency
-    tick, slice of the byte budget, and hit/miss/evict counters.  The
+    tables, each with its own mutex and hit/miss/evict counters.  The
     shard index is the first byte of the key — keys are MD5 digests, so
     the byte is uniform and two domains working on unrelated fragments
-    almost never contend on a lock.  The public counters
-    ({!hits}/{!misses}/{!evictions}/{!length}/{!used_bytes}) sum over
-    shards: callers see one {e merged} view of the store, never
-    per-worker or per-shard slices.  LRU recency is likewise per shard,
-    which is exactly as approximate as segmented LRU always is — an
-    entry competes for budget only against keys that hash beside it. *)
+    almost never contend on a lock.  The byte total, the recency clock
+    and the mutation generation are atomics shared by every shard.  The
+    public counters ({!hits}/{!misses}/{!evictions}/{!length}/
+    {!used_bytes}) are the {e merged} view of the store, never
+    per-worker or per-shard slices.
+
+    {b Why the budget is not sliced.}  A per-shard slice would let two
+    large entries whose keys share a first byte evict each other in a
+    nearly empty store, and could never hold an entry larger than the
+    slice.  Eviction picks the least-recently-used entry of the
+    inserting shard first and of the following shards after it, one
+    lock at a time: with uniform key bytes that is as close to global
+    LRU as segmented LRU always is, at the cost of one shard scan per
+    eviction. *)
 
 open Ms2_support
 module Tenv = Ms2_typing.Tenv
@@ -156,61 +165,51 @@ let key ~defs_version ~(env : Value.env) ~tenv ~senv ~(limits : Limits.t)
 (* LRU store                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type 'v entry = { value : 'v; size : int; mutable last_use : int }
+type 'v entry = { value : 'v; mutable size : int; mutable last_use : int }
 
 type 'v shard = {
   lock : Mutex.t;
   table : (string, 'v entry) Hashtbl.t;
-  budget_bytes : int;  (** this shard's slice of the whole budget *)
-  mutable used_bytes : int;
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-let max_shards = 16 (* a power of two; index = first key byte masked *)
+let nshards = 16 (* a power of two; index = first key byte masked *)
 
-(* Splitting the budget must not split it into uselessness: a shard
-   whose slice cannot hold a typical entry silently caches nothing.  So
-   the shard count scales with the budget — halving until every slice
-   clears [min_slice_bytes] — and a tiny (test-sized) budget collapses
-   to one shard, which is exactly the pre-sharding store. *)
-let min_slice_bytes = 1024 * 1024
-
-type 'v t = { shards : 'v shard array }
+type 'v t = {
+  shards : 'v shard array;
+  budget_bytes : int;  (** the whole store's budget *)
+  used : int Atomic.t;  (** bytes held, summed over shards *)
+  tick : int Atomic.t;  (** recency clock, shared so shards compare *)
+  generation : int Atomic.t;  (** moved by every add, charge, eviction *)
+  persisted : (string * int) option Atomic.t;
+}
 
 let default_budget_bytes = 64 * 1024 * 1024
 
 let create ?(budget_bytes = default_budget_bytes) () : 'v t =
-  let nshards =
-    let n = ref max_shards in
-    while !n > 1 && budget_bytes / !n < min_slice_bytes do
-      n := !n / 2
-    done;
-    !n
-  in
-  (* ceiling division: the shards must jointly cover the whole budget *)
-  let slice = (budget_bytes + nshards - 1) / nshards in
   {
     shards =
       Array.init nshards (fun _ ->
           {
             lock = Mutex.create ();
             table = Hashtbl.create 16;
-            budget_bytes = slice;
-            used_bytes = 0;
-            tick = 0;
             hits = 0;
             misses = 0;
             evictions = 0;
           });
+    budget_bytes;
+    used = Atomic.make 0;
+    tick = Atomic.make 0;
+    generation = Atomic.make 0;
+    persisted = Atomic.make None;
   }
 
-let shard_of (t : 'v t) (key : string) : 'v shard =
+let shard_index (key : string) : int =
   (* keys are MD5 digests (uniform bytes); an empty key still routes *)
   let b = if String.length key = 0 then 0 else Char.code key.[0] in
-  t.shards.(b land (Array.length t.shards - 1))
+  b land (nshards - 1)
 
 let locked (s : 'v shard) f =
   Mutex.lock s.lock;
@@ -222,44 +221,61 @@ let locked (s : 'v shard) f =
       Mutex.unlock s.lock;
       raise e
 
+let next_tick (t : 'v t) : int = Atomic.fetch_and_add t.tick 1
+
 let find (t : 'v t) (key : string) : 'v option =
-  let s = shard_of t key in
+  let s = t.shards.(shard_index key) in
   locked s (fun () ->
-      s.tick <- s.tick + 1;
       match Hashtbl.find_opt s.table key with
       | Some e ->
-          e.last_use <- s.tick;
+          e.last_use <- next_tick t;
           s.hits <- s.hits + 1;
           Some e.value
       | None ->
           s.misses <- s.misses + 1;
           None)
 
-(* Evict the least-recently-used entry of one shard (lock held).  A
-   linear scan: budgets hold at most a few thousand entries, and
-   eviction is the rare path. *)
-let evict_one (s : 'v shard) : unit =
+(* Evict the least-recently-used entry of one shard other than [keep]
+   (lock held); false when there is none.  A linear scan: eviction is
+   the rare path. *)
+let evict_one (t : 'v t) (s : 'v shard) ~(keep : string) : bool =
   let victim =
     Hashtbl.fold
       (fun key e acc ->
         match acc with
+        | _ when key = keep -> acc
         | Some (_, best) when best.last_use <= e.last_use -> acc
         | _ -> Some (key, e))
       s.table None
   in
   match victim with
-  | None -> ()
+  | None -> false
   | Some (key, e) ->
       Hashtbl.remove s.table key;
-      s.used_bytes <- s.used_bytes - e.size;
+      ignore (Atomic.fetch_and_add t.used (-e.size));
+      Atomic.incr t.generation;
       s.evictions <- s.evictions + 1;
       Obs.instant ~cat:"cache" "evict"
-        ~args:(fun () -> [ ("bytes", Obs.Int e.size) ])
+        ~args:(fun () -> [ ("bytes", Obs.Int e.size) ]);
+      true
+
+(* Bring the whole store back within its budget after [key] grew it.
+   Victims come from [key]'s own shard first, then from the shards
+   after it in turn — one shard lock at a time, never nested, so two
+   domains enforcing at once cannot deadlock. *)
+let enforce_budget (t : 'v t) ~(key : string) : unit =
+  let first = shard_index key in
+  let rec go i =
+    if i < nshards && Atomic.get t.used > t.budget_bytes then begin
+      let s = t.shards.((first + i) land (nshards - 1)) in
+      if locked s (fun () -> evict_one t s ~keep:key) then go i else go (i + 1)
+    end
+  in
+  go 0
 
 let word_bytes = Sys.word_size / 8
 
 let add ?size_bytes (t : 'v t) (key : string) (value : 'v) : unit =
-  let s = shard_of t key in
   (* size the entry outside the lock: [Obj.reachable_words] can walk a
      large stored run *)
   let size =
@@ -267,17 +283,42 @@ let add ?size_bytes (t : 'v t) (key : string) (value : 'v) : unit =
     | Some n -> n
     | None -> (Obj.reachable_words (Obj.repr value) + 16) * word_bytes
   in
-  locked s (fun () ->
-      if (not (Hashtbl.mem s.table key)) && size <= s.budget_bytes then begin
-        while
-          s.used_bytes + size > s.budget_bytes && Hashtbl.length s.table > 0
-        do
-          evict_one s
-        done;
-        s.tick <- s.tick + 1;
-        Hashtbl.replace s.table key { value; size; last_use = s.tick };
-        s.used_bytes <- s.used_bytes + size
-      end)
+  if size <= t.budget_bytes then begin
+    let s = t.shards.(shard_index key) in
+    let added =
+      locked s (fun () ->
+          if Hashtbl.mem s.table key then false
+          else begin
+            Hashtbl.replace s.table key { value; size; last_use = next_tick t };
+            true
+          end)
+    in
+    if added then begin
+      ignore (Atomic.fetch_and_add t.used size);
+      Atomic.incr t.generation;
+      enforce_budget t ~key
+    end
+  end
+
+let charge (t : 'v t) (key : string) (value : 'v) (bytes : int) : unit =
+  let s = t.shards.(shard_index key) in
+  let found =
+    locked s (fun () ->
+        match Hashtbl.find_opt s.table key with
+        | Some e when e.value == value ->
+            e.size <- e.size + bytes;
+            true
+        | _ -> false)
+  in
+  if found then begin
+    ignore (Atomic.fetch_and_add t.used bytes);
+    Atomic.incr t.generation;
+    enforce_budget t ~key
+  end
+
+let generation (t : 'v t) : int = Atomic.get t.generation
+let persisted (t : 'v t) = Atomic.get t.persisted
+let set_persisted (t : 'v t) p = Atomic.set t.persisted p
 
 (* Snapshot support: walk every live entry.  Each shard's portion runs
    under that shard's lock, so a fold taken while other domains expand
@@ -297,7 +338,7 @@ let sum_shards (t : 'v t) (f : 'v shard -> int) : int =
   Array.fold_left (fun acc s -> acc + locked s (fun () -> f s)) 0 t.shards
 
 let length (t : 'v t) : int = sum_shards t (fun s -> Hashtbl.length s.table)
-let used_bytes (t : 'v t) : int = sum_shards t (fun s -> s.used_bytes)
+let used_bytes (t : 'v t) : int = Atomic.get t.used
 let hits (t : 'v t) : int = sum_shards t (fun s -> s.hits)
 let misses (t : 'v t) : int = sum_shards t (fun s -> s.misses)
 let evictions (t : 'v t) : int = sum_shards t (fun s -> s.evictions)

@@ -33,11 +33,9 @@ val key :
 
     Sharded by the first key byte with one mutex per shard, so a store
     shared across [--jobs-mode=domains] workers serializes only
-    same-shard operations.  The shard count scales with the byte budget
-    (16 at the default budget, fewer when slicing further would leave a
-    shard too small to hold a typical entry; a test-sized budget gets a
-    single shard).  Counters and occupancy report the {e merged}
-    (summed-over-shards) view. *)
+    same-shard operations.  The byte budget covers the whole store, not
+    a per-shard slice.  Counters and occupancy report the {e merged}
+    view. *)
 
 type 'v t
 
@@ -50,12 +48,30 @@ val find : 'v t -> string -> 'v option
 (** Lookup; refreshes recency and counts a hit or a miss. *)
 
 val add : ?size_bytes:int -> 'v t -> string -> 'v -> unit
-(** Insert, evicting least-recently-used entries until the new entry
-    fits the byte budget.  [size_bytes] is the caller's estimate of the
-    entry's weight; without it the entry is sized via
+(** Insert, then evict least-recently-used entries until the store is
+    within its byte budget again.  [size_bytes] is the caller's
+    estimate of the entry's weight; without it the entry is sized via
     [Obj.reachable_words] (exact but walks the whole value, and
     over-counts structure shared with live state).  An entry larger
     than the whole budget is dropped; an existing key is left as is. *)
+
+val charge : 'v t -> string -> 'v -> int -> unit
+(** [charge t key value bytes] grows the size estimate of [key]'s entry
+    by [bytes], evicting other entries if the store goes over budget.
+    A no-op unless the entry still holds [value] itself (physically):
+    a concurrent insert of the same key may have won.  For data a
+    caller attaches to an entry after inserting it. *)
+
+val generation : 'v t -> int
+(** The mutation generation: moved by every {!add} that inserts, every
+    {!charge} and every eviction, never by lookups.  Equal generations
+    mean an unchanged store. *)
+
+val persisted : 'v t -> (string * int) option
+(** The file and generation at which the store last matched a snapshot
+    on disk (see {!Engine.save_store}); [None] when unknown. *)
+
+val set_persisted : 'v t -> (string * int) option -> unit
 
 val fold : 'v t -> (string -> 'v -> int -> 'a -> 'a) -> 'a -> 'a
 (** [fold t f init] folds [f key value size_bytes acc] over every live
@@ -63,7 +79,7 @@ val fold : 'v t -> (string -> 'v -> int -> 'a -> 'a) -> 'a -> 'a
     its own lock, so folding a store shared with running workers is
     safe — but [f] must not call back into the cache.  This is the
     snapshot path ({!Engine.save_store} wants key, value and the size
-    estimate the entry was admitted with). *)
+    estimate the entry holds). *)
 
 val length : 'v t -> int
 val used_bytes : 'v t -> int

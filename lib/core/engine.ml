@@ -137,7 +137,13 @@ type t = {
     through the same rollback machinery the transaction layer uses), and
     the run's resource/statistics deltas. *)
 and cached_run = {
-  ca_program : program;
+  ca_program : stored_program;
+  ca_rendered : Pretty.result option Atomic.t array;
+      (** the program's first render, one slot per [line_directives]
+          value ([false], [true]): a hit whose slot is filled replays
+          the text and line map without rendering again.  Filled once,
+          by compare-and-set, so two domains rendering the same entry
+          agree on one value *)
   ca_post : checkpoint;
   ca_version : int;
       (** [defs_version] after the recorded run.  Replay re-establishes
@@ -164,6 +170,16 @@ and cached_run = {
           when the profiler was enabled at store time; a replay credits
           them to the profiler as cache-satisfied invocations *)
 }
+
+(** A stored run's program: decoded, or — for an entry a snapshot load
+    restored — still marshalled, as [len] bytes at [off] in the
+    snapshot file's contents [raw] (sliced, not copied), decoded on
+    first demand by {!program_of}. *)
+and stored_program = program_state Atomic.t
+
+and program_state =
+  | Decoded of program
+  | Encoded of { raw : string; off : int; len : int; digest : string }
 
 (* What a checkpoint captures is the *session* state a failed fragment
    could corrupt: macro tables, the meta type environment, the global
@@ -1490,12 +1506,32 @@ let cache_key (t : t) ~source (text : string) : (string, bypass) result =
     | key -> Ok key
     | exception Cache.Uncacheable -> Error Bypass_uncacheable
 
+(* OCaml 5's [Lazy] is not safe to force from two domains at once, so
+   a restored program is decoded under one process-wide lock; the
+   decoded tree then replaces the bytes, and later readers take the
+   atomic fast path without locking. *)
+let decode_lock = Mutex.create ()
+
+let program_of (p : stored_program) : program =
+  match Atomic.get p with
+  | Decoded prog -> prog
+  | Encoded _ ->
+      Mutex.protect decode_lock (fun () ->
+          match Atomic.get p with
+          | Decoded prog -> prog
+          | Encoded { raw; off; _ } ->
+              (* the bytes' digest was checked when the snapshot loaded *)
+              let prog : program = Marshal.from_string raw off in
+              Atomic.set p (Decoded prog);
+              Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.decoded");
+              prog)
+
 (* Replay a cached run: register the source with the diagnostic registry
    (the lexer would have), restore the recorded post-run session state —
    through the same in-place rollback the transaction layer uses, so
    aliasing parser states stay attached — and apply the run's resource
    and statistics deltas. *)
-let replay (t : t) (e : cached_run) ~source (text : string) : program =
+let replay (t : t) (e : cached_run) ~source (text : string) : unit =
   Obs.with_span ~cat:"cache"
     ~args:(fun () ->
       [ ("source", Obs.Str source);
@@ -1516,8 +1552,16 @@ let replay (t : t) (e : cached_run) ~source (text : string) : program =
       if Obs.Profile.enabled () then
         List.iter
           (fun (macro, n) -> Obs.Profile.credit_cached macro n)
-          e.ca_profile;
-      e.ca_program)
+          e.ca_profile)
+
+(** What {!expand_source_entry} produced: the program, and the cache
+    entry (with its key) the result was replayed from or stored as. *)
+type expansion = {
+  x_program : stored_program;
+  x_entry : (string * cached_run) option;
+}
+
+let decoded (prog : program) : stored_program = Atomic.make (Decoded prog)
 
 (** Cached expansion.  A hit replays the recorded output and post-run
     state; a miss runs for real and — when the run was clean (no new
@@ -1527,8 +1571,8 @@ let replay (t : t) (e : cached_run) ~source (text : string) : program =
     back, so a run that consulted them ran from a state that can never
     recur (the entry would be dead), and a run that did not cannot
     depend on them — replaying it is bit-for-bit the rerun. *)
-let expand_source (t : t) ?(source = "<string>") ?deadline_ms
-    ?(fragment_jobs = 1) (text : string) : program =
+let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
+    ?(fragment_jobs = 1) (text : string) : expansion =
   (* fragment parallelism lives only in the *uncached* runner; the
      cache layer (probe, store, bypass accounting) is identical either
      way, and the store-side mint guards hold because committed
@@ -1537,6 +1581,7 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
   let run_uncached () =
     expand_source_uncached t ?deadline_ms ~fragment_jobs ~source text
   in
+  let uncached () = { x_program = decoded (run_uncached ()); x_entry = None } in
   Obs.with_span ~cat:"fragment"
     ~args:(fun () ->
       [ ("source", Obs.Str source);
@@ -1544,12 +1589,12 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
     "fragment"
   @@ fun () ->
   match t.cache with
-  | None -> run_uncached ()
+  | None -> uncached ()
   | Some cache -> (
       match cache_key t ~source text with
       | Error why ->
           note_bypass t ~source why;
-          run_uncached ()
+          uncached ()
       | Ok key -> (
           (* the version the key just digested; stored with a miss so
              snapshot loads can audit it (see [ca_pre_version]) *)
@@ -1563,12 +1608,13 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
           | Some e when b.Value.fuel >= e.ca_fuel && b.Value.nodes >= e.ca_nodes
             ->
               t.stats.cache_hits <- t.stats.cache_hits + 1;
-              replay t e ~source text
+              replay t e ~source text;
+              { x_program = e.ca_program; x_entry = Some (key, e) }
           | Some _ ->
               (* a replay would overdraw the remaining global budget —
                  the real run must happen (and fail) for real *)
               note_bypass t ~source Bypass_budget;
-              run_uncached ()
+              uncached ()
           | None ->
               t.stats.cache_misses <- t.stats.cache_misses + 1;
               let gensym0 = Gensym.count t.gensym in
@@ -1582,7 +1628,7 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
               let profile0 =
                 if Obs.Profile.enabled () then Obs.Profile.counts () else []
               in
-              let prog = run_uncached () in
+              let program = decoded (run_uncached ()) in
               if
                 Gensym.count t.gensym = gensym0
                 && Senv.anon_count t.senv = anon0
@@ -1595,7 +1641,8 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
                    are a near-constant (their contents are shared with
                    the live session).  Walking the real structure with
                    [Obj.reachable_words] here would cost more than the
-                   rest of the store path combined. *)
+                   rest of the store path combined.  The first render is
+                   charged when it is attached ({!remember_render}). *)
                 let size_bytes =
                   2048
                   + (8 * String.length text)
@@ -1616,9 +1663,10 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
                         if n > n0 then Some (macro, n - n0) else None)
                       (Obs.Profile.counts ())
                 in
-                Cache.add cache key ~size_bytes
+                let entry =
                   {
-                    ca_program = prog;
+                    ca_program = program;
+                    ca_rendered = [| Atomic.make None; Atomic.make None |];
                     ca_post = checkpoint t;
                     ca_version = t.defs_version;
                     ca_pre_version = pre_version;
@@ -1628,8 +1676,41 @@ let expand_source (t : t) ?(source = "<string>") ?deadline_ms
                     ca_meta_runs = t.stats.meta_declarations_run - meta0;
                     ca_macros_defined = t.stats.macros_defined - defs0;
                     ca_profile;
-                  });
-              prog))
+                  }
+                in
+                Cache.add cache key ~size_bytes entry;
+                { x_program = program; x_entry = Some (key, entry) })
+              else { x_program = program; x_entry = None }))
+
+let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs (text : string)
+    : program =
+  program_of
+    (expand_source_entry t ?source ?deadline_ms ?fragment_jobs text).x_program
+
+let expansion_program (x : expansion) : program = program_of x.x_program
+
+let render_slot ~line_directives = if line_directives then 1 else 0
+
+let rendered (x : expansion) ~line_directives : Pretty.result option =
+  match x.x_entry with
+  | Some (_, e) -> Atomic.get e.ca_rendered.(render_slot ~line_directives)
+  | None -> None
+
+let remember_render (t : t) (x : expansion) ~line_directives
+    (out : Pretty.result) : unit =
+  match (x.x_entry, t.cache) with
+  | Some (key, e), Some cache ->
+      if
+        Atomic.compare_and_set
+          e.ca_rendered.(render_slot ~line_directives)
+          None (Some out)
+      then
+        (* the map's locations are shared with the program; its spine
+           and the text are what the slot adds *)
+        Cache.charge cache key e
+          (String.length out.Pretty.text
+          + (Sys.word_size / 8 * Array.length out.Pretty.map))
+  | _ -> ()
 
 (* The store-wide eviction count is a merged sweep over every shard
    (one mutex round-trip each), far too expensive to refresh on every
@@ -1653,12 +1734,23 @@ let cache_evictions (t : t) : int =
      magic (8) | format version (u32) | build id (16) |
      generation (16) | version-counter high water (i64) |
      entry count (u32) |
-     count * [ payload length (u32) | MD5(payload) (16) | payload ]
+     count * [ entry record | program record ]
 
-   Every record carries its own checksum, and ANY integrity failure —
-   bad magic, version skew, truncation, a flipped bit, trailing bytes,
-   an undecodable record — degrades the WHOLE load to a cold cache with
-   a warning counter.  Partial salvage is not worth the risk surface:
+   where a record is [ payload length (u32) | MD5(payload) (16) |
+   payload ].  The entry record is everything but the expanded program
+   (key, size estimate, versions, post-state checkpoint, counters, the
+   rendered outputs); the program record is the marshalled program
+   alone, by far the larger of the two.  A load unmarshals entry
+   records and keeps program records as bytes, so a hit that replays
+   its rendered text never pays for the AST ({!program_of} decodes it
+   on first demand), and a later save copies those bytes and their
+   digest back out unchanged.
+
+   Every record carries its own checksum, checked at load whether or
+   not it is ever decoded, and ANY integrity failure — bad magic,
+   version skew, truncation, a flipped bit, trailing bytes, an
+   undecodable entry record — degrades the WHOLE load to a cold cache
+   with a warning counter.  Partial salvage is not worth the risk surface:
    a snapshot is an optimization, and the only unforgivable outcome is
    a wrong replay.  [Marshal.from_string] only ever runs on bytes whose
    digest matched, i.e. bytes this code wrote — and the header's build
@@ -1717,7 +1809,7 @@ let cache_evictions (t : t) : int =
    a fork sibling of the same base). *)
 
 let snapshot_magic = "MS2SNAP\001"
-let snapshot_format_version = 2
+let snapshot_format_version = 3
 
 (* 128 self-seeded bits fixed at startup, so two unrelated processes
    cannot collide; the pid mixed in per call distinguishes fork
@@ -1735,14 +1827,23 @@ let generation () : string =
   Digest.string
     (Printf.sprintf "%s#%d" generation_base (Build_id.pid ()))
 
+(* An entry record; [pe_run]'s program, render slots and compiled
+   patterns are emptied (they travel in the program record,
+   [pe_rendered] and [pe_compiled]). *)
 type persisted_entry = {
   pe_key : string;
-  pe_size : int;  (** the size estimate the entry was admitted with *)
+  pe_size : int;  (** the entry's size estimate when saved *)
   pe_compiled : string list;  (** macro names to recompile at load *)
-  pe_run : cached_run;  (** with [cp_compiled] emptied *)
+  pe_run : cached_run;
+  pe_rendered : Pretty.result option array;
 }
 
-type snapshot_save = { sv_entries : int; sv_skipped : int; sv_bytes : int }
+type snapshot_save = {
+  sv_entries : int;
+  sv_skipped : int;
+  sv_bytes : int;
+  sv_unchanged : bool;
+}
 
 type snapshot_load = {
   ld_entries : int;  (** entries restored into the store *)
@@ -1753,68 +1854,111 @@ type snapshot_load = {
 
 let cold_load = { ld_entries = 0; ld_dropped = 0; ld_warnings = 0; ld_error = None }
 
-let strip_compiled (run : cached_run) : cached_run * string list =
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) run.ca_post.cp_compiled []
-  in
-  ( { run with ca_post = { run.ca_post with cp_compiled = Hashtbl.create 1 } },
-    names )
+(* stands in for the program inside an entry record *)
+let no_program : stored_program = decoded []
 
+let entry_record (run : cached_run) ~key ~size : persisted_entry =
+  let cp = run.ca_post in
+  {
+    pe_key = key;
+    pe_size = size;
+    pe_compiled =
+      Hashtbl.fold (fun name _ acc -> name :: acc) cp.cp_compiled [];
+    pe_run =
+      {
+        run with
+        ca_program = no_program;
+        ca_rendered = [||];
+        ca_post = { cp with cp_compiled = Hashtbl.create 1 };
+      };
+    pe_rendered = Array.map Atomic.get run.ca_rendered;
+  }
+
+(* a record's payload: [len] bytes at [off] in [raw], and their MD5 *)
+let add_record (b : Buffer.t) (raw, off, len, digest) : unit =
+  Buffer.add_int32_le b (Int32.of_int len);
+  Buffer.add_string b digest;
+  Buffer.add_substring b raw off len
+
+let whole (raw : string) = (raw, 0, String.length raw, Digest.string raw)
+
+(* A store that has not changed since it last matched [path] on disk
+   (a clean load, or a save) is not written again: the generation
+   records every add, charge and eviction. *)
 let save_store (cache : cached_run Cache.t) (path : string) :
     (snapshot_save, string) result =
   Obs.with_span ~cat:"snapshot" "save" @@ fun () ->
   match Failpoint.hit ~loc:Loc.dummy "snapshot/save" with
   | exception Diag.Error d -> Result.Error d.Diag.message
   | () -> (
-      let entries = ref 0 and skipped = ref 0 in
-      let records = Buffer.create 65536 in
-      Cache.fold cache
-        (fun key run size () ->
-          let run, names = strip_compiled run in
-          match
-            Marshal.to_string
-              ({ pe_key = key; pe_size = size; pe_compiled = names;
-                 pe_run = run }
-                : persisted_entry)
-              []
-          with
-          | exception _ ->
-              (* a closure reached the entry (meta globals can hold
-                 them); skip it — it will be a miss next run *)
-              incr skipped
-          | payload ->
-              incr entries;
-              Buffer.add_int32_le records (Int32.of_int (String.length payload));
-              Buffer.add_string records (Digest.string payload);
-              Buffer.add_string records payload)
-        ();
-      let b = Buffer.create (Buffer.length records + 64) in
-      Buffer.add_string b snapshot_magic;
-      Buffer.add_int32_le b (Int32.of_int snapshot_format_version);
-      Buffer.add_string b (Build_id.digest ());
-      Buffer.add_string b (generation ());
-      Buffer.add_int64_le b (Int64.of_int (Atomic.get version_counter));
-      Buffer.add_int32_le b (Int32.of_int !entries);
-      Buffer.add_buffer b records;
-      let out = Buffer.contents b in
-      match Atomic_io.write path out with
-      | Ok () ->
-          Obs.Metrics.incr ~by:!entries
-            (Obs.Metrics.counter "snapshot.save.entries");
-          if !skipped > 0 then
-            Obs.Metrics.incr ~by:!skipped
-              (Obs.Metrics.counter "snapshot.save.skipped");
+      let gen = Cache.generation cache in
+      match Cache.persisted cache with
+      | Some (p, g) when p = path && g = gen && Sys.file_exists path ->
+          Obs.Metrics.incr (Obs.Metrics.counter "snapshot.save.unchanged");
           Ok
-            {
-              sv_entries = !entries;
-              sv_skipped = !skipped;
-              sv_bytes = String.length out;
-            }
-      | Error msg -> Result.Error msg)
+            { sv_entries = 0; sv_skipped = 0; sv_bytes = 0;
+              sv_unchanged = true }
+      | _ -> (
+          let entries = ref 0 and skipped = ref 0 in
+          let records = Buffer.create 65536 in
+          Cache.fold cache
+            (fun key run size () ->
+              match
+                let meta = Marshal.to_string (entry_record run ~key ~size) [] in
+                (* a program still in its snapshot bytes is copied back
+                   out as is *)
+                let prog =
+                  match Atomic.get run.ca_program with
+                  | Encoded { raw; off; len; digest } -> (raw, off, len, digest)
+                  | Decoded prog -> whole (Marshal.to_string prog [])
+                in
+                (whole meta, prog)
+              with
+              | exception _ ->
+                  (* a closure reached the entry (meta globals can hold
+                     them); skip it — it will be a miss next run *)
+                  incr skipped
+              | meta, prog ->
+                  incr entries;
+                  add_record records meta;
+                  add_record records prog)
+            ();
+          let b = Buffer.create (Buffer.length records + 64) in
+          Buffer.add_string b snapshot_magic;
+          Buffer.add_int32_le b (Int32.of_int snapshot_format_version);
+          Buffer.add_string b (Build_id.digest ());
+          Buffer.add_string b (generation ());
+          Buffer.add_int64_le b (Int64.of_int (Atomic.get version_counter));
+          Buffer.add_int32_le b (Int32.of_int !entries);
+          Buffer.add_buffer b records;
+          let out = Buffer.contents b in
+          match Atomic_io.write path out with
+          | Ok () ->
+              (* entries added while the fold ran moved the generation
+                 past [gen], so the next save still writes them *)
+              Cache.set_persisted cache (Some (path, gen));
+              Obs.Metrics.incr ~by:!entries
+                (Obs.Metrics.counter "snapshot.save.entries");
+              if !skipped > 0 then
+                Obs.Metrics.incr ~by:!skipped
+                  (Obs.Metrics.counter "snapshot.save.skipped");
+              Ok
+                {
+                  sv_entries = !entries;
+                  sv_skipped = !skipped;
+                  sv_bytes = String.length out;
+                  sv_unchanged = false;
+                }
+          | Error msg -> Result.Error msg))
 
 exception Corrupt of string
 
-let parse_snapshot (raw : string) : string * int * persisted_entry list =
+(* [build_id] yields the running build's fingerprint: {!load_store}
+   computes it on a helper domain while the records' checksums are
+   verified here, and only bytes from this very build are ever
+   unmarshalled — the records are decoded after the comparison. *)
+let parse_snapshot ~(build_id : unit -> string) (raw : string) :
+    string * int * (persisted_entry * program_state) list =
   let len = String.length raw in
   let pos = ref 0 in
   let need n what =
@@ -1840,6 +1984,18 @@ let parse_snapshot (raw : string) : string * int * persisted_entry list =
     pos := !pos + 8;
     v
   in
+  (* one checksummed record, as (offset, length, digest) in [raw]:
+     payloads are read in place, never copied *)
+  let get_record i what =
+    let len = get_u32 (what ^ " length") in
+    let digest = get_str 16 (what ^ " digest") in
+    need len (what ^ " payload");
+    let off = !pos in
+    pos := !pos + len;
+    if Digest.substring raw off len <> digest then
+      raise (Corrupt (Printf.sprintf "record %d %s checksum mismatch" i what));
+    (off, len, digest)
+  in
   if get_str 8 "magic" <> snapshot_magic then raise (Corrupt "bad magic");
   let fv = get_u32 "format version" in
   if fv <> snapshot_format_version then
@@ -1847,27 +2003,31 @@ let parse_snapshot (raw : string) : string * int * persisted_entry list =
       (Corrupt
          (Printf.sprintf "format version %d (this build reads %d)" fv
             snapshot_format_version));
-  if get_str 16 "build id" <> Build_id.digest () then
-    raise (Corrupt "written by a different build of this binary");
+  let file_build = get_str 16 "build id" in
   let file_gen = get_str 16 "generation" in
   let high_water = get_i64 "version counter" in
   let count = get_u32 "entry count" in
-  let entries = ref [] in
-  for i = 1 to count do
-    let plen = get_u32 "record length" in
-    let digest = get_str 16 "record digest" in
-    let payload = get_str plen "record payload" in
-    if Digest.string payload <> digest then
-      raise (Corrupt (Printf.sprintf "record %d checksum mismatch" i));
-    match (Marshal.from_string payload 0 : persisted_entry) with
-    | exception _ -> raise (Corrupt (Printf.sprintf "record %d undecodable" i))
-    | pe -> entries := pe :: !entries
-  done;
+  let records =
+    List.init count (fun i ->
+        let meta, _, _ = get_record (i + 1) "entry" in
+        (meta, get_record (i + 1) "program"))
+  in
   if !pos <> len then raise (Corrupt "trailing bytes");
-  (file_gen, high_water, List.rev !entries)
+  if file_build <> build_id () then
+    raise (Corrupt "written by a different build of this binary");
+  ( file_gen,
+    high_water,
+    List.mapi
+      (fun i (meta, (off, len, digest)) ->
+        match (Marshal.from_string raw meta : persisted_entry) with
+        | exception _ ->
+            raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
+        | pe -> (pe, Encoded { raw; off; len; digest }))
+      records )
 
 (* Rebuild what [Marshal] could not carry; [None] drops the entry. *)
-let rehydrate_entry (pe : persisted_entry) : persisted_entry option =
+let rehydrate_entry ((pe, program) : persisted_entry * program_state) :
+    (string * int * cached_run) option =
   let cp = pe.pe_run.ca_post in
   let compiled = Hashtbl.create (max 4 (List.length pe.pe_compiled)) in
   match
@@ -1882,20 +2042,20 @@ let rehydrate_entry (pe : persisted_entry) : persisted_entry option =
   | exception _ -> None
   | () ->
       Some
-        {
-          pe with
-          pe_run =
-            {
-              pe.pe_run with
-              ca_post =
-                {
-                  cp with
-                  cp_compiled = compiled;
-                  cp_tenv = Tenv.rehydrate cp.cp_tenv;
-                  cp_senv = Senv.rehydrate cp.cp_senv;
-                };
-            };
-        }
+        ( pe.pe_key,
+          pe.pe_size,
+          {
+            pe.pe_run with
+            ca_program = Atomic.make program;
+            ca_rendered = Array.map Atomic.make pe.pe_rendered;
+            ca_post =
+              {
+                cp with
+                cp_compiled = compiled;
+                cp_tenv = Tenv.rehydrate cp.cp_tenv;
+                cp_senv = Senv.rehydrate cp.cp_senv;
+              };
+          } )
 
 let entry_versions (run : cached_run) : int list =
   [ run.ca_pre_version; run.ca_version; run.ca_post.cp_version ]
@@ -1903,52 +2063,53 @@ let entry_versions (run : cached_run) : int list =
 (* Accept only entries whose versions cannot collide with numbers this
    process has already bound, and reserve the accepted range by
    advancing the counter past it (see the module comment above). *)
-let rec adopt_versions (candidates : persisted_entry list) :
-    persisted_entry list =
+let rec adopt_versions (candidates : (string * int * cached_run) list) :
+    (string * int * cached_run) list =
   let cur0 = Atomic.get version_counter in
   let safe =
     List.filter
-      (fun pe ->
-        List.for_all (fun v -> v = 0 || v > cur0) (entry_versions pe.pe_run))
+      (fun (_, _, run) ->
+        List.for_all (fun v -> v = 0 || v > cur0) (entry_versions run))
       candidates
   in
   let vmax =
     List.fold_left
-      (fun m pe -> List.fold_left max m (entry_versions pe.pe_run))
+      (fun m (_, _, run) -> List.fold_left max m (entry_versions run))
       cur0 safe
   in
   if vmax = cur0 then safe
   else if Atomic.compare_and_set version_counter cur0 vmax then safe
   else adopt_versions candidates
 
-let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
+let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
+    : snapshot_load =
   Obs.with_span ~cat:"snapshot" "load" @@ fun () ->
   let degraded msg =
+    Cache.set_persisted cache None;
     Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.warnings");
     { ld_entries = 0; ld_dropped = 0; ld_warnings = 1; ld_error = Some msg }
   in
   if not (Sys.file_exists path) then cold_load
   else
+    let build_id =
+      if parallel then Build_id.digest_async () else Build_id.digest
+    in
+    Fun.protect ~finally:(fun () -> ignore (build_id ())) @@ fun () ->
     match
       Failpoint.hit ~loc:Loc.dummy "snapshot/load";
-      In_channel.with_open_bin path In_channel.input_all
+      In_channel.with_open_bin path (fun ic ->
+          really_input_string ic (in_channel_length ic))
     with
     | exception Diag.Error d -> degraded d.Diag.message
     | exception Sys_error msg -> degraded msg
+    | exception End_of_file -> degraded (path ^ ": shrank while being read")
     | raw -> (
-        match parse_snapshot raw with
+        match parse_snapshot ~build_id raw with
         | exception Corrupt msg -> degraded (Printf.sprintf "%s: %s" path msg)
         | exception _ -> degraded (path ^ ": unreadable snapshot")
         | file_gen, high_water, raw_entries ->
-            let rehydrated, broken =
-              List.fold_left
-                (fun (ok, bad) pe ->
-                  match rehydrate_entry pe with
-                  | Some pe -> (pe :: ok, bad)
-                  | None -> (ok, bad + 1))
-                ([], 0) raw_entries
-            in
-            let rehydrated = List.rev rehydrated in
+            let rehydrated = List.filter_map rehydrate_entry raw_entries in
+            let broken = List.length raw_entries - List.length rehydrated in
             let accepted =
               if file_gen = generation () then begin
                 (* even on the trusted path, never leave the counter
@@ -1969,13 +2130,22 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
               end
               else adopt_versions rehydrated
             in
+            let empty_before = Cache.length cache = 0 in
             List.iter
-              (fun pe ->
-                Cache.add cache ~size_bytes:pe.pe_size pe.pe_key pe.pe_run)
+              (fun (key, size, run) -> Cache.add cache ~size_bytes:size key run)
               accepted;
             let dropped =
               broken + List.length rehydrated - List.length accepted
             in
+            (* the store now holds exactly the file's entries — none
+               dropped, none refused or evicted, nothing there before —
+               so saving it unchanged would rewrite the same file *)
+            Cache.set_persisted cache
+              (if
+                 dropped = 0 && empty_before
+                 && Cache.length cache = List.length accepted
+               then Some (path, Cache.generation cache)
+               else None);
             Obs.Metrics.incr ~by:(List.length accepted)
               (Obs.Metrics.counter "snapshot.load.entries");
             if dropped > 0 then

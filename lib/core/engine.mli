@@ -198,6 +198,40 @@ val expand_source :
     profile/recording observability modes all degrade to the
     sequential path. *)
 
+(** {2 Expansions that render}
+
+    {!Api.expand_unit} renders each expansion once; on a cache hit it
+    can replay the entry's stored render instead, and on a miss it
+    attaches its render to the new entry. *)
+
+type expansion
+(** An expansion's program, with the cache entry it was replayed from or
+    stored as. *)
+
+val expand_source_entry :
+  t ->
+  ?source:string ->
+  ?deadline_ms:int ->
+  ?fragment_jobs:int ->
+  string ->
+  expansion
+(** {!expand_source}, without decoding a restored entry's program. *)
+
+val expansion_program : expansion -> program
+(** The program.  An entry restored from a snapshot keeps its program
+    marshalled until this first asks for it; the decode runs under a
+    lock, so domains that ask at once get the same tree. *)
+
+val rendered :
+  expansion -> line_directives:bool -> Ms2_syntax.Pretty.result option
+(** The render stored in the expansion's cache entry for this flag. *)
+
+val remember_render :
+  t -> expansion -> line_directives:bool -> Ms2_syntax.Pretty.result -> unit
+(** Attach a render to the expansion's cache entry (first writer wins)
+    and charge its bytes to the entry's size estimate; a no-op for an
+    expansion that has no entry. *)
+
 val diagnostics : t -> Diag.t list
 (** Diagnostics recorded by recovery mode so far, oldest first. *)
 
@@ -234,6 +268,10 @@ type snapshot_save = {
   sv_entries : int;  (** entries written *)
   sv_skipped : int;  (** unmarshalable entries (meta-closure globals) *)
   sv_bytes : int;  (** snapshot file size *)
+  sv_unchanged : bool;
+      (** nothing was written: the store has not changed since it last
+          matched the file (a clean load or a save), and the file is
+          still there; the other fields are then 0 *)
 }
 
 type snapshot_load = {
@@ -246,12 +284,23 @@ type snapshot_load = {
 val save_store :
   cached_run Cache.t -> string -> (snapshot_save, string) result
 (** Serialize every live entry to [path] via {!Atomic_io.write} (so a
-    crash mid-save never clobbers the previous snapshot).  Safe to call
-    while other domains use the store.  Subject to the [snapshot/save]
-    and [io/rename] failpoints. *)
+    crash mid-save never clobbers the previous snapshot) — unless the
+    store's {!Cache.generation} has not moved since it last matched
+    [path] and the file still exists, in which case nothing is written
+    ([sv_unchanged], counted as [snapshot.save.unchanged]).  Safe to
+    call while other domains use the store.  Subject to the
+    [snapshot/save] and [io/rename] failpoints. *)
 
-val load_store : cached_run Cache.t -> string -> snapshot_load
-(** Restore a snapshot into [cache].  A missing file is a silent cold
-    start; a corrupt file is a cold start with [ld_warnings = 1] and
-    the reason in [ld_error].  Never raises.  Subject to the
-    [snapshot/load] failpoint. *)
+val load_store : ?parallel:bool -> cached_run Cache.t -> string -> snapshot_load
+(** Restore a snapshot into [cache].  With [parallel] (default false),
+    the running executable's fingerprint ({!Build_id.digest_async}) is
+    computed on a helper domain while the records' checksums are
+    verified; OCaml forbids [Unix.fork] in a process that ever spawned
+    a domain, so a caller that may fork later must leave it off.  A
+    missing file is a silent cold start; a corrupt file is a cold start
+    with [ld_warnings = 1] and the reason in [ld_error].  Never raises.
+    Every record's checksum is verified, but each entry's program stays
+    marshalled until first demanded ({!expansion_program}).  A clean
+    load into an empty store that restores every entry records the
+    store as matching [path], so an unchanged store is not saved back.
+    Subject to the [snapshot/load] failpoint. *)

@@ -18,5 +18,24 @@ let digest () : string =
       computed := Some d;
       d
 
+(* The image is megabytes: a reader with other checksums to verify
+   computes it beside them on a helper domain.  The join is memoized,
+   so the returned function may be called any number of times. *)
+let digest_async () : unit -> string =
+  match !computed with
+  | Some d -> fun () -> d
+  | None -> (
+      match Domain.spawn digest with
+      | exception _ -> digest
+      | helper ->
+          let joined = ref None in
+          fun () ->
+            match !joined with
+            | Some d -> d
+            | None ->
+                let d = Domain.join helper in
+                joined := Some d;
+                d)
+
 let hex () : string = Digest.to_hex (digest ())
 let pid () : int = Unix.getpid ()

@@ -17,6 +17,13 @@ val digest : unit -> string
     image cannot be read (e.g. unlinked while running).  Computed once
     and cached. *)
 
+val digest_async : unit -> unit -> string
+(** [digest_async ()] starts computing {!digest} on a helper domain
+    (unless it is already known) and returns the function that joins
+    it.  Call that function on every path — it is idempotent — so the
+    helper never outlives the caller's use of it (a process cannot
+    [Unix.fork] while another domain runs). *)
+
 val hex : unit -> string
 (** {!digest} rendered as 32 lowercase hex characters, for embedding
     in textual formats. *)

@@ -5,6 +5,7 @@
 open Tutil
 module Engine = Ms2.Engine
 module Diag = Ms2_support.Diag
+module Obs = Ms2_support.Obs
 
 let defs =
   "syntax stmt Painting {| $$stmt::body |} {\n\
@@ -211,6 +212,170 @@ let eviction_under_tiny_budget () =
     true
     (s.Ms2.Api.cache_evictions > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Whole-store budget                                                  *)
+(* ------------------------------------------------------------------ *)
+
+module Cache = Ms2.Cache
+
+let mib = 1024 * 1024
+
+(* a key whose first byte — the shard index — is [shard] *)
+let shard_key shard i = String.make 1 (Char.chr shard) ^ string_of_int i
+
+let same_shard_entries_coexist () =
+  (* eight large entries whose keys share a first byte fit the default
+     64 MiB budget together: the budget is the store's, not a slice *)
+  let c = Cache.create () in
+  for i = 1 to 8 do
+    Cache.add ~size_bytes:(23 * mib / 10) c (shard_key 7 i) i
+  done;
+  Alcotest.(check int) "no evictions" 0 (Cache.evictions c);
+  Alcotest.(check int) "all eight stored" 8 (Cache.length c);
+  for i = 1 to 8 do
+    Alcotest.(check (option int)) "each one hits" (Some i)
+      (Cache.find c (shard_key 7 i))
+  done
+
+let large_entry_is_stored () =
+  (* larger than a sixteenth of the budget, well within the whole *)
+  let c = Cache.create () in
+  Cache.add ~size_bytes:(5 * mib) c (shard_key 3 0) "big";
+  Alcotest.(check int) "stored" 1 (Cache.length c);
+  Cache.add ~size_bytes:(Cache.default_budget_bytes + 1) c (shard_key 4 0)
+    "too big";
+  Alcotest.(check int) "over the whole budget: dropped" 1 (Cache.length c)
+
+let over_budget_stream_stays_within () =
+  let c = Cache.create () in
+  for i = 1 to 100 do
+    Cache.add ~size_bytes:(23 * mib / 10) c (Digest.string (string_of_int i)) i;
+    if Cache.used_bytes c > Cache.default_budget_bytes then
+      Alcotest.failf "over budget after %d adds: %d bytes" i
+        (Cache.used_bytes c)
+  done;
+  Alcotest.(check bool) "evicted to make room" true (Cache.evictions c > 0);
+  Alcotest.(check (option int)) "the newest entry survives" (Some 100)
+    (Cache.find c (Digest.string "100"))
+
+let generation_moves_on_mutation () =
+  let c = Cache.create ~budget_bytes:100 () in
+  let g0 = Cache.generation c in
+  ignore (Cache.find c "a");
+  Alcotest.(check int) "a lookup is no mutation" g0 (Cache.generation c);
+  Cache.add ~size_bytes:60 c "a" ();
+  let g1 = Cache.generation c in
+  Alcotest.(check bool) "add moves it" true (g1 <> g0);
+  Cache.add ~size_bytes:60 c "a" ();
+  Alcotest.(check int) "re-adding a key is no mutation" g1 (Cache.generation c);
+  Cache.charge c "a" () 10;
+  let g2 = Cache.generation c in
+  Alcotest.(check bool) "charge moves it" true (g2 <> g1);
+  Cache.add ~size_bytes:60 c "b" ();
+  Alcotest.(check int) "the add evicted the other entry" 1 (Cache.evictions c);
+  Alcotest.(check int) "used bytes follow" 60 (Cache.used_bytes c)
+
+(* ------------------------------------------------------------------ *)
+(* Render replay                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let render_hits () =
+  Obs.Metrics.value (Obs.Metrics.counter "cache.render_hits")
+
+(* Cached and uncached engines run the same units with [#line]
+   directives off and on, in an order where an entry rendered with one
+   flag is later hit with the other.  Text and line map agree at every
+   step, and only hits whose slot was already filled skip the renderer. *)
+let render_replay_byte_identical () =
+  let steps = [ false; true; false; true; false ] in
+  let run ~cache =
+    let engine = Ms2.Api.create_engine ~cache () in
+    ignore (expand_ok engine defs);
+    List.map
+      (fun line_directives ->
+        let u =
+          Ms2.Api.expand_unit ~line_directives engine ~source:"cache.mc" uses
+        in
+        Option.iter (fun d -> Alcotest.failf "fatal: %s" (Diag.to_string d))
+          u.Ms2.Api.u_fatal;
+        (u.Ms2.Api.u_output, u.Ms2.Api.u_map))
+      steps
+  in
+  let uncached = run ~cache:false in
+  let r0 = render_hits () in
+  let cached = run ~cache:true in
+  List.iteri
+    (fun i ((text, map), (text', map')) ->
+      Alcotest.(check string) (Printf.sprintf "step %d: text" i) text text';
+      Alcotest.(check bool) (Printf.sprintf "step %d: line map" i) true
+        (map = map'))
+    (List.combine uncached cached);
+  (* step 0 misses; step 1 misses too (the state moved) and renders with
+     directives; step 2 hits that entry without a plain render, renders
+     and attaches one; steps 3 and 4 replay both renders *)
+  Alcotest.(check int) "render hits" 2 (render_hits () - r0);
+  let plain = fst (List.nth cached 0) and directed = fst (List.nth cached 1) in
+  Alcotest.(check bool) "the two flags differ" true (plain <> directed)
+
+let render_replay_keeps_program () =
+  (* a render hit still hands out the program, for --semantic-check *)
+  let engine = Ms2.Api.create_engine () in
+  ignore (expand_ok engine defs);
+  let units =
+    List.init 3 (fun _ -> Ms2.Api.expand_unit engine ~source:"cache.mc" uses)
+  in
+  let programs =
+    List.map
+      (fun u ->
+        match u.Ms2.Api.u_program with
+        | Some p -> Lazy.force p
+        | None -> Alcotest.fail "no program")
+      units
+  in
+  Alcotest.(check bool) "replayed programs equal the rendered one" true
+    (List.for_all (( = ) (List.hd programs)) programs)
+
+(* Two domains hit the same restored entry at once and both need its
+   program (the --semantic-check path): the marshalled program is
+   decoded once, under the lock, and both get the same tree. *)
+let concurrent_decode () =
+  let path = Filename.temp_file "ms2_cache_decode" ".snap" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let s1 = Ms2.Api.create_shared_cache () in
+  let e1 = Ms2.Api.create_engine ~cache_store:s1 () in
+  ignore (expand_ok e1 defs);
+  let reference =
+    match Ms2.Api.expand_to_ast ~engine:e1 ~source:"cache.mc" uses with
+    | Ok p -> p
+    | Error d -> Alcotest.failf "reference: %s" (Diag.to_string d)
+  in
+  (match Ms2.Api.save_shared_cache s1 path with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "save: %s" e);
+  for round = 1 to 5 do
+    let s2 = Ms2.Api.create_shared_cache () in
+    let l = Ms2.Api.load_shared_cache s2 path in
+    Alcotest.(check (option string)) "clean load" None l.Engine.ld_error;
+    let decodes = Obs.Metrics.counter "snapshot.load.decoded" in
+    let d0 = Obs.Metrics.value decodes in
+    let ready = Atomic.make 0 in
+    let worker () =
+      let e = Ms2.Api.create_engine ~cache_store:s2 () in
+      ignore (expand_ok e defs);
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      match Ms2.Api.expand_to_ast ~engine:e ~source:"cache.mc" uses with
+      | Ok p -> (p, (Ms2.Api.stats e).Ms2.Api.cache_hits)
+      | Error d -> failwith (Diag.to_string d)
+    in
+    let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+    let p1, h1 = Domain.join d1 and p2, h2 = Domain.join d2 in
+    Alcotest.(check bool) (Printf.sprintf "round %d: both hit" round) true
+      (h1 = 2 && h2 = 2);
+    Alcotest.(check bool) "equal programs" true (p1 = p2 && p1 = reference);
+    Alcotest.(check int) "decoded once" 1 (Obs.Metrics.value decodes - d0)
+  done
+
 let () =
   Alcotest.run "cache"
     [
@@ -232,5 +397,25 @@ let () =
             ablation_byte_identical;
           Alcotest.test_case "eviction pressure" `Quick
             eviction_under_tiny_budget;
+        ] );
+      ( "store budget",
+        [
+          Alcotest.test_case "same-shard entries coexist" `Quick
+            same_shard_entries_coexist;
+          Alcotest.test_case "a large entry is stored" `Quick
+            large_entry_is_stored;
+          Alcotest.test_case "an over-budget stream stays within" `Quick
+            over_budget_stream_stays_within;
+          Alcotest.test_case "generation moves on mutation" `Quick
+            generation_moves_on_mutation;
+        ] );
+      ( "render replay",
+        [
+          Alcotest.test_case "byte-identical across flags" `Quick
+            render_replay_byte_identical;
+          Alcotest.test_case "a render hit keeps the program" `Quick
+            render_replay_keeps_program;
+          Alcotest.test_case "two domains decode one program" `Quick
+            concurrent_decode;
         ] );
     ]

@@ -634,6 +634,127 @@ let persistence_failpoint_sweep () =
         sites)
 
 (* ------------------------------------------------------------------ *)
+(* The warm --cache-file path                                          *)
+(* ------------------------------------------------------------------ *)
+
+let file_identity path =
+  let st = Unix.stat path in
+  (st.Unix.st_ino, st.Unix.st_mtime, read_file path)
+
+(* A warm batch in which every file hits leaves the snapshot exactly as
+   it was — same bytes, same inode, same mtime — and prints the same
+   output as --no-cache.  Editing one input makes the next run miss
+   once, and that run rewrites the snapshot. *)
+let warm_run_leaves_snapshot_unwritten () =
+  in_temp_dir (fun dir ->
+      let files = corpus_files dir 3 in
+      let snap = Filename.concat dir "warm.snap" in
+      let out n = Filename.concat dir n in
+      let err = Filename.concat dir "err.txt" in
+      let expand ?(extra = "") name =
+        let code =
+          run_ms2c
+            (Printf.sprintf "expand --jobs 2 %s %s" extra (quoted_list files))
+            ~out:(out name) ~err
+        in
+        Alcotest.(check int) (name ^ ": exit") 0 code;
+        read_file err
+      in
+      ignore (expand "ref.c" ~extra:"--no-cache");
+      ignore (expand "prime.c" ~extra:("--cache-file " ^ quote snap));
+      let before = file_identity snap in
+      let stats =
+        expand "warm.c" ~extra:("--stats --cache-file " ^ quote snap)
+      in
+      check_contains ~msg:"every file hits" ~sub:"cache misses: 0\n" stats;
+      check_contains ~msg:"the save is skipped"
+        ~sub:"cache snapshot: unchanged, not rewritten\n" stats;
+      Alcotest.(check bool) "snapshot untouched" true
+        (file_identity snap = before);
+      Alcotest.(check string) "warm output is byte-identical to --no-cache"
+        (read_file (out "ref.c")) (read_file (out "warm.c"));
+      write_file (List.hd files) (read_file (List.hd files) ^ "int edited;\n");
+      let stats =
+        expand "edited.c" ~extra:("--stats --cache-file " ^ quote snap)
+      in
+      check_contains ~msg:"the edited file misses" ~sub:"cache misses: 1\n"
+        stats;
+      check_contains ~msg:"and is saved" ~sub:"cache snapshot: saved 4 entries"
+        stats;
+      Alcotest.(check bool) "snapshot rewritten" true
+        (file_identity snap <> before))
+
+(* --trace-out shows the snapshot load and save on a track of their own,
+   after the input files' tracks. *)
+let snapshot_spans_traced () =
+  in_temp_dir (fun dir ->
+      let files = corpus_files dir 2 in
+      let snap = Filename.concat dir "warm.snap" in
+      let trace = Filename.concat dir "trace.json" in
+      let code =
+        run_ms2c
+          (Printf.sprintf "expand --cache-file %s --trace-out %s %s"
+             (quote snap) (quote trace) (quoted_list files))
+          ~out:(Filename.concat dir "out.c")
+          ~err:(Filename.concat dir "err.txt")
+      in
+      Alcotest.(check int) "exit" 0 code;
+      let events =
+        match Json.parse (read_file trace) with
+        | Ok j -> (
+            match Option.bind (Json.member j "traceEvents") Json.list with
+            | Some l -> l
+            | None -> Alcotest.fail "no traceEvents")
+        | Error e -> Alcotest.failf "trace is not JSON: %s" e
+      in
+      let field name e = Option.bind (Json.member e name) Json.str in
+      let pid e = Option.bind (Json.member e "pid") Json.int in
+      let driver =
+        List.find_map
+          (fun e ->
+            match Option.bind (Json.member e "args") (field "name") with
+            | Some "driver" -> pid e
+            | _ -> None)
+          events
+      in
+      Alcotest.(check (option int)) "the driver track follows the 2 files"
+        (Some 2) driver;
+      let spans =
+        List.filter_map
+          (fun e -> if pid e = driver then field "name" e else None)
+          events
+      in
+      Alcotest.(check bool) "load and save spans" true
+        (List.mem "load" spans && List.mem "save" spans))
+
+(* The same file twice under --jobs 2 --semantic-check: both domains hit
+   one restored entry and force its program at once. *)
+let warm_semantic_check_shares_decode () =
+  in_temp_dir (fun dir ->
+      let file = List.hd (corpus_files dir 1) in
+      let snap = Filename.concat dir "warm.snap" in
+      let args extra =
+        Printf.sprintf "expand --jobs 2 --semantic-check %s %s %s" extra
+          (quote file) (quote file)
+      in
+      let out n = Filename.concat dir n in
+      let err = Filename.concat dir "err.txt" in
+      let run name extra =
+        Alcotest.(check int) (name ^ ": exit") 0
+          (run_ms2c (args extra) ~out:(out name) ~err)
+      in
+      run "ref.c" "--no-cache";
+      run "prime.c" ("--cache-file " ^ quote snap);
+      for i = 1 to 5 do
+        let name = Printf.sprintf "warm%d.c" i in
+        run name ("--stats --cache-file " ^ quote snap);
+        check_contains ~msg:"both replay" ~sub:"cache hits: 2\n"
+          (read_file err);
+        Alcotest.(check string) "byte-identical" (read_file (out "ref.c"))
+          (read_file (out name))
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* Daemon: corrupted --cache-file and pidfile reclaim                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -828,6 +949,13 @@ let () =
             resume_requires_journal;
           Alcotest.test_case "persistence failpoint sweep" `Quick
             persistence_failpoint_sweep ] );
+      ( "warm path",
+        [ Alcotest.test_case "an all-hit run does not rewrite" `Quick
+            warm_run_leaves_snapshot_unwritten;
+          Alcotest.test_case "--semantic-check decodes a shared entry" `Quick
+            warm_semantic_check_shares_decode;
+          Alcotest.test_case "snapshot spans on the driver track" `Quick
+            snapshot_spans_traced ] );
       ( "daemon",
         [ Alcotest.test_case "corrupt --cache-file stays healthy" `Quick
             daemon_survives_corrupt_cache_file;
