@@ -84,11 +84,12 @@ type stats = {
 }
 
 type t = {
-  macros : (string, State.macro_sig) Hashtbl.t;
-      (** signatures, shared with every parser state the engine creates *)
-  compiled : (string, State.compiled_pattern) Hashtbl.t;
+  macros : State.macro_sig Smap.t ref;
+      (** signatures; the ref is shared with every parser state the
+          engine creates, so a parse registers into the engine's map *)
+  compiled : State.compiled_pattern Smap.t ref;
       (** compiled invocation parsers, likewise shared *)
-  defs : (string, macro_def) Hashtbl.t;
+  mutable defs : macro_def Smap.t;
   tenv : Tenv.t;
   env : Value.env;  (** persistent global meta environment *)
   senv : Senv.t;
@@ -118,24 +119,20 @@ type t = {
       (** moved on every macro-table mutation the engine performs
           (definition registration, rollback).  Equal versions imply
           equal table contents at fragment boundaries, which is what
-          lets the expansion-cache key and the memoized {!fingerprint}
-          summarize the tables by a single integer.  Versions are
-          allocated from a process-global atomic counter (see
-          {!fresh_version}) so the implication holds across {e all}
-          engines, not just within one — the precondition for sharing a
-          cache store between the per-file engines of
+          lets the expansion-cache key summarize the tables by a single
+          integer.  Versions are allocated from a process-global atomic
+          counter (see {!fresh_version}) so the implication holds across
+          {e all} engines, not just within one — the precondition for
+          sharing a cache store between the per-file engines of
           [--jobs-mode=domains].  Version [0] is reserved for the
           pristine empty tables every fresh engine starts with *)
-  mutable fp_tables_memo : (int * string) option;
-      (** memoized macro-tables section of {!fingerprint}, keyed by
-          [defs_version] (the dirty flag) *)
   cache : cached_run Cache.t option;  (** [None] = caching disabled *)
 }
 
 (** What a cache hit replays: the produced program, the post-run session
     state (a checkpoint — restoring it {e is} the state delta, replayed
-    through the same rollback machinery the transaction layer uses), and
-    the run's resource/statistics deltas. *)
+    through the same rollback the transaction layer uses), and the run's
+    resource/statistics deltas. *)
 and cached_run = {
   ca_program : stored_program;
   ca_rendered : Pretty.result option Atomic.t array;
@@ -189,20 +186,21 @@ and program_state =
    attempt leaked into diagnostics), stats, fuel consumed, and recorded
    diagnostics (the whole point of the rollback is to keep them).
 
-   Rollback restores the engine's tables IN PLACE (reset + re-add)
-   because parser states created before the checkpoint alias the same
-   table objects; swapping in fresh tables would silently detach them.
-   The checkpoint's own copies are never mutated, so one checkpoint
-   supports any number of rollbacks. *)
+   Every table but the global meta scope is an immutable map, so a
+   checkpoint is the maps themselves and a rollback stores them back:
+   nothing is copied, and a checkpoint shares its structure with the
+   live session and with every other checkpoint.  The global meta scope
+   is a table of refs the interpreter assigns through, so it alone is
+   copied, as a list of its values. *)
 and checkpoint = {
-  cp_macros : (string, State.macro_sig) Hashtbl.t;
-  cp_compiled : (string, State.compiled_pattern) Hashtbl.t;
-  cp_defs : (string, macro_def) Hashtbl.t;
-  cp_tenv : Tenv.t;
+  cp_macros : State.macro_sig Smap.t;
+  cp_compiled : State.compiled_pattern Smap.t;
+  cp_defs : macro_def Smap.t;
+  cp_tenv : Mtype.t Smap.t list;  (** the {!Tenv} scope stack *)
   cp_globals : (string * Value.t) list;
       (** global meta bindings, deref'd — {!Value.t} is structurally
           immutable, so a shallow capture is a deep one *)
-  cp_senv : Senv.t;
+  cp_senv : Senv.tables;
   cp_version : int;
       (** [defs_version] at capture.  Rollback restores it rather than
           bumping: content at a given version is unique (every mutation
@@ -255,7 +253,7 @@ let with_invocation_budget (t : t) (f : unit -> 'a) : 'a =
 let expand_invocation (t : t) (inv : invocation) : Value.t =
   let loc = inv.inv_loc in
   Failpoint.hit ~watchdog:t.watchdog ~loc "engine/invoke";
-  match Hashtbl.find_opt t.defs inv.inv_name.id_name with
+  match Smap.find_opt inv.inv_name.id_name t.defs with
   | None ->
       error ~loc "macro %s is declared but has no recorded definition"
         inv.inv_name.id_name
@@ -399,9 +397,9 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
   env.Value.semantic <- Some senv;
   let t =
     {
-      macros = Hashtbl.create 16;
-      compiled = Hashtbl.create 16;
-      defs = Hashtbl.create 16;
+      macros = ref Smap.empty;
+      compiled = ref Smap.empty;
+      defs = Smap.empty;
       tenv = Tenv.create ();
       env;
       senv;
@@ -422,7 +420,6 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
           frag_abort_gensym_mint = 0; frag_abort_meta_decl = 0;
           frag_abort_stale_read = 0; frag_abort_foreign_closure = 0 };
       defs_version = 0;
-      fp_tables_memo = None;
       cache =
         (if not cache then None
          else
@@ -451,27 +448,23 @@ let global_scope (t : t) : (string, Value.t ref) Hashtbl.t =
 
 let checkpoint (t : t) : checkpoint =
   {
-    cp_macros = Hashtbl.copy t.macros;
-    cp_compiled = Hashtbl.copy t.compiled;
-    cp_defs = Hashtbl.copy t.defs;
-    cp_tenv = Tenv.copy t.tenv;
+    cp_macros = !(t.macros);
+    cp_compiled = !(t.compiled);
+    cp_defs = t.defs;
+    cp_tenv = t.tenv.Tenv.scopes;
     cp_globals =
       Hashtbl.fold (fun name r acc -> (name, !r) :: acc) (global_scope t) [];
-    cp_senv = Senv.snapshot t.senv;
+    cp_senv = Senv.tables t.senv;
     cp_version = t.defs_version;
   }
-
-let restore_table dst src =
-  Hashtbl.reset dst;
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
 
 let rollback (t : t) (cp : checkpoint) : unit =
   (* restore, not bump: see [cp_version] *)
   t.defs_version <- cp.cp_version;
-  restore_table t.macros cp.cp_macros;
-  restore_table t.compiled cp.cp_compiled;
-  restore_table t.defs cp.cp_defs;
-  Tenv.restore t.tenv cp.cp_tenv;
+  t.macros := cp.cp_macros;
+  t.compiled := cp.cp_compiled;
+  t.defs <- cp.cp_defs;
+  t.tenv.Tenv.scopes <- cp.cp_tenv;
   let global = global_scope t in
   Hashtbl.reset global;
   List.iter (fun (name, v) -> Hashtbl.replace global name (ref v))
@@ -479,36 +472,16 @@ let rollback (t : t) (cp : checkpoint) : unit =
   (* also unwinds scopes a mid-fragment abort left open *)
   t.env.Value.scopes <- [ global ];
   t.env.Value.provenance := Loc.User;
-  Senv.restore t.senv cp.cp_senv
+  Senv.set_tables t.senv cp.cp_senv
 
 (** A structural digest of the rollback-covered session state, for
     asserting the rollback invariant in tests.  Values are summarized by
-    name and type (closures have no structural identity).
-
-    The macro-tables section is memoized under [defs_version] as the
-    dirty flag: every engine-side table mutation (registration,
-    rollback) bumps the version, so the sorted-name lists are only
-    rebuilt when the tables actually changed.  The parser registers
-    signatures directly into the shared tables {e during} a fragment
-    parse; every such mid-fragment mutation is followed by either a
-    definition registration or a rollback before [expand_source]
-    returns, so the memo is valid whenever fingerprints are taken at
-    fragment boundaries (the only supported use). *)
+    name and type (closures have no structural identity). *)
 let fingerprint (t : t) : string =
+  let names map = String.concat "," (List.map fst (Smap.bindings map)) in
   let tables =
-    match t.fp_tables_memo with
-    | Some (version, s) when version = t.defs_version -> s
-    | _ ->
-        let names tbl =
-          Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-          |> List.sort compare |> String.concat ","
-        in
-        let s =
-          Printf.sprintf "macros=[%s] compiled=[%s] defs=[%s]"
-            (names t.macros) (names t.compiled) (names t.defs)
-        in
-        t.fp_tables_memo <- Some (t.defs_version, s);
-        s
+    Printf.sprintf "macros=[%s] compiled=[%s] defs=[%s]" (names !(t.macros))
+      (names !(t.compiled)) (names t.defs)
   in
   let globals =
     Hashtbl.fold
@@ -567,11 +540,14 @@ let register_macro_def (t : t) (md : macro_def) : unit =
   in
   t.stats.macros_defined <- t.stats.macros_defined + 1;
   t.defs_version <- fresh_version ();
-  Hashtbl.replace t.defs name md;
-  Hashtbl.replace t.macros name
-    { State.sig_ret = md.m_ret; sig_pattern = md.m_pattern };
+  t.defs <- Smap.add name md t.defs;
+  t.macros :=
+    Smap.add name
+      { State.sig_ret = md.m_ret; sig_pattern = md.m_pattern }
+      !(t.macros);
   if t.compile_patterns then
-    Hashtbl.replace t.compiled name (Parser.compile_pattern md.m_pattern)
+    t.compiled :=
+      Smap.add name (Parser.compile_pattern md.m_pattern) !(t.compiled)
 
 let check_depth t ~loc depth =
   if depth > t.limits.Limits.max_depth then
@@ -871,10 +847,11 @@ let expand_program (t : t) (prog : program) : program =
    conservatively classifies each fragment.  Definition-bearing
    fragments are sequential *barriers*; runs of pure-invocation
    fragments between barriers expand speculatively on the work-stealing
-   pool against snapshot-isolated per-domain engines, and their results
-   commit *in fragment order* on the main engine — or are discarded and
-   re-expanded sequentially when commit-time validation finds the
-   speculation observed state a predecessor has since changed.  The
+   pool, on per-domain engines that adopt the run-start maps, and their
+   results commit *in fragment order* on the main engine — or are
+   discarded and re-expanded sequentially when commit-time validation
+   finds the speculation observed state a predecessor has since
+   changed.  The
    output is byte-identical to a sequential run by construction: every
    committed result is proven equivalent to what the sequential walk
    would have produced, and everything else *is* the sequential walk.
@@ -1500,8 +1477,9 @@ let cache_key (t : t) ~source (text : string) : (string, bypass) result =
   else if Failpoint.armed () then Error Bypass_failpoints
   else
     match
-      Cache.key ~defs_version:t.defs_version ~env:t.env ~tenv:t.tenv
-        ~senv:t.senv ~limits:t.limits ~flags:(cache_flags t) ~source text
+      Obs.with_span ~cat:"cache" "key" (fun () ->
+          Cache.key ~defs_version:t.defs_version ~env:t.env ~tenv:t.tenv
+            ~senv:t.senv ~limits:t.limits ~flags:(cache_flags t) ~source text)
     with
     | key -> Ok key
     | exception Cache.Uncacheable -> Error Bypass_uncacheable
@@ -1527,10 +1505,9 @@ let program_of (p : stored_program) : program =
               prog)
 
 (* Replay a cached run: register the source with the diagnostic registry
-   (the lexer would have), restore the recorded post-run session state —
-   through the same in-place rollback the transaction layer uses, so
-   aliasing parser states stay attached — and apply the run's resource
-   and statistics deltas. *)
+   (the lexer would have), restore the recorded post-run session state
+   through the same rollback the transaction layer uses, and apply the
+   run's resource and statistics deltas. *)
 let replay (t : t) (e : cached_run) ~source (text : string) : unit =
   Obs.with_span ~cat:"cache"
     ~args:(fun () ->
@@ -1637,9 +1614,9 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                 Obs.with_span ~cat:"cache" "store" (fun () ->
                 (* entry weight estimate: the parsed-and-expanded
                    program scales with the fragment text and the nodes
-                   the templates produced; the checkpoint's table spines
-                   are a near-constant (their contents are shared with
-                   the live session).  Walking the real structure with
+                   the templates produced; the checkpoint's maps are
+                   shared with the live session, all but the paths this
+                   run rewrote.  Walking the real structure with
                    [Obj.reachable_words] here would cost more than the
                    rest of the store path combined.  The first render is
                    charged when it is attached ({!remember_render}). *)
@@ -1770,9 +1747,6 @@ let cache_evictions (t : t) : int =
    - Meta globals can hold closures ([Vclosure] captures the engine
      through [env.expand_invocation]); such entries fail to marshal and
      are skipped at save time, counted in [sv_skipped].
-   - Interned symbols lose pointer identity under [Marshal]; the Tenv
-     and Senv tables inside each checkpoint are rebuilt by re-interning
-     every key ({!Tenv.rehydrate} / {!Senv.rehydrate}).
    - Gensym state needs no persistence by construction: the engine
      never stores a run that minted generated names or anonymous tags,
      and diagnosed runs are never stored either.
@@ -1809,7 +1783,7 @@ let cache_evictions (t : t) : int =
    a fork sibling of the same base). *)
 
 let snapshot_magic = "MS2SNAP\001"
-let snapshot_format_version = 3
+let snapshot_format_version = 4
 
 (* 128 self-seeded bits fixed at startup, so two unrelated processes
    cannot collide; the pid mixed in per call distinguishes fork
@@ -1862,14 +1836,13 @@ let entry_record (run : cached_run) ~key ~size : persisted_entry =
   {
     pe_key = key;
     pe_size = size;
-    pe_compiled =
-      Hashtbl.fold (fun name _ acc -> name :: acc) cp.cp_compiled [];
+    pe_compiled = List.map fst (Smap.bindings cp.cp_compiled);
     pe_run =
       {
         run with
         ca_program = no_program;
         ca_rendered = [||];
-        ca_post = { cp with cp_compiled = Hashtbl.create 1 };
+        ca_post = { cp with cp_compiled = Smap.empty };
       };
     pe_rendered = Array.map Atomic.get run.ca_rendered;
   }
@@ -2025,22 +1998,22 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
         | pe -> (pe, Encoded { raw; off; len; digest }))
       records )
 
-(* Rebuild what [Marshal] could not carry; [None] drops the entry. *)
-let rehydrate_entry ((pe, program) : persisted_entry * program_state) :
+(* Recompile the patterns [Marshal] could not carry; [None] drops the
+   entry. *)
+let recompile_entry ((pe, program) : persisted_entry * program_state) :
     (string * int * cached_run) option =
   let cp = pe.pe_run.ca_post in
-  let compiled = Hashtbl.create (max 4 (List.length pe.pe_compiled)) in
   match
-    List.iter
-      (fun name ->
-        match Hashtbl.find_opt cp.cp_defs name with
+    List.fold_left
+      (fun compiled name ->
+        match Smap.find_opt name cp.cp_defs with
         | None -> raise Exit
         | Some md ->
-            Hashtbl.replace compiled name (Parser.compile_pattern md.m_pattern))
-      pe.pe_compiled
+            Smap.add name (Parser.compile_pattern md.m_pattern) compiled)
+      Smap.empty pe.pe_compiled
   with
   | exception _ -> None
-  | () ->
+  | compiled ->
       Some
         ( pe.pe_key,
           pe.pe_size,
@@ -2048,13 +2021,7 @@ let rehydrate_entry ((pe, program) : persisted_entry * program_state) :
             pe.pe_run with
             ca_program = Atomic.make program;
             ca_rendered = Array.map Atomic.make pe.pe_rendered;
-            ca_post =
-              {
-                cp with
-                cp_compiled = compiled;
-                cp_tenv = Tenv.rehydrate cp.cp_tenv;
-                cp_senv = Senv.rehydrate cp.cp_senv;
-              };
+            ca_post = { cp with cp_compiled = compiled };
           } )
 
 let entry_versions (run : cached_run) : int list =
@@ -2108,8 +2075,8 @@ let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
         | exception Corrupt msg -> degraded (Printf.sprintf "%s: %s" path msg)
         | exception _ -> degraded (path ^ ": unreadable snapshot")
         | file_gen, high_water, raw_entries ->
-            let rehydrated = List.filter_map rehydrate_entry raw_entries in
-            let broken = List.length raw_entries - List.length rehydrated in
+            let recompiled = List.filter_map recompile_entry raw_entries in
+            let broken = List.length raw_entries - List.length recompiled in
             let accepted =
               if file_gen = generation () then begin
                 (* even on the trusted path, never leave the counter
@@ -2126,16 +2093,16 @@ let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
                   then reserve ()
                 in
                 reserve ();
-                rehydrated
+                recompiled
               end
-              else adopt_versions rehydrated
+              else adopt_versions recompiled
             in
             let empty_before = Cache.length cache = 0 in
             List.iter
               (fun (key, size, run) -> Cache.add cache ~size_bytes:size key run)
               accepted;
             let dropped =
-              broken + List.length rehydrated - List.length accepted
+              broken + List.length recompiled - List.length accepted
             in
             (* the store now holds exactly the file's entries — none
                dropped, none refused or evicted, nothing there before —

@@ -71,18 +71,20 @@ type checkpoint
     corrupt (macro tables, meta type environment, global meta
     environment, object-level symbol table).  Deliberately {e not}
     captured: the gensym counter (names stay burned across a rollback),
-    statistics, fuel already consumed, and recorded diagnostics.  A
-    checkpoint is never mutated, so one supports any number of
-    rollbacks. *)
+    statistics, fuel already consumed, and recorded diagnostics.  Every
+    captured table but the global meta scope is an immutable map, held
+    as is: a checkpoint shares its structure with the live session and
+    is never mutated, so one supports any number of rollbacks. *)
 
 type cached_run
 (** A stored expansion: the produced program, the post-run session state
     (replayed through the rollback machinery), and resource deltas. *)
 
 type t = {
-  macros : (string, State.macro_sig) Hashtbl.t;
-  compiled : (string, State.compiled_pattern) Hashtbl.t;
-  defs : (string, macro_def) Hashtbl.t;
+  macros : State.macro_sig Smap.t ref;
+      (** shared with every parser state the engine creates *)
+  compiled : State.compiled_pattern Smap.t ref;  (** likewise shared *)
+  mutable defs : macro_def Smap.t;
   tenv : Tenv.t;
   env : Value.env;  (** persistent global meta environment *)
   senv : Senv.t;  (** object-level symbol table (semantic macros) *)
@@ -104,9 +106,6 @@ type t = {
           implication holds across all engines in the process (version
           0 = pristine empty tables) — which is what makes a cache
           store shared between engines sound *)
-  mutable fp_tables_memo : (int * string) option;
-      (** memoized macro-tables section of {!fingerprint}, keyed by
-          [defs_version] *)
   cache : cached_run Cache.t option;  (** [None] = caching disabled *)
 }
 
@@ -144,15 +143,17 @@ val create :
 (** {1 Transactional checkpoints} *)
 
 val checkpoint : t -> checkpoint
+(** Reads the session's maps and copies the global meta scope's
+    bindings; its cost does not grow with the rest of the session. *)
 
 val rollback : t -> checkpoint -> unit
-(** Restore the engine — in place, so parser states sharing its tables
-    stay attached — to the captured state.  Also unwinds meta-env and
-    object-level scopes a mid-fragment abort left open, and restores
-    [defs_version] to its value at capture (table content at a given
-    version is unique, so returning to the tables is returning to the
-    version) — expansion-cache keys stay stable across the
-    rollback-per-request pattern of serve sessions. *)
+(** Store the captured maps back into the engine (parser states see
+    them through the shared refs) and refill the global meta scope.
+    Also unwinds meta-env and object-level scopes a mid-fragment abort
+    left open, and restores [defs_version] to its value at capture
+    (table content at a given version is unique, so returning to the
+    tables is returning to the version) — expansion-cache keys stay
+    stable across the rollback-per-request pattern of serve sessions. *)
 
 val fingerprint : t -> string
 (** A structural digest of the rollback-covered session state, for
@@ -188,8 +189,8 @@ val expand_source :
     parallelism on a cache miss: the file is split into top-level
     fragments, definition-bearing fragments expand sequentially as
     barriers, and runs of pure-invocation fragments between barriers
-    expand speculatively on [fragment_jobs] domains against
-    snapshot-isolated engine copies, committing in fragment order.  A
+    expand speculatively on [fragment_jobs] domains, each on its own
+    engine set to the run-start state, committing in fragment order.  A
     speculation whose reads turn out stale at commit time is discarded
     and re-expanded sequentially, so the output — bytes, diagnostics,
     diagnostic order, first-fatal behavior, resource accounting — is

@@ -5,36 +5,37 @@
     since C tags share one file-scope namespace per kind in our subset —
     struct/union field layouts.
 
-    All tables are keyed by interned symbols ({!Ms2_support.Intern}):
-    the analyzer probes these environments for every identifier and
-    member access it sees, so lookups resolve with a cached hash and
-    pointer-equality bucket scans.  Field layouts keep their declared
-    order (the public [(string * Ctype.t) list] view) alongside an
-    interned-key index so [field_type] is a hash probe rather than an
-    association-list walk — wide structs made the linear scan a real
-    cost. *)
+    Every table is an immutable map keyed by spelling, gathered in one
+    immutable {!tables} value: the engine checkpoints the environment by
+    keeping that value and rolls back by storing it again, and a cache
+    entry's post-state shares all but the changed paths with the live
+    session.  Field layouts keep their declared order (the public
+    [(string * Ctype.t) list] view) alongside a field index, so
+    [field_type] is a map lookup rather than an association-list walk —
+    wide structs made the linear scan a real cost. *)
 
-module Intern = Ms2_support.Intern
+module Smap = Ms2_support.Smap
 
-type scope = {
-  vars : Ctype.t Intern.Tbl.t;
-  typedefs : Ctype.t Intern.Tbl.t;
-}
+type scope = { vars : Ctype.t Smap.t; typedefs : Ctype.t Smap.t }
 
 (** A struct/union layout: declared field order plus a lookup index. *)
 type layout = {
   fields : (string * Ctype.t) list;  (** declared order, public view *)
-  index : Ctype.t Intern.Tbl.t;  (** field symbol → type *)
+  index : Ctype.t Smap.t;  (** field name → type *)
+}
+
+type tables = {
+  scopes : scope list;  (** innermost first *)
+  layouts : layout Smap.t;  (** struct/union tag → field layout *)
 }
 
 type t = {
-  mutable scopes : scope list;
-  layouts : layout Intern.Tbl.t;  (** struct/union tag → field layout *)
+  mutable tables : tables;
   mutable anon_counter : int;  (** names for anonymous tags *)
   (* Read/write odometers for the speculative fragment commit protocol
-     (see engine.ml): a speculative fragment expanded against a snapshot
-     is only committable when either it read nothing from a table kind,
-     or nothing of that kind was written since the snapshot.  The
+     (see engine.ml): a speculative fragment expanded against the
+     run-start tables is only committable when either it read nothing
+     from a table kind, or nothing of that kind was written since.  The
      counters are monotonic (like [anon_counter]) and never rolled back;
      callers measure deltas.  Writes count only top-scope mutations —
      function-local scopes are popped before a fragment boundary, so
@@ -47,13 +48,11 @@ type t = {
   mutable writes_layouts : int;
 }
 
-let new_scope () =
-  { vars = Intern.Tbl.create 16; typedefs = Intern.Tbl.create 4 }
+let empty_scope = { vars = Smap.empty; typedefs = Smap.empty }
 
 let create () =
   {
-    scopes = [ new_scope () ];
-    layouts = Intern.Tbl.create 16;
+    tables = { scopes = [ empty_scope ]; layouts = Smap.empty };
     anon_counter = 0;
     reads_vars = 0;
     reads_typedefs = 0;
@@ -63,47 +62,22 @@ let create () =
     writes_layouts = 0;
   }
 
-let push_scope t = t.scopes <- new_scope () :: t.scopes
+let tables t = t.tables
+let set_tables t tables = t.tables <- tables
+
+let push_scope t =
+  t.tables <- { t.tables with scopes = empty_scope :: t.tables.scopes }
 
 let pop_scope t =
-  match t.scopes with
+  match t.tables.scopes with
   | [] | [ _ ] -> invalid_arg "Senv.pop_scope: global scope"
-  | _ :: rest -> t.scopes <- rest
+  | _ :: rest -> t.tables <- { t.tables with scopes = rest }
 
 let with_scope t f =
   push_scope t;
   Fun.protect ~finally:(fun () -> pop_scope t) f
 
-let copy_scope s =
-  { vars = Intern.Tbl.copy s.vars; typedefs = Intern.Tbl.copy s.typedefs }
-
-(** A deep snapshot for transactional rollback.  [anon_counter] is
-    captured but deliberately not restored: anonymous-tag names must stay
-    fresh across a rollback or a re-expansion could collide with layouts
-    recorded by the aborted attempt.  Layout records are immutable once
-    built, so sharing them between snapshot and original is safe. *)
-let snapshot t : t =
-  {
-    scopes = List.map copy_scope t.scopes;
-    layouts = Intern.Tbl.copy t.layouts;
-    anon_counter = t.anon_counter;
-    reads_vars = 0;
-    reads_typedefs = 0;
-    reads_layouts = 0;
-    writes_vars = 0;
-    writes_typedefs = 0;
-    writes_layouts = 0;
-  }
-
-(** Reset [t] in place to [snap] (which is never mutated).  In place
-    because the engine hands the same [t] to every expansion. *)
-let restore t (snap : t) =
-  t.scopes <- List.map copy_scope snap.scopes;
-  Intern.Tbl.reset t.layouts;
-  Intern.Tbl.iter (fun tag layout -> Intern.Tbl.replace t.layouts tag layout)
-    snap.layouts
-
-let depth t = List.length t.scopes
+let depth t = List.length t.tables.scopes
 
 let fresh_tag t =
   t.anon_counter <- t.anon_counter + 1;
@@ -111,44 +85,47 @@ let fresh_tag t =
 
 let anon_count t = t.anon_counter
 
-let add_var t name ty =
-  match t.scopes with
-  | [ top ] ->
-      t.writes_vars <- t.writes_vars + 1;
-      Intern.Tbl.replace top.vars (Intern.intern name) ty
-  | scope :: _ -> Intern.Tbl.replace scope.vars (Intern.intern name) ty
+(* Replace the innermost scope by [f] of it; [true] when that scope is
+   the top (global) one, whose writes the odometers count. *)
+let update_scope t f : bool =
+  match t.tables.scopes with
+  | scope :: rest ->
+      t.tables <- { t.tables with scopes = f scope :: rest };
+      rest == []
   | [] -> assert false
 
+let add_var t name ty =
+  if update_scope t (fun s -> { s with vars = Smap.add name ty s.vars }) then
+    t.writes_vars <- t.writes_vars + 1
+
 let add_typedef t name ty =
-  match t.scopes with
-  | [ top ] ->
-      t.writes_typedefs <- t.writes_typedefs + 1;
-      Intern.Tbl.replace top.typedefs (Intern.intern name) ty
-  | scope :: _ -> Intern.Tbl.replace scope.typedefs (Intern.intern name) ty
-  | [] -> assert false
+  if
+    update_scope t (fun s ->
+        { s with typedefs = Smap.add name ty s.typedefs })
+  then t.writes_typedefs <- t.writes_typedefs + 1
 
 let add_layout t tag fields =
   t.writes_layouts <- t.writes_layouts + 1;
-  let index = Intern.Tbl.create (List.length fields * 2) in
-  List.iter
-    (fun (name, ty) ->
-      let sym = Intern.intern name in
-      (* first declaration of a duplicated field name wins, matching the
-         old [List.assoc_opt] front-to-back resolution *)
-      if not (Intern.Tbl.mem index sym) then Intern.Tbl.replace index sym ty)
-    fields;
-  Intern.Tbl.replace t.layouts (Intern.intern tag) { fields; index }
+  let index =
+    List.fold_left
+      (fun index (name, ty) ->
+        (* first declaration of a duplicated field name wins, matching the
+           old [List.assoc_opt] front-to-back resolution *)
+        if Smap.mem name index then index else Smap.add name ty index)
+      Smap.empty fields
+  in
+  t.tables <-
+    { t.tables with layouts = Smap.add tag { fields; index } t.tables.layouts }
 
 let find tbl_of t name =
-  let sym = Intern.intern name in
   let rec go = function
     | [] -> None
     | scope :: rest -> (
-        match Intern.Tbl.find_opt (tbl_of scope) sym with
+        match Smap.find_opt name (tbl_of scope) with
         | Some v -> Some v
         | None -> go rest)
   in
-  go t.scopes
+  go t.tables.scopes
 
 let find_var t name =
   t.reads_vars <- t.reads_vars + 1;
@@ -160,18 +137,18 @@ let find_typedef t name =
 
 let find_layout t tag =
   t.reads_layouts <- t.reads_layouts + 1;
-  match Intern.Tbl.find_opt t.layouts (Intern.intern tag) with
+  match Smap.find_opt tag t.tables.layouts with
   | Some layout -> Some layout.fields
   | None -> None
 
 (** Field type within a struct/union, [Unknown] when the layout (or the
-    field) is unknown.  One interned-key probe, independent of width. *)
+    field) is unknown. *)
 let field_type t tag field : Ctype.t =
   t.reads_layouts <- t.reads_layouts + 1;
-  match Intern.Tbl.find_opt t.layouts (Intern.intern tag) with
+  match Smap.find_opt tag t.tables.layouts with
   | None -> Ctype.Unknown
   | Some layout -> (
-      match Intern.Tbl.find_opt layout.index (Intern.intern field) with
+      match Smap.find_opt field layout.index with
       | Some ty -> ty
       | None -> Ctype.Unknown)
 
@@ -182,42 +159,40 @@ let field_type t tag field : Ctype.t =
 let reads t = (t.reads_vars, t.reads_typedefs, t.reads_layouts)
 let writes t = (t.writes_vars, t.writes_typedefs, t.writes_layouts)
 
-(** The top-scope difference between [t] and the snapshot it was
-    restored from: what a speculative fragment wrote.  [None] when the
+(** The top-scope difference between [t] and the tables it was set
+    to: what a speculative fragment wrote.  [None] when the
     environments are not at a comparable fragment boundary (both must be
-    a single open scope).  Unchanged-layout detection is physical — a
-    [restore] shares layout records with its snapshot, so any entry the
-    fragment did not touch is the same record. *)
+    a single open scope).  Unchanged-binding detection is physical
+    first: a binding the fragment did not touch is the very value
+    [base] holds. *)
 type top_delta = {
   dl_vars : (string * Ctype.t) list;
   dl_typedefs : (string * Ctype.t) list;
   dl_layouts : (string * (string * Ctype.t) list) list;
 }
 
-let diff_top (t : t) ~(base : t) : top_delta option =
-  match (t.scopes, base.scopes) with
+let diff_top (t : t) ~(base : tables) : top_delta option =
+  match (t.tables.scopes, base.scopes) with
   | [ top ], [ base_top ] ->
-      let tbl_delta cur base =
-        Intern.Tbl.fold
-          (fun sym ty acc ->
-            match Intern.Tbl.find_opt base sym with
-            | Some ty0 when ty0 == ty || ty0 = ty -> acc
-            | _ -> (Intern.str sym, ty) :: acc)
-          cur []
+      let map_delta same cur base =
+        if cur == base then []
+        else
+          Smap.fold
+            (fun name v acc ->
+              match Smap.find_opt name base with
+              | Some v0 when same v0 v -> acc
+              | _ -> (name, v) :: acc)
+            cur []
       in
-      let dl_layouts =
-        Intern.Tbl.fold
-          (fun tag layout acc ->
-            match Intern.Tbl.find_opt base.layouts tag with
-            | Some l0 when l0 == layout -> acc
-            | _ -> (Intern.str tag, layout.fields) :: acc)
-          t.layouts []
-      in
+      let same_type ty0 ty = ty0 == ty || ty0 = ty in
       Some
         {
-          dl_vars = tbl_delta top.vars base_top.vars;
-          dl_typedefs = tbl_delta top.typedefs base_top.typedefs;
-          dl_layouts;
+          dl_vars = map_delta same_type top.vars base_top.vars;
+          dl_typedefs = map_delta same_type top.typedefs base_top.typedefs;
+          dl_layouts =
+            List.map
+              (fun (tag, layout) -> (tag, layout.fields))
+              (map_delta ( == ) t.tables.layouts base.layouts);
         }
   | _ -> None
 
@@ -232,74 +207,43 @@ let apply_top (t : t) (d : top_delta) : unit =
   List.iter (fun (name, ty) -> add_typedef t name ty) d.dl_typedefs;
   List.iter (fun (tag, fields) -> add_layout t tag fields) d.dl_layouts
 
-(** Rebuild an environment that went through [Marshal] (a cache
-    snapshot): unmarshalled symbols keep their spelling but lose pointer
-    identity with the live interner, and [Intern.Tbl] compares keys by
-    pointer.  Re-intern every key — scope vars/typedefs, the layout
-    table, and each layout's field index.  [Ctype.t] values and the
-    ordered field lists are pure data and survive marshalling as-is. *)
-let rehydrate (t : t) : t =
-  let rebuild tbl =
-    let fresh = Intern.Tbl.create (max 4 (Intern.Tbl.length tbl)) in
-    Intern.Tbl.iter
-      (fun sym v -> Intern.Tbl.replace fresh (Intern.intern (Intern.str sym)) v)
-      tbl;
-    fresh
-  in
-  let layouts = Intern.Tbl.create (max 16 (Intern.Tbl.length t.layouts)) in
-  Intern.Tbl.iter
-    (fun tag layout ->
-      Intern.Tbl.replace layouts
-        (Intern.intern (Intern.str tag))
-        { fields = layout.fields; index = rebuild layout.index })
-    t.layouts;
-  {
-    scopes =
-      List.map
-        (fun s -> { vars = rebuild s.vars; typedefs = rebuild s.typedefs })
-        t.scopes;
-    layouts;
-    anon_counter = t.anon_counter;
-    reads_vars = 0;
-    reads_typedefs = 0;
-    reads_layouts = 0;
-    writes_vars = 0;
-    writes_typedefs = 0;
-    writes_layouts = 0;
-  }
+(* The digest's text grows with the session and is rebuilt for every
+   cache key; one buffer per domain is reused, so a key does not leave a
+   freshly grown buffer of that size behind for the collector. *)
+let digest_buffer = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
 (** A deterministic digest of the whole environment (scope structure,
-    bindings, layouts), for content-addressed cache keys.  The
-    anonymous-tag counter is included: it feeds [fresh_tag], so two
-    states differing only in the counter can still produce different
-    output.  [Ctype.t] is pure data, so marshalling is faithful. *)
+    bindings, layouts), for content-addressed cache keys; every table is
+    written in key order.  The anonymous-tag counter is included: it
+    feeds [fresh_tag], so two states differing only in the counter can
+    still produce different output.  [Ctype.t] is pure data, so
+    marshalling is faithful. *)
 let digest (t : t) : string =
-  let b = Buffer.create 256 in
+  let b = Domain.DLS.get digest_buffer in
+  Buffer.clear b;
   let add_tbl label tbl =
     Buffer.add_string b label;
-    Intern.Tbl.fold (fun sym v acc -> (Intern.str sym, v) :: acc) tbl []
-    |> List.sort compare
-    |> List.iter (fun (name, ty) ->
-           Buffer.add_string b name;
-           Buffer.add_char b '=';
-           Buffer.add_string b (Marshal.to_string (ty : Ctype.t) []))
+    Smap.iter
+      (fun name ty ->
+        Buffer.add_string b name;
+        Buffer.add_char b '=';
+        Buffer.add_string b (Marshal.to_string (ty : Ctype.t) []))
+      tbl
   in
   List.iter
     (fun scope ->
       add_tbl "(vars" scope.vars;
       add_tbl ")(typedefs" scope.typedefs;
       Buffer.add_char b ')')
-    t.scopes;
+    t.tables.scopes;
   Buffer.add_string b "(layouts";
-  Intern.Tbl.fold
-    (fun tag layout acc -> (Intern.str tag, layout.fields) :: acc)
-    t.layouts []
-  |> List.sort compare
-  |> List.iter (fun (tag, fields) ->
-         Buffer.add_string b tag;
-         Buffer.add_char b '=';
-         Buffer.add_string b
-           (Marshal.to_string (fields : (string * Ctype.t) list) []));
+  Smap.iter
+    (fun tag layout ->
+      Buffer.add_string b tag;
+      Buffer.add_char b '=';
+      Buffer.add_string b
+        (Marshal.to_string (layout.fields : (string * Ctype.t) list) []))
+    t.tables.layouts;
   Buffer.add_char b ')';
   Buffer.add_string b (string_of_int t.anon_counter);
   Digest.string (Buffer.contents b)

@@ -9,13 +9,17 @@ val push_scope : t -> unit
 val pop_scope : t -> unit
 val with_scope : t -> (unit -> 'a) -> 'a
 
-val snapshot : t -> t
-(** A deep copy for transactional rollback; shares no mutable state. *)
+type tables
+(** The scopes and struct/union layouts: an immutable value, so the one
+    {!tables} returns is a checkpoint of them, and {!set_tables} puts it
+    back in O(1). *)
 
-val restore : t -> t -> unit
-(** [restore t snap] resets [t] in place to the state captured by
-    [snap].  The anonymous-tag counter is deliberately not rolled back
-    so tags stay fresh after an aborted expansion. *)
+val tables : t -> tables
+
+val set_tables : t -> tables -> unit
+(** Make [tables] the current scopes and layouts.  The anonymous-tag
+    counter and the odometers are not part of {!tables}: tags stay fresh
+    after a rollback, and the odometers stay monotonic. *)
 
 val depth : t -> int
 (** Number of open scopes (1 = just the global scope). *)
@@ -37,13 +41,13 @@ val find_layout : t -> string -> (string * Ctype.t) list option
 
 val field_type : t -> string -> string -> Ctype.t
 (** Field type within a tagged struct/union; [Unknown] when unknown.
-    Resolved through an interned-key index, so cost is independent of
-    the struct's width. *)
+    Resolved through a per-layout field index, so cost grows with the
+    log of the struct's width. *)
 
 (** {1 Speculative-commit support}
 
     The engine's intra-file fragment parallelism expands fragments
-    against snapshot-isolated copies of the environment and decides at
+    against the run-start {!tables} and decides at
     commit time whether the speculation was consistent.  These hooks
     expose what it needs: read/write odometers per table kind, and a
     diff/apply pair for the top scope. *)
@@ -59,11 +63,11 @@ val writes : t -> int * int * int
 
 type top_delta
 (** What a fragment wrote into the top scope (and the layout table),
-    relative to the snapshot it started from. *)
+    relative to the tables it started from. *)
 
-val diff_top : t -> base:t -> top_delta option
-(** [diff_top t ~base] — [base] must be the {!snapshot} [t] was
-    {!restore}d from; [None] when either side has scopes still open
+val diff_top : t -> base:tables -> top_delta option
+(** [diff_top t ~base] — [base] must be the {!tables} [t] was last
+    {!set_tables} to; [None] when either side has scopes still open
     (not at a fragment boundary). *)
 
 val delta_counts : top_delta -> int * int * int
@@ -72,12 +76,6 @@ val delta_counts : top_delta -> int * int * int
 val apply_top : t -> top_delta -> unit
 (** Replay a delta into [t]'s innermost scope, with the same replace
     semantics as the original bindings. *)
-
-val rehydrate : t -> t
-(** Rebuild an environment that went through [Marshal] (a cache
-    snapshot): re-interns every key (scopes, layouts, field indexes)
-    into fresh tables, restoring the pointer identity [Intern.Tbl]
-    lookups rely on.  The input is not mutated. *)
 
 val digest : t -> string
 (** Deterministic digest of the whole environment (scopes, bindings,

@@ -1139,10 +1139,10 @@ and parse_macro_def st : macro_def =
   (match name with
   | Ii_id name when not st.in_template ->
       register_macro st name.id_name { sig_ret = ret; sig_pattern = pattern };
-      if st.compile_patterns then
-        Hashtbl.replace st.compiled_patterns name.id_name
-          (compile_pattern pattern)
-      else Hashtbl.remove st.compiled_patterns name.id_name
+      st.compiled_patterns :=
+        if st.compile_patterns then
+          Smap.add name.id_name (compile_pattern pattern) !(st.compiled_patterns)
+        else Smap.remove name.id_name !(st.compiled_patterns)
   | Ii_id _ | Ii_splice _ -> ());
   let body =
     in_meta_mode st (fun () ->
@@ -1276,7 +1276,7 @@ and parse_invocation st (msig : macro_sig) : invocation =
   let l = loc st in
   Failpoint.hit ~watchdog:st.watchdog ~loc:l "parser/invocation";
   let name = expect_ident st in
-  let compiled = Hashtbl.find_opt st.compiled_patterns name.id_name in
+  let compiled = Smap.find_opt name.id_name !(st.compiled_patterns) in
   let actuals =
     (* the pattern-directed parse is a pipeline stage of its own in the
        trace: one span per invocation, labeled with the macro and

@@ -36,7 +36,7 @@ val compile_pattern : pattern -> State.compiled_pattern
 (** {1 String entry points} *)
 
 val program_of_string :
-  ?macros:(string, State.macro_sig) Hashtbl.t ->
+  ?macros:State.macro_sig Ms2_support.Smap.t ref ->
   ?tenv:Tenv.t ->
   ?source:string ->
   ?reject_reserved:bool ->
@@ -44,14 +44,14 @@ val program_of_string :
   program
 
 val expr_of_string :
-  ?macros:(string, State.macro_sig) Hashtbl.t ->
+  ?macros:State.macro_sig Ms2_support.Smap.t ref ->
   ?tenv:Tenv.t ->
   ?source:string ->
   string ->
   expr
 
 val meta_expr_of_string :
-  ?macros:(string, State.macro_sig) Hashtbl.t ->
+  ?macros:State.macro_sig Ms2_support.Smap.t ref ->
   ?tenv:Tenv.t ->
   ?source:string ->
   string ->
@@ -61,14 +61,14 @@ val meta_expr_of_string :
     variables that placeholders may mention. *)
 
 val stmt_of_string :
-  ?macros:(string, State.macro_sig) Hashtbl.t ->
+  ?macros:State.macro_sig Ms2_support.Smap.t ref ->
   ?tenv:Tenv.t ->
   ?source:string ->
   string ->
   stmt
 
 val decl_of_string :
-  ?macros:(string, State.macro_sig) Hashtbl.t ->
+  ?macros:State.macro_sig Ms2_support.Smap.t ref ->
   ?tenv:Tenv.t ->
   ?source:string ->
   string ->

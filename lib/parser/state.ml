@@ -24,7 +24,9 @@ type t = {
   toks : Token.located array;
   mutable pos : int;
   mutable typedef_scopes : (string, unit) Hashtbl.t list;
-  macros : (string, macro_sig) Hashtbl.t;
+  macros : macro_sig Smap.t ref;
+      (** the signatures in force; the ref is shared with the engine,
+          which rolls back by storing an earlier map into it *)
   tenv : Tenv.t;
   mutable in_template : bool;
       (** parsing object code inside a backquote: placeholders are live *)
@@ -35,9 +37,9 @@ type t = {
           end position).  This implements the paper's placeholder tokens:
           the "tokenizer" parses and types the [$]-expression once, and
           every parser routine can then look at its type. *)
-  compiled_patterns : (string, compiled_pattern) Hashtbl.t;
+  compiled_patterns : compiled_pattern Smap.t ref;
       (** specialized parse routines, keyed by macro name; shared with
-          the macro-signature table's lifetime *)
+          the engine like [macros] *)
   watchdog : Watchdog.t;
       (** wall-clock deadline, polled as tokens are consumed so a parse
           driven by a pathological pattern is bounded in time *)
@@ -54,13 +56,13 @@ let create ?macros ?tenv ?compiled ?watchdog (toks : Token.located array) : t
     toks;
     pos = 0;
     typedef_scopes = [ Hashtbl.create 16 ];
-    macros = (match macros with Some m -> m | None -> Hashtbl.create 16);
+    macros = (match macros with Some m -> m | None -> ref Smap.empty);
     tenv = (match tenv with Some e -> e | None -> Tenv.create ());
     in_template = false;
     in_meta = false;
     ph_cache = None;
     compiled_patterns =
-      (match compiled with Some c -> c | None -> Hashtbl.create 16);
+      (match compiled with Some c -> c | None -> ref Smap.empty);
     watchdog =
       (match watchdog with Some w -> w | None -> Watchdog.create ());
   }
@@ -139,9 +141,9 @@ let is_typedef_name st name =
 (* Macro table                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let find_macro st name : macro_sig option = Hashtbl.find_opt st.macros name
-let is_macro st name = Hashtbl.mem st.macros name
-let register_macro st name msig = Hashtbl.replace st.macros name msig
+let find_macro st name : macro_sig option = Smap.find_opt name !(st.macros)
+let is_macro st name = Smap.mem name !(st.macros)
+let register_macro st name msig = st.macros := Smap.add name msig !(st.macros)
 
 (* ------------------------------------------------------------------ *)
 (* Mode switches                                                       *)

@@ -22,13 +22,15 @@ type t = {
   toks : Token.located array;
   mutable pos : int;
   mutable typedef_scopes : (string, unit) Hashtbl.t list;
-  macros : (string, macro_sig) Hashtbl.t;
+  macros : macro_sig Smap.t ref;
+      (** the signatures in force; the ref is shared with the engine,
+          which rolls back by storing an earlier map into it *)
   tenv : Tenv.t;
   mutable in_template : bool;  (** placeholders are live *)
   mutable in_meta : bool;  (** templates, lambdas, meta decls are live *)
   mutable ph_cache : (int * (Ast.expr * Mtype.t) * int) option;
       (** the paper's placeholder tokens: (start, parsed+typed, end) *)
-  compiled_patterns : (string, compiled_pattern) Hashtbl.t;
+  compiled_patterns : compiled_pattern Smap.t ref;
   watchdog : Watchdog.t;
       (** wall-clock deadline, polled on every token consumed *)
 }
@@ -36,18 +38,18 @@ type t = {
 and compiled_pattern = t -> (string * Ast.actual) list
 
 val create :
-  ?macros:(string, macro_sig) Hashtbl.t ->
+  ?macros:macro_sig Smap.t ref ->
   ?tenv:Tenv.t ->
-  ?compiled:(string, compiled_pattern) Hashtbl.t ->
+  ?compiled:compiled_pattern Smap.t ref ->
   ?watchdog:Watchdog.t ->
   Token.located array ->
   t
 
 val of_string :
   ?origin:Ms2_support.Loc.origin ->
-  ?macros:(string, macro_sig) Hashtbl.t ->
+  ?macros:macro_sig Smap.t ref ->
   ?tenv:Tenv.t ->
-  ?compiled:(string, compiled_pattern) Hashtbl.t ->
+  ?compiled:compiled_pattern Smap.t ref ->
   ?watchdog:Watchdog.t ->
   ?source:string ->
   ?reject_reserved:bool ->

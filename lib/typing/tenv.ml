@@ -6,29 +6,18 @@
     ASTs" (paper, §3).  A [Tenv.t] holds exactly that knowledge: a stack
     of scopes mapping meta-variable names to {!Ms2_mtype.Mtype.t}.
 
-    Scopes are keyed by interned symbols ({!Ms2_support.Intern}): the
-    parser probes this environment for essentially every identifier it
-    sees, and the interned keys make each probe one cached-hash lookup
-    with pointer-equality bucket scans instead of re-hashing the
-    spelling. *)
+    Scopes are immutable maps keyed by spelling: the engine checkpoints
+    the environment by keeping the [scopes] list and rolls back by
+    storing it again, without copying a binding. *)
 
 module Mtype = Ms2_mtype.Mtype
-module Intern = Ms2_support.Intern
+module Smap = Ms2_support.Smap
 
-type t = { mutable scopes : Mtype.t Intern.Tbl.t list }
+type t = { mutable scopes : Mtype.t Smap.t list }
 
-let create () = { scopes = [ Intern.Tbl.create 16 ] }
+let create () = { scopes = [ Smap.empty ] }
 
-(** A snapshot usable for re-entrant parses: shares no mutable state with
-    the original. *)
-let copy t = { scopes = List.map Intern.Tbl.copy t.scopes }
-
-(** Reset [t] in place to the state captured by [snap].  In-place because
-    re-entrant parser states alias the same [t]; the snapshot itself is
-    never mutated, so it stays reusable. *)
-let restore t snap = t.scopes <- List.map Intern.Tbl.copy snap.scopes
-
-let push_scope t = t.scopes <- Intern.Tbl.create 16 :: t.scopes
+let push_scope t = t.scopes <- Smap.empty :: t.scopes
 
 let pop_scope t =
   match t.scopes with
@@ -41,20 +30,20 @@ let with_scope t f =
 
 let add t name ty =
   match t.scopes with
-  | scope :: _ -> Intern.Tbl.replace scope (Intern.intern name) ty
+  | scope :: rest -> t.scopes <- Smap.add name ty scope :: rest
   | [] -> assert false
 
 let add_global t name ty =
   match List.rev t.scopes with
-  | global :: _ -> Intern.Tbl.replace global (Intern.intern name) ty
+  | global :: inner ->
+      t.scopes <- List.rev (Smap.add name ty global :: inner)
   | [] -> assert false
 
 let find t name =
-  let sym = Intern.intern name in
   let rec go = function
     | [] -> None
     | scope :: rest -> (
-        match Intern.Tbl.find_opt scope sym with
+        match Smap.find_opt name scope with
         | Some ty -> Some ty
         | None -> go rest)
   in
@@ -62,38 +51,21 @@ let find t name =
 
 let mem t name = Option.is_some (find t name)
 
-(** Rebuild an environment that went through [Marshal] (a cache
-    snapshot): unmarshalled symbols keep their spelling but lose pointer
-    identity with the live interner, and [Intern.Tbl] compares keys by
-    pointer — every lookup against a stale key would miss.  Re-intern
-    every key into fresh tables.  [Mtype.t] values are pure data and
-    survive marshalling as-is. *)
-let rehydrate (t : t) : t =
-  let rebuild scope =
-    let fresh = Intern.Tbl.create (max 16 (Intern.Tbl.length scope)) in
-    Intern.Tbl.iter
-      (fun sym ty -> Intern.Tbl.replace fresh (Intern.intern (Intern.str sym)) ty)
-      scope;
-    fresh
-  in
-  { scopes = List.map rebuild t.scopes }
-
 (** A deterministic digest of the whole environment (scope structure,
-    names, types), for content-addressed cache keys.  [Mtype.t] is pure
-    data, so marshalling it is a faithful serialization. *)
+    names, types), for content-addressed cache keys.  Each scope is
+    written in key order.  [Mtype.t] is pure data, so marshalling it is
+    a faithful serialization. *)
 let digest (t : t) : string =
   let b = Buffer.create 256 in
   List.iter
     (fun scope ->
       Buffer.add_string b "(scope";
-      Intern.Tbl.fold
-        (fun sym ty acc -> (Intern.str sym, ty) :: acc)
-        scope []
-      |> List.sort compare
-      |> List.iter (fun (name, ty) ->
-             Buffer.add_string b name;
-             Buffer.add_char b '=';
-             Buffer.add_string b (Marshal.to_string (ty : Mtype.t) []));
+      Smap.iter
+        (fun name ty ->
+          Buffer.add_string b name;
+          Buffer.add_char b '=';
+          Buffer.add_string b (Marshal.to_string (ty : Mtype.t) []))
+        scope;
       Buffer.add_char b ')')
     t.scopes;
   Digest.string (Buffer.contents b)

@@ -4,17 +4,12 @@
 
 module Mtype = Ms2_mtype.Mtype
 
-type t
+type t = { mutable scopes : Mtype.t Ms2_support.Smap.t list }
+(** The scope stack, innermost first.  Each scope is an immutable map,
+    so the list read at any moment is a snapshot of the environment, and
+    writing one back restores it. *)
 
 val create : unit -> t
-
-val copy : t -> t
-(** A snapshot sharing no mutable state, for re-entrant parses. *)
-
-val restore : t -> t -> unit
-(** [restore t snap] resets [t] in place to the state captured by
-    [snap] (itself untouched, so one snapshot supports many restores). *)
-
 val push_scope : t -> unit
 val pop_scope : t -> unit
 val with_scope : t -> (unit -> 'a) -> 'a
@@ -25,12 +20,6 @@ val add : t -> string -> Mtype.t -> unit
 val add_global : t -> string -> Mtype.t -> unit
 val find : t -> string -> Mtype.t option
 val mem : t -> string -> bool
-
-val rehydrate : t -> t
-(** Rebuild an environment that went through [Marshal] (a cache
-    snapshot): re-interns every key into fresh tables, restoring the
-    pointer identity [Intern.Tbl] lookups rely on.  The input is not
-    mutated. *)
 
 val digest : t -> string
 (** Deterministic digest of the whole environment (scopes, names,

@@ -376,6 +376,140 @@ let concurrent_decode () =
     Alcotest.(check int) "decoded once" 1 (Obs.Metrics.value decodes - d0)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Differential: one engine shared by generated multi-file inputs      *)
+(* ------------------------------------------------------------------ *)
+
+(* The inputs of one seed: file 0 declares a [metadcl] counter and two
+   semantic macros; every file defines a macro that bumps the counter, a
+   typedef, a struct layout, an enum and a variable, then uses what it
+   or an earlier file defined.  Every use reads session state another
+   file wrote: macro tables, the meta global, typedefs, layouts, enum
+   and variable types.  Nothing mints generated names or anonymous
+   tags, so every unit is stored. *)
+let shared_engine_units seed : (string * string) list =
+  let rng = Random.State.make [| seed |] in
+  let pick n = Random.State.int rng n in
+  let scalars = [| "int"; "long"; "unsigned int"; "short"; "double" |] in
+  let fields = [| "int"; "char *"; "long *" |] in
+  List.init 4 (fun k ->
+      let b = Buffer.create 1024 in
+      let p fmt = Printf.bprintf b fmt in
+      if k = 0 then
+        p
+          "metadcl int ticks;\n\
+           syntax exp fmt_of {| ( $$exp::e ) |} {\n\
+           if (is_pointer(e)) return `(\"%%p\");\n\
+           return `(\"%%d\");\n\
+           }\n\
+           syntax stmt copyof {| ( $$id::v , $$id::c ) ; |} {\n\
+           return `{{$(exp_typespec(v)) $c = $v; use($c);}};\n\
+           }\n";
+      p
+        "syntax exp M%d {| ( $$exp::e ) |} {\n\
+         ticks = ticks + %d;\n\
+         return `($e + $(make_num(ticks)));\n\
+         }\n"
+        k (1 + pick 9);
+      p "typedef %s T%d;\n" scalars.(pick (Array.length scalars)) k;
+      p "struct S%d { int a; %s p; };\n" k fields.(pick (Array.length fields));
+      p "enum E%d { E%d_a, E%d_b };\n" k k k;
+      p "T%d v%d;\n" k k;
+      for i = 1 to 3 + pick 4 do
+        let j = pick (k + 1) in
+        match pick 4 with
+        | 0 -> p "int f%d_%d() { return M%d((%d)); }\n" k i j (pick 100)
+        | 1 ->
+            p
+              "int f%d_%d(struct S%d *s) {\n\
+               printf(fmt_of(s->p), s->p);\n\
+               return M%d((s->a));\n\
+               }\n"
+              k i j (pick (k + 1))
+        | 2 -> p "void f%d_%d() { copyof(v%d, c); }\n" k i j
+        | _ -> p "enum E%d e%d_%d = E%d_b;\n" j k i j
+      done;
+      (Printf.sprintf "unit%d.mc" k, Buffer.contents b))
+
+(* (output, fingerprint) after every unit *)
+let run_units engine units =
+  List.map
+    (fun (source, src) ->
+      let u = Ms2.Api.expand_unit engine ~source src in
+      Option.iter
+        (fun d -> Alcotest.failf "%s: %s" source (Diag.to_string d))
+        u.Ms2.Api.u_fatal;
+      (u.Ms2.Api.u_output, Engine.fingerprint engine))
+    units
+
+(* What a second session expands between two requests of the first: it
+   binds, in its own state, the names the first session's next unit
+   defines, with other meanings. *)
+let decoy k =
+  let n = k + 1 in
+  Printf.sprintf
+    "metadcl int decoy%d;\n\
+     syntax exp M%d {| ( $$exp::e ) |} { return `($e - 1); }\n\
+     typedef char T%d;\n\
+     struct S%d { char *a; int p; };\n\
+     int v%d;\n"
+    k n n n n
+
+(* Four ways through the same units must agree after every unit: cache
+   off; cache on; a snapshot of that cache loaded into a fresh store and
+   replayed; and a serve-style session that is rolled back to its
+   checkpoint before each request while another session moves the
+   engine in between. *)
+let shared_engine_differential () =
+  List.iter
+    (fun seed ->
+      let units = shared_engine_units seed in
+      let check label expected got =
+        List.iteri
+          (fun i ((out, fp), (out', fp')) ->
+            let what = Printf.sprintf "seed %d, %s, unit %d" seed label i in
+            Alcotest.(check string) (what ^ ": output") out out';
+            Alcotest.(check string) (what ^ ": fingerprint") fp fp')
+          (List.combine expected got)
+      in
+      let off = run_units (Ms2.Api.create_engine ~cache:false ()) units in
+      let store = Ms2.Api.create_shared_cache () in
+      check "cache on" off
+        (run_units (Ms2.Api.create_engine ~cache_store:store ()) units);
+      let path = Filename.temp_file "ms2_shared" ".snap" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          (match Ms2.Api.save_shared_cache store path with
+          | Ok sv ->
+              Alcotest.(check int) "every unit saved" (List.length units)
+                sv.Engine.sv_entries
+          | Error e -> Alcotest.failf "save: %s" e);
+          let loaded = Ms2.Api.create_shared_cache () in
+          let l = Ms2.Api.load_shared_cache loaded path in
+          Alcotest.(check (option string)) "clean load" None l.Engine.ld_error;
+          let engine = Ms2.Api.create_engine ~cache_store:loaded () in
+          check "snapshot replay" off (run_units engine units);
+          let st = Ms2.Api.stats engine in
+          Alcotest.(check (pair int int)) "every unit replays"
+            (List.length units, 0)
+            (st.Ms2.Api.cache_hits, st.Ms2.Api.cache_misses));
+      let engine = Ms2.Api.create_engine () in
+      let s = Ms2.Api.Session.create engine ~id:"s" in
+      let other = Ms2.Api.Session.create engine ~id:"other" in
+      check "session per request" off
+        (List.mapi
+           (fun k (source, src) ->
+             (match Ms2.Api.Session.expand other ~source (decoy k) with
+             | Ok _ -> ()
+             | Error (d, _) -> Alcotest.failf "decoy: %s" (Diag.to_string d));
+             match Ms2.Api.Session.expand s ~source src with
+             | Ok (out, _) -> (out, Ms2.Api.Session.fingerprint s)
+             | Error (d, _) ->
+                 Alcotest.failf "%s: %s" source (Diag.to_string d))
+           units);
+      Alcotest.(check bool) "sessions stayed isolated" true
+        (Ms2.Api.Session.isolated s && Ms2.Api.Session.isolated other))
+    [ 1; 2; 3; 4; 5; 6 ]
+
 let () =
   Alcotest.run "cache"
     [
@@ -417,5 +551,10 @@ let () =
             render_replay_keeps_program;
           Alcotest.test_case "two domains decode one program" `Quick
             concurrent_decode;
+        ] );
+      ( "shared engine",
+        [
+          Alcotest.test_case "cache, snapshot and sessions agree" `Quick
+            shared_engine_differential;
         ] );
     ]

@@ -283,6 +283,8 @@ let trace_out_spans () =
             && contains ~sub:"\"name\": \"parse\"" json
             && contains ~sub:"\"name\": \"fragment\"" json
             && contains ~sub:"\"name\": \"render\", \"cat\": \"render\"" json);
+          Alcotest.(check bool) "the cache key has its own span" true
+            (contains ~sub:"\"name\": \"key\", \"cat\": \"cache\"" json);
           Alcotest.(check bool)
             "INNER's logical parent travels in span args" true
             (contains ~sub:"\"parent_macro\": \"OUTER\"" json);

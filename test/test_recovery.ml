@@ -209,6 +209,13 @@ let skew_version s =
   Bytes.set b 8 (Char.chr 0xEE);
   Bytes.to_string b
 
+(* a snapshot from the format before checkpoints held maps: same magic
+   and build, format version 3 *)
+let format_3 s =
+  let b = Bytes.of_string s in
+  Bytes.set_int32_le b 8 3l;
+  Bytes.to_string b
+
 (* a snapshot stamped by a different build of the binary: magic and
    format version intact, build fingerprint (bytes 12-27) flipped *)
 let skew_build s =
@@ -929,6 +936,8 @@ let () =
             (corrupt_load ~label:"bit-flipped" flip_middle_bit);
           Alcotest.test_case "version skew degrades cold" `Quick
             (corrupt_load ~label:"version-skewed" skew_version);
+          Alcotest.test_case "format 3 degrades cold" `Quick
+            (corrupt_load ~label:"format-3" format_3);
           Alcotest.test_case "foreign build degrades cold" `Quick
             (corrupt_load ~label:"foreign-build" skew_build);
           Alcotest.test_case "save/load failpoints are soft" `Quick

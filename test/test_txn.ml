@@ -265,6 +265,37 @@ let fragment_isolation_automatic () =
       Alcotest.failf "session unusable after bad fragment: %s"
         (Diag.to_string d)
 
+(* A checkpoint holds the session's maps as they are and a rollback
+   stores them back, so neither allocates more as the session grows.
+   The session here holds 10,000 object-level names, 60 macros and 3
+   meta globals; copying any one of its tables would cost tens of
+   thousands of words. *)
+let checkpoint_cost_is_flat () =
+  let engine = Ms2.Api.create_engine () in
+  let b = Buffer.create 300_000 in
+  for i = 1 to 60 do
+    Printf.bprintf b "syntax stmt mac%d {| ; |} { return `{y = %d;}; }\n" i i
+  done;
+  Buffer.add_string b "metadcl int g1;\nmetadcl int g2;\nmetadcl int g3;\n";
+  for i = 1 to 10_000 do
+    Printf.bprintf b "int name_%d;\n" i
+  done;
+  (match
+     Ms2.Api.expand_diag ~engine ~source:"big.mc" (Buffer.contents b)
+   with
+  | Ok _ -> ()
+  | Error d -> Alcotest.failf "setup failed: %s" (Diag.to_string d));
+  let fp = Engine.fingerprint engine in
+  let round () = Ms2.Api.rollback engine (Ms2.Api.checkpoint engine) in
+  round ();
+  let w0 = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check string) "the round trip keeps the state" fp
+    (Engine.fingerprint engine);
+  if words > 1_000. then
+    Alcotest.failf "checkpoint + rollback allocated %.0f minor words" words
+
 (* ------------------------------------------------------------------ *)
 (* Wall-clock watchdog                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -530,8 +561,9 @@ let () =
           tc "spec grammar" spec_grammar ] );
       ( "checkpoint/rollback",
         [ tc "checkpoint round-trips and is reusable" checkpoint_roundtrip;
-          tc "fragment isolation is automatic" fragment_isolation_automatic
-        ] );
+          tc "fragment isolation is automatic" fragment_isolation_automatic;
+          tc "checkpoint and rollback cost does not grow with the session"
+            checkpoint_cost_is_flat ] );
       ( "watchdog",
         [ tc "fragment deadline bounds a stalling macro" fragment_deadline;
           tc "invocation deadline narrows alone" invocation_deadline ] );
