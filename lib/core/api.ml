@@ -63,9 +63,9 @@ type stats = {
 }
 
 (** A standalone expansion-cache store to share between engines (see
-    {!Engine.create_store}): the [--jobs-mode=domains] driver and the
-    serve worker pool hand one store to every engine they create, so a
-    fragment expanded on one domain replays on every other.  Counter
+    {!Engine.create_store}): the batch driver under [--cache-file] and
+    the serve worker pool hand one store to every engine they create,
+    so a fragment expanded on one domain replays on every other.  Counter
     reads ({!shared_cache_stats}) are merged over the store's shards —
     the whole-process view, not any single worker's. *)
 type shared_cache = Engine.cached_run Cache.t
@@ -191,8 +191,12 @@ let expand_unit ?(line_directives = false) ?deadline_ms ?fragment_jobs
 
 (** Parse and expand [text], rendering the result as pure C.  Raises
     {!Ms2_support.Diag.Error} on any lexical, syntax, pattern, type or
-    expansion error, or when the result is too deep to render. *)
-let expand_exn ?(engine = Engine.create ()) ?source (text : string) : string =
+    expansion error, or when the result is too deep to render.  The
+    default engine (here and in {!expand_to_ast} and {!expand_checked})
+    keeps no cache store: it expands once, so a store would never be
+    read. *)
+let expand_exn ?(engine = Engine.create ~cache:false ()) ?source
+    (text : string) : string =
   let u = expand_unit engine ?source text in
   match u.u_fatal with Some d -> raise (Diag.Error d) | None -> u.u_output
 
@@ -210,8 +214,8 @@ let expand (engine : engine) ?source (text : string) :
   expand_string ~engine ?source text
 
 (** Parse and expand, returning the AST instead of rendered C. *)
-let expand_to_ast ?(engine = Engine.create ()) ?source (text : string) :
-    (Ms2_syntax.Ast.program, Diag.t) result =
+let expand_to_ast ?(engine = Engine.create ~cache:false ()) ?source
+    (text : string) : (Ms2_syntax.Ast.program, Diag.t) result =
   Diag.protect (fun () -> Engine.expand_source engine ?source text)
 
 (** Expansion statistics of an engine, including resource consumption
@@ -376,8 +380,8 @@ let check_program (prog : Ms2_syntax.Ast.program) : string list =
 
 (** Expand and then statically check the result: returns the rendered C
     and any findings of the object-level type checker. *)
-let expand_checked ?(engine = Engine.create ()) ?source (text : string) :
-    (string * string list, string) result =
+let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
+    (text : string) : (string * string list, string) result =
   let u = expand_unit engine ?source text in
   match u.u_fatal with
   | Some d -> Error (Diag.to_string d)

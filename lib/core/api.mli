@@ -68,7 +68,7 @@ type stats = {
 
 type shared_cache = Engine.cached_run Cache.t
 (** A domain-safe expansion-cache store shared between engines: the
-    [--jobs-mode=domains] driver and the serve worker pool give one
+    batch driver under [--cache-file] and the serve worker pool give one
     store to every engine they create ([?cache_store]), so a fragment
     expanded on one domain replays on every other.  Sharded with
     per-shard mutexes; counters report the merged view. *)
@@ -152,7 +152,10 @@ val expand_unit :
     caller decides whether to roll it back. *)
 
 val expand_exn : ?engine:engine -> ?source:string -> string -> string
-(** Parse and expand, rendering pure C.
+(** Parse and expand, rendering pure C.  The default engine (here, in
+    {!expand_diag}, {!expand_string}, {!expand_to_ast} and
+    {!expand_checked}) is created with [~cache:false]: it expands once,
+    so a store would be filled and never read.
     @raise Ms2_support.Diag.Error on any error. *)
 
 val expand_diag :

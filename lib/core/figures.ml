@@ -107,7 +107,7 @@ let cpp_witness () : string =
     level, and the pretty-printer reinserts the parentheses that the
     trees imply. *)
 let ms2_witness () : string =
-  let engine = Engine.create () in
+  let engine = Engine.create ~cache:false () in
   let prog =
     Engine.expand_source engine
       "syntax exp MUL {| ( $$exp::a , $$exp::b ) |} { return `($a * $b); }\n\

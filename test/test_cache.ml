@@ -510,6 +510,56 @@ let shared_engine_differential () =
         (Ms2.Api.Session.isolated s && Ms2.Api.Session.isolated other))
     [ 1; 2; 3; 4; 5; 6 ]
 
+(* One shared engine over [n] generated units in the shape of
+   perfbench's [unit_fresh_names]: each defines MUL, then declares a
+   fresh name per line, one line in 25 a MUL use.  Every unit grows the
+   session, and each stored entry's [ca_post] is the session after it,
+   so the store stays linear in units only while those posts share
+   structure with the live session (and each other) instead of holding
+   private copies of it. *)
+let store_words_after n =
+  let forms =
+    Printf.
+      [| (fun n _ -> sprintf "int %s;" n); sprintf "int %s = %d;";
+         sprintf "static long %s = %d;"; sprintf "double %s[%d];";
+         (fun n _ -> sprintf "char *%s;" n); sprintf "unsigned int %s = %d;" |]
+  in
+  let store = Ms2.Api.create_shared_cache () in
+  let engine = Ms2.Api.create_engine ~cache_store:store () in
+  for k = 0 to n - 1 do
+    let b = Buffer.create 8192 in
+    Buffer.add_string b
+      "syntax exp MUL {| ( $$exp::a , $$exp::b ) |} { return `($a * $b); }\n";
+    for i = 0 to 199 do
+      let name = Printf.sprintf "u%d_%d" k i in
+      Buffer.add_string b
+        (if i mod 25 = 12 then Printf.sprintf "int %s = MUL(%d + 1, 3);" name i
+         else forms.(i mod Array.length forms) name (i + 1));
+      Buffer.add_char b '\n'
+    done;
+    let u =
+      Ms2.Api.expand_unit engine
+        ~source:(Printf.sprintf "unit%d.mc" k)
+        (Buffer.contents b)
+    in
+    Option.iter (fun d -> Alcotest.failf "unit %d: %s" k (Diag.to_string d))
+      u.Ms2.Api.u_fatal
+  done;
+  let _, misses, _, entries, _ = Ms2.Api.shared_cache_stats store in
+  Alcotest.(check (pair int int)) "every unit missed and was stored" (n, n)
+    (misses, entries);
+  Obj.reachable_words (Obj.repr store)
+
+(* Doubling the units must at most double the store, plus slack for
+   per-entry constants: the bound of CI's batch memory step. *)
+let store_linear_in_units () =
+  let w16 = store_words_after 16 and w32 = store_words_after 32 in
+  let ratio = float_of_int w32 /. float_of_int w16 in
+  Alcotest.(check bool)
+    (Printf.sprintf "store words 32/16 units = %d/%d = %.2f <= 2.3" w32 w16
+       ratio)
+    true (ratio <= 2.3)
+
 let () =
   Alcotest.run "cache"
     [
@@ -556,5 +606,7 @@ let () =
         [
           Alcotest.test_case "cache, snapshot and sessions agree" `Quick
             shared_engine_differential;
+          Alcotest.test_case "the store is linear in units" `Quick
+            store_linear_in_units;
         ] );
     ]
