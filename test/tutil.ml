@@ -79,3 +79,18 @@ let check_error ?(msg = "error message") src sub =
     Alcotest.failf "%s: %S does not mention %S" msg err sub
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(* ------------------------------------------------------------------ *)
+(* CLI helpers                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(** Run [k] on a temp path with no file there yet, removed afterwards.
+    As a [--cache-file] it is a cold snapshot, loaded without a
+    warning: the one way a one-shot [ms2c] run keeps an expansion-cache
+    store, so the cache's counters and spans show. *)
+let with_fresh_path k =
+  let path = Filename.temp_file "ms2c_fresh" ".bin" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> k path)
