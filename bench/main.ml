@@ -24,41 +24,7 @@ open Toolkit
 (* ------------------------------------------------------------------ *)
 
 let rule title = Printf.printf "\n%s\n%s\n" title (String.make 72 '-')
-
-let run_figures () =
-  rule "Figure 1: two-dimensional categorization of macro systems";
-  Printf.printf "  %-28s %-14s %-30s %-26s %s\n" "Programmability \\ Basis"
-    "Character" "Token" "Syntax" "Semantic";
-  List.iter
-    (fun (r : Ms2.Figures.fig1_row) ->
-      Printf.printf "  %-28s %-14s %-30s %-26s %s\n" r.programmability
-        r.character r.token r.syntax r.semantic)
-    Ms2.Figures.figure1_table;
-  Printf.printf "\n  Live witnesses:\n";
-  Printf.printf
-    "    character substitution (RE = x on \"int CORE = RE;\"):\n\
-    \      %s   <- corrupts the unrelated identifier\n"
-    (Ms2.Figures.char_witness ());
-  Printf.printf "    MUL(A, B) = A * B on A = x + y, B = m + n:\n";
-  Printf.printf "      token substitution (ms2.cpp): %s   <- wrong parse\n"
-    (Ms2.Figures.cpp_witness ());
-  Printf.printf
-    "      syntax macros (ms2.core):     %s   <- tree-level safety\n"
-    (Ms2.Figures.ms2_witness ());
-
-  rule "Figure 2: parses of the template `[int $y;] by the AST type of y";
-  Printf.printf "  %-20s %s\n" "AST type of y" "Parse";
-  List.iter
-    (fun (ty, parse) -> Printf.printf "  %-20s %s\n" ty parse)
-    (Ms2.Figures.figure2 ());
-
-  rule
-    "Figure 3: parses of `{int x; $ph1 $ph2 return(x);} by placeholder \
-     types";
-  Printf.printf "  %-6s %-6s %s\n" "ph1" "ph2" "Parse";
-  List.iter
-    (fun (t1, t2, parse) -> Printf.printf "  %-6s %-6s %s\n" t1 t2 parse)
-    (Ms2.Figures.figure3 ())
+let run_figures () = print_string (Ms2.Figures.to_text ())
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel plumbing                                                   *)

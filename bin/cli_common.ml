@@ -13,8 +13,8 @@ let exit_degraded = 3
 
 type diag_format = Text | Json
 
-let render_diag fmt (d : Diag.t) =
-  match fmt with Text -> Diag.render d | Json -> Diag.to_json d
+let render_diag ?text fmt (d : Diag.t) =
+  match fmt with Text -> Diag.render ?text d | Json -> Diag.to_json d
 
 let emit_diag fmt (d : Diag.t) = prerr_endline (render_diag fmt d)
 
@@ -46,6 +46,18 @@ let write_atomic ?(diag_format = Text) path content =
 let arm_failpoints = function
   | [] -> ()
   | spec -> Failpoint.arm_all spec
+
+(* Resolve [auto] (0) job counts: [jobs] units in flight (files, or
+   daemon shards) default to one per recommended domain, and each
+   unit's [fragment_jobs] to its share of the domains left over. *)
+let resolve_jobs ~jobs ~fragment_jobs =
+  let jobs = if jobs = 0 then Ms2_support.Pool.recommended () else jobs in
+  let fragment_jobs =
+    if fragment_jobs = 0 then
+      max 1 (Ms2_support.Pool.recommended () / max 1 jobs)
+    else fragment_jobs
+  in
+  (jobs, fragment_jobs)
 
 (* Budgets are counts: negative values are a usage error, caught at the
    command line rather than producing an instantly-exhausted budget. *)

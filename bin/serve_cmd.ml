@@ -1247,13 +1247,8 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
      (and the single-shard case, which expands inline here); each
      worker domain enables its own in [worker_loop]. *)
   Obs.Flight.enable ();
-  let workers = if workers = 0 then Ms2_support.Pool.recommended () else workers in
   (* [--fragment-jobs auto] splits the domain budget with --workers *)
-  let fragment_jobs =
-    if fragment_jobs = 0 then
-      max 1 (Ms2_support.Pool.recommended () / max 1 workers)
-    else fragment_jobs
-  in
+  let workers, fragment_jobs = resolve_jobs ~jobs:workers ~fragment_jobs in
   let cache_file = if cache then cache_file else None in
   (* one shared store across the shard engines, so warm fragments replay
      whichever domain they land on; a single shard keeps its private

@@ -16,51 +16,9 @@ module Pretty = Ms2_syntax.Pretty
 
 type engine = Engine.t
 
-(** Point-in-time expansion-cost counters of an engine. *)
-type stats = {
-  invocations_expanded : int;
-  meta_declarations_run : int;
-  macros_defined : int;
-  fuel_consumed : int;  (** interpreter steps charged so far *)
-  nodes_produced : int;  (** AST nodes charged to template fills so far *)
-  cache_hits : int;  (** fragments replayed from the expansion cache *)
-  cache_misses : int;  (** keyed cache lookups that found nothing *)
-  cache_evictions : int;  (** cache entries dropped for the byte budget *)
-  cache_bypasses : int;
-      (** fragments the cache stood aside for (sum of the labeled
-          bypass counters below) *)
-  cache_bypass_trace : int;  (** … because trace mode was on *)
-  cache_bypass_failpoints : int;  (** … because failpoints were armed *)
-  cache_bypass_uncacheable : int;
-      (** … because the session state had no trustworthy digest *)
-  cache_bypass_budget : int;
-      (** … because a replay would overdraw the remaining budget *)
-  fragments_speculated : int;
-      (** fragments expanded speculatively on worker domains (always
-          [fragments_committed + fragments_revalidated]) *)
-  fragments_committed : int;
-      (** speculative fragment results that passed commit validation *)
-  fragments_revalidated : int;
-      (** speculative fragment results discarded and re-expanded
-          sequentially *)
-  fragments_abort_defs_bump : int;
-      (** aborts: the fragment defined or redefined a macro *)
-  fragments_abort_gensym_mint : int;
-      (** aborts: the fragment minted generated names or anonymous
-          tags *)
-  fragments_abort_meta_decl : int;  (** aborts: the fragment ran a metadcl *)
-  fragments_abort_stale_read : int;
-      (** aborts: reads not provably fresh at validation or commit *)
-  fragments_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure *)
-  pattern_memo_hits : int;
-      (** compiled-invocation-pattern memo hits ({e process-global}: the
-          memo is shared by every engine in the process) *)
-  pattern_memo_misses : int;  (** … and misses (process-global) *)
-  firstset_memo_hits : int;
-      (** FIRST-set ring memo hits (process-global) *)
-  firstset_memo_misses : int;  (** … and misses (process-global) *)
-}
+(* The counter record, re-exported: [Api.stats] and its fields are the
+   public names of {!Counters.stats}. *)
+include Counters
 
 (** A standalone expansion-cache store to share between engines (see
     {!Engine.create_store}): the batch driver under [--cache-file] and
@@ -218,38 +176,16 @@ let expand_to_ast ?(engine = Engine.create ~cache:false ()) ?source
     (text : string) : (Ms2_syntax.Ast.program, Diag.t) result =
   Diag.protect (fun () -> Engine.expand_source engine ?source text)
 
-(** Expansion statistics of an engine, including resource consumption
-    (fuel and produced-AST accounting), as a snapshot. *)
+(** A copy of the engine's counters, with the fields the engine does
+    not keep itself filled in: fuel and produced-AST accounting from
+    its budget, evictions from its store, and the process-global memo
+    counters from the registry. *)
 let stats (engine : engine) : stats =
   {
-    invocations_expanded = engine.Engine.stats.Engine.invocations_expanded;
-    meta_declarations_run = engine.Engine.stats.Engine.meta_declarations_run;
-    macros_defined = engine.Engine.stats.Engine.macros_defined;
+    engine.Engine.stats with
     fuel_consumed = Engine.fuel_consumed engine;
     nodes_produced = Engine.nodes_produced engine;
-    cache_hits = engine.Engine.stats.Engine.cache_hits;
-    cache_misses = engine.Engine.stats.Engine.cache_misses;
     cache_evictions = Engine.cache_evictions engine;
-    cache_bypasses = engine.Engine.stats.Engine.cache_bypasses;
-    cache_bypass_trace = engine.Engine.stats.Engine.cache_bypass_trace;
-    cache_bypass_failpoints =
-      engine.Engine.stats.Engine.cache_bypass_failpoints;
-    cache_bypass_uncacheable =
-      engine.Engine.stats.Engine.cache_bypass_uncacheable;
-    cache_bypass_budget = engine.Engine.stats.Engine.cache_bypass_budget;
-    fragments_speculated = engine.Engine.stats.Engine.frag_speculated;
-    fragments_committed = engine.Engine.stats.Engine.frag_committed;
-    fragments_revalidated = engine.Engine.stats.Engine.frag_revalidated;
-    fragments_abort_defs_bump =
-      engine.Engine.stats.Engine.frag_abort_defs_bump;
-    fragments_abort_gensym_mint =
-      engine.Engine.stats.Engine.frag_abort_gensym_mint;
-    fragments_abort_meta_decl =
-      engine.Engine.stats.Engine.frag_abort_meta_decl;
-    fragments_abort_stale_read =
-      engine.Engine.stats.Engine.frag_abort_stale_read;
-    fragments_abort_foreign_closure =
-      engine.Engine.stats.Engine.frag_abort_foreign_closure;
     pattern_memo_hits = memo_value pattern_memo_hits;
     pattern_memo_misses = memo_value pattern_memo_misses;
     firstset_memo_hits = memo_value firstset_memo_hits;
@@ -302,10 +238,41 @@ let c_bypass_uncacheable =
 let c_bypass_budget =
   engine_counter "cache.bypass.budget" (fun s -> s.cache_bypass_budget)
 
+let c_speculated =
+  engine_counter "fragments.speculated" (fun s -> s.fragments_speculated)
+
+let c_committed =
+  engine_counter "fragments.committed" (fun s -> s.fragments_committed)
+
+let c_revalidated =
+  engine_counter "fragments.revalidated" (fun s -> s.fragments_revalidated)
+
+let c_abort_defs_bump =
+  engine_counter "fragments.abort.defs_bump" (fun s ->
+      s.fragments_abort_defs_bump)
+
+let c_abort_gensym_mint =
+  engine_counter "fragments.abort.gensym_mint" (fun s ->
+      s.fragments_abort_gensym_mint)
+
+let c_abort_meta_decl =
+  engine_counter "fragments.abort.meta_decl" (fun s ->
+      s.fragments_abort_meta_decl)
+
+let c_abort_stale_read =
+  engine_counter "fragments.abort.stale_read" (fun s ->
+      s.fragments_abort_stale_read)
+
+let c_abort_foreign_closure =
+  engine_counter "fragments.abort.foreign_closure" (fun s ->
+      s.fragments_abort_foreign_closure)
+
 let engine_counters =
   [ c_invocations; c_meta_runs; c_macros; c_fuel; c_nodes; c_hits; c_misses;
     c_evictions; c_bypasses; c_bypass_trace; c_bypass_failpoints;
-    c_bypass_uncacheable; c_bypass_budget ]
+    c_bypass_uncacheable; c_bypass_budget; c_speculated; c_committed;
+    c_revalidated; c_abort_defs_bump; c_abort_gensym_mint; c_abort_meta_decl;
+    c_abort_stale_read; c_abort_foreign_closure ]
 
 (** Set every per-engine registry counter to its sum over [engines].
     With [store] — the store those engines share in this process — the
@@ -332,8 +299,7 @@ let publish_metrics ?(store : shared_cache option) (engines : stats list) :
 
 (** Read the {!stats} fields off a metrics dump, given its counter
     lookup by registry name: the published per-engine counters plus the
-    speculation and memo counters the pipeline keeps in the registry
-    itself. *)
+    memo counters the pipeline keeps in the registry itself. *)
 let stats_of_counters (r : string -> int) : stats =
   let v (name, _, _) = r name in
   {
@@ -350,14 +316,14 @@ let stats_of_counters (r : string -> int) : stats =
     cache_bypass_failpoints = v c_bypass_failpoints;
     cache_bypass_uncacheable = v c_bypass_uncacheable;
     cache_bypass_budget = v c_bypass_budget;
-    fragments_speculated = r "fragments.speculated";
-    fragments_committed = r "fragments.committed";
-    fragments_revalidated = r "fragments.revalidated";
-    fragments_abort_defs_bump = r "fragments.abort.defs_bump";
-    fragments_abort_gensym_mint = r "fragments.abort.gensym_mint";
-    fragments_abort_meta_decl = r "fragments.abort.meta_decl";
-    fragments_abort_stale_read = r "fragments.abort.stale_read";
-    fragments_abort_foreign_closure = r "fragments.abort.foreign_closure";
+    fragments_speculated = v c_speculated;
+    fragments_committed = v c_committed;
+    fragments_revalidated = v c_revalidated;
+    fragments_abort_defs_bump = v c_abort_defs_bump;
+    fragments_abort_gensym_mint = v c_abort_gensym_mint;
+    fragments_abort_meta_decl = v c_abort_meta_decl;
+    fragments_abort_stale_read = v c_abort_stale_read;
+    fragments_abort_foreign_closure = v c_abort_foreign_closure;
     pattern_memo_hits = r (fst pattern_memo_hits);
     pattern_memo_misses = r (fst pattern_memo_misses);
     firstset_memo_hits = r (fst firstset_memo_hits);

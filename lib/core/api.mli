@@ -15,56 +15,11 @@ open Ms2_support
 
 type engine = Engine.t
 
-(** Point-in-time expansion-cost counters of an engine. *)
-type stats = {
-  invocations_expanded : int;
-  meta_declarations_run : int;
-  macros_defined : int;
-  fuel_consumed : int;  (** interpreter steps charged so far *)
-  nodes_produced : int;  (** AST nodes charged to template fills so far *)
-  cache_hits : int;  (** fragments replayed from the expansion cache *)
-  cache_misses : int;  (** keyed cache lookups that found nothing *)
-  cache_evictions : int;  (** cache entries dropped for the byte budget *)
-  cache_bypasses : int;
-      (** fragments the cache stood aside for (sum of the labeled
-          bypass counters below) *)
-  cache_bypass_trace : int;  (** … because trace mode was on *)
-  cache_bypass_failpoints : int;  (** … because failpoints were armed *)
-  cache_bypass_uncacheable : int;
-      (** … because the session state had no trustworthy digest *)
-  cache_bypass_budget : int;
-      (** … because a replay would overdraw the remaining budget *)
-  fragments_speculated : int;
-      (** fragments expanded speculatively on worker domains by the
-          intra-file fragment parallelism (always
-          [fragments_committed + fragments_revalidated]) *)
-  fragments_committed : int;
-      (** speculative fragment results that passed commit validation *)
-  fragments_revalidated : int;
-      (** speculative fragment results discarded and re-expanded
-          sequentially *)
-  fragments_abort_defs_bump : int;
-      (** aborts: the fragment defined or redefined a macro *)
-  fragments_abort_gensym_mint : int;
-      (** aborts: the fragment minted generated names or anonymous
-          tags *)
-  fragments_abort_meta_decl : int;  (** aborts: the fragment ran a metadcl *)
-  fragments_abort_stale_read : int;
-      (** aborts: reads not provably fresh at validation or commit time
-          (open scopes, undiffable symbol-table delta, or dirtied by an
-          earlier commit) *)
-  fragments_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure, which cannot
-          cross engines *)
-  pattern_memo_hits : int;
-      (** compiled-invocation-pattern memo hits ({e process-global}: the
-          memo is shared by every engine in the process, so this is not
-          attributable to one engine) *)
-  pattern_memo_misses : int;  (** … and misses (process-global) *)
-  firstset_memo_hits : int;
-      (** FIRST-set ring memo hits (process-global) *)
-  firstset_memo_misses : int;  (** … and misses (process-global) *)
-}
+(** Point-in-time expansion-cost counters of an engine: the one
+    counter record, {!Counters.stats}. *)
+include module type of struct
+  include Counters
+end
 
 type shared_cache = Engine.cached_run Cache.t
 (** A domain-safe expansion-cache store shared between engines: the
@@ -175,13 +130,14 @@ val expand_to_ast :
   (Ms2_syntax.Ast.program, Diag.t) result
 
 val stats : engine -> stats
-(** Snapshot of the engine's expansion-cost counters, including fuel
-    and produced-AST accounting. *)
+(** A copy of the engine's counter record, with the fields the engine
+    does not keep filled in: fuel and produced-AST accounting, its
+    store's evictions, and the process-global memo counters. *)
 
 val publish_metrics : ?store:shared_cache -> stats list -> unit
 (** Publish engine statistics into the {!Ms2_support.Obs.Metrics}
-    registry: each [engine.*]/[cache.*] counter is set to its sum over
-    the given engines (absolute sets, so republishing is idempotent;
+    registry: each [engine.*]/[cache.*]/[fragments.*] counter is set to
+    its sum over the given engines (absolute sets, so republishing is idempotent;
     call once before reporting).  [store] is the store those engines
     share in this process: when given, [cache.hits]/[misses]/[evictions]
     are its merged view and its [cache.entries]/[cache.used_bytes]
@@ -192,8 +148,8 @@ val publish_metrics : ?store:shared_cache -> stats list -> unit
 val stats_of_counters : (string -> int) -> stats
 (** Read the {!stats} fields off a metrics dump, given its counter
     lookup by registry name (e.g. a parsed [ms2-metrics-1] document):
-    the counters {!publish_metrics} sets, plus the [fragments.*] and
-    memo counters the pipeline maintains in the registry directly. *)
+    the counters {!publish_metrics} sets, plus the memo counters the
+    pipeline maintains in the registry directly. *)
 
 val published_stats : unit -> stats
 (** {!stats_of_counters} over this process's registry — what [--stats],

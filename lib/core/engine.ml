@@ -32,57 +32,6 @@ module Fill = Ms2_meta.Fill
 module Senv = Ms2_csem.Senv
 module Of_ast = Ms2_csem.Of_ast
 
-type stats = {
-  mutable invocations_expanded : int;
-  mutable meta_declarations_run : int;
-  mutable macros_defined : int;
-  mutable cache_hits : int;  (** fragments replayed from the cache *)
-  mutable cache_misses : int;  (** keyed lookups that found nothing *)
-  mutable cache_evictions : int;  (** entries dropped for the byte budget *)
-  mutable cache_bypasses : int;
-      (** fragments the cache stood aside for (the sum of the labeled
-          bypass counters below) *)
-  mutable cache_bypass_trace : int;
-      (** bypasses because trace mode was on (the trace log is a side
-          effect a replay would skip) *)
-  mutable cache_bypass_failpoints : int;
-      (** bypasses because failpoints were armed (replays would mask
-          injected failures) *)
-  mutable cache_bypass_uncacheable : int;
-      (** bypasses because the session state had no trustworthy digest
-          (e.g. a meta closure over local scopes) *)
-  mutable cache_bypass_budget : int;
-      (** bypasses because a replay would overdraw the remaining global
-          budget (the real run must happen, and fail, for real) *)
-  mutable frag_speculated : int;
-      (** fragments that ran speculatively on a worker domain and
-          produced a verdict; always [frag_committed +
-          frag_revalidated] *)
-  mutable frag_committed : int;
-      (** speculative results that passed commit-time validation and
-          were spliced into the output *)
-  mutable frag_revalidated : int;
-      (** speculative results discarded at commit time (stale reads,
-          shared-state writes, worker failure) and re-expanded
-          sequentially *)
-  mutable frag_abort_defs_bump : int;
-      (** aborts because the fragment defined or redefined a macro
-          (the worker's [defs_version] moved) *)
-  mutable frag_abort_gensym_mint : int;
-      (** aborts because the fragment minted generated names or
-          anonymous tags (name identity differs across replays) *)
-  mutable frag_abort_meta_decl : int;
-      (** aborts because the fragment ran a [metadcl] (meta-program
-          side effects must execute on the main engine, in order) *)
-  mutable frag_abort_stale_read : int;
-      (** aborts because the fragment's reads could not be proven
-          fresh: open scopes, an undiffable symbol-table delta, or a
-          commit-time validation failure against earlier commits *)
-  mutable frag_abort_foreign_closure : int;
-      (** aborts because the fragment bound a global to a meta closure
-          (closures cannot be transplanted between engines) *)
-}
-
 type t = {
   macros : State.macro_sig Smap.t ref;
       (** signatures; the ref is shared with every parser state the
@@ -114,7 +63,7 @@ type t = {
       (** when set, every invocation expansion is logged ("the ease of
           debugging macros depends upon the quality of the debugger",
           paper §3 — this is the poor man's version) *)
-  stats : stats;
+  stats : Counters.stats;
   mutable defs_version : int;
       (** moved on every macro-table mutation the engine performs
           (definition registration, rollback).  Equal versions imply
@@ -412,13 +361,17 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
       trace = None;
       stats =
         { invocations_expanded = 0; meta_declarations_run = 0;
-          macros_defined = 0; cache_hits = 0; cache_misses = 0;
-          cache_evictions = 0; cache_bypasses = 0; cache_bypass_trace = 0;
+          macros_defined = 0; fuel_consumed = 0; nodes_produced = 0;
+          cache_hits = 0; cache_misses = 0; cache_evictions = 0;
+          cache_bypasses = 0; cache_bypass_trace = 0;
           cache_bypass_failpoints = 0; cache_bypass_uncacheable = 0;
-          cache_bypass_budget = 0; frag_speculated = 0; frag_committed = 0;
-          frag_revalidated = 0; frag_abort_defs_bump = 0;
-          frag_abort_gensym_mint = 0; frag_abort_meta_decl = 0;
-          frag_abort_stale_read = 0; frag_abort_foreign_closure = 0 };
+          cache_bypass_budget = 0; fragments_speculated = 0;
+          fragments_committed = 0; fragments_revalidated = 0;
+          fragments_abort_defs_bump = 0; fragments_abort_gensym_mint = 0;
+          fragments_abort_meta_decl = 0; fragments_abort_stale_read = 0;
+          fragments_abort_foreign_closure = 0; pattern_memo_hits = 0;
+          pattern_memo_misses = 0; firstset_memo_hits = 0;
+          firstset_memo_misses = 0 };
       defs_version = 0;
       cache =
         (if not cache then None
@@ -870,22 +823,6 @@ let expand_program (t : t) (prog : program) : program =
        the remaining global budget (a sequential run would have failed
        inside the fragment, so it must re-run for real). *)
 
-let c_frag_speculated = Obs.Metrics.counter "fragments.speculated"
-let c_frag_committed = Obs.Metrics.counter "fragments.committed"
-let c_frag_revalidated = Obs.Metrics.counter "fragments.revalidated"
-let c_frag_abort_defs_bump = Obs.Metrics.counter "fragments.abort.defs_bump"
-
-let c_frag_abort_gensym_mint =
-  Obs.Metrics.counter "fragments.abort.gensym_mint"
-
-let c_frag_abort_meta_decl = Obs.Metrics.counter "fragments.abort.meta_decl"
-
-let c_frag_abort_stale_read =
-  Obs.Metrics.counter "fragments.abort.stale_read"
-
-let c_frag_abort_foreign_closure =
-  Obs.Metrics.counter "fragments.abort.foreign_closure"
-
 let rec contains_closure (v : Value.t) : bool =
   match v with
   | Value.Vclosure _ -> true
@@ -1013,23 +950,19 @@ let abort_cause_name = function
   | Abort_foreign_closure -> "foreign_closure"
 
 let count_abort (t : t) (cause : abort_cause) : unit =
+  let s = t.stats in
   (match cause with
   | Abort_defs_bump ->
-      t.stats.frag_abort_defs_bump <- t.stats.frag_abort_defs_bump + 1;
-      Obs.Metrics.incr c_frag_abort_defs_bump
+      s.fragments_abort_defs_bump <- s.fragments_abort_defs_bump + 1
   | Abort_gensym_mint ->
-      t.stats.frag_abort_gensym_mint <- t.stats.frag_abort_gensym_mint + 1;
-      Obs.Metrics.incr c_frag_abort_gensym_mint
+      s.fragments_abort_gensym_mint <- s.fragments_abort_gensym_mint + 1
   | Abort_meta_decl ->
-      t.stats.frag_abort_meta_decl <- t.stats.frag_abort_meta_decl + 1;
-      Obs.Metrics.incr c_frag_abort_meta_decl
+      s.fragments_abort_meta_decl <- s.fragments_abort_meta_decl + 1
   | Abort_stale_read ->
-      t.stats.frag_abort_stale_read <- t.stats.frag_abort_stale_read + 1;
-      Obs.Metrics.incr c_frag_abort_stale_read
+      s.fragments_abort_stale_read <- s.fragments_abort_stale_read + 1
   | Abort_foreign_closure ->
-      t.stats.frag_abort_foreign_closure <-
-        t.stats.frag_abort_foreign_closure + 1;
-      Obs.Metrics.incr c_frag_abort_foreign_closure);
+      s.fragments_abort_foreign_closure <-
+        s.fragments_abort_foreign_closure + 1);
   Obs.instant ~cat:"fragment"
     ~args:(fun () -> [ ("cause", Obs.Str (abort_cause_name cause)) ])
     "speculation-abort"
@@ -1281,8 +1214,7 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
           fd_globals = false }
       in
       let revalidate idx decls =
-        t.stats.frag_revalidated <- t.stats.frag_revalidated + 1;
-        Obs.Metrics.incr c_frag_revalidated;
+        t.stats.fragments_revalidated <- t.stats.fragments_revalidated + 1;
         let w0 = Senv.writes t.senv in
         dirty.fd_globals <- true;
         seq_expand idx decls;
@@ -1295,34 +1227,27 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
       for k = base to stop - 1 do
         let decls = plan.(k).fp_decls in
         match results.(k - base) with
-        | Some (Frag_done r) ->
-            t.stats.frag_speculated <- t.stats.frag_speculated + 1;
-            Obs.Metrics.incr c_frag_speculated;
-            if frag_commit_ok t dirty ~v0 r then begin
-              t.stats.frag_committed <- t.stats.frag_committed + 1;
-              Obs.Metrics.incr c_frag_committed;
-              frag_apply_commit t dirty r;
-              chunks := r.fr_prog :: !chunks
-            end
-            else begin
-              (* the worker's result was self-consistent; what it read
-                 went stale under earlier commits/re-expansions *)
-              count_abort t Abort_stale_read;
-              revalidate k decls
-            end
-        | Some (Frag_abort cause) ->
-            t.stats.frag_speculated <- t.stats.frag_speculated + 1;
-            Obs.Metrics.incr c_frag_speculated;
-            count_abort t cause;
-            revalidate k decls
-        | Some Frag_fail ->
-            t.stats.frag_speculated <- t.stats.frag_speculated + 1;
-            Obs.Metrics.incr c_frag_speculated;
-            revalidate k decls
         | None ->
             (* cancelled before it ran — plain sequential expansion,
                not a revalidation *)
             seq_expand k decls
+        | Some res -> (
+            let s = t.stats in
+            s.fragments_speculated <- s.fragments_speculated + 1;
+            match res with
+            | Frag_done r when frag_commit_ok t dirty ~v0 r ->
+                s.fragments_committed <- s.fragments_committed + 1;
+                frag_apply_commit t dirty r;
+                chunks := r.fr_prog :: !chunks
+            | Frag_done _ ->
+                (* the worker's result was self-consistent; what it read
+                   went stale under earlier commits/re-expansions *)
+                count_abort t Abort_stale_read;
+                revalidate k decls
+            | Frag_abort cause ->
+                count_abort t cause;
+                revalidate k decls
+            | Frag_fail -> revalidate k decls)
       done;
       i := stop
     end
@@ -1504,18 +1429,16 @@ let program_of (p : stored_program) : program =
               Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.decoded");
               prog)
 
-(* Replay a cached run: register the source with the diagnostic registry
-   (the lexer would have), restore the recorded post-run session state
+(* Replay a cached run: restore the recorded post-run session state
    through the same rollback the transaction layer uses, and apply the
    run's resource and statistics deltas. *)
-let replay (t : t) (e : cached_run) ~source (text : string) : unit =
+let replay (t : t) (e : cached_run) ~source : unit =
   Obs.with_span ~cat:"cache"
     ~args:(fun () ->
       [ ("source", Obs.Str source);
         ("invocations", Obs.Int e.ca_invocations) ])
     "replay"
     (fun () ->
-      Diag.register_source source text;
       rollback t e.ca_post;
       t.defs_version <- e.ca_version;
       let b = t.env.Value.budget in
@@ -1585,7 +1508,7 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
           | Some e when b.Value.fuel >= e.ca_fuel && b.Value.nodes >= e.ca_nodes
             ->
               t.stats.cache_hits <- t.stats.cache_hits + 1;
-              replay t e ~source text;
+              replay t e ~source;
               { x_program = e.ca_program; x_entry = Some (key, e) }
           | Some _ ->
               (* a replay would overdraw the remaining global budget —
@@ -1692,13 +1615,9 @@ let remember_render (t : t) (x : expansion) ~line_directives
 (* The store-wide eviction count is a merged sweep over every shard
    (one mutex round-trip each), far too expensive to refresh on every
    miss — it used to cost more than the rest of the store path
-   combined.  Readers pull it on demand instead; the cached field keeps
-   the last refreshed value for engines whose store is gone. *)
+   combined.  Readers pull it on demand instead. *)
 let cache_evictions (t : t) : int =
-  (match t.cache with
-  | None -> ()
-  | Some cache -> t.stats.cache_evictions <- Cache.evictions cache);
-  t.stats.cache_evictions
+  match t.cache with None -> 0 | Some cache -> Cache.evictions cache
 
 (* ------------------------------------------------------------------ *)
 (* Durable cache snapshots                                             *)

@@ -18,54 +18,6 @@ module Tenv = Ms2_typing.Tenv
 module Value = Ms2_meta.Value
 module Senv = Ms2_csem.Senv
 
-type stats = {
-  mutable invocations_expanded : int;
-  mutable meta_declarations_run : int;
-  mutable macros_defined : int;
-  mutable cache_hits : int;  (** fragments replayed from the cache *)
-  mutable cache_misses : int;  (** keyed lookups that found nothing *)
-  mutable cache_evictions : int;  (** entries dropped for the byte budget *)
-  mutable cache_bypasses : int;
-      (** fragments the cache stood aside for (the sum of the labeled
-          bypass counters below) *)
-  mutable cache_bypass_trace : int;
-      (** bypasses because trace mode was on (the trace log is a side
-          effect a replay would skip) *)
-  mutable cache_bypass_failpoints : int;
-      (** bypasses because failpoints were armed (replays would mask
-          injected failures) *)
-  mutable cache_bypass_uncacheable : int;
-      (** bypasses because the session state had no trustworthy digest
-          (e.g. a meta closure over local scopes) *)
-  mutable cache_bypass_budget : int;
-      (** bypasses because a replay would overdraw the remaining global
-          budget (the real run must happen, and fail, for real) *)
-  mutable frag_speculated : int;
-      (** fragments that ran speculatively on a worker domain and
-          produced a verdict; always [frag_committed +
-          frag_revalidated] *)
-  mutable frag_committed : int;
-      (** speculative results that passed commit-time validation and
-          were spliced into the output *)
-  mutable frag_revalidated : int;
-      (** speculative results discarded at commit time (stale reads,
-          shared-state writes, worker failure) and re-expanded
-          sequentially *)
-  mutable frag_abort_defs_bump : int;
-      (** aborts: the fragment defined or redefined a macro *)
-  mutable frag_abort_gensym_mint : int;
-      (** aborts: the fragment minted generated names or anonymous
-          tags *)
-  mutable frag_abort_meta_decl : int;
-      (** aborts: the fragment ran a [metadcl] *)
-  mutable frag_abort_stale_read : int;
-      (** aborts: reads not provably fresh (open scopes, undiffable
-          symbol-table delta, or commit-time validation failure) *)
-  mutable frag_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure, which cannot
-          cross engines *)
-}
-
 type checkpoint
 (** A session checkpoint: captures the state a failed fragment could
     corrupt (macro tables, meta type environment, global meta
@@ -98,7 +50,9 @@ type t = {
   diags : Diag.collector;  (** diagnostics recorded by recovery mode *)
   mutable trace : Format.formatter option;
       (** when set, every invocation expansion is logged *)
-  stats : stats;
+  stats : Counters.stats;
+      (** this engine's counters, mutated as it expands; read a copy
+          with its derived fields filled in through {!Api.stats} *)
   mutable defs_version : int;
       (** moved on every engine-side macro-table mutation; equal
           versions imply equal tables at fragment boundaries.  Versions
@@ -244,9 +198,9 @@ val nodes_produced : t -> int
 
 val cache_evictions : t -> int
 (** Entries the engine's cache store has dropped for the byte budget —
-    a merged sweep over the store's shards, refreshed on demand rather
+    a merged sweep over the store's shards, taken on demand rather
     than per miss (the sweep costs more than the rest of the store
-    path), so read this instead of [stats.cache_evictions]. *)
+    path); 0 without a store. *)
 
 (** {1 Durable cache snapshots}
 

@@ -144,3 +144,39 @@ let figure1_table : fig1_row list =
       token = "";
       syntax = "Vidart";
       semantic = "" } ]
+
+(** Figures 1–3 as text: the one printer behind [ms2c figures] and
+    [bench/main.exe figures]. *)
+let to_text () : string =
+  let b = Buffer.create 2048 in
+  let pr fmt = Printf.bprintf b fmt in
+  let rule title = pr "\n%s\n%s\n" title (String.make 72 '-') in
+  rule "Figure 1: two-dimensional categorization of macro systems";
+  pr "  %-28s %-14s %-30s %-26s %s\n" "Programmability \\ Basis" "Character"
+    "Token" "Syntax" "Semantic";
+  List.iter
+    (fun r ->
+      pr "  %-28s %-14s %-30s %-26s %s\n" r.programmability r.character
+        r.token r.syntax r.semantic)
+    figure1_table;
+  pr "\n  Live witnesses:\n";
+  pr
+    "    character substitution (RE = x on \"int CORE = RE;\"):\n\
+    \      %s   <- corrupts the unrelated identifier\n"
+    (char_witness ());
+  pr "    MUL(A, B) = A * B on A = x + y, B = m + n:\n";
+  pr "      token substitution (ms2.cpp): %s   <- wrong parse\n"
+    (cpp_witness ());
+  pr "      syntax macros (ms2.core):     %s   <- tree-level safety\n"
+    (ms2_witness ());
+  rule "Figure 2: parses of the template `[int $y;] by the AST type of y";
+  pr "  %-20s %s\n" "AST type of y" "Parse";
+  List.iter (fun (ty, parse) -> pr "  %-20s %s\n" ty parse) (figure2 ());
+  rule
+    "Figure 3: parses of `{int x; $ph1 $ph2 return(x);} by placeholder \
+     types";
+  pr "  %-6s %-6s %s\n" "ph1" "ph2" "Parse";
+  List.iter
+    (fun (t1, t2, parse) -> pr "  %-6s %-6s %s\n" t1 t2 parse)
+    (figure3 ());
+  Buffer.contents b

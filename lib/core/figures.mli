@@ -40,3 +40,8 @@ type fig1_row = {
 }
 
 val figure1_table : fig1_row list
+
+val to_text : unit -> string
+(** Figures 1–3 as text: Figure 1's table and its live witnesses, then
+    the Figure 2 and Figure 3 parse tables.  The one printer behind
+    [ms2c figures] and [bench/main.exe figures]. *)

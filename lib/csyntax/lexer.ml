@@ -359,9 +359,6 @@ let lex_token st =
     generated names is sound. *)
 let tokenize ?(origin = Loc.User) ?(source = "<string>")
     ?(reject_reserved = false) text : Token.located array =
-  (* feed the diagnostic source registry so errors anywhere downstream
-     can quote the offending line *)
-  Diag.register_source source text;
   let st =
     { src = text; len = String.length text; source_name = source; pos = 0;
       line = 1; bol = 0; reject_reserved }

@@ -8,9 +8,9 @@
 
     Beyond the classic raise-first-error model, this module supports the
     resilient pipeline: severities, stable error codes, a bounded
-    collector for multi-error runs, source-line caret rendering (backed
-    by a source-text registry fed by the lexer), and a machine-readable
-    JSON form with stable field order. *)
+    collector for multi-error runs, source-line caret rendering from
+    the text the caller holds, and a machine-readable JSON form with
+    stable field order. *)
 
 type phase =
   | Lexing
@@ -97,56 +97,32 @@ let pp ppf { severity; phase; code; loc; message } =
 let to_string t = Fmt.str "%a" pp t
 
 (* ------------------------------------------------------------------ *)
-(* Source registry and caret rendering                                 *)
+(* Caret rendering                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Source texts, registered by the lexer (and anyone else who parses),
-   so diagnostics can quote the offending line.  Keyed by source name;
-   re-registering replaces, which is what repeated in-memory parses of
-   "<string>" want.  The registry is process-global and written by
-   every [--jobs-mode=domains] worker (once per lexed fragment), so
-   both sides take a mutex — registration and caret-render lookups are
-   per-fragment and per-diagnostic, never per-token. *)
-let sources : (string, string) Hashtbl.t = Hashtbl.create 16
-let sources_lock = Mutex.create ()
+let source_line text n =
+  let len = String.length text in
+  let rec skip_lines i line =
+    if line >= n then Some i
+    else
+      match String.index_from_opt text i '\n' with
+      | Some j when j + 1 <= len -> skip_lines (j + 1) (line + 1)
+      | _ -> None
+  in
+  if n < 1 then None
+  else
+    Option.map
+      (fun start ->
+        let stop =
+          match String.index_from_opt text start '\n' with
+          | Some j -> j
+          | None -> len
+        in
+        String.sub text start (stop - start))
+      (skip_lines 0 1)
 
-let register_source name text =
-  Mutex.lock sources_lock;
-  Hashtbl.replace sources name text;
-  Mutex.unlock sources_lock
-
-let find_source name =
-  Mutex.lock sources_lock;
-  let r = Hashtbl.find_opt sources name in
-  Mutex.unlock sources_lock;
-  r
-
-let source_line name n =
-  match find_source name with
-  | None -> None
-  | Some text ->
-      let len = String.length text in
-      let rec skip_lines i line =
-        if line >= n then Some i
-        else
-          match String.index_from_opt text i '\n' with
-          | Some j when j + 1 <= len -> skip_lines (j + 1) (line + 1)
-          | _ -> None
-      in
-      if n < 1 then None
-      else
-        Option.map
-          (fun start ->
-            let stop =
-              match String.index_from_opt text start '\n' with
-              | Some j -> j
-              | None -> len
-            in
-            String.sub text start (stop - start))
-          (skip_lines 0 1)
-
-(** Render with source context when the registry knows the source, and
-    the expansion backtrace (if any) as trailing note lines:
+(** Render with source context when [text] knows the source, and the
+    expansion backtrace (if any) as trailing note lines:
 
     {v
     f.mc:3:2: expansion error[E0501]: boom
@@ -154,12 +130,15 @@ let source_line name n =
         |   ^^^
       in expansion of macro `m' at f.mc:9:0-1
     v} *)
-let render t =
+let render ?(text = fun _ -> None) t =
   let header = to_string t in
   let body =
     if Loc.is_dummy t.loc then header
     else
-      match source_line t.loc.Loc.source t.loc.Loc.start_pos.Loc.line with
+      match
+        Option.bind (text t.loc.Loc.source) (fun src ->
+            source_line src t.loc.Loc.start_pos.Loc.line)
+      with
       | None -> header
       | Some line ->
           let lno = t.loc.Loc.start_pos.Loc.line in

@@ -79,19 +79,12 @@ val errorf :
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** {1 Source registry and rendering} *)
+(** {1 Rendering} *)
 
-val register_source : string -> string -> unit
-(** [register_source name text] records a source text so later
-    diagnostics in [name] can quote the offending line.  The lexer does
-    this automatically for everything it tokenizes. *)
-
-val source_line : string -> int -> string option
-(** [source_line name n] is line [n] (1-based) of a registered source. *)
-
-val render : t -> string
+val render : ?text:(string -> string option) -> t -> string
 (** Like {!to_string}, followed by the source line and a caret marker
-    when the source is registered and the location is real, and by the
+    when [text] returns the text of the location's source (by source
+    name; the default knows none) and the location is real, and by the
     expansion backtrace ("in expansion of macro `m' at loc" note lines,
     innermost first, capped at {!Loc.max_backtrace_frames}) when the
     location has one. *)

@@ -95,19 +95,36 @@ let golden_loc =
     ~start_pos:{ Loc.line = 2; col = 2; offset = 9 }
     ~end_pos:{ Loc.line = 2; col = 5; offset = 12 }
 
+(* The caller's text lookup: the named sources it holds. *)
+let texts named name = List.assoc_opt name named
+
 let golden_caret_render () =
-  Diag.register_source "golden.mc" "int x;\nm bad;\nint y;\n";
+  let text = texts [ ("golden.mc", "int x;\nm bad;\nint y;\n") ] in
   let d = Diag.make ~loc:golden_loc Diag.Expansion "boom" in
   Alcotest.(check string) "caret render"
     "golden.mc:2:2-5: expansion error[E0501]: boom\n\
     \  2 | m bad;\n\
     \    |   ^^^"
-    (Diag.render d);
+    (Diag.render ~text d);
   (* unknown sources degrade to the plain header *)
   let far = { golden_loc with Loc.source = "never-registered.mc" } in
   Alcotest.(check string) "no source, no caret"
     "never-registered.mc:2:2-5: expansion error[E0501]: boom"
-    (Diag.render (Diag.make ~loc:far Diag.Expansion "boom"))
+    (Diag.render ~text (Diag.make ~loc:far Diag.Expansion "boom"))
+
+(* Carets quote the text the caller hands over, not whatever was last
+   lexed under the same source name. *)
+let carets_from_the_text_in_hand () =
+  let first = "int x;\nint y = q(;\n" in
+  match Ms2.Api.expand_diag ~source:"req.mc" first with
+  | Ok out -> Alcotest.failf "expected an error, got:\n%s" out
+  | Error d ->
+      let render () = Diag.render ~text:(texts [ ("req.mc", first) ]) d in
+      check_contains ~msg:"quotes the failing line" (render ())
+        "2 | int y = q(;";
+      ignore (Ms2.Api.expand_diag ~source:"req.mc" "int a;\nint b;\n");
+      check_contains ~msg:"a later expansion under the same name"
+        (render ()) "2 | int y = q(;"
 
 let golden_json () =
   let d = Diag.make ~loc:golden_loc Diag.Expansion "boom \"quoted\"" in
@@ -139,18 +156,18 @@ let stable_codes () =
     code_cases
 
 let expansion_errors_carry_carets () =
-  (* end-to-end: the lexer registers the source, so a real expansion
-     error renders with its offending line quoted *)
-  match
-    Ms2.Api.expand_diag ~source:"caret.mc"
-      "syntax stmt m {| |} { error(\"boom\"); return `{;}; }\n\
-       int f() {\n\
-       m\n\
-       return 0; }"
-  with
+  (* end-to-end: a real expansion error, rendered with its source's
+     text, quotes the offending line *)
+  let src =
+    "syntax stmt m {| |} { error(\"boom\"); return `{;}; }\n\
+     int f() {\n\
+     m\n\
+     return 0; }"
+  in
+  match Ms2.Api.expand_diag ~source:"caret.mc" src with
   | Ok out -> Alcotest.failf "expected an error, got:\n%s" out
   | Error d ->
-      let rendered = Diag.render d in
+      let rendered = Diag.render ~text:(texts [ ("caret.mc", src) ]) d in
       (* the loc (and thus the quoted line) is the error() call in the
          macro body; the invocation site is named in the message *)
       check_contains ~msg:"quotes the offending line" rendered
@@ -180,5 +197,6 @@ let () =
         [ tc "caret output" golden_caret_render;
           tc "json output" golden_json;
           tc "stable error codes" stable_codes;
-          tc "expansion errors carry carets" expansion_errors_carry_carets ]
+          tc "expansion errors carry carets" expansion_errors_carry_carets;
+          tc "carets from the text in hand" carets_from_the_text_in_hand ]
       ) ]

@@ -33,6 +33,10 @@ let expand_err name =
   | Ok out -> Alcotest.failf "%s: expected an error, got:\n%s" name out
   | Error d -> d
 
+(* Render [d] with the text of corpus file [name] in hand. *)
+let render name d =
+  Diag.render ~text:(fun s -> if s = name then Some (corpus name) else None) d
+
 (* [String.index_of]-style search; [-1] when absent. *)
 let find_sub s sub =
   let n = String.length s and m = String.length sub in
@@ -60,7 +64,7 @@ let check_order ~msg s subs =
 
 let nested_backtrace_text () =
   let d = expand_err "nested.mc" in
-  let r = Diag.render d in
+  let r = render "nested.mc" d in
   check_contains ~msg:"the error itself" r "boom";
   (* the full chain, innermost (the failing `inner') first *)
   check_order ~msg:"chain order" r
@@ -83,7 +87,7 @@ let nested_backtrace_json () =
 let recursive_backtrace_elided () =
   let d = expand_err "recursive.mc" in
   Alcotest.(check string) "depth guard" Diag.code_depth d.Diag.code;
-  let r = Diag.render d in
+  let r = render "recursive.mc" d in
   check_contains ~msg:"chain shown" r "in expansion of macro `again'";
   check_contains ~msg:"deep chain elided" r "more expansion frames";
   let frame_lines =
