@@ -127,10 +127,12 @@ syntax decl myenum [] {| $$id::name { $$+/, id::ids } ; |}
 }
 |src}
 
+let source_name = "<prelude>"
+
 (** Load the prelude into an engine.  The prelude is pure meta-program:
     loading emits no object code. *)
 let load (engine : Engine.t) : unit =
-  let produced = Engine.expand_source engine ~source:"<prelude>" source in
+  let produced = Engine.expand_source engine ~source:source_name source in
   assert (produced = [])
 
 (** Names the prelude defines, for documentation and tests. *)

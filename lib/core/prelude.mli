@@ -6,6 +6,9 @@
 val source : string
 (** The prelude's MS² source. *)
 
+val source_name : string
+(** The source name its diagnostics carry, [<prelude>]. *)
+
 val load : Engine.t -> unit
 (** Load the prelude (pure meta-program; emits no object code). *)
 
