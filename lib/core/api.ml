@@ -380,9 +380,6 @@ let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
     restoring [defs_version] to the checkpoint's value, keeping cache
     keys stable across session switches. *)
 module Session = struct
-  (* the whole-engine counters; [stats] is rebound below per session *)
-  let engine_stats = stats
-
   type t = {
     sn_engine : engine;
     sn_id : string;
@@ -457,18 +454,30 @@ module Session = struct
       s_fuel = s.sn_fuel;
     }
 
+  (* The four counters a request delta reads, straight off the engine:
+     the engine-wide [stats] would also sweep every store shard for an
+     eviction count the delta never uses. *)
+  let reading (e : engine) : delta =
+    let st = e.Engine.stats in
+    {
+      d_cache_hits = st.cache_hits;
+      d_cache_misses = st.cache_misses;
+      d_invocations = st.invocations_expanded;
+      d_fuel = Engine.fuel_consumed e;
+    }
+
   (* Accumulate the engine-counter movement of this request into the
      session totals and return it.  Counters only ever grow, so a plain
      difference is the request's share even though the engine is shared:
      sessions on one engine run strictly one at a time. *)
-  let absorb_delta (s : t) st0 : delta =
-    let st1 = engine_stats s.sn_engine in
+  let absorb_delta (s : t) (r0 : delta) : delta =
+    let r1 = reading s.sn_engine in
     let d =
       {
-        d_cache_hits = st1.cache_hits - st0.cache_hits;
-        d_cache_misses = st1.cache_misses - st0.cache_misses;
-        d_invocations = st1.invocations_expanded - st0.invocations_expanded;
-        d_fuel = st1.fuel_consumed - st0.fuel_consumed;
+        d_cache_hits = r1.d_cache_hits - r0.d_cache_hits;
+        d_cache_misses = r1.d_cache_misses - r0.d_cache_misses;
+        d_invocations = r1.d_invocations - r0.d_invocations;
+        d_fuel = r1.d_fuel - r0.d_fuel;
       }
     in
     s.sn_cache_hits <- s.sn_cache_hits + d.d_cache_hits;
@@ -484,10 +493,10 @@ module Session = struct
        Unconditional — cheaper to restore than to track which session
        held the engine last, and idempotent when it is already ours. *)
     Engine.rollback e s.sn_cp;
-    let st0 = engine_stats e in
+    let r0 = reading e in
     s.sn_requests <- s.sn_requests + 1;
     let u = expand_unit e ~source ?deadline_ms ?fragment_jobs text in
-    let d = absorb_delta s st0 in
+    let d = absorb_delta s r0 in
     match u.u_fatal with
     | None ->
         (* commit: the session's next request starts from here *)

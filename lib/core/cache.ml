@@ -7,10 +7,10 @@
 
     - the fragment text and its source name (locations embed the name,
       so the same text under another name renders differently);
-    - the macro tables, summarized by the engine's definition-table
-      version counter — every mutation (registration or rollback) bumps
-      it, and versions are never reused for different contents, so equal
-      version implies equal tables within one engine;
+    - the macro tables, summarized by the engine's definition digest, a
+      chained digest of every registration since the pristine tables —
+      equal digests imply an equal history, hence equal tables, in any
+      engine of any process;
     - the meta type environment, the global meta environment (by value),
       and the object-level symbol table — a [metadcl] fragment mutates
       these without touching the macro tables;
@@ -152,7 +152,7 @@ let key ~defs_version ~(env : Value.env) ~tenv ~senv ~(limits : Limits.t)
   (* mid-expansion states (open meta scopes) are not cacheable keys *)
   (match env.Value.scopes with [ _ ] -> () | _ -> raise Uncacheable);
   let b = Buffer.create 512 in
-  Buffer.add_string b (string_of_int defs_version);
+  Buffer.add_string b defs_version;
   Buffer.add_char b '|';
   Buffer.add_string b (digest_globals env);
   Buffer.add_char b '|';

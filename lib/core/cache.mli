@@ -14,7 +14,7 @@ exception Uncacheable
     for real. *)
 
 val key :
-  defs_version:int ->
+  defs_version:Digest.t ->
   env:Value.env ->
   tenv:Tenv.t ->
   senv:Senv.t ->
@@ -24,10 +24,11 @@ val key :
   string ->
   string
 (** Digest of everything a fragment expansion can read: the text, its
-    source name, the macro tables (via the engine's definition-table
-    version), the meta type environment, the global meta environment by
-    value, the object-level symbol table, the resource limits, and the
-    engine behavior flags.  @raise Uncacheable — see above. *)
+    source name, the macro tables (by [defs_version], the engine's
+    digest of the definition history that built them), the meta type
+    environment, the global meta environment by value, the object-level
+    symbol table, the resource limits, and the engine behavior flags.
+    @raise Uncacheable — see above. *)
 
 (** {1 LRU store}
 

@@ -64,17 +64,15 @@ type t = {
           debugging macros depends upon the quality of the debugger",
           paper §3 — this is the poor man's version) *)
   stats : Counters.stats;
-  mutable defs_version : int;
-      (** moved on every macro-table mutation the engine performs
-          (definition registration, rollback).  Equal versions imply
-          equal table contents at fragment boundaries, which is what
-          lets the expansion-cache key summarize the tables by a single
-          integer.  Versions are allocated from a process-global atomic
-          counter (see {!fresh_version}) so the implication holds across
-          {e all} engines, not just within one — the precondition for
-          sharing a cache store between the per-file engines of
-          [--jobs-mode=domains].  Version [0] is reserved for the
-          pristine empty tables every fresh engine starts with *)
+  mutable defs_version : Digest.t;
+      (** a digest of the definition history that built the macro
+          tables: {!pristine_defs} for the empty tables every fresh
+          engine starts with, then chained by each registration
+          ({!register_macro_def}).  Equal digests imply an equal history,
+          hence equal tables, in any engine of any process — what lets
+          the expansion-cache key summarize the tables, lets engines
+          share a store, and keeps snapshot keys valid across processes.
+          Rollback and cache replay restore a stored digest *)
   cache : cached_run Cache.t option;  (** [None] = caching disabled *)
 }
 
@@ -91,21 +89,6 @@ and cached_run = {
           by compare-and-set, so two domains rendering the same entry
           agree on one value *)
   ca_post : checkpoint;
-  ca_version : int;
-      (** [defs_version] after the recorded run.  Replay re-establishes
-          it together with the post-state tables: a version number is
-          permanently associated with the table content it was allocated
-          for, so restoring the pair keeps the version→content mapping
-          single-valued (and lets an idempotent fragment's key recur, so
-          repeat replays keep hitting) *)
-  ca_pre_version : int;
-      (** [defs_version] {e before} the recorded run — the version the
-          cache key was computed against.  Invisible inside the key (keys
-          are digests), so it is recorded here explicitly: snapshot
-          loading must check {e every} version number an entry mentions
-          against the live counter before trusting it (see
-          {!load_store}), and the pre-version is the one a lookup key
-          will quote *)
   ca_fuel : int;  (** interpreter steps the run consumed *)
   ca_nodes : int;  (** AST nodes the run charged *)
   ca_invocations : int;
@@ -150,13 +133,12 @@ and checkpoint = {
       (** global meta bindings, deref'd — {!Value.t} is structurally
           immutable, so a shallow capture is a deep one *)
   cp_senv : Senv.tables;
-  cp_version : int;
-      (** [defs_version] at capture.  Rollback restores it rather than
-          bumping: content at a given version is unique (every mutation
-          bumps), so returning to the captured tables *is* returning to
-          that version — the same argument that lets cache replay restore
-          [ca_version].  Keeps cache keys stable across the
-          rollback-per-request pattern of the serve daemon's sessions. *)
+  cp_version : Digest.t;
+      (** [defs_version] at capture.  Rollback restores it: the digest
+          names the registration history, so returning to the captured
+          tables is returning to their digest.  Keeps cache keys stable
+          across the rollback-per-request pattern of the serve daemon's
+          sessions. *)
 }
 
 (* No dummy default: every expansion-error site must say where. *)
@@ -322,15 +304,9 @@ let expand_invocation (t : t) (inv : invocation) : Value.t =
       | None -> ());
       v
 
-(* Definition-table versions come from one process-global counter:
-   version 0 is the pristine empty tables (identical in every fresh
-   engine, so pristine-state expansions may be shared across engines),
-   and every mutation anywhere allocates a number no other engine has
-   ever associated with different contents.  Rollback and cache replay
-   *restore* stored versions — sound because the content a version was
-   allocated for is globally unique. *)
-let version_counter = Atomic.make 0
-let fresh_version () = 1 + Atomic.fetch_and_add version_counter 1
+(* The digest of the pristine, empty macro tables: the start of every
+   engine's definition history. *)
+let pristine_defs : Digest.t = Digest.string "ms2: pristine macro tables"
 
 let create_store ?budget_bytes () : cached_run Cache.t =
   Cache.create ?budget_bytes ()
@@ -372,7 +348,7 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
           fragments_abort_foreign_closure = 0; pattern_memo_hits = 0;
           pattern_memo_misses = 0; firstset_memo_hits = 0;
           firstset_memo_misses = 0 };
-      defs_version = 0;
+      defs_version = pristine_defs;
       cache =
         (if not cache then None
          else
@@ -492,7 +468,11 @@ let register_macro_def (t : t) (md : macro_def) : unit =
           "generated macro definition still has a placeholder for its name"
   in
   t.stats.macros_defined <- t.stats.macros_defined + 1;
-  t.defs_version <- fresh_version ();
+  (* [macro_def] is plain AST data, so its marshalled bytes are its
+     content; chaining every registration also moves the digest on a
+     redefinition that restores earlier tables *)
+  t.defs_version <-
+    Digest.string (t.defs_version ^ Marshal.to_string (name, md) []);
   t.defs <- Smap.add name md t.defs;
   t.macros :=
     Smap.add name
@@ -812,10 +792,10 @@ let expand_program (t : t) (prog : program) : program =
    Validation is the [defs_version] discipline extended with read/write
    odometers: a worker result is discarded unless
      - the worker saw no definition activity (its [defs_version] still
-       equals the run-start version, no gensym names or anonymous tags
+       equals the run-start digest, no gensym names or anonymous tags
        were minted, no meta declarations ran), and
      - the main engine's [defs_version] still equals the run-start
-       version at commit time, and
+       digest at commit time, and
      - nothing the fragment *read* (per-kind [Senv] lookups, global meta
        bindings) has been dirtied by an earlier commit or re-expansion
        in the same run, and
@@ -991,7 +971,7 @@ type frag_ctx = {
   fx_run : int;
   fx_main : t;  (** read-only from workers: configuration only *)
   fx_cp : checkpoint;  (** run-start checkpoint of the main engine *)
-  fx_v0 : int;  (** [defs_version] at run start *)
+  fx_v0 : Digest.t;  (** [defs_version] at run start *)
   fx_frag_ms : int;  (** per-fragment watchdog deadline *)
 }
 
@@ -1127,7 +1107,7 @@ type frag_dirty = {
   mutable fd_globals : bool;
 }
 
-let frag_commit_ok (t : t) (dirty : frag_dirty) ~(v0 : int)
+let frag_commit_ok (t : t) (dirty : frag_dirty) ~(v0 : Digest.t)
     (r : frag_commit) : bool =
   let b = t.env.Value.budget in
   let rv, rt, rl = r.fr_sreads in
@@ -1440,7 +1420,6 @@ let replay (t : t) (e : cached_run) ~source : unit =
     "replay"
     (fun () ->
       rollback t e.ca_post;
-      t.defs_version <- e.ca_version;
       let b = t.env.Value.budget in
       b.Value.fuel <- b.Value.fuel - e.ca_fuel;
       b.Value.nodes <- b.Value.nodes - e.ca_nodes;
@@ -1496,9 +1475,6 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
           note_bypass t ~source why;
           uncached ()
       | Ok key -> (
-          (* the version the key just digested; stored with a miss so
-             snapshot loads can audit it (see [ca_pre_version]) *)
-          let pre_version = t.defs_version in
           let b = t.env.Value.budget in
           let hit =
             Obs.with_span ~cat:"cache" "lookup" (fun () ->
@@ -1568,8 +1544,6 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                     ca_program = program;
                     ca_rendered = [| Atomic.make None; Atomic.make None |];
                     ca_post = checkpoint t;
-                    ca_version = t.defs_version;
-                    ca_pre_version = pre_version;
                     ca_fuel = fuel_consumed t - fuel0;
                     ca_nodes = nodes_produced t - nodes0;
                     ca_invocations = t.stats.invocations_expanded - inv0;
@@ -1628,14 +1602,13 @@ let cache_evictions (t : t) : int =
    deliberately paranoid:
 
      magic (8) | format version (u32) | build id (16) |
-     generation (16) | version-counter high water (i64) |
      entry count (u32) |
      count * [ entry record | program record ]
 
    where a record is [ payload length (u32) | MD5(payload) (16) |
    payload ].  The entry record is everything but the expanded program
-   (key, size estimate, versions, post-state checkpoint, counters, the
-   rendered outputs); the program record is the marshalled program
+   (key, size estimate, post-state checkpoint, counters, the rendered
+   outputs); the program record is the marshalled program
    alone, by far the larger of the two.  A load unmarshals entry
    records and keeps program records as bytes, so a hit that replays
    its rendered text never pays for the AST ({!program_of} decodes it
@@ -1670,55 +1643,12 @@ let cache_evictions (t : t) : int =
      never stores a run that minted generated names or anonymous tags,
      and diagnosed runs are never stored either.
 
-   {b Version safety.}  [defs_version] numbers are allocated by a
-   process-local counter, so a number from another process may collide
-   with one this process already bound to different table contents —
-   the one way a snapshot could cause a WRONG replay rather than a slow
-   one.  Two rules keep the version→content mapping single-valued:
-
-   - a snapshot written by this very process instance (matching
-     [generation]) is trusted — every version in it was allocated or
-     previously adopted by this process's counter — and the counter is
-     still CAS-advanced past the header's recorded high water (a no-op
-     for a genuine self-reload, whose counter is already there);
-   - otherwise an entry is accepted only if every version it mentions
-     ([ca_pre_version], [ca_version], [cp_version]) is either 0 (the
-     reserved pristine-tables version, whose content is fixed) or
-     strictly greater than the counter's current value; the counter is
-     then CAS-advanced past the snapshot's maximum so those numbers can
-     never be re-allocated.  The filter re-runs if the CAS loses a
-     race.  Rejected entries are dropped (a miss, not a fault).
-
-   "Process instance" must mean exactly that under [Unix.fork]: the
-   [ms2c serve --supervise] workers are fork children, so any
-   generation fixed at module init would be SHARED between a crashed
-   worker and its restarted sibling — whose counter restarts at the
-   supervisor's fork-time value, re-allocating numbers the dead
-   sibling already bound to different table contents.  {!generation}
-   therefore mixes the current pid into a startup-random base on every
-   use: fork children never match each other, and take the adoption
-   path above.  The high-water advance on the matching path is defense
-   in depth for the residual aliasing risk (a recycled pid landing on
-   a fork sibling of the same base). *)
+   Keys need no repair: every part of a key, the definition digest
+   included ({!pristine_defs}), is a digest of content, so it means the
+   same state in any process, fork siblings and restarts included. *)
 
 let snapshot_magic = "MS2SNAP\001"
-let snapshot_format_version = 4
-
-(* 128 self-seeded bits fixed at startup, so two unrelated processes
-   cannot collide; the pid mixed in per call distinguishes fork
-   children sharing the base (see the module comment above). *)
-let generation_base : string =
-  let st = Random.State.make_self_init () in
-  let b = Buffer.create 64 in
-  for _ = 1 to 8 do
-    Buffer.add_string b (string_of_int (Random.State.bits st));
-    Buffer.add_char b '.'
-  done;
-  Buffer.contents b
-
-let generation () : string =
-  Digest.string
-    (Printf.sprintf "%s#%d" generation_base (Build_id.pid ()))
+let snapshot_format_version = 5
 
 (* An entry record; [pe_run]'s program, render slots and compiled
    patterns are emptied (they travel in the program record,
@@ -1740,7 +1670,7 @@ type snapshot_save = {
 
 type snapshot_load = {
   ld_entries : int;  (** entries restored into the store *)
-  ld_dropped : int;  (** version-unsafe or unrebuildable entries *)
+  ld_dropped : int;  (** entries whose patterns could not be recompiled *)
   ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
   ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
 }
@@ -1819,8 +1749,6 @@ let save_store (cache : cached_run Cache.t) (path : string) :
           Buffer.add_string b snapshot_magic;
           Buffer.add_int32_le b (Int32.of_int snapshot_format_version);
           Buffer.add_string b (Build_id.digest ());
-          Buffer.add_string b (generation ());
-          Buffer.add_int64_le b (Int64.of_int (Atomic.get version_counter));
           Buffer.add_int32_le b (Int32.of_int !entries);
           Buffer.add_buffer b records;
           let out = Buffer.contents b in
@@ -1850,7 +1778,7 @@ exception Corrupt of string
    verified here, and only bytes from this very build are ever
    unmarshalled — the records are decoded after the comparison. *)
 let parse_snapshot ~(build_id : unit -> string) (raw : string) :
-    string * int * (persisted_entry * program_state) list =
+    (persisted_entry * program_state) list =
   let len = String.length raw in
   let pos = ref 0 in
   let need n what =
@@ -1868,12 +1796,6 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
     let v = Int32.to_int (String.get_int32_le raw !pos) in
     pos := !pos + 4;
     if v < 0 then raise (Corrupt (what ^ ": out of range"));
-    v
-  in
-  let get_i64 what =
-    need 8 what;
-    let v = Int64.to_int (String.get_int64_le raw !pos) in
-    pos := !pos + 8;
     v
   in
   (* one checksummed record, as (offset, length, digest) in [raw]:
@@ -1896,8 +1818,6 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
          (Printf.sprintf "format version %d (this build reads %d)" fv
             snapshot_format_version));
   let file_build = get_str 16 "build id" in
-  let file_gen = get_str 16 "generation" in
-  let high_water = get_i64 "version counter" in
   let count = get_u32 "entry count" in
   let records =
     List.init count (fun i ->
@@ -1907,15 +1827,13 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
   if !pos <> len then raise (Corrupt "trailing bytes");
   if file_build <> build_id () then
     raise (Corrupt "written by a different build of this binary");
-  ( file_gen,
-    high_water,
-    List.mapi
-      (fun i (meta, (off, len, digest)) ->
-        match (Marshal.from_string raw meta : persisted_entry) with
-        | exception _ ->
-            raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
-        | pe -> (pe, Encoded { raw; off; len; digest }))
-      records )
+  List.mapi
+    (fun i (meta, (off, len, digest)) ->
+      match (Marshal.from_string raw meta : persisted_entry) with
+      | exception _ ->
+          raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
+      | pe -> (pe, Encoded { raw; off; len; digest }))
+    records
 
 (* Recompile the patterns [Marshal] could not carry; [None] drops the
    entry. *)
@@ -1943,30 +1861,6 @@ let recompile_entry ((pe, program) : persisted_entry * program_state) :
             ca_post = { cp with cp_compiled = compiled };
           } )
 
-let entry_versions (run : cached_run) : int list =
-  [ run.ca_pre_version; run.ca_version; run.ca_post.cp_version ]
-
-(* Accept only entries whose versions cannot collide with numbers this
-   process has already bound, and reserve the accepted range by
-   advancing the counter past it (see the module comment above). *)
-let rec adopt_versions (candidates : (string * int * cached_run) list) :
-    (string * int * cached_run) list =
-  let cur0 = Atomic.get version_counter in
-  let safe =
-    List.filter
-      (fun (_, _, run) ->
-        List.for_all (fun v -> v = 0 || v > cur0) (entry_versions run))
-      candidates
-  in
-  let vmax =
-    List.fold_left
-      (fun m (_, _, run) -> List.fold_left max m (entry_versions run))
-      cur0 safe
-  in
-  if vmax = cur0 then safe
-  else if Atomic.compare_and_set version_counter cur0 vmax then safe
-  else adopt_versions candidates
-
 let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
     : snapshot_load =
   Obs.with_span ~cat:"snapshot" "load" @@ fun () ->
@@ -1993,36 +1887,13 @@ let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
         match parse_snapshot ~build_id raw with
         | exception Corrupt msg -> degraded (Printf.sprintf "%s: %s" path msg)
         | exception _ -> degraded (path ^ ": unreadable snapshot")
-        | file_gen, high_water, raw_entries ->
-            let recompiled = List.filter_map recompile_entry raw_entries in
-            let broken = List.length raw_entries - List.length recompiled in
-            let accepted =
-              if file_gen = generation () then begin
-                (* even on the trusted path, never leave the counter
-                   below the writer's high water: numbers the writer
-                   allocated must stay un-mintable here (see the
-                   version-safety module comment) *)
-                let rec reserve () =
-                  let cur = Atomic.get version_counter in
-                  if
-                    high_water > cur
-                    && not
-                         (Atomic.compare_and_set version_counter cur
-                            high_water)
-                  then reserve ()
-                in
-                reserve ();
-                recompiled
-              end
-              else adopt_versions recompiled
-            in
+        | raw_entries ->
+            let accepted = List.filter_map recompile_entry raw_entries in
             let empty_before = Cache.length cache = 0 in
             List.iter
               (fun (key, size, run) -> Cache.add cache ~size_bytes:size key run)
               accepted;
-            let dropped =
-              broken + List.length recompiled - List.length accepted
-            in
+            let dropped = List.length raw_entries - List.length accepted in
             (* the store now holds exactly the file's entries — none
                dropped, none refused or evicted, nothing there before —
                so saving it unchanged would rewrite the same file *)

@@ -53,13 +53,13 @@ type t = {
   stats : Counters.stats;
       (** this engine's counters, mutated as it expands; read a copy
           with its derived fields filled in through {!Api.stats} *)
-  mutable defs_version : int;
-      (** moved on every engine-side macro-table mutation; equal
-          versions imply equal tables at fragment boundaries.  Versions
-          are allocated from a process-global atomic counter, so the
-          implication holds across all engines in the process (version
-          0 = pristine empty tables) — which is what makes a cache
-          store shared between engines sound *)
+  mutable defs_version : Digest.t;
+      (** a digest of the definition history that built the macro
+          tables: a fixed constant for the pristine tables, chained by
+          every registration.  Equal digests imply equal tables in any
+          engine of any process — which is what makes a cache store
+          shared between engines, and a snapshot loaded by another
+          process, sound *)
   cache : cached_run Cache.t option;  (** [None] = caching disabled *)
 }
 
@@ -105,9 +105,10 @@ val rollback : t -> checkpoint -> unit
     them through the shared refs) and refill the global meta scope.
     Also unwinds meta-env and object-level scopes a mid-fragment abort
     left open, and restores [defs_version] to its value at capture
-    (table content at a given version is unique, so returning to the
-    tables is returning to the version) — expansion-cache keys stay
-    stable across the rollback-per-request pattern of serve sessions. *)
+    (the digest names the history that built the tables, so returning
+    to the tables is returning to the digest) — expansion-cache keys
+    stay stable across the rollback-per-request pattern of serve
+    sessions. *)
 
 val fingerprint : t -> string
 (** A structural digest of the rollback-covered session state, for
@@ -212,12 +213,13 @@ val cache_evictions : t -> int
     written by a different build — [Marshal] only ever decodes bytes
     this build wrote) degrades the whole load to a cold cache — a
     warning counter ([snapshot.load.warnings] in {!Obs.Metrics}),
-    never a crash and never a wrong replay.  Entries are re-verified
-    against the [defs_version] discipline before use: version numbers
-    from another process — including a fork sibling, which the
-    pid-mixed process generation never mistakes for the writer — are
-    adopted only when they cannot collide with numbers this process
-    has already bound (see engine.ml for the full argument). *)
+    never a crash and never a wrong replay.  Keys are digests of
+    content, the macro tables' [defs_version] included, so a restored
+    entry means the same state in any process and is used as loaded.
+
+    Format 5 layout: [magic (8) | format (u32) | build id (16) |
+    entry count (u32)], then per entry a checksummed entry record and a
+    checksummed program record. *)
 
 type snapshot_save = {
   sv_entries : int;  (** entries written *)
@@ -231,7 +233,7 @@ type snapshot_save = {
 
 type snapshot_load = {
   ld_entries : int;  (** entries restored into the store *)
-  ld_dropped : int;  (** version-unsafe or unrebuildable entries *)
+  ld_dropped : int;  (** entries whose patterns could not be recompiled *)
   ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
   ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
 }

@@ -38,4 +38,3 @@ let digest_async () : unit -> string =
                 d)
 
 let hex () : string = Digest.to_hex (digest ())
-let pid () : int = Unix.getpid ()

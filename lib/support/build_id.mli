@@ -1,4 +1,4 @@
-(** Identity of the running binary and of the running process.
+(** Identity of the running binary.
 
     OCaml's [Marshal] is untyped: decoding bytes written by a build
     whose value layout differs can segfault or silently yield garbage.
@@ -27,8 +27,3 @@ val digest_async : unit -> unit -> string
 val hex : unit -> string
 (** {!digest} rendered as 32 lowercase hex characters, for embedding
     in textual formats. *)
-
-val pid : unit -> int
-(** The current process id, re-read on every call — after [Unix.fork]
-    a child sees its own pid, which callers use to derive per-process
-    identities that fork cannot duplicate. *)

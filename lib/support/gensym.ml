@@ -25,12 +25,14 @@ let reserved_marker = "__g"
 let is_reserved name =
   let marker = reserved_marker in
   let lm = String.length marker and ln = String.length name in
+  (* every occurrence counts: "a__gb__g1" is what [fresh] mints from
+     base "a__gb" *)
   let rec scan i =
-    if i + lm > ln then false
-    else if String.sub name i lm = marker then
-      (* require marker followed by at least one digit *)
-      i + lm < ln && name.[i + lm] >= '0' && name.[i + lm] <= '9'
-    else scan (i + 1)
+    i + lm < ln
+    && ((String.sub name i lm = marker
+        && name.[i + lm] >= '0'
+        && name.[i + lm] <= '9')
+       || scan (i + 1))
   in
   scan 0
 

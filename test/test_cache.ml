@@ -110,6 +110,34 @@ let failed_fragment_not_poisoning () =
     (norm (expand_ok engine uses))
     "BeginPaint"
 
+(* The definition digest names table content, not an engine: two fresh
+   engines that register the same definitions agree on it, a different
+   body disagrees, and a rollback restores the captured digest. *)
+let defs_digest_is_content () =
+  let digest_after src =
+    let engine = Ms2.Api.create_engine ~cache:false () in
+    ignore (expand_ok engine src);
+    engine
+  in
+  let e1 = digest_after defs and e2 = digest_after defs in
+  Alcotest.(check string) "same definitions, same digest"
+    e1.Engine.defs_version e2.Engine.defs_version;
+  let variant =
+    "syntax stmt Painting {| $$stmt::body |} { return `{start(); $body; \
+     stop();}; }"
+  in
+  let e3 = digest_after variant in
+  Alcotest.(check bool) "a different body, a different digest" false
+    (e1.Engine.defs_version = e3.Engine.defs_version);
+  let cp = Ms2.Api.checkpoint e1 in
+  let before = e1.Engine.defs_version in
+  ignore (expand_ok e1 variant);
+  Alcotest.(check bool) "a registration moves the digest" false
+    (e1.Engine.defs_version = before);
+  Ms2.Api.rollback e1 cp;
+  Alcotest.(check string) "rollback restores the digest" before
+    e1.Engine.defs_version
+
 (* ------------------------------------------------------------------ *)
 (* Hygiene                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -573,6 +601,8 @@ let () =
             redefinition_invalidates;
           Alcotest.test_case "rollback invalidates" `Quick
             rollback_invalidates;
+          Alcotest.test_case "the definition digest is content" `Quick
+            defs_digest_is_content;
           Alcotest.test_case "failures are not stored" `Quick
             failed_fragment_not_poisoning;
           Alcotest.test_case "gensym hygiene" `Quick

@@ -24,7 +24,17 @@ let reserved_marker () =
   Alcotest.(check bool) "marker without digits not reserved" false
     (Gensym.is_reserved "foo__g");
   Alcotest.(check bool) "marker with digit reserved" true
-    (Gensym.is_reserved "foo__g7bar")
+    (Gensym.is_reserved "foo__g7bar");
+  (* the marker may occur in the base too: every occurrence is checked *)
+  let minted = Gensym.fresh (Gensym.create ()) "a__gb" in
+  Alcotest.(check string) "minted from a marked base" "a__gb__g1" minted;
+  Alcotest.(check bool) "a later marker with digit reserved" true
+    (Gensym.is_reserved minted);
+  match
+    Ms2_parser.State.of_string ~reject_reserved:true ("int " ^ minted ^ ";")
+  with
+  | exception Ms2_support.Diag.Error _ -> ()
+  | _ -> Alcotest.fail "the lexer accepted a name gensym can mint"
 
 let no_capture () =
   (* the dynamic_bind scenario: the user's own variable named like the

@@ -18,10 +18,9 @@
     format-version skew, and a foreign build fingerprint must each
     degrade to a cold cache with the warning counter bumped — never a
     crash, never a stale replay.  Fork siblings get their own group:
-    a snapshot written by one fork child must never be trusted by
-    another on the strength of their shared in-memory generation
-    base — versions are adopted, and a constructed version collision
-    must miss, not replay the dead sibling's output. *)
+    keys name content, so a sibling's snapshot replays under the same
+    definitions and misses under different ones, never replaying the
+    dead sibling's output over other macro tables. *)
 
 module Json = Ms2_support.Json
 module Failpoint = Ms2_support.Failpoint
@@ -279,12 +278,9 @@ let in_fork_child ~(name : string) (f : unit -> int) : unit =
 
 (* Two successive fork children of one parent — exactly the supervised
    worker lifecycle.  Worker A populates a cache and snapshots it;
-   worker B, a fresh fork whose version counter restarts at the
-   parent's fork-time value, loads A's snapshot.  B shares A's
-   in-memory generation base, so a generation fixed at module init
-   would let B trust A's version numbers outright; instead the load
-   must take the adoption path — and still come back warm with A's
-   exact bytes. *)
+   worker B, a fresh fork sharing everything A inherited from the
+   parent, loads A's snapshot.  Keys are content digests, so the load
+   must come back warm with A's exact bytes. *)
 let fork_sibling_load_is_warm () =
   in_temp_dir (fun dir ->
       let snap = Filename.concat dir "snap.bin" in
@@ -313,15 +309,44 @@ let fork_sibling_load_is_warm () =
         "the restarted sibling replays A's exact bytes" (read_file out_a)
         (read_file out_b))
 
-(* The wrong-replay construction the version discipline exists to
-   prevent.  A and B fork from the same counter value, so both mint
-   the SAME defs_version number — A for the original macro, B for a
-   variant with a different body.  B then loads A's snapshot *after*
-   minting: A's entry for [uses] is keyed on the colliding number, and
-   trusting it (as a shared module-init generation would) replays A's
-   output under B's different macro tables.  The load must drop the
-   colliding entries instead, and B's expansion must show B's body. *)
-let fork_sibling_collision_is_dropped () =
+(* A sibling that registered the same definitions itself before loading
+   holds the definition digest A keyed its entries on, so every entry
+   loads and [uses] replays.  B reports what it saw through a file, so
+   a failure names the counts. *)
+let fork_sibling_same_defs_replays () =
+  in_temp_dir (fun dir ->
+      let snap = Filename.concat dir "snap.bin" in
+      let report = Filename.concat dir "report.txt" in
+      in_fork_child ~name:"worker A" (fun () ->
+          let s = Ms2.Api.create_shared_cache () in
+          let e = Ms2.Api.create_engine ~cache_store:s () in
+          ignore (expand_ok e defs);
+          ignore (expand_ok e uses);
+          match Ms2.Api.save_shared_cache s snap with
+          | Ok _ -> 0
+          | Error _ -> 1);
+      in_fork_child ~name:"worker B" (fun () ->
+          let s = Ms2.Api.create_shared_cache () in
+          let e = Ms2.Api.create_engine ~cache_store:s () in
+          ignore (expand_ok e defs);
+          let l = Ms2.Api.load_shared_cache s snap in
+          let hits0 = (Ms2.Api.stats e).Ms2.Api.cache_hits in
+          ignore (expand_ok e uses);
+          write_file report
+            (Printf.sprintf "loaded %d dropped %d; uses hits %d"
+               l.Ms2.Engine.ld_entries l.Ms2.Engine.ld_dropped
+               ((Ms2.Api.stats e).Ms2.Api.cache_hits - hits0));
+          0);
+      Alcotest.(check string)
+        "B loads every entry and replays uses"
+        "loaded 2 dropped 0; uses hits 1" (read_file report))
+
+(* The wrong replay a definition identity must rule out.  A and B fork
+   from one parent; A defines the macro, B a variant with a different
+   body, and B then loads A's snapshot.  A's entry for [uses] is keyed
+   on A's definition digest, which B's tables do not have, so B's
+   [uses] must miss and expand with B's own body. *)
+let fork_sibling_variant_misses () =
   in_temp_dir (fun dir ->
       let snap = Filename.concat dir "snap.bin" in
       let out_b = Filename.concat dir "b.c" in
@@ -343,7 +368,7 @@ let fork_sibling_collision_is_dropped () =
       in_fork_child ~name:"worker B" (fun () ->
           let s = Ms2.Api.create_shared_cache () in
           let e = Ms2.Api.create_engine ~cache_store:s () in
-          (* mint the colliding version FIRST, with different tables *)
+          (* register the variant FIRST, so B's tables differ from A's *)
           ignore (expand_ok e defs_variant);
           let l = Ms2.Api.load_shared_cache s snap in
           if l.Ms2.Engine.ld_error <> None then 2
@@ -945,8 +970,10 @@ let () =
       ( "fork-siblings",
         [ Alcotest.test_case "sibling load adopts and stays warm" `Quick
             fork_sibling_load_is_warm;
-          Alcotest.test_case "colliding versions are dropped, not replayed"
-            `Quick fork_sibling_collision_is_dropped ] );
+          Alcotest.test_case "same definitions first, then replay" `Quick
+            fork_sibling_same_defs_replays;
+          Alcotest.test_case "a different body misses, not replays" `Quick
+            fork_sibling_variant_misses ] );
       ( "journal",
         [ Alcotest.test_case "kill -9 + --resume is byte-identical" `Quick
             kill9_resume_byte_identity;
