@@ -990,6 +990,7 @@ let frag_worker (ctx : frag_ctx) : frag_worker_state =
         create ~limits:m.limits ~compile_patterns:m.compile_patterns
           ~hygienic:m.env.Value.hygienic ~recover:false ~cache:false ()
       in
+      Senv.log_top_writes w.senv;
       let globals =
         List.filter_map
           (fun (name, v) ->
@@ -1072,7 +1073,7 @@ let frag_speculate (ctx : frag_ctx) (decls : decl list) ~(index : int) :
           List.length w.env.Value.scopes <> 1 || Senv.depth w.senv <> 1
         then Frag_abort Abort_stale_read
         else
-          match Senv.diff_top w.senv ~base:ctx.fx_cp.cp_senv with
+          match Senv.diff_top w.senv with
           | None -> Frag_abort Abort_stale_read
           | Some senv_delta ->
               let genv_delta = frag_genv_delta fw in
@@ -1298,7 +1299,7 @@ let expand_source_uncached (t : t) ?deadline_ms ~fragment_jobs ~source
             ~watchdog:t.watchdog ~source text)
     in
     st.State.compile_patterns <- t.compile_patterns;
-    let frags = if speculate then Prescan.split st.State.toks else [] in
+    let frags = if speculate then Prescan.split st.State.stream else [] in
     let prog =
       Obs.with_span ~cat:"parse" "parse" (fun () -> Parser.parse_program st)
     in

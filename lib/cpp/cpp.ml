@@ -43,8 +43,7 @@ let error fmt = Diag.error Diag.Expansion fmt
     EOF marker), for building macro bodies conveniently. *)
 let tokenize (text : string) : Token.t list =
   Lexer.tokenize text |> Array.to_list
-  |> List.filter_map (fun { Token.tok; _ } ->
-         match tok with Token.EOF -> None | tok -> Some tok)
+  |> List.filter (function Token.EOF -> false | _ -> true)
 
 (** Split a function-macro argument list.  [toks] starts after the
     opening parenthesis; returns the comma-separated argument token

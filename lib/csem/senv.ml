@@ -46,13 +46,23 @@ type t = {
   mutable writes_vars : int;
   mutable writes_typedefs : int;
   mutable writes_layouts : int;
+  (* The names written into the top scope (and layout table) since the
+     last [set_tables] to [log_base], kept only once [log_top_writes]
+     turns it on: a speculation worker diffs a fragment's writes in time
+     proportional to them, not to the whole top scope. *)
+  mutable logging : bool;
+  mutable log_base : tables;
+  mutable log_vars : string list;
+  mutable log_typedefs : string list;
+  mutable log_layouts : string list;
 }
 
 let empty_scope = { vars = Smap.empty; typedefs = Smap.empty }
 
 let create () =
+  let tables = { scopes = [ empty_scope ]; layouts = Smap.empty } in
   {
-    tables = { scopes = [ empty_scope ]; layouts = Smap.empty };
+    tables;
     anon_counter = 0;
     reads_vars = 0;
     reads_typedefs = 0;
@@ -60,10 +70,27 @@ let create () =
     writes_vars = 0;
     writes_typedefs = 0;
     writes_layouts = 0;
+    logging = false;
+    log_base = tables;
+    log_vars = [];
+    log_typedefs = [];
+    log_layouts = [];
   }
 
 let tables t = t.tables
-let set_tables t tables = t.tables <- tables
+
+let set_tables t tables =
+  t.tables <- tables;
+  if t.logging then begin
+    t.log_base <- tables;
+    t.log_vars <- [];
+    t.log_typedefs <- [];
+    t.log_layouts <- []
+  end
+
+let log_top_writes t =
+  t.logging <- true;
+  set_tables t t.tables
 
 let push_scope t =
   t.tables <- { t.tables with scopes = empty_scope :: t.tables.scopes }
@@ -95,17 +122,23 @@ let update_scope t f : bool =
   | [] -> assert false
 
 let add_var t name ty =
-  if update_scope t (fun s -> { s with vars = Smap.add name ty s.vars }) then
-    t.writes_vars <- t.writes_vars + 1
+  if update_scope t (fun s -> { s with vars = Smap.add name ty s.vars }) then begin
+    t.writes_vars <- t.writes_vars + 1;
+    if t.logging then t.log_vars <- name :: t.log_vars
+  end
 
 let add_typedef t name ty =
   if
     update_scope t (fun s ->
         { s with typedefs = Smap.add name ty s.typedefs })
-  then t.writes_typedefs <- t.writes_typedefs + 1
+  then begin
+    t.writes_typedefs <- t.writes_typedefs + 1;
+    if t.logging then t.log_typedefs <- name :: t.log_typedefs
+  end
 
 let add_layout t tag fields =
   t.writes_layouts <- t.writes_layouts + 1;
+  if t.logging then t.log_layouts <- tag :: t.log_layouts;
   let index =
     List.fold_left
       (fun index (name, ty) ->
@@ -159,40 +192,43 @@ let field_type t tag field : Ctype.t =
 let reads t = (t.reads_vars, t.reads_typedefs, t.reads_layouts)
 let writes t = (t.writes_vars, t.writes_typedefs, t.writes_layouts)
 
-(** The top-scope difference between [t] and the tables it was set
-    to: what a speculative fragment wrote.  [None] when the
-    environments are not at a comparable fragment boundary (both must be
-    a single open scope).  Unchanged-binding detection is physical
-    first: a binding the fragment did not touch is the very value
-    [base] holds. *)
+(** The top-scope difference between [t] and the tables it was last set
+    to: what a speculative fragment wrote, found by looking up each
+    logged name.  [None] when the environments are not at a comparable
+    fragment boundary (both must be a single open scope).
+    Unchanged-binding detection is physical first: a binding the
+    fragment did not touch is the very value the base holds. *)
 type top_delta = {
   dl_vars : (string * Ctype.t) list;
   dl_typedefs : (string * Ctype.t) list;
   dl_layouts : (string * (string * Ctype.t) list) list;
 }
 
-let diff_top (t : t) ~(base : tables) : top_delta option =
+let diff_top (t : t) : top_delta option =
+  if not t.logging then invalid_arg "Senv.diff_top: writes are not logged";
+  let base = t.log_base in
   match (t.tables.scopes, base.scopes) with
   | [ top ], [ base_top ] ->
-      let map_delta same cur base =
-        if cur == base then []
-        else
-          Smap.fold
-            (fun name v acc ->
-              match Smap.find_opt name base with
-              | Some v0 when same v0 v -> acc
-              | _ -> (name, v) :: acc)
-            cur []
+      (* the changed bindings, in descending key order *)
+      let map_delta same log cur base =
+        List.fold_left
+          (fun acc name ->
+            let v = Smap.find name cur in
+            match Smap.find_opt name base with
+            | Some v0 when same v0 v -> acc
+            | _ -> (name, v) :: acc)
+          [] (List.sort_uniq String.compare log)
       in
       let same_type ty0 ty = ty0 == ty || ty0 = ty in
       Some
         {
-          dl_vars = map_delta same_type top.vars base_top.vars;
-          dl_typedefs = map_delta same_type top.typedefs base_top.typedefs;
+          dl_vars = map_delta same_type t.log_vars top.vars base_top.vars;
+          dl_typedefs =
+            map_delta same_type t.log_typedefs top.typedefs base_top.typedefs;
           dl_layouts =
             List.map
               (fun (tag, layout) -> (tag, layout.fields))
-              (map_delta ( == ) t.tables.layouts base.layouts);
+              (map_delta ( == ) t.log_layouts t.tables.layouts base.layouts);
         }
   | _ -> None
 

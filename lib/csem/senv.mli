@@ -65,10 +65,17 @@ type top_delta
 (** What a fragment wrote into the top scope (and the layout table),
     relative to the tables it started from. *)
 
-val diff_top : t -> base:tables -> top_delta option
-(** [diff_top t ~base] — [base] must be the {!tables} [t] was last
-    {!set_tables} to; [None] when either side has scopes still open
-    (not at a fragment boundary). *)
+val log_top_writes : t -> unit
+(** From now on, log the names written into the top scope and the
+    layout table; {!set_tables} empties the log.  Only for an
+    environment reset before each fragment (a speculation worker's):
+    anywhere else the log would grow with the session. *)
+
+val diff_top : t -> top_delta option
+(** What [t] wrote since it was last {!set_tables}, in time proportional
+    to those writes; [None] when either side has scopes still open (not
+    at a fragment boundary).
+    @raise Invalid_argument unless {!log_top_writes} was called. *)
 
 val delta_counts : top_delta -> int * int * int
 (** Entry counts [(vars, typedefs, layouts)] of a delta. *)

@@ -108,6 +108,3 @@ let equal (a : t) (b : t) =
      | _ -> a = b)
 
 let pp ppf t = Fmt.string ppf (to_string t)
-
-(** A token paired with its source location, as produced by the lexer. *)
-type located = { tok : t; loc : Ms2_support.Loc.t }

@@ -1405,7 +1405,8 @@ and compile_pattern_uncached (pat : pattern) : State.compiled_pattern =
       pat
   in
   fun st ->
-    Failpoint.hit ~watchdog:st.watchdog ~loc:(loc st) "parser/pattern";
+    if Failpoint.armed () then
+      Failpoint.hit ~watchdog:st.watchdog ~loc:(loc st) "parser/pattern";
     List.filter_map (fun step -> step st) steps
 
 and parse_by_pspec st (ps : pspec) : actual =

@@ -53,18 +53,17 @@ let continues_declaration (tok : Token.t) : bool =
   | Token.ASSIGN | Token.LBRACKET -> true
   | _ -> false
 
-let split (toks : Token.located array) : fragment list =
+let split (stream : Lexer.stream) : fragment list =
+  let toks = stream.Lexer.toks in
   let n = Array.length toks in
   let frags = ref [] in
   let fg_start = ref 0 in
   let barrier = ref false in
   let close stop =
     if stop > !fg_start then begin
-      let first = toks.(!fg_start) in
       frags :=
         {
-          fg_offset =
-            first.Token.loc.Ms2_support.Loc.start_pos.Ms2_support.Loc.offset;
+          fg_offset = stream.Lexer.starts.(!fg_start);
           fg_tokens = stop - !fg_start;
           fg_barrier = !barrier;
         }
@@ -77,7 +76,7 @@ let split (toks : Token.located array) : fragment list =
   let i = ref 0 in
   (try
      while !i < n do
-       let tok = toks.(!i).Token.tok in
+       let tok = toks.(!i) in
        if barrier_token tok then barrier := true;
        (match tok with
        | Token.EOF ->
@@ -93,7 +92,7 @@ let split (toks : Token.located array) : fragment list =
              !depth = 0
              && not
                   (!i + 1 < n
-                  && continues_declaration toks.(!i + 1).Token.tok)
+                  && continues_declaration toks.(!i + 1))
            then close (!i + 1)
        | Token.SEMI -> if !depth = 0 then close (!i + 1)
        | _ -> ());

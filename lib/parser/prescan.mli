@@ -18,8 +18,8 @@ type fragment = {
           after it must observe its effects *)
 }
 
-val split : Token.located array -> fragment list
-(** Split a token stream (as produced by {!Ms2_syntax.Lexer.tokenize};
-    a trailing [EOF] is accepted and excluded) into fragments in source
+val split : Lexer.stream -> fragment list
+(** Split a token stream (as produced by {!Ms2_syntax.Lexer.scan}; a
+    trailing [EOF] is accepted and excluded) into fragments in source
     order.  Offsets are strictly increasing; empty fragments are not
     produced. *)

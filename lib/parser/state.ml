@@ -21,8 +21,13 @@ type t = {
       (** compile each macro's pattern to a specialized parse routine at
           definition time (the acceleration the paper suggests in §3);
           disable for the ablation benchmark *)
-  toks : Token.located array;
+  stream : Lexer.stream;
+  toks : Token.t array;  (** [stream.toks] *)
   mutable pos : int;
+  mutable loc_pos : int;
+  mutable loc_memo : Loc.t;
+      (** the location {!loc} built last, for token [loc_pos]: the nodes
+          that start at one token share one location *)
   mutable typedef_scopes : (string, unit) Hashtbl.t list;
   macros : macro_sig Smap.t ref;
       (** the signatures in force; the ref is shared with the engine,
@@ -49,12 +54,14 @@ type t = {
     returns the actual-parameter bindings. *)
 and compiled_pattern = t -> (string * Ast.actual) list
 
-let create ?macros ?tenv ?compiled ?watchdog (toks : Token.located array) : t
-    =
+let create ?macros ?tenv ?compiled ?watchdog (stream : Lexer.stream) : t =
   {
     compile_patterns = true;
-    toks;
+    stream;
+    toks = stream.Lexer.toks;
     pos = 0;
+    loc_pos = -1;
+    loc_memo = Loc.dummy;
     typedef_scopes = [ Hashtbl.create 16 ];
     macros = (match macros with Some m -> m | None -> ref Smap.empty);
     tenv = (match tenv with Some e -> e | None -> Tenv.create ());
@@ -70,25 +77,30 @@ let create ?macros ?tenv ?compiled ?watchdog (toks : Token.located array) : t
 let of_string ?origin ?macros ?tenv ?compiled ?watchdog
     ?(source = "<string>") ?(reject_reserved = false) text =
   create ?macros ?tenv ?compiled ?watchdog
-    (Lexer.tokenize ?origin ~source ~reject_reserved text)
+    (Lexer.scan ?origin ~source ~reject_reserved text)
 
 (* ------------------------------------------------------------------ *)
 (* Token access                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let peek_located st : Token.located = st.toks.(st.pos)
-let peek st : Token.t = st.toks.(st.pos).Token.tok
+let peek st : Token.t = st.toks.(st.pos)
 
 let peek_ahead st n : Token.t =
   let i = st.pos + n in
-  if i < Array.length st.toks then st.toks.(i).Token.tok else Token.EOF
+  if i < Array.length st.toks then st.toks.(i) else Token.EOF
 
-let loc st : Loc.t = st.toks.(st.pos).Token.loc
+let loc st : Loc.t =
+  if st.loc_pos <> st.pos then begin
+    st.loc_memo <- Lexer.loc st.stream st.pos;
+    st.loc_pos <- st.pos
+  end;
+  st.loc_memo
 
+(* The watchdog and the failpoint need a location only when they fire. *)
 let advance st =
-  let l = st.toks.(st.pos).Token.loc in
-  Watchdog.poll st.watchdog ~loc:l;
-  Failpoint.hit ~watchdog:st.watchdog ~loc:l "parser/token";
+  if Watchdog.tick st.watchdog then Watchdog.check st.watchdog ~loc:(loc st);
+  if Failpoint.armed () then
+    Failpoint.hit ~watchdog:st.watchdog ~loc:(loc st) "parser/token";
   if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
 
 let error st fmt = Diag.error ~loc:(loc st) Diag.Parsing fmt

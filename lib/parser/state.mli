@@ -19,8 +19,12 @@ type t = {
   mutable compile_patterns : bool;
       (** compile each macro's pattern to a specialized parse routine at
           definition time (paper §3's suggested acceleration) *)
-  toks : Token.located array;
+  stream : Lexer.stream;
+  toks : Token.t array;  (** [stream.toks] *)
   mutable pos : int;
+  mutable loc_pos : int;
+  mutable loc_memo : Loc.t;
+      (** the location {!loc} built last, for token [loc_pos] *)
   mutable typedef_scopes : (string, unit) Hashtbl.t list;
   macros : macro_sig Smap.t ref;
       (** the signatures in force; the ref is shared with the engine,
@@ -42,7 +46,7 @@ val create :
   ?tenv:Tenv.t ->
   ?compiled:compiled_pattern Smap.t ref ->
   ?watchdog:Watchdog.t ->
-  Token.located array ->
+  Lexer.stream ->
   t
 
 val of_string :
@@ -55,15 +59,18 @@ val of_string :
   ?reject_reserved:bool ->
   string ->
   t
-(** [?origin] is forwarded to {!Ms2_syntax.Lexer.tokenize}: provenance
-    stamped onto every token (and thus AST) location. *)
+(** [?origin] is forwarded to {!Ms2_syntax.Lexer.scan}: provenance
+    carried by every token (and thus AST) location. *)
 
 (** {1 Token access} *)
 
-val peek_located : t -> Token.located
 val peek : t -> Token.t
 val peek_ahead : t -> int -> Token.t
+
 val loc : t -> Loc.t
+(** The current token's location, built on first request and kept until
+    the parser asks at another token. *)
+
 val advance : t -> unit
 
 val error : t -> ('a, Format.formatter, unit, 'b) format4 -> 'a

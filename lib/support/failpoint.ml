@@ -180,7 +180,7 @@ let fire_hang name =
   in
   wait ()
 
-let armed () = Atomic.get view <> []
+let armed () = match Atomic.get view with [] -> false | _ -> true
 
 let hit ?watchdog ~loc name =
   match Atomic.get view with

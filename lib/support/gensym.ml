@@ -19,22 +19,27 @@ let fresh t base =
 
 let reserved_marker = "__g"
 
+(* Does [name] hold the marker followed by a digit at [i]?  Compared
+   in place and with no local closure: the lexer asks about every
+   identifier of a user program. *)
+let rec marker_at name i k =
+  if k = String.length reserved_marker then
+    i + k < String.length name && name.[i + k] >= '0' && name.[i + k] <= '9'
+  else
+    i + k < String.length name
+    && name.[i + k] = reserved_marker.[k]
+    && marker_at name i (k + 1)
+
+(* every occurrence counts: "a__gb__g1" is what [fresh] mints from base
+   "a__gb" *)
+let rec reserved_from name i =
+  i + String.length reserved_marker < String.length name
+  && (marker_at name i 0 || reserved_from name (i + 1))
+
 (** [is_reserved name] holds when [name] could collide with a generated
     name.  User programs containing such identifiers are rejected so that
     gensym'd names are guaranteed capture-free. *)
-let is_reserved name =
-  let marker = reserved_marker in
-  let lm = String.length marker and ln = String.length name in
-  (* every occurrence counts: "a__gb__g1" is what [fresh] mints from
-     base "a__gb" *)
-  let rec scan i =
-    i + lm < ln
-    && ((String.sub name i lm = marker
-        && name.[i + lm] >= '0'
-        && name.[i + lm] <= '9')
-       || scan (i + 1))
-  in
-  scan 0
+let is_reserved name = reserved_from name 0
 
 let count t = t.counter
 let reset t = t.counter <- 0

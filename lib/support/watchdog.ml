@@ -63,13 +63,18 @@ let check t ~loc =
   Obs.Metrics.incr c_clock_reads;
   if now () > t.deadline then expired ~loc t
 
-let poll t ~loc =
+let tick t =
   let c = t.countdown - 1 in
-  t.countdown <- c;
-  if c <= 0 then begin
-    t.countdown <- poll_interval;
-    check t ~loc
+  if c > 0 then begin
+    t.countdown <- c;
+    false
   end
+  else begin
+    t.countdown <- poll_interval;
+    true
+  end
+
+let poll t ~loc = if tick t then check t ~loc
 
 let remaining_ms t =
   if not (armed t) then None

@@ -45,6 +45,11 @@ val poll : t -> loc:Loc.t -> unit
     {!poll_interval}th call.  Cheap enough for per-token and
     per-interpreter-step use. *)
 
+val tick : t -> bool
+(** The gate of {!poll} alone: [true] on every {!poll_interval}th call,
+    when the caller should {!check}.  For a poll site whose location
+    costs something to build. *)
+
 val poll_interval : int
 (** Polls between clock reads (a bound on detection latency, not a
     guarantee: a poll site must actually be reached). *)

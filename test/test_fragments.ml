@@ -240,6 +240,42 @@ let fragment_threshold () =
   Alcotest.(check int) "7 fragments: sequential walk" 0 (speculated 7);
   Alcotest.(check bool) "8 fragments: speculation runs" true (speculated 8 > 0)
 
+(* A typedef halfway down a unit of fresh names is a barrier, so the
+   second half speculates from a run-start state holding the first
+   half's 4,000 names.  A fragment's commit diff must cost what the
+   fragment wrote, not that state: diffing the whole top scope per
+   fragment made [--fragment-jobs 2] about 15x slower than the
+   sequential walk at this size.  Best of three keeps jitter out. *)
+let mid_barrier_speculation () =
+  let lines = 8000 in
+  let b = Buffer.create (lines * 32) in
+  for i = 0 to lines - 1 do
+    if i = lines / 2 then Buffer.add_string b "typedef int mid_t;\n";
+    Printf.bprintf b "int fresh_%d_x = %d;\n" i i
+  done;
+  let f = write_fixture "mid" (Buffer.contents b) in
+  with_files [ f ] (fun files ->
+      let file = List.hd files in
+      let best jobs =
+        let run () =
+          let t0 = Unix.gettimeofday () in
+          let c, out, _ =
+            run_cli (Printf.sprintf "expand --fragment-jobs %d %s" jobs file)
+          in
+          Alcotest.(check int) (Printf.sprintf "exit at %d jobs" jobs) 0 c;
+          (Unix.gettimeofday () -. t0, out)
+        in
+        let runs = List.init 3 (fun _ -> run ()) in
+        (List.fold_left (fun m (t, _) -> Float.min m t) infinity runs,
+         snd (List.hd runs))
+      in
+      let t1, out1 = best 1 and t2, out2 = best 2 in
+      Alcotest.(check string) "byte-identical output" out1 out2;
+      if t2 > 3. *. t1 then
+        Alcotest.failf
+          "--fragment-jobs 2 took %.3f s, %.1fx the sequential %.3f s" t2
+          (t2 /. t1) t1)
+
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide byte-identity                                           *)
 (* ------------------------------------------------------------------ *)
@@ -396,6 +432,8 @@ let () =
             stats_survive_publish;
           Alcotest.test_case "eight fragments before speculation" `Quick
             fragment_threshold;
+          Alcotest.test_case "speculation after a mid-unit barrier is linear"
+            `Quick mid_barrier_speculation;
         ] );
       ( "chaos",
         [

@@ -5,8 +5,7 @@ open Ms2_syntax
 
 let toks src =
   Lexer.tokenize src |> Array.to_list
-  |> List.filter_map (fun { Token.tok; _ } ->
-         match tok with Token.EOF -> None | t -> Some t)
+  |> List.filter (function Token.EOF -> false | _ -> true)
 
 let tok = Alcotest.testable (Fmt.of_to_string Token.to_string) Token.equal
 
@@ -79,19 +78,109 @@ let comments () =
   check_toks "comment with stars" "a /* * ** */ b" [ IDENT "a"; IDENT "b" ];
   check_toks "division not comment" "a / b" [ IDENT "a"; SLASH; IDENT "b" ]
 
+module Loc = Ms2_support.Loc
+
 let locations () =
-  let located = Lexer.tokenize ~source:"t.c" "ab\n  cd" in
-  let second = located.(1) in
-  Alcotest.(check string) "token" "cd" (Token.to_string second.Token.tok);
-  Alcotest.(check int) "line" 2 second.Token.loc.Ms2_support.Loc.start_pos.line;
-  Alcotest.(check int) "col" 2 second.Token.loc.Ms2_support.Loc.start_pos.col;
-  Alcotest.(check string) "source" "t.c" second.Token.loc.Ms2_support.Loc.source
+  let s = Lexer.scan ~source:"t.c" "ab\n  cd" in
+  let second = Lexer.loc s 1 in
+  Alcotest.(check string) "token" "cd" (Token.to_string s.Lexer.toks.(1));
+  Alcotest.(check int) "line" 2 second.Loc.start_pos.line;
+  Alcotest.(check int) "col" 2 second.Loc.start_pos.col;
+  Alcotest.(check string) "source" "t.c" second.Loc.source
 
 let eof_marker () =
-  let located = Lexer.tokenize "x" in
-  Alcotest.(check int) "two tokens" 2 (Array.length located);
-  Alcotest.(check bool) "last is eof" true
-    (located.(1).Token.tok = Token.EOF)
+  let toks = Lexer.tokenize "x" in
+  Alcotest.(check int) "two tokens" 2 (Array.length toks);
+  Alcotest.(check bool) "last is eof" true (toks.(1) = Token.EOF)
+
+(* Token [i]'s spelling, then its start and end as [(line, col, offset)]. *)
+let span src i =
+  let s = Lexer.scan src in
+  let l = Lexer.loc s i in
+  ( Token.to_string s.Lexer.toks.(i),
+    (l.Loc.start_pos.line, l.start_pos.col, l.start_pos.offset),
+    (l.end_pos.line, l.end_pos.col, l.end_pos.offset) )
+
+let check_span what src i expected =
+  Alcotest.(check (triple string (triple int int int) (triple int int int)))
+    what expected (span src i)
+
+(* Columns are bytes from the last newline: a tab is one, and a [\r] of
+   a [\r\n] ends the line it is on. *)
+let spans_after_trivia () =
+  check_span "after a multi-line block comment" "a /* x\n y\n */ b" 1
+    ("b", (3, 4, 14), (3, 5, 15));
+  check_span "after CRLF line ends" "a\r\n\r\n  c" 1
+    ("c", (3, 2, 7), (3, 3, 8));
+  check_span "after tabs" "\tx\t\tyy" 1 ("yy", (1, 4, 4), (1, 6, 6));
+  check_span "after a line comment" "a // b\n\tc" 1
+    ("c", (2, 1, 8), (2, 2, 9))
+
+let spans_of_literals () =
+  let src = "x = \"a\\n\\\"b\"; t" in
+  check_span "a string with escapes" src 2
+    ("\"a\\n\\\"b\"", (1, 4, 4), (1, 12, 12));
+  check_span "after a string with escapes" src 4 ("t", (1, 14, 14), (1, 15, 15));
+  (* a raw newline inside a literal: the token ends on the next line *)
+  let src = "s = \"a\nb\" c" in
+  check_span "a string spanning lines" src 2
+    ("\"a\\nb\"", (1, 4, 4), (2, 2, 9));
+  check_span "after it" src 3 ("c", (2, 3, 10), (2, 4, 11));
+  check_span "after a char escape" "'\\n' d" 1 ("d", (1, 5, 5), (1, 6, 6))
+
+let eof_spans () =
+  check_span "eof after a token" "x" 1 ("<eof>", (1, 1, 1), (1, 1, 1));
+  check_span "eof after a newline" "x\n" 1 ("<eof>", (2, 0, 2), (2, 0, 2));
+  check_span "eof after a comment" "x /* c\n */" 1
+    ("<eof>", (2, 3, 10), (2, 3, 10));
+  check_span "eof of empty input" "" 0 ("<eof>", (1, 0, 0), (1, 0, 0))
+
+(* An origin given to the lexer is the origin of every parsed node. *)
+let macro_origin_reaches_nodes () =
+  let call_site =
+    Loc.make ~source:"user.c"
+      ~start_pos:{ Loc.line = 7; col = 2; offset = 40 }
+      ~end_pos:{ Loc.line = 7; col = 9; offset = 47 }
+  in
+  let origin = Loc.Macro { Loc.macro = "m"; call_site } in
+  let st =
+    Ms2_parser.State.of_string ~origin ~source:"m.out"
+      "int f(void) { return y + 1; }"
+  in
+  let from_m what (l : Loc.t) =
+    Alcotest.(check (list string)) (what ^ " backtrace") [ "m" ]
+      (List.map (fun f -> f.Loc.macro) (Loc.backtrace l));
+    Alcotest.(check string) (what ^ " source") "m.out" l.Loc.source;
+    Alcotest.(check string) (what ^ " root") "user.c" (Loc.root l).Loc.source
+  in
+  match Ms2_parser.Parser.parse_program st with
+  | [ ({ Ast.d = Ast.Decl_fun (_, _, _, body); _ } as d) ] -> (
+      from_m "declaration" d.Ast.dloc;
+      from_m "body" body.Ast.sloc;
+      match body.Ast.s with
+      | Ast.St_compound [ Ast.Bi_stmt ({ s = St_return (Some e); _ } as r) ] ->
+          from_m "return" r.Ast.sloc;
+          from_m "expression" e.Ast.eloc
+      | _ -> Alcotest.fail "unexpected body")
+  | _ -> Alcotest.fail "expected one function"
+
+(* The stream keeps no per-token location, so lexing a large unit
+   allocates a handful of minor words per token: the boxed token, its
+   spelling and the interner's entry for a fresh name.  Arrays this size
+   go to the major heap and are not counted. *)
+let allocation_per_token () =
+  let b = Buffer.create (16000 * 32) in
+  for i = 0 to 15999 do
+    Printf.bprintf b "int lexalloc_%d_x = %d;\n" i i
+  done;
+  let text = Buffer.contents b in
+  let w0 = Gc.minor_words () in
+  let n = Array.length (Lexer.tokenize text) in
+  let words = Gc.minor_words () -. w0 in
+  let per_token = words /. float_of_int n in
+  if per_token > 16. then
+    Alcotest.failf "lexing allocated %.1f minor words per token (%d tokens)"
+      per_token n
 
 let errors () =
   lex_error "\"unterminated";
@@ -119,5 +208,11 @@ let () =
           Tutil.tc "comments" comments;
           Tutil.tc "locations" locations;
           Tutil.tc "eof marker" eof_marker;
+          Tutil.tc "spans after comments, CRLF and tabs" spans_after_trivia;
+          Tutil.tc "spans of and after literals" spans_of_literals;
+          Tutil.tc "eof spans" eof_spans;
+          Tutil.tc "a macro origin reaches parsed nodes"
+            macro_origin_reaches_nodes;
+          Tutil.tc "minor words per token" allocation_per_token;
           Tutil.tc "lexical errors" errors;
           Tutil.tc "reserved generated names" reserved ] ) ]

@@ -23,11 +23,12 @@ let use_text = "int f(void) { return TWICE((2)); }\n"
 let plain_text = "int g(void) { return 1 + 1; }\n"
 
 (* A fragment heavy enough to exceed a 1 ms slow threshold even on a
-   fast machine: one definition plus many uses. *)
+   fast machine: one definition plus many uses.  120 uses took 0.85 ms
+   on a 2-vCPU VM once lexing got cheaper; 1,000 take about 14 ms. *)
 let heavy_text =
-  let b = Buffer.create 4096 in
+  let b = Buffer.create 40960 in
   Buffer.add_string b defs_text;
-  for _ = 1 to 120 do
+  for _ = 1 to 1000 do
     Buffer.add_string b use_text
   done;
   Buffer.contents b

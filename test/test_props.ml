@@ -149,8 +149,7 @@ let prop_lexer_roundtrip =
       let text = String.concat " " (List.map Token.to_string toks) in
       let relexed =
         Lexer.tokenize text |> Array.to_list
-        |> List.filter_map (fun { Token.tok; _ } ->
-               match tok with Token.EOF -> None | t -> Some t)
+        |> List.filter (function Token.EOF -> false | _ -> true)
       in
       relexed = toks)
 
