@@ -539,9 +539,8 @@ let report_snapshot ~stats (load : Ms2.Engine.snapshot_load option)
         prerr_string "cache snapshot: unchanged, not rewritten\n"
     | Some s ->
         Printf.eprintf
-          "cache snapshot: saved %d entries (%d skipped, %d bytes)\n"
-          s.Ms2.Engine.sv_entries s.Ms2.Engine.sv_skipped
-          s.Ms2.Engine.sv_bytes
+          "cache snapshot: saved %d entries (%d bytes)\n"
+          s.Ms2.Engine.sv_entries s.Ms2.Engine.sv_bytes
     | None -> ()
   end
 
@@ -611,11 +610,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
   let want_map = line_directives || sourcemap <> None in
   (* a store exists only when a snapshot will read it: a one-shot run
      expands each unit once, as cpp does, so an in-process store would
-     almost only be filled.  The price is --prelude under domains:
-     every per-file engine loads the prelude itself, as fork workers
-     do, instead of replaying it from another engine's store, which
-     costs batches of many small files (EXPERIMENTS.md, "One-shot runs
-     keep no store").  The callers pass no [cache_file] under
+     almost only be filled.  The callers pass no [cache_file] under
      --no-cache.  With one, every engine attaches the store that
      gets loaded and saved: domains share it, so a fragment expanded on
      one replays on every other and the counters merge; under fork the
@@ -715,11 +710,28 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
             Printf.eprintf "ms2c: cannot open journal: %s\n%!" msg;
             exit exit_fatal)
   in
-  let new_engine () =
-    let engine =
+  let create ~prelude =
+    try
       Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic ~prelude
         ~cache:(store <> None) ?cache_store:store ()
-    in
+    with Diag.Error d ->
+      (* only a prelude load can fail (an armed failpoint), and only on
+         the driver: no file can run without it *)
+      prerr_endline (render d);
+      exit exit_fatal
+  in
+  (* per-file engines start from one post-prelude checkpoint taken
+     here, so the prelude loads once per batch (and is counted once);
+     fork workers inherit it *)
+  let prelude_engine =
+    if per_file && prelude then
+      Some (on_driver_track (fun () -> create ~prelude:true))
+    else None
+  in
+  let prelude_cp = Option.map Ms2.Api.checkpoint prelude_engine in
+  let new_engine () =
+    let engine = create ~prelude:(prelude && not per_file) in
+    Option.iter (Ms2.Api.rollback engine) prelude_cp;
     if trace then engine.Ms2.Engine.trace <- Some Format.err_formatter;
     engine
   in
@@ -888,7 +900,9 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
   publish_run
     ?store:(if per_file && not forked then store else None)
     ~jobs ~jobs_mode
-    (match shared with
+    (List.map Ms2.Api.stats (Option.to_list prelude_engine)
+    @
+    match shared with
     | Some e -> [ Ms2.Api.stats e ]
     | None -> List.filter_map (fun r -> r.w_stats) done_);
   write_file metrics Obs.Metrics.to_json;

@@ -23,11 +23,13 @@
     wrong hit.
 
     {b What cannot be keyed.}  Meta globals can hold closures.  A
-    closure's behavior is its parameters, its body, and its captured
-    environment; when the captured environment is just the global scope
-    (the common case — the globals are already in the key, and the body
-    and parameters are pure data) the closure digests fine.  A closure
-    that captured {e local} scopes has no finite digest we can trust, so
+    closure's behavior is its parameters, its body, the locals it
+    captured, and the globals of the session that calls it.  A meta
+    function captures no locals (the common case — the globals are
+    already in the key, and the body and parameters are pure data), so
+    it digests fine.  A lambda that escaped into a global captured
+    {e local} scopes, which are mutable and shared with its creator: that
+    has no finite digest we can trust ({!Value.captures_locals}), so
     {!key} raises {!Uncacheable} and the engine expands for real.
 
     {b Generated names.}  The gensym counter is deliberately {e not}
@@ -89,8 +91,8 @@ exception Uncacheable
 (* ------------------------------------------------------------------ *)
 
 (* Meta values digest structurally.  Closures: parameters and body are
-   pure data; the captured environment must be the global scope alone
-   (see the module comment), which the caller digests separately. *)
+   pure data; they must capture no locals (see the module comment), and
+   the globals they read are digested separately. *)
 let rec add_value b (v : Value.t) : unit =
   match v with
   | Value.Vint n ->
@@ -122,35 +124,29 @@ let rec add_value b (v : Value.t) : unit =
       Buffer.add_string b name
   | Value.Vvoid -> Buffer.add_char b 'v'
   | Value.Vclosure cl ->
-      (match cl.Value.cl_env.Value.scopes with
-      | [ _global ] -> ()
-      | _ -> raise Uncacheable);
+      if Value.captures_locals v then raise Uncacheable;
       Buffer.add_char b 'c';
       Buffer.add_string b (Marshal.to_string cl.Value.cl_params []);
       Buffer.add_string b (Marshal.to_string cl.Value.cl_body [])
 
+(* in name order: a map iterates sorted *)
 let digest_globals (env : Value.env) : string =
-  let global =
-    match List.rev env.Value.scopes with
-    | global :: _ -> global
-    | [] -> raise Uncacheable
-  in
   let b = Buffer.create 256 in
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) global []
-  |> List.sort (fun (a, _) (c, _) -> String.compare a c)
-  |> List.iter (fun (name, v) ->
-         Buffer.add_string b name;
-         Buffer.add_char b '=';
-         add_value b v);
+  Smap.iter
+    (fun name v ->
+      Buffer.add_string b name;
+      Buffer.add_char b '=';
+      add_value b v)
+    !(env.Value.globals);
   Digest.string (Buffer.contents b)
 
 (** The cache key for expanding [text] against the given session state.
     @raise Uncacheable when the state has no trustworthy finite digest
-    (closures over local scopes, a non-global meta scope stack). *)
+    (a global holding a closure over local scopes, open meta scopes). *)
 let key ~defs_version ~(env : Value.env) ~tenv ~senv ~(limits : Limits.t)
     ~flags ~source (text : string) : string =
   (* mid-expansion states (open meta scopes) are not cacheable keys *)
-  (match env.Value.scopes with [ _ ] -> () | _ -> raise Uncacheable);
+  (match env.Value.scopes with [] -> () | _ :: _ -> raise Uncacheable);
   let b = Buffer.create 512 in
   Buffer.add_string b defs_version;
   Buffer.add_char b '|';

@@ -29,8 +29,8 @@ type stats = {
       (** … because failpoints were armed (replays would mask injected
           failures) *)
   mutable cache_bypass_uncacheable : int;
-      (** … because the session state had no trustworthy digest (e.g. a
-          meta closure over local scopes) *)
+      (** … because the session state had no trustworthy digest (a
+          global holding a lambda over local scopes) *)
   mutable cache_bypass_budget : int;
       (** … because a replay would overdraw the remaining global budget
           (the real run must happen, and fail, for real) *)
@@ -56,8 +56,9 @@ type stats = {
       (** aborts: reads not provably fresh (open scopes, undiffable
           symbol-table delta, or dirtied by an earlier commit) *)
   mutable fragments_abort_foreign_closure : int;
-      (** aborts: a global was bound to a meta closure, which cannot
-          cross engines *)
+      (** aborts: a global was bound to a lambda that captured local
+          scopes ({!Ms2_meta.Value.captures_locals}), which are shared
+          with the worker that made it *)
   mutable pattern_memo_hits : int;
       (** compiled-invocation-pattern memo hits ({e process-global}: the
           memo is shared by every engine in the process) *)

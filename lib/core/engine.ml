@@ -40,7 +40,7 @@ type t = {
       (** compiled invocation parsers, likewise shared *)
   mutable defs : macro_def Smap.t;
   tenv : Tenv.t;
-  env : Value.env;  (** persistent global meta environment *)
+  env : Value.env;  (** meta environment; its [globals] persist *)
   senv : Senv.t;
       (** object-level symbol table, maintained during the expansion
           walk so semantic primitives see the scope at the invocation
@@ -118,20 +118,20 @@ and program_state =
    attempt leaked into diagnostics), stats, fuel consumed, and recorded
    diagnostics (the whole point of the rollback is to keep them).
 
-   Every table but the global meta scope is an immutable map, so a
-   checkpoint is the maps themselves and a rollback stores them back:
+   Every table, the global meta scope included, is an immutable map, so
+   a checkpoint is the maps themselves and a rollback stores them back:
    nothing is copied, and a checkpoint shares its structure with the
-   live session and with every other checkpoint.  The global meta scope
-   is a table of refs the interpreter assigns through, so it alone is
-   copied, as a list of its values. *)
+   live session and with every other checkpoint.  No meta value refers
+   to an engine (a closure reads globals from whichever session calls
+   it), so a checkpoint taken on one engine is rolled back on any
+   other as it is: speculation workers, per-file engines starting from
+   one post-prelude state, and a snapshot's restored entries. *)
 and checkpoint = {
   cp_macros : State.macro_sig Smap.t;
   cp_compiled : State.compiled_pattern Smap.t;
   cp_defs : macro_def Smap.t;
   cp_tenv : Mtype.t Smap.t list;  (** the {!Tenv} scope stack *)
-  cp_globals : (string * Value.t) list;
-      (** global meta bindings, deref'd — {!Value.t} is structurally
-          immutable, so a shallow capture is a deep one *)
+  cp_globals : Value.t Smap.t;  (** the global meta scope *)
   cp_senv : Senv.tables;
   cp_version : Digest.t;
       (** [defs_version] at capture.  Rollback restores it: the digest
@@ -370,19 +370,13 @@ let nodes_produced (t : t) : int = Value.nodes_produced t.env.Value.budget
 (* Transactional checkpoints                                           *)
 (* ------------------------------------------------------------------ *)
 
-let global_scope (t : t) : (string, Value.t ref) Hashtbl.t =
-  match List.rev t.env.Value.scopes with
-  | global :: _ -> global
-  | [] -> assert false
-
 let checkpoint (t : t) : checkpoint =
   {
     cp_macros = !(t.macros);
     cp_compiled = !(t.compiled);
     cp_defs = t.defs;
     cp_tenv = t.tenv.Tenv.scopes;
-    cp_globals =
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) (global_scope t) [];
+    cp_globals = !(t.env.Value.globals);
     cp_senv = Senv.tables t.senv;
     cp_version = t.defs_version;
   }
@@ -394,12 +388,9 @@ let rollback (t : t) (cp : checkpoint) : unit =
   t.compiled := cp.cp_compiled;
   t.defs <- cp.cp_defs;
   t.tenv.Tenv.scopes <- cp.cp_tenv;
-  let global = global_scope t in
-  Hashtbl.reset global;
-  List.iter (fun (name, v) -> Hashtbl.replace global name (ref v))
-    cp.cp_globals;
+  t.env.Value.globals := cp.cp_globals;
   (* also unwinds scopes a mid-fragment abort left open *)
-  t.env.Value.scopes <- [ global ];
+  t.env.Value.scopes <- [];
   t.env.Value.provenance := Loc.User;
   Senv.set_tables t.senv cp.cp_senv
 
@@ -413,10 +404,10 @@ let fingerprint (t : t) : string =
       (names !(t.compiled)) (names t.defs)
   in
   let globals =
-    Hashtbl.fold
-      (fun name r acc -> (name ^ ":" ^ Value.type_name !r) :: acc)
-      (global_scope t) []
-    |> List.sort compare |> String.concat ","
+    Smap.fold
+      (fun name v acc -> (name ^ ":" ^ Value.type_name v) :: acc)
+      !(t.env.Value.globals) []
+    |> List.rev |> String.concat ","
   in
   Printf.sprintf "%s globals=[%s] scopes=%d senv-depth=%d" tables globals
     (List.length t.env.Value.scopes)
@@ -741,31 +732,25 @@ let is_meta_top (decl : decl) : bool =
 
 (** Process one top-level declaration: meta-program elements are
     recorded/executed and emit nothing; object code is expanded. *)
-let rec process_top (t : t) (decl : decl) : decl list =
+let process_top (t : t) (decl : decl) : decl list =
   match decl.d with
   | Decl_macro_def md ->
       register_macro_def t md;
       []
   | Decl_metadcl inner ->
       t.stats.meta_declarations_run <- t.stats.meta_declarations_run + 1;
+      (* parse-time types were registered by the parser; at top level
+         the engine env has no local scope, so the values bind as
+         globals *)
       (try with_invocation_budget t (fun () -> Interp.exec_decl t.env inner)
        with Diag.Error d when recoverable t d -> record t d);
-      (* parse-time types were registered by the parser; runtime values
-         must live in the *global* scope *)
-      promote_globals t inner;
       []
   | _ when is_meta_top decl ->
       t.stats.meta_declarations_run <- t.stats.meta_declarations_run + 1;
       (try with_invocation_budget t (fun () -> Interp.exec_decl t.env decl)
        with Diag.Error d when recoverable t d -> record t d);
-      promote_globals t decl;
       []
   | _ -> expand_decls t ~depth:0 decl
-
-(* Interp.exec_decl binds in the current (global, for the engine's env)
-   scope already — the engine env's scope stack is just the global
-   scope, so nothing further is needed; kept as an explicit hook. *)
-and promote_globals _t _decl = ()
 
 (** Expand a whole program to pure C. *)
 let expand_program (t : t) (prog : program) : program =
@@ -780,11 +765,11 @@ let expand_program (t : t) (prog : program) : program =
    conservatively classifies each fragment.  Definition-bearing
    fragments are sequential *barriers*; runs of pure-invocation
    fragments between barriers expand speculatively on the work-stealing
-   pool, on per-domain engines that adopt the run-start maps, and their
-   results commit *in fragment order* on the main engine — or are
-   discarded and re-expanded sequentially when commit-time validation
-   finds the speculation observed state a predecessor has since
-   changed.  The
+   pool, on per-domain engines rolled back onto the run-start
+   checkpoint, and their results commit *in fragment order* on the
+   main engine — or are discarded and re-expanded sequentially when
+   commit-time validation finds the speculation observed state a
+   predecessor has since changed.  The
    output is byte-identical to a sequential run by construction: every
    committed result is proven equivalent to what the sequential walk
    would have produced, and everything else *is* the sequential walk.
@@ -803,48 +788,11 @@ let expand_program (t : t) (prog : program) : program =
        the remaining global budget (a sequential run would have failed
        inside the fragment, so it must re-run for real). *)
 
-let rec contains_closure (v : Value.t) : bool =
-  match v with
-  | Value.Vclosure _ -> true
-  | Value.Vlist items -> List.exists contains_closure items
-  | Value.Vtuple fields -> List.exists (fun (_, x) -> contains_closure x) fields
-  | Value.Vint _ | Value.Vstring _ | Value.Vnode _ | Value.Vbuiltin _
-  | Value.Vvoid -> false
-
-(* Rebind a global meta value onto a worker engine's environment.
-   Top-level meta functions are closures over the engine's *global*
-   environment ([cl_env == from_env]); rebinding that pointer is the
-   whole adoption.  A closure over anything else (a lambda that escaped
-   into a global) has captured local state we cannot relocate — [None]
-   makes the adoption skip the binding, so a worker that touches it
-   fails lookup, aborts, and the fragment re-expands sequentially. *)
-let rec transplant_value ~(from_env : Value.env) ~(to_env : Value.env)
-    (v : Value.t) : Value.t option =
-  match v with
-  | Value.Vint _ | Value.Vstring _ | Value.Vnode _ | Value.Vbuiltin _
-  | Value.Vvoid -> Some v
-  | Value.Vclosure cl ->
-      if cl.Value.cl_env == from_env then
-        Some (Value.Vclosure { cl with Value.cl_env = to_env })
-      else None
-  | Value.Vlist items ->
-      let rec go acc = function
-        | [] -> Some (Value.Vlist (List.rev acc))
-        | x :: rest -> (
-            match transplant_value ~from_env ~to_env x with
-            | Some x' -> go (x' :: acc) rest
-            | None -> None)
-      in
-      go [] items
-  | Value.Vtuple fields ->
-      let rec go acc = function
-        | [] -> Some (Value.Vtuple (List.rev acc))
-        | (name, x) :: rest -> (
-            match transplant_value ~from_env ~to_env x with
-            | Some x' -> go ((name, x') :: acc) rest
-            | None -> None)
-      in
-      go [] fields
+(* Does a global hold a lambda that escaped with its locals?  Such a
+   state is shared mutably with the closure's creator: it is neither
+   speculated on nor stored in the cache. *)
+let escaped_lambda (globals : Value.t Smap.t) : bool =
+  Smap.exists (fun _ v -> Value.captures_locals v) globals
 
 (* AST-level hardening of the token classifier: anything that registers
    definitions or runs meta code at top level is a barrier even if the
@@ -956,15 +904,12 @@ type frag_result =
           first-fatal semantics match the sequential index *)
 
 (* Worker engines live in domain-local storage, stamped with the id of
-   the speculation run that adopted them: the pool spawns fresh domains
+   the speculation run that created them: the pool spawns fresh domains
    per call (empty DLS), but the calling domain is worker 0 and keeps
-   its slot across runs, so adoption must be re-keyed per run. *)
+   its slot across runs, so the slot must be re-keyed per run. *)
 type frag_worker_state = {
-  fw_run : int;  (** the speculation run this worker was adopted for *)
+  fw_run : int;  (** the speculation run this worker was created for *)
   fw_engine : t;
-  fw_adopt : checkpoint;  (** run-start state, globals transplanted *)
-  fw_base : (string, Value.t) Hashtbl.t;
-      (** [fw_adopt.cp_globals] as a table, for the commit diff *)
 }
 
 type frag_ctx = {
@@ -991,36 +936,26 @@ let frag_worker (ctx : frag_ctx) : frag_worker_state =
           ~hygienic:m.env.Value.hygienic ~recover:false ~cache:false ()
       in
       Senv.log_top_writes w.senv;
-      let globals =
-        List.filter_map
-          (fun (name, v) ->
-            match transplant_value ~from_env:m.env ~to_env:w.env v with
-            | Some v' -> Some (name, v')
-            | None -> None)
-          ctx.fx_cp.cp_globals
-      in
-      let adopt = { ctx.fx_cp with cp_globals = globals } in
-      let base = Hashtbl.create (List.length globals * 2 + 1) in
-      List.iter (fun (name, v) -> Hashtbl.replace base name v) globals;
-      let fw = { fw_run = ctx.fx_run; fw_engine = w; fw_adopt = adopt;
-                 fw_base = base }
-      in
+      let fw = { fw_run = ctx.fx_run; fw_engine = w } in
       slot := Some fw;
       fw
 
-(* Globals the fragment added or rebound, relative to the adopted
-   snapshot.  Physical comparison against the snapshot value is sound
-   because {!Value.t} is structurally immutable: a binding whose ref
-   still holds the very value the snapshot recorded was not written
-   (or was rewritten to the identical value, which commits as a
-   no-op either way). *)
-let frag_genv_delta (fw : frag_worker_state) : (string * Value.t) list =
-  Hashtbl.fold
-    (fun name r acc ->
-      match Hashtbl.find_opt fw.fw_base name with
-      | Some v0 when !r == v0 -> acc
-      | _ -> (name, !r) :: acc)
-    (global_scope fw.fw_engine) []
+(* Globals the fragment added or rebound, relative to the run-start
+   checkpoint.  Physical comparison against the checkpoint's value is
+   sound because {!Value.t} is structurally immutable: a binding that
+   still holds the very value the checkpoint recorded was not written
+   (or was rewritten to the identical value, which commits as a no-op
+   either way).  A fragment that wrote no global left the very map. *)
+let frag_genv_delta (ctx : frag_ctx) (w : t) : (string * Value.t) list =
+  let base = ctx.fx_cp.cp_globals and now = !(w.env.Value.globals) in
+  if now == base then []
+  else
+    Smap.fold
+      (fun name v acc ->
+        match Smap.find_opt name base with
+        | Some v0 when v == v0 -> acc
+        | _ -> (name, v) :: acc)
+      now []
 
 (* Expand one fragment speculatively on this domain's worker engine.
    Never raises: every failure is contained in the result. *)
@@ -1033,7 +968,7 @@ let frag_speculate (ctx : frag_ctx) (decls : decl list) ~(index : int) :
       let b = w.env.Value.budget in
       let finish () = Watchdog.disarm w.watchdog in
       try
-        rollback w fw.fw_adopt;
+        rollback w ctx.fx_cp;
         (* full per-file budget; reconciled against the main engine's
            remaining pool at commit time *)
         b.Value.fuel <- b.Value.fuel_initial;
@@ -1070,14 +1005,15 @@ let frag_speculate (ctx : frag_ctx) (decls : decl list) ~(index : int) :
         else if w.stats.meta_declarations_run <> meta0 then
           Frag_abort Abort_meta_decl
         else if
-          List.length w.env.Value.scopes <> 1 || Senv.depth w.senv <> 1
+          w.env.Value.scopes <> [] || Senv.depth w.senv <> 1
         then Frag_abort Abort_stale_read
         else
           match Senv.diff_top w.senv with
           | None -> Frag_abort Abort_stale_read
           | Some senv_delta ->
-              let genv_delta = frag_genv_delta fw in
-              if List.exists (fun (_, v) -> contains_closure v) genv_delta
+              let genv_delta = frag_genv_delta ctx w in
+              if List.exists (fun (_, v) -> Value.captures_locals v)
+                   genv_delta
               then Frag_abort Abort_foreign_closure
               else
                 Frag_done
@@ -1122,13 +1058,7 @@ let frag_commit_ok (t : t) (dirty : frag_dirty) ~(v0 : Digest.t)
 
 let frag_apply_commit (t : t) (dirty : frag_dirty) (r : frag_commit) : unit =
   Senv.apply_top t.senv r.fr_senv_delta;
-  let global = global_scope t in
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt global name with
-      | Some cell -> cell := v
-      | None -> Hashtbl.replace global name (ref v))
-    r.fr_genv_delta;
+  List.iter (fun (name, v) -> Value.bind_global t.env name v) r.fr_genv_delta;
   let b = t.env.Value.budget in
   b.Value.fuel <- b.Value.fuel - r.fr_fuel;
   b.Value.nodes <- b.Value.nodes - r.fr_nodes;
@@ -1164,8 +1094,10 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
   while !i < n do
     let j = ref !i in
     while !j < n && not plan.(!j).fp_barrier do incr j done;
-    if !j - !i < 2 then begin
-      (* a barrier, or a lone pure fragment not worth a checkpoint *)
+    if !j - !i < 2 || escaped_lambda !(t.env.Value.globals) then begin
+      (* a barrier, a lone pure fragment not worth a checkpoint, or
+         globals holding a lambda whose captured locals two workers
+         could write at once *)
       let stop = if !j = !i then !i + 1 else !j in
       while !i < stop do
         seq_expand !i plan.(!i).fp_decls;
@@ -1250,6 +1182,12 @@ let fragment_start ~source : Loc.t =
    the pool. *)
 let speculation_min_fragments = 8
 
+(* The prelude's source name ({!Prelude.source_name}).  Under hygiene a
+   user unit may not spell a generated name, or a minted temporary could
+   capture it; the prelude is trusted text, like text re-lexed from a
+   macro. *)
+let prelude_source_name = "<prelude>"
+
 (** Parse (with this engine's macro table and meta type environment,
     so definitions from earlier calls remain in force) and expand.
 
@@ -1296,7 +1234,10 @@ let expand_source_uncached (t : t) ?deadline_ms ~fragment_jobs ~source
         "lex"
         (fun () ->
           State.of_string ~macros:t.macros ~tenv:t.tenv ~compiled:t.compiled
-            ~watchdog:t.watchdog ~source text)
+            ~watchdog:t.watchdog ~source
+            ~reject_reserved:
+              (t.env.Value.hygienic && source <> prelude_source_name)
+            text)
     in
     st.State.compile_patterns <- t.compile_patterns;
     let frags = if speculate then Prescan.split st.State.stream else [] in
@@ -1445,12 +1386,14 @@ let decoded (prog : program) : stored_program = Atomic.make (Decoded prog)
 
 (** Cached expansion.  A hit replays the recorded output and post-run
     state; a miss runs for real and — when the run was clean (no new
-    diagnostics) and minted no generated names or anonymous tags —
-    stores the result.  The mint restriction is the hygiene story: the
-    gensym and anonymous-tag counters are monotonic and never rolled
-    back, so a run that consulted them ran from a state that can never
-    recur (the entry would be dead), and a run that did not cannot
-    depend on them — replaying it is bit-for-bit the rerun. *)
+    diagnostics), minted no generated names or anonymous tags, and left
+    no escaped lambda in a global (every replay would share its
+    captured locals) — stores the result.  The mint restriction is the
+    hygiene story: the gensym and anonymous-tag counters are monotonic
+    and never rolled back, so a run that consulted them ran from a
+    state that can never recur (the entry would be dead), and a run
+    that did not cannot depend on them — replaying it is bit-for-bit
+    the rerun. *)
 let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
     ?(fragment_jobs = 1) (text : string) : expansion =
   (* fragment parallelism lives only in the *uncached* runner; the
@@ -1497,6 +1440,7 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
               let gensym0 = Gensym.count t.gensym in
               let anon0 = Senv.anon_count t.senv in
               let diags0 = Diag.count t.diags in
+              let globals0 = !(t.env.Value.globals) in
               let fuel0 = fuel_consumed t in
               let nodes0 = nodes_produced t in
               let inv0 = t.stats.invocations_expanded in
@@ -1510,6 +1454,9 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                 Gensym.count t.gensym = gensym0
                 && Senv.anon_count t.senv = anon0
                 && Diag.count t.diags = diags0
+                && (* the key vouched for the pre-state's globals *)
+                (let g = !(t.env.Value.globals) in
+                 g == globals0 || not (escaped_lambda g))
               then
                 Obs.with_span ~cat:"cache" "store" (fun () ->
                 (* entry weight estimate: the parsed-and-expanded
@@ -1637,9 +1584,8 @@ let cache_evictions (t : t) : int =
      recompiles every pattern from the entry's own [cp_defs] (pattern
      compilation is deterministic).  An entry whose patterns cannot be
      rebuilt is dropped, never half-restored.
-   - Meta globals can hold closures ([Vclosure] captures the engine
-     through [env.expand_invocation]); such entries fail to marshal and
-     are skipped at save time, counted in [sv_skipped].
+   - Nothing else: a meta closure holds its parameters, its body and
+     the locals it captured, never an engine, so every entry marshals.
    - Gensym state needs no persistence by construction: the engine
      never stores a run that minted generated names or anonymous tags,
      and diagnosed runs are never stored either.
@@ -1664,7 +1610,6 @@ type persisted_entry = {
 
 type snapshot_save = {
   sv_entries : int;
-  sv_skipped : int;
   sv_bytes : int;
   sv_unchanged : bool;
 }
@@ -1719,32 +1664,21 @@ let save_store (cache : cached_run Cache.t) (path : string) :
       | Some (p, g) when p = path && g = gen && Sys.file_exists path ->
           Obs.Metrics.incr (Obs.Metrics.counter "snapshot.save.unchanged");
           Ok
-            { sv_entries = 0; sv_skipped = 0; sv_bytes = 0;
-              sv_unchanged = true }
+            { sv_entries = 0; sv_bytes = 0; sv_unchanged = true }
       | _ -> (
-          let entries = ref 0 and skipped = ref 0 in
+          let entries = ref 0 in
           let records = Buffer.create 65536 in
           Cache.fold cache
             (fun key run size () ->
-              match
-                let meta = Marshal.to_string (entry_record run ~key ~size) [] in
-                (* a program still in its snapshot bytes is copied back
-                   out as is *)
-                let prog =
-                  match Atomic.get run.ca_program with
-                  | Encoded { raw; off; len; digest } -> (raw, off, len, digest)
-                  | Decoded prog -> whole (Marshal.to_string prog [])
-                in
-                (whole meta, prog)
-              with
-              | exception _ ->
-                  (* a closure reached the entry (meta globals can hold
-                     them); skip it — it will be a miss next run *)
-                  incr skipped
-              | meta, prog ->
-                  incr entries;
-                  add_record records meta;
-                  add_record records prog)
+              incr entries;
+              add_record records
+                (whole (Marshal.to_string (entry_record run ~key ~size) []));
+              (* a program still in its snapshot bytes is copied back out
+                 as is *)
+              add_record records
+                (match Atomic.get run.ca_program with
+                | Encoded { raw; off; len; digest } -> (raw, off, len, digest)
+                | Decoded prog -> whole (Marshal.to_string prog [])))
             ();
           let b = Buffer.create (Buffer.length records + 64) in
           Buffer.add_string b snapshot_magic;
@@ -1760,13 +1694,9 @@ let save_store (cache : cached_run Cache.t) (path : string) :
               Cache.set_persisted cache (Some (path, gen));
               Obs.Metrics.incr ~by:!entries
                 (Obs.Metrics.counter "snapshot.save.entries");
-              if !skipped > 0 then
-                Obs.Metrics.incr ~by:!skipped
-                  (Obs.Metrics.counter "snapshot.save.skipped");
               Ok
                 {
                   sv_entries = !entries;
-                  sv_skipped = !skipped;
                   sv_bytes = String.length out;
                   sv_unchanged = false;
                 }

@@ -24,9 +24,11 @@ type checkpoint
     environment, object-level symbol table).  Deliberately {e not}
     captured: the gensym counter (names stay burned across a rollback),
     statistics, fuel already consumed, and recorded diagnostics.  Every
-    captured table but the global meta scope is an immutable map, held
-    as is: a checkpoint shares its structure with the live session and
-    is never mutated, so one supports any number of rollbacks. *)
+    captured table is an immutable map, held as is: a checkpoint shares
+    its structure with the live session and is never mutated, so one
+    supports any number of rollbacks.  No meta value refers to an
+    engine, so a checkpoint taken on one engine rolls back onto any
+    other. *)
 
 type cached_run
 (** A stored expansion: the produced program, the post-run session state
@@ -38,7 +40,7 @@ type t = {
   compiled : State.compiled_pattern Smap.t ref;  (** likewise shared *)
   mutable defs : macro_def Smap.t;
   tenv : Tenv.t;
-  env : Value.env;  (** persistent global meta environment *)
+  env : Value.env;  (** meta environment; its [globals] persist *)
   senv : Senv.t;  (** object-level symbol table (semantic macros) *)
   gensym : Gensym.t;
   limits : Limits.t;  (** resource governance *)
@@ -97,12 +99,12 @@ val create :
 (** {1 Transactional checkpoints} *)
 
 val checkpoint : t -> checkpoint
-(** Reads the session's maps and copies the global meta scope's
-    bindings; its cost does not grow with the rest of the session. *)
+(** Reads the session's maps; copies nothing. *)
 
 val rollback : t -> checkpoint -> unit
 (** Store the captured maps back into the engine (parser states see
-    them through the shared refs) and refill the global meta scope.
+    them through the shared refs).  The checkpoint may come from
+    another engine.
     Also unwinds meta-env and object-level scopes a mid-fragment abort
     left open, and restores [defs_version] to its value at capture
     (the digest names the history that built the tables, so returning
@@ -126,6 +128,9 @@ val expand_program : t -> program -> program
     invocations become placeholder nodes and their diagnostics are
     available from {!diagnostics}. *)
 
+val prelude_source_name : string
+(** ["<prelude>"], the source name of the standard macro library. *)
+
 val expand_source :
   t ->
   ?source:string ->
@@ -134,7 +139,9 @@ val expand_source :
   string ->
   program
 (** Parse with this engine's macro table and meta type environment
-    (definitions from earlier calls remain in force), then expand.
+    (definitions from earlier calls remain in force), then expand.  A
+    hygienic engine rejects identifiers that spell a generated name,
+    except in the prelude ([source = {!prelude_source_name}]).
     [deadline_ms] — a caller's remaining wall-clock budget, e.g. a serve
     request's propagated deadline — narrows the fragment watchdog for
     this call; it can never extend past [limits.timeout_ms].  It is not
@@ -222,8 +229,7 @@ val cache_evictions : t -> int
     checksummed program record. *)
 
 type snapshot_save = {
-  sv_entries : int;  (** entries written *)
-  sv_skipped : int;  (** unmarshalable entries (meta-closure globals) *)
+  sv_entries : int;  (** entries written: every live entry *)
   sv_bytes : int;  (** snapshot file size *)
   sv_unchanged : bool;
       (** nothing was written: the store has not changed since it last

@@ -127,7 +127,7 @@ syntax decl myenum [] {| $$id::name { $$+/, id::ids } ; |}
 }
 |src}
 
-let source_name = "<prelude>"
+let source_name = Engine.prelude_source_name
 
 (** Load the prelude into an engine.  The prelude is pure meta-program:
     loading emits no object code. *)

@@ -190,7 +190,9 @@ let rec eval (env : env) (expr : expr) : Value.t =
   | E_backquote t -> Fill.fill_template ~eval env t
   | E_lambda (params, body) ->
       let bindings = Of_cdecl.params_of_func ~loc params in
-      Vclosure { cl_params = bindings; cl_body = Body_expr body; cl_env = env }
+      Vclosure
+        { cl_params = bindings; cl_body = Body_expr body;
+          cl_scopes = env.scopes }
   | E_splice _ -> error ~loc "placeholder outside a template"
   | E_macro inv -> !(env.expand_invocation) inv
 
@@ -201,10 +203,9 @@ and incr_decr env ~loc e delta ~pre =
 
 and assign env ~loc (lhs : expr) (v : Value.t) : unit =
   match lhs.e with
-  | E_ident id -> (
-      match lookup_ref env id.id_name with
-      | Some r -> r := v
-      | None -> error ~loc:id.id_loc "unbound meta variable %s" id.id_name)
+  | E_ident id ->
+      if not (Value.assign env id.id_name v) then
+        error ~loc:id.id_loc "unbound meta variable %s" id.id_name
   | _ ->
       error ~loc
         "only meta variables are assignable (list and tuple components are \
@@ -217,19 +218,13 @@ and apply env ~loc (f : Value.t) (args : Value.t list) : Value.t =
       if List.length args <> List.length cl.cl_params then
         error ~loc "wrong number of arguments: expected %d, got %d"
           (List.length cl.cl_params) (List.length args);
+      (* a fresh frame over the locals the closure captured (none for a
+         meta function) and the calling session's globals *)
+      let call_env = derived ~scopes:cl.cl_scopes env in
+      List.iter2 (fun (name, _) v -> bind call_env name v) cl.cl_params args;
       match cl.cl_body with
-      | Body_expr body ->
-          with_scope cl.cl_env (fun () ->
-              List.iter2
-                (fun (name, _ty) v -> bind cl.cl_env name v)
-                cl.cl_params args;
-              eval cl.cl_env body)
-      | Body_stmt body ->
-          (* meta function: fresh frame over the globals it closed over *)
-          let call_env = derived cl.cl_env in
-          List.iter2 (fun (name, _) v -> bind call_env name v) cl.cl_params
-            args;
-          run_body call_env body)
+      | Body_expr body -> eval call_env body
+      | Body_stmt body -> run_body call_env body)
   | Vbuiltin name -> Builtins.call ~apply:(apply env) env loc name args
   | v -> error ~loc "this is not a function (it is a %s)" (type_name v)
 
@@ -267,7 +262,7 @@ and exec_decl (env : env) (decl : decl) : unit =
       in
       bind env name
         (Vclosure { cl_params = params; cl_body = Body_stmt body;
-                    cl_env = env })
+                    cl_scopes = [] })
   | Decl_metadcl inner -> exec_decl env inner
   | Decl_macro_def _ | Decl_splice _ | Decl_macro _ ->
       error ~loc:decl.dloc "cannot execute this declaration as meta code"

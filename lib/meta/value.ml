@@ -22,19 +22,31 @@ type t =
 and closure = {
   cl_params : (string * Mtype.t) list;
   cl_body : body;
-  cl_env : env;  (** captured environment (downward-only closures) *)
+  cl_scopes : scope list;
+      (** the local scopes it was created under, by reference; [[]] for
+          meta functions.  Globals are read from the calling session *)
 }
 
 (** Anonymous functions have expression bodies (no [return] needed, per
     the paper); meta functions have statement bodies. *)
 and body = Body_expr of Ast.expr | Body_stmt of Ast.stmt
 
-(** Runtime environments: a stack of mutable scopes.  The global scope
-    holds [metadcl] globals and meta functions, and persists across
-    macro expansions — which is what makes the paper's non-local
-    transformations (the window-procedure example) work. *)
+(** One local scope: its bindings are assigned in place. *)
+and scope = (string, t ref) Hashtbl.t
+
+(** Runtime environments: a stack of mutable local scopes over one
+    persistent map of globals.  The globals hold [metadcl] variables
+    and meta functions, and persist across macro expansions — which is
+    what makes the paper's non-local transformations (the
+    window-procedure example) work.  No value refers to an env, so the
+    map is a session's whole meta state, valid on any engine. *)
 and env = {
-  mutable scopes : (string, t ref) Hashtbl.t list;
+  mutable scopes : scope list;
+      (** local scopes, innermost first; [[]] at top level, where
+          {!bind} binds globals *)
+  globals : t Smap.t ref;
+      (** [metadcl] globals and meta functions; the ref is shared by
+          {!derived} environments *)
   gensym : Gensym.t;
   mutable hygienic : bool;
       (** rename template-introduced block locals automatically when
@@ -56,7 +68,7 @@ and env = {
           origin of every node it produces *)
   greads : int ref;
       (** monotonic odometer of lookups that resolved in the {e global}
-          scope (a [ref] so {!derived} environments share it): the
+          map (a [ref] so {!derived} environments share it): the
           speculative fragment commit protocol measures its delta to
           learn whether a fragment observed shared [metadcl] state.
           Misses are not counted — an unbound name either errors or
@@ -119,7 +131,8 @@ let charge_node env ~loc =
 
 let create_env ?gensym ?budget () : env =
   {
-    scopes = [ Hashtbl.create 16 ];
+    scopes = [];
+    globals = ref Smap.empty;
     gensym = (match gensym with Some g -> g | None -> Gensym.create ());
     hygienic = false;
     semantic = None;
@@ -136,50 +149,59 @@ let push_scope env = env.scopes <- Hashtbl.create 16 :: env.scopes
 
 let pop_scope env =
   match env.scopes with
-  | [] | [ _ ] -> invalid_arg "Value.pop_scope: global scope"
+  | [] -> invalid_arg "Value.pop_scope: no local scope"
   | _ :: rest -> env.scopes <- rest
 
 let with_scope env f =
   push_scope env;
   Fun.protect ~finally:(fun () -> pop_scope env) f
 
-(** A child environment sharing the global scope (used to run a macro
-    body: its locals must not leak, but [metadcl] globals are shared). *)
-let derived env : env =
-  match List.rev env.scopes with
-  | global :: _ ->
-      { env with scopes = [ Hashtbl.create 16; global ] }
-  | [] -> assert false
+(** A child environment over [scopes] sharing the globals — the frame a
+    macro body or a closure runs in: its locals do not leak, [metadcl]
+    globals are shared. *)
+let derived ?(scopes = []) env : env =
+  { env with scopes = Hashtbl.create 16 :: scopes }
+
+let bind_global env name v = env.globals := Smap.add name v !(env.globals)
 
 let bind env name v =
   match env.scopes with
   | scope :: _ -> Hashtbl.replace scope name (ref v)
-  | [] -> assert false
+  | [] -> bind_global env name v
 
-let bind_global env name v =
-  match List.rev env.scopes with
-  | global :: _ -> Hashtbl.replace global name (ref v)
-  | [] -> assert false
+(* a hit in the globals observes shared state (see [greads]) *)
+let global_hit env = env.greads := !(env.greads) + 1
 
-let lookup_ref env name : t ref option =
-  let rec go = function
-    | [] -> None
-    | [ global ] -> (
-        match Hashtbl.find_opt global name with
-        | Some r ->
-            (* the last scope is the global one: a hit here is an
-               observation of shared state (see [greads]) *)
-            env.greads := !(env.greads) + 1;
-            Some r
-        | None -> None)
-    | scope :: rest -> (
-        match Hashtbl.find_opt scope name with
-        | Some r -> Some r
-        | None -> go rest)
-  in
-  go env.scopes
+let rec local_ref name = function
+  | [] -> None
+  | scope :: rest -> (
+      match Hashtbl.find_opt scope name with
+      | Some r -> Some r
+      | None -> local_ref name rest)
 
-let lookup env name : t option = Option.map ( ! ) (lookup_ref env name)
+let lookup env name : t option =
+  match local_ref name env.scopes with
+  | Some r -> Some !r
+  | None ->
+      let v = Smap.find_opt name !(env.globals) in
+      if Option.is_some v then global_hit env;
+      v
+
+let assign env name v : bool =
+  match local_ref name env.scopes with
+  | Some r -> r := v; true
+  | None when Smap.mem name !(env.globals) ->
+      global_hit env;
+      bind_global env name v;
+      true
+  | None -> false
+
+let rec captures_locals = function
+  | Vclosure { cl_scopes = []; _ } -> false
+  | Vclosure _ -> true
+  | Vlist items -> List.exists captures_locals items
+  | Vtuple fields -> List.exists (fun (_, v) -> captures_locals v) fields
+  | Vint _ | Vstring _ | Vnode _ | Vbuiltin _ | Vvoid -> false
 
 (** Default value for a declared-but-uninitialized meta variable: lists
     start empty (so [metadcl @stmt frags[];] can be accumulated into),

@@ -17,13 +17,21 @@ type t =
 and closure = {
   cl_params : (string * Mtype.t) list;
   cl_body : body;
-  cl_env : env;  (** captured environment (downward-only closures) *)
+  cl_scopes : scope list;
+      (** the local scopes the closure was created under, by reference
+          ([[]] for meta functions); globals are read from the calling
+          session, so no value refers to an engine *)
 }
 
 and body = Body_expr of Ast.expr | Body_stmt of Ast.stmt
 
+and scope = (string, t ref) Hashtbl.t
+
 and env = {
-  mutable scopes : (string, t ref) Hashtbl.t list;
+  mutable scopes : scope list;  (** local scopes, innermost first *)
+  globals : t Smap.t ref;
+      (** [metadcl] globals and meta functions: the session's meta
+          state, shared by derived environments *)
   gensym : Gensym.t;
   mutable hygienic : bool;
       (** rename template-introduced block locals automatically *)
@@ -38,7 +46,7 @@ and env = {
           invocation); shared by derived environments, maintained by the
           engine, read by the template filler *)
   greads : int ref;
-      (** monotonic odometer of lookups resolving in the global scope
+      (** monotonic odometer of lookups resolving in [globals]
           (shared by derived environments): the speculative fragment
           commit protocol measures its delta to learn whether a fragment
           observed shared [metadcl] state *)
@@ -77,14 +85,29 @@ val push_scope : env -> unit
 val pop_scope : env -> unit
 val with_scope : env -> (unit -> 'a) -> 'a
 
-val derived : env -> env
-(** A child environment sharing only the global scope — the frame a
-    macro body runs in ([metadcl] globals shared, locals isolated). *)
+val derived : ?scopes:scope list -> env -> env
+(** A child environment with a fresh local scope over [scopes] (default
+    none), sharing the globals — the frame a macro body or a closure
+    runs in ([metadcl] globals shared, the caller's locals isolated). *)
 
 val bind : env -> string -> t -> unit
+(** Bind in the innermost local scope, or as a global at top level. *)
+
 val bind_global : env -> string -> t -> unit
-val lookup_ref : env -> string -> t ref option
+
 val lookup : env -> string -> t option
+(** Local scopes first, then the globals (a global hit counts in
+    [greads]). *)
+
+val assign : env -> string -> t -> bool
+(** Rebind a bound variable where it is bound; [false] when unbound.  A
+    global counts in [greads] as a lookup does. *)
+
+val captures_locals : t -> bool
+(** Does the value hold a closure over local scopes — a lambda that
+    escaped its macro?  Such a closure shares mutable scopes with its
+    creator, so a session state holding one is not cached, committed
+    from a speculation or speculated on. *)
 
 val default_of_type : Mtype.t -> t
 (** Lists start empty, ints 0, strings empty; AST variables start

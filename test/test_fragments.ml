@@ -211,6 +211,65 @@ let generated_macro_abort () =
       Alcotest.(check int) "3 committed ahead of the definition" 3 k;
       Alcotest.(check int) "defining + poisoned fragments revalidated" 5 r)
 
+(* Ten pure fragments that call a top-level meta function.  Workers
+   roll back onto the run-start checkpoint as it is, meta function
+   included, so every fragment commits. *)
+let meta_function_source =
+  "metadcl int twice(int x) { return x * 2; }\n\
+   syntax exp TW {| ( $$num::n ) |} { return make_num(twice(num_value(n))); }\n"
+  ^ String.concat ""
+      (List.init 10 (fun i ->
+           Printf.sprintf "int m%d(int x) { return x + TW(%d); }\n" i i))
+
+let meta_function_commits () =
+  let f = write_fixture "metafn" meta_function_source in
+  with_files [ f ] (fun files ->
+      let _, out, _ = check_identity ~jobs:2 ~what:"meta function" "" files in
+      Alcotest.(check bool) "expansion really happened" true
+        (contains ~sub:"x + 18" out);
+      let c, _, err =
+        run_cli
+          (Printf.sprintf "expand --fragment-jobs 2 --stats \
+                           --stats-format=json %s"
+             (List.hd files))
+      in
+      Alcotest.(check int) "stats run exit" 0 c;
+      Alcotest.(check (triple int int int)) "all ten commit" (10, 10, 0)
+        (frag_counters err))
+
+(* A fragment that stores a lambda with captured locals in a global
+   aborts ([foreign_closure]): the lambda shares mutable scopes with
+   the worker that made it.  The fragment re-expands sequentially, and
+   the output is the sequential walk's. *)
+let escaped_lambda_aborts () =
+  let src =
+    "metadcl int keep(int x);\n\
+     syntax exp setk {| ( $$num::n ) |} {\n\
+     int base = num_value(n);\n\
+     keep = (int y; y + base);\n\
+     return make_num(0);\n\
+     }\n\
+     syntax exp callk {| ( ) |} { return make_num(keep(1)); }\n\
+     int k0 = setk(5);\n"
+    ^ String.concat ""
+        (List.init 9 (fun i -> Printf.sprintf "int p%d = %d;\n" i i))
+    ^ "int k1 = callk();\n"
+  in
+  let f = write_fixture "escaped" src in
+  with_files [ f ] (fun files ->
+      let _, out, _ = check_identity ~jobs:2 ~what:"escaped lambda" "" files in
+      Alcotest.(check bool) "the lambda kept its local" true
+        (contains ~sub:"k1 = 6" out);
+      let c, _, err =
+        run_cli
+          (Printf.sprintf "expand --fragment-jobs 2 --stats \
+                           --stats-format=json %s"
+             (List.hd files))
+      in
+      Alcotest.(check int) "stats run exit" 0 c;
+      Alcotest.(check int) "one foreign_closure abort" 1
+        (metric "fragments.abort.foreign_closure" err))
+
 (* The speculation threshold: a file needs at least eight top-level
    fragments before [--fragment-jobs 2] speculates.  Seven pure
    functions stay on the sequential walk; eight speculate, and all
@@ -432,6 +491,10 @@ let () =
             stats_survive_publish;
           Alcotest.test_case "eight fragments before speculation" `Quick
             fragment_threshold;
+          Alcotest.test_case "top-level meta function commits" `Quick
+            meta_function_commits;
+          Alcotest.test_case "escaped lambda aborts" `Quick
+            escaped_lambda_aborts;
           Alcotest.test_case "speculation after a mid-unit barrier is linear"
             `Quick mid_barrier_speculation;
         ] );

@@ -90,6 +90,62 @@ let gensym_in_meta_functions () =
   check_contains ~msg:"first" (norm out) "v__g1";
   check_contains ~msg:"second" (norm out) "v__g2"
 
+(* Under hygiene a user unit may not spell a generated name, from the
+   API and the CLI alike.  With only [f]'s [tmp] renamed to [tmp__g1],
+   the swap's renamed temporary is [tmp__g1] too: it would capture the
+   user's variable, and the swap would silently do nothing. *)
+let forged_swap =
+  "syntax stmt swap2 {| ( $$exp::a , $$exp::b ) ; |}\n\
+   {\n\
+   return `{{int tmp = $a; $a = $b; $b = tmp;}};\n\
+   }\n\
+   void f()\n\
+   {\n\
+   int tmp__g1 = 1;\n\
+   int other = 2;\n\
+   swap2(tmp__g1, other);\n\
+   }\n"
+
+let hygienic_runs_reject_forged_names () =
+  let expand_with ?prelude ~hygienic src =
+    Ms2.Api.expand_diag
+      ~engine:(Ms2.Api.create_engine ~hygienic ?prelude ())
+      ~source:"forged.mc" src
+  in
+  (match expand_with ~hygienic:true forged_swap with
+  | Error d ->
+      check_contains ~msg:"api" (Ms2_support.Diag.to_string d) "reserved"
+  | Ok out -> Alcotest.failf "hygienic engine accepted:\n%s" out);
+  Alcotest.(check bool) "accepted without hygiene" true
+    (Result.is_ok (expand_with ~hygienic:false forged_swap));
+  (* the prelude is trusted text: it still loads under hygiene *)
+  (match
+     expand_with ~prelude:true ~hygienic:true
+       "int g() { int a = 1; int b = 2; swap(a, b); return a; }"
+   with
+  | Ok out -> check_contains ~msg:"prelude swap" (norm out) "swap__g1"
+  | Error d -> Alcotest.failf "prelude: %s" (Ms2_support.Diag.to_string d));
+  let ms2c =
+    if Sys.file_exists "../bin/ms2c.exe" then "../bin/ms2c.exe"
+    else "_build/default/bin/ms2c.exe"
+  in
+  let src = Filename.temp_file "forged" ".mc" in
+  let err = Filename.temp_file "forged" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove src; Sys.remove err)
+    (fun () ->
+      Out_channel.with_open_bin src (fun oc ->
+          output_string oc forged_swap);
+      let code =
+        Sys.command
+          (Printf.sprintf "%s expand --hygienic %s > /dev/null 2> %s" ms2c
+             (Filename.quote src) (Filename.quote err))
+      in
+      Alcotest.(check int) "ms2c exits 1" 1 code;
+      check_contains ~msg:"cli"
+        (In_channel.with_open_bin err In_channel.input_all)
+        "reserved")
+
 let () =
   Alcotest.run "hygiene"
     [ ( "hygiene",
@@ -97,4 +153,6 @@ let () =
           tc "reserved marker" reserved_marker;
           tc "no capture in expansions" no_capture;
           tc "users cannot forge generated names" user_cannot_forge;
-          tc "fresh names in meta functions" gensym_in_meta_functions ] ) ]
+          tc "fresh names in meta functions" gensym_in_meta_functions;
+          tc "hygienic runs reject forged names"
+            hygienic_runs_reject_forged_names ] ) ]

@@ -150,7 +150,23 @@ let closures_and_mutation () =
     ~prelude:"metadcl int apply3(int f(int x)) { return f(3); }"
     "closure through meta function"
     "int base = 100;\nreturn make_num(apply3((int y; y + base)));"
-    103
+    103;
+  (* a lambda that escapes into a global keeps the locals it captured:
+     a later macro calls it after the one that made it has returned *)
+  let out =
+    expand
+      "metadcl int keep(int x);\n\
+       syntax exp setk {| ( ) |} {\n\
+       int base = 5;\n\
+       keep = (int y; y + base);\n\
+       return make_num(0);\n\
+       }\n\
+       syntax exp callk {| ( ) |} { return make_num(keep(1)); }\n\
+       int a = setk();\n\
+       int b = callk();"
+  in
+  Alcotest.(check string) "escaped lambda" (canon "int a = 0; int b = 6;")
+    (norm out)
 
 let scoping_semantics () =
   check_int "block scoping"

@@ -637,6 +637,54 @@ let one_shot_profile_keeps_no_store () =
       Alcotest.(check bool) "a fresh --cache-file replays" true
         (cached ("--cache-file " ^ snap) > 0))
 
+(* The prelude loads once per batch: per-file engines start from the
+   driver's post-prelude checkpoint, and the driver's prelude engine is
+   counted once, so the counters read as at --jobs 1. *)
+let prelude_counted_once () =
+  with_files [ good_file 1; good_file 2; good_file 3 ] (fun files ->
+      let args = String.concat " " files in
+      let counters flags =
+        let c, out, err =
+          run_cli (Printf.sprintf "expand --prelude --stats %s %s" flags args)
+        in
+        Alcotest.(check int) (flags ^ ": exit 0") 0 c;
+        ( out,
+          List.filter
+            (fun (name, _) ->
+              List.mem name
+                [ "engine.macros_defined"; "engine.meta_declarations_run";
+                  "engine.invocations_expanded"; "engine.fuel_consumed" ])
+            (text_counters err) )
+      in
+      let out1, c1 = counters "--jobs 1" in
+      Alcotest.(check int) "prelude's 10 macros + 3" 13
+        (List.assoc "engine.macros_defined" c1);
+      List.iter
+        (fun mode ->
+          let out2, c2 = counters ("--jobs 2 --jobs-mode=" ^ mode) in
+          Alcotest.(check string) (mode ^ ": same output") out1 out2;
+          Alcotest.(check (list (pair string int)))
+            (mode ^ ": same counters") c1 c2)
+        [ "domains"; "fork" ])
+
+(* A prelude that fails to load (an armed failpoint) is one fatal
+   diagnostic from the driver, exit 1, at any job count. *)
+let prelude_failure_is_fatal () =
+  with_files [ good_file 1; good_file 2 ] (fun files ->
+      let args = String.concat " " files in
+      List.iter
+        (fun flags ->
+          let c, out, err =
+            run_cli ~env:"MS2_FAILPOINTS=engine/fragment=error"
+              (Printf.sprintf "expand --prelude %s %s" flags args)
+          in
+          Alcotest.(check int) (flags ^ ": exit 1") 1 c;
+          Alcotest.(check string) (flags ^ ": no output") "" out;
+          Alcotest.(check bool) (flags ^ ": a located diagnostic") true
+            (contains ~sub:"<prelude>:" err))
+        [ "--jobs 1"; "--jobs 2 --jobs-mode=domains";
+          "--jobs 2 --jobs-mode=fork" ])
+
 let () =
   Alcotest.run "jobs"
     [
@@ -673,6 +721,10 @@ let () =
           Alcotest.test_case "fork --cache-file counters" `Quick
             fork_cache_file_counters;
           Alcotest.test_case "fork worker death" `Quick fork_worker_death;
+          Alcotest.test_case "--prelude counted once" `Quick
+            prelude_counted_once;
+          Alcotest.test_case "a failed prelude load is fatal" `Quick
+            prelude_failure_is_fatal;
           Alcotest.test_case "pattern memo counts one miss across domains"
             `Quick pattern_memo_race;
         ] );

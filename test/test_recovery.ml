@@ -716,6 +716,41 @@ let warm_run_leaves_snapshot_unwritten () =
       Alcotest.(check bool) "snapshot rewritten" true
         (file_identity snap <> before))
 
+(* Globals holding meta functions are stored, saved and replayed like
+   any other state: [window_proc.mc] defines meta functions, and the
+   prelude defines [bf_items].  A warm run hits and prints what
+   --no-cache prints. *)
+let warm_meta_function_globals () =
+  in_temp_dir (fun dir ->
+      List.iteri
+        (fun i (flags, file) ->
+          let snap = Filename.concat dir (Printf.sprintf "m%d.snap" i) in
+          let out name = Filename.concat dir (Printf.sprintf "%s%d.c" name i) in
+          let err = Filename.concat dir "err.txt" in
+          let expand name extra =
+            let code =
+              run_ms2c
+                (Printf.sprintf "expand %s %s %s" flags extra (quote file))
+                ~out:(out name) ~err
+            in
+            Alcotest.(check int) (file ^ " " ^ name ^ ": exit") 0 code;
+            read_file err
+          in
+          ignore (expand "ref" "--no-cache");
+          ignore (expand "cold" ("--cache-file " ^ quote snap));
+          let stats = expand "warm" ("--stats --cache-file " ^ quote snap) in
+          let hits =
+            List.find_map
+              (fun line ->
+                Scanf.sscanf_opt line "cache hits: %d" Fun.id)
+              (String.split_on_char '\n' stats)
+          in
+          Alcotest.(check bool) (file ^ ": warm hits") true
+            (match hits with Some n -> n > 0 | None -> false);
+          Alcotest.(check string) (file ^ ": warm output is --no-cache's")
+            (read_file (out "ref")) (read_file (out "warm")))
+        [ ("", "corpus/window_proc.mc"); ("--prelude", "corpus/control.mc") ])
+
 (* --trace-out shows the snapshot load and save on a track of their own,
    after the input files' tracks. *)
 let snapshot_spans_traced () =
@@ -986,7 +1021,9 @@ let () =
           Alcotest.test_case "persistence failpoint sweep" `Quick
             persistence_failpoint_sweep ] );
       ( "warm path",
-        [ Alcotest.test_case "an all-hit run does not rewrite" `Quick
+        [ Alcotest.test_case "meta-function globals replay warm" `Quick
+            warm_meta_function_globals;
+          Alcotest.test_case "an all-hit run does not rewrite" `Quick
             warm_run_leaves_snapshot_unwritten;
           Alcotest.test_case "--semantic-check decodes a shared entry" `Quick
             warm_semantic_check_shares_decode;

@@ -68,10 +68,12 @@ let deep_src n =
 let sweep_limits =
   { Limits.default with Limits.timeout_ms = 150; invocation_timeout_ms = 150 }
 
-let prime engine =
-  match Ms2.Api.expand_diag ~engine ~source:"prime.mc" prime_src with
+let expand_ok engine src =
+  match Ms2.Api.expand_diag ~engine ~source:"prime.mc" src with
   | Ok _ -> ()
   | Error d -> Alcotest.failf "prime failed: %s" (Diag.to_string d)
+
+let prime engine = expand_ok engine prime_src
 
 (** What [good_src] renders to on a freshly primed engine — the oracle
     for "the session behaves as if the failed fragment never ran". *)
@@ -264,6 +266,37 @@ let fragment_isolation_automatic () =
   | Error d ->
       Alcotest.failf "session unusable after bad fragment: %s"
         (Diag.to_string d)
+
+(* No meta value refers to an engine, so a checkpoint taken on one
+   engine rolls back onto a fresh one: the same fingerprint, the same
+   output, and a meta function called there updates that engine's
+   global, not the global of the engine that defined it. *)
+let checkpoint_adopted_by_another_engine () =
+  let counter_src =
+    "metadcl int hits;\n\
+     metadcl int bump(int by) { hits = hits + by; return hits; }\n\
+     syntax exp count {| ( ) |} { return make_num(bump(1)); }\n"
+  in
+  let a = Ms2.Api.create_engine () in
+  prime a;
+  expand_ok a counter_src;
+  let cp = Ms2.Api.checkpoint a in
+  let b = Ms2.Api.create_engine () in
+  Ms2.Api.rollback b cp;
+  Alcotest.(check string) "equal fingerprint" (Engine.fingerprint a)
+    (Engine.fingerprint b);
+  let out engine src =
+    match Ms2.Api.expand_diag ~engine src with
+    | Ok out -> norm out
+    | Error d -> Alcotest.failf "expand failed: %s" (Diag.to_string d)
+  in
+  Alcotest.(check string) "equal output" (out a good_src) (out b good_src);
+  Alcotest.(check string) "b counts its own calls" (canon "int n = 1;")
+    (out b "int n = count();");
+  Alcotest.(check string) "b again" (canon "int n = 2;")
+    (out b "int n = count();");
+  Alcotest.(check string) "a's global is untouched" (canon "int n = 1;")
+    (out a "int n = count();")
 
 (* A checkpoint holds the session's maps as they are and a rollback
    stores them back, so neither allocates more as the session grows.
@@ -561,6 +594,8 @@ let () =
           tc "spec grammar" spec_grammar ] );
       ( "checkpoint/rollback",
         [ tc "checkpoint round-trips and is reusable" checkpoint_roundtrip;
+          tc "a checkpoint rolls back onto another engine"
+            checkpoint_adopted_by_another_engine;
           tc "fragment isolation is automatic" fragment_isolation_automatic;
           tc "checkpoint and rollback cost does not grow with the session"
             checkpoint_cost_is_flat ] );
