@@ -88,8 +88,8 @@ let fuel_arg =
   Arg.(value & opt (some nonneg_int) None & info [ "fuel" ] ~docv:"N"
        ~doc:"Global interpreter fuel budget: total meta-program steps \
              (statements executed, expressions evaluated) the whole run \
-             may consume.  Defaults to a generous production bound; 0 \
-             means unlimited.")
+             may consume; under $(b,serve), each request.  Defaults to a \
+             generous production bound; 0 means unlimited.")
 
 let invocation_fuel_arg =
   Arg.(value & opt (some nonneg_int) None

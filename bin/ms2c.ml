@@ -139,10 +139,10 @@ let print_stats ~format ~jobs ~jobs_mode =
         s.Ms2.Api.cache_evictions s.Ms2.Api.cache_bypasses;
       if s.Ms2.Api.cache_bypasses > 0 then
         Printf.eprintf
-          "  bypassed for: trace mode %d, armed failpoints %d, uncacheable \
-           state %d, drained budget %d\n"
+          "  bypassed for: trace mode %d, armed failpoints %d, drained \
+           budget %d\n"
           s.Ms2.Api.cache_bypass_trace s.Ms2.Api.cache_bypass_failpoints
-          s.Ms2.Api.cache_bypass_uncacheable s.Ms2.Api.cache_bypass_budget;
+          s.Ms2.Api.cache_bypass_budget;
       if s.Ms2.Api.fragments_speculated > 0 then begin
         Printf.eprintf
           "fragments speculated: %d (committed %d, revalidated %d)\n"

@@ -35,12 +35,12 @@
 
     Parallelism ([--workers N], default 1): the daemon keeps N shards,
     each a prelude-loaded engine plus its sessions, and pins every
-    session to the shard [hash(session_id) mod N] — a session's
-    checkpoints hold meta closures over its engine's environment, and
-    its fuel, gensym counter and statistics live in that engine, so a
-    session must live and die on one engine.  With N > 1 each shard is owned by a dedicated
-    domain: requests for different shards expand in parallel, requests
-    for one session stay serialized in arrival order, and the
+    session to the shard [hash(session_id) mod N]: its checkpoint would
+    roll back onto any engine, but its statistics are deltas of its
+    shard engine's counters, so a session lives and dies on one engine.
+    With N > 1 each shard is owned by a dedicated domain: requests for
+    different shards expand in parallel, requests for one session stay
+    serialized in arrival order, and the
     checkpoint-rollback isolation story is per-shard exactly as it is
     per-daemon at N = 1.  The expansion cache is one shared store
     across all shards, so a fragment expanded on one domain replays on

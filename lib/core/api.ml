@@ -231,10 +231,6 @@ let c_bypass_trace =
 let c_bypass_failpoints =
   engine_counter "cache.bypass.failpoints" (fun s -> s.cache_bypass_failpoints)
 
-let c_bypass_uncacheable =
-  engine_counter "cache.bypass.uncacheable" (fun s ->
-      s.cache_bypass_uncacheable)
-
 let c_bypass_budget =
   engine_counter "cache.bypass.budget" (fun s -> s.cache_bypass_budget)
 
@@ -270,7 +266,7 @@ let c_abort_foreign_closure =
 let engine_counters =
   [ c_invocations; c_meta_runs; c_macros; c_fuel; c_nodes; c_hits; c_misses;
     c_evictions; c_bypasses; c_bypass_trace; c_bypass_failpoints;
-    c_bypass_uncacheable; c_bypass_budget; c_speculated; c_committed;
+    c_bypass_budget; c_speculated; c_committed;
     c_revalidated; c_abort_defs_bump; c_abort_gensym_mint; c_abort_meta_decl;
     c_abort_stale_read; c_abort_foreign_closure ]
 
@@ -314,7 +310,6 @@ let stats_of_counters (r : string -> int) : stats =
     cache_bypasses = v c_bypasses;
     cache_bypass_trace = v c_bypass_trace;
     cache_bypass_failpoints = v c_bypass_failpoints;
-    cache_bypass_uncacheable = v c_bypass_uncacheable;
     cache_bypass_budget = v c_bypass_budget;
     fragments_speculated = v c_speculated;
     fragments_committed = v c_committed;
@@ -375,10 +370,10 @@ let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
     engine-level (the string interner and compiled-pattern memos are
     process-global), so every session benefits from every other
     session's warm cache — while the rollback boundary keeps the
-    *semantic* state (macro tables, meta globals, symbol table)
-    strictly per-session.  The engine-side cost is {!Engine.rollback}
-    restoring [defs_version] to the checkpoint's value, keeping cache
-    keys stable across session switches. *)
+    *semantic* state (macro tables, meta globals, symbol table,
+    fresh-name counters) strictly per-session.  The engine-side cost is
+    {!Engine.rollback} restoring [defs_version] to the checkpoint's
+    value, keeping cache keys stable across session switches. *)
 module Session = struct
   type t = {
     sn_engine : engine;
@@ -493,6 +488,8 @@ module Session = struct
        Unconditional — cheaper to restore than to track which session
        held the engine last, and idempotent when it is already ours. *)
     Engine.rollback e s.sn_cp;
+    (* a request's fuel is its own, as one [ms2c expand] run's is *)
+    Ms2_meta.Value.rearm_fuel e.Engine.env.Ms2_meta.Value.budget;
     let r0 = reading e in
     s.sn_requests <- s.sn_requests + 1;
     let u = expand_unit e ~source ?deadline_ms ?fragment_jobs text in

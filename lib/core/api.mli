@@ -179,7 +179,8 @@ val expand_checked :
     expansion cache is shared too — a fragment cached by one session
     replays for all of them — and the string interner and
     compiled-pattern memos are process-global; macro tables, meta
-    globals and the symbol table stay strictly per-session. *)
+    globals, the symbol table and the fresh-name counters stay strictly
+    per-session. *)
 module Session : sig
   type t
 
@@ -213,10 +214,12 @@ module Session : sig
   (** Expand one fragment in this session and render it as pure C.
       [deadline_ms] narrows the fragment watchdog; [fragment_jobs] > 1
       enables intra-file fragment parallelism for this request (see
-      {!Engine.expand_source}).  On [Error] the session state is
-      unchanged (the fragment rolled back); on [Ok] the session's
-      checkpoint has advanced.  Not reentrant: sessions sharing an
-      engine must run one fragment at a time. *)
+      {!Engine.expand_source}).  Each call draws on a fresh fuel budget
+      of the engine's [Limits.fuel]: no request inherits what earlier
+      ones consumed.  On [Error] the session state is unchanged (the
+      fragment rolled back); on [Ok] the session's checkpoint has
+      advanced.  Not reentrant: sessions sharing an engine must run one
+      fragment at a time. *)
 
   val reset : t -> unit
   (** Roll the session back to its creation-time state. *)

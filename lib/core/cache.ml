@@ -22,25 +22,16 @@
     cannot actually influence the output merely costs a miss, never a
     wrong hit.
 
-    {b What cannot be keyed.}  Meta globals can hold closures.  A
-    closure's behavior is its parameters, its body, the locals it
-    captured, and the globals of the session that calls it.  A meta
-    function captures no locals (the common case — the globals are
-    already in the key, and the body and parameters are pure data), so
-    it digests fine.  A lambda that escaped into a global captured
-    {e local} scopes, which are mutable and shared with its creator: that
-    has no finite digest we can trust ({!Value.captures_locals}), so
-    {!key} raises {!Uncacheable} and the engine expands for real.
+    {b Closures.}  A closure's behavior is its parameters, its body,
+    what it captured, and the globals of the session that calls it.  A
+    meta function captures nothing, and a lambda in a global holds a
+    frozen copy of its captures ({!Value.bind_global}): both digest by
+    value.
 
-    {b Generated names.}  The gensym counter is deliberately {e not}
-    part of the key.  Instead, the engine refuses to store any run that
-    minted generated names (or anonymous struct tags): those counters
-    are monotonic and never rolled back, so a pre-state that included
-    them could never recur anyway — the entry would be dead weight — and
-    a run that never consulted them cannot depend on them.  Hygiene is
-    therefore preserved bit-for-bit: every expansion that allocates
-    fresh names really runs, and cached replays are exactly the runs
-    whose output provably does not mention fresh names.
+    {b Generated names.}  The gensym count is part of the key, and the
+    anonymous-tag count part of the symbol table's digest.  A replay
+    restores the counts the recorded run left, so a run that minted
+    names replays them bit-for-bit.
 
     {b The store} is a string-keyed table with last-use ticks and one
     byte budget for the whole store; an insertion that takes the total
@@ -84,15 +75,13 @@ module Tenv = Ms2_typing.Tenv
 module Senv = Ms2_csem.Senv
 module Value = Ms2_meta.Value
 
-exception Uncacheable
-
 (* ------------------------------------------------------------------ *)
 (* Key construction                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Meta values digest structurally.  Closures: parameters and body are
-   pure data; they must capture no locals (see the module comment), and
-   the globals they read are digested separately. *)
+(* Meta values digest structurally.  Closures: parameters, body and
+   frozen captures are pure data, and the globals they read are
+   digested separately. *)
 let rec add_value b (v : Value.t) : unit =
   match v with
   | Value.Vint n ->
@@ -124,31 +113,38 @@ let rec add_value b (v : Value.t) : unit =
       Buffer.add_string b name
   | Value.Vvoid -> Buffer.add_char b 'v'
   | Value.Vclosure cl ->
-      if Value.captures_locals v then raise Uncacheable;
       Buffer.add_char b 'c';
       Buffer.add_string b (Marshal.to_string cl.Value.cl_params []);
-      Buffer.add_string b (Marshal.to_string cl.Value.cl_body [])
+      Buffer.add_string b (Marshal.to_string cl.Value.cl_body []);
+      List.iter
+        (function
+          | Value.Frozen captured -> add_bindings b captured
+          | Value.Local _ ->
+              invalid_arg "Cache.key: a global holds an unfrozen lambda")
+        cl.Value.cl_scopes
 
 (* in name order: a map iterates sorted *)
-let digest_globals (env : Value.env) : string =
-  let b = Buffer.create 256 in
+and add_bindings b (bindings : Value.t Smap.t) : unit =
   Smap.iter
     (fun name v ->
       Buffer.add_string b name;
       Buffer.add_char b '=';
       add_value b v)
-    !(env.Value.globals);
+    bindings;
+  Buffer.add_char b ';'
+
+let digest_globals (env : Value.env) : string =
+  let b = Buffer.create 256 in
+  add_bindings b !(env.Value.globals);
   Digest.string (Buffer.contents b)
 
-(** The cache key for expanding [text] against the given session state.
-    @raise Uncacheable when the state has no trustworthy finite digest
-    (a global holding a closure over local scopes, open meta scopes). *)
+(** The cache key for expanding [text] against the given session state. *)
 let key ~defs_version ~(env : Value.env) ~tenv ~senv ~(limits : Limits.t)
     ~flags ~source (text : string) : string =
-  (* mid-expansion states (open meta scopes) are not cacheable keys *)
-  (match env.Value.scopes with [] -> () | _ :: _ -> raise Uncacheable);
   let b = Buffer.create 512 in
   Buffer.add_string b defs_version;
+  Buffer.add_char b '|';
+  Buffer.add_string b (string_of_int (Gensym.count env.Value.gensym));
   Buffer.add_char b '|';
   Buffer.add_string b (digest_globals env);
   Buffer.add_char b '|';

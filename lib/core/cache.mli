@@ -1,17 +1,12 @@
 (** Content-addressed expansion caching: key construction over session
     state, and a byte-budgeted LRU store.  See [cache.ml] for the
-    soundness story (what the key covers, why generated names force a
-    store refusal rather than a key salt). *)
+    soundness story (what the key covers, how closures and generated
+    names are digested). *)
 
 open Ms2_support
 module Tenv = Ms2_typing.Tenv
 module Senv = Ms2_csem.Senv
 module Value = Ms2_meta.Value
-
-exception Uncacheable
-(** The session state has no trustworthy finite digest (e.g. a meta
-    global holds a closure over local scopes); the caller must expand
-    for real. *)
 
 val key :
   defs_version:Digest.t ->
@@ -25,10 +20,10 @@ val key :
   string
 (** Digest of everything a fragment expansion can read: the text, its
     source name, the macro tables (by [defs_version], the engine's
-    digest of the definition history that built them), the meta type
-    environment, the global meta environment by value, the object-level
-    symbol table, the resource limits, and the engine behavior flags.
-    @raise Uncacheable — see above. *)
+    digest of the definition history that built them), the gensym
+    count, the meta type environment, the global meta environment by
+    value, the object-level symbol table, the resource limits, and the
+    engine behavior flags. *)
 
 (** {1 LRU store}
 

@@ -12,7 +12,6 @@ type stats = {
   mutable cache_bypasses : int;
   mutable cache_bypass_trace : int;
   mutable cache_bypass_failpoints : int;
-  mutable cache_bypass_uncacheable : int;
   mutable cache_bypass_budget : int;
   mutable fragments_speculated : int;
   mutable fragments_committed : int;

@@ -28,9 +28,6 @@ type stats = {
   mutable cache_bypass_failpoints : int;
       (** … because failpoints were armed (replays would mask injected
           failures) *)
-  mutable cache_bypass_uncacheable : int;
-      (** … because the session state had no trustworthy digest (a
-          global holding a lambda over local scopes) *)
   mutable cache_bypass_budget : int;
       (** … because a replay would overdraw the remaining global budget
           (the real run must happen, and fail, for real) *)
@@ -56,9 +53,8 @@ type stats = {
       (** aborts: reads not provably fresh (open scopes, undiffable
           symbol-table delta, or dirtied by an earlier commit) *)
   mutable fragments_abort_foreign_closure : int;
-      (** aborts: a global was bound to a lambda that captured local
-          scopes ({!Ms2_meta.Value.captures_locals}), which are shared
-          with the worker that made it *)
+      (** always 0 since lambdas in globals are frozen; kept for the
+          readers of its registry name *)
   mutable pattern_memo_hits : int;
       (** compiled-invocation-pattern memo hits ({e process-global}: the
           memo is shared by every engine in the process) *)

@@ -110,29 +110,29 @@ and program_state =
   | Decoded of program
   | Encoded of { raw : string; off : int; len : int; digest : string }
 
-(* What a checkpoint captures is the *session* state a failed fragment
-   could corrupt: macro tables, the meta type environment, the global
-   meta environment, and the object-level symbol table.  What it
-   deliberately does NOT capture: the gensym counter (rolled-back names
-   must stay burned, or a retry could collide with names the aborted
-   attempt leaked into diagnostics), stats, fuel consumed, and recorded
+(* A checkpoint captures every piece of session state a run reads:
+   macro tables, the meta type environment, the global meta
+   environment, the object-level symbol table, and the fresh-name
+   counts.  It does not capture stats, fuel consumed, and recorded
    diagnostics (the whole point of the rollback is to keep them).
 
-   Every table, the global meta scope included, is an immutable map, so
-   a checkpoint is the maps themselves and a rollback stores them back:
-   nothing is copied, and a checkpoint shares its structure with the
-   live session and with every other checkpoint.  No meta value refers
-   to an engine (a closure reads globals from whichever session calls
-   it), so a checkpoint taken on one engine is rolled back on any
-   other as it is: speculation workers, per-file engines starting from
-   one post-prelude state, and a snapshot's restored entries. *)
+   Every table, the global meta scope included, is an immutable map of
+   closed values, so a checkpoint is the maps and a count, and a
+   rollback stores them back: nothing is copied, and a checkpoint
+   shares its structure with the live session and with every other
+   checkpoint.  No meta value refers to an engine (a closure reads
+   globals from whichever session calls it), so a checkpoint taken on
+   one engine is rolled back on any other as it is: speculation
+   workers, per-file engines starting from one post-prelude state, and
+   a snapshot's restored entries. *)
 and checkpoint = {
   cp_macros : State.macro_sig Smap.t;
   cp_compiled : State.compiled_pattern Smap.t;
   cp_defs : macro_def Smap.t;
   cp_tenv : Mtype.t Smap.t list;  (** the {!Tenv} scope stack *)
   cp_globals : Value.t Smap.t;  (** the global meta scope *)
-  cp_senv : Senv.tables;
+  cp_senv : Senv.tables;  (** with the anonymous-tag count *)
+  cp_gensym : int;
   cp_version : Digest.t;
       (** [defs_version] at capture.  Rollback restores it: the digest
           names the registration history, so returning to the captured
@@ -340,9 +340,9 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
           macros_defined = 0; fuel_consumed = 0; nodes_produced = 0;
           cache_hits = 0; cache_misses = 0; cache_evictions = 0;
           cache_bypasses = 0; cache_bypass_trace = 0;
-          cache_bypass_failpoints = 0; cache_bypass_uncacheable = 0;
-          cache_bypass_budget = 0; fragments_speculated = 0;
-          fragments_committed = 0; fragments_revalidated = 0;
+          cache_bypass_failpoints = 0; cache_bypass_budget = 0;
+          fragments_speculated = 0; fragments_committed = 0;
+          fragments_revalidated = 0;
           fragments_abort_defs_bump = 0; fragments_abort_gensym_mint = 0;
           fragments_abort_meta_decl = 0; fragments_abort_stale_read = 0;
           fragments_abort_foreign_closure = 0; pattern_memo_hits = 0;
@@ -378,6 +378,7 @@ let checkpoint (t : t) : checkpoint =
     cp_tenv = t.tenv.Tenv.scopes;
     cp_globals = !(t.env.Value.globals);
     cp_senv = Senv.tables t.senv;
+    cp_gensym = Gensym.count t.gensym;
     cp_version = t.defs_version;
   }
 
@@ -392,7 +393,8 @@ let rollback (t : t) (cp : checkpoint) : unit =
   (* also unwinds scopes a mid-fragment abort left open *)
   t.env.Value.scopes <- [];
   t.env.Value.provenance := Loc.User;
-  Senv.set_tables t.senv cp.cp_senv
+  Senv.set_tables t.senv cp.cp_senv;
+  Gensym.set t.gensym cp.cp_gensym
 
 (** A structural digest of the rollback-covered session state, for
     asserting the rollback invariant in tests.  Values are summarized by
@@ -409,9 +411,9 @@ let fingerprint (t : t) : string =
       !(t.env.Value.globals) []
     |> List.rev |> String.concat ","
   in
-  Printf.sprintf "%s globals=[%s] scopes=%d senv-depth=%d" tables globals
-    (List.length t.env.Value.scopes)
-    (Senv.depth t.senv)
+  Printf.sprintf "%s globals=[%s] scopes=%d senv-depth=%d gensym=%d anon=%d"
+    tables globals (List.length t.env.Value.scopes)
+    (Senv.depth t.senv) (Gensym.count t.gensym) (Senv.anon_count t.senv)
 
 (* ------------------------------------------------------------------ *)
 (* Error recovery                                                      *)
@@ -788,12 +790,6 @@ let expand_program (t : t) (prog : program) : program =
        the remaining global budget (a sequential run would have failed
        inside the fragment, so it must re-run for real). *)
 
-(* Does a global hold a lambda that escaped with its locals?  Such a
-   state is shared mutably with the closure's creator: it is neither
-   speculated on nor stored in the cache. *)
-let escaped_lambda (globals : Value.t Smap.t) : bool =
-  Smap.exists (fun _ v -> Value.captures_locals v) globals
-
 (* AST-level hardening of the token classifier: anything that registers
    definitions or runs meta code at top level is a barrier even if the
    pre-scan missed it. *)
@@ -868,14 +864,12 @@ type abort_cause =
   | Abort_gensym_mint
   | Abort_meta_decl
   | Abort_stale_read
-  | Abort_foreign_closure
 
 let abort_cause_name = function
   | Abort_defs_bump -> "defs_bump"
   | Abort_gensym_mint -> "gensym_mint"
   | Abort_meta_decl -> "meta_decl"
   | Abort_stale_read -> "stale_read"
-  | Abort_foreign_closure -> "foreign_closure"
 
 let count_abort (t : t) (cause : abort_cause) : unit =
   let s = t.stats in
@@ -887,10 +881,7 @@ let count_abort (t : t) (cause : abort_cause) : unit =
   | Abort_meta_decl ->
       s.fragments_abort_meta_decl <- s.fragments_abort_meta_decl + 1
   | Abort_stale_read ->
-      s.fragments_abort_stale_read <- s.fragments_abort_stale_read + 1
-  | Abort_foreign_closure ->
-      s.fragments_abort_foreign_closure <-
-        s.fragments_abort_foreign_closure + 1);
+      s.fragments_abort_stale_read <- s.fragments_abort_stale_read + 1);
   Obs.instant ~cat:"fragment"
     ~args:(fun () -> [ ("cause", Obs.Str (abort_cause_name cause)) ])
     "speculation-abort"
@@ -1004,29 +995,21 @@ let frag_speculate (ctx : frag_ctx) (decls : decl list) ~(index : int) :
         then Frag_abort Abort_gensym_mint
         else if w.stats.meta_declarations_run <> meta0 then
           Frag_abort Abort_meta_decl
-        else if
-          w.env.Value.scopes <> [] || Senv.depth w.senv <> 1
-        then Frag_abort Abort_stale_read
         else
           match Senv.diff_top w.senv with
           | None -> Frag_abort Abort_stale_read
           | Some senv_delta ->
-              let genv_delta = frag_genv_delta ctx w in
-              if List.exists (fun (_, v) -> Value.captures_locals v)
-                   genv_delta
-              then Frag_abort Abort_foreign_closure
-              else
-                Frag_done
-                  {
-                    fr_prog = prog;
-                    fr_senv_delta = senv_delta;
-                    fr_genv_delta = genv_delta;
-                    fr_sreads = sub3 (Senv.reads w.senv) sreads0;
-                    fr_greads = !(w.env.Value.greads) - greads0;
-                    fr_fuel = b.Value.fuel_initial - b.Value.fuel;
-                    fr_nodes = b.Value.nodes_initial - b.Value.nodes;
-                    fr_invocations = w.stats.invocations_expanded - inv0;
-                  }
+              Frag_done
+                {
+                  fr_prog = prog;
+                  fr_senv_delta = senv_delta;
+                  fr_genv_delta = frag_genv_delta ctx w;
+                  fr_sreads = sub3 (Senv.reads w.senv) sreads0;
+                  fr_greads = !(w.env.Value.greads) - greads0;
+                  fr_fuel = b.Value.fuel_initial - b.Value.fuel;
+                  fr_nodes = b.Value.nodes_initial - b.Value.nodes;
+                  fr_invocations = w.stats.invocations_expanded - inv0;
+                }
       with _ ->
         finish ();
         Frag_fail)
@@ -1094,10 +1077,8 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
   while !i < n do
     let j = ref !i in
     while !j < n && not plan.(!j).fp_barrier do incr j done;
-    if !j - !i < 2 || escaped_lambda !(t.env.Value.globals) then begin
-      (* a barrier, a lone pure fragment not worth a checkpoint, or
-         globals holding a lambda whose captured locals two workers
-         could write at once *)
+    if !j - !i < 2 then begin
+      (* a barrier, or a lone pure fragment not worth a checkpoint *)
       let stop = if !j = !i then !i + 1 else !j in
       while !i < stop do
         seq_expand !i plan.(!i).fp_decls;
@@ -1286,12 +1267,11 @@ let cache_flags (t : t) : string =
 (* Why the cache stood aside for a fragment.  Each reason has its own
    labeled counter so the split is visible in [stats] output; the
    aggregate [cache_bypasses] stays their sum. *)
-type bypass = Bypass_trace | Bypass_failpoints | Bypass_uncacheable | Bypass_budget
+type bypass = Bypass_trace | Bypass_failpoints | Bypass_budget
 
 let bypass_reason = function
   | Bypass_trace -> "trace"
   | Bypass_failpoints -> "failpoints"
-  | Bypass_uncacheable -> "uncacheable"
   | Bypass_budget -> "budget"
 
 let note_bypass (t : t) ~source (why : bypass) : unit =
@@ -1301,8 +1281,6 @@ let note_bypass (t : t) ~source (why : bypass) : unit =
       t.stats.cache_bypass_trace <- t.stats.cache_bypass_trace + 1
   | Bypass_failpoints ->
       t.stats.cache_bypass_failpoints <- t.stats.cache_bypass_failpoints + 1
-  | Bypass_uncacheable ->
-      t.stats.cache_bypass_uncacheable <- t.stats.cache_bypass_uncacheable + 1
   | Bypass_budget ->
       t.stats.cache_bypass_budget <- t.stats.cache_bypass_budget + 1);
   Obs.instant ~cat:"cache" "bypass"
@@ -1316,20 +1294,17 @@ let note_bypass (t : t) ~source (why : bypass) : unit =
   | _ -> ()
 
 (* The key for expanding [text] now, or the reason the cache must stand
-   aside: trace mode (the trace is a side effect a replay would skip),
-   armed failpoints (replays would mask injected failures), or session
-   state with no trustworthy digest. *)
+   aside: trace mode (the trace is a side effect a replay would skip) or
+   armed failpoints (replays would mask injected failures). *)
 let cache_key (t : t) ~source (text : string) : (string, bypass) result =
   if t.trace <> None then Error Bypass_trace
   else if Failpoint.armed () then Error Bypass_failpoints
   else
-    match
-      Obs.with_span ~cat:"cache" "key" (fun () ->
-          Cache.key ~defs_version:t.defs_version ~env:t.env ~tenv:t.tenv
-            ~senv:t.senv ~limits:t.limits ~flags:(cache_flags t) ~source text)
-    with
-    | key -> Ok key
-    | exception Cache.Uncacheable -> Error Bypass_uncacheable
+    Ok
+      (Obs.with_span ~cat:"cache" "key" (fun () ->
+           Cache.key ~defs_version:t.defs_version ~env:t.env ~tenv:t.tenv
+             ~senv:t.senv ~limits:t.limits ~flags:(cache_flags t) ~source
+             text))
 
 (* OCaml 5's [Lazy] is not safe to force from two domains at once, so
    a restored program is decoded under one process-wide lock; the
@@ -1385,22 +1360,13 @@ type expansion = {
 let decoded (prog : program) : stored_program = Atomic.make (Decoded prog)
 
 (** Cached expansion.  A hit replays the recorded output and post-run
-    state; a miss runs for real and — when the run was clean (no new
-    diagnostics), minted no generated names or anonymous tags, and left
-    no escaped lambda in a global (every replay would share its
-    captured locals) — stores the result.  The mint restriction is the
-    hygiene story: the gensym and anonymous-tag counters are monotonic
-    and never rolled back, so a run that consulted them ran from a
-    state that can never recur (the entry would be dead), and a run
-    that did not cannot depend on them — replaying it is bit-for-bit
-    the rerun. *)
+    state; a miss runs for real and, when the run was clean (no new
+    diagnostics), stores the result. *)
 let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
     ?(fragment_jobs = 1) (text : string) : expansion =
   (* fragment parallelism lives only in the *uncached* runner; the
      cache layer (probe, store, bypass accounting) is identical either
-     way, and the store-side mint guards hold because committed
-     speculative fragments never touch the main gensym or anonymous-tag
-     counters (aborted ones are discarded with their worker state). *)
+     way *)
   let run_uncached () =
     expand_source_uncached t ?deadline_ms ~fragment_jobs ~source text
   in
@@ -1437,10 +1403,7 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
               uncached ()
           | None ->
               t.stats.cache_misses <- t.stats.cache_misses + 1;
-              let gensym0 = Gensym.count t.gensym in
-              let anon0 = Senv.anon_count t.senv in
               let diags0 = Diag.count t.diags in
-              let globals0 = !(t.env.Value.globals) in
               let fuel0 = fuel_consumed t in
               let nodes0 = nodes_produced t in
               let inv0 = t.stats.invocations_expanded in
@@ -1450,14 +1413,7 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                 if Obs.Profile.enabled () then Obs.Profile.counts () else []
               in
               let program = decoded (run_uncached ()) in
-              if
-                Gensym.count t.gensym = gensym0
-                && Senv.anon_count t.senv = anon0
-                && Diag.count t.diags = diags0
-                && (* the key vouched for the pre-state's globals *)
-                (let g = !(t.env.Value.globals) in
-                 g == globals0 || not (escaped_lambda g))
-              then
+              if Diag.count t.diags = diags0 then
                 Obs.with_span ~cat:"cache" "store" (fun () ->
                 (* entry weight estimate: the parsed-and-expanded
                    program scales with the fragment text and the nodes
@@ -1585,10 +1541,7 @@ let cache_evictions (t : t) : int =
      compilation is deterministic).  An entry whose patterns cannot be
      rebuilt is dropped, never half-restored.
    - Nothing else: a meta closure holds its parameters, its body and
-     the locals it captured, never an engine, so every entry marshals.
-   - Gensym state needs no persistence by construction: the engine
-     never stores a run that minted generated names or anonymous tags,
-     and diagnosed runs are never stored either.
+     what it captured, never an engine, so every entry marshals.
 
    Keys need no repair: every part of a key, the definition digest
    included ({!pristine_defs}), is a digest of content, so it means the

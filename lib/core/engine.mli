@@ -19,10 +19,9 @@ module Value = Ms2_meta.Value
 module Senv = Ms2_csem.Senv
 
 type checkpoint
-(** A session checkpoint: captures the state a failed fragment could
-    corrupt (macro tables, meta type environment, global meta
-    environment, object-level symbol table).  Deliberately {e not}
-    captured: the gensym counter (names stay burned across a rollback),
+(** A session checkpoint: captures all session state a run reads (macro
+    tables, meta type environment, global meta environment, object-level
+    symbol table, fresh-name counts).  Deliberately {e not} captured:
     statistics, fuel already consumed, and recorded diagnostics.  Every
     captured table is an immutable map, held as is: a checkpoint shares
     its structure with the live session and is never mutated, so one
@@ -86,9 +85,9 @@ val create :
     @param cache content-addressed expansion caching: identical
     fragments expanded against identical session state replay their
     recorded output and state delta instead of re-running (default
-    true; disable for the ablation benchmark).  Runs that mint
-    generated names or anonymous tags, produce diagnostics, or execute
-    under trace mode / armed failpoints are never stored or replayed
+    true; disable for the ablation benchmark).  Runs that produce
+    diagnostics, or execute under trace mode / armed failpoints, are
+    never stored or replayed
     @param cache_bytes cache byte budget (default
     {!Cache.default_budget_bytes}); least-recently-used entries are
     evicted beyond it

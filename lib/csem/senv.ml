@@ -27,16 +27,16 @@ type layout = {
 type tables = {
   scopes : scope list;  (** innermost first *)
   layouts : layout Smap.t;  (** struct/union tag → field layout *)
+  anon : int;  (** anonymous tags minted so far *)
 }
 
 type t = {
   mutable tables : tables;
-  mutable anon_counter : int;  (** names for anonymous tags *)
   (* Read/write odometers for the speculative fragment commit protocol
      (see engine.ml): a speculative fragment expanded against the
      run-start tables is only committable when either it read nothing
      from a table kind, or nothing of that kind was written since.  The
-     counters are monotonic (like [anon_counter]) and never rolled back;
+     counters are monotonic and never rolled back;
      callers measure deltas.  Writes count only top-scope mutations —
      function-local scopes are popped before a fragment boundary, so
      they cannot be observed across fragments. *)
@@ -60,10 +60,9 @@ type t = {
 let empty_scope = { vars = Smap.empty; typedefs = Smap.empty }
 
 let create () =
-  let tables = { scopes = [ empty_scope ]; layouts = Smap.empty } in
+  let tables = { scopes = [ empty_scope ]; layouts = Smap.empty; anon = 0 } in
   {
     tables;
-    anon_counter = 0;
     reads_vars = 0;
     reads_typedefs = 0;
     reads_layouts = 0;
@@ -107,10 +106,10 @@ let with_scope t f =
 let depth t = List.length t.tables.scopes
 
 let fresh_tag t =
-  t.anon_counter <- t.anon_counter + 1;
-  Printf.sprintf "<anonymous-%d>" t.anon_counter
+  t.tables <- { t.tables with anon = t.tables.anon + 1 };
+  Printf.sprintf "<anonymous-%d>" t.tables.anon
 
-let anon_count t = t.anon_counter
+let anon_count t = t.tables.anon
 
 (* Replace the innermost scope by [f] of it; [true] when that scope is
    the top (global) one, whose writes the odometers count. *)
@@ -250,8 +249,8 @@ let digest_buffer = Domain.DLS.new_key (fun () -> Buffer.create 4096)
 
 (** A deterministic digest of the whole environment (scope structure,
     bindings, layouts), for content-addressed cache keys; every table is
-    written in key order.  The anonymous-tag counter is included: it
-    feeds [fresh_tag], so two states differing only in the counter can
+    written in key order.  The anonymous-tag count is included: it
+    feeds [fresh_tag], so two states differing only in the count can
     still produce different output.  [Ctype.t] is pure data, so
     marshalling is faithful. *)
 let digest (t : t) : string =
@@ -281,5 +280,5 @@ let digest (t : t) : string =
         (Marshal.to_string (layout.fields : (string * Ctype.t) list) []))
     t.tables.layouts;
   Buffer.add_char b ')';
-  Buffer.add_string b (string_of_int t.anon_counter);
+  Buffer.add_string b (string_of_int t.tables.anon);
   Digest.string (Buffer.contents b)

@@ -10,16 +10,15 @@ val pop_scope : t -> unit
 val with_scope : t -> (unit -> 'a) -> 'a
 
 type tables
-(** The scopes and struct/union layouts: an immutable value, so the one
-    {!tables} returns is a checkpoint of them, and {!set_tables} puts it
-    back in O(1). *)
+(** The scopes, layouts and anonymous-tag count: an immutable value, so
+    the one {!tables} returns is a checkpoint of them, and {!set_tables}
+    puts it back in O(1). *)
 
 val tables : t -> tables
 
 val set_tables : t -> tables -> unit
-(** Make [tables] the current scopes and layouts.  The anonymous-tag
-    counter and the odometers are not part of {!tables}: tags stay fresh
-    after a rollback, and the odometers stay monotonic. *)
+(** Make [tables] current.  The odometers are not part of {!tables}:
+    they stay monotonic. *)
 
 val depth : t -> int
 (** Number of open scopes (1 = just the global scope). *)
@@ -28,9 +27,7 @@ val fresh_tag : t -> string
 (** A name for an anonymous struct/union/enum tag. *)
 
 val anon_count : t -> int
-(** Anonymous tags minted so far.  Monotonic — never rolled back — which
-    is what lets the expansion cache refuse to store runs that minted
-    tags (their pre-state can never recur). *)
+(** Anonymous tags minted so far (part of {!tables}). *)
 
 val add_var : t -> string -> Ctype.t -> unit
 val add_typedef : t -> string -> Ctype.t -> unit

@@ -382,10 +382,12 @@ let scan ?(origin = Loc.User) ?(source = "<string>") ?(reject_reserved = false)
     skip_trivia st
   done;
   push st Token.EOF ~start:st.pos ~line:st.n_lines;
-  let n = st.n in
-  { toks = Array.sub st.toks 0 n; starts = Array.sub st.starts 0 n;
-    stops = Array.sub st.stops 0 n; lines = Array.sub st.lines 0 n;
-    line_starts = Array.sub st.line_starts 0 st.n_lines; source; origin }
+  (* [toks] and [line_starts] are trimmed: their lengths are the token
+     and line counts.  The other arrays are only read below the token
+     count, so they stay at capacity *)
+  { toks = Array.sub st.toks 0 st.n; starts = st.starts; stops = st.stops;
+    lines = st.lines; line_starts = Array.sub st.line_starts 0 st.n_lines;
+    source; origin }
 
 let tokenize ?reject_reserved text = (scan ?reject_reserved text).toks
 

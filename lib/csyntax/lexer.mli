@@ -4,8 +4,11 @@
 (** A lexed source: token [i] is [toks.(i)], spanning the bytes
     [\[starts.(i), stops.(i))] and starting on line [lines.(i)]
     (1-based).  Line [l] starts at byte [line_starts.(l - 1)].  The last
-    token is the one [EOF], an empty span at the end of the text.
-    Locations are not stored: {!loc} builds one on demand. *)
+    token is the one [EOF], an empty span at the end of the text.  The
+    lengths of [toks] and [line_starts] are the token and line counts;
+    [starts], [stops] and [lines] may be longer, and only their first
+    [Array.length toks] entries mean anything.  Locations are not
+    stored: {!loc} builds one on demand. *)
 type stream = {
   toks : Token.t array;
   starts : int array;

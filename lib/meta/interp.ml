@@ -204,7 +204,7 @@ and incr_decr env ~loc e delta ~pre =
 and assign env ~loc (lhs : expr) (v : Value.t) : unit =
   match lhs.e with
   | E_ident id ->
-      if not (Value.assign env id.id_name v) then
+      if not (Value.assign env ~loc:id.id_loc id.id_name v) then
         error ~loc:id.id_loc "unbound meta variable %s" id.id_name
   | _ ->
       error ~loc

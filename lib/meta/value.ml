@@ -2,7 +2,7 @@
 
     Meta programs run at macro-expansion time; their values are C scalars
     (ints, strings), AST nodes, lists, tuples, and the paper's
-    downward-only anonymous functions. *)
+    anonymous functions. *)
 
 open Ms2_syntax
 open Ms2_support
@@ -23,16 +23,18 @@ and closure = {
   cl_params : (string * Mtype.t) list;
   cl_body : body;
   cl_scopes : scope list;
-      (** the local scopes it was created under, by reference; [[]] for
-          meta functions.  Globals are read from the calling session *)
+      (** the local scopes it was created under, by reference (a
+          [Frozen] copy in a global, [[]] for meta functions).  Globals
+          are read from the calling session *)
 }
 
 (** Anonymous functions have expression bodies (no [return] needed, per
     the paper); meta functions have statement bodies. *)
 and body = Body_expr of Ast.expr | Body_stmt of Ast.stmt
 
-(** One local scope: its bindings are assigned in place. *)
-and scope = (string, t ref) Hashtbl.t
+(** One local scope, assigned in place, or an escaped lambda's frozen
+    captures. *)
+and scope = Local of (string, t ref) Hashtbl.t | Frozen of t Smap.t
 
 (** Runtime environments: a stack of mutable local scopes over one
     persistent map of globals.  The globals hold [metadcl] variables
@@ -83,8 +85,9 @@ and env = {
 and budget = {
   mutable fuel : int;  (** remaining interpreter steps *)
   mutable nodes : int;  (** remaining produced-AST node allowance *)
-  fuel_initial : int;
+  fuel_initial : int;  (** the fuel one arming grants *)
   nodes_initial : int;
+  mutable fuel_spent : int;  (** fuel consumed before the last re-arm *)
   watchdog : Watchdog.t;
       (** wall-clock deadline, polled from the fuel hook so a stalling
           meta-program is bounded in time as well as in steps *)
@@ -98,10 +101,15 @@ let create_budget ?(fuel = max_int) ?(nodes = max_int) ?watchdog () : budget =
   let watchdog =
     match watchdog with Some w -> w | None -> Watchdog.create ()
   in
-  { fuel; nodes; fuel_initial = fuel; nodes_initial = nodes; watchdog }
+  { fuel; nodes; fuel_initial = fuel; nodes_initial = nodes; fuel_spent = 0;
+    watchdog }
 
-let fuel_consumed b = b.fuel_initial - b.fuel
+let fuel_consumed b = b.fuel_spent + (b.fuel_initial - b.fuel)
 let nodes_produced b = b.nodes_initial - b.nodes
+
+let rearm_fuel b =
+  b.fuel_spent <- fuel_consumed b;
+  b.fuel <- b.fuel_initial
 
 let out_of_fuel ~loc =
   Diag.error ~loc ~code:Diag.code_fuel Diag.Resource
@@ -145,7 +153,7 @@ let create_env ?gensym ?budget () : env =
     greads = ref 0;
   }
 
-let push_scope env = env.scopes <- Hashtbl.create 16 :: env.scopes
+let push_scope env = env.scopes <- Local (Hashtbl.create 16) :: env.scopes
 
 let pop_scope env =
   match env.scopes with
@@ -160,48 +168,112 @@ let with_scope env f =
     macro body or a closure runs in: its locals do not leak, [metadcl]
     globals are shared. *)
 let derived ?(scopes = []) env : env =
-  { env with scopes = Hashtbl.create 16 :: scopes }
+  { env with scopes = Local (Hashtbl.create 16) :: scopes }
 
-let bind_global env name v = env.globals := Smap.add name v !(env.globals)
+(* [List.map f l], or [l] itself when [f] returns every element (before
+   the tail [stop]) itself *)
+let rec map_shared ?(stop = []) f l =
+  if l == stop then l
+  else
+    match l with
+    | [] -> l
+    | x :: rest ->
+        let x' = f x and rest' = map_shared ~stop f rest in
+        if x' == x && rest' == rest then l else x' :: rest'
+
+exception Cyclic
+
+(* [v] with each lambda over [Local] scopes (a lambda's innermost one
+   is, until frozen) holding its captures by value instead.  A capture
+   holding a lambda over a scope being frozen ([busy]) would contain
+   itself: it is left out.  [old] is a frozen list [v] may extend. *)
+let rec freeze ?(old = []) ~busy v =
+  match v with
+  | Vclosure ({ cl_scopes = Local _ :: _; _ } as cl) ->
+      if List.exists (fun s -> List.memq s busy) cl.cl_scopes then
+        raise Cyclic;
+      let busy = cl.cl_scopes @ busy in
+      let captured =
+        List.fold_right
+          (fun scope acc ->
+            match scope with
+            | Frozen m -> Smap.union (fun _ _ inner -> Some inner) acc m
+            | Local tbl ->
+                Hashtbl.fold
+                  (fun name r acc ->
+                    match freeze ~busy !r with
+                    | v -> Smap.add name v acc
+                    | exception Cyclic -> Smap.remove name acc)
+                  tbl acc)
+          cl.cl_scopes Smap.empty
+      in
+      Vclosure { cl with cl_scopes = [ Frozen captured ] }
+  | Vlist items ->
+      let items' = map_shared ~stop:old (freeze ~busy) items in
+      if items' == items then v else Vlist items'
+  | Vtuple fields ->
+      let fields' =
+        map_shared
+          (fun ((n, x) as f) ->
+            let x' = freeze ~busy x in
+            if x' == x then f else (n, x'))
+          fields
+      in
+      if fields' == fields then v else Vtuple fields'
+  | Vclosure _ | Vint _ | Vstring _ | Vnode _ | Vbuiltin _ | Vvoid -> v
+
+(* A global outlives the scopes a lambda in it captured: it holds a
+   frozen copy, closed like every other global. *)
+let bind_global env name v =
+  let old =
+    match Smap.find_opt name !(env.globals) with
+    | Some (Vlist l) -> l
+    | _ -> []
+  in
+  env.globals := Smap.add name (freeze ~old ~busy:[] v) !(env.globals)
 
 let bind env name v =
   match env.scopes with
-  | scope :: _ -> Hashtbl.replace scope name (ref v)
+  | Local tbl :: _ -> Hashtbl.replace tbl name (ref v)
+  | Frozen _ :: _ -> invalid_arg "Value.bind: no local scope"
   | [] -> bind_global env name v
 
 (* a hit in the globals observes shared state (see [greads]) *)
 let global_hit env = env.greads := !(env.greads) + 1
 
-let rec local_ref name = function
-  | [] -> None
-  | scope :: rest -> (
-      match Hashtbl.find_opt scope name with
-      | Some r -> Some r
-      | None -> local_ref name rest)
-
 let lookup env name : t option =
-  match local_ref name env.scopes with
-  | Some r -> Some !r
-  | None ->
-      let v = Smap.find_opt name !(env.globals) in
-      if Option.is_some v then global_hit env;
-      v
+  let rec go = function
+    | Local tbl :: rest -> (
+        match Hashtbl.find_opt tbl name with
+        | Some r -> Some !r
+        | None -> go rest)
+    | Frozen m :: rest -> (
+        match Smap.find_opt name m with Some _ as v -> v | None -> go rest)
+    | [] ->
+        let v = Smap.find_opt name !(env.globals) in
+        if Option.is_some v then global_hit env;
+        v
+  in
+  go env.scopes
 
-let assign env name v : bool =
-  match local_ref name env.scopes with
-  | Some r -> r := v; true
-  | None when Smap.mem name !(env.globals) ->
-      global_hit env;
-      bind_global env name v;
-      true
-  | None -> false
-
-let rec captures_locals = function
-  | Vclosure { cl_scopes = []; _ } -> false
-  | Vclosure _ -> true
-  | Vlist items -> List.exists captures_locals items
-  | Vtuple fields -> List.exists (fun (_, v) -> captures_locals v) fields
-  | Vint _ | Vstring _ | Vnode _ | Vbuiltin _ | Vvoid -> false
+let assign env ~loc name v : bool =
+  let rec go = function
+    | Local tbl :: rest -> (
+        match Hashtbl.find_opt tbl name with
+        | Some r -> r := v; true
+        | None -> go rest)
+    | Frozen m :: rest ->
+        if Smap.mem name m then
+          error ~loc "cannot assign %s: a lambda in a global captured it \
+                      by value" name
+        else go rest
+    | [] when Smap.mem name !(env.globals) ->
+        global_hit env;
+        bind_global env name v;
+        true
+    | [] -> false
+  in
+  go env.scopes
 
 (** Default value for a declared-but-uninitialized meta variable: lists
     start empty (so [metadcl @stmt frags[];] can be accumulated into),

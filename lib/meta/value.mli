@@ -18,14 +18,15 @@ and closure = {
   cl_params : (string * Mtype.t) list;
   cl_body : body;
   cl_scopes : scope list;
-      (** the local scopes the closure was created under, by reference
-          ([[]] for meta functions); globals are read from the calling
-          session, so no value refers to an engine *)
+      (** the local scopes the closure was created under (a [Frozen]
+          copy in a global, [[]] for meta functions); globals are read
+          from the calling session, so no value refers to an engine *)
 }
 
 and body = Body_expr of Ast.expr | Body_stmt of Ast.stmt
 
-and scope = (string, t ref) Hashtbl.t
+(** assigned in place, or an escaped lambda's read-only captures *)
+and scope = Local of (string, t ref) Hashtbl.t | Frozen of t Smap.t
 
 and env = {
   mutable scopes : scope list;  (** local scopes, innermost first *)
@@ -56,8 +57,9 @@ and env = {
 and budget = {
   mutable fuel : int;  (** remaining interpreter steps *)
   mutable nodes : int;  (** remaining produced-AST node allowance *)
-  fuel_initial : int;
+  fuel_initial : int;  (** the fuel one arming grants *)
   nodes_initial : int;
+  mutable fuel_spent : int;  (** fuel consumed before the last re-arm *)
   watchdog : Watchdog.t;  (** wall-clock deadline, polled with the fuel *)
 }
 
@@ -70,7 +72,13 @@ val error :
 val create_budget :
   ?fuel:int -> ?nodes:int -> ?watchdog:Watchdog.t -> unit -> budget
 val fuel_consumed : budget -> int
+(** Fuel consumed since the budget was created, across re-arms. *)
+
 val nodes_produced : budget -> int
+
+val rearm_fuel : budget -> unit
+(** Grant the whole [fuel_initial] again, as at creation; what was
+    consumed stays counted in {!fuel_consumed}. *)
 
 val charge_fuel : env -> loc:Loc.t -> unit
 (** Charge one interpreter step; raises a [Resource]-phase diagnostic
@@ -94,20 +102,17 @@ val bind : env -> string -> t -> unit
 (** Bind in the innermost local scope, or as a global at top level. *)
 
 val bind_global : env -> string -> t -> unit
+(** Bind a global to [v] with every lambda over [Local] scopes in it
+    frozen: a global is a closed value. *)
 
 val lookup : env -> string -> t option
 (** Local scopes first, then the globals (a global hit counts in
     [greads]). *)
 
-val assign : env -> string -> t -> bool
+val assign : env -> loc:Loc.t -> string -> t -> bool
 (** Rebind a bound variable where it is bound; [false] when unbound.  A
-    global counts in [greads] as a lookup does. *)
-
-val captures_locals : t -> bool
-(** Does the value hold a closure over local scopes — a lambda that
-    escaped its macro?  Such a closure shares mutable scopes with its
-    creator, so a session state holding one is not cached, committed
-    from a speculation or speculated on. *)
+    global counts in [greads] as a lookup does.  A [Frozen] variable is
+    an error at [loc]. *)
 
 val default_of_type : Mtype.t -> t
 (** Lists start empty, ints 0, strings empty; AST variables start

@@ -21,17 +21,22 @@ let fsync_dir (dir : string) : unit =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let write (path : string) (content : string) : (unit, string) result =
+(* Replace [path] through a temp file in its directory.  The temp file
+   is created as 0666 less the umask, as a plain [open] would create
+   [path]; [perm] is the mode of the file it replaces. *)
+let replace (path : string) ~(perm : int option) (content : string) :
+    (unit, string) result =
   match
-    Filename.temp_file ~temp_dir:(Filename.dirname path) ".ms2" ".tmp"
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o666
+      ~temp_dir:(Filename.dirname path) ".ms2" ".tmp"
   with
   | exception Sys_error msg -> Error msg
-  | tmp -> (
+  | tmp, oc -> (
       match
-        let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () ->
+            Option.iter (Unix.fchmod (Unix.descr_of_out_channel oc)) perm;
             output_string oc content;
             fsync_path_out oc)
       with
@@ -59,6 +64,25 @@ let write (path : string) (content : string) : (unit, string) result =
               | exception Sys_error msg ->
                   (try Sys.remove tmp with Sys_error _ -> ());
                   Error msg)))
+
+(* A FIFO or a device ([/dev/null], a terminal) is not a file to
+   replace: renaming over it would put a regular file in its place.
+   Such a target is written in place, as a shell redirection would. *)
+let write_in_place (path : string) (content : string) :
+    (unit, string) result =
+  match
+    Out_channel.with_open_gen [ Open_wronly; Open_binary ] 0 path (fun oc ->
+        output_string oc content)
+  with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error msg
+
+let write (path : string) (content : string) : (unit, string) result =
+  match Unix.stat path with
+  | exception Unix.Unix_error _ -> replace path ~perm:None content
+  | { Unix.st_kind = Unix.S_REG; st_perm; _ } ->
+      replace path ~perm:(Some st_perm) content
+  | _ -> write_in_place path content
 
 let write_exn path content =
   match write path content with

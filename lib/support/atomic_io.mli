@@ -12,7 +12,11 @@
     fsync persists the rename itself. *)
 
 val write : string -> string -> (unit, string) result
-(** [write path content] replaces [path] atomically and durably.
+(** [write path content] replaces [path] atomically and durably.  A new
+    file is created with mode 0666 less the umask, and an existing one
+    keeps its mode.  A target that exists and is not a regular file (a
+    FIFO, [/dev/null]) is written in place instead, neither atomically
+    nor durably: renaming over it would replace it with a file.
     [Error msg] on any I/O failure (unwritable directory, disk full …);
     the temp file is removed on failure — except under the [io/rename]
     failpoint, which models a crash between write and rename and

@@ -42,4 +42,4 @@ let rec reserved_from name i =
 let is_reserved name = reserved_from name 0
 
 let count t = t.counter
-let reset t = t.counter <- 0
+let set t n = t.counter <- n

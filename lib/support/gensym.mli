@@ -18,4 +18,4 @@ val is_reserved : string -> bool
 (** Does this name collide with the generated-name space? *)
 
 val count : t -> int
-val reset : t -> unit
+val set : t -> int -> unit

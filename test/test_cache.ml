@@ -153,9 +153,10 @@ let swap_use = "int f() { int x; int y; swap(x, y); return x; }"
 
 let gensym_runs_never_replayed () =
   (* each expansion of a gensym-using fragment must mint fresh names: a
-     replay would duplicate them.  The cache refuses to store such runs,
-     so consecutive expansions keep producing distinct temporaries —
-     exactly as on a cache-disabled engine. *)
+     replay would duplicate them.  The gensym count is in the key, so
+     consecutive expansions (each from a higher count) never hit and
+     keep producing distinct temporaries — exactly as on a
+     cache-disabled engine. *)
   let names_of engine =
     let out = expand_ok engine swap_use in
     let is_ident c =

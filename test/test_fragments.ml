@@ -238,10 +238,11 @@ let meta_function_commits () =
         (frag_counters err))
 
 (* A fragment that stores a lambda with captured locals in a global
-   aborts ([foreign_closure]): the lambda shares mutable scopes with
-   the worker that made it.  The fragment re-expands sequentially, and
-   the output is the sequential walk's. *)
-let escaped_lambda_aborts () =
+   commits: the global holds the captured bindings by value, so nothing
+   is shared with the worker that made it.  Of the eleven speculated
+   fragments only [k1] re-expands: on its worker, [keep] was not yet
+   set. *)
+let escaped_lambda_commits () =
   let src =
     "metadcl int keep(int x);\n\
      syntax exp setk {| ( $$num::n ) |} {\n\
@@ -267,7 +268,9 @@ let escaped_lambda_aborts () =
              (List.hd files))
       in
       Alcotest.(check int) "stats run exit" 0 c;
-      Alcotest.(check int) "one foreign_closure abort" 1
+      Alcotest.(check (triple int int int)) "ten of eleven commit"
+        (11, 10, 1) (frag_counters err);
+      Alcotest.(check int) "no foreign_closure abort" 0
         (metric "fragments.abort.foreign_closure" err))
 
 (* The speculation threshold: a file needs at least eight top-level
@@ -493,8 +496,8 @@ let () =
             fragment_threshold;
           Alcotest.test_case "top-level meta function commits" `Quick
             meta_function_commits;
-          Alcotest.test_case "escaped lambda aborts" `Quick
-            escaped_lambda_aborts;
+          Alcotest.test_case "escaped lambda commits" `Quick
+            escaped_lambda_commits;
           Alcotest.test_case "speculation after a mid-unit barrier is linear"
             `Quick mid_barrier_speculation;
         ] );

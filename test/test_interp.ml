@@ -168,6 +168,56 @@ let closures_and_mutation () =
   Alcotest.(check string) "escaped lambda" (canon "int a = 0; int b = 6;")
     (norm out)
 
+(* A lambda stored in a global holds the bindings it captured by value,
+   frozen when it is stored: the session's meta state is closed, so a
+   rollback, a cache replay or a speculation worker cannot reach the
+   macro's locals through it. *)
+let escaped_lambdas_freeze () =
+  let use setk =
+    "metadcl int keep(int x);\n\
+     syntax exp setk {| ( ) |} {\n\
+     int base = 5;\n" ^ setk
+    ^ "return make_num(0);\n\
+       }\n\
+       syntax exp callk {| ( ) |} { return make_num(keep(1)); }\n\
+       int a = setk();\n\
+       int b = callk();"
+  in
+  let check what setk =
+    Alcotest.(check string) what (canon "int a = 0; int b = 6;")
+      (norm (expand (use setk)))
+  in
+  check "a later write to the local does not reach it"
+    "keep = (int y; y + base);\nbase = 10;\n";
+  (* a lambda bound next to it (here: itself) is left out of the copy,
+     so freezing ends *)
+  check "stored through a local" "int f(int x);\nf = (int y; y + base);\n\
+                                  keep = f;\nbase = 10;\n";
+  check_error (use "keep = (int y; base = base + y);\n")
+    "cannot assign base"
+
+(* Storing a global walks the value for lambdas to freeze, but a list
+   consed onto the global's old value is walked only down to it: 40,000
+   conses take a fraction of a second.  Walking the whole list each
+   time took about 9 s, past this deadline. *)
+let global_cons_is_linear () =
+  let limits =
+    { Ms2_support.Limits.default with Ms2_support.Limits.timeout_ms = 5000 }
+  in
+  let engine = Ms2.Api.create_engine ~limits () in
+  match
+    Ms2.Api.expand engine
+      "metadcl int acc[];\n\
+       syntax exp fill {| ( ) |} {\n\
+       int i;\n\
+       for (i = 0; i < 40000; i++) acc = cons(i, acc);\n\
+       return make_num(length(acc));\n\
+       }\n\
+       int n = fill();"
+  with
+  | Ok out -> Alcotest.(check string) "length" (canon "int n = 40000;") (norm out)
+  | Error e -> Alcotest.failf "expansion failed: %s" e
+
 let scoping_semantics () =
   check_int "block scoping"
     "int x = 1;\nif (1) { int x = 2; x = x + 1; }\nreturn make_num(x);" 1;
@@ -215,6 +265,8 @@ let () =
           tc "default values" defaults;
           tc "runtime errors" runtime_errors;
           tc "closures and mutation" closures_and_mutation;
+          tc "escaped lambdas freeze" escaped_lambdas_freeze;
+          tc "consing onto a global is linear" global_cons_is_linear;
           tc "scoping semantics" scoping_semantics;
           tc "identifier equality" comparisons_on_ids;
           tc "tuple values" tuple_values;

@@ -305,7 +305,7 @@ let text_counters (err : string) : (string * int) list =
       ("cache bypasses: ", [ "cache.bypasses" ]);
       ("  bypassed for: ",
        [ "cache.bypass.trace"; "cache.bypass.failpoints";
-         "cache.bypass.uncacheable"; "cache.bypass.budget" ]);
+         "cache.bypass.budget" ]);
       ("fragments speculated: ",
        [ "fragments.speculated"; "fragments.committed";
          "fragments.revalidated" ]);

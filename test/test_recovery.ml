@@ -95,6 +95,26 @@ let rename_failpoint_preserves_old () =
                 "the interrupted temp file is left behind" 1
                 (List.length orphans)))
 
+(* A published file gets the mode a plain [open] would give it: a new
+   one 0666 less the umask, an existing one its own mode. *)
+let write_keeps_modes () =
+  in_temp_dir (fun dir ->
+      let umask = Unix.umask 0o022 in
+      Fun.protect ~finally:(fun () -> ignore (Unix.umask umask)) (fun () ->
+          let perm path = (Unix.stat path).Unix.st_perm in
+          let fresh = Filename.concat dir "new.c" in
+          Atomic_io.write_exn fresh "new\n";
+          Alcotest.(check int) "a new file is 0666 less the umask" 0o644
+            (perm fresh);
+          let existing = Filename.concat dir "existing.c" in
+          write_file existing "old\n";
+          Unix.chmod existing 0o640;
+          Atomic_io.write_exn existing "new\n";
+          Alcotest.(check int) "an existing file keeps its mode" 0o640
+            (perm existing);
+          Alcotest.(check string) "and gets the new contents" "new\n"
+            (read_file existing)))
+
 let sweep_stale_removes_old_orphans () =
   in_temp_dir (fun dir ->
       let old_orphan = Filename.concat dir ".ms2dead.tmp" in
@@ -399,6 +419,31 @@ let run_ms2c ?(env = "") args ~out ~err : int =
     (Printf.sprintf "%s%s %s > %s 2> %s"
        (if env = "" then "" else env ^ " ")
        ms2c args (quote out) (quote err))
+
+(* [-o] naming a FIFO writes into it: its reader gets the expansion, and
+   it is still a FIFO (renaming a file over it would replace it). *)
+let output_to_fifo () =
+  in_temp_dir (fun dir ->
+      let src = Filename.concat dir "in.mc" in
+      write_file src "int x = 1;\n";
+      let fifo = Filename.concat dir "out.fifo" in
+      Unix.mkfifo fifo 0o600;
+      (* a reader that does not wait for a writer *)
+      let fd = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let code =
+            run_ms2c
+              (Printf.sprintf "expand -o %s %s" (quote fifo) (quote src))
+              ~out:(Filename.concat dir "out.txt")
+              ~err:(Filename.concat dir "err.txt")
+          in
+          Alcotest.(check int) "exit" 0 code;
+          let buf = Bytes.create 4096 in
+          let n = Unix.read fd buf 0 (Bytes.length buf) in
+          Alcotest.(check string) "the reader gets the expansion"
+            "int x = 1;\n" (Bytes.sub_string buf 0 n);
+          Alcotest.(check bool) "still a FIFO" true
+            ((Unix.stat fifo).Unix.st_kind = Unix.S_FIFO)))
 
 let corpus_files dir n =
   List.init n (fun i ->
@@ -716,11 +761,9 @@ let warm_run_leaves_snapshot_unwritten () =
       Alcotest.(check bool) "snapshot rewritten" true
         (file_identity snap <> before))
 
-(* Globals holding meta functions are stored, saved and replayed like
-   any other state: [window_proc.mc] defines meta functions, and the
-   prelude defines [bf_items].  A warm run hits and prints what
+(* A warm --cache-file run of each (flags, file) hits and prints what
    --no-cache prints. *)
-let warm_meta_function_globals () =
+let warm_replays runs () =
   in_temp_dir (fun dir ->
       List.iteri
         (fun i (flags, file) ->
@@ -749,7 +792,23 @@ let warm_meta_function_globals () =
             (match hits with Some n -> n > 0 | None -> false);
           Alcotest.(check string) (file ^ ": warm output is --no-cache's")
             (read_file (out "ref")) (read_file (out "warm")))
-        [ ("", "corpus/window_proc.mc"); ("--prelude", "corpus/control.mc") ])
+        runs)
+
+(* Globals holding meta functions are stored, saved and replayed like
+   any other state: [window_proc.mc] defines meta functions, and the
+   prelude defines [bf_items]. *)
+let warm_meta_function_globals =
+  warm_replays
+    [ ("", "corpus/window_proc.mc"); ("--prelude", "corpus/control.mc") ]
+
+(* So are runs that mint names (the counters are in the key and the
+   stored post-state) and globals holding an escaped lambda (a frozen
+   copy, digested by value). *)
+let warm_closed_state =
+  warm_replays
+    [ ("--hygienic", "corpus/hygienic_swap.mc");
+      ("", "corpus/dynamic_bind.mc");
+      ("", "corpus/escaped_lambda.mc") ]
 
 (* --trace-out shows the snapshot load and save on a track of their own,
    after the input files' tracks. *)
@@ -987,7 +1046,10 @@ let () =
         [ Alcotest.test_case "io/rename preserves old contents" `Quick
             rename_failpoint_preserves_old;
           Alcotest.test_case "sweep_stale removes aged orphans" `Quick
-            sweep_stale_removes_old_orphans ] );
+            sweep_stale_removes_old_orphans;
+          Alcotest.test_case "a published file keeps its mode" `Quick
+            write_keeps_modes;
+          Alcotest.test_case "-o writes into a FIFO" `Quick output_to_fifo ] );
       ( "snapshot",
         [ Alcotest.test_case "roundtrip replays" `Quick snapshot_roundtrip;
           Alcotest.test_case "truncation degrades cold" `Quick
@@ -1023,6 +1085,8 @@ let () =
       ( "warm path",
         [ Alcotest.test_case "meta-function globals replay warm" `Quick
             warm_meta_function_globals;
+          Alcotest.test_case "fresh names and escaped lambdas replay warm"
+            `Quick warm_closed_state;
           Alcotest.test_case "an all-hit run does not rewrite" `Quick
             warm_run_leaves_snapshot_unwritten;
           Alcotest.test_case "--semantic-check decodes a shared entry" `Quick

@@ -273,6 +273,83 @@ let cache_hits_when_warm () =
             (output_of r2) (output_of r3)))
 
 (* ------------------------------------------------------------------ *)
+(* Closed session state                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The first diagnostic's message of a failed request. *)
+let diag_message v =
+  match
+    Option.bind (Json.member v "error") (fun e ->
+        Option.bind (Json.member e "diagnostics") Json.list)
+  with
+  | Some (d :: _) ->
+      Option.value ~default:"" (Option.bind (Json.member d "message") Json.str)
+  | _ -> ""
+
+(* A session's outputs do not depend on which other sessions ran before
+   or in between: its fresh names are its own. *)
+let sessions_isolate_fresh_names () =
+  List.iter
+    (fun args ->
+      let outputs =
+        List.map
+          (fun (what, order) ->
+            ( what,
+              with_daemon ~args:("--hygienic" :: args) (fun d ->
+                  List.filter_map
+                    (fun (session, text) ->
+                      let r = expand d ~session text in
+                      if not (is_ok r) then
+                        Alcotest.failf "%s: %s" session (diag_message r);
+                      if session = "alice" then Some (output_of r) else None)
+                    order) ))
+          Tutil.alice_orders
+      in
+      let alone = List.assoc "alone" outputs in
+      List.iter
+        (fun (what, outs) ->
+          Alcotest.(check (list string))
+            (String.concat " " args ^ ", " ^ what)
+            alone outs)
+        outputs)
+    [ [ "--no-cache"; "--workers"; "1" ]; [ "--no-cache"; "--workers"; "2" ];
+      [ "--workers"; "1" ] ]
+
+(* A lambda stored in a global cannot write what it captured, so a
+   rolled-back request cannot leave such a write behind. *)
+let rolled_back_lambda_write () =
+  with_daemon ~args:[ "--no-cache" ] (fun d ->
+      match
+        List.map (fun text -> expand d ~session:"k" text) Tutil.found_requests
+      with
+      | [ r1; r2; r3 ] ->
+          Alcotest.(check bool) "the first request stores the lambda" true
+            (is_ok r1);
+          Alcotest.(check bool) "the second fails" false (is_ok r2);
+          Alcotest.(check bool) "the third fails" false (is_ok r3);
+          Alcotest.(check bool) "naming the captured variable" true
+            (contains ~sub:"cannot assign base" (diag_message r3))
+      | _ -> assert false)
+
+(* [--fuel] bounds one request: twelve sessions of seven steps each all
+   expand under a budget of fifty. *)
+let fuel_per_request () =
+  with_daemon ~args:[ "--no-cache"; "--fuel"; "50" ] (fun d ->
+      let outs =
+        List.init 12 (fun i ->
+            let r =
+              expand d ~session:(Printf.sprintf "s%d" i)
+                (Tutil.swap2_defs ^ Tutil.swap2_use)
+            in
+            if not (is_ok r) then
+              Alcotest.failf "request %d: %s" (i + 1) (diag_message r);
+            output_of r)
+      in
+      List.iter
+        (Alcotest.(check string) "same output" (List.hd outs))
+        outs)
+
+(* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -498,7 +575,12 @@ let () =
           tc "sessions do not leak definitions" sessions_isolated;
           tc "failed request rolls back, session survives"
             failed_request_rolls_back;
-          tc "repeated fragments hit the shared cache" cache_hits_when_warm ]
+          tc "repeated fragments hit the shared cache" cache_hits_when_warm;
+          tc "sessions do not see each other's fresh names"
+            sessions_isolate_fresh_names;
+          tc "a rolled-back write through a lambda does not stick"
+            rolled_back_lambda_write;
+          tc "a request's fuel is its own" fuel_per_request ]
       );
       ( "lifecycle",
         [ tc "EOF mid-request drains to exit 0" eof_drains;

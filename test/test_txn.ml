@@ -586,6 +586,105 @@ let cli_check_parity () =
   check_contains ~msg:"json diagnostics" err {|{"severity":"error"|};
   List.iter Sys.remove [ a; bad; c; spin ]
 
+(* ------------------------------------------------------------------ *)
+(* Closed session state                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The gensym and anonymous-tag counts are session state: a rollback
+   restores them, so a retry mints the names the rolled-back run
+   minted. *)
+let counters_roll_back () =
+  let engine = Ms2.Api.create_engine ~hygienic:true () in
+  expand_ok engine swap2_defs;
+  let counts () =
+    ( Ms2_support.Gensym.count engine.Engine.gensym,
+      Ms2_csem.Senv.anon_count engine.Engine.senv )
+  in
+  let before = counts () in
+  let cp = Ms2.Api.checkpoint engine in
+  let mint = swap2_use ^ "struct { int a; } s;\n" in
+  let out () =
+    match Ms2.Api.expand_diag ~engine mint with
+    | Ok out -> out
+    | Error d -> Alcotest.failf "mint failed: %s" (Diag.to_string d)
+  in
+  let first = out () in
+  let g, a = counts () in
+  Alcotest.(check bool) "both counters moved" true
+    (g > fst before && a > snd before);
+  Ms2.Api.rollback engine cp;
+  Alcotest.(check (pair int int)) "rollback restores them" before (counts ());
+  Alcotest.(check string) "the retry mints the same names" first (out ())
+
+(* Run [order] on two new sessions of one engine; alice's outputs. *)
+let alice_outputs engine order =
+  let sessions =
+    List.map (fun id -> (id, Ms2.Api.Session.create engine ~id))
+      [ "alice"; "bob" ]
+  in
+  List.filter_map
+    (fun (who, text) ->
+      match Ms2.Api.Session.expand (List.assoc who sessions) text with
+      | Ok (out, _) -> if who = "alice" then Some out else None
+      | Error (d, _) -> Alcotest.failf "%s: %s" who (Diag.to_string d))
+    order
+
+let sessions_isolate_fresh_names () =
+  List.iter
+    (fun cache ->
+      let outputs =
+        List.map
+          (fun (what, order) ->
+            let engine = Ms2.Api.create_engine ~cache ~hygienic:true () in
+            (what, alice_outputs engine order))
+          alice_orders
+      in
+      let alone = List.assoc "alone" outputs in
+      List.iter
+        (fun (what, outs) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "cache %b, %s" cache what) alone outs)
+        outputs)
+    [ false; true ]
+
+let session_found_case () =
+  let engine = Ms2.Api.create_engine () in
+  let s = Ms2.Api.Session.create engine ~id:"s" in
+  let results =
+    List.map (fun text -> Ms2.Api.Session.expand s text) found_requests
+  in
+  (match results with
+  | [ Ok _; Error _; Error (d, _) ] ->
+      check_contains ~msg:"the third request" (Diag.to_string d)
+        "cannot assign base"
+  | _ ->
+      Alcotest.failf "expected ok, error, error; the third answered %s"
+        (match List.nth results 2 with
+        | Ok (out, _) -> out
+        | Error (d, _) -> Diag.to_string d));
+  Alcotest.(check bool) "isolated" true (Ms2.Api.Session.isolated s)
+
+(* Each request draws on its own [--fuel]: twelve sessions of seven
+   steps each all expand under a budget of fifty, and the engine's
+   count of fuel consumed is the sum over them. *)
+let session_fuel_per_request () =
+  let limits = { Limits.default with Limits.fuel = 50 } in
+  let engine = Ms2.Api.create_engine ~limits ~cache:false () in
+  let runs =
+    List.init 12 (fun i ->
+        let s = Ms2.Api.Session.create engine ~id:(string_of_int i) in
+        match Ms2.Api.Session.expand s (swap2_defs ^ swap2_use) with
+        | Ok (out, d) -> (out, d.Ms2.Api.Session.d_fuel)
+        | Error (d, _) ->
+            Alcotest.failf "request %d: %s" (i + 1) (Diag.to_string d))
+  in
+  let first = fst (List.hd runs) in
+  List.iter (fun (out, _) -> Alcotest.(check string) "same output" first out)
+    runs;
+  Alcotest.(check int) "fuel consumed is cumulative"
+    (List.fold_left (fun acc (_, fuel) -> acc + fuel) 0 runs)
+    (Ms2.Api.stats engine).Ms2.Api.fuel_consumed
+
 let () =
   Alcotest.run "txn"
     [ ("failpoint sweep", sweep_cases);
@@ -599,6 +698,14 @@ let () =
           tc "fragment isolation is automatic" fragment_isolation_automatic;
           tc "checkpoint and rollback cost does not grow with the session"
             checkpoint_cost_is_flat ] );
+      ( "closed state",
+        [ tc "a rollback restores the fresh-name counters" counters_roll_back;
+          tc "sessions do not see each other's fresh names"
+            sessions_isolate_fresh_names;
+          tc "a rolled-back write through a lambda does not stick"
+            session_found_case;
+          tc "a session request's fuel is its own" session_fuel_per_request
+        ] );
       ( "watchdog",
         [ tc "fragment deadline bounds a stalling macro" fragment_deadline;
           tc "invocation deadline narrows alone" invocation_deadline ] );

@@ -83,6 +83,34 @@ let environments () =
   Alcotest.(check bool) "locals hidden" true (lookup child "local" = None);
   pop_scope env
 
+(* A global holds every lambda in its value, in lists and tuples too,
+   with the bindings it captured frozen; a value without one is stored
+   as it is. *)
+let globals_freeze_lambdas () =
+  let open Value in
+  let env = create_env () in
+  push_scope env;
+  bind env "base" (Vint 5);
+  let lambda =
+    Vclosure
+      { cl_params = [ ("y", Mtype.Int) ]; cl_body = Body_expr (e_ident "base");
+        cl_scopes = env.scopes }
+  in
+  bind_global env "ks" (Vtuple [ ("f", Vlist [ lambda; Vint 1 ]) ]);
+  ignore (assign env ~loc:Ms2_support.Loc.dummy "base" (Vint 10));
+  (match lookup env "ks" with
+  | Some (Vtuple [ ("f", Vlist [ Vclosure { cl_scopes = [ Frozen m ]; _ };
+                                  Vint 1 ]) ]) ->
+      Alcotest.(check bool) "captured by value" true
+        (Ms2_support.Smap.find_opt "base" m = Some (Vint 5))
+  | v ->
+      Alcotest.failf "not frozen: %s"
+        (Option.fold ~none:"unbound" ~some:to_string v));
+  let plain = Vlist [ Vint 1; Vstring "s" ] in
+  bind_global env "plain" plain;
+  Alcotest.(check bool) "stored as it is" true
+    (match lookup env "plain" with Some v -> v == plain | None -> false)
+
 let printing () =
   let open Value in
   Alcotest.(check string) "int" "3" (to_string (Vint 3));
@@ -102,4 +130,5 @@ let () =
           tc "conforms" conforms;
           tc "default values" defaults;
           tc "environments" environments;
+          tc "globals freeze lambdas" globals_freeze_lambdas;
           tc "printing" printing ] ) ]

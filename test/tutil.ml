@@ -94,3 +94,52 @@ let with_fresh_path k =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> k path)
+
+(* ------------------------------------------------------------------ *)
+(* Closed session state: fixtures shared by the in-process and daemon  *)
+(* session tests                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(** [swap2] from [corpus/hygienic_swap.mc], and a use of it: under
+    hygiene, each use mints a fresh name for the template's [tmp]. *)
+let swap2_defs =
+  "syntax stmt swap2 {| ( $$exp::a , $$exp::b ) ; |}\n\
+   {\n\
+  \  return `{{int tmp = $a; $a = $b; $b = tmp;}};\n\
+   }\n"
+
+let swap2_use =
+  "void f()\n{\n  int tmp = 1;\n  int other = 2;\n  swap2(tmp, other);\n}\n"
+
+(** Session [alice]'s requests, and the orders they run in next to
+    session [bob]'s: alone, after all of bob's, and interleaved.  Each
+    order is a list of (session, request); alice's outputs must not
+    depend on the order. *)
+let alice = [ swap2_defs; swap2_use; swap2_use ]
+
+let alice_orders =
+  let tag who = List.map (fun r -> (who, r)) in
+  [ ("alone", tag "alice" alice);
+    ("after bob", tag "bob" alice @ tag "alice" alice);
+    ( "interleaved",
+      List.concat
+        (List.map2 (fun a b -> [ ("alice", a); ("bob", b) ]) alice alice) ) ]
+
+(** Three requests of one session: the first stores a lambda that
+    writes its captured [base] in a global, the second calls it and then
+    fails (so it is rolled back), the third calls it again.  A lambda
+    stored in a global holds its captures by value and cannot write
+    them, so the calls are errors naming [base]; a rollback that let the
+    write through answered [int d = 7;]. *)
+let found_requests =
+  [ "metadcl int keep(int x);\n\
+     syntax exp setk {| ( ) |} {\n\
+     int base = 5;\n\
+     keep = (int y; base = base + y);\n\
+     return make_num(0);\n\
+     }\n\
+     syntax exp callk {| ( ) |} { return make_num(keep(1)); }\n\
+     syntax exp boom {| ( ) |} { error(\"boom\"); return make_num(0); }\n\
+     int a = setk();\n";
+    "int c = callk();\nint e = boom();\n";
+    "int d = callk();\n" ]
