@@ -48,7 +48,7 @@ let arm_failpoints = function
   | spec -> Failpoint.arm_all spec
 
 (* Resolve [auto] (0) job counts: [jobs] units in flight (files, or
-   daemon shards) default to one per recommended domain, and each
+   daemon workers) default to one per recommended domain, and each
    unit's [fragment_jobs] to its share of the domains left over. *)
 let resolve_jobs ~jobs ~fragment_jobs =
   let jobs = if jobs = 0 then Ms2_support.Pool.recommended () else jobs in

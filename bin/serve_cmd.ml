@@ -1,10 +1,10 @@
 (** [ms2c serve] — a persistent, crash-safe expansion daemon.
 
-    One process, one engine, many sessions: requests arrive as
-    line-oriented JSON (protocol {!Ms2_support.Serve_proto}, schema
-    [ms2-serve-1]) over stdin/stdout or a Unix-domain socket, and each
-    client session expands against its own checkpoint boundary on the
-    shared engine ({!Ms2.Api.Session}).  A failed request rolls back to
+    One process, many sessions: requests arrive as line-oriented JSON
+    (protocol {!Ms2_support.Serve_proto}, schema [ms2-serve-1]) over
+    stdin/stdout or a Unix-domain socket, and each client session is a
+    checkpoint boundary that expands on whichever engine serves it
+    ({!Ms2.Api.Session}).  A failed request rolls back to
     the session's snapshot and answers with a structured diagnostic; it
     can never poison another session (asserted with
     {!Ms2.Engine.fingerprint} on every failure).  Because the engine is
@@ -33,20 +33,20 @@
       structured error response (or a dropped write), never a daemon
       exit.
 
-    Parallelism ([--workers N], default 1): the daemon keeps N shards,
-    each a prelude-loaded engine plus its sessions, and pins every
-    session to the shard [hash(session_id) mod N]: its checkpoint would
-    roll back onto any engine, but its statistics are deltas of its
-    shard engine's counters, so a session lives and dies on one engine.
-    With N > 1 each shard is owned by a dedicated domain: requests for
-    different shards expand in parallel, requests for one session stay
-    serialized in arrival order, and the
-    checkpoint-rollback isolation story is per-shard exactly as it is
-    per-daemon at N = 1.  The expansion cache is one shared store
-    across all shards, so a fragment expanded on one domain replays on
-    every other.  N = 1 keeps the single-threaded event loop with no
-    domain, no locking on the hot path, and byte-for-byte the old
-    behavior.
+    Parallelism ([--workers N], default 1): the daemon keeps N engines,
+    one per worker, and one table of sessions.  A session is a
+    checkpoint value, so any engine serves it: the prelude loads once,
+    on the first engine, and its state is the base every session starts
+    from.  With N > 1 each engine is owned by a worker domain, and each
+    session keeps a FIFO of its pending jobs; one mutex guards the
+    table, the FIFOs and the queue of runnable sessions.  A session is
+    runnable while it has jobs and no worker holds it; a free worker
+    takes the next runnable session, runs its oldest job, and requeues
+    it if more wait.  So one session's requests stay serialized in
+    arrival order, and two sessions expand in parallel whatever their
+    ids.  The expansion cache is one store shared by the engines, so a
+    fragment expanded on one domain replays on every other.  N = 1
+    keeps the single-threaded event loop with no domain.
 
     Live observability (MANUAL "Live observability"):
     - every request gets a [trace_id] minted at intake, echoed in its
@@ -124,7 +124,12 @@ let send (c : conn) (line : string) : unit =
 (* Server state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type sess = { ss : Session.t; mutable last_used : float }
+type sess = {
+  ss : Session.t;
+  mutable last_used : float;
+  jobs : (Ms2.Api.engine -> Session.t -> unit) Queue.t;
+      (** oldest first; a worker runs the head and drops it when done *)
+}
 
 type job = {
   j_conn : conn;
@@ -149,26 +154,17 @@ type anomaly = {
 
 let max_recent_anomalies = 32
 
-(* One shard: an engine, the post-prelude state new sessions root at,
-   and the sessions pinned here.  At [--workers 1] there is a single
-   shard served inline by the event loop; above 1 each shard is owned
-   by one domain, and only that domain touches the engine or the
-   sessions table — the queue (mutex + condition) is the only shared
-   edge. *)
-type shard = {
-  sh_engine : Ms2.Api.engine;
-  sh_base_cp : Ms2.Engine.checkpoint;
-  sh_sessions : (string, sess) Hashtbl.t;
-  sh_mutex : Mutex.t;
-  sh_cond : Condition.t;
-  sh_queue : (unit -> unit) option Queue.t;
-      (** tasks for the owning domain; [None] is the stop sentinel *)
-}
-
 type state = {
-  shards : shard array;  (** length = resolved --workers *)
+  engines : Ms2.Api.engine array;  (** one per worker (resolved --workers) *)
+  base : Session.base;  (** the post-prelude state sessions start from *)
+  sessions : (string, sess) Hashtbl.t;
+  sched : Mutex.t;
+      (** guards [sessions], their [jobs], [runnable] and [stopping] *)
+  work : Condition.t;  (** signalled when [runnable] gains a session *)
+  runnable : sess Queue.t;  (** sessions with jobs that no worker holds *)
+  mutable stopping : bool;
   store : Ms2.Api.shared_cache option;
-      (** the cross-shard expansion-cache store ([--workers] > 1) *)
+      (** the expansion-cache store the engines share ([--workers] > 1) *)
   pending : job Queue.t;
   in_flight : int Atomic.t;
       (** admitted (queued or dispatched) but unanswered requests *)
@@ -209,55 +205,10 @@ type state = {
   prometheus : string option;
       (** Prometheus text-exposition export path ([--prometheus]) *)
   mutable last_prom : float;  (** last Prometheus export *)
-  an_mutex : Mutex.t;  (** guards [anomalies] (written from shards) *)
+  an_mutex : Mutex.t;  (** guards [anomalies] (written from workers) *)
   anomalies : anomaly Queue.t;  (** most recent last; bounded *)
   flight_seq : int Atomic.t;  (** dump-file sequence numbers *)
 }
-
-let shard_of (st : state) (session_id : string) : shard =
-  let n = Array.length st.shards in
-  if n = 1 then st.shards.(0)
-  else st.shards.(Hashtbl.hash session_id mod n)
-
-(* Run [f] on [sh]: inline at --workers 1 (the event loop is the only
-   thread), on the shard's domain above.  [f] owns its whole response
-   path — it must [send] its own answer.  The in-flight count covers the
-   span from here to [f]'s completion, so drain waits for dispatched
-   work and overload shedding sees queued-at-shard requests too. *)
-let dispatch (st : state) (sh : shard) (f : unit -> unit) : unit =
-  ignore (Atomic.fetch_and_add st.in_flight 1);
-  if Array.length st.shards = 1 then
-    Fun.protect
-      ~finally:(fun () -> ignore (Atomic.fetch_and_add st.in_flight (-1)))
-      f
-  else begin
-    Mutex.lock sh.sh_mutex;
-    Queue.add (Some f) sh.sh_queue;
-    Condition.signal sh.sh_cond;
-    Mutex.unlock sh.sh_mutex
-  end
-
-let worker_loop (st : state) (sh : shard) () : unit =
-  (* each shard domain keeps its own flight ring, so a dump shows what
-     every worker was doing when the anomaly hit *)
-  Obs.Flight.enable ();
-  let rec loop () =
-    Mutex.lock sh.sh_mutex;
-    while Queue.is_empty sh.sh_queue do
-      Condition.wait sh.sh_cond sh.sh_mutex
-    done;
-    let task = Queue.pop sh.sh_queue in
-    Mutex.unlock sh.sh_mutex;
-    match task with
-    | None -> ()
-    | Some f ->
-        (* [f] contains its own failures ([Diag.protect] inside); this
-           is a backstop so a worker domain can never die silently *)
-        (try f () with _ -> ());
-        ignore (Atomic.fetch_and_add st.in_flight (-1));
-        loop ()
-  in
-  loop ()
 
 (* Signal flags: handlers only flip refs; the select loop acts on them. *)
 let want_drain = ref false
@@ -384,29 +335,25 @@ let note_anomaly (st : state) ~(kind : string) ~(trace : string)
 (* Live metrics publication and Prometheus export                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold the daemon's engine totals (summed over every shard, cache
-   traffic from the shared store) plus daemon-level gauges into the
-   metrics registry.  Engine stats fields are plain mutable ints owned
-   by the shard domains; reading them from here is a benign data race
-   (single-word reads of monotone counters). *)
+let session_count (st : state) : int =
+  Mutex.protect st.sched (fun () -> Hashtbl.length st.sessions)
+
+(* Fold the daemon's engine totals (summed over every worker engine,
+   cache traffic from the shared store) plus daemon-level gauges into
+   the metrics registry.  Engine stats fields are plain mutable ints
+   owned by the worker domains; reading them from here is a benign data
+   race (single-word reads of monotone counters). *)
 let publish_all_metrics (st : state) : unit =
   Ms2.Api.publish_metrics ?store:st.store
-    (List.map
-       (fun sh -> Ms2.Api.stats sh.sh_engine)
-       (Array.to_list st.shards));
+    (List.map Ms2.Api.stats (Array.to_list st.engines));
   Mutex.lock st.st_mutex;
   let served = st.served and avg = st.avg_ms in
   Mutex.unlock st.st_mutex;
-  let sessions =
-    Array.fold_left
-      (fun acc sh -> acc + Hashtbl.length sh.sh_sessions)
-      0 st.shards
-  in
   let set name v = Obs.Metrics.set (Obs.Metrics.counter name) v in
   set "serve.served" served;
   set "serve.in_flight" (Atomic.get st.in_flight);
-  set "serve.workers" (Array.length st.shards);
-  set "serve.sessions" sessions;
+  set "serve.workers" (Array.length st.engines);
+  set "serve.sessions" (session_count st);
   set "serve.draining" (if st.draining then 1 else 0);
   Obs.Metrics.gauge "serve.avg_ms" avg;
   Obs.Metrics.gauge "serve.uptime_ms" (float (now_ms_since st.started))
@@ -453,47 +400,103 @@ let save_snapshot (st : state) :
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let evict_lru (sh : shard) : unit =
+(* The daemon's one session table, under [st.sched] down to [submit].
+   A session with a job queued or running is not evicted: that would
+   drop the state its later jobs wait to build on. *)
+let evict_lru (st : state) : unit =
   let victim = ref None in
   Hashtbl.iter
     (fun id s ->
       match !victim with
+      | _ when not (Queue.is_empty s.jobs) -> ()
       | Some (_, t) when s.last_used >= t -> ()
       | _ -> victim := Some (id, s.last_used))
-    sh.sh_sessions;
+    st.sessions;
   match !victim with
-  | Some (id, _) -> Hashtbl.remove sh.sh_sessions id
+  | Some (id, _) -> Hashtbl.remove st.sessions id
   | None -> ()
 
-let evict_idle (st : state) (sh : shard) (now : float) : unit =
+let evict_idle (st : state) (now : float) : unit =
   let cutoff = now -. (float st.session_idle_ms /. 1000.) in
   let dead =
     Hashtbl.fold
-      (fun id s acc -> if s.last_used < cutoff then id :: acc else acc)
-      sh.sh_sessions []
+      (fun id s acc ->
+        if Queue.is_empty s.jobs && s.last_used < cutoff then id :: acc
+        else acc)
+      st.sessions []
   in
-  List.iter (Hashtbl.remove sh.sh_sessions) dead
+  List.iter (Hashtbl.remove st.sessions) dead
 
-let get_session (st : state) (sh : shard) (now : float) (id : string) :
-    Session.t =
-  (* runs on the shard's owning domain; the per-shard session budget is
-     the total split evenly across shards *)
-  evict_idle st sh now;
-  match Hashtbl.find_opt sh.sh_sessions id with
+let get_session (st : state) (now : float) (id : string) : sess =
+  evict_idle st now;
+  match Hashtbl.find_opt st.sessions id with
   | Some s ->
       s.last_used <- now;
-      s.ss
+      s
   | None ->
-      let budget =
-        max 1 (st.max_sessions / max 1 (Array.length st.shards))
+      if Hashtbl.length st.sessions >= st.max_sessions then evict_lru st;
+      let s =
+        { ss = Session.create st.base ~id; last_used = now;
+          jobs = Queue.create () }
       in
-      if Hashtbl.length sh.sh_sessions >= budget then evict_lru sh;
-      (* new sessions root at the post-prelude base state, not at
-         whatever state the last-served session left the engine in *)
-      Ms2.Engine.rollback sh.sh_engine sh.sh_base_cp;
-      let ss = Session.create sh.sh_engine ~id in
-      Hashtbl.add sh.sh_sessions id { ss; last_used = now };
-      ss
+      Hashtbl.add st.sessions id s;
+      s
+
+(* Run [f] as session [id]'s next job: inline at --workers 1 (the event
+   loop is the only thread); above, at the tail of the session's FIFO,
+   and a session whose FIFO was empty becomes runnable.  [f] owns its
+   whole response path — it must [send] its own answer.  The in-flight
+   count covers the span from here to [f]'s completion, so drain waits
+   for queued jobs and overload shedding sees them too. *)
+let submit (st : state) (id : string)
+    (f : Ms2.Api.engine -> Session.t -> unit) : unit =
+  ignore (Atomic.fetch_and_add st.in_flight 1);
+  Mutex.lock st.sched;
+  let s = get_session st (Unix.gettimeofday ()) id in
+  if Array.length st.engines = 1 then begin
+    Mutex.unlock st.sched;
+    Fun.protect
+      ~finally:(fun () -> ignore (Atomic.fetch_and_add st.in_flight (-1)))
+      (fun () -> f st.engines.(0) s.ss)
+  end
+  else begin
+    Queue.add f s.jobs;
+    if Queue.length s.jobs = 1 then begin
+      Queue.add s st.runnable;
+      Condition.signal st.work
+    end;
+    Mutex.unlock st.sched
+  end
+
+(* A worker domain takes the next runnable session, runs its oldest job
+   on the worker's engine, and requeues the session if more jobs wait.
+   So one session's jobs run one at a time in arrival order, and two
+   sessions run on two workers.  The requeue needs no signal: this
+   worker takes from [runnable] next. *)
+let worker_loop (st : state) (engine : Ms2.Api.engine) () : unit =
+  (* each worker domain keeps its own flight ring, so a dump shows what
+     every worker was doing when the anomaly hit *)
+  Obs.Flight.enable ();
+  Mutex.lock st.sched;
+  let rec loop () =
+    match Queue.take_opt st.runnable with
+    | Some s ->
+        let f = Queue.peek s.jobs in
+        Mutex.unlock st.sched;
+        (* [f] contains its own failures ([Diag.protect] inside); this
+           is a backstop so a worker domain can never die silently *)
+        (try f engine s.ss with _ -> ());
+        ignore (Atomic.fetch_and_add st.in_flight (-1));
+        Mutex.lock st.sched;
+        ignore (Queue.take_opt s.jobs);
+        if not (Queue.is_empty s.jobs) then Queue.add s st.runnable;
+        loop ()
+    | None when st.stopping -> Mutex.unlock st.sched
+    | None ->
+        Condition.wait st.work st.sched;
+        loop ()
+  in
+  loop ()
 
 (* ------------------------------------------------------------------ *)
 (* Request processing                                                  *)
@@ -542,7 +545,8 @@ let admit (st : state) (c : conn) (req : Proto.request) (arrival : float)
         { j_conn = c; j_req = req; j_arrival = arrival; j_trace = trace }
         st.pending
 
-let run_job (st : state) (sh : shard) (j : job) : unit =
+let run_job (st : state) (j : job) (engine : Ms2.Api.engine) (ss : Session.t)
+    : unit =
   let req = j.j_req in
   let c = j.j_conn in
   let id = req.Proto.rq_id in
@@ -587,12 +591,11 @@ let run_job (st : state) (sh : shard) (j : job) : unit =
                 (Option.value req.Proto.rq_deadline_ms ~default:0))
            ())
   | _ -> (
-      let ss = get_session st sh t0 req.Proto.rq_session in
       let result =
         match
           Diag.protect (fun () ->
               Failpoint.hit ~loc "serve/expand";
-              Session.expand ss ?deadline_ms:remaining_ms
+              Session.expand ss engine ?deadline_ms:remaining_ms
                 ~fragment_jobs:st.fragment_jobs
                 ~source:req.Proto.rq_source req.Proto.rq_text)
         with
@@ -684,7 +687,6 @@ let anomaly_json (a : anomaly) : Json.t =
 let handle_admin (st : state) (c : conn) (req : Proto.request)
     (trace : string) : unit =
   let id = req.Proto.rq_id in
-  let now = Unix.gettimeofday () in
   match req.Proto.rq_method with
   | "ping" ->
       send c
@@ -700,17 +702,13 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
       st.draining <- true
   | "health" ->
       (* liveness view: must answer from the event loop without
-         touching any shard queue, so it works mid-drain and under
-         load.  [served]/[avg_ms] are read under their mutex; the rest
-         are atomics or event-loop-owned. *)
+         queueing behind any session, so it works mid-drain and under
+         load.  [served]/[avg_ms] and the session count are read under
+         their mutexes; the rest are atomics or event-loop-owned. *)
       Mutex.lock st.st_mutex;
       let served = st.served and avg = st.avg_ms in
       Mutex.unlock st.st_mutex;
-      let sessions =
-        Array.fold_left
-          (fun acc sh -> acc + Hashtbl.length sh.sh_sessions)
-          0 st.shards
-      in
+      let sessions = session_count st in
       Mutex.lock st.an_mutex;
       let recent =
         Queue.fold (fun acc a -> anomaly_json a :: acc) [] st.anomalies
@@ -721,7 +719,7 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
            [ ("pid", Json.Int (Unix.getpid ()));
              ("uptime_ms", Json.Int (now_ms_since st.started));
              ("draining", Json.Bool st.draining);
-             ("workers", Json.Int (Array.length st.shards));
+             ("workers", Json.Int (Array.length st.engines));
              ("in_flight", Json.Int (Atomic.get st.in_flight));
              ("served", Json.Int served);
              ("sessions", Json.Int sessions);
@@ -735,7 +733,7 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
              ("anomalies", Json.List recent) ])
   | "metrics" ->
       (* the full registry — RED counters/histograms the serve path
-         maintains, plus every shard engine's [engine.*]/[cache.*]/
+         maintains, plus every worker engine's [engine.*]/[cache.*]/
          [fragments.*] published on demand.  Re-serialized through the
          parser so the ms2-metrics-1 object embeds on one line. *)
       publish_all_metrics st;
@@ -780,29 +778,20 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
                ~message:(Printf.sprintf "bad failpoint spec: %s" msg)
                ()))
   | "reset" ->
-      (* session state belongs to the owning shard: route there so the
-         reset serializes with the session's in-flight expansions *)
-      let sh = shard_of st req.Proto.rq_session in
-      dispatch st sh (fun () ->
-          let ss = get_session st sh now req.Proto.rq_session in
+      (* a job in the session's FIFO, so the reset serializes with the
+         session's in-flight expansions *)
+      submit st req.Proto.rq_session (fun _ ss ->
           Session.reset ss;
           send c
             (Proto.ok_response ~trace_id:trace ~id
                [ ("session", session_json ss) ]))
   | "stats" ->
-      let sh = shard_of st req.Proto.rq_session in
-      let served, draining = (st.served, st.draining) in
-      let in_flight = Atomic.get st.in_flight in
-      dispatch st sh (fun () ->
-          let ss = get_session st sh now req.Proto.rq_session in
+      let served = Mutex.protect st.st_mutex (fun () -> st.served) in
+      let draining = st.draining and in_flight = Atomic.get st.in_flight in
+      submit st req.Proto.rq_session (fun _ ss ->
           (* daemon-wide totals, the same numbers [metrics] reports *)
           publish_all_metrics st;
           let es = Ms2.Api.published_stats () in
-          let sessions =
-            Array.fold_left
-              (fun acc sh -> acc + Hashtbl.length sh.sh_sessions)
-              0 st.shards
-          in
           send c
             (Proto.ok_response ~trace_id:trace ~id
                [ ("pid", Json.Int (Unix.getpid ()));
@@ -811,8 +800,8 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
                  ("served", Json.Int served);
                  ("pending", Json.Int in_flight);
                  ("max_pending", Json.Int st.max_pending);
-                 ("workers", Json.Int (Array.length st.shards));
-                 ("sessions", Json.Int sessions);
+                 ("workers", Json.Int (Array.length st.engines));
+                 ("sessions", Json.Int (session_count st));
                  ("fingerprint", Json.Str (Session.fingerprint ss));
                  ("isolated", Json.Bool (Session.isolated ss));
                  ("cache_file",
@@ -1128,7 +1117,7 @@ let serve_loop (st : state) : unit =
       let now = Unix.gettimeofday () in
       if st.prometheus <> None && now -. st.last_prom >= 1.0 then
         export_prometheus st;
-      if Array.length st.shards = 1 then evict_idle st st.shards.(0) now;
+      Mutex.protect st.sched (fun () -> evict_idle st now);
       (* idle snapshot: the store is dirty and no request has been
          dispatched for a while — persist the warmth now, so even a
          later kill -9 restarts warm *)
@@ -1160,16 +1149,15 @@ let serve_loop (st : state) : unit =
                   handle_readable st c)
               st.conns);
         (* serve everything admitted this round, in arrival order —
-           inline at --workers 1, else dispatched to the session's
-           shard (per-session order is preserved: one session maps to
-           one shard, whose queue is FIFO) *)
+           inline at --workers 1, else queued on the session for any
+           free worker (per-session order is preserved: the session's
+           jobs are FIFO and one worker holds it at a time) *)
         while not (Queue.is_empty st.pending) do
           let j = Queue.pop st.pending in
-          let sh = shard_of st j.j_req.Proto.rq_session in
           st.last_active <- Unix.gettimeofday ();
-          (* the admit-time in-flight slot transfers to the dispatch *)
+          (* the admit-time in-flight slot transfers to the job *)
           ignore (Atomic.fetch_and_add st.in_flight (-1));
-          dispatch st sh (fun () -> run_job st sh j)
+          submit st j.j_req.Proto.rq_session (run_job st j)
         done;
         (* reap connections whose peer is gone.  [feed] already ran
            every complete line, so at EOF the buffer can only hold a
@@ -1194,23 +1182,19 @@ let serve_loop (st : state) : unit =
   export_prometheus st;
   cleanup st
 
-(* Spawn the owning domains for a multi-shard daemon, run the loop,
-   stop them (sentinel + join) once it drains. *)
+(* Spawn one worker domain per engine above --workers 1, run the loop,
+   stop them (flag + broadcast + join) once it drains. *)
 let serve_with_workers (st : state) : unit =
-  if Array.length st.shards = 1 then serve_loop st
+  if Array.length st.engines = 1 then serve_loop st
   else begin
     let domains =
-      Array.map (fun sh -> Domain.spawn (worker_loop st sh)) st.shards
+      Array.map (fun e -> Domain.spawn (worker_loop st e)) st.engines
     in
     Fun.protect
       ~finally:(fun () ->
-        Array.iter
-          (fun sh ->
-            Mutex.lock sh.sh_mutex;
-            Queue.add None sh.sh_queue;
-            Condition.signal sh.sh_cond;
-            Mutex.unlock sh.sh_mutex)
-          st.shards;
+        Mutex.protect st.sched (fun () ->
+            st.stopping <- true;
+            Condition.broadcast st.work);
         Array.iter Domain.join domains)
       (fun () -> serve_loop st)
   end
@@ -1244,22 +1228,22 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
   (* the flight ring is always on — its cost is bounded (one ring slot
      store per span) and it is the only record of "what was happening"
      when an anomaly fires.  This ring serves the event-loop domain
-     (and the single-shard case, which expands inline here); each
-     worker domain enables its own in [worker_loop]. *)
+     (and --workers 1, which expands inline here); each worker domain
+     enables its own in [worker_loop]. *)
   Obs.Flight.enable ();
   (* [--fragment-jobs auto] splits the domain budget with --workers *)
   let workers, fragment_jobs = resolve_jobs ~jobs:workers ~fragment_jobs in
   let cache_file = if cache then cache_file else None in
-  (* one shared store across the shard engines, so warm fragments replay
-     whichever domain they land on; a single shard keeps its private
-     per-engine cache exactly as before — unless a snapshot file is in
-     play, which needs the shared store as its save/load surface *)
+  (* one shared store across the worker engines, so warm fragments
+     replay whichever domain they land on; a single engine keeps its
+     private cache — unless a snapshot file is in play, which needs the
+     shared store as its save/load surface *)
   let store =
     if cache && (workers > 1 || cache_file <> None) then
       Some (Ms2.Api.create_shared_cache ())
     else None
   in
-  (* restore the snapshot BEFORE any shard engine exists: the prelude
+  (* restore the snapshot BEFORE any engine exists: the prelude
      expansions run through the store on the way up, so a warm file
      turns them (and everything downstream) into replays *)
   (match (cache_file, store) with
@@ -1278,29 +1262,33 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
                dropped)\n%!" l.Ms2.Engine.ld_entries
               l.Ms2.Engine.ld_dropped)
   | _ -> ());
-  let make_shard _ =
-    let engine =
-      Ms2.Api.create_engine ~limits ~hygienic ~prelude ~cache
-        ?cache_store:store ()
-    in
-    Option.iter (load_prelude_file engine) prelude_file;
-    {
-      sh_engine = engine;
-      sh_base_cp = Ms2.Engine.checkpoint engine;
-      sh_sessions = Hashtbl.create 16;
-      sh_mutex = Mutex.create ();
-      sh_cond = Condition.create ();
-      sh_queue = Queue.create ();
-    }
+  let create_engine ~prelude =
+    Ms2.Api.create_engine ~limits ~hygienic ~prelude ~cache
+      ?cache_store:store ()
   in
-  let shards = Array.init workers make_shard in
+  (* the prelude loads once, on the first engine, and its state is the
+     base.  The other engines need none: every request first rolls its
+     engine onto its session's checkpoint, which starts at the base. *)
+  let first = create_engine ~prelude in
+  Option.iter (load_prelude_file first) prelude_file;
+  let base = Session.root first in
+  let engines =
+    Array.init workers (fun i ->
+        if i = 0 then first else create_engine ~prelude:false)
+  in
   let listen_fd = Option.map claim_socket socket in
   (match (pidfile, write_pidfile) with
   | Some p, true -> claim_pidfile p
   | _ -> ());
   let st =
     {
-      shards;
+      engines;
+      base;
+      sessions = Hashtbl.create 16;
+      sched = Mutex.create ();
+      work = Condition.create ();
+      runnable = Queue.create ();
+      stopping = false;
       store;
       pending = Queue.create ();
       in_flight = Atomic.make 0;
@@ -1345,7 +1333,7 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
   in
   Log.info ~event:"serve.start" (fun () ->
       [ ("pid", Obs.Int (Unix.getpid ()));
-        ("workers", Obs.Int (Array.length st.shards));
+        ("workers", Obs.Int (Array.length st.engines));
         ("fragment_jobs", Obs.Int st.fragment_jobs);
         ("slow_ms", Obs.Int slow_ms) ]);
   serve_with_workers st
@@ -1490,8 +1478,10 @@ let max_pending_arg =
 
 let max_sessions_arg =
   Arg.(value & opt pos_int 64 & info [ "max-sessions" ] ~docv:"N"
-       ~doc:"Bound on live sessions; creating one beyond it evicts the \
-             least-recently-used session (its macro state is dropped).")
+       ~doc:"Bound on live sessions across the whole daemon, at any \
+             $(b,--workers); creating one beyond it evicts the \
+             least-recently-used idle session (its macro state is \
+             dropped).")
 
 let session_idle_ms_arg =
   Arg.(value & opt pos_int 300_000 & info [ "session-idle-ms" ] ~docv:"MS"
@@ -1524,13 +1514,13 @@ let no_cache_arg =
 let workers_arg =
   Arg.(value & opt nonneg_int 1 & info [ "workers" ] ~docv:"N"
        ~doc:"Serve with $(docv) expansion workers (OCaml domains), each \
-             owning a prelude-loaded engine; sessions are pinned to a \
-             worker by session-id hash, so one session's requests stay \
-             serialized (and isolated) while different sessions expand \
-             in parallel.  The expansion cache is shared across \
-             workers.  $(b,0) resolves to the machine's recommended \
-             domain count; the default 1 keeps the single-threaded \
-             event loop.")
+             owning an engine.  Any free worker serves any session: one \
+             session's requests stay serialized (and isolated) in \
+             arrival order, while different sessions expand in \
+             parallel.  The prelude loads once, and the expansion \
+             cache is shared across workers.  $(b,0) resolves to the \
+             machine's recommended domain count; the default 1 keeps \
+             the single-threaded event loop.")
 
 let fragment_jobs_arg =
   Arg.(value & opt nonneg_int 1 & info [ "fragment-jobs" ] ~docv:"N"

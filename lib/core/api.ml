@@ -355,19 +355,20 @@ let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Isolated expansion sessions multiplexed onto one engine.
+(** Isolated expansion sessions: checkpoint values that run on any engine.
 
     A session is a named checkpoint boundary: every {!Session.expand}
-    first rolls the shared engine back to the session's checkpoint, runs
+    first rolls the given engine back to the session's checkpoint, runs
     the fragment, and — on success — advances the checkpoint to the new
     state.  On failure the engine's own transaction has already rolled
     the fragment back; the session verifies that with
     {!Engine.fingerprint} and force-restores its checkpoint if the
     invariant ever broke (recording the breach in {!Session.isolated}).
 
-    Sharing one engine, rather than one engine per session, is what
-    makes sessions cheap: the content-addressed expansion cache is
-    engine-level (the string interner and compiled-pattern memos are
+    A session holds no engine (no meta value refers to one), so many
+    sessions share an engine and a session may change engines between
+    requests.  Engines sharing a store share the content-addressed
+    expansion cache (the string interner and compiled-pattern memos are
     process-global), so every session benefits from every other
     session's warm cache — while the rollback boundary keeps the
     *semantic* state (macro tables, meta globals, symbol table,
@@ -375,13 +376,13 @@ let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
     {!Engine.rollback} restoring [defs_version] to the checkpoint's
     value, keeping cache keys stable across session switches. *)
 module Session = struct
+  type base = { b_cp : Engine.checkpoint; b_fp : string }
+
   type t = {
-    sn_engine : engine;
     sn_id : string;
+    sn_base : base;  (** creation-time state, for reset *)
     mutable sn_cp : Engine.checkpoint;  (** committed state *)
     mutable sn_fp : string;  (** fingerprint of [sn_cp]'s state *)
-    sn_base_cp : Engine.checkpoint;  (** creation-time state, for reset *)
-    sn_base_fp : string;
     mutable sn_requests : int;
     mutable sn_failures : int;
     mutable sn_cache_hits : int;
@@ -411,16 +412,15 @@ module Session = struct
     s_fuel : int;
   }
 
-  let create (engine : engine) ~id : t =
-    let cp = Engine.checkpoint engine in
-    let fp = Engine.fingerprint engine in
+  let root (engine : engine) : base =
+    { b_cp = Engine.checkpoint engine; b_fp = Engine.fingerprint engine }
+
+  let create (base : base) ~id : t =
     {
-      sn_engine = engine;
       sn_id = id;
-      sn_cp = cp;
-      sn_fp = fp;
-      sn_base_cp = cp;
-      sn_base_fp = fp;
+      sn_base = base;
+      sn_cp = base.b_cp;
+      sn_fp = base.b_fp;
       sn_requests = 0;
       sn_failures = 0;
       sn_cache_hits = 0;
@@ -435,9 +435,8 @@ module Session = struct
   let fingerprint s = s.sn_fp
 
   let reset (s : t) : unit =
-    Engine.rollback s.sn_engine s.sn_base_cp;
-    s.sn_cp <- s.sn_base_cp;
-    s.sn_fp <- s.sn_base_fp
+    s.sn_cp <- s.sn_base.b_cp;
+    s.sn_fp <- s.sn_base.b_fp
 
   let stats (s : t) : session_stats =
     {
@@ -464,9 +463,9 @@ module Session = struct
   (* Accumulate the engine-counter movement of this request into the
      session totals and return it.  Counters only ever grow, so a plain
      difference is the request's share even though the engine is shared:
-     sessions on one engine run strictly one at a time. *)
-  let absorb_delta (s : t) (r0 : delta) : delta =
-    let r1 = reading s.sn_engine in
+     an engine runs one request at a time. *)
+  let absorb_delta (s : t) (e : engine) (r0 : delta) : delta =
+    let r1 = reading e in
     let d =
       {
         d_cache_hits = r1.d_cache_hits - r0.d_cache_hits;
@@ -481,10 +480,10 @@ module Session = struct
     s.sn_fuel <- s.sn_fuel + d.d_fuel;
     d
 
-  let expand (s : t) ?deadline_ms ?fragment_jobs ?(source = "<request>")
-      (text : string) : (string * delta, Diag.t * delta) result =
-    let e = s.sn_engine in
-    (* enter: put the shared engine on this session's committed state.
+  let expand (s : t) (e : engine) ?deadline_ms ?fragment_jobs
+      ?(source = "<request>") (text : string) :
+      (string * delta, Diag.t * delta) result =
+    (* enter: put the engine on this session's committed state.
        Unconditional — cheaper to restore than to track which session
        held the engine last, and idempotent when it is already ours. *)
     Engine.rollback e s.sn_cp;
@@ -493,7 +492,7 @@ module Session = struct
     let r0 = reading e in
     s.sn_requests <- s.sn_requests + 1;
     let u = expand_unit e ~source ?deadline_ms ?fragment_jobs text in
-    let d = absorb_delta s r0 in
+    let d = absorb_delta s e r0 in
     match u.u_fatal with
     | None ->
         (* commit: the session's next request starts from here *)

@@ -169,20 +169,23 @@ val expand_checked :
 (** Expand, then statically check the result: the rendered C plus any
     findings of the object-level type checker. *)
 
-(** Isolated expansion sessions multiplexed onto one shared engine.
+(** Isolated expansion sessions: checkpoint values that run on any engine.
 
     Each session is a checkpoint boundary: {!Session.expand} rolls the
-    engine back to the session's committed state, runs the fragment, and
-    commits the new checkpoint on success.  A failed fragment rolls back
-    (verified against {!Engine.fingerprint} on every failure) and can
-    never poison another session.  Because the engine is shared, its
-    expansion cache is shared too — a fragment cached by one session
+    engine it is given back to the session's committed state, runs the
+    fragment, and commits the new checkpoint on success.  A failed
+    fragment rolls back (verified against {!Engine.fingerprint} on every
+    failure) and can never poison another session.  Engines sharing a
+    store share its expansion cache — a fragment cached by one session
     replays for all of them — and the string interner and
     compiled-pattern memos are process-global; macro tables, meta
     globals, the symbol table and the fresh-name counters stay strictly
     per-session. *)
 module Session : sig
   type t
+
+  type base
+  (** A checkpoint and its fingerprint, taken once by {!root}. *)
 
   (** What one request changed (engine-counter movement). *)
   type delta = {
@@ -202,27 +205,29 @@ module Session : sig
     s_fuel : int;
   }
 
-  val create : engine -> id:string -> t
-  (** A new session rooted at the engine's {e current} state — create
-      sessions after loading any shared prelude so they all inherit it. *)
+  val root : engine -> base
+  (** The engine's current state: take it after loading any prelude. *)
+
+  val create : base -> id:string -> t
+  (** A new session at [base]; costs no checkpoint or fingerprint. *)
 
   val id : t -> string
 
   val expand :
-    t -> ?deadline_ms:int -> ?fragment_jobs:int -> ?source:string -> string ->
-    (string * delta, Diag.t * delta) result
-  (** Expand one fragment in this session and render it as pure C.
-      [deadline_ms] narrows the fragment watchdog; [fragment_jobs] > 1
-      enables intra-file fragment parallelism for this request (see
-      {!Engine.expand_source}).  Each call draws on a fresh fuel budget
-      of the engine's [Limits.fuel]: no request inherits what earlier
-      ones consumed.  On [Error] the session state is unchanged (the
-      fragment rolled back); on [Ok] the session's checkpoint has
-      advanced.  Not reentrant: sessions sharing an engine must run one
-      fragment at a time. *)
+    t -> engine -> ?deadline_ms:int -> ?fragment_jobs:int -> ?source:string ->
+    string -> (string * delta, Diag.t * delta) result
+  (** Expand one fragment in this session on [engine], whatever state
+      it held, and render it as pure C.  [deadline_ms] narrows the
+      fragment watchdog; [fragment_jobs] > 1 enables intra-file fragment
+      parallelism for this request (see {!Engine.expand_source}).  Each
+      call draws on a fresh fuel budget of the engine's [Limits.fuel]:
+      no request inherits what earlier ones consumed.  On [Error] the
+      session state is unchanged (the fragment rolled back); on [Ok] the
+      session's checkpoint has advanced.  Not reentrant: an engine runs
+      one fragment at a time, and so does a session. *)
 
   val reset : t -> unit
-  (** Roll the session back to its creation-time state. *)
+  (** Set the session back to its base; touches no engine. *)
 
   val fingerprint : t -> string
   (** {!Engine.fingerprint} of the session's committed state. *)

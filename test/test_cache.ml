@@ -522,15 +522,16 @@ let shared_engine_differential () =
             (List.length units, 0)
             (st.Ms2.Api.cache_hits, st.Ms2.Api.cache_misses));
       let engine = Ms2.Api.create_engine () in
-      let s = Ms2.Api.Session.create engine ~id:"s" in
-      let other = Ms2.Api.Session.create engine ~id:"other" in
+      let base = Ms2.Api.Session.root engine in
+      let s = Ms2.Api.Session.create base ~id:"s" in
+      let other = Ms2.Api.Session.create base ~id:"other" in
       check "session per request" off
         (List.mapi
            (fun k (source, src) ->
-             (match Ms2.Api.Session.expand other ~source (decoy k) with
+             (match Ms2.Api.Session.expand other engine ~source (decoy k) with
              | Ok _ -> ()
              | Error (d, _) -> Alcotest.failf "decoy: %s" (Diag.to_string d));
-             match Ms2.Api.Session.expand s ~source src with
+             match Ms2.Api.Session.expand s engine ~source src with
              | Ok (out, _) -> (out, Ms2.Api.Session.fingerprint s)
              | Error (d, _) ->
                  Alcotest.failf "%s: %s" source (Diag.to_string d))

@@ -363,7 +363,7 @@ let health_metrics_workers () =
       in
       let spellings0 = spellings metrics in
       (* the engine counters cover the whole daemon: six two-invocation
-         requests spread over both shards add up, whichever shard ran
+         requests spread over both workers add up, whichever worker ran
          them (sessions a and b already hold one invocation and one
          definition between them) *)
       let invocations =
@@ -387,10 +387,10 @@ let health_metrics_workers () =
           Alcotest.(check bool) "intern.spellings grows" true
             (spellings metrics > spellings0)
       | None -> Alcotest.fail "no metrics member");
-      Alcotest.(check int) "engine.invocations_expanded sums the shards"
+      Alcotest.(check int) "engine.invocations_expanded sums the workers"
         invocations
         (counter "engine.invocations_expanded");
-      Alcotest.(check int) "engine.macros_defined sums the shards" 7
+      Alcotest.(check int) "engine.macros_defined sums the workers" 7
         (counter "engine.macros_defined");
       let s =
         rpc d [ ("method", Json.Str "stats"); ("session", Json.Str "a") ]

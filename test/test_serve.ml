@@ -313,7 +313,7 @@ let sessions_isolate_fresh_names () =
             alone outs)
         outputs)
     [ [ "--no-cache"; "--workers"; "1" ]; [ "--no-cache"; "--workers"; "2" ];
-      [ "--workers"; "1" ] ]
+      [ "--workers"; "1" ]; [ "--workers"; "2" ] ]
 
 (* A lambda stored in a global cannot write what it captured, so a
    rolled-back request cannot leave such a write behind. *)
@@ -348,6 +348,38 @@ let fuel_per_request () =
       List.iter
         (Alcotest.(check string) "same output" (List.hd outs))
         outs)
+
+(* [--max-sessions] bounds the whole daemon at any [--workers]: the
+   ids have equal [Hashtbl.hash id mod 2], so a budget split by id hash
+   over two workers would hold one of them. *)
+let session_budget_is_daemon_wide () =
+  let hash2 id = Hashtbl.hash id mod 2 in
+  let ids = List.init 16 (Printf.sprintf "s%d") in
+  let a = List.hd ids in
+  let b = List.find (fun id -> id <> a && hash2 id = hash2 a) ids in
+  with_daemon ~args:[ "--workers"; "2"; "--max-sessions"; "2" ] (fun d ->
+      List.iter
+        (fun session ->
+          Alcotest.(check bool) "define ok" true
+            (is_ok (expand d ~session defs_text)))
+        [ a; b ];
+      List.iter
+        (fun session ->
+          Alcotest.(check bool) (session ^ " keeps its definition") false
+            (contains ~sub:"TWICE" (output_of (expand d ~session use_text))))
+        [ a; b ])
+
+(* Idle sessions are swept without a further request, at any
+   [--workers]. *)
+let idle_sessions_swept () =
+  with_daemon ~args:[ "--workers"; "2"; "--session-idle-ms"; "100" ]
+    (fun d ->
+      Alcotest.(check bool) "expand ok" true
+        (is_ok (expand d ~session:"idle" plain_text));
+      (* past the event loop's one-second select timeout *)
+      Unix.sleepf 1.5;
+      Alcotest.(check int) "sessions" 0
+        (int_at (rpc d [ ("method", Json.Str "health") ]) [ "sessions" ]))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -503,29 +535,102 @@ let rec dial ?(tries = 100) path =
       | r when is_ok r -> ((ic, oc), int_at r [ "pid" ])
       | _ -> Alcotest.fail "ping refused")
 
-let supervisor_restarts () =
+(* Run [f pid sock] against [ms2c serve --socket sock args]; the
+   daemon is killed afterwards if it still runs. *)
+let with_socket_daemon ?(args = []) f =
   ignore (Unix.alarm 120);
   let sock = Filename.temp_file "ms2serve" ".sock" in
   Sys.remove sock;
-  let pidfile = Filename.temp_file "ms2serve" ".pid" in
-  Sys.remove pidfile;
-  let prelude = write_fixture "sup_defs" defs_text in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let argv =
-    [| ms2c; "serve"; "--supervise"; "--socket"; sock; "--pidfile"; pidfile;
-       "--prelude-file"; prelude |]
-  in
-  let sup = Unix.create_process ms2c argv devnull devnull Unix.stderr in
+  let argv = Array.of_list (ms2c :: "serve" :: "--socket" :: sock :: args) in
+  let pid = Unix.create_process ms2c argv devnull devnull Unix.stderr in
   Unix.close devnull;
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.kill sup Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (reap sup) with Unix.Unix_error _ -> ());
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (reap pid) with Unix.Unix_error _ -> ());
+      (try Sys.remove sock with Sys_error _ -> ());
+      ignore (Unix.alarm 0))
+    (fun () -> f pid sock)
+
+(* Read responses off [ic] into [got] (by id) until [id]'s arrives. *)
+let rec await got ic id =
+  match Json.parse (input_line ic) with
+  | Error e -> Alcotest.failf "unparseable response: %s" e
+  | Ok v ->
+      Hashtbl.replace got (int_at v [ "id" ]) v;
+      if int_at v [ "id" ] <> id then await got ic id
+
+(* One session's definition and three uses, pipelined over two
+   connections with another session's requests between them, at
+   [--workers 2]: every use sees the definition.  The definition is
+   long enough that the uses arrive while a worker still runs it, and a
+   ping barrier on each connection fixes the order the daemon reads
+   them in without waiting for an expansion. *)
+let pipelined_session_order () =
+  let long_defs =
+    defs_text
+    ^ String.concat ""
+        (List.init 2000 (fun i ->
+             Printf.sprintf "int f%d(void) { return TWICE((%d)); }\n" i i))
+  in
+  with_socket_daemon ~args:[ "--workers"; "2" ] (fun _ sock ->
+      let c1, _ = dial sock and c2, _ = dial sock in
+      let got = Hashtbl.create 16 in
+      let post ?(session = "p") (_, oc) text =
+        incr next_id;
+        send_line oc
+          (Json.to_string
+             (Json.Obj
+                [ ("id", Json.Int !next_id);
+                  ("method", Json.Str "expand");
+                  ("session", Json.Str session);
+                  ("text", Json.Str text) ]));
+        !next_id
+      in
+      let barrier (ic, oc) =
+        incr next_id;
+        send_line oc
+          (Json.to_string
+             (Json.Obj
+                [ ("id", Json.Int !next_id); ("method", Json.Str "ping") ]));
+        await got ic !next_id
+      in
+      let def = post c1 long_defs in
+      ignore (post ~session:"q" c1 plain_text);
+      barrier c1;
+      let uses =
+        List.map
+          (fun c ->
+            let u = post c use_text in
+            ignore (post ~session:"q" c plain_text);
+            barrier c;
+            (c, u))
+          [ c2; c1; c2 ]
+      in
+      List.iter
+        (fun ((ic, _), id) -> if not (Hashtbl.mem got id) then await got ic id)
+        ((c1, def) :: uses);
+      Alcotest.(check bool) "definition ok" true (is_ok (Hashtbl.find got def));
+      List.iter
+        (fun (_, id) ->
+          Alcotest.(check bool) "use sees the definition" false
+            (contains ~sub:"TWICE" (output_of (Hashtbl.find got id))))
+        uses)
+
+let supervisor_restarts () =
+  let pidfile = Filename.temp_file "ms2serve" ".pid" in
+  Sys.remove pidfile;
+  let prelude = write_fixture "sup_defs" defs_text in
+  Fun.protect
+    ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ sock; pidfile; prelude ];
-      ignore (Unix.alarm 0))
-    (fun () ->
+        [ pidfile; prelude ])
+  @@ fun () ->
+  with_socket_daemon
+    ~args:[ "--supervise"; "--pidfile"; pidfile; "--prelude-file"; prelude ]
+    (fun sup sock ->
       let (ic, oc), worker1 = dial sock in
       Alcotest.(check bool) "worker has its own pid" true
         (worker1 > 0 && worker1 <> sup);
@@ -580,7 +685,11 @@ let () =
             sessions_isolate_fresh_names;
           tc "a rolled-back write through a lambda does not stick"
             rolled_back_lambda_write;
-          tc "a request's fuel is its own" fuel_per_request ]
+          tc "a request's fuel is its own" fuel_per_request;
+          tc "the session budget is daemon-wide" session_budget_is_daemon_wide;
+          tc "idle sessions are swept without a request" idle_sessions_swept;
+          tc "pipelined requests keep session order across workers"
+            pipelined_session_order ]
       );
       ( "lifecycle",
         [ tc "EOF mid-request drains to exit 0" eof_drains;

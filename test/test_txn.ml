@@ -616,42 +616,73 @@ let counters_roll_back () =
   Alcotest.(check (pair int int)) "rollback restores them" before (counts ());
   Alcotest.(check string) "the retry mints the same names" first (out ())
 
-(* Run [order] on two new sessions of one engine; alice's outputs. *)
-let alice_outputs engine order =
-  let sessions =
-    List.map (fun id -> (id, Ms2.Api.Session.create engine ~id))
-      [ "alice"; "bob" ]
+(* Run [order] on sessions alice and bob, both rooted at the first
+   engine's current state; each session's i-th request runs on engine
+   [i mod n].  The sessions are created before any request runs or, with
+   [~lazily], at their first request.  Alice's outputs. *)
+let alice_outputs ?(lazily = false) engines order =
+  let base = Ms2.Api.Session.root engines.(0) in
+  let sessions = Hashtbl.create 2 in
+  let session who =
+    match Hashtbl.find_opt sessions who with
+    | Some s -> s
+    | None ->
+        let s = (Ms2.Api.Session.create base ~id:who, ref 0) in
+        Hashtbl.add sessions who s;
+        s
   in
+  if not lazily then
+    List.iter (fun who -> ignore (session who)) [ "alice"; "bob" ];
   List.filter_map
     (fun (who, text) ->
-      match Ms2.Api.Session.expand (List.assoc who sessions) text with
+      let s, n = session who in
+      let engine = engines.(!n mod Array.length engines) in
+      incr n;
+      match Ms2.Api.Session.expand s engine text with
       | Ok (out, _) -> if who = "alice" then Some out else None
       | Error (d, _) -> Alcotest.failf "%s: %s" who (Diag.to_string d))
     order
 
-let sessions_isolate_fresh_names () =
+let one_engine cache = [| Ms2.Api.create_engine ~cache ~hygienic:true () |]
+
+(* Alice's outputs in every order of [alice_orders], cache off and on,
+   equal her outputs alone on one engine.  [engines cache] makes the
+   engines one run uses. *)
+let alice_outputs_agree ?lazily engines () =
   List.iter
     (fun cache ->
-      let outputs =
-        List.map
-          (fun (what, order) ->
-            let engine = Ms2.Api.create_engine ~cache ~hygienic:true () in
-            (what, alice_outputs engine order))
-          alice_orders
+      let alone =
+        alice_outputs (one_engine cache) (List.assoc "alone" alice_orders)
       in
-      let alone = List.assoc "alone" outputs in
       List.iter
-        (fun (what, outs) ->
+        (fun (what, order) ->
           Alcotest.(check (list string))
-            (Printf.sprintf "cache %b, %s" cache what) alone outs)
-        outputs)
+            (Printf.sprintf "cache %b, %s" cache what)
+            alone
+            (alice_outputs ?lazily (engines cache) order))
+        alice_orders)
     [ false; true ]
+
+let sessions_isolate_fresh_names = alice_outputs_agree one_engine
+
+(* A session is rooted at its base, not at whatever state the engine
+   holds when it is created: alice created after bob's requests ran
+   starts where bob started. *)
+let session_rooted_at_base = alice_outputs_agree ~lazily:true one_engine
+
+(* A session is a checkpoint value: its requests may alternate between
+   two engines that share a store. *)
+let session_moves_between_engines =
+  alice_outputs_agree (fun cache ->
+      let store = Ms2.Api.create_shared_cache () in
+      Array.init 2 (fun _ ->
+          Ms2.Api.create_engine ~cache ~cache_store:store ~hygienic:true ()))
 
 let session_found_case () =
   let engine = Ms2.Api.create_engine () in
-  let s = Ms2.Api.Session.create engine ~id:"s" in
+  let s = Ms2.Api.Session.create (Ms2.Api.Session.root engine) ~id:"s" in
   let results =
-    List.map (fun text -> Ms2.Api.Session.expand s text) found_requests
+    List.map (fun text -> Ms2.Api.Session.expand s engine text) found_requests
   in
   (match results with
   | [ Ok _; Error _; Error (d, _) ] ->
@@ -670,10 +701,11 @@ let session_found_case () =
 let session_fuel_per_request () =
   let limits = { Limits.default with Limits.fuel = 50 } in
   let engine = Ms2.Api.create_engine ~limits ~cache:false () in
+  let base = Ms2.Api.Session.root engine in
   let runs =
     List.init 12 (fun i ->
-        let s = Ms2.Api.Session.create engine ~id:(string_of_int i) in
-        match Ms2.Api.Session.expand s (swap2_defs ^ swap2_use) with
+        let s = Ms2.Api.Session.create base ~id:(string_of_int i) in
+        match Ms2.Api.Session.expand s engine (swap2_defs ^ swap2_use) with
         | Ok (out, d) -> (out, d.Ms2.Api.Session.d_fuel)
         | Error (d, _) ->
             Alcotest.failf "request %d: %s" (i + 1) (Diag.to_string d))
@@ -702,6 +734,10 @@ let () =
         [ tc "a rollback restores the fresh-name counters" counters_roll_back;
           tc "sessions do not see each other's fresh names"
             sessions_isolate_fresh_names;
+          tc "a session created after another's requests starts at its base"
+            session_rooted_at_base;
+          tc "a session's requests may alternate between engines"
+            session_moves_between_engines;
           tc "a rolled-back write through a lambda does not stick"
             session_found_case;
           tc "a session request's fuel is its own" session_fuel_per_request
