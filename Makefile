@@ -27,8 +27,9 @@ serve-sweep:
 	dune exec test/test_serve.exe
 
 # crash-safe persistence end to end: snapshot corruption goldens, the
-# kill -9 + --resume byte-identity test, the persistence failpoint
-# sweep, and warm daemon restarts
+# kill -9 + rerun byte-identity test (the rerun replays the finished
+# files from the same --cache-file), the torn-tail and fork-batch
+# cases, the persistence failpoint sweep, and warm daemon restarts
 recovery-sweep:
 	dune build bin/ms2c.exe
 	dune exec test/test_recovery.exe

@@ -15,7 +15,6 @@ module Failpoint = Ms2_support.Failpoint
 module Obs = Ms2_support.Obs
 module Pool = Ms2_support.Pool
 module Atomic_io = Ms2_support.Atomic_io
-module Build_id = Ms2_support.Build_id
 module Loc = Ms2_support.Loc
 module Pretty = Ms2_syntax.Pretty
 
@@ -439,7 +438,7 @@ let jobs_mode_arg =
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
-       ~doc:"Ignore --cache-file: load and save no snapshot, keep no \
+       ~doc:"Ignore --cache-file: load and append no snapshot, keep no \
              expansion-cache store, and re-expand every fragment from \
              scratch.  Without --cache-file a run keeps no store anyway, \
              which makes this flag a no-op there, and always for \
@@ -466,55 +465,19 @@ let sourcemap_arg =
              object per output line, giving the producing span and its \
              macro expansion stack (innermost frame first).")
 
-let journal_arg =
-  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE"
-       ~doc:"Crash-safe batch journal: append one fsynced line-JSON \
-             record (input digest, flags digest, output digest, status, \
-             result payload) to $(docv) as each input file completes, \
-             so a batch killed mid-run can be finished with \
-             $(b,--resume) at the cost of only the file in flight.  \
-             Gives every file its own engine at any job count (each \
-             file is an independent compilation unit, as under --jobs), \
-             and is mutually exclusive with --trace.")
-
-let resume_arg =
-  Arg.(value & flag & info [ "resume" ]
-       ~doc:"Resume an interrupted batch from its $(b,--journal): files \
-             whose name, input digest and flags digest match an intact \
-             journaled record are reassembled from it without \
-             re-expansion, the rest expand normally.  Output bytes, \
-             diagnostics and exit status are identical to an \
-             uninterrupted run.  Torn or corrupt journal lines are \
-             skipped with a warning (they cost a re-expansion, never \
-             correctness).")
-
 let cache_file_arg =
   Arg.(value & opt (some string) None & info [ "cache-file" ] ~docv:"FILE"
        ~doc:"Durable expansion-cache snapshot: load $(docv) at startup \
-             (so the batch starts warm) and save the cache back to it \
-             after the run (atomic + fsynced, so a crash mid-save never \
-             clobbers the previous snapshot).  This is what turns the \
-             expansion cache on: without it a run keeps no store, since \
-             nothing would read one.  A missing $(docv) is a cold start \
-             without a warning; a truncated, bit-flipped or \
-             version-skewed one degrades to a cold cache with a \
-             warning counted in --stats/--metrics — never a crash, \
-             never a wrong replay.  Ignored under --no-cache.")
-
-(* The digests that decide whether a journaled result is still valid on
-   resume: the input bytes, and every flag that can change the produced
-   output, the rendered diagnostics, or the recorded source map. *)
-let input_digest (text : string) : string = Digest.to_hex (Digest.string text)
-
-let flags_digest ~limits ~hygienic ~prelude ~keep_going ~line_directives
-    ~semantic_check ~diag_format ~want_map : string =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s|hyg=%b|pre=%b|kg=%b|ld=%b|sc=%b|df=%s|map=%b"
-          (Ms2_support.Limits.to_string limits)
-          hygienic prelude keep_going line_directives semantic_check
-          (match diag_format with Text -> "text" | Json -> "json")
-          want_map))
+             (so the batch starts warm) and append each unit the run \
+             stores to it the moment the unit completes, fsynced after \
+             each file — so rerunning a killed batch over the same \
+             $(docv) replays every file it finished.  This is what turns \
+             the expansion cache on: without it a run keeps no store, \
+             since nothing would read one.  A missing $(docv) is a cold \
+             start without a warning; a torn final record is dropped; a \
+             bit-flipped or version-skewed file degrades to a cold cache \
+             with a warning counted in --stats/--metrics — never a \
+             crash, never a wrong replay.  Ignored under --no-cache.")
 
 (* Console reporting for the persistence layer. *)
 let warn_snapshot_load (l : Ms2.Engine.snapshot_load) =
@@ -524,25 +487,17 @@ let warn_snapshot_load (l : Ms2.Engine.snapshot_load) =
         "ms2c: warning: cache snapshot ignored (cold start): %s\n%!" msg
   | None -> ()
 
-let report_snapshot ~stats (load : Ms2.Engine.snapshot_load option)
-    (save : Ms2.Engine.snapshot_save option) =
-  if stats then begin
-    (match load with
-    | Some l ->
-        Printf.eprintf
-          "cache snapshot: loaded %d entries (%d dropped, %d warnings)\n"
-          l.Ms2.Engine.ld_entries l.Ms2.Engine.ld_dropped
-          l.Ms2.Engine.ld_warnings
-    | None -> ());
-    match save with
-    | Some s when s.Ms2.Engine.sv_unchanged ->
-        prerr_string "cache snapshot: unchanged, not rewritten\n"
-    | Some s ->
-        Printf.eprintf
-          "cache snapshot: saved %d entries (%d bytes)\n"
-          s.Ms2.Engine.sv_entries s.Ms2.Engine.sv_bytes
-    | None -> ()
-  end
+let report_snapshot ~stats (load : Ms2.Engine.snapshot_load option) =
+  match load with
+  | Some l when stats ->
+      Printf.eprintf
+        "cache snapshot: loaded %d entries (%d dropped, %d warnings)%s\n"
+        l.Ms2.Engine.ld_entries l.Ms2.Engine.ld_dropped
+        l.Ms2.Engine.ld_warnings
+        (if l.Ms2.Engine.ld_rewritten then ", rewritten" else "");
+      Printf.eprintf "cache snapshot: appended %d entries\n"
+        (Obs.Metrics.value (Obs.Metrics.counter "snapshot.append.entries"))
+  | _ -> ()
 
 (* Load a snapshot into a shared store, sweeping temp-file orphans a
    crashed writer may have left beside it first. *)
@@ -553,13 +508,16 @@ let load_cache_file ~parallel (store : Ms2.Api.shared_cache) (path : string) :
   warn_snapshot_load l;
   l
 
-let save_cache_file (store : Ms2.Api.shared_cache) (path : string) :
-    Ms2.Engine.snapshot_save option =
-  match Ms2.Api.save_shared_cache store path with
-  | Ok sv -> Some sv
+(* Make what the run appended so far durable.  The first failure is
+   reported once per process; the log stops appending after it. *)
+let sync_warned = Atomic.make false
+
+let sync_cache_file (store : Ms2.Api.shared_cache) : unit =
+  match Ms2.Engine.sync_store store with
+  | Ok () -> ()
   | Error msg ->
-      Printf.eprintf "ms2c: warning: cache snapshot not saved: %s\n%!" msg;
-      None
+      if not (Atomic.exchange sync_warned true) then
+        Printf.eprintf "ms2c: warning: cache snapshot not saved: %s\n%!" msg
 
 let write_output ~diag_format output text =
   match output with
@@ -578,8 +536,7 @@ let write_output ~diag_format output text =
    - per-file: a fresh engine for each file, on a worker — a task on a
      work-stealing domain pool ([--jobs-mode=domains]) or a forked
      process ([--jobs-mode=fork]); see {!worker_result}.  This is
-     [--jobs N] over several files, and [--journal] at any job count:
-     its per-file records only make sense for independent units.
+     [--jobs N] over several files.
 
    Everything user-visible is reassembled in input order, so output,
    diagnostics and source maps are byte-identical across [--jobs] on
@@ -587,13 +544,17 @@ let write_output ~diag_format output text =
    ends the run (exit 1) after its diagnostics and before any output;
    with it, each file is an isolated transaction (a fatal file rolls
    back and contributes nothing) and the run exits 3.  [deliver] gets
-   the stitched expansion. *)
+   the stitched expansion.
+
+   With [cache_file], each stored unit is appended to the snapshot as
+   it completes and the log is fsynced after each file, whichever
+   worker ran it: a killed batch, rerun over the same file, replays
+   every file it finished. *)
 let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
     ?(hygienic = false) ?(prelude = false) ?(trace = false)
     ?(line_directives = false) ?sourcemap ?(semantic_check = false)
     ?(stats = false) ?(stats_format = Stats_text) ?trace_out ?metrics
-    ?journal ?(resume = false) ?cache_file ~limits ~keep_going ~diag_format
-    ~deliver fragments =
+    ?cache_file ~limits ~keep_going ~diag_format ~deliver fragments =
   let frags = Array.of_list fragments in
   let n = Array.length frags in
   (* carets quote the batch's own inputs, and the prelude's text *)
@@ -605,23 +566,23 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
             (fun (s, t) -> if s = name then Some t else None)
             frags)
   in
-  let per_file = journal <> None || (jobs > 1 && n > 1 && not trace) in
+  let per_file = jobs > 1 && n > 1 && not trace in
   let forked = per_file && jobs_mode = Mode_fork in
   let want_map = line_directives || sourcemap <> None in
   (* a store exists only when a snapshot will read it: a one-shot run
      expands each unit once, as cpp does, so an in-process store would
      almost only be filled.  The callers pass no [cache_file] under
-     --no-cache.  With one, every engine attaches the store that
-     gets loaded and saved: domains share it, so a fragment expanded on
-     one replays on every other and the counters merge; under fork the
-     children inherit the loaded entries via copy-on-write and their
-     new entries stay private, so the save keeps what was loaded —
-     bounded staleness, never corruption. *)
+     --no-cache.  With one, every engine attaches the store that the
+     snapshot is loaded into and appended from: domains share it, so a
+     fragment expanded on one replays on every other and the counters
+     merge; forked children inherit the loaded entries via
+     copy-on-write and append their own to the same file. *)
   let store =
     Option.map (fun _ -> Ms2.Api.create_shared_cache ()) cache_file
   in
-  (* the snapshot load and save run on the driver, outside any file's
-     recording: they get a trace track of their own *)
+  (* the snapshot load and the last save point run on the driver,
+     outside any file's recording: they get a trace track of their
+     own *)
   let driver_events = ref [] in
   let on_driver_track f =
     if trace_out = None then f ()
@@ -640,76 +601,9 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
                load_cache_file ~parallel:(not forked) s path))
     | _ -> None
   in
-  let flagsd =
-    flags_digest ~limits ~hygienic ~prelude ~keep_going ~line_directives
-      ~semantic_check ~diag_format ~want_map
-  in
-  (* resume: index the journal by (file, input digest, flags digest) —
-     the last intact record for a key wins, and its payload reassembles
-     the file's result without re-expanding.  The journal's crc already
-     vouches for the payload bytes, but [Marshal] is only safe on bytes
-     THIS build wrote, so a record stamped by any other build of the
-     binary is skipped (re-expanded) before decoding; the output digest
-     is re-checked anyway (belt and suspenders). *)
-  let prefill : worker_result option array =
-    match (journal, resume) with
-    | Some path, true ->
-        let records, _warnings = Journal.load path in
-        let tbl = Hashtbl.create 64 in
-        List.iter
-          (fun r ->
-            Hashtbl.replace tbl
-              (r.Journal.jr_file, r.Journal.jr_input, r.Journal.jr_flags)
-              r)
-          records;
-        Array.map
-          (fun (source, text) ->
-            match
-              Hashtbl.find_opt tbl (source, input_digest text, flagsd)
-            with
-            | None -> None
-            | Some r when not (String.equal r.Journal.jr_build (Build_id.hex ()))
-              ->
-                None
-            | Some r -> (
-                match Journal.b64_decode r.Journal.jr_payload with
-                | None -> None
-                | Some payload -> (
-                    match (Marshal.from_string payload 0 : worker_result) with
-                    | exception _ -> None
-                    | wr ->
-                        if
-                          String.equal (input_digest wr.w_out)
-                            r.Journal.jr_output
-                        then Some wr
-                        else None)))
-          frags
-    | _ -> Array.make n None
-  in
-  let replayed =
-    Array.fold_left
-      (fun acc r -> if r = None then acc else acc + 1)
-      0 prefill
-  in
-  if resume then begin
-    Obs.Metrics.incr ~by:replayed (Obs.Metrics.counter "journal.replayed");
-    Printf.eprintf
-      "ms2c: resume: %d of %d files replayed from the journal\n%!" replayed n
-  end;
-  (* open (or start) the journal before any worker forks, so forked
-     children append through the inherited descriptor; a fresh batch
-     truncates, a resumed one appends after what it just replayed *)
-  let jwriter =
-    match journal with
-    | None -> None
-    | Some path -> (
-        ignore (Atomic_io.sweep_stale (Filename.dirname path));
-        match Journal.open_writer ~truncate:(not resume) path with
-        | Ok w -> Some w
-        | Error msg ->
-            Printf.eprintf "ms2c: cannot open journal: %s\n%!" msg;
-            exit exit_fatal)
-  in
+  (* a failed rewrite at load is reported here, before any worker
+     forks, and so only once *)
+  Option.iter sync_cache_file store;
   let create ~prelude =
     try
       Ms2.Api.create_engine ~limits ~recover:keep_going ~hygienic ~prelude
@@ -771,6 +665,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
       else None
     in
     if not per_file then Option.iter (fun p -> programs.(i) <- p) checked;
+    Option.iter sync_cache_file store;
     {
       (* the fatal diagnostic leads, then what --keep-going recovered *)
       w_diags =
@@ -779,7 +674,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
       w_fatal = Option.is_some u.u_fatal;
       w_recovered = u.u_recovered <> [];
       w_out = u.u_output;
-      (* the map rides the result pipe and the journal only when wanted *)
+      (* the map rides the result pipe only when wanted *)
       w_map = (if want_map then u.u_map else [||]);
       w_findings =
         (match checked with
@@ -794,40 +689,6 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
       w_metrics = None;
     }
   in
-  (* journal wrapper: a replayed file returns its journaled result
-     untouched (and is not re-journaled); a freshly expanded one is
-     appended — payload stripped of telemetry, which is per-run — the
-     moment it completes, from whichever worker produced it *)
-  let work i =
-    match prefill.(i) with
-    | Some r -> r
-    | None -> (
-        let r = work i in
-        match jwriter with
-        | None -> r
-        | Some w ->
-            let source, text = frags.(i) in
-            let rec_ =
-              {
-                Journal.jr_file = source;
-                jr_input = input_digest text;
-                jr_flags = flagsd;
-                jr_status = (if r.w_fatal then "fatal" else "ok");
-                jr_output = input_digest r.w_out;
-                jr_build = Build_id.hex ();
-                jr_payload =
-                  Journal.b64_encode
-                    (Marshal.to_string { r with w_events = [] } []);
-              }
-            in
-            (match Journal.append w rec_ with
-            | Ok () -> ()
-            | Error msg ->
-                Printf.eprintf
-                  "ms2c: warning: journal append failed for %s: %s\n%!" source
-                  msg);
-            r)
-  in
   let results =
     let source_of i = fst frags.(i) in
     if forked then run_pool ~jobs ~keep_going ~source_of ~render ~work n
@@ -836,15 +697,9 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
         ~jobs:(if per_file then jobs else 1)
         ~keep_going ~source_of ~render ~work n
   in
-  (match jwriter with None -> () | Some w -> Journal.close_writer w);
-  (* snapshot now, before any exit path: the store already holds every
-     entry the run produced, and a fatal batch's warm entries are worth
-     keeping too *)
-  let snap_save =
-    match (cache_file, store) with
-    | Some path, Some s -> on_driver_track (fun () -> save_cache_file s path)
-    | _ -> None
-  in
+  (* the last save point, before any exit path: a fatal batch's warm
+     entries are worth keeping too *)
+  Option.iter (fun s -> on_driver_track (fun () -> sync_cache_file s)) store;
   (* without keep_going the run stops at the first fatal file: the
      diagnostics up to and including it, no output, exit 1 *)
   let rec upto = function
@@ -907,7 +762,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
     | None -> List.filter_map (fun r -> r.w_stats) done_);
   write_file metrics Obs.Metrics.to_json;
   if stats then print_stats ~format:stats_format ~jobs ~jobs_mode;
-  report_snapshot ~stats snap_load snap_save;
+  report_snapshot ~stats snap_load;
   let findings =
     if not semantic_check then []
     else if per_file then List.concat_map (fun r -> r.w_findings) done_
@@ -923,20 +778,9 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(jobs_mode = Mode_domains)
 let expand_cmd =
   let run files output stats stats_format hygienic semantic_check prelude
       trace trace_out metrics jobs fragment_jobs jobs_mode no_cache limits
-      failpoints keep_going line_directives sourcemap journal resume
-      cache_file diag_format =
+      failpoints keep_going line_directives sourcemap cache_file diag_format
+      =
     arm_failpoints failpoints;
-    if resume && journal = None then begin
-      prerr_endline "ms2c: --resume requires --journal FILE";
-      exit exit_fatal
-    end;
-    if journal <> None && trace then begin
-      prerr_endline
-        "ms2c: --journal and --trace are mutually exclusive (the journal \
-         gives every file its own engine; --trace needs one engine shared \
-         by all files)";
-      exit exit_fatal
-    end;
     (* [--jobs auto]: one worker per recommended domain;
        [--fragment-jobs auto]: N files in flight, each expanding on
        recommended/N domains *)
@@ -944,7 +788,7 @@ let expand_cmd =
     with_fragments ~diag_format files
       (expand_batch ~jobs ~fragment_jobs ~jobs_mode ~hygienic ~prelude ~trace
          ~line_directives ?sourcemap ~semantic_check ~stats ~stats_format
-         ?trace_out ?metrics ?journal ~resume
+         ?trace_out ?metrics
          ?cache_file:(if no_cache then None else cache_file)
          ~limits ~keep_going ~diag_format
          ~deliver:(write_output ~diag_format output))
@@ -956,8 +800,8 @@ let expand_cmd =
       $ hygienic_arg $ semantic_check_arg $ prelude_arg $ trace_arg
       $ trace_out_arg $ metrics_arg $ jobs_arg $ fragment_jobs_arg
       $ jobs_mode_arg $ no_cache_arg $ limits_term $ failpoints_arg
-      $ keep_going_arg $ line_directives_arg $ sourcemap_arg $ journal_arg
-      $ resume_arg $ cache_file_arg $ diag_format_arg)
+      $ keep_going_arg $ line_directives_arg $ sourcemap_arg $ cache_file_arg
+      $ diag_format_arg)
 
 (* ------------------------------------------------------------------ *)
 (* check                                                               *)

@@ -190,10 +190,9 @@ type state = {
       (** durable cache-snapshot path ([--cache-file]); implies [store] *)
   snapshot_idle_ms : int;
   mutable snap_served : int;
-      (** [served] at the last snapshot — [served > snap_served] means
-          the store is dirty *)
-  mutable snap_saves : int;
-      (** snapshot files written (an unchanged store writes none) *)
+      (** [served] at the last save point — [served > snap_served]
+          means the store may hold appends not yet synced *)
+  mutable snap_saves : int;  (** save points that succeeded *)
   mutable last_active : float;
       (** when the event loop last dispatched a request *)
   slow_ms : int;
@@ -375,21 +374,26 @@ let export_prometheus (st : state) : unit =
 (* Durable cache snapshots                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Persist the shared store to [--cache-file].  Runs on the event-loop
-   thread; the store's per-shard locks make the fold a consistent
-   point-in-time cut even while worker domains keep expanding.  A save
-   failure is a warning, never a crash — the daemon serves on, merely
-   colder after the next restart. *)
-let save_snapshot (st : state) :
-    (Ms2.Engine.snapshot_save, string) result option =
+(* A save point: make what the workers appended to [--cache-file]
+   durable — or rewrite the file instead, once it holds more than twice
+   the store's live entries (the rest were evicted or superseded).
+   Runs on the event-loop thread while worker domains keep appending.
+   [Ok true] when the file was rewritten.  A failure is a warning,
+   never a crash — the daemon serves on, merely colder after the next
+   restart — and waits for the next request before it is retried. *)
+let save_snapshot (st : state) : (bool, string) result option =
   match (st.cache_file, st.store) with
   | Some path, Some store -> (
-      match Ms2.Api.save_shared_cache store path with
-      | Ok sv ->
-          st.snap_served <- st.served;
-          if not sv.Ms2.Engine.sv_unchanged then
-            st.snap_saves <- st.snap_saves + 1;
-          Some (Ok sv)
+      let _, _, _, live, _ = Ms2.Api.shared_cache_stats store in
+      let rewrite = Ms2.Engine.log_records store > 2 * live in
+      st.snap_served <- st.served;
+      match
+        if rewrite then Result.map ignore (Ms2.Api.save_shared_cache store path)
+        else Ms2.Engine.sync_store store
+      with
+      | Ok () ->
+          st.snap_saves <- st.snap_saves + 1;
+          Some (Ok rewrite)
       | Error msg ->
           Printf.eprintf
             "ms2c serve: warning: cache snapshot not saved: %s\n%!" msg;
@@ -416,19 +420,23 @@ let evict_lru (st : state) : unit =
   | Some (id, _) -> Hashtbl.remove st.sessions id
   | None -> ()
 
-let evict_idle (st : state) (now : float) : unit =
-  let cutoff = now -. (float st.session_idle_ms /. 1000.) in
-  let dead =
+(* Evict the sessions idle past [--session-idle-ms]; the time the next
+   idle one expires ([infinity] for none). *)
+let evict_idle (st : state) (now : float) : float =
+  let idle_s = float st.session_idle_ms /. 1000. in
+  let dead, next =
     Hashtbl.fold
-      (fun id s acc ->
-        if Queue.is_empty s.jobs && s.last_used < cutoff then id :: acc
-        else acc)
-      st.sessions []
+      (fun id s (dead, next) ->
+        if not (Queue.is_empty s.jobs) then (dead, next)
+        else if s.last_used < now -. idle_s then (id :: dead, next)
+        else (dead, Float.min next (s.last_used +. idle_s)))
+      st.sessions ([], infinity)
   in
-  List.iter (Hashtbl.remove st.sessions) dead
+  List.iter (Hashtbl.remove st.sessions) dead;
+  next
 
 let get_session (st : state) (now : float) (id : string) : sess =
-  evict_idle st now;
+  ignore (evict_idle st now);
   match Hashtbl.find_opt st.sessions id with
   | Some s ->
       s.last_used <- now;
@@ -746,15 +754,17 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
                ~message:(Printf.sprintf "metrics rendering failed: %s" msg)
                ()))
   | "snapshot" -> (
-      (* on-demand durable snapshot of the shared expansion cache *)
+      (* an on-demand save point of the shared expansion cache *)
       match save_snapshot st with
-      | Some (Ok sv) ->
+      | Some (Ok rewritten) ->
+          let store = Option.get st.store in
+          let _, _, _, live, _ = Ms2.Api.shared_cache_stats store in
           send c
             (Proto.ok_response ~trace_id:trace ~id
                [ ("path", Json.Str (Option.get st.cache_file));
-                 ("entries", Json.Int sv.Ms2.Engine.sv_entries);
-                 ("bytes", Json.Int sv.Ms2.Engine.sv_bytes);
-                 ("unchanged", Json.Bool sv.Ms2.Engine.sv_unchanged) ])
+                 ("entries", Json.Int live);
+                 ("records", Json.Int (Ms2.Engine.log_records store));
+                 ("rewritten", Json.Bool rewritten) ])
       | Some (Error msg) ->
           send c
             (Proto.error_response ~trace_id:trace ~id ~kind:Proto.Internal
@@ -1098,6 +1108,10 @@ let close_conn (c : conn) : unit =
       try Unix.close c.c_out with Unix.Unix_error _ -> ()
   end
 
+(* While jobs are in flight the loop polls: a worker finishing one may
+   free a session to expire, or end a drain. *)
+let busy_poll_s = 0.05
+
 let serve_loop (st : state) : unit =
   let stdio_done = ref false in
   let running = ref true in
@@ -1117,14 +1131,17 @@ let serve_loop (st : state) : unit =
       let now = Unix.gettimeofday () in
       if st.prometheus <> None && now -. st.last_prom >= 1.0 then
         export_prometheus st;
-      Mutex.protect st.sched (fun () -> evict_idle st now);
-      (* idle snapshot: the store is dirty and no request has been
-         dispatched for a while — persist the warmth now, so even a
-         later kill -9 restarts warm *)
-      if st.cache_file <> None && st.served > st.snap_served
-         && Atomic.get st.in_flight = 0
-         && now -. st.last_active >= float st.snapshot_idle_ms /. 1000.
-      then ignore (save_snapshot st);
+      let next_expiry = Mutex.protect st.sched (fun () -> evict_idle st now) in
+      (* idle save point: appends may be unsynced and no request has
+         been dispatched for a while — make the warmth durable now, so
+         even a later power loss restarts warm *)
+      let snapshot_due =
+        if st.cache_file <> None && st.served > st.snap_served then
+          st.last_active +. (float st.snapshot_idle_ms /. 1000.)
+        else infinity
+      in
+      if Atomic.get st.in_flight = 0 && now >= snapshot_due then
+        ignore (save_snapshot st);
       let read_fds =
         (match st.listen_fd with
         | Some fd when not st.draining -> [ fd ]
@@ -1134,10 +1151,24 @@ let serve_loop (st : state) : unit =
               if c.c_closed || c.c_eof then None else Some c.c_in)
             st.conns
       in
-      if read_fds = [] && Queue.is_empty st.pending && !stdio_done then
-        running := false
+      if
+        read_fds = [] && Queue.is_empty st.pending && !stdio_done
+        && Atomic.get st.in_flight = 0
+      then running := false
       else begin
-        (match Unix.select read_fds [] [] 1.0 with
+        (* sleep until the nearest deadline, a second at most *)
+        let timeout =
+          if Atomic.get st.in_flight > 0 then busy_poll_s
+          else
+            let prometheus_due =
+              if st.prometheus <> None then st.last_prom +. 1.0 else infinity
+            in
+            Float.max 0.
+              (Float.min 1.0
+                 (Float.min next_expiry (Float.min snapshot_due prometheus_due)
+                 -. now))
+        in
+        (match Unix.select read_fds [] [] timeout with
         | exception Unix.Unix_error (EINTR, _, _) -> ()
         | ready, _, _ ->
             (match st.listen_fd with
@@ -1167,23 +1198,20 @@ let serve_loop (st : state) : unit =
         in
         List.iter close_conn dead;
         st.conns <- alive;
-        (* stdio mode drains naturally on stdin EOF *)
+        (* stdio mode drains on stdin EOF, once its jobs are answered *)
         if List.for_all (fun c -> not c.c_stdio) alive
            && st.listen_fd = None
         then stdio_done := true
       end
     end
-  done;
-  (* drain complete: every in-flight answer is out, so the store is at
-     rest — persist it (only if dirty) before releasing the socket.
-     The Prometheus file is written one last time so scrapers (and
-     tests) see the final counters deterministically. *)
-  if st.served > st.snap_served then ignore (save_snapshot st);
-  export_prometheus st;
-  cleanup st
+  done
 
 (* Spawn one worker domain per engine above --workers 1, run the loop,
-   stop them (flag + broadcast + join) once it drains. *)
+   stop them (flag + broadcast + join) once it drains.  Then every
+   answer is out and the store is at rest: the last save point runs
+   (if a request came since the previous one) and the Prometheus file
+   is written one last time, so scrapers (and tests) see the final
+   counters, before the socket is released. *)
 let serve_with_workers (st : state) : unit =
   if Array.length st.engines = 1 then serve_loop st
   else begin
@@ -1197,7 +1225,10 @@ let serve_with_workers (st : state) : unit =
             Condition.broadcast st.work);
         Array.iter Domain.join domains)
       (fun () -> serve_loop st)
-  end
+  end;
+  if st.served > st.snap_served then ignore (save_snapshot st);
+  export_prometheus st;
+  cleanup st
 
 (* ------------------------------------------------------------------ *)
 (* Startup                                                             *)
@@ -1536,14 +1567,15 @@ let cache_file_arg =
   Arg.(value & opt (some string) None & info [ "cache-file" ] ~docv:"FILE"
        ~doc:"Persist the shared expansion cache to $(docv): loaded on \
              startup (so a restarted daemon — supervised or not — comes \
-             back warm), saved on drain, after $(b,--snapshot-idle-ms) \
-             of inactivity, and on the $(b,snapshot) admin method.  A \
-             corrupt or truncated file is ignored with a warning (cold \
-             start), never trusted.")
+             back warm), each stored unit appended as it completes, and \
+             fsynced on drain, after $(b,--snapshot-idle-ms) of \
+             inactivity, and on the $(b,snapshot) admin method.  A torn \
+             final record is dropped; a corrupt file is ignored with a \
+             warning (cold start), never trusted.")
 
 let snapshot_idle_ms_arg =
   Arg.(value & opt pos_int 30_000 & info [ "snapshot-idle-ms" ] ~docv:"MS"
-       ~doc:"With --cache-file: snapshot the cache once it is dirty and \
+       ~doc:"With --cache-file: fsync the appended cache entries once \
              no request has arrived for $(docv) milliseconds.")
 
 let slow_ms_arg =

@@ -53,8 +53,9 @@ let shared_cache_stats (store : shared_cache) : int * int * int * int * int =
 
 (** Durable snapshots of a shared store ({!Engine.save_store} /
     {!Engine.load_store}): the crash-recovery warm path for
-    [--cache-file].  Loading never raises — a corrupt snapshot degrades
-    to a cold cache with [ld_warnings] set. *)
+    [--cache-file], and how a killed batch resumes.  Loading never
+    raises — a corrupt snapshot degrades to a cold cache with
+    [ld_warnings] set. *)
 let save_shared_cache = Engine.save_store
 
 let load_shared_cache = Engine.load_store

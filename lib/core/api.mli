@@ -35,14 +35,14 @@ val shared_cache_stats : shared_cache -> int * int * int * int * int
 
 val save_shared_cache :
   shared_cache -> string -> (Engine.snapshot_save, string) result
-(** Persist the store to a durable snapshot file (atomic + fsynced);
-    see {!Engine.save_store}. *)
+(** Rewrite a snapshot file from the whole store (atomic + fsynced) and
+    append the store's later entries to it; see {!Engine.save_store}. *)
 
 val load_shared_cache :
   ?parallel:bool -> shared_cache -> string -> Engine.snapshot_load
-(** Restore a snapshot; never raises — missing file is a silent cold
-    start, a corrupt file degrades cold with [ld_warnings] set.  See
-    {!Engine.load_store}. *)
+(** Restore a snapshot and append the store's later entries to it;
+    never raises — missing file is a silent cold start, a corrupt file
+    degrades cold with [ld_warnings] set.  See {!Engine.load_store}. *)
 
 val create_engine :
   ?limits:Limits.t ->

@@ -43,8 +43,9 @@
     engine state).
 
     {b When a store exists.}  Only where something will read it again:
-    a [ms2c] run with [--cache-file] (the snapshot is loaded into it and
-    saved from it) and the [serve] daemon.  A one-shot run expands each
+    a [ms2c] run with [--cache-file] (the snapshot is loaded into it,
+    and every entry it stores is appended to the snapshot) and the
+    [serve] daemon.  A one-shot run expands each
     unit once, as cpp does, so it keeps none; its [--jobs] domain
     workers then each load [--prelude] themselves instead of replaying
     it from one another.
@@ -56,7 +57,7 @@
     shard index is the first byte of the key — keys are MD5 digests, so
     the byte is uniform and two domains working on unrelated fragments
     almost never contend on a lock.  The byte total, the recency clock
-    and the mutation generation are atomics shared by every shard.  The
+    and the durable log are atomics shared by every shard.  The
     public counters ({!hits}/{!misses}/{!evictions}/{!length}/
     {!used_bytes}) are the {e merged} view of the store, never
     per-worker or per-shard slices.
@@ -182,8 +183,8 @@ type 'v t = {
   budget_bytes : int;  (** the whole store's budget *)
   used : int Atomic.t;  (** bytes held, summed over shards *)
   tick : int Atomic.t;  (** recency clock, shared so shards compare *)
-  generation : int Atomic.t;  (** moved by every add, charge, eviction *)
-  persisted : (string * int) option Atomic.t;
+  log : Atomic_io.log option Atomic.t;
+      (** where stored entries are appended durably ([--cache-file]) *)
 }
 
 let default_budget_bytes = 64 * 1024 * 1024
@@ -202,8 +203,7 @@ let create ?(budget_bytes = default_budget_bytes) () : 'v t =
     budget_bytes;
     used = Atomic.make 0;
     tick = Atomic.make 0;
-    generation = Atomic.make 0;
-    persisted = Atomic.make None;
+    log = Atomic.make None;
   }
 
 let shard_index (key : string) : int =
@@ -253,7 +253,6 @@ let evict_one (t : 'v t) (s : 'v shard) ~(keep : string) : bool =
   | Some (key, e) ->
       Hashtbl.remove s.table key;
       ignore (Atomic.fetch_and_add t.used (-e.size));
-      Atomic.incr t.generation;
       s.evictions <- s.evictions + 1;
       Obs.instant ~cat:"cache" "evict"
         ~args:(fun () -> [ ("bytes", Obs.Int e.size) ]);
@@ -275,7 +274,7 @@ let enforce_budget (t : 'v t) ~(key : string) : unit =
 
 let word_bytes = Sys.word_size / 8
 
-let add ?size_bytes (t : 'v t) (key : string) (value : 'v) : unit =
+let add ?size_bytes (t : 'v t) (key : string) (value : 'v) : bool =
   (* size the entry outside the lock: [Obj.reachable_words] can walk a
      large stored run *)
   let size =
@@ -283,22 +282,22 @@ let add ?size_bytes (t : 'v t) (key : string) (value : 'v) : unit =
     | Some n -> n
     | None -> (Obj.reachable_words (Obj.repr value) + 16) * word_bytes
   in
-  if size <= t.budget_bytes then begin
-    let s = t.shards.(shard_index key) in
-    let added =
-      locked s (fun () ->
-          if Hashtbl.mem s.table key then false
-          else begin
-            Hashtbl.replace s.table key { value; size; last_use = next_tick t };
-            true
-          end)
-    in
-    if added then begin
-      ignore (Atomic.fetch_and_add t.used size);
-      Atomic.incr t.generation;
-      enforce_budget t ~key
-    end
-  end
+  size <= t.budget_bytes
+  &&
+  let s = t.shards.(shard_index key) in
+  let added =
+    locked s (fun () ->
+        if Hashtbl.mem s.table key then false
+        else begin
+          Hashtbl.replace s.table key { value; size; last_use = next_tick t };
+          true
+        end)
+  in
+  if added then begin
+    ignore (Atomic.fetch_and_add t.used size);
+    enforce_budget t ~key
+  end;
+  added
 
 let charge (t : 'v t) (key : string) (value : 'v) (bytes : int) : unit =
   let s = t.shards.(shard_index key) in
@@ -312,23 +311,21 @@ let charge (t : 'v t) (key : string) (value : 'v) (bytes : int) : unit =
   in
   if found then begin
     ignore (Atomic.fetch_and_add t.used bytes);
-    Atomic.incr t.generation;
     enforce_budget t ~key
   end
 
-let generation (t : 'v t) : int = Atomic.get t.generation
-let persisted (t : 'v t) = Atomic.get t.persisted
-let set_persisted (t : 'v t) p = Atomic.set t.persisted p
+let log (t : 'v t) = Atomic.get t.log
+let set_log (t : 'v t) l = Atomic.set t.log l
 
 (* Snapshot support: walk every live entry.  Each shard's portion runs
    under that shard's lock, so a fold taken while other domains expand
    sees a consistent per-shard view (entries may move between shards'
    reads, but every observed entry is a real, complete entry). *)
-let fold (t : 'v t) (f : string -> 'v -> int -> 'a -> 'a) (init : 'a) : 'a =
+let fold (t : 'v t) (f : string -> 'v -> 'a -> 'a) (init : 'a) : 'a =
   Array.fold_left
     (fun acc s ->
       locked s (fun () ->
-          Hashtbl.fold (fun key e acc -> f key e.value e.size acc) s.table acc))
+          Hashtbl.fold (fun key e acc -> f key e.value acc) s.table acc))
     init t.shards
 
 (* The merged view: sum over shards.  Each shard is read under its lock

@@ -43,13 +43,15 @@ val create : ?budget_bytes:int -> unit -> 'v t
 val find : 'v t -> string -> 'v option
 (** Lookup; refreshes recency and counts a hit or a miss. *)
 
-val add : ?size_bytes:int -> 'v t -> string -> 'v -> unit
+val add : ?size_bytes:int -> 'v t -> string -> 'v -> bool
 (** Insert, then evict least-recently-used entries until the store is
-    within its byte budget again.  [size_bytes] is the caller's
-    estimate of the entry's weight; without it the entry is sized via
-    [Obj.reachable_words] (exact but walks the whole value, and
-    over-counts structure shared with live state).  An entry larger
-    than the whole budget is dropped; an existing key is left as is. *)
+    within its byte budget again; [true] when the entry went in.
+    [size_bytes] is the caller's estimate of the entry's weight;
+    without it the entry is sized via [Obj.reachable_words] (exact but
+    walks the whole value, and over-counts structure shared with live
+    state).  An entry larger than the whole budget is dropped; an
+    existing key is left as is (two domains that store one key at once
+    keep the first). *)
 
 val charge : 'v t -> string -> 'v -> int -> unit
 (** [charge t key value bytes] grows the size estimate of [key]'s entry
@@ -58,24 +60,18 @@ val charge : 'v t -> string -> 'v -> int -> unit
     a concurrent insert of the same key may have won.  For data a
     caller attaches to an entry after inserting it. *)
 
-val generation : 'v t -> int
-(** The mutation generation: moved by every {!add} that inserts, every
-    {!charge} and every eviction, never by lookups.  Equal generations
-    mean an unchanged store. *)
+val log : 'v t -> Atomic_io.log option
+(** The log the store's entries are appended to, once a snapshot file
+    is bound to it ({!Engine.load_store}, {!Engine.save_store}). *)
 
-val persisted : 'v t -> (string * int) option
-(** The file and generation at which the store last matched a snapshot
-    on disk (see {!Engine.save_store}); [None] when unknown. *)
+val set_log : 'v t -> Atomic_io.log option -> unit
 
-val set_persisted : 'v t -> (string * int) option -> unit
-
-val fold : 'v t -> (string -> 'v -> int -> 'a -> 'a) -> 'a -> 'a
-(** [fold t f init] folds [f key value size_bytes acc] over every live
-    entry (all shards; order unspecified).  Each shard is visited under
-    its own lock, so folding a store shared with running workers is
-    safe — but [f] must not call back into the cache.  This is the
-    snapshot path ({!Engine.save_store} wants key, value and the size
-    estimate the entry holds). *)
+val fold : 'v t -> (string -> 'v -> 'a -> 'a) -> 'a -> 'a
+(** [fold t f init] folds [f key value acc] over every live entry (all
+    shards; order unspecified).  Each shard is visited under its own
+    lock, so folding a store shared with running workers is safe — but
+    [f] must not call back into the cache.  This is the snapshot
+    rewrite ({!Engine.save_store}). *)
 
 val length : 'v t -> int
 val used_bytes : 'v t -> int

@@ -89,6 +89,9 @@ and cached_run = {
           by compare-and-set, so two domains rendering the same entry
           agree on one value *)
   ca_post : checkpoint;
+  ca_size : int;
+      (** the entry's size estimate when stored; its renders are
+          charged on top ({!entry_size}) *)
   ca_fuel : int;  (** interpreter steps the run consumed *)
   ca_nodes : int;  (** AST nodes the run charged *)
   ca_invocations : int;
@@ -1355,6 +1358,7 @@ let replay (t : t) (e : cached_run) ~source : unit =
 type expansion = {
   x_program : stored_program;
   x_entry : (string * cached_run) option;
+  x_stored : bool;  (** the entry was stored by this expansion *)
 }
 
 let decoded (prog : program) : stored_program = Atomic.make (Decoded prog)
@@ -1370,7 +1374,9 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
   let run_uncached () =
     expand_source_uncached t ?deadline_ms ~fragment_jobs ~source text
   in
-  let uncached () = { x_program = decoded (run_uncached ()); x_entry = None } in
+  let uncached () =
+    { x_program = decoded (run_uncached ()); x_entry = None; x_stored = false }
+  in
   Obs.with_span ~cat:"fragment"
     ~args:(fun () ->
       [ ("source", Obs.Str source);
@@ -1395,7 +1401,8 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
             ->
               t.stats.cache_hits <- t.stats.cache_hits + 1;
               replay t e ~source;
-              { x_program = e.ca_program; x_entry = Some (key, e) }
+              { x_program = e.ca_program; x_entry = Some (key, e);
+                x_stored = false }
           | Some _ ->
               (* a replay would overdraw the remaining global budget —
                  the real run must happen (and fail) for real *)
@@ -1448,6 +1455,7 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                     ca_program = program;
                     ca_rendered = [| Atomic.make None; Atomic.make None |];
                     ca_post = checkpoint t;
+                    ca_size = size_bytes;
                     ca_fuel = fuel_consumed t - fuel0;
                     ca_nodes = nodes_produced t - nodes0;
                     ca_invocations = t.stats.invocations_expanded - inv0;
@@ -1456,14 +1464,394 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                     ca_profile;
                   }
                 in
-                Cache.add cache key ~size_bytes entry;
-                { x_program = program; x_entry = Some (key, entry) })
-              else { x_program = program; x_entry = None }))
+                (* of two domains that store one key at once, only the
+                   one whose entry went in appends it *)
+                let stored = Cache.add cache key ~size_bytes entry in
+                { x_program = program; x_entry = Some (key, entry);
+                  x_stored = stored })
+              else { x_program = program; x_entry = None; x_stored = false }))
+
+(* ------------------------------------------------------------------ *)
+(* Durable cache snapshots                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A snapshot persists a shared cache store across processes, so a
+   restarted batch or daemon starts warm, and a killed batch rerun over
+   the same file replays every unit it finished.  It is an append-only
+   log:
+
+     magic (8) | format version (u32) | build id (16) |
+     [ entry record | program record ] ... up to the end of the file
+
+   where a record is [ payload length (u32) | MD5(payload) (16) |
+   payload ].  The entry record is everything but the expanded program
+   (key, post-state checkpoint, counters, the rendered outputs); the
+   program record is the marshalled program alone, by far the larger
+   of the two.  A load unmarshals entry records and keeps program
+   records as bytes, so a hit that replays its rendered text never pays
+   for the AST ({!program_of} decodes it on first demand), and a
+   rewrite copies those bytes and their digest back out unchanged.
+
+   A stored unit appends its pair the moment it completes: when its
+   first render is attached ({!remember_render}), so a warm rerun
+   replays the render too, or when it is stored for a caller that
+   renders nothing (the prelude).  Each pair is one write under the
+   log's locks ({!Atomic_io.append}), so domains and forked workers
+   append to one file.  The file is rewritten whole ({!save_store})
+   only to drop records the store does not keep: superseded keys,
+   entries evicted for the budget, a torn tail, an older or foreign
+   file.  The last record of a key supersedes the earlier ones.
+
+   Every record carries its own checksum, checked at load whether or
+   not it is ever decoded.  A pair cut short at the end of the file is
+   the torn tail of a killed append: it is dropped and counted, and the
+   rest is kept.  Any other integrity failure — bad magic, version
+   skew, a flipped bit, an undecodable entry record — degrades the
+   WHOLE load to a cold cache with a warning counter.  Partial salvage
+   beyond a torn tail is not worth the risk surface: a snapshot is an
+   optimization, and the only unforgivable outcome is a wrong replay.
+   [Marshal.from_string] only ever runs on bytes whose digest matched,
+   i.e. bytes this code wrote — and the header's build id
+   ({!Build_id.digest}, the fingerprint of the executable image)
+   further pins "this code" to THIS build of the binary: a snapshot
+   left on disk across an upgrade whose value layout changed is a cold
+   start, not an untyped decode of stale bytes, without anyone having
+   to remember to bump [snapshot_format_version].
+
+   What does NOT survive the round trip, and how loading repairs it:
+
+   - Compiled invocation patterns are closures.  Writing strips each
+     entry's [cp_compiled] table down to its name list; loading
+     recompiles every pattern from the entry's own [cp_defs] (pattern
+     compilation is deterministic).  An entry whose patterns cannot be
+     rebuilt is dropped, never half-restored.
+   - Nothing else: a meta closure holds its parameters, its body and
+     what it captured, never an engine, so every entry marshals.
+
+   Keys need no repair: every part of a key, the definition digest
+   included ({!pristine_defs}), is a digest of content, so it means the
+   same state in any process, fork siblings and restarts included. *)
+
+let snapshot_magic = "MS2SNAP\001"
+let snapshot_format_version = 6
+
+(* An entry record; [pe_run]'s program, render slots and compiled
+   patterns are emptied (they travel in the program record,
+   [pe_rendered] and [pe_compiled]). *)
+type persisted_entry = {
+  pe_key : string;
+  pe_compiled : string list;  (** macro names to recompile at load *)
+  pe_run : cached_run;
+  pe_rendered : Pretty.result option array;
+}
+
+type snapshot_save = { sv_entries : int; sv_bytes : int }
+
+type snapshot_load = {
+  ld_entries : int;  (** entries restored into the store *)
+  ld_dropped : int;
+      (** entries whose patterns could not be recompiled, plus a torn
+          final record *)
+  ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
+  ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
+  ld_rewritten : bool;  (** the file was rewritten before the first append *)
+}
+
+let cold_load =
+  { ld_entries = 0; ld_dropped = 0; ld_warnings = 0; ld_error = None;
+    ld_rewritten = false }
+
+let header () =
+  let b = Buffer.create 28 in
+  Buffer.add_string b snapshot_magic;
+  Buffer.add_int32_le b (Int32.of_int snapshot_format_version);
+  Buffer.add_string b (Build_id.digest ());
+  Buffer.contents b
+
+(* the map's locations are shared with the program; its spine and the
+   text are what a render adds to an entry *)
+let render_bytes (out : Pretty.result) : int =
+  String.length out.Pretty.text
+  + (Sys.word_size / 8 * Array.length out.Pretty.map)
+
+let entry_size (run : cached_run) : int =
+  Array.fold_left
+    (fun n slot ->
+      match Atomic.get slot with Some out -> n + render_bytes out | None -> n)
+    run.ca_size run.ca_rendered
+
+(* stands in for the program inside an entry record *)
+let no_program : stored_program = decoded []
+
+(* a record's payload: [len] bytes at [off] in [raw], and their MD5 *)
+let add_record (b : Buffer.t) (raw, off, len, digest) : unit =
+  Buffer.add_int32_le b (Int32.of_int len);
+  Buffer.add_string b digest;
+  Buffer.add_substring b raw off len
+
+let whole (raw : string) = (raw, 0, String.length raw, Digest.string raw)
+
+(* One entry's pair of records.  A program still in its snapshot bytes
+   is copied back out as is. *)
+let add_entry (b : Buffer.t) ~key (run : cached_run) : unit =
+  let cp = run.ca_post in
+  let pe =
+    {
+      pe_key = key;
+      pe_compiled = List.map fst (Smap.bindings cp.cp_compiled);
+      pe_run =
+        {
+          run with
+          ca_program = no_program;
+          ca_rendered = [||];
+          ca_post = { cp with cp_compiled = Smap.empty };
+        };
+      pe_rendered = Array.map Atomic.get run.ca_rendered;
+    }
+  in
+  add_record b (whole (Marshal.to_string pe []));
+  add_record b
+    (match Atomic.get run.ca_program with
+    | Encoded { raw; off; len; digest } -> (raw, off, len, digest)
+    | Decoded prog -> whole (Marshal.to_string prog []))
+
+(* Append a stored entry to the store's log, if a snapshot file is
+   bound to it.  A failure is counted here and reported by the next
+   {!sync_store}. *)
+let append_entry (cache : cached_run Cache.t) ~key (run : cached_run) : unit =
+  match Cache.log cache with
+  | None -> ()
+  | Some log ->
+      Obs.with_span ~cat:"snapshot" "append" @@ fun () ->
+      let b = Buffer.create 4096 in
+      add_entry b ~key run;
+      Obs.Metrics.incr
+        (Obs.Metrics.counter
+           (match Atomic_io.append log (Buffer.contents b) with
+           | Ok () -> "snapshot.append.entries"
+           | Error _ -> "snapshot.append.failed"))
+
+let sync_store (cache : cached_run Cache.t) : (unit, string) result =
+  match Cache.log cache with
+  | None -> Ok ()
+  | Some log ->
+      Obs.with_span ~cat:"snapshot" "save" (fun () -> Atomic_io.sync log)
+
+let log_records (cache : cached_run Cache.t) : int =
+  match Cache.log cache with None -> 0 | Some log -> Atomic_io.log_count log
+
+(* Rewrite [path] from the live store, and bind the store's log to it:
+   entries stored from here on are appended there. *)
+let save_store (cache : cached_run Cache.t) (path : string) :
+    (snapshot_save, string) result =
+  Obs.with_span ~cat:"snapshot" "rewrite" @@ fun () ->
+  let log =
+    match Cache.log cache with
+    | Some log when Atomic_io.log_path log = path -> log
+    | _ ->
+        let log = Atomic_io.open_log ~header path in
+        Cache.set_log cache (Some log);
+        log
+  in
+  let saved = ref { sv_entries = 0; sv_bytes = 0 } in
+  Atomic_io.rewrite log (fun () ->
+      match Failpoint.hit ~loc:Loc.dummy "snapshot/save" with
+      | exception Diag.Error d -> Error d.Diag.message
+      | () ->
+          let b = Buffer.create 65536 in
+          Buffer.add_string b (header ());
+          let entries =
+            Cache.fold cache
+              (fun key run n ->
+                add_entry b ~key run;
+                n + 1)
+              0
+          in
+          saved := { sv_entries = entries; sv_bytes = Buffer.length b };
+          Ok (Buffer.contents b, entries))
+  |> Result.map (fun () ->
+         Obs.Metrics.incr ~by:!saved.sv_entries
+           (Obs.Metrics.counter "snapshot.save.entries");
+         !saved)
+
+exception Corrupt of string
+
+(* The entries of a snapshot, oldest first, and whether a torn final
+   pair was dropped.  [build_id] yields the running build's
+   fingerprint: {!load_store} computes it on a helper domain while the
+   records' checksums are verified here, and only bytes from this very
+   build are ever unmarshalled — the records are decoded after the
+   comparison. *)
+let parse_snapshot ~(build_id : unit -> string) (raw : string) :
+    (persisted_entry * program_state) list * bool =
+  let len = String.length raw in
+  let pos = ref 0 in
+  let get_str n what =
+    if !pos + n > len then raise (Corrupt ("truncated in " ^ what));
+    let s = String.sub raw !pos n in
+    pos := !pos + n;
+    s
+  in
+  if get_str 8 "magic" <> snapshot_magic then raise (Corrupt "bad magic");
+  let fv = Int32.to_int (String.get_int32_le (get_str 4 "format version") 0) in
+  if fv <> snapshot_format_version then
+    raise
+      (Corrupt
+         (Printf.sprintf "format version %d (this build reads %d)" fv
+            snapshot_format_version));
+  let file_build = get_str 16 "build id" in
+  (* one checksummed record, as (offset, length, digest) in [raw]:
+     payloads are read in place, never copied.  [None]: the record runs
+     past the end of the file *)
+  let get_record i what =
+    if !pos + 20 > len then None
+    else
+      let n = Int32.to_int (String.get_int32_le raw !pos) in
+      if n < 0 then raise (Corrupt (what ^ " length: out of range"));
+      let digest = String.sub raw (!pos + 4) 16 in
+      let off = !pos + 20 in
+      if off + n > len then None
+      else begin
+        pos := off + n;
+        if Digest.substring raw off n <> digest then
+          raise
+            (Corrupt (Printf.sprintf "record %d %s checksum mismatch" i what));
+        Some (off, n, digest)
+      end
+  in
+  let rec records i acc =
+    if !pos = len then (List.rev acc, false)
+    else
+      match get_record i "entry" with
+      | None -> (List.rev acc, true)
+      | Some (meta, _, _) -> (
+          match get_record i "program" with
+          | None -> (List.rev acc, true)
+          | Some program -> records (i + 1) ((meta, program) :: acc))
+  in
+  let records, torn = records 1 [] in
+  if file_build <> build_id () then
+    raise (Corrupt "written by a different build of this binary");
+  ( List.mapi
+      (fun i (meta, (off, len, digest)) ->
+        match (Marshal.from_string raw meta : persisted_entry) with
+        | exception _ ->
+            raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
+        | pe -> (pe, Encoded { raw; off; len; digest }))
+      records,
+    torn )
+
+(* Recompile the patterns [Marshal] could not carry; [None] drops the
+   entry. *)
+let recompile_entry ((pe, program) : persisted_entry * program_state) :
+    (string * cached_run) option =
+  let cp = pe.pe_run.ca_post in
+  match
+    List.fold_left
+      (fun compiled name ->
+        match Smap.find_opt name cp.cp_defs with
+        | None -> raise Exit
+        | Some md ->
+            Smap.add name (Parser.compile_pattern md.m_pattern) compiled)
+      Smap.empty pe.pe_compiled
+  with
+  | exception _ -> None
+  | compiled ->
+      Some
+        ( pe.pe_key,
+          {
+            pe.pe_run with
+            ca_program = Atomic.make program;
+            ca_rendered = Array.map Atomic.make pe.pe_rendered;
+            ca_post = { cp with cp_compiled = compiled };
+          } )
+
+let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
+    : snapshot_load =
+  Obs.with_span ~cat:"snapshot" "load" @@ fun () ->
+  let degraded msg =
+    Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.warnings");
+    { cold_load with ld_warnings = 1; ld_error = Some msg }
+  in
+  (* appends go to [path] from here on — after a rewrite, when the file
+     holds records the store does not keep.  A failed rewrite leaves the
+     log failed, and {!sync_store} reports it. *)
+  let bind ~count ~rewrite (ld : snapshot_load) =
+    Cache.set_log cache (Some (Atomic_io.open_log ~header ~count path));
+    if rewrite then ignore (save_store cache path);
+    { ld with ld_rewritten = rewrite }
+  in
+  (* a file that cannot be read is left alone, and appended to never *)
+  let unreadable msg =
+    Cache.set_log cache None;
+    degraded msg
+  in
+  match (Unix.stat path).Unix.st_size with
+  | 0 | (exception Unix.Unix_error (Unix.ENOENT, _, _)) ->
+      (* missing, or killed between creating the file and appending *)
+      bind ~count:0 ~rewrite:false cold_load
+  | _ | (exception Unix.Unix_error _) -> (
+      let build_id =
+        if parallel then Build_id.digest_async () else Build_id.digest
+      in
+      Fun.protect ~finally:(fun () -> ignore (build_id ())) @@ fun () ->
+      match
+        Failpoint.hit ~loc:Loc.dummy "snapshot/load";
+        In_channel.with_open_bin path (fun ic ->
+            really_input_string ic (in_channel_length ic))
+      with
+      | exception Diag.Error d -> unreadable d.Diag.message
+      | exception Sys_error msg -> unreadable msg
+      | exception End_of_file -> unreadable (path ^ ": shrank while being read")
+      | raw -> (
+          match parse_snapshot ~build_id raw with
+          | exception Corrupt msg ->
+              bind ~count:0 ~rewrite:true
+                (degraded (Printf.sprintf "%s: %s" path msg))
+          | exception _ ->
+              bind ~count:0 ~rewrite:true
+                (degraded (path ^ ": unreadable snapshot"))
+          | records, torn ->
+              let last = Hashtbl.create 64 in
+              List.iteri
+                (fun i (pe, _) -> Hashtbl.replace last pe.pe_key i)
+                records;
+              let live =
+                List.filteri
+                  (fun i (pe, _) -> Hashtbl.find last pe.pe_key = i)
+                  records
+              in
+              let accepted = List.filter_map recompile_entry live in
+              List.iter
+                (fun (key, run) ->
+                  ignore (Cache.add cache ~size_bytes:(entry_size run) key run))
+                accepted;
+              let dropped =
+                List.length live - List.length accepted
+                + if torn then 1 else 0
+              in
+              Obs.Metrics.incr ~by:(List.length accepted)
+                (Obs.Metrics.counter "snapshot.load.entries");
+              if dropped > 0 then
+                Obs.Metrics.incr ~by:dropped
+                  (Obs.Metrics.counter "snapshot.load.dropped");
+              if torn then
+                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.torn");
+              let count = List.length records in
+              bind ~count
+                ~rewrite:(torn || Cache.length cache <> count)
+                { cold_load with
+                  ld_entries = List.length accepted;
+                  ld_dropped = dropped }))
 
 let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs (text : string)
     : program =
-  program_of
-    (expand_source_entry t ?source ?deadline_ms ?fragment_jobs text).x_program
+  let x = expand_source_entry t ?source ?deadline_ms ?fragment_jobs text in
+  (* this caller renders nothing, so a stored unit is appended now *)
+  (match (x.x_entry, t.cache) with
+  | Some (key, e), Some cache when x.x_stored -> append_entry cache ~key e
+  | _ -> ());
+  program_of x.x_program
 
 let expansion_program (x : expansion) : program = program_of x.x_program
 
@@ -1482,12 +1870,9 @@ let remember_render (t : t) (x : expansion) ~line_directives
         Atomic.compare_and_set
           e.ca_rendered.(render_slot ~line_directives)
           None (Some out)
-      then
-        (* the map's locations are shared with the program; its spine
-           and the text are what the slot adds *)
-        Cache.charge cache key e
-          (String.length out.Pretty.text
-          + (Sys.word_size / 8 * Array.length out.Pretty.map))
+      then Cache.charge cache key e (render_bytes out);
+      (* a stored unit is appended with its first render attached *)
+      if x.x_stored then append_entry cache ~key e
   | _ -> ()
 
 (* The store-wide eviction count is a merged sweep over every shard
@@ -1497,304 +1882,3 @@ let remember_render (t : t) (x : expansion) ~line_directives
 let cache_evictions (t : t) : int =
   match t.cache with None -> 0 | Some cache -> Cache.evictions cache
 
-(* ------------------------------------------------------------------ *)
-(* Durable cache snapshots                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* A snapshot persists a shared cache store across processes so a
-   restarted batch or daemon starts warm.  The container is
-   deliberately paranoid:
-
-     magic (8) | format version (u32) | build id (16) |
-     entry count (u32) |
-     count * [ entry record | program record ]
-
-   where a record is [ payload length (u32) | MD5(payload) (16) |
-   payload ].  The entry record is everything but the expanded program
-   (key, size estimate, post-state checkpoint, counters, the rendered
-   outputs); the program record is the marshalled program
-   alone, by far the larger of the two.  A load unmarshals entry
-   records and keeps program records as bytes, so a hit that replays
-   its rendered text never pays for the AST ({!program_of} decodes it
-   on first demand), and a later save copies those bytes and their
-   digest back out unchanged.
-
-   Every record carries its own checksum, checked at load whether or
-   not it is ever decoded, and ANY integrity failure — bad magic,
-   version skew, truncation, a flipped bit, trailing bytes, an
-   undecodable entry record — degrades the WHOLE load to a cold cache
-   with a warning counter.  Partial salvage is not worth the risk surface:
-   a snapshot is an optimization, and the only unforgivable outcome is
-   a wrong replay.  [Marshal.from_string] only ever runs on bytes whose
-   digest matched, i.e. bytes this code wrote — and the header's build
-   id ({!Build_id.digest}, the fingerprint of the executable image)
-   further pins "this code" to THIS build of the binary: a snapshot
-   left on disk across an upgrade whose value layout changed is a cold
-   start, not an untyped decode of stale bytes, without anyone having
-   to remember to bump [snapshot_format_version].
-
-   What does NOT survive the round trip, and how loading repairs it:
-
-   - Compiled invocation patterns are closures.  Saving strips each
-     entry's [cp_compiled] table down to its name list; loading
-     recompiles every pattern from the entry's own [cp_defs] (pattern
-     compilation is deterministic).  An entry whose patterns cannot be
-     rebuilt is dropped, never half-restored.
-   - Nothing else: a meta closure holds its parameters, its body and
-     what it captured, never an engine, so every entry marshals.
-
-   Keys need no repair: every part of a key, the definition digest
-   included ({!pristine_defs}), is a digest of content, so it means the
-   same state in any process, fork siblings and restarts included. *)
-
-let snapshot_magic = "MS2SNAP\001"
-let snapshot_format_version = 5
-
-(* An entry record; [pe_run]'s program, render slots and compiled
-   patterns are emptied (they travel in the program record,
-   [pe_rendered] and [pe_compiled]). *)
-type persisted_entry = {
-  pe_key : string;
-  pe_size : int;  (** the entry's size estimate when saved *)
-  pe_compiled : string list;  (** macro names to recompile at load *)
-  pe_run : cached_run;
-  pe_rendered : Pretty.result option array;
-}
-
-type snapshot_save = {
-  sv_entries : int;
-  sv_bytes : int;
-  sv_unchanged : bool;
-}
-
-type snapshot_load = {
-  ld_entries : int;  (** entries restored into the store *)
-  ld_dropped : int;  (** entries whose patterns could not be recompiled *)
-  ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
-  ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
-}
-
-let cold_load = { ld_entries = 0; ld_dropped = 0; ld_warnings = 0; ld_error = None }
-
-(* stands in for the program inside an entry record *)
-let no_program : stored_program = decoded []
-
-let entry_record (run : cached_run) ~key ~size : persisted_entry =
-  let cp = run.ca_post in
-  {
-    pe_key = key;
-    pe_size = size;
-    pe_compiled = List.map fst (Smap.bindings cp.cp_compiled);
-    pe_run =
-      {
-        run with
-        ca_program = no_program;
-        ca_rendered = [||];
-        ca_post = { cp with cp_compiled = Smap.empty };
-      };
-    pe_rendered = Array.map Atomic.get run.ca_rendered;
-  }
-
-(* a record's payload: [len] bytes at [off] in [raw], and their MD5 *)
-let add_record (b : Buffer.t) (raw, off, len, digest) : unit =
-  Buffer.add_int32_le b (Int32.of_int len);
-  Buffer.add_string b digest;
-  Buffer.add_substring b raw off len
-
-let whole (raw : string) = (raw, 0, String.length raw, Digest.string raw)
-
-(* A store that has not changed since it last matched [path] on disk
-   (a clean load, or a save) is not written again: the generation
-   records every add, charge and eviction. *)
-let save_store (cache : cached_run Cache.t) (path : string) :
-    (snapshot_save, string) result =
-  Obs.with_span ~cat:"snapshot" "save" @@ fun () ->
-  match Failpoint.hit ~loc:Loc.dummy "snapshot/save" with
-  | exception Diag.Error d -> Result.Error d.Diag.message
-  | () -> (
-      let gen = Cache.generation cache in
-      match Cache.persisted cache with
-      | Some (p, g) when p = path && g = gen && Sys.file_exists path ->
-          Obs.Metrics.incr (Obs.Metrics.counter "snapshot.save.unchanged");
-          Ok
-            { sv_entries = 0; sv_bytes = 0; sv_unchanged = true }
-      | _ -> (
-          let entries = ref 0 in
-          let records = Buffer.create 65536 in
-          Cache.fold cache
-            (fun key run size () ->
-              incr entries;
-              add_record records
-                (whole (Marshal.to_string (entry_record run ~key ~size) []));
-              (* a program still in its snapshot bytes is copied back out
-                 as is *)
-              add_record records
-                (match Atomic.get run.ca_program with
-                | Encoded { raw; off; len; digest } -> (raw, off, len, digest)
-                | Decoded prog -> whole (Marshal.to_string prog [])))
-            ();
-          let b = Buffer.create (Buffer.length records + 64) in
-          Buffer.add_string b snapshot_magic;
-          Buffer.add_int32_le b (Int32.of_int snapshot_format_version);
-          Buffer.add_string b (Build_id.digest ());
-          Buffer.add_int32_le b (Int32.of_int !entries);
-          Buffer.add_buffer b records;
-          let out = Buffer.contents b in
-          match Atomic_io.write path out with
-          | Ok () ->
-              (* entries added while the fold ran moved the generation
-                 past [gen], so the next save still writes them *)
-              Cache.set_persisted cache (Some (path, gen));
-              Obs.Metrics.incr ~by:!entries
-                (Obs.Metrics.counter "snapshot.save.entries");
-              Ok
-                {
-                  sv_entries = !entries;
-                  sv_bytes = String.length out;
-                  sv_unchanged = false;
-                }
-          | Error msg -> Result.Error msg))
-
-exception Corrupt of string
-
-(* [build_id] yields the running build's fingerprint: {!load_store}
-   computes it on a helper domain while the records' checksums are
-   verified here, and only bytes from this very build are ever
-   unmarshalled — the records are decoded after the comparison. *)
-let parse_snapshot ~(build_id : unit -> string) (raw : string) :
-    (persisted_entry * program_state) list =
-  let len = String.length raw in
-  let pos = ref 0 in
-  let need n what =
-    if !pos + n > len then
-      raise (Corrupt (Printf.sprintf "truncated in %s" what))
-  in
-  let get_str n what =
-    need n what;
-    let s = String.sub raw !pos n in
-    pos := !pos + n;
-    s
-  in
-  let get_u32 what =
-    need 4 what;
-    let v = Int32.to_int (String.get_int32_le raw !pos) in
-    pos := !pos + 4;
-    if v < 0 then raise (Corrupt (what ^ ": out of range"));
-    v
-  in
-  (* one checksummed record, as (offset, length, digest) in [raw]:
-     payloads are read in place, never copied *)
-  let get_record i what =
-    let len = get_u32 (what ^ " length") in
-    let digest = get_str 16 (what ^ " digest") in
-    need len (what ^ " payload");
-    let off = !pos in
-    pos := !pos + len;
-    if Digest.substring raw off len <> digest then
-      raise (Corrupt (Printf.sprintf "record %d %s checksum mismatch" i what));
-    (off, len, digest)
-  in
-  if get_str 8 "magic" <> snapshot_magic then raise (Corrupt "bad magic");
-  let fv = get_u32 "format version" in
-  if fv <> snapshot_format_version then
-    raise
-      (Corrupt
-         (Printf.sprintf "format version %d (this build reads %d)" fv
-            snapshot_format_version));
-  let file_build = get_str 16 "build id" in
-  let count = get_u32 "entry count" in
-  let records =
-    List.init count (fun i ->
-        let meta, _, _ = get_record (i + 1) "entry" in
-        (meta, get_record (i + 1) "program"))
-  in
-  if !pos <> len then raise (Corrupt "trailing bytes");
-  if file_build <> build_id () then
-    raise (Corrupt "written by a different build of this binary");
-  List.mapi
-    (fun i (meta, (off, len, digest)) ->
-      match (Marshal.from_string raw meta : persisted_entry) with
-      | exception _ ->
-          raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
-      | pe -> (pe, Encoded { raw; off; len; digest }))
-    records
-
-(* Recompile the patterns [Marshal] could not carry; [None] drops the
-   entry. *)
-let recompile_entry ((pe, program) : persisted_entry * program_state) :
-    (string * int * cached_run) option =
-  let cp = pe.pe_run.ca_post in
-  match
-    List.fold_left
-      (fun compiled name ->
-        match Smap.find_opt name cp.cp_defs with
-        | None -> raise Exit
-        | Some md ->
-            Smap.add name (Parser.compile_pattern md.m_pattern) compiled)
-      Smap.empty pe.pe_compiled
-  with
-  | exception _ -> None
-  | compiled ->
-      Some
-        ( pe.pe_key,
-          pe.pe_size,
-          {
-            pe.pe_run with
-            ca_program = Atomic.make program;
-            ca_rendered = Array.map Atomic.make pe.pe_rendered;
-            ca_post = { cp with cp_compiled = compiled };
-          } )
-
-let load_store ?(parallel = false) (cache : cached_run Cache.t) (path : string)
-    : snapshot_load =
-  Obs.with_span ~cat:"snapshot" "load" @@ fun () ->
-  let degraded msg =
-    Cache.set_persisted cache None;
-    Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.warnings");
-    { ld_entries = 0; ld_dropped = 0; ld_warnings = 1; ld_error = Some msg }
-  in
-  if not (Sys.file_exists path) then cold_load
-  else
-    let build_id =
-      if parallel then Build_id.digest_async () else Build_id.digest
-    in
-    Fun.protect ~finally:(fun () -> ignore (build_id ())) @@ fun () ->
-    match
-      Failpoint.hit ~loc:Loc.dummy "snapshot/load";
-      In_channel.with_open_bin path (fun ic ->
-          really_input_string ic (in_channel_length ic))
-    with
-    | exception Diag.Error d -> degraded d.Diag.message
-    | exception Sys_error msg -> degraded msg
-    | exception End_of_file -> degraded (path ^ ": shrank while being read")
-    | raw -> (
-        match parse_snapshot ~build_id raw with
-        | exception Corrupt msg -> degraded (Printf.sprintf "%s: %s" path msg)
-        | exception _ -> degraded (path ^ ": unreadable snapshot")
-        | raw_entries ->
-            let accepted = List.filter_map recompile_entry raw_entries in
-            let empty_before = Cache.length cache = 0 in
-            List.iter
-              (fun (key, size, run) -> Cache.add cache ~size_bytes:size key run)
-              accepted;
-            let dropped = List.length raw_entries - List.length accepted in
-            (* the store now holds exactly the file's entries — none
-               dropped, none refused or evicted, nothing there before —
-               so saving it unchanged would rewrite the same file *)
-            Cache.set_persisted cache
-              (if
-                 dropped = 0 && empty_before
-                 && Cache.length cache = List.length accepted
-               then Some (path, Cache.generation cache)
-               else None);
-            Obs.Metrics.incr ~by:(List.length accepted)
-              (Obs.Metrics.counter "snapshot.load.entries");
-            if dropped > 0 then
-              Obs.Metrics.incr ~by:dropped
-                (Obs.Metrics.counter "snapshot.load.dropped");
-            {
-              ld_entries = List.length accepted;
-              ld_dropped = dropped;
-              ld_warnings = 0;
-              ld_error = None;
-            })

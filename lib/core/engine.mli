@@ -158,7 +158,11 @@ val expand_source :
     identical to a sequential run.  Files with fewer than 8 top-level
     fragments, trace mode (announced in the trace log), and
     profile/recording observability modes all degrade to the
-    sequential path. *)
+    sequential path.
+
+    A unit this call stores is appended to the store's snapshot file,
+    if one is bound ({!load_store}), right away: this caller renders
+    nothing. *)
 
 (** {2 Expansions that render}
 
@@ -192,7 +196,9 @@ val remember_render :
   t -> expansion -> line_directives:bool -> Ms2_syntax.Pretty.result -> unit
 (** Attach a render to the expansion's cache entry (first writer wins)
     and charge its bytes to the entry's size estimate; a no-op for an
-    expansion that has no entry. *)
+    expansion that has no entry.  An entry this expansion stored is
+    then appended, render included, to the store's snapshot file if
+    one is bound ({!load_store}). *)
 
 val diagnostics : t -> Diag.t list
 (** Diagnostics recorded by recovery mode so far, oldest first. *)
@@ -212,57 +218,76 @@ val cache_evictions : t -> int
 (** {1 Durable cache snapshots}
 
     Persist a shared expansion-cache store across processes so a
-    restarted batch or daemon starts warm.  The on-disk container is
-    versioned, length-prefixed and per-record checksummed, and stamped
-    with the writing binary's {!Build_id} fingerprint; {e any}
-    integrity failure (truncation, bit-flip, format skew, a snapshot
-    written by a different build — [Marshal] only ever decodes bytes
-    this build wrote) degrades the whole load to a cold cache — a
-    warning counter ([snapshot.load.warnings] in {!Obs.Metrics}),
-    never a crash and never a wrong replay.  Keys are digests of
-    content, the macro tables' [defs_version] included, so a restored
-    entry means the same state in any process and is used as loaded.
+    restarted batch or daemon starts warm, and a killed batch rerun
+    over the same file replays every unit it finished.  The snapshot is
+    an append-only log: each stored unit appends its records when it
+    completes — with its first render attached ({!remember_render}),
+    or when {!expand_source} stores it — and the file is rewritten whole
+    ({!save_store}) only to drop what the store did not keep.  Every
+    record is length-prefixed and checksummed, and the header carries
+    the writing binary's {!Build_id} fingerprint.  A record cut short
+    at the end of the file (a killed append) is dropped and the rest
+    kept; {e any} other integrity failure (bit-flip, format skew, a
+    snapshot written by a different build — [Marshal] only ever
+    decodes bytes this build wrote) degrades the whole load to a cold
+    cache — a warning counter ([snapshot.load.warnings] in
+    {!Obs.Metrics}), never a crash and never a wrong replay.  Keys are
+    digests of content, the macro tables' [defs_version] included, so
+    a restored entry means the same state in any process and is used
+    as loaded.
 
-    Format 5 layout: [magic (8) | format (u32) | build id (16) |
-    entry count (u32)], then per entry a checksummed entry record and a
-    checksummed program record. *)
+    Format 6 layout: [magic (8) | format (u32) | build id (16)], then
+    per entry a checksummed entry record and a checksummed program
+    record, up to the end of the file. *)
 
 type snapshot_save = {
   sv_entries : int;  (** entries written: every live entry *)
   sv_bytes : int;  (** snapshot file size *)
-  sv_unchanged : bool;
-      (** nothing was written: the store has not changed since it last
-          matched the file (a clean load or a save), and the file is
-          still there; the other fields are then 0 *)
 }
 
 type snapshot_load = {
   ld_entries : int;  (** entries restored into the store *)
-  ld_dropped : int;  (** entries whose patterns could not be recompiled *)
+  ld_dropped : int;
+      (** entries whose patterns could not be recompiled, plus a torn
+          final record *)
   ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
   ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
+  ld_rewritten : bool;
+      (** the file held records the store did not keep (superseded,
+          dropped, evicted, torn or foreign) and was rewritten *)
 }
+
+val load_store : ?parallel:bool -> cached_run Cache.t -> string -> snapshot_load
+(** Restore a snapshot into [cache] and bind the store to [path]: from
+    then on every entry the store gains is appended there.  When the
+    file holds records the store did not keep it is rewritten first
+    ({!save_store}).  With [parallel] (default false), the running
+    executable's fingerprint ({!Build_id.digest_async}) is computed on
+    a helper domain while the records' checksums are verified; OCaml
+    forbids [Unix.fork] in a process that ever spawned a domain, so a
+    caller that may fork later must leave it off.  A missing or empty
+    file is a silent cold start; a corrupt file is a cold start with
+    [ld_warnings = 1] and the reason in [ld_error]; a file that cannot
+    be read is left alone and never appended to.  Never raises.  Every
+    record's checksum is verified, but each entry's program stays
+    marshalled until first demanded ({!expansion_program}).  Subject to
+    the [snapshot/load] failpoint. *)
 
 val save_store :
   cached_run Cache.t -> string -> (snapshot_save, string) result
-(** Serialize every live entry to [path] via {!Atomic_io.write} (so a
-    crash mid-save never clobbers the previous snapshot) — unless the
-    store's {!Cache.generation} has not moved since it last matched
-    [path] and the file still exists, in which case nothing is written
-    ([sv_unchanged], counted as [snapshot.save.unchanged]).  Safe to
-    call while other domains use the store.  Subject to the
-    [snapshot/save] and [io/rename] failpoints. *)
+(** Rewrite [path] from every live entry via {!Atomic_io.write} (so a
+    crash mid-write never clobbers the previous file), holding off
+    appends meanwhile, and bind the store to [path] as {!load_store}
+    does.  Safe to call while other domains use the store.  Subject to
+    the [snapshot/save] and [io/rename] failpoints. *)
 
-val load_store : ?parallel:bool -> cached_run Cache.t -> string -> snapshot_load
-(** Restore a snapshot into [cache].  With [parallel] (default false),
-    the running executable's fingerprint ({!Build_id.digest_async}) is
-    computed on a helper domain while the records' checksums are
-    verified; OCaml forbids [Unix.fork] in a process that ever spawned
-    a domain, so a caller that may fork later must leave it off.  A
-    missing file is a silent cold start; a corrupt file is a cold start
-    with [ld_warnings = 1] and the reason in [ld_error].  Never raises.
-    Every record's checksum is verified, but each entry's program stays
-    marshalled until first demanded ({!expansion_program}).  A clean
-    load into an empty store that restores every entry records the
-    store as matching [path], so an unchanged store is not saved back.
-    Subject to the [snapshot/load] failpoint. *)
+val sync_store : cached_run Cache.t -> (unit, string) result
+(** fsync what the store appended since the last sync; [Error] once an
+    append or a rewrite failed, after which the store appends nothing
+    more (until a {!save_store} succeeds).  [Ok] without a bound
+    file. *)
+
+val log_records : cached_run Cache.t -> int
+(** Entries in the bound file, superseded ones included: the rewrite
+    trigger for a store that keeps growing the file (0 when none is
+    bound). *)

@@ -124,3 +124,132 @@ let sweep_stale ?(max_age_s = default_stale_age) (dir : string) : int =
                   | exception Sys_error _ -> removed)
                 else removed)
         0 names
+
+(* ------------------------------------------------------------------ *)
+(* Append-only logs                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type log = {
+  log_path : string;
+  header : unit -> string;
+  lock : Mutex.t;
+  mutable fd : Unix.file_descr option;
+      (* opened at the first append, so a run that stores nothing
+         creates nothing; a forked worker appends through the
+         descriptor it inherited, or opens its own *)
+  mutable count : int;
+  mutable dirty : bool;  (* appended since the last sync *)
+  mutable failed : string option;
+}
+
+let open_log ~header ?(count = 0) (path : string) : log =
+  { log_path = path; header; lock = Mutex.create (); fd = None; count;
+    dirty = false; failed = None }
+
+let log_path (l : log) = l.log_path
+let log_count (l : log) = Mutex.protect l.lock (fun () -> l.count)
+
+(* Take/release a whole-file fcntl lock (fork children own distinct
+   process locks even on an inherited descriptor, so this excludes
+   them through the kernel; the seek pins the locked region to the
+   whole file and is harmless under O_APPEND, which ignores the
+   offset).  Best-effort: a filesystem that cannot lock (ENOLCK, NFS
+   quirks) degrades to the unlocked append, whose rare interleavings
+   the readers' checksums catch. *)
+let lock_file (fd : Unix.file_descr) : bool =
+  match
+    ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+    Unix.lockf fd Unix.F_LOCK 0
+  with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+let unlock_file (fd : Unix.file_descr) : unit =
+  try
+    ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+    Unix.lockf fd Unix.F_ULOCK 0
+  with Unix.Unix_error _ -> ()
+
+(* One write per record, under the cross-process file lock — a record
+   can be far beyond any append size the kernel promises to keep
+   un-interleaved.  The mutex serializes domains, which fcntl cannot
+   tell apart (forked workers' private mutex copies are fine: the file
+   lock orders them).  An empty file gets the header first, under the
+   same lock, so concurrent first appends write it once.  After a
+   failure nothing more is appended: a failed write may have left part
+   of a record at the end of the file, and a reader drops such a torn
+   tail only while it is the tail. *)
+let append (l : log) (data : string) : (unit, string) result =
+  Mutex.protect l.lock @@ fun () ->
+  match l.failed with
+  | Some msg -> Error msg
+  | None ->
+      let result =
+        match
+          Failpoint.hit ~loc:Loc.dummy "snapshot/append";
+          let fd =
+            match l.fd with
+            | Some fd -> fd
+            | None ->
+                let fd =
+                  Unix.openfile l.log_path
+                    Unix.[ O_WRONLY; O_APPEND; O_CREAT; O_CLOEXEC ]
+                    0o666
+                in
+                l.fd <- Some fd;
+                fd
+          in
+          let locked = lock_file fd in
+          Fun.protect
+            ~finally:(fun () -> if locked then unlock_file fd)
+            (fun () ->
+              let bytes =
+                if (Unix.fstat fd).Unix.st_size = 0 then l.header () ^ data
+                else data
+              in
+              let n = Unix.write_substring fd bytes 0 (String.length bytes) in
+              if n <> String.length bytes then failwith "short write")
+        with
+        | () -> Ok ()
+        | exception Diag.Error d -> Error d.Diag.message
+        | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+        | exception Failure msg -> Error msg
+      in
+      (match result with
+      | Ok () ->
+          l.count <- l.count + 1;
+          l.dirty <- true
+      | Error msg -> l.failed <- Some msg);
+      result
+
+let sync (l : log) : (unit, string) result =
+  Mutex.protect l.lock @@ fun () ->
+  match (l.failed, l.fd) with
+  | Some msg, _ -> Error msg
+  | None, Some fd when l.dirty -> (
+      match Unix.fsync fd with
+      | () ->
+          l.dirty <- false;
+          Ok ()
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
+  | None, _ -> Ok ()
+
+let rewrite (l : log) (contents : unit -> (string * int, string) result) :
+    (unit, string) result =
+  Mutex.protect l.lock @@ fun () ->
+  match Result.bind (contents ()) (fun (data, count) ->
+            Result.map (fun () -> count) (write l.log_path data))
+  with
+  | Error msg ->
+      l.failed <- Some msg;
+      Error msg
+  | Ok count ->
+      (* appends go to the new file from here on *)
+      Option.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        l.fd;
+      l.fd <- None;
+      l.count <- count;
+      l.dirty <- false;
+      l.failed <- None;
+      Ok ()

@@ -36,5 +36,3 @@ let digest_async () : unit -> string =
                 let d = Domain.join helper in
                 joined := Some d;
                 d)
-
-let hex () : string = Digest.to_hex (digest ())

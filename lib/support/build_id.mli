@@ -2,10 +2,10 @@
 
     OCaml's [Marshal] is untyped: decoding bytes written by a build
     whose value layout differs can segfault or silently yield garbage.
-    Every on-disk artifact that embeds marshalled payloads (cache
-    snapshots, batch journals) therefore stamps the writer's build
-    fingerprint, and a reader from any other build degrades cleanly —
-    a cold start or a skipped record — instead of decoding.  The
+    The one on-disk artifact that embeds marshalled payloads, the cache
+    snapshot, therefore stamps the writer's build fingerprint in its
+    header, and a reader from any other build degrades cleanly — a
+    cold start — instead of decoding.  The
     fingerprint makes the safety automatic: it needs no hand-bumped
     format constant to stay honest across rebuilds. *)
 
@@ -23,7 +23,3 @@ val digest_async : unit -> unit -> string
     it.  Call that function on every path — it is idempotent — so the
     helper never outlives the caller's use of it (a process cannot
     [Unix.fork] while another domain runs). *)
-
-val hex : unit -> string
-(** {!digest} rendered as 32 lowercase hex characters, for embedding
-    in textual formats. *)

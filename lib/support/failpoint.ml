@@ -20,6 +20,9 @@ let table : (string, trigger) Hashtbl.t = Hashtbl.create 8
 let lock = Mutex.create ()
 let view : (string * trigger) list Atomic.t = Atomic.make []
 
+(* whether [view] holds a site outside the persistence layer *)
+let expansion_armed = Atomic.make false
+
 let sites =
   [ "engine/fragment";  (* expand_source entry; in fragment-parallel
                            mode, also each speculative fragment *)
@@ -46,7 +49,7 @@ let sites =
     "io/rename";  (* between temp-file write and rename (Atomic_io) *)
     "snapshot/save";  (* cache snapshot serialization *)
     "snapshot/load";  (* cache snapshot deserialization *)
-    "journal/append" (* batch journal record append *) ]
+    "snapshot/append" (* cache snapshot entry append *) ]
 
 let serve_site name = String.length name >= 6 && String.sub name 0 6 = "serve/"
 
@@ -54,9 +57,7 @@ let has_prefix p name =
   String.length name >= String.length p
   && String.sub name 0 (String.length p) = p
 
-let persist_site name =
-  has_prefix "io/" name || has_prefix "snapshot/" name
-  || has_prefix "journal/" name
+let persist_site name = has_prefix "io/" name || has_prefix "snapshot/" name
 
 let is_site name = List.mem name sites
 
@@ -116,7 +117,10 @@ let parse_spec spec : (spec, string) result =
 
 (* assumes [lock] held *)
 let refresh_view () =
-  Atomic.set view (Hashtbl.fold (fun k t acc -> (k, t) :: acc) table [])
+  let armed = Hashtbl.fold (fun k t acc -> (k, t) :: acc) table [] in
+  Atomic.set expansion_armed
+    (List.exists (fun (k, _) -> not (persist_site k)) armed);
+  Atomic.set view armed
 
 let under_lock f =
   Mutex.lock lock;
@@ -180,7 +184,7 @@ let fire_hang name =
   in
   wait ()
 
-let armed () = match Atomic.get view with [] -> false | _ -> true
+let armed () = Atomic.get expansion_armed
 
 let hit ?watchdog ~loc name =
   match Atomic.get view with

@@ -42,9 +42,10 @@ val serve_site : string -> bool
     ([make serve-sweep]) owns them. *)
 
 val persist_site : string -> bool
-(** Is this an [io/*], [snapshot/*] or [journal/*] site?  Those fire in
-    the crash-safe persistence layer (durable writes, cache snapshots,
-    the batch journal), not in the engine pipeline — the engine sweep
+(** Is this an [io/*] or [snapshot/*] site?  Those fire in the
+    crash-safe persistence layer (durable writes and the cache
+    snapshot's load, append and rewrite), not in the engine pipeline
+    and never in an expansion — the engine sweep
     filters them out and the recovery chaos sweep
     ([make recovery-sweep]) owns them. *)
 
@@ -67,9 +68,11 @@ val reset : unit -> unit
 (** Disarm everything (the test sweep calls this between cases). *)
 
 val armed : unit -> bool
-(** Is any failpoint currently armed?  Machinery that would mask
-    injected failures (e.g. the expansion cache) checks this and stands
-    aside. *)
+(** Is any failpoint outside the persistence layer armed?  Those are
+    the ones that can change an expansion, so machinery that would mask
+    them (e.g. the expansion cache) checks this and stands aside; a
+    persistence failpoint leaves the cache working, which is what it
+    tests. *)
 
 val hit : ?watchdog:Watchdog.t -> loc:Loc.t -> string -> unit
 (** Trip the named failpoint if armed; a cheap no-op otherwise.  The

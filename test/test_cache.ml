@@ -257,7 +257,8 @@ let same_shard_entries_coexist () =
      64 MiB budget together: the budget is the store's, not a slice *)
   let c = Cache.create () in
   for i = 1 to 8 do
-    Cache.add ~size_bytes:(23 * mib / 10) c (shard_key 7 i) i
+    Alcotest.(check bool) "each one goes in" true
+      (Cache.add ~size_bytes:(23 * mib / 10) c (shard_key 7 i) i)
   done;
   Alcotest.(check int) "no evictions" 0 (Cache.evictions c);
   Alcotest.(check int) "all eight stored" 8 (Cache.length c);
@@ -269,16 +270,21 @@ let same_shard_entries_coexist () =
 let large_entry_is_stored () =
   (* larger than a sixteenth of the budget, well within the whole *)
   let c = Cache.create () in
-  Cache.add ~size_bytes:(5 * mib) c (shard_key 3 0) "big";
+  Alcotest.(check bool) "goes in" true
+    (Cache.add ~size_bytes:(5 * mib) c (shard_key 3 0) "big");
   Alcotest.(check int) "stored" 1 (Cache.length c);
-  Cache.add ~size_bytes:(Cache.default_budget_bytes + 1) c (shard_key 4 0)
-    "too big";
+  Alcotest.(check bool) "refused" false
+    (Cache.add ~size_bytes:(Cache.default_budget_bytes + 1) c (shard_key 4 0)
+       "too big");
   Alcotest.(check int) "over the whole budget: dropped" 1 (Cache.length c)
 
 let over_budget_stream_stays_within () =
   let c = Cache.create () in
   for i = 1 to 100 do
-    Cache.add ~size_bytes:(23 * mib / 10) c (Digest.string (string_of_int i)) i;
+    ignore
+      (Cache.add ~size_bytes:(23 * mib / 10) c
+         (Digest.string (string_of_int i))
+         i);
     if Cache.used_bytes c > Cache.default_budget_bytes then
       Alcotest.failf "over budget after %d adds: %d bytes" i
         (Cache.used_bytes c)
@@ -287,20 +293,16 @@ let over_budget_stream_stays_within () =
   Alcotest.(check (option int)) "the newest entry survives" (Some 100)
     (Cache.find c (Digest.string "100"))
 
-let generation_moves_on_mutation () =
+let charges_and_readds_keep_the_byte_count () =
   let c = Cache.create ~budget_bytes:100 () in
-  let g0 = Cache.generation c in
-  ignore (Cache.find c "a");
-  Alcotest.(check int) "a lookup is no mutation" g0 (Cache.generation c);
-  Cache.add ~size_bytes:60 c "a" ();
-  let g1 = Cache.generation c in
-  Alcotest.(check bool) "add moves it" true (g1 <> g0);
-  Cache.add ~size_bytes:60 c "a" ();
-  Alcotest.(check int) "re-adding a key is no mutation" g1 (Cache.generation c);
+  Alcotest.(check bool) "the first add goes in" true
+    (Cache.add ~size_bytes:60 c "a" ());
+  Alcotest.(check bool) "re-adding a key is refused" false
+    (Cache.add ~size_bytes:60 c "a" ());
+  Alcotest.(check int) "and charges nothing" 60 (Cache.used_bytes c);
   Cache.charge c "a" () 10;
-  let g2 = Cache.generation c in
-  Alcotest.(check bool) "charge moves it" true (g2 <> g1);
-  Cache.add ~size_bytes:60 c "b" ();
+  Alcotest.(check int) "a charge adds its bytes" 70 (Cache.used_bytes c);
+  ignore (Cache.add ~size_bytes:60 c "b" ());
   Alcotest.(check int) "the add evicted the other entry" 1 (Cache.evictions c);
   Alcotest.(check int) "used bytes follow" 60 (Cache.used_bytes c)
 
@@ -622,8 +624,8 @@ let () =
             large_entry_is_stored;
           Alcotest.test_case "an over-budget stream stays within" `Quick
             over_budget_stream_stays_within;
-          Alcotest.test_case "generation moves on mutation" `Quick
-            generation_moves_on_mutation;
+          Alcotest.test_case "byte count follows charges" `Quick
+            charges_and_readds_keep_the_byte_count;
         ] );
       ( "render replay",
         [

@@ -1,5 +1,5 @@
-(** Crash-safe persistence: durable cache snapshots, the batch journal
-    with [--resume], and warm daemon restarts.
+(** Crash-safe persistence: the durable cache snapshot (an append-only
+    log), resuming a killed batch from it, and warm daemon restarts.
 
     Three layers are exercised:
 
@@ -7,17 +7,20 @@
       leaves the temp file and the old contents intact), stale temp
       sweeping, and the snapshot save/load/corruption contract through
       {!Ms2.Api.save_shared_cache}/{!load_shared_cache};
-    - subprocess: [ms2c expand --journal/--resume/--cache-file] —
-      including the flagship kill -9 mid-batch + [--resume] test, which
-      must reassemble byte-identical output;
+    - subprocess: [ms2c expand --cache-file] — including the flagship
+      kill -9 mid-batch test, whose rerun over the same file must replay
+      the finished files and produce byte-identical output;
     - daemon: a corrupted [--cache-file] never prevents [ms2c serve]
-      from coming up healthy, and a stale pidfile is reclaimed while a
-      live one refuses a second daemon.
+      from coming up healthy, its file stays bounded while its store
+      evicts, and a stale pidfile is reclaimed while a live one refuses
+      a second daemon.
 
-    The corruption cases are golden: truncation, a bit flip, a
+    The corruption cases are golden: a truncated header, a bit flip, a
     format-version skew, and a foreign build fingerprint must each
     degrade to a cold cache with the warning counter bumped — never a
-    crash, never a stale replay.  Fork siblings get their own group:
+    crash, never a stale replay.  A record cut short at the end of the
+    file is the one damage that keeps the rest: it is what a killed
+    append leaves.  Fork siblings get their own group:
     keys name content, so a sibling's snapshot replays under the same
     definitions and misses under different ones, never replaying the
     dead sibling's output over other macro tables. *)
@@ -214,7 +217,10 @@ let corrupt_load ~label (damage : string -> string) () =
       Alcotest.(check string)
         (label ^ ": degraded output matches --no-cache") out_nocache out_cold)
 
-let truncate_half s = String.sub s 0 (String.length s / 2)
+(* cut inside the header: a record cut short at the end of the file is
+   a torn tail, which keeps the records before it ("resume from
+   --cache-file") *)
+let truncate_header s = String.sub s 0 20
 
 let flip_middle_bit s =
   let b = Bytes.of_string s in
@@ -462,212 +468,170 @@ let corpus_files dir n =
 let quoted_list paths = String.concat " " (List.map quote paths)
 
 (* ------------------------------------------------------------------ *)
-(* The journal: kill -9 mid-batch, then --resume                       *)
+(* Resume from --cache-file: kill -9 mid-batch, then rerun             *)
 (* ------------------------------------------------------------------ *)
 
-let count_journal_records path =
-  if not (Sys.file_exists path) then 0
-  else
-    read_file path |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-    |> List.length
+(* The complete entries in a snapshot log: pairs of [len | MD5 |
+   payload] records after the 28-byte header, a torn final pair not
+   counted. *)
+let log_entries path =
+  match read_file path with
+  | exception Sys_error _ -> 0
+  | raw ->
+      let len = String.length raw in
+      let rec go pos records =
+        if pos + 20 > len then records
+        else
+          let n = Int32.to_int (String.get_int32_le raw pos) in
+          if pos + 20 + n > len then records
+          else go (pos + 20 + n) (records + 1)
+      in
+      if len < 28 then 0 else go 28 0 / 2
+
+(* A file whose macro counts to [steps]: under [--fuel 0
+   --invocation-fuel 0] real work that takes a while.  A failpoint
+   cannot wedge the batch instead: it makes the cache stand aside. *)
+let slow_file dir steps =
+  let p = Filename.concat dir "slow.mc" in
+  write_file p
+    (Printf.sprintf
+       "syntax stmt spin {| ; |} {\n\
+       \  int i;\n\
+       \  i = 0;\n\
+       \  while (i < %d) i = i + 1;\n\
+       \  return `{;};\n\
+        }\n\
+        int slow(void) { spin; return 0; }\n"
+       steps);
+  p
 
 (* The flagship recovery scenario.  A 3-file batch is started with the
-   third fragment wedged behind [engine/fragment=hang=2]; once the
-   journal shows two fsynced records the process is killed with
-   SIGKILL — the one signal nothing can clean up after.  The resumed
-   run must replay those two from the journal, expand only the third,
-   and emit byte-for-byte what an uninterrupted batch produces. *)
-let kill9_resume_byte_identity () =
+   third file busy for a couple of seconds; once the snapshot shows two
+   appended entries the process is killed with SIGKILL — the one signal
+   nothing can clean up after.  Rerun over the same file, the batch
+   must replay those two, expand only the third, and emit byte for byte
+   what an uninterrupted batch produces. *)
+let kill9_rerun_byte_identity () =
   in_temp_dir (fun dir ->
-      let files = corpus_files dir 3 in
+      let files = corpus_files dir 2 @ [ slow_file dir 8_000_000 ] in
+      let flags = [ "--jobs"; "1"; "--fuel"; "0"; "--invocation-fuel"; "0" ] in
       let out_clean = Filename.concat dir "clean.c" in
-      let out_resumed = Filename.concat dir "resumed.c" in
-      let journal = Filename.concat dir "batch.journal" in
-      let journal_clean = Filename.concat dir "clean.journal" in
-      let err = Filename.concat dir "err.txt" in
+      let out_rerun = Filename.concat dir "rerun.c" in
+      let snap = Filename.concat dir "batch.snap" in
       let code =
         run_ms2c
-          (Printf.sprintf "expand %s --jobs 1 --journal %s -o %s"
-             (quoted_list files) (quote journal_clean) (quote out_clean))
-          ~out:(Filename.concat dir "ignore1") ~err
+          (Printf.sprintf "expand %s %s --no-cache -o %s" (quoted_list files)
+             (String.concat " " flags) (quote out_clean))
+          ~out:(Filename.concat dir "ignore1")
+          ~err:(Filename.concat dir "err1.txt")
       in
       Alcotest.(check int) "uninterrupted batch succeeds" 0 code;
-      (* start the doomed batch with the third fragment wedged *)
       let argv =
-        [| ms2c; "expand" |]
-        |> Array.to_list
-        |> fun l ->
-        l @ files
-        @ [ "--jobs"; "1"; "--journal"; journal; "-o"; out_resumed ]
-        |> Array.of_list
-      in
-      let env =
-        Array.append (Unix.environment ())
-          [| "MS2_FAILPOINTS=engine/fragment=hang=2" |]
+        Array.of_list
+          ((ms2c :: "expand" :: files)
+          @ flags @ [ "--cache-file"; snap; "-o"; out_rerun ])
       in
       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process_env ms2c argv env Unix.stdin devnull devnull
-      in
+      let pid = Unix.create_process ms2c argv Unix.stdin devnull devnull in
       Unix.close devnull;
-      (* wait (bounded) for the two completed records to reach the disk *)
+      (* wait (bounded) for the two finished files to reach the file *)
       let deadline = Unix.gettimeofday () +. 30. in
-      while
-        count_journal_records journal < 2
-        && Unix.gettimeofday () < deadline
-      do
+      while log_entries snap < 2 && Unix.gettimeofday () < deadline do
         Unix.sleepf 0.05
       done;
-      Alcotest.(check int)
-        "two files journaled before the crash" 2
-        (count_journal_records journal);
+      Alcotest.(check int) "two files appended before the crash" 2
+        (log_entries snap);
       Unix.kill pid Sys.sigkill;
       ignore (Unix.waitpid [] pid);
       Alcotest.(check bool)
         "the batch died before writing its output" false
-        (Sys.file_exists out_resumed);
-      (* resume: replay the two, expand the third, byte-identical *)
+        (Sys.file_exists out_rerun);
       let err2 = Filename.concat dir "err2.txt" in
       let code =
         run_ms2c
-          (Printf.sprintf "expand %s --jobs 1 --journal %s --resume -o %s"
-             (quoted_list files) (quote journal) (quote out_resumed))
+          (Printf.sprintf "expand %s %s --cache-file %s --stats -o %s"
+             (quoted_list files) (String.concat " " flags) (quote snap)
+             (quote out_rerun))
           ~out:(Filename.concat dir "ignore2") ~err:err2
       in
-      Alcotest.(check int) "resume succeeds" 0 code;
-      check_contains ~msg:"resume reports the replays"
-        ~sub:"2 of 3 files replayed" (read_file err2);
+      Alcotest.(check int) "the rerun succeeds" 0 code;
+      check_contains ~msg:"the two finished files replay"
+        ~sub:"cache hits: 2\n" (read_file err2);
+      check_contains ~msg:"the third expands" ~sub:"cache misses: 1\n"
+        (read_file err2);
       Alcotest.(check string)
-        "resumed output is byte-identical to the uninterrupted batch"
-        (read_file out_clean) (read_file out_resumed))
+        "rerun output is byte-identical to the uninterrupted batch"
+        (read_file out_clean) (read_file out_rerun))
 
-(* --resume against a journal whose lines were torn or flipped must
-   re-expand those files rather than trust them. *)
-let resume_ignores_corrupt_records () =
+(* A pair cut short at the end of the file — what a kill mid-append
+   leaves — is dropped; the entries before it still replay, and the
+   load rewrites the file before the re-expanded file is appended. *)
+let torn_tail_keeps_prefix () =
   in_temp_dir (fun dir ->
       let files = corpus_files dir 3 in
-      let out1 = Filename.concat dir "a.c" in
-      let out2 = Filename.concat dir "b.c" in
-      let journal = Filename.concat dir "batch.journal" in
-      let code =
-        run_ms2c
-          (Printf.sprintf "expand %s --jobs 1 --journal %s -o %s"
-             (quoted_list files) (quote journal) (quote out1))
-          ~out:(Filename.concat dir "i1") ~err:(Filename.concat dir "e1")
+      let snap = Filename.concat dir "batch.snap" in
+      let err = Filename.concat dir "err.txt" in
+      let expand name =
+        let out = Filename.concat dir name in
+        Alcotest.(check int) (name ^ ": exit") 0
+          (run_ms2c
+             (Printf.sprintf "expand %s --jobs 1 --stats --cache-file %s -o %s"
+                (quoted_list files) (quote snap) (quote out))
+             ~out:(Filename.concat dir "ignore") ~err);
+        read_file out
       in
-      Alcotest.(check int) "journaled batch succeeds" 0 code;
-      (* tear the final line mid-payload and flip a byte in the first *)
-      let lines =
-        read_file journal |> String.split_on_char '\n'
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      let damaged =
-        List.mapi
-          (fun i l ->
-            if i = 0 then flip_middle_bit l
-            else if i = List.length lines - 1 then
-              String.sub l 0 (String.length l / 2)
-            else l)
-          lines
-      in
-      write_file journal (String.concat "\n" damaged ^ "\n");
-      let err2 = Filename.concat dir "e2" in
-      let code =
-        run_ms2c
-          (Printf.sprintf "expand %s --jobs 1 --journal %s --resume -o %s"
-             (quoted_list files) (quote journal) (quote out2))
-          ~out:(Filename.concat dir "i2") ~err:err2
-      in
-      Alcotest.(check int) "resume over a damaged journal succeeds" 0 code;
-      check_contains ~msg:"only the intact record replays"
-        ~sub:"1 of 3 files replayed" (read_file err2);
-      Alcotest.(check string)
-        "output is byte-identical regardless" (read_file out1)
-        (read_file out2))
+      let cold = expand "cold.c" in
+      Alcotest.(check int) "three entries appended" 3 (log_entries snap);
+      let raw = read_file snap in
+      write_file snap (String.sub raw 0 (String.length raw - 10));
+      Alcotest.(check int) "the tear costs the last entry" 2 (log_entries snap);
+      let torn = expand "torn.c" in
+      let stats = read_file err in
+      check_contains ~msg:"the torn entry is dropped, the file rewritten"
+        ~sub:"loaded 2 entries (1 dropped, 0 warnings), rewritten\n" stats;
+      check_contains ~msg:"the prefix replays" ~sub:"cache hits: 2\n" stats;
+      check_contains ~msg:"the torn file expands" ~sub:"cache misses: 1\n"
+        stats;
+      Alcotest.(check string) "byte-identical" cold torn;
+      Alcotest.(check int) "the log is whole again" 3 (log_entries snap);
+      ignore (expand "warm.c");
+      check_contains ~msg:"and replays every file" ~sub:"cache hits: 3\n"
+        (read_file err))
 
-(* --resume must refuse to [Marshal] payloads stamped by a different
-   build of the binary, even when the crc is perfectly valid: restamp
-   every record with a foreign build fingerprint and a recomputed crc
-   (same canonical field order as the writer) — nothing replays, and
-   the re-expanded output is byte-identical. *)
-let resume_refuses_foreign_build_records () =
+(* Forked workers append their own entries through the log, so a warm
+   run after a cold fork batch hits every file. *)
+let fork_batch_appends_every_file () =
   in_temp_dir (fun dir ->
-      let files = corpus_files dir 2 in
-      let out1 = Filename.concat dir "a.c" in
-      let out2 = Filename.concat dir "b.c" in
-      let journal = Filename.concat dir "batch.journal" in
-      let code =
-        run_ms2c
-          (Printf.sprintf "expand %s --jobs 1 --journal %s -o %s"
-             (quoted_list files) (quote journal) (quote out1))
-          ~out:(Filename.concat dir "i1") ~err:(Filename.concat dir "e1")
+      let files = corpus_files dir 3 in
+      let snap = Filename.concat dir "fork.snap" in
+      let err = Filename.concat dir "err.txt" in
+      let expand name =
+        let out = Filename.concat dir name in
+        Alcotest.(check int) (name ^ ": exit") 0
+          (run_ms2c
+             (Printf.sprintf
+                "expand %s --jobs 2 --jobs-mode=fork --stats --cache-file %s \
+                 -o %s"
+                (quoted_list files) (quote snap) (quote out))
+             ~out:(Filename.concat dir "ignore") ~err);
+        read_file out
       in
-      Alcotest.(check int) "journaled batch succeeds" 0 code;
-      let restamp line =
-        match Json.parse line with
-        | Error _ -> Alcotest.failf "unparseable journal line: %s" line
-        | Ok j ->
-            let get name =
-              match Option.bind (Json.member j name) Json.str with
-              | Some s -> s
-              | None -> Alcotest.failf "journal line lacks %S" name
-            in
-            let fields =
-              [ ("file", Json.Str (get "file"));
-                ("input", Json.Str (get "input"));
-                ("flags", Json.Str (get "flags"));
-                ("status", Json.Str (get "status"));
-                ("output", Json.Str (get "output"));
-                ("build", Json.Str (String.make 32 '0'));
-                ("payload", Json.Str (get "payload")) ]
-            in
-            let crc =
-              Digest.to_hex (Digest.string (Json.to_string (Json.Obj fields)))
-            in
-            Json.to_string (Json.Obj (fields @ [ ("crc", Json.Str crc) ]))
-      in
-      let lines =
-        read_file journal |> String.split_on_char '\n'
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      write_file journal
-        (String.concat "\n" (List.map restamp lines) ^ "\n");
-      let err2 = Filename.concat dir "e2" in
-      let code =
-        run_ms2c
-          (Printf.sprintf "expand %s --jobs 1 --journal %s --resume -o %s"
-             (quoted_list files) (quote journal) (quote out2))
-          ~out:(Filename.concat dir "i2") ~err:err2
-      in
-      Alcotest.(check int) "resume over a foreign journal succeeds" 0 code;
-      check_contains ~msg:"no foreign-build record replays"
-        ~sub:"0 of 2 files replayed" (read_file err2);
-      Alcotest.(check string)
-        "output is byte-identical regardless" (read_file out1)
-        (read_file out2))
-
-let resume_requires_journal () =
-  in_temp_dir (fun dir ->
-      let files = corpus_files dir 1 in
-      let code =
-        run_ms2c
-          (Printf.sprintf "expand %s --resume" (quoted_list files))
-          ~out:(Filename.concat dir "i") ~err:(Filename.concat dir "e")
-      in
-      Alcotest.(check int) "--resume without --journal is fatal" 1 code;
-      check_contains ~msg:"the error names the missing flag"
-        ~sub:"--resume requires --journal"
-        (read_file (Filename.concat dir "e")))
+      let cold = expand "cold.c" in
+      let warm = expand "warm.c" in
+      check_contains ~msg:"every file hits" ~sub:"cache hits: 3\n"
+        (read_file err);
+      Alcotest.(check string) "byte-identical" cold warm)
 
 (* ------------------------------------------------------------------ *)
 (* The recovery failpoint sweep                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every persistence failpoint, armed one at a time under the full
-   [--journal] + [--cache-file] pipeline: the batch must still exit 0
-   and produce byte-identical output — persistence failures degrade,
-   they never corrupt or kill the run. *)
+(* Every persistence failpoint, armed one at a time, over two runs on
+   one --cache-file: a cold run that appends every entry, then — after
+   the file's last entry is torn — a warm run that reads the file and
+   rewrites it.  Each site must be reached (the run's warning names
+   it), each run must exit 0 with byte-identical output: persistence
+   failures degrade, they never corrupt or kill the run. *)
 let persistence_failpoint_sweep () =
   in_temp_dir (fun dir ->
       let files = corpus_files dir 2 in
@@ -682,32 +646,38 @@ let persistence_failpoint_sweep () =
           ~out:out_ref ~err:(Filename.concat dir "e0")
       in
       Alcotest.(check int) "reference run succeeds" 0 code;
-      let sites =
-        List.filter Failpoint.persist_site Failpoint.sites
-      in
-      Alcotest.(check bool)
-        "the sweep covers the persistence sites" true
-        (List.length sites >= 4);
+      let sites = List.filter Failpoint.persist_site Failpoint.sites in
+      Alcotest.(check bool) "the sweep covers the append" true
+        (List.mem "snapshot/append" sites);
       List.iteri
         (fun i site ->
-          let out = Filename.concat dir (Printf.sprintf "s%d.c" i) in
-          let journal = Filename.concat dir (Printf.sprintf "s%d.j" i) in
           let snap = Filename.concat dir (Printf.sprintf "s%d.snap" i) in
-          let code =
-            run_ms2c
-              ~env:
-                (Printf.sprintf "MS2_FAILPOINTS=%s"
-                   (quote (site ^ "=error")))
-              (Printf.sprintf
-                 "expand %s --jobs 1 --journal %s --cache-file %s"
-                 (quoted_list files) (quote journal) (quote snap))
-              ~out
-              ~err:(Filename.concat dir (Printf.sprintf "e%d" (i + 1)))
+          let run leg =
+            let out = Filename.concat dir (Printf.sprintf "s%d%s.c" i leg) in
+            let err = Filename.concat dir (Printf.sprintf "e%d%s" i leg) in
+            let code =
+              run_ms2c
+                ~env:
+                  (Printf.sprintf "MS2_FAILPOINTS=%s"
+                     (quote (site ^ "=error")))
+                (Printf.sprintf "expand %s --jobs 1 --cache-file %s"
+                   (quoted_list files) (quote snap))
+                ~out ~err
+            in
+            Alcotest.(check int) (site ^ " " ^ leg ^ ": batch exits 0") 0 code;
+            Alcotest.(check string)
+              (site ^ " " ^ leg ^ ": output is byte-identical")
+              (read_file out_ref) (read_file out);
+            read_file err
           in
-          Alcotest.(check int) (site ^ ": batch still exits 0") 0 code;
-          Alcotest.(check string)
-            (site ^ ": output is byte-identical") (read_file out_ref)
-            (read_file out))
+          let cold = run "cold" in
+          if Sys.file_exists snap then begin
+            let raw = read_file snap in
+            write_file snap (String.sub raw 0 (String.length raw - 1))
+          end;
+          let warm = run "warm" in
+          check_contains ~msg:(site ^ " is reached")
+            ~sub:("failpoint " ^ site) (cold ^ warm))
         sites)
 
 (* ------------------------------------------------------------------ *)
@@ -721,7 +691,7 @@ let file_identity path =
 (* A warm batch in which every file hits leaves the snapshot exactly as
    it was — same bytes, same inode, same mtime — and prints the same
    output as --no-cache.  Editing one input makes the next run miss
-   once, and that run rewrites the snapshot. *)
+   once, and that run appends one entry to the same file. *)
 let warm_run_leaves_snapshot_unwritten () =
   in_temp_dir (fun dir ->
       let files = corpus_files dir 3 in
@@ -744,8 +714,8 @@ let warm_run_leaves_snapshot_unwritten () =
         expand "warm.c" ~extra:("--stats --cache-file " ^ quote snap)
       in
       check_contains ~msg:"every file hits" ~sub:"cache misses: 0\n" stats;
-      check_contains ~msg:"the save is skipped"
-        ~sub:"cache snapshot: unchanged, not rewritten\n" stats;
+      check_contains ~msg:"nothing is appended"
+        ~sub:"cache snapshot: appended 0 entries\n" stats;
       Alcotest.(check bool) "snapshot untouched" true
         (file_identity snap = before);
       Alcotest.(check string) "warm output is byte-identical to --no-cache"
@@ -756,10 +726,15 @@ let warm_run_leaves_snapshot_unwritten () =
       in
       check_contains ~msg:"the edited file misses" ~sub:"cache misses: 1\n"
         stats;
-      check_contains ~msg:"and is saved" ~sub:"cache snapshot: saved 4 entries"
-        stats;
-      Alcotest.(check bool) "snapshot rewritten" true
-        (file_identity snap <> before))
+      check_contains ~msg:"and is appended"
+        ~sub:"cache snapshot: appended 1 entries\n" stats;
+      let ino, _, bytes = file_identity snap in
+      let ino0, _, bytes0 = before in
+      Alcotest.(check int) "on the same inode" ino0 ino;
+      Alcotest.(check bool) "after the bytes that were there" true
+        (String.length bytes > String.length bytes0
+        && String.sub bytes 0 (String.length bytes0) = bytes0);
+      Alcotest.(check int) "the log holds 4 entries" 4 (log_entries snap))
 
 (* A warm --cache-file run of each (flags, file) hits and prints what
    --no-cache prints. *)
@@ -999,6 +974,43 @@ let daemon_restart_is_warm () =
       Alcotest.(check string) "restart replays the same bytes" out1 out2;
       Alcotest.(check int) "restart is warm (cache hit)" 1 hits2)
 
+(* A daemon whose store evicts rewrites its file at a save point once
+   the file holds more than twice the live entries.  A unit's size
+   estimate is 8 bytes per byte of text, so a 1 MiB comment makes an
+   8 MiB entry: the 64 MiB store keeps about seven of the 24. *)
+let evicting_daemon_log_stays_bounded () =
+  in_temp_dir (fun dir ->
+      let snap = Filename.concat dir "snap.bin" in
+      with_daemon ~args:[ "--cache-file"; snap ] (fun d ->
+          let pad = "/*" ^ String.make (1 lsl 20) ' ' ^ "*/\n" in
+          for i = 1 to 24 do
+            let r =
+              rpc d
+                [ ("method", Json.Str "expand");
+                  ("session", Json.Str "big");
+                  ("text", Json.Str (Printf.sprintf "%sint x%d;\n" pad i)) ]
+            in
+            Alcotest.(check bool) "expand ok" true (is_ok r)
+          done;
+          let r = rpc d [ ("method", Json.Str "snapshot") ] in
+          Alcotest.(check bool) "snapshot ok" true (is_ok r);
+          let field name =
+            match Option.bind (Json.member r name) Json.int with
+            | Some n -> n
+            | None -> Alcotest.failf "snapshot reply lacks %S" name
+          in
+          let entries = field "entries" and records = field "records" in
+          Alcotest.(check bool)
+            (Printf.sprintf "the store evicted (%d live)" entries)
+            true (entries < 24);
+          Alcotest.(check bool)
+            (Printf.sprintf "%d records within twice %d live entries" records
+               entries)
+            true
+            (records <= 2 * entries);
+          Alcotest.(check int) "the file holds what the reply says" records
+            (log_entries snap)))
+
 let stale_pidfile_is_reclaimed () =
   in_temp_dir (fun dir ->
       let pidfile = Filename.concat dir "d.pid" in
@@ -1053,7 +1065,7 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "roundtrip replays" `Quick snapshot_roundtrip;
           Alcotest.test_case "truncation degrades cold" `Quick
-            (corrupt_load ~label:"truncated" truncate_half);
+            (corrupt_load ~label:"truncated" truncate_header);
           Alcotest.test_case "bit flip degrades cold" `Quick
             (corrupt_load ~label:"bit-flipped" flip_middle_bit);
           Alcotest.test_case "version skew degrades cold" `Quick
@@ -1071,15 +1083,13 @@ let () =
             fork_sibling_same_defs_replays;
           Alcotest.test_case "a different body misses, not replays" `Quick
             fork_sibling_variant_misses ] );
-      ( "journal",
-        [ Alcotest.test_case "kill -9 + --resume is byte-identical" `Quick
-            kill9_resume_byte_identity;
-          Alcotest.test_case "corrupt records are re-expanded" `Quick
-            resume_ignores_corrupt_records;
-          Alcotest.test_case "foreign-build records are re-expanded" `Quick
-            resume_refuses_foreign_build_records;
-          Alcotest.test_case "--resume requires --journal" `Quick
-            resume_requires_journal;
+      ( "resume",
+        [ Alcotest.test_case "kill -9 + rerun is byte-identical" `Quick
+            kill9_rerun_byte_identity;
+          Alcotest.test_case "a torn final record keeps the prefix" `Quick
+            torn_tail_keeps_prefix;
+          Alcotest.test_case "a fork batch appends every file" `Quick
+            fork_batch_appends_every_file;
           Alcotest.test_case "persistence failpoint sweep" `Quick
             persistence_failpoint_sweep ] );
       ( "warm path",
@@ -1099,6 +1109,8 @@ let () =
           Alcotest.test_case "snapshot method needs --cache-file" `Quick
             snapshot_method_needs_cache_file;
           Alcotest.test_case "restart is warm" `Quick daemon_restart_is_warm;
+          Alcotest.test_case "an evicting daemon's log is bounded" `Quick
+            evicting_daemon_log_stays_bounded;
           Alcotest.test_case "stale pidfile is reclaimed" `Quick
             stale_pidfile_is_reclaimed;
           Alcotest.test_case "live pidfile refuses a second daemon" `Quick

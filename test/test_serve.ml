@@ -376,8 +376,9 @@ let idle_sessions_swept () =
     (fun d ->
       Alcotest.(check bool) "expand ok" true
         (is_ok (expand d ~session:"idle" plain_text));
-      (* past the event loop's one-second select timeout *)
-      Unix.sleepf 1.5;
+      (* the event loop wakes for the session's expiry, well before its
+         one-second select timeout *)
+      Unix.sleepf 0.5;
       Alcotest.(check int) "sessions" 0
         (int_at (rpc d [ ("method", Json.Str "health") ]) [ "sessions" ]))
 
@@ -400,6 +401,67 @@ let eof_drains () =
             | Unix.WEXITED n -> Printf.sprintf "exit %d" n
             | Unix.WSIGNALED _ -> "killed"
             | Unix.WSTOPPED _ -> "stopped"))
+
+(* EOF on stdin while a worker still runs a job: the daemon answers
+   every request first, and only then takes its last save point and
+   writes its last Prometheus export — so both count all four. *)
+let eof_waits_for_running_jobs () =
+  let snap = Filename.temp_file "ms2c_serve_eof" ".snap" in
+  let prom = Filename.temp_file "ms2c_serve_eof" ".prom" in
+  Sys.remove snap;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ snap; prom ])
+  @@ fun () ->
+  let spin =
+    "syntax stmt spin {| ; |} {\n\
+    \  int i;\n\
+    \  i = 0;\n\
+    \  while (i < 2000000) i = i + 1;\n\
+    \  return `{;};\n\
+     }\n\
+     int k(void) { spin; return 0; }\n"
+  in
+  let texts =
+    [ "int f(void) { return 1; }\n"; "int g(void) { return 2; }\n";
+      "int h(void) { return 3; }\n"; spin ]
+  in
+  with_daemon
+    ~args:
+      [ "--workers"; "2"; "--fuel"; "0"; "--invocation-fuel"; "0";
+        "--cache-file"; snap; "--prometheus"; prom ]
+    (fun d ->
+      List.iteri
+        (fun i text ->
+          send_line d.dout
+            (Json.to_string
+               (Json.Obj
+                  [ ("id", Json.Int i);
+                    ("method", Json.Str "expand");
+                    ("session", Json.Str (Printf.sprintf "s%d" i));
+                    ("text", Json.Str text) ])))
+        texts;
+      (* EOF now, while the last request still runs *)
+      close_out d.dout;
+      let replies = List.map (fun _ -> input_line d.din) texts in
+      (match stop d with
+      | Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon did not drain to exit 0");
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) "ok" true
+            (match Json.parse line with Ok v -> is_ok v | Error _ -> false))
+        replies;
+      Alcotest.(check bool) "the last export counts every request" true
+        (contains ~sub:"\nserve_served 4\n"
+           (In_channel.with_open_bin prom In_channel.input_all)));
+  with_daemon ~args:[ "--cache-file"; snap ] (fun d ->
+      Alcotest.(check int) "a restart loads every entry" 4
+        (int_at
+           (rpc d [ ("method", Json.Str "metrics") ])
+           [ "metrics"; "counters"; "snapshot.load.entries" ]))
 
 let sigterm_drains () =
   with_daemon (fun d ->
@@ -693,6 +755,7 @@ let () =
       );
       ( "lifecycle",
         [ tc "EOF mid-request drains to exit 0" eof_drains;
+          tc "stdin EOF waits for running jobs" eof_waits_for_running_jobs;
           tc "SIGTERM drains to exit 0" sigterm_drains;
           tc "full queue sheds with retry_after_ms" overload_sheds ] );
       ("chaos", [ tc "failpoint sweep over serve/* sites" chaos_sweep ]);

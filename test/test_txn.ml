@@ -138,7 +138,7 @@ let sweep_cases =
           (sweep_one ~trigger:Failpoint.Timeout ~code:Diag.code_timeout site)
       ])
     (* serve sites live on the daemon's request path and the
-       persistence sites (io/, snapshot/, journal/ prefixes) on the
+       persistence sites (io/ and snapshot/ prefixes) on the
        crash-recovery path — not inside the engine: this in-process
        sweep never reaches them.  test_serve.ml and test_recovery.ml
        sweep them through the real subsystems instead. *)
