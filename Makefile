@@ -28,8 +28,8 @@ serve-sweep:
 
 # crash-safe persistence end to end: snapshot corruption goldens, the
 # kill -9 + rerun byte-identity test (the rerun replays the finished
-# files from the same --cache-file), the torn-tail and fork-batch
-# cases, the persistence failpoint sweep, and warm daemon restarts
+# files from the same --cache-file), the torn-tail case, the
+# persistence failpoint sweep, and warm daemon restarts
 recovery-sweep:
 	dune build bin/ms2c.exe
 	dune exec test/test_recovery.exe

@@ -156,7 +156,7 @@ let max_recent_anomalies = 32
 
 type state = {
   engines : Ms2.Api.engine array;  (** one per worker (resolved --workers) *)
-  base : Session.base;  (** the post-prelude state sessions start from *)
+  base : Ms2.Api.checkpoint;  (** the post-prelude state sessions start from *)
   sessions : (string, sess) Hashtbl.t;
   sched : Mutex.t;
       (** guards [sessions], their [jobs], [runnable] and [stopping] *)
@@ -164,7 +164,8 @@ type state = {
   runnable : sess Queue.t;  (** sessions with jobs that no worker holds *)
   mutable stopping : bool;
   store : Ms2.Api.shared_cache option;
-      (** the expansion-cache store the engines share ([--workers] > 1) *)
+      (** the expansion-cache store every engine shares; [None] under
+          [--no-cache] *)
   pending : job Queue.t;
   in_flight : int Atomic.t;
       (** admitted (queued or dispatched) but unanswered requests *)
@@ -1265,14 +1266,11 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
   (* [--fragment-jobs auto] splits the domain budget with --workers *)
   let workers, fragment_jobs = resolve_jobs ~jobs:workers ~fragment_jobs in
   let cache_file = if cache then cache_file else None in
-  (* one shared store across the worker engines, so warm fragments
-     replay whichever domain they land on; a single engine keeps its
-     private cache — unless a snapshot file is in play, which needs the
-     shared store as its save/load surface *)
+  (* one store across the worker engines, so warm fragments replay
+     whichever domain they land on; it is also the --cache-file's
+     save/load surface and what the metrics read *)
   let store =
-    if cache && (workers > 1 || cache_file <> None) then
-      Some (Ms2.Api.create_shared_cache ())
-    else None
+    if cache then Some (Ms2.Api.create_shared_cache ()) else None
   in
   (* restore the snapshot BEFORE any engine exists: the prelude
      expansions run through the store on the way up, so a warm file
@@ -1302,7 +1300,7 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
      engine onto its session's checkpoint, which starts at the base. *)
   let first = create_engine ~prelude in
   Option.iter (load_prelude_file first) prelude_file;
-  let base = Session.root first in
+  let base = Ms2.Api.checkpoint first in
   let engines =
     Array.init workers (fun i ->
         if i = 0 then first else create_engine ~prelude:false)

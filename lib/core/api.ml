@@ -377,13 +377,10 @@ let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
     {!Engine.rollback} restoring [defs_version] to the checkpoint's
     value, keeping cache keys stable across session switches. *)
 module Session = struct
-  type base = { b_cp : Engine.checkpoint; b_fp : string }
-
   type t = {
     sn_id : string;
-    sn_base : base;  (** creation-time state, for reset *)
+    sn_base : Engine.checkpoint;  (** creation-time state, for reset *)
     mutable sn_cp : Engine.checkpoint;  (** committed state *)
-    mutable sn_fp : string;  (** fingerprint of [sn_cp]'s state *)
     mutable sn_requests : int;
     mutable sn_failures : int;
     mutable sn_cache_hits : int;
@@ -413,15 +410,11 @@ module Session = struct
     s_fuel : int;
   }
 
-  let root (engine : engine) : base =
-    { b_cp = Engine.checkpoint engine; b_fp = Engine.fingerprint engine }
-
-  let create (base : base) ~id : t =
+  let create (base : Engine.checkpoint) ~id : t =
     {
       sn_id = id;
       sn_base = base;
-      sn_cp = base.b_cp;
-      sn_fp = base.b_fp;
+      sn_cp = base;
       sn_requests = 0;
       sn_failures = 0;
       sn_cache_hits = 0;
@@ -433,11 +426,8 @@ module Session = struct
 
   let id s = s.sn_id
   let isolated s = s.sn_isolated
-  let fingerprint s = s.sn_fp
-
-  let reset (s : t) : unit =
-    s.sn_cp <- s.sn_base.b_cp;
-    s.sn_fp <- s.sn_base.b_fp
+  let fingerprint s = Engine.checkpoint_fingerprint s.sn_cp
+  let reset (s : t) : unit = s.sn_cp <- s.sn_base
 
   let stats (s : t) : session_stats =
     {
@@ -498,7 +488,6 @@ module Session = struct
     | None ->
         (* commit: the session's next request starts from here *)
         s.sn_cp <- Engine.checkpoint e;
-        s.sn_fp <- Engine.fingerprint e;
         Ok (u.u_output, d)
     | Some diag ->
         s.sn_failures <- s.sn_failures + 1;
@@ -508,7 +497,7 @@ module Session = struct
            request in.  A breach there is an engine bug — contain it by
            force-restoring the session checkpoint, and record it. *)
         if Option.is_some u.u_program then Engine.rollback e s.sn_cp
-        else if Engine.fingerprint e <> s.sn_fp then begin
+        else if Engine.fingerprint e <> fingerprint s then begin
           s.sn_isolated <- false;
           Engine.rollback e s.sn_cp
         end;

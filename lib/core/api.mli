@@ -38,8 +38,7 @@ val save_shared_cache :
 (** Rewrite a snapshot file from the whole store (atomic + fsynced) and
     append the store's later entries to it; see {!Engine.save_store}. *)
 
-val load_shared_cache :
-  ?parallel:bool -> shared_cache -> string -> Engine.snapshot_load
+val load_shared_cache : shared_cache -> string -> Engine.snapshot_load
 (** Restore a snapshot and append the store's later entries to it;
     never raises — missing file is a silent cold start, a corrupt file
     degrades cold with [ld_warnings] set.  See {!Engine.load_store}. *)
@@ -184,9 +183,6 @@ val expand_checked :
 module Session : sig
   type t
 
-  type base
-  (** A checkpoint and its fingerprint, taken once by {!root}. *)
-
   (** What one request changed (engine-counter movement). *)
   type delta = {
     d_cache_hits : int;
@@ -205,11 +201,9 @@ module Session : sig
     s_fuel : int;
   }
 
-  val root : engine -> base
-  (** The engine's current state: take it after loading any prelude. *)
-
-  val create : base -> id:string -> t
-  (** A new session at [base]; costs no checkpoint or fingerprint. *)
+  val create : checkpoint -> id:string -> t
+  (** A new session at an engine's {!checkpoint}, taken after it loaded
+      any prelude; costs no checkpoint or fingerprint. *)
 
   val id : t -> string
 
@@ -230,7 +224,8 @@ module Session : sig
   (** Set the session back to its base; touches no engine. *)
 
   val fingerprint : t -> string
-  (** {!Engine.fingerprint} of the session's committed state. *)
+  (** {!Engine.checkpoint_fingerprint} of the session's committed state,
+      computed on each call. *)
 
   val isolated : t -> bool
   (** [false] iff a failed fragment was ever observed to leak state past

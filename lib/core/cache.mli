@@ -28,7 +28,7 @@ val key :
 (** {1 LRU store}
 
     Sharded by the first key byte with one mutex per shard, so a store
-    shared across [--jobs-mode=domains] workers serializes only
+    shared across domain-pool workers serializes only
     same-shard operations.  The byte budget covers the whole store, not
     a per-shard slice.  Counters and occupancy report the {e merged}
     view. *)

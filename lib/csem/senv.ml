@@ -103,13 +103,13 @@ let with_scope t f =
   push_scope t;
   Fun.protect ~finally:(fun () -> pop_scope t) f
 
-let depth t = List.length t.tables.scopes
+let depth tables = List.length tables.scopes
 
 let fresh_tag t =
   t.tables <- { t.tables with anon = t.tables.anon + 1 };
   Printf.sprintf "<anonymous-%d>" t.tables.anon
 
-let anon_count t = t.tables.anon
+let anon_count tables = tables.anon
 
 (* Replace the innermost scope by [f] of it; [true] when that scope is
    the top (global) one, whose writes the odometers count. *)

@@ -20,14 +20,14 @@ val set_tables : t -> tables -> unit
 (** Make [tables] current.  The odometers are not part of {!tables}:
     they stay monotonic. *)
 
-val depth : t -> int
+val depth : tables -> int
 (** Number of open scopes (1 = just the global scope). *)
 
 val fresh_tag : t -> string
 (** A name for an anonymous struct/union/enum tag. *)
 
-val anon_count : t -> int
-(** Anonymous tags minted so far (part of {!tables}). *)
+val anon_count : tables -> int
+(** Anonymous tags minted so far. *)
 
 val add_var : t -> string -> Ctype.t -> unit
 val add_typedef : t -> string -> Ctype.t -> unit

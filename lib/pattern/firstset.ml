@@ -111,7 +111,7 @@ let of_sort (sort : Sort.t) : tclass list =
 let memo_slots = 32
 
 (* The ring is probed once per token — the hottest shared-state site in
-   the parser — so under [--jobs-mode=domains] it is domain-local
+   the parser — so under a domain pool it is domain-local
    ([Domain.DLS]) rather than locked or atomic: each domain warms its
    own 32 slots (a few recomputations per domain) and then probes with
    zero synchronization and no cross-core cache-line traffic. *)

@@ -135,8 +135,7 @@ type log = {
   lock : Mutex.t;
   mutable fd : Unix.file_descr option;
       (* opened at the first append, so a run that stores nothing
-         creates nothing; a forked worker appends through the
-         descriptor it inherited, or opens its own *)
+         creates nothing *)
   mutable count : int;
   mutable dirty : bool;  (* appended since the last sync *)
   mutable failed : string option;
@@ -149,13 +148,12 @@ let open_log ~header ?(count = 0) (path : string) : log =
 let log_path (l : log) = l.log_path
 let log_count (l : log) = Mutex.protect l.lock (fun () -> l.count)
 
-(* Take/release a whole-file fcntl lock (fork children own distinct
-   process locks even on an inherited descriptor, so this excludes
-   them through the kernel; the seek pins the locked region to the
-   whole file and is harmless under O_APPEND, which ignores the
-   offset).  Best-effort: a filesystem that cannot lock (ENOLCK, NFS
-   quirks) degrades to the unlocked append, whose rare interleavings
-   the readers' checksums catch. *)
+(* Take/release a whole-file fcntl lock (it excludes other processes
+   appending to the same file through the kernel; the seek pins the
+   locked region to the whole file and is harmless under O_APPEND,
+   which ignores the offset).  Best-effort: a filesystem that cannot
+   lock (ENOLCK, NFS quirks) degrades to the unlocked append, whose
+   rare interleavings the readers' checksums catch. *)
 let lock_file (fd : Unix.file_descr) : bool =
   match
     ignore (Unix.lseek fd 0 Unix.SEEK_SET);
@@ -173,12 +171,11 @@ let unlock_file (fd : Unix.file_descr) : unit =
 (* One write per record, under the cross-process file lock — a record
    can be far beyond any append size the kernel promises to keep
    un-interleaved.  The mutex serializes domains, which fcntl cannot
-   tell apart (forked workers' private mutex copies are fine: the file
-   lock orders them).  An empty file gets the header first, under the
-   same lock, so concurrent first appends write it once.  After a
-   failure nothing more is appended: a failed write may have left part
-   of a record at the end of the file, and a reader drops such a torn
-   tail only while it is the tail. *)
+   tell apart; the file lock orders processes.  An empty file gets the
+   header first, under the same lock, so concurrent first appends
+   write it once.  After a failure nothing more is appended: a failed
+   write may have left part of a record at the end of the file, and a
+   reader drops such a torn tail only while it is the tail. *)
 let append (l : log) (data : string) : (unit, string) result =
   Mutex.protect l.lock @@ fun () ->
   match l.failed with

@@ -39,7 +39,7 @@ val sweep_stale : ?max_age_s:float -> string -> int
     The expansion-cache snapshot is an append-only log: a header, then
     records appended as entries are stored, and rewritten whole (with
     {!write}) only to drop what the store no longer keeps.  Appends
-    come from domains and from forked workers at once: each is one
+    come from domains and from other processes at once: each is one
     [write] on an [O_APPEND] descriptor under a mutex and a whole-file
     [lockf], so records never interleave.  A killed writer can leave
     at most one partial record, at the end of the file. *)

@@ -21,5 +21,6 @@ val digest_async : unit -> unit -> string
 (** [digest_async ()] starts computing {!digest} on a helper domain
     (unless it is already known) and returns the function that joins
     it.  Call that function on every path — it is idempotent — so the
-    helper never outlives the caller's use of it (a process cannot
-    [Unix.fork] while another domain runs). *)
+    helper never outlives the caller's use of it.  OCaml refuses
+    [Unix.fork] in a process that ever spawned a domain, so a process
+    that forks later must not call this first. *)

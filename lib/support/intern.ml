@@ -16,7 +16,7 @@
       comparison.
 
     {b Domain safety.}  The lexer probes this table once per identifier
-    token, from every domain at once under [--jobs-mode=domains], so the
+    token, from every domain of a pool at once, so the
     read path must never take a lock.  The table is an open-hashing
     bucket array published through an [Atomic.t]: a reader grabs the
     current generation with one atomic load and scans one bucket.

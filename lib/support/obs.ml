@@ -34,7 +34,7 @@
     hot-path cost:
 
     - the {e recorder} is domain-local ([Domain.DLS]): each domain owns
-      its flag and event buffer, so recording in a [--jobs-mode=domains]
+      its flag and event buffer, so recording in a domain-pool
       worker needs no synchronization at all and per-file event batches
       never interleave.  The disabled guard is one DLS load and one
       field test.

@@ -30,7 +30,7 @@
 
     {b Domain safety.}  The span recorder is {e domain-local}
     ([Domain.DLS]): each domain records into its own buffer under its
-    own flag, so [--jobs-mode=domains] workers batch per-file events
+    own flag, so domain-pool workers batch per-file events
     with no synchronization and no interleaving.  Metrics counters are
     atomics (increments from any domain), and the registry tables,
     gauges, histograms and profiler aggregates share one mutex — see

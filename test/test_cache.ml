@@ -524,7 +524,7 @@ let shared_engine_differential () =
             (List.length units, 0)
             (st.Ms2.Api.cache_hits, st.Ms2.Api.cache_misses));
       let engine = Ms2.Api.create_engine () in
-      let base = Ms2.Api.Session.root engine in
+      let base = Ms2.Api.checkpoint engine in
       let s = Ms2.Api.Session.create base ~id:"s" in
       let other = Ms2.Api.Session.create base ~id:"other" in
       check "session per request" off

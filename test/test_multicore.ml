@@ -1,9 +1,9 @@
-(** Determinism and merged-telemetry properties of the shared-memory
-    domain pool ([--jobs N --jobs-mode=domains], the default parallel
-    mode):
+(** Determinism and merged-telemetry properties of the per-file
+    workers ([--jobs N]): forked processes when the batch keeps no
+    store, the shared-memory domain pool under [--cache-file]:
 
     - corpus-wide byte-identity: output, source maps and diagnostic
-      order from a domain pool match [--jobs 1] exactly, clean or
+      order from either substrate match [--jobs 1] exactly, clean or
       failing, with or without [--keep-going];
     - first-fatal semantics: without [--keep-going] a parallel run
       reports the {e first} fatal file in input order — the
@@ -88,22 +88,28 @@ let erroring_file i =
         int r%d(int a) { return BAD%d(a); }\n"
        i i i)
 
-(* Run the same invocation at --jobs 1 and on a domain pool, asserting
-   exit code, stdout and stderr are byte-identical; returns the
-   sequential triple for additional checks. *)
+(* Run the same invocation at --jobs 1, forked without a store and on
+   the domain pool with a fresh --cache-file, asserting exit code,
+   stdout and stderr are byte-identical; returns the sequential triple
+   for additional checks. *)
 let check_identity ?(jobs = 4) ~what (flags : string) (files : string list) =
   let args = String.concat " " files in
   let c1, out1, err1 =
     run_cli (Printf.sprintf "expand --jobs 1 %s %s" flags args)
   in
-  let cn, outn, errn =
-    run_cli
-      (Printf.sprintf "expand --jobs %d --jobs-mode=domains %s %s" jobs flags
-         args)
-  in
-  Alcotest.(check int) (what ^ ": same exit code") c1 cn;
-  Alcotest.(check string) (what ^ ": byte-identical output") out1 outn;
-  Alcotest.(check string) (what ^ ": byte-identical diagnostics") err1 errn;
+  Tutil.with_fresh_path @@ fun snap ->
+  List.iter
+    (fun (substrate, store) ->
+      let what = Printf.sprintf "%s (%s)" what substrate in
+      let cn, outn, errn =
+        run_cli
+          (Printf.sprintf "expand --jobs %d %s %s %s" jobs store flags args)
+      in
+      Alcotest.(check int) (what ^ ": same exit code") c1 cn;
+      Alcotest.(check string) (what ^ ": byte-identical output") out1 outn;
+      Alcotest.(check string) (what ^ ": byte-identical diagnostics") err1
+        errn)
+    [ ("fork", ""); ("domains", "--cache-file " ^ snap) ];
   (c1, out1, err1)
 
 (* ------------------------------------------------------------------ *)
@@ -148,6 +154,7 @@ let repo_corpus_identity () =
 
 let sourcemap_identity () =
   let files = [ macro_file 1; macro_file 2; meta_file 3 ] in
+  Tutil.with_fresh_path @@ fun snap ->
   with_files files (fun files ->
       let args = String.concat " " files in
       let map1 = Filename.temp_file "ms2c_mc_map1" ".json" in
@@ -163,7 +170,7 @@ let sourcemap_identity () =
           let cn, outn, _ =
             run_cli
               (Printf.sprintf
-                 "expand --jobs 3 --jobs-mode=domains --sourcemap %s %s" mapn
+                 "expand --jobs 3 --cache-file %s --sourcemap %s %s" snap mapn
                  args)
           in
           Alcotest.(check int) "sequential exit" 0 c1;
@@ -236,14 +243,15 @@ let watchdog_timeout_in_domains () =
   (* a stalled interpreter step inside a domain worker must be cut by
      the per-engine watchdog, not hang the pool *)
   let files = [ meta_file 1; macro_file 2 ] in
+  Tutil.with_fresh_path @@ fun snap ->
   with_files files (fun files ->
       let args = String.concat " " files in
       let c, _, err =
         run_cli
           (Printf.sprintf
-             "expand --jobs 2 --jobs-mode=domains --timeout-ms 400 \
+             "expand --jobs 2 --cache-file %s --timeout-ms 400 \
               --failpoints interp/step=timeout --keep-going %s"
-             args)
+             snap args)
       in
       Alcotest.(check int) "watchdog degrades, not hangs" 3 c;
       Alcotest.(check bool) "timeout diagnostic surfaced" true
@@ -263,8 +271,7 @@ let merged_cache_counters () =
       let c, _, err =
         run_cli
           (Printf.sprintf
-             "expand --jobs 2 --jobs-mode=domains --cache-file %s --stats \
-              %s %s %s %s"
+             "expand --jobs 2 --cache-file %s --stats %s %s %s %s"
              snap f f f f)
       in
       Alcotest.(check int) "clean exit" 0 c;
@@ -294,6 +301,7 @@ let merged_cache_counters () =
 
 let jobs_meta_in_metrics () =
   let files = [ macro_file 1; macro_file 2 ] in
+  Tutil.with_fresh_path @@ fun snap ->
   with_files files (fun files ->
       let args = String.concat " " files in
       let metrics = Filename.temp_file "ms2c_mc_metrics" ".json" in
@@ -303,9 +311,9 @@ let jobs_meta_in_metrics () =
           let c, _, _ =
             run_cli
               (Printf.sprintf
-                 "expand --jobs 2 --jobs-mode=domains --metrics %s -o \
+                 "expand --jobs 2 --cache-file %s --metrics %s -o \
                   /dev/null %s"
-                 metrics args)
+                 snap metrics args)
           in
           Alcotest.(check int) "clean exit" 0 c;
           let m = read_file metrics in

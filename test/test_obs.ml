@@ -293,8 +293,10 @@ let trace_out_spans () =
           Alcotest.(check bool) "nested expansion depth recorded" true
             (contains ~sub:"\"expansion_depth\": 1" json)))
 
+(* Four files on two workers: each worker expands two, and ships each
+   file's spans once, on that file's track. *)
 let trace_merge_under_jobs () =
-  with_files [ nested_file (); nested_file () ] (fun files ->
+  with_files (List.init 4 (fun _ -> nested_file ())) (fun files ->
       with_tmp ".trace.json" (fun trace ->
           let code, _, _ =
             run_cli
@@ -304,13 +306,14 @@ let trace_merge_under_jobs () =
           in
           Alcotest.(check int) "clean exit" 0 code;
           let json = read_file trace in
-          Alcotest.(check int) "one named track per worker" 2
+          Alcotest.(check int) "one named track per file" 4
             (count_sub ~sub:"\"process_name\"" json);
-          Alcotest.(check bool) "both worker pids present" true
-            (contains ~sub:"\"pid\": 0" json
-            && contains ~sub:"\"pid\": 1" json);
-          Alcotest.(check bool) "both workers recorded spans" true
-            (count_sub ~sub:"\"name\": \"OUTER\"" json >= 2)))
+          Alcotest.(check bool) "every file's pid present" true
+            (List.for_all
+               (fun i -> contains ~sub:(Printf.sprintf "\"pid\": %d" i) json)
+               [ 0; 1; 2; 3 ]);
+          Alcotest.(check int) "each file's spans once" 4
+            (count_sub ~sub:"\"name\": \"OUTER\"" json)))
 
 let metrics_dump_schema () =
   with_files [ nested_file () ] (fun files ->

@@ -598,30 +598,6 @@ let torn_tail_keeps_prefix () =
       check_contains ~msg:"and replays every file" ~sub:"cache hits: 3\n"
         (read_file err))
 
-(* Forked workers append their own entries through the log, so a warm
-   run after a cold fork batch hits every file. *)
-let fork_batch_appends_every_file () =
-  in_temp_dir (fun dir ->
-      let files = corpus_files dir 3 in
-      let snap = Filename.concat dir "fork.snap" in
-      let err = Filename.concat dir "err.txt" in
-      let expand name =
-        let out = Filename.concat dir name in
-        Alcotest.(check int) (name ^ ": exit") 0
-          (run_ms2c
-             (Printf.sprintf
-                "expand %s --jobs 2 --jobs-mode=fork --stats --cache-file %s \
-                 -o %s"
-                (quoted_list files) (quote snap) (quote out))
-             ~out:(Filename.concat dir "ignore") ~err);
-        read_file out
-      in
-      let cold = expand "cold.c" in
-      let warm = expand "warm.c" in
-      check_contains ~msg:"every file hits" ~sub:"cache hits: 3\n"
-        (read_file err);
-      Alcotest.(check string) "byte-identical" cold warm)
-
 (* ------------------------------------------------------------------ *)
 (* The recovery failpoint sweep                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1088,8 +1064,6 @@ let () =
             kill9_rerun_byte_identity;
           Alcotest.test_case "a torn final record keeps the prefix" `Quick
             torn_tail_keeps_prefix;
-          Alcotest.test_case "a fork batch appends every file" `Quick
-            fork_batch_appends_every_file;
           Alcotest.test_case "persistence failpoint sweep" `Quick
             persistence_failpoint_sweep ] );
       ( "warm path",

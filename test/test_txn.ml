@@ -598,7 +598,7 @@ let counters_roll_back () =
   expand_ok engine swap2_defs;
   let counts () =
     ( Ms2_support.Gensym.count engine.Engine.gensym,
-      Ms2_csem.Senv.anon_count engine.Engine.senv )
+      Ms2_csem.Senv.anon_count (Ms2_csem.Senv.tables engine.Engine.senv) )
   in
   let before = counts () in
   let cp = Ms2.Api.checkpoint engine in
@@ -621,7 +621,7 @@ let counters_roll_back () =
    [i mod n].  The sessions are created before any request runs or, with
    [~lazily], at their first request.  Alice's outputs. *)
 let alice_outputs ?(lazily = false) engines order =
-  let base = Ms2.Api.Session.root engines.(0) in
+  let base = Ms2.Api.checkpoint engines.(0) in
   let sessions = Hashtbl.create 2 in
   let session who =
     match Hashtbl.find_opt sessions who with
@@ -680,7 +680,7 @@ let session_moves_between_engines =
 
 let session_found_case () =
   let engine = Ms2.Api.create_engine () in
-  let s = Ms2.Api.Session.create (Ms2.Api.Session.root engine) ~id:"s" in
+  let s = Ms2.Api.Session.create (Ms2.Api.checkpoint engine) ~id:"s" in
   let results =
     List.map (fun text -> Ms2.Api.Session.expand s engine text) found_requests
   in
@@ -701,7 +701,7 @@ let session_found_case () =
 let session_fuel_per_request () =
   let limits = { Limits.default with Limits.fuel = 50 } in
   let engine = Ms2.Api.create_engine ~limits ~cache:false () in
-  let base = Ms2.Api.Session.root engine in
+  let base = Ms2.Api.checkpoint engine in
   let runs =
     List.init 12 (fun i ->
         let s = Ms2.Api.Session.create base ~id:(string_of_int i) in
