@@ -693,10 +693,11 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(hygienic = false)
       run_pool ~jobs ~keep_going ~source_of:(fun i -> fst frags.(i)) ~render
         ~work n
     else
-      (* a work-stealing domain pool; at one job every file runs inline,
-         in input order: the shared engine's loop.  Without [keep_going]
-         a fatal result cancels only the files after it in input order,
-         so the first fatal one is where an input-order run stops. *)
+      (* the domain pool: a free domain takes the next file.  At one
+         job every file runs inline, in input order: the shared
+         engine's loop.  Without [keep_going] a fatal result cancels
+         only the files after it in input order, so the first fatal one
+         is where an input-order run stops. *)
       Pool.map
         ~jobs:(if per_file then jobs else 1)
         ~stop:(fun r -> r.w_fatal && not keep_going)

@@ -15,9 +15,10 @@
     - per-request [deadline_ms] is propagated onto the engine watchdog
       (it can narrow the fragment timeout, never extend it); a deadline
       already spent on arrival is refused with [deadline_expired];
-    - the in-flight queue is bounded; beyond it requests are shed with
-      a retryable [overloaded] carrying a [retry_after_ms] hint derived
-      from observed service time;
+    - admitted but unanswered requests, queued or running, are bounded
+      ([--max-pending]); beyond it requests are shed with a retryable
+      [overloaded] carrying a [retry_after_ms] hint derived from
+      observed service time;
     - SIGTERM/SIGINT drain: queued requests finish, new ones are
       refused with retryable [draining], then the socket and pidfile
       are removed and the process exits 0;
@@ -34,19 +35,22 @@
       exit.
 
     Parallelism ([--workers N], default 1): the daemon keeps N engines,
-    one per worker, and one table of sessions.  A session is a
-    checkpoint value, so any engine serves it: the prelude loads once,
-    on the first engine, and its state is the base every session starts
-    from.  With N > 1 each engine is owned by a worker domain, and each
-    session keeps a FIFO of its pending jobs; one mutex guards the
-    table, the FIFOs and the queue of runnable sessions.  A session is
+    each owned by a worker domain, and one table of sessions.  A
+    session is a checkpoint value, so any engine serves it: the prelude
+    loads once, on the first engine, and its state is the base every
+    session starts from.  The event loop only frames, admits and
+    answers admin methods; an admitted request goes straight to the
+    tail of its session's FIFO of jobs.  One mutex guards the table,
+    the FIFOs and the queue of runnable sessions.  A session is
     runnable while it has jobs and no worker holds it; a free worker
     takes the next runnable session, runs its oldest job, and requeues
     it if more wait.  So one session's requests stay serialized in
     arrival order, and two sessions expand in parallel whatever their
-    ids.  The expansion cache is one store shared by the engines, so a
-    fragment expanded on one domain replays on every other.  N = 1
-    keeps the single-threaded event loop with no domain.
+    ids.  N = 1 is one worker domain like any N, so [health] answers
+    while an expansion runs.  The expansion cache is one store shared
+    by the engines, so a fragment expanded on one domain replays on
+    every other.  [--max-pending] bounds the admitted but unanswered
+    requests, whatever N is.
 
     Live observability (MANUAL "Live observability"):
     - every request gets a [trace_id] minted at intake, echoed in its
@@ -91,6 +95,9 @@ type conn = {
       (** skipping to the newline that ends an oversized request *)
   mutable c_eof : bool;  (** peer closed its write side *)
   mutable c_closed : bool;  (** connection is dead (write error / bye) *)
+  c_owed : int Atomic.t;
+      (** answers submitted to a worker and not yet written: the fd
+          stays open until they are, even after EOF *)
   c_stdio : bool;
 }
 
@@ -99,7 +106,9 @@ let write_all fd (s : string) =
   let n = Bytes.length b in
   let off = ref 0 in
   while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
+    match Unix.write fd b !off (n - !off) with
+    | k -> off := !off + k
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
 (* With [--workers N] several domains answer concurrently, possibly on
@@ -108,8 +117,10 @@ let write_all fd (s : string) =
    small and writes are rare next to expansion work. *)
 let send_mutex = Mutex.create ()
 
-(* A response the peer is gone for is dropped, not fatal: surviving a
-   mid-request disconnect is part of the contract. *)
+(* A response that cannot be written (the peer is gone, the output file
+   is full) is dropped and the connection marked dead, not fatal:
+   surviving a mid-request disconnect is part of the contract, and a
+   worker domain must never die on a write. *)
 let send (c : conn) (line : string) : unit =
   Mutex.lock send_mutex;
   Fun.protect
@@ -117,8 +128,7 @@ let send (c : conn) (line : string) : unit =
     (fun () ->
       if not c.c_closed then
         try write_all c.c_out (line ^ "\n")
-        with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF | EIO), _, _) ->
-          c.c_closed <- true)
+        with Unix.Unix_error _ -> c.c_closed <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -127,18 +137,9 @@ let send (c : conn) (line : string) : unit =
 type sess = {
   ss : Session.t;
   mutable last_used : float;
-  jobs : (Ms2.Api.engine -> Session.t -> unit) Queue.t;
-      (** oldest first; a worker runs the head and drops it when done *)
-}
-
-type job = {
-  j_conn : conn;
-  j_req : Proto.request;
-  j_arrival : float;  (** when the request line was framed *)
-  j_trace : string;
-      (** the request's trace id, minted at intake; echoed in the
-          response, stamped on log lines, and set as the domain's
-          {!Obs} trace context for the whole expansion *)
+  jobs : (conn * (Ms2.Api.engine -> Session.t -> string)) Queue.t;
+      (** oldest first, each with the connection its answer goes to; a
+          worker runs the head and drops it when done *)
 }
 
 (* A recent anomaly, kept in a bounded deque for the [health] admin
@@ -166,9 +167,8 @@ type state = {
   store : Ms2.Api.shared_cache option;
       (** the expansion-cache store every engine shares; [None] under
           [--no-cache] *)
-  pending : job Queue.t;
   in_flight : int Atomic.t;
-      (** admitted (queued or dispatched) but unanswered requests *)
+      (** admitted (queued or running) but unanswered requests *)
   max_pending : int;
   max_sessions : int;
   session_idle_ms : int;
@@ -195,7 +195,7 @@ type state = {
           means the store may hold appends not yet synced *)
   mutable snap_saves : int;  (** save points that succeeded *)
   mutable last_active : float;
-      (** when the event loop last dispatched a request *)
+      (** when the event loop last admitted a request *)
   slow_ms : int;
       (** requests slower than this are anomalies (tail-based sampling:
           only they trigger a flight dump) *)
@@ -451,31 +451,23 @@ let get_session (st : state) (now : float) (id : string) : sess =
       Hashtbl.add st.sessions id s;
       s
 
-(* Run [f] as session [id]'s next job: inline at --workers 1 (the event
-   loop is the only thread); above, at the tail of the session's FIFO,
-   and a session whose FIFO was empty becomes runnable.  [f] owns its
-   whole response path — it must [send] its own answer.  The in-flight
-   count covers the span from here to [f]'s completion, so drain waits
-   for queued jobs and overload shedding sees them too. *)
-let submit (st : state) (id : string)
-    (f : Ms2.Api.engine -> Session.t -> unit) : unit =
+(* Queue [f] at the tail of session [id]'s FIFO; a session whose FIFO
+   was empty becomes runnable.  [f] returns the answer the worker
+   writes to [c].  The in-flight count covers the span from here until
+   [f] returns, so drain waits for queued jobs and overload shedding
+   sees them too. *)
+let submit (st : state) (id : string) (c : conn)
+    (f : Ms2.Api.engine -> Session.t -> string) : unit =
   ignore (Atomic.fetch_and_add st.in_flight 1);
+  Atomic.incr c.c_owed;
   Mutex.lock st.sched;
   let s = get_session st (Unix.gettimeofday ()) id in
-  if Array.length st.engines = 1 then begin
-    Mutex.unlock st.sched;
-    Fun.protect
-      ~finally:(fun () -> ignore (Atomic.fetch_and_add st.in_flight (-1)))
-      (fun () -> f st.engines.(0) s.ss)
-  end
-  else begin
-    Queue.add f s.jobs;
-    if Queue.length s.jobs = 1 then begin
-      Queue.add s st.runnable;
-      Condition.signal st.work
-    end;
-    Mutex.unlock st.sched
-  end
+  Queue.add (c, f) s.jobs;
+  if Queue.length s.jobs = 1 then begin
+    Queue.add s st.runnable;
+    Condition.signal st.work
+  end;
+  Mutex.unlock st.sched
 
 (* A worker domain takes the next runnable session, runs its oldest job
    on the worker's engine, and requeues the session if more jobs wait.
@@ -490,12 +482,18 @@ let worker_loop (st : state) (engine : Ms2.Api.engine) () : unit =
   let rec loop () =
     match Queue.take_opt st.runnable with
     | Some s ->
-        let f = Queue.peek s.jobs in
+        let c, f = Queue.peek s.jobs in
         Mutex.unlock st.sched;
         (* [f] contains its own failures ([Diag.protect] inside); this
            is a backstop so a worker domain can never die silently *)
-        (try f engine s.ss with _ -> ());
+        let answer = try Some (f engine s.ss) with _ -> None in
+        (* out of flight before the answer is written, so a client that
+           reads it and sends again is never shed on account of its own
+           answered request; a drain still waits for the write, since it
+           joins this domain *)
         ignore (Atomic.fetch_and_add st.in_flight (-1));
+        (try Option.iter (send c) answer with _ -> ());
+        Atomic.decr c.c_owed;
         Mutex.lock st.sched;
         ignore (Queue.take_opt s.jobs);
         if not (Queue.is_empty s.jobs) then Queue.add s st.runnable;
@@ -530,36 +528,14 @@ let session_json (ss : Session.t) : Json.t =
       ("cache_misses", Json.Int s.Session.s_cache_misses);
       ("hit_rate_percent", Json.Float hit_rate) ]
 
-(* The serve/* failpoints model the lifecycle of a normal
-   expansion-carrying request.  Admin methods (ping/stats/failpoints/
-   reset/shutdown/bye) are exempt so a chaos run can always disarm and
-   probe liveness. *)
-let admit (st : state) (c : conn) (req : Proto.request) (arrival : float)
-    (trace : string) : unit =
-  let loc = file_start_loc req.Proto.rq_source in
-  match
-    Diag.protect (fun () ->
-        Failpoint.hit ~loc "serve/accept";
-        Failpoint.hit ~loc "serve/decode")
-  with
-  | Result.Error d ->
-      send c
-        (Proto.error_response ~trace_id:trace ~id:req.Proto.rq_id
-           ~kind:Proto.Rejected
-           ~diagnostics:[ Diag.to_json d ]
-           ~message:"request rejected at admission" ())
-  | Ok () ->
-      ignore (Atomic.fetch_and_add st.in_flight 1);
-      Queue.add
-        { j_conn = c; j_req = req; j_arrival = arrival; j_trace = trace }
-        st.pending
-
-let run_job (st : state) (j : job) (engine : Ms2.Api.engine) (ss : Session.t)
-    : unit =
-  let req = j.j_req in
-  let c = j.j_conn in
+(* Expand (or check) [req] on [engine] as session [ss]; the answer.
+   [arrival] is when the request line was framed; [trace] is its trace
+   id, minted at intake, echoed in the answer, stamped on log lines,
+   and set as the domain's {!Obs} trace context for the whole
+   expansion. *)
+let run_job (st : state) (req : Proto.request) ~(arrival : float)
+    ~(trace : string) (engine : Ms2.Api.engine) (ss : Session.t) : string =
   let id = req.Proto.rq_id in
-  let trace = j.j_trace in
   let loc = file_start_loc req.Proto.rq_source in
   let t0 = Unix.gettimeofday () in
   (* the domain's trace context covers the whole request: every span
@@ -580,7 +556,7 @@ let run_job (st : state) (j : job) (engine : Ms2.Api.engine) (ss : Session.t)
   let remaining_ms =
     match req.Proto.rq_deadline_ms with
     | None -> None
-    | Some d -> Some (d - int_of_float ((t0 -. j.j_arrival) *. 1000.))
+    | Some d -> Some (d - int_of_float ((t0 -. arrival) *. 1000.))
   in
   match remaining_ms with
   | Some r when r <= 0 ->
@@ -590,15 +566,12 @@ let run_job (st : state) (j : job) (engine : Ms2.Api.engine) (ss : Session.t)
             ("session", Obs.Str req.Proto.rq_session);
             ("ok", Obs.Bool false);
             ("error", Obs.Str "deadline_expired") ]);
-      send c
-        (Proto.error_response ~trace_id:trace ~id
-           ~kind:Proto.Deadline_expired
-           ~message:
-             (Printf.sprintf
-                "deadline of %d ms was already spent before expansion \
-                 started"
-                (Option.value req.Proto.rq_deadline_ms ~default:0))
-           ())
+      Proto.error_response ~trace_id:trace ~id ~kind:Proto.Deadline_expired
+        ~message:
+          (Printf.sprintf
+             "deadline of %d ms was already spent before expansion started"
+             (Option.value req.Proto.rq_deadline_ms ~default:0))
+        ()
   | _ -> (
       let result =
         match
@@ -668,19 +641,38 @@ let run_job (st : state) (j : job) (engine : Ms2.Api.engine) (ss : Session.t)
                 Failpoint.hit ~loc "serve/respond";
                 Proto.ok_response ~trace_id:trace ~id fields)
           with
-          | Ok line -> send c line
+          | Ok line -> line
           | Result.Error d ->
-              send c
-                (Proto.error_response ~trace_id:trace ~id
-                   ~kind:Proto.Respond_error
-                   ~diagnostics:[ Diag.to_json d ]
-                   ~message:"response write-out failed" ()))
+              Proto.error_response ~trace_id:trace ~id
+                ~kind:Proto.Respond_error
+                ~diagnostics:[ Diag.to_json d ]
+                ~message:"response write-out failed" ())
       | Result.Error (d, _) ->
-          send c
-            (Proto.error_response ~trace_id:trace ~id
-               ~kind:Proto.Expand_error
-               ~diagnostics:[ Diag.to_json d ]
-               ~message:"expansion failed; session rolled back" ()))
+          Proto.error_response ~trace_id:trace ~id ~kind:Proto.Expand_error
+            ~diagnostics:[ Diag.to_json d ]
+            ~message:"expansion failed; session rolled back" ())
+
+(* The serve/* failpoints model the lifecycle of a normal
+   expansion-carrying request.  Admin methods (ping/stats/failpoints/
+   reset/shutdown/bye) are exempt so a chaos run can always disarm and
+   probe liveness. *)
+let admit (st : state) (c : conn) (req : Proto.request) (arrival : float)
+    (trace : string) : unit =
+  let loc = file_start_loc req.Proto.rq_source in
+  match
+    Diag.protect (fun () ->
+        Failpoint.hit ~loc "serve/accept";
+        Failpoint.hit ~loc "serve/decode")
+  with
+  | Result.Error d ->
+      send c
+        (Proto.error_response ~trace_id:trace ~id:req.Proto.rq_id
+           ~kind:Proto.Rejected
+           ~diagnostics:[ Diag.to_json d ]
+           ~message:"request rejected at admission" ())
+  | Ok () ->
+      st.last_active <- Unix.gettimeofday ();
+      submit st req.Proto.rq_session c (run_job st req ~arrival ~trace)
 
 let anomaly_json (a : anomaly) : Json.t =
   Json.Obj
@@ -710,10 +702,11 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
            [ ("draining", Json.Bool true) ]);
       st.draining <- true
   | "health" ->
-      (* liveness view: must answer from the event loop without
-         queueing behind any session, so it works mid-drain and under
-         load.  [served]/[avg_ms] and the session count are read under
-         their mutexes; the rest are atomics or event-loop-owned. *)
+      (* liveness view: answered by the event loop, which runs no
+         expansion, so it never queues behind a session and works
+         mid-drain and under load.  [served]/[avg_ms] and the session
+         count are read under their mutexes; the rest are atomics or
+         event-loop-owned. *)
       Mutex.lock st.st_mutex;
       let served = st.served and avg = st.avg_ms in
       Mutex.unlock st.st_mutex;
@@ -791,44 +784,42 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
   | "reset" ->
       (* a job in the session's FIFO, so the reset serializes with the
          session's in-flight expansions *)
-      submit st req.Proto.rq_session (fun _ ss ->
+      submit st req.Proto.rq_session c (fun _ ss ->
           Session.reset ss;
-          send c
-            (Proto.ok_response ~trace_id:trace ~id
-               [ ("session", session_json ss) ]))
+          Proto.ok_response ~trace_id:trace ~id
+            [ ("session", session_json ss) ])
   | "stats" ->
       let served = Mutex.protect st.st_mutex (fun () -> st.served) in
       let draining = st.draining and in_flight = Atomic.get st.in_flight in
-      submit st req.Proto.rq_session (fun _ ss ->
+      submit st req.Proto.rq_session c (fun _ ss ->
           (* daemon-wide totals, the same numbers [metrics] reports *)
           publish_all_metrics st;
           let es = Ms2.Api.published_stats () in
-          send c
-            (Proto.ok_response ~trace_id:trace ~id
-               [ ("pid", Json.Int (Unix.getpid ()));
-                 ("uptime_ms", Json.Int (now_ms_since st.started));
-                 ("draining", Json.Bool draining);
-                 ("served", Json.Int served);
-                 ("pending", Json.Int in_flight);
-                 ("max_pending", Json.Int st.max_pending);
-                 ("workers", Json.Int (Array.length st.engines));
-                 ("sessions", Json.Int (session_count st));
-                 ("fingerprint", Json.Str (Session.fingerprint ss));
-                 ("isolated", Json.Bool (Session.isolated ss));
-                 ("cache_file",
-                  match st.cache_file with
-                  | Some p -> Json.Str p
-                  | None -> Json.Null);
-                 ("snapshots_saved", Json.Int st.snap_saves);
-                 ("session", session_json ss);
-                 ("engine",
-                  Json.Obj
-                    [ ("cache_hits", Json.Int es.Ms2.Api.cache_hits);
-                      ("cache_misses", Json.Int es.Ms2.Api.cache_misses);
-                      ("cache_evictions", Json.Int es.Ms2.Api.cache_evictions);
-                      ("invocations_expanded",
-                       Json.Int es.Ms2.Api.invocations_expanded);
-                      ("fuel_consumed", Json.Int es.Ms2.Api.fuel_consumed) ]) ]))
+          Proto.ok_response ~trace_id:trace ~id
+            [ ("pid", Json.Int (Unix.getpid ()));
+              ("uptime_ms", Json.Int (now_ms_since st.started));
+              ("draining", Json.Bool draining);
+              ("served", Json.Int served);
+              ("pending", Json.Int in_flight);
+              ("max_pending", Json.Int st.max_pending);
+              ("workers", Json.Int (Array.length st.engines));
+              ("sessions", Json.Int (session_count st));
+              ("fingerprint", Json.Str (Session.fingerprint ss));
+              ("isolated", Json.Bool (Session.isolated ss));
+              ("cache_file",
+               match st.cache_file with
+               | Some p -> Json.Str p
+               | None -> Json.Null);
+              ("snapshots_saved", Json.Int st.snap_saves);
+              ("session", session_json ss);
+              ("engine",
+               Json.Obj
+                 [ ("cache_hits", Json.Int es.Ms2.Api.cache_hits);
+                   ("cache_misses", Json.Int es.Ms2.Api.cache_misses);
+                   ("cache_evictions", Json.Int es.Ms2.Api.cache_evictions);
+                   ("invocations_expanded",
+                    Json.Int es.Ms2.Api.invocations_expanded);
+                   ("fuel_consumed", Json.Int es.Ms2.Api.fuel_consumed) ]) ])
   | m ->
       send c
         (Proto.error_response ~trace_id:trace ~id
@@ -872,12 +863,12 @@ let intake (st : state) (c : conn) (line : string) : unit =
                      ~message:"daemon is draining; retry elsewhere or later"
                      ())
               end
-              else if Queue.length st.pending >= st.max_pending then begin
+              else if Atomic.get st.in_flight >= st.max_pending then begin
                 Obs.Metrics.incr c_shed;
                 note_anomaly st ~kind:"shed" ~trace
                   ~detail:
                     (Printf.sprintf
-                       "pending queue full (%d); %s of session %s shed"
+                       "%d requests in flight; %s of session %s shed"
                        st.max_pending req.Proto.rq_method
                        req.Proto.rq_session);
                 send c
@@ -886,7 +877,7 @@ let intake (st : state) (c : conn) (line : string) : unit =
                      ~retry_after_ms:(retry_after_ms st)
                      ~message:
                        (Printf.sprintf
-                          "pending queue is full (%d in flight)"
+                          "%d requests are in flight (--max-pending)"
                           st.max_pending)
                      ())
               end
@@ -1098,6 +1089,7 @@ let accept_conn (st : state) (listen_fd : Unix.file_descr) : unit =
           c_discarding = false;
           c_eof = false;
           c_closed = false;
+          c_owed = Atomic.make 0;
           c_stdio = false }
         :: st.conns
   | exception Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK), _, _) -> ()
@@ -1109,8 +1101,9 @@ let close_conn (c : conn) : unit =
       try Unix.close c.c_out with Unix.Unix_error _ -> ()
   end
 
-(* While jobs are in flight the loop polls: a worker finishing one may
-   free a session to expire, or end a drain. *)
+(* While jobs are in flight, or a dead connection waits for the answers
+   it is owed, the loop polls: a worker finishing one may free a session
+   to expire, a connection to close, or end a drain. *)
 let busy_poll_s = 0.05
 
 let serve_loop (st : state) : unit =
@@ -1152,14 +1145,14 @@ let serve_loop (st : state) : unit =
               if c.c_closed || c.c_eof then None else Some c.c_in)
             st.conns
       in
-      if
-        read_fds = [] && Queue.is_empty st.pending && !stdio_done
-        && Atomic.get st.in_flight = 0
-      then running := false
+      if read_fds = [] && !stdio_done && Atomic.get st.in_flight = 0 then
+        running := false
       else begin
         (* sleep until the nearest deadline, a second at most *)
         let timeout =
-          if Atomic.get st.in_flight > 0 then busy_poll_s
+          if Atomic.get st.in_flight > 0
+             || List.exists (fun c -> c.c_closed || c.c_eof) st.conns
+          then busy_poll_s
           else
             let prometheus_due =
               if st.prometheus <> None then st.last_prom +. 1.0 else infinity
@@ -1180,22 +1173,16 @@ let serve_loop (st : state) : unit =
                 if (not c.c_closed) && List.memq c.c_in ready then
                   handle_readable st c)
               st.conns);
-        (* serve everything admitted this round, in arrival order —
-           inline at --workers 1, else queued on the session for any
-           free worker (per-session order is preserved: the session's
-           jobs are FIFO and one worker holds it at a time) *)
-        while not (Queue.is_empty st.pending) do
-          let j = Queue.pop st.pending in
-          st.last_active <- Unix.gettimeofday ();
-          (* the admit-time in-flight slot transfers to the job *)
-          ignore (Atomic.fetch_and_add st.in_flight (-1));
-          submit st j.j_req.Proto.rq_session (run_job st j)
-        done;
-        (* reap connections whose peer is gone.  [feed] already ran
-           every complete line, so at EOF the buffer can only hold a
-           truncated final request, which can never complete — drop it *)
+        (* reap connections whose peer is gone, once every answer
+           they are owed is written: closing earlier would lose those
+           answers, or hand them to the next client given the same fd.
+           [feed] already ran every complete line, so at EOF the buffer
+           can only hold a truncated final request, which can never
+           complete — drop it *)
         let dead, alive =
-          List.partition (fun c -> c.c_closed || c.c_eof) st.conns
+          List.partition
+            (fun c -> (c.c_closed || c.c_eof) && Atomic.get c.c_owed = 0)
+            st.conns
         in
         List.iter close_conn dead;
         st.conns <- alive;
@@ -1207,26 +1194,23 @@ let serve_loop (st : state) : unit =
     end
   done
 
-(* Spawn one worker domain per engine above --workers 1, run the loop,
-   stop them (flag + broadcast + join) once it drains.  Then every
-   answer is out and the store is at rest: the last save point runs
-   (if a request came since the previous one) and the Prometheus file
-   is written one last time, so scrapers (and tests) see the final
-   counters, before the socket is released. *)
+(* Spawn one worker domain per engine, run the loop, stop them (flag +
+   broadcast + join) once it drains.  Then every answer is out and the
+   store is at rest: the last save point runs (if a request came since
+   the previous one) and the Prometheus file is written one last time,
+   so scrapers (and tests) see the final counters, before the socket is
+   released. *)
 let serve_with_workers (st : state) : unit =
-  if Array.length st.engines = 1 then serve_loop st
-  else begin
-    let domains =
-      Array.map (fun e -> Domain.spawn (worker_loop st e)) st.engines
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.protect st.sched (fun () ->
-            st.stopping <- true;
-            Condition.broadcast st.work);
-        Array.iter Domain.join domains)
-      (fun () -> serve_loop st)
-  end;
+  let domains =
+    Array.map (fun e -> Domain.spawn (worker_loop st e)) st.engines
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect st.sched (fun () ->
+          st.stopping <- true;
+          Condition.broadcast st.work);
+      Array.iter Domain.join domains)
+    (fun () -> serve_loop st);
   if st.served > st.snap_served then ignore (save_snapshot st);
   export_prometheus st;
   cleanup st
@@ -1259,9 +1243,8 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
     (Sys.Signal_handle (fun _ -> want_flight := true));
   (* the flight ring is always on — its cost is bounded (one ring slot
      store per span) and it is the only record of "what was happening"
-     when an anomaly fires.  This ring serves the event-loop domain
-     (and --workers 1, which expands inline here); each worker domain
-     enables its own in [worker_loop]. *)
+     when an anomaly fires.  This ring serves the event-loop domain;
+     each worker domain enables its own in [worker_loop]. *)
   Obs.Flight.enable ();
   (* [--fragment-jobs auto] splits the domain budget with --workers *)
   let workers, fragment_jobs = resolve_jobs ~jobs:workers ~fragment_jobs in
@@ -1319,7 +1302,6 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
       runnable = Queue.create ();
       stopping = false;
       store;
-      pending = Queue.create ();
       in_flight = Atomic.make 0;
       max_pending;
       max_sessions;
@@ -1337,6 +1319,7 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
                 c_discarding = false;
                 c_eof = false;
                 c_closed = false;
+                c_owed = Atomic.make 0;
                 c_stdio = true } ]);
       listen_fd;
       socket_path = socket;
@@ -1501,9 +1484,10 @@ let supervise_arg =
 
 let max_pending_arg =
   Arg.(value & opt pos_int 64 & info [ "max-pending" ] ~docv:"N"
-       ~doc:"Bound on queued-but-unserved requests; beyond it new \
-             expand/check requests are shed with a retryable \
-             $(b,overloaded) error carrying a $(b,retry_after_ms) hint.")
+       ~doc:"Bound on admitted but unanswered requests (queued or \
+             running, at any $(b,--workers)); beyond it new expand/check \
+             requests are shed with a retryable $(b,overloaded) error \
+             carrying a $(b,retry_after_ms) hint.")
 
 let max_sessions_arg =
   Arg.(value & opt pos_int 64 & info [ "max-sessions" ] ~docv:"N"
@@ -1547,9 +1531,10 @@ let workers_arg =
              session's requests stay serialized (and isolated) in \
              arrival order, while different sessions expand in \
              parallel.  The prelude loads once, and the expansion \
-             cache is shared across workers.  $(b,0) resolves to the \
-             machine's recommended domain count; the default 1 keeps \
-             the single-threaded event loop.")
+             cache is shared across workers.  The event loop runs no \
+             expansion, so admin methods such as $(b,health) answer \
+             while every worker is busy.  $(b,0) resolves to the \
+             machine's recommended domain count.")
 
 let fragment_jobs_arg =
   Arg.(value & opt nonneg_int 1 & info [ "fragment-jobs" ] ~docv:"N"

@@ -777,7 +777,7 @@ let expand_program (t : t) (prog : program) : program =
    ({!Ms2_parser.Prescan}) finds top-level fragment boundaries and
    conservatively classifies each fragment.  Definition-bearing
    fragments are sequential *barriers*; runs of pure-invocation
-   fragments between barriers expand speculatively on the work-stealing
+   fragments between barriers expand speculatively on the domain
    pool, on per-domain engines rolled back onto the run-start
    checkpoint, and their results commit *in fragment order* on the
    main engine — or are discarded and re-expanded sequentially when

@@ -39,7 +39,7 @@ let sites =
        in-process engine pipeline, so the engine-level sweep in
        test_txn.ml skips them — test_serve.ml (make serve-sweep) is
        their chaos harness *)
-    "serve/accept";  (* request admission into the pending queue *)
+    "serve/accept";  (* request admission onto its session's queue *)
     "serve/decode";  (* request validation after JSON decode *)
     "serve/expand";  (* request processing, before the engine runs *)
     "serve/respond";  (* response serialization/write *)

@@ -1,5 +1,5 @@
-(** Work-stealing scheduler over OCaml 5 domains.  See the design notes
-    in [pool.ml]. *)
+(** Shared-counter scheduler over OCaml 5 domains: a free worker takes
+    the next item.  See the design notes in [pool.ml]. *)
 
 val recommended : unit -> int
 (** The runtime's recommended domain count for this machine — what
@@ -8,9 +8,9 @@ val recommended : unit -> int
 val map : jobs:int -> ?stop:('r -> bool) -> int -> (int -> 'r) -> 'r option array
 (** [map ~jobs n f] evaluates [f i] for [i] in [0 .. n-1] on [jobs]
     domains (the calling domain participates; [jobs - 1] are spawned)
-    and returns the results indexed by item.  Workers own contiguous
-    blocks and steal from each other's far ends when their own deque
-    drains.
+    and returns the results indexed by item.  Items start in input
+    order: each free worker takes the next index from one shared
+    counter.
 
     When [stop] returns true for item [i]'s result, items {e after} [i]
     in input order are cancelled (their slots stay [None]); items before
@@ -18,5 +18,5 @@ val map : jobs:int -> ?stop:('r -> bool) -> int -> (int -> 'r) -> 'r option arra
     exactly as a sequential left-to-right run would.
 
     [f] is expected to contain its own failures in its result type; if
-    it raises anyway, the pool stops and the first exception is
-    re-raised here after all domains join. *)
+    it raises anyway, the items not yet started are cancelled and the
+    first exception is re-raised here after all domains join. *)

@@ -59,7 +59,7 @@ type error_kind =
   | Oversized  (** request line exceeded the size cap *)
   | Malformed  (** not JSON, or not a valid request envelope *)
   | Unknown_method
-  | Overloaded  (** shed: the pending queue is full; retryable *)
+  | Overloaded  (** shed: [--max-pending] requests are in flight; retryable *)
   | Draining  (** shutting down, refusing new work; retryable *)
   | Deadline_expired  (** [deadline_ms] was already spent on arrival *)
   | Rejected  (** failed admission (the accept/decode failpoints) *)

@@ -1,6 +1,6 @@
 (** Correctness properties of intra-file fragment parallelism
     ([--fragment-jobs N], speculative expansion of top-level fragment
-    runs on the work-stealing domain pool):
+    runs on the domain pool):
 
     - byte-identity: output, diagnostics, exit codes, source maps and
       [--line-directives] output match the sequential walk exactly, on

@@ -6,9 +6,9 @@
       order from either substrate match [--jobs 1] exactly, clean or
       failing, with or without [--keep-going];
     - first-fatal semantics: without [--keep-going] a parallel run
-      reports the {e first} fatal file in input order — the
-      work-stealing pool must not report whichever fatal a worker
-      happened to reach first;
+      reports the {e first} fatal file in input order — the domain
+      pool must not report whichever fatal a worker happened to reach
+      first;
     - chaos: armed failpoints (error and watchdog-timeout triggers)
       fire inside domain workers with the same diagnostics and exit
       codes as the sequential pipeline;

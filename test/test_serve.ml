@@ -1,12 +1,12 @@
 (** End-to-end tests for the [ms2c serve] daemon, driven over its real
     stdin/stdout (and, for the supervisor case, its Unix socket).
 
-    Every exchange is lockstep — send one request, read one response —
+    Most exchanges are lockstep — send one request, read one response —
     because admin methods are answered at intake while expand/check are
-    queued, so a pipelined client may observe reordering (responses are
-    correlated by [id], not position).  The overload case is the one
-    deliberate exception: it pipelines a burst precisely to fill the
-    queue.
+    queued on a worker, so a pipelined client may observe reordering
+    (the protocol orders responses only within a session).  The cases
+    that pipeline on purpose — to fill the queue, or to probe [health]
+    behind a running expansion — match responses by [id].
 
     The chaos sweep here is the daemon-side counterpart of
     test_txn.ml's engine sweep: it arms each [serve/*] failpoint
@@ -27,6 +27,20 @@ let defs_text =
 let use_text = "int f(void) { return TWICE((2)); }\n"
 let plain_text = "int g(void) { return 1 + 1; }\n"
 let bad_text = "int broken( { ;\n"
+
+(* A unit whose one invocation loops [n] meta steps: a few million are
+   enough that later requests arrive while it runs.  Needs [--fuel 0
+   --invocation-fuel 0]. *)
+let spin_text n =
+  Printf.sprintf
+    "syntax stmt spin {| ; |} {\n\
+    \  int i;\n\
+    \  i = 0;\n\
+    \  while (i < %d) i = i + 1;\n\
+    \  return `{;};\n\
+     }\n\
+     int k(void) { spin; return 0; }\n"
+    n
 
 let write_fixture name text =
   let path = Filename.temp_file ("ms2c_serve_" ^ name) ".mc" in
@@ -101,14 +115,28 @@ let send_line oc line =
 
 let next_id = ref 0
 
-let rpc_ch (ic, oc) fields =
-  incr next_id;
-  send_line oc (Json.to_string (Json.Obj (("id", Json.Int !next_id) :: fields)));
+let parse_line ic =
   match Json.parse (input_line ic) with
   | Ok v -> v
   | Error e -> Alcotest.failf "unparseable response: %s" e
 
+(* Send a request without waiting for its response; its id. *)
+let post oc fields =
+  incr next_id;
+  send_line oc
+    (Json.to_string (Json.Obj (("id", Json.Int !next_id) :: fields)));
+  !next_id
+
+let rpc_ch (ic, oc) fields =
+  ignore (post oc fields);
+  parse_line ic
+
 let rpc d fields = rpc_ch (d.din, d.dout) fields
+
+let expand_req ~session text =
+  [ ("method", Json.Str "expand");
+    ("session", Json.Str session);
+    ("text", Json.Str text) ]
 
 let is_ok v =
   match Json.member v "ok" with Some (Json.Bool b) -> b | _ -> false
@@ -129,14 +157,16 @@ let int_at v path =
   in
   Option.value ~default:(-1) (go v path)
 
-let expand d ~session text =
-  rpc d
-    [ ("method", Json.Str "expand");
-      ("session", Json.Str session);
-      ("text", Json.Str text) ]
+let expand d ~session text = rpc d (expand_req ~session text)
 
 let stats d ~session =
   rpc d [ ("method", Json.Str "stats"); ("session", Json.Str session) ]
+
+(* Read responses off [ic] into [got] (by id) until [id]'s arrives. *)
+let rec await got ic id =
+  let v = parse_line ic in
+  Hashtbl.replace got (int_at v [ "id" ]) v;
+  if int_at v [ "id" ] <> id then await got ic id
 
 let fingerprint_of v =
   Option.value ~default:"<none>"
@@ -164,11 +194,7 @@ let unknown_method () =
 let malformed_line () =
   with_daemon (fun d ->
       send_line d.dout "this is not json {";
-      let r =
-        match Json.parse (input_line d.din) with
-        | Ok v -> v
-        | Error e -> Alcotest.failf "unparseable response: %s" e
-      in
+      let r = parse_line d.din in
       Alcotest.(check bool) "not ok" false (is_ok r);
       Alcotest.(check string) "kind" "malformed" (err_kind r);
       Alcotest.(check bool) "still serving" true
@@ -177,11 +203,7 @@ let malformed_line () =
 let oversized_line () =
   with_daemon ~args:[ "--max-request-bytes"; "256" ] (fun d ->
       send_line d.dout (String.make 1024 'x');
-      let r =
-        match Json.parse (input_line d.din) with
-        | Ok v -> v
-        | Error e -> Alcotest.failf "unparseable response: %s" e
-      in
+      let r = parse_line d.din in
       Alcotest.(check bool) "not ok" false (is_ok r);
       Alcotest.(check string) "kind" "oversized" (err_kind r);
       (* the rest of the oversized line was discarded, not re-framed:
@@ -402,6 +424,41 @@ let eof_drains () =
             | Unix.WSIGNALED _ -> "killed"
             | Unix.WSTOPPED _ -> "stopped"))
 
+(* An answer that cannot be written (stdout is a full device) is
+   dropped: neither the worker that expanded it nor the event loop
+   dies, and EOF still drains to exit 0.  Skipped where there is no
+   [/dev/full]. *)
+let unwritable_stdout_drains () =
+  if Sys.file_exists "/dev/full" then begin
+    ignore (Unix.alarm 120);
+    let reqs = Filename.temp_file "ms2c_serve_full" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Sys.remove reqs with Sys_error _ -> ());
+        ignore (Unix.alarm 0))
+    @@ fun () ->
+    Out_channel.with_open_bin reqs (fun oc ->
+        List.iter
+          (fun fields ->
+            incr next_id;
+            output_string oc
+              (Json.to_string (Json.Obj (("id", Json.Int !next_id) :: fields)));
+            output_char oc '\n')
+          [ expand_req ~session:"a" plain_text; [ ("method", Json.Str "ping") ];
+            expand_req ~session:"a" use_text ]);
+    let stdin = Unix.openfile reqs [ Unix.O_RDONLY ] 0 in
+    let full = Unix.openfile "/dev/full" [ Unix.O_WRONLY ] 0 in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process ms2c [| ms2c; "serve" |] stdin full devnull
+    in
+    List.iter Unix.close [ stdin; full; devnull ];
+    match reap pid with
+    | Unix.WEXITED 0 -> ()
+    | Unix.WEXITED n -> Alcotest.failf "daemon exited %d" n
+    | _ -> Alcotest.fail "daemon was killed"
+  end
+
 (* EOF on stdin while a worker still runs a job: the daemon answers
    every request first, and only then takes its last save point and
    writes its last Prometheus export — so both count all four. *)
@@ -415,18 +472,9 @@ let eof_waits_for_running_jobs () =
         (fun f -> try Sys.remove f with Sys_error _ -> ())
         [ snap; prom ])
   @@ fun () ->
-  let spin =
-    "syntax stmt spin {| ; |} {\n\
-    \  int i;\n\
-    \  i = 0;\n\
-    \  while (i < 2000000) i = i + 1;\n\
-    \  return `{;};\n\
-     }\n\
-     int k(void) { spin; return 0; }\n"
-  in
   let texts =
     [ "int f(void) { return 1; }\n"; "int g(void) { return 2; }\n";
-      "int h(void) { return 3; }\n"; spin ]
+      "int h(void) { return 3; }\n"; spin_text 2_000_000 ]
   in
   with_daemon
     ~args:
@@ -473,29 +521,25 @@ let sigterm_drains () =
       | _ -> Alcotest.fail "SIGTERM did not drain to exit 0")
 
 let overload_sheds () =
-  with_daemon ~args:[ "--max-pending"; "1" ] (fun d ->
-      (* one flush so the whole burst lands in a single read: the
-         daemon queues the first request and sheds the rest before any
-         queued work runs *)
+  with_daemon
+    ~args:[ "--max-pending"; "1"; "--fuel"; "0"; "--invocation-fuel"; "0" ]
+    (fun d ->
+      (* one flush for the whole burst: the daemon admits the first
+         request, a spin that still runs while the rest are framed, and
+         sheds the rest *)
       let burst = 4 in
-      for _ = 1 to burst do
-        incr next_id;
-        output_string d.dout
-          (Json.to_string
-             (Json.Obj
-                [ ("id", Json.Int !next_id);
-                  ("method", Json.Str "expand");
-                  ("session", Json.Str "o");
-                  ("text", Json.Str plain_text) ]));
-        output_char d.dout '\n'
-      done;
+      List.iter
+        (fun text ->
+          incr next_id;
+          output_string d.dout
+            (Json.to_string
+               (Json.Obj
+                  (("id", Json.Int !next_id)
+                  :: expand_req ~session:"o" text)));
+          output_char d.dout '\n')
+        (spin_text 2_000_000 :: List.init (burst - 1) (fun _ -> plain_text));
       flush d.dout;
-      let responses =
-        List.init burst (fun _ ->
-            match Json.parse (input_line d.din) with
-            | Ok v -> v
-            | Error e -> Alcotest.failf "unparseable response: %s" e)
-      in
+      let responses = List.init burst (fun _ -> parse_line d.din) in
       let oks = List.filter is_ok responses in
       let shed =
         List.filter (fun r -> err_kind r = "overloaded") responses
@@ -511,6 +555,73 @@ let overload_sheds () =
          request sails through *)
       Alcotest.(check bool) "recovers" true
         (is_ok (expand d ~session:"o" plain_text)))
+
+(* [--max-pending] bounds admitted but unanswered requests, running ones
+   included, at [--workers 2] too.  The requests come in separate
+   writes, so the daemon frames them in separate reads.  Replies arrive
+   in the order requests finish: one that succeeds before the first
+   spin's reply was admitted while the spin was in flight. *)
+let max_pending_counts_running_jobs () =
+  with_daemon
+    ~args:
+      [ "--workers"; "2"; "--max-pending"; "1"; "--fuel"; "0";
+        "--invocation-fuel"; "0" ]
+    (fun d ->
+      let spin_in session =
+        post d.dout (expand_req ~session (spin_text 5_000_000))
+      in
+      let spin = spin_in "a" in
+      let spin_b = spin_in "b" in
+      let uses =
+        List.init 20 (fun _ ->
+            Unix.sleepf 0.005;
+            post d.dout (expand_req ~session:"c" plain_text))
+      in
+      let ids = spin :: spin_b :: uses in
+      let health = post d.dout [ ("method", Json.Str "health") ] in
+      let replies = List.map (fun _ -> parse_line d.din) (health :: ids) in
+      let id_of r = int_at r [ "id" ] in
+      let find id = List.find (fun r -> id_of r = id) replies in
+      Alcotest.(check bool) "at most one request in flight" true
+        (int_at (find health) [ "in_flight" ] <= 1);
+      Alcotest.(check bool) "the first spin is admitted" true
+        (is_ok (find spin));
+      let rec before_spin = function
+        | r :: rest when id_of r <> spin -> r :: before_spin rest
+        | _ -> []
+      in
+      List.iter
+        (fun r ->
+          if id_of r <> health then
+            Alcotest.(check string)
+              (Printf.sprintf "request %d, sent while the spin ran, is shed"
+                 (id_of r))
+              "overloaded" (err_kind r))
+        (before_spin replies);
+      List.iter
+        (fun id ->
+          let r = find id in
+          if not (is_ok r) then
+            Alcotest.(check string) "shed" "overloaded" (err_kind r))
+        ids)
+
+(* [health] is answered by the event loop while the one worker of
+   [--workers 1] expands: both health replies come before the spin's. *)
+let health_answers_while_expanding () =
+  with_daemon ~args:[ "--fuel"; "0"; "--invocation-fuel"; "0" ] (fun d ->
+      let spin = post d.dout (expand_req ~session:"a" (spin_text 5_000_000)) in
+      List.iter
+        (fun what ->
+          let health = post d.dout [ ("method", Json.Str "health") ] in
+          let r = parse_line d.din in
+          Alcotest.(check int) (what ^ " health reply before the spin's")
+            health (int_at r [ "id" ]);
+          Alcotest.(check int) "the spin is in flight" 1
+            (int_at r [ "in_flight" ]))
+        [ "first"; "second" ];
+      let r = parse_line d.din in
+      Alcotest.(check int) "then the spin's reply" spin (int_at r [ "id" ]);
+      Alcotest.(check bool) "spin ok" true (is_ok r))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos sweep over the serve/* failpoints                             *)
@@ -615,14 +726,6 @@ let with_socket_daemon ?(args = []) f =
       ignore (Unix.alarm 0))
     (fun () -> f pid sock)
 
-(* Read responses off [ic] into [got] (by id) until [id]'s arrives. *)
-let rec await got ic id =
-  match Json.parse (input_line ic) with
-  | Error e -> Alcotest.failf "unparseable response: %s" e
-  | Ok v ->
-      Hashtbl.replace got (int_at v [ "id" ]) v;
-      if int_at v [ "id" ] <> id then await got ic id
-
 (* One session's definition and three uses, pipelined over two
    connections with another session's requests between them, at
    [--workers 2]: every use sees the definition.  The definition is
@@ -639,24 +742,11 @@ let pipelined_session_order () =
   with_socket_daemon ~args:[ "--workers"; "2" ] (fun _ sock ->
       let c1, _ = dial sock and c2, _ = dial sock in
       let got = Hashtbl.create 16 in
-      let post ?(session = "p") (_, oc) text =
-        incr next_id;
-        send_line oc
-          (Json.to_string
-             (Json.Obj
-                [ ("id", Json.Int !next_id);
-                  ("method", Json.Str "expand");
-                  ("session", Json.Str session);
-                  ("text", Json.Str text) ]));
-        !next_id
-      in
       let barrier (ic, oc) =
-        incr next_id;
-        send_line oc
-          (Json.to_string
-             (Json.Obj
-                [ ("id", Json.Int !next_id); ("method", Json.Str "ping") ]));
-        await got ic !next_id
+        await got ic (post oc [ ("method", Json.Str "ping") ])
+      in
+      let post ?(session = "p") (_, oc) text =
+        post oc (expand_req ~session text)
       in
       let def = post c1 long_defs in
       ignore (post ~session:"q" c1 plain_text);
@@ -679,6 +769,32 @@ let pipelined_session_order () =
           Alcotest.(check bool) "use sees the definition" false
             (contains ~sub:"TWICE" (output_of (Hashtbl.find got id))))
         uses)
+
+(* A socket client that sends its requests and then half-closes still
+   gets every answer, at the default [--workers 1]: the daemon keeps the
+   connection open until the answers it owes are written.  The first
+   request is a spin, so both are still owed when the EOF is read. *)
+let half_closed_socket_gets_answers () =
+  with_socket_daemon ~args:[ "--fuel"; "0"; "--invocation-fuel"; "0" ]
+    (fun _ sock ->
+      let (ic, oc), _ = dial sock in
+      let spin = post oc (expand_req ~session:"h" (spin_text 2_000_000)) in
+      let use = post oc (expand_req ~session:"h" plain_text) in
+      Unix.shutdown (Unix.descr_of_out_channel oc) Unix.SHUTDOWN_SEND;
+      List.iter
+        (fun id ->
+          match parse_line ic with
+          | exception End_of_file ->
+              Alcotest.failf "request %d: connection closed unanswered" id
+          | r ->
+              Alcotest.(check int) "answers in session order" id
+                (int_at r [ "id" ]);
+              Alcotest.(check bool) "ok" true (is_ok r))
+        [ spin; use ];
+      Alcotest.(check bool) "then EOF" true
+        (match input_line ic with
+        | exception End_of_file -> true
+        | _ -> false))
 
 let supervisor_restarts () =
   let pidfile = Filename.temp_file "ms2serve" ".pid" in
@@ -756,8 +872,15 @@ let () =
       ( "lifecycle",
         [ tc "EOF mid-request drains to exit 0" eof_drains;
           tc "stdin EOF waits for running jobs" eof_waits_for_running_jobs;
+          tc "an unwritable stdout drains to exit 0" unwritable_stdout_drains;
           tc "SIGTERM drains to exit 0" sigterm_drains;
-          tc "full queue sheds with retry_after_ms" overload_sheds ] );
+          tc "full queue sheds with retry_after_ms" overload_sheds;
+          tc "max-pending counts running jobs at --workers 2"
+            max_pending_counts_running_jobs;
+          tc "health answers while --workers 1 expands"
+            health_answers_while_expanding;
+          tc "a half-closed socket still gets its answers"
+            half_closed_socket_gets_answers ] );
       ("chaos", [ tc "failpoint sweep over serve/* sites" chaos_sweep ]);
       ( "supervisor",
         [ tc "worker SIGKILL is restarted with prelude replay"

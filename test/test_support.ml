@@ -1,5 +1,5 @@
 (** Unit tests for the support library: locations, diagnostics, the
-    string interner. *)
+    string interner, the domain pool. *)
 
 open Ms2_support
 
@@ -256,6 +256,59 @@ let intern_concurrent () =
      so the re-check under the lock decides who inserts *)
   race_intern ~tag:"same" 10_000 Fun.id Fun.id
 
+(* ------------------------------------------------------------------ *)
+(* Domain pool                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let pool_jobs = [ 1; 2; 4 ]
+
+let pool_input_order () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun n ->
+          Alcotest.(check (array (option int)))
+            (Printf.sprintf "n=%d jobs=%d" n jobs)
+            (Array.init n (fun i -> Some (i * i)))
+            (Pool.map ~jobs n (fun i -> i * i)))
+        [ 0; 1; 7; 500 ])
+    pool_jobs
+
+(* Item 17 stops the pool.  Item 3 is slow, so at [jobs] > 1 another
+   worker reaches 17 while 3 still runs: 3 must finish anyway. *)
+let pool_stop_keeps_earlier_items () =
+  let n = 60 and at = 17 in
+  List.iter
+    (fun jobs ->
+      let r =
+        Pool.map ~jobs ~stop:(fun i -> i = at) n (fun i ->
+            if i = 3 then Unix.sleepf 0.05;
+            i)
+      in
+      for i = 0 to at do
+        Alcotest.(check (option int))
+          (Printf.sprintf "jobs=%d: item %d ran" jobs i)
+          (Some i) r.(i)
+      done;
+      if jobs = 1 then
+        for i = at + 1 to n - 1 do
+          Alcotest.(check (option int))
+            (Printf.sprintf "jobs=1: item %d cancelled" i)
+            None r.(i)
+        done)
+    pool_jobs
+
+let pool_reraises () =
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d" jobs)
+        (Failure "item 5") (fun () ->
+          ignore
+            (Pool.map ~jobs 40 (fun i ->
+                 if i = 5 then failwith "item 5" else i))))
+    pool_jobs
+
 let () =
   Alcotest.run "support"
     [ ( "support",
@@ -271,4 +324,9 @@ let () =
           Tutil.tc "protect is selective" protect_is_selective;
           Tutil.tc "gensym prefixes" gensym_prefixes;
           Tutil.tc "interning is linear" intern_is_linear;
-          Tutil.tc "interning races agree" intern_concurrent ] ) ]
+          Tutil.tc "interning races agree" intern_concurrent ] );
+      ( "pool",
+        [ Tutil.tc "results in input order" pool_input_order;
+          Tutil.tc "stop keeps every earlier item"
+            pool_stop_keeps_earlier_items;
+          Tutil.tc "a raised exception is re-raised" pool_reraises ] ) ]
