@@ -493,8 +493,57 @@ let check_depth t ~loc depth =
        expanding into itself?"
       t.limits.Limits.max_depth
 
+(* The walk returns an invocation-free subtree as it is (physically),
+   so an expanded program shares all of its immutable structure that
+   holds no invocation with the parse tree, and a node is rebuilt only
+   when a child changed.  Children are expanded in the order the walk
+   has always used (right to left within a node, left to right along a
+   list): macros with side effects (fresh names, meta globals) see the
+   same sequence. *)
+
+let rec rev_take k l acc =
+  match l with
+  | x :: rest when k > 0 -> rev_take (k - 1) rest (x :: acc)
+  | _ -> acc
+
+(* [List.map f l] (left to right), or [l] itself when [f] returns every
+   element unchanged *)
+let map_shared f l =
+  let rec scan k = function
+    | [] -> l
+    | x :: rest ->
+        let y = f x in
+        if y == x then scan (k + 1) rest
+        else List.rev_append (rev_take k l []) (y :: List.map f rest)
+  in
+  scan 0 l
+
+(* [List.concat_map f l] (left to right), or [l] itself when [f] maps
+   every element to the list of just that element *)
+let concat_map_shared f l =
+  let rec scan k = function
+    | [] -> l
+    | x :: rest -> (
+        match f x with
+        | [ y ] when y == x -> scan (k + 1) rest
+        | ys -> List.rev_append (rev_take k l []) (ys @ List.concat_map f rest))
+  in
+  scan 0 l
+
+(* Close the scope a failed expansion opened, and re-raise. *)
+let pop_scope_reraise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  Senv.pop_scope t.senv;
+  Printexc.raise_with_backtrace e bt
+
+let option_shared f o =
+  match o with
+  | None -> o
+  | Some x ->
+      let y = f x in
+      if y == x then o else Some y
+
 let rec expand_expr t ~depth (expr : expr) : expr =
-  let re e = { expr with e } in
   match expr.e with
   | E_macro inv -> (
       (* on failure in recovery mode: record, substitute a well-typed
@@ -511,32 +560,59 @@ let rec expand_expr t ~depth (expr : expr) : expr =
         e_int ~loc:expr.eloc 0)
   | E_ident _ | E_const _ -> expr
   | E_call (f, args) ->
-      re
-        (E_call
-           (expand_expr t ~depth f, List.map (expand_expr t ~depth) args))
+      let args' = map_shared (expand_expr t ~depth) args in
+      let f' = expand_expr t ~depth f in
+      if f' == f && args' == args then expr
+      else { expr with e = E_call (f', args') }
   | E_index (a, i) ->
-      re (E_index (expand_expr t ~depth a, expand_expr t ~depth i))
-  | E_member (e, f) -> re (E_member (expand_expr t ~depth e, f))
-  | E_arrow (e, f) -> re (E_arrow (expand_expr t ~depth e, f))
-  | E_postincr e -> re (E_postincr (expand_expr t ~depth e))
-  | E_postdecr e -> re (E_postdecr (expand_expr t ~depth e))
-  | E_unary (op, e) -> re (E_unary (op, expand_expr t ~depth e))
-  | E_cast (ct, e) ->
-      re (E_cast (expand_ctype t ~depth ct, expand_expr t ~depth e))
-  | E_sizeof_expr e -> re (E_sizeof_expr (expand_expr t ~depth e))
-  | E_sizeof_type ct -> re (E_sizeof_type (expand_ctype t ~depth ct))
+      let i' = expand_expr t ~depth i in
+      let a' = expand_expr t ~depth a in
+      if a' == a && i' == i then expr else { expr with e = E_index (a', i') }
+  | E_member (x, f) ->
+      let x' = expand_expr t ~depth x in
+      if x' == x then expr else { expr with e = E_member (x', f) }
+  | E_arrow (x, f) ->
+      let x' = expand_expr t ~depth x in
+      if x' == x then expr else { expr with e = E_arrow (x', f) }
+  | E_postincr x ->
+      let x' = expand_expr t ~depth x in
+      if x' == x then expr else { expr with e = E_postincr x' }
+  | E_postdecr x ->
+      let x' = expand_expr t ~depth x in
+      if x' == x then expr else { expr with e = E_postdecr x' }
+  | E_unary (op, x) ->
+      let x' = expand_expr t ~depth x in
+      if x' == x then expr else { expr with e = E_unary (op, x') }
+  | E_cast (ct, x) ->
+      let x' = expand_expr t ~depth x in
+      let ct' = expand_ctype t ~depth ct in
+      if ct' == ct && x' == x then expr else { expr with e = E_cast (ct', x') }
+  | E_sizeof_expr x ->
+      let x' = expand_expr t ~depth x in
+      if x' == x then expr else { expr with e = E_sizeof_expr x' }
+  | E_sizeof_type ct ->
+      let ct' = expand_ctype t ~depth ct in
+      if ct' == ct then expr else { expr with e = E_sizeof_type ct' }
   | E_binary (op, a, b) ->
-      re (E_binary (op, expand_expr t ~depth a, expand_expr t ~depth b))
+      let b' = expand_expr t ~depth b in
+      let a' = expand_expr t ~depth a in
+      if a' == a && b' == b then expr
+      else { expr with e = E_binary (op, a', b') }
   | E_cond (c, a, b) ->
-      re
-        (E_cond
-           ( expand_expr t ~depth c,
-             expand_expr t ~depth a,
-             expand_expr t ~depth b ))
+      let b' = expand_expr t ~depth b in
+      let a' = expand_expr t ~depth a in
+      let c' = expand_expr t ~depth c in
+      if c' == c && a' == a && b' == b then expr
+      else { expr with e = E_cond (c', a', b') }
   | E_assign (op, l, r) ->
-      re (E_assign (op, expand_expr t ~depth l, expand_expr t ~depth r))
+      let r' = expand_expr t ~depth r in
+      let l' = expand_expr t ~depth l in
+      if l' == l && r' == r then expr
+      else { expr with e = E_assign (op, l', r') }
   | E_comma (a, b) ->
-      re (E_comma (expand_expr t ~depth a, expand_expr t ~depth b))
+      let b' = expand_expr t ~depth b in
+      let a' = expand_expr t ~depth a in
+      if a' == a && b' == b then expr else { expr with e = E_comma (a', b') }
   | E_backquote _ | E_lambda _ | E_splice _ ->
       error ~loc:expr.eloc
         "meta construct left in object code (%s)"
@@ -545,60 +621,75 @@ let rec expand_expr t ~depth (expr : expr) : expr =
 (* specifiers and declarators can embed expressions (enum constant
    values, array sizes): macro invocations there are expanded too *)
 and expand_specs t ~depth (specs : spec list) : spec list =
-  List.map
+  map_shared
     (fun spec ->
       match spec with
       | S_enum es ->
-          let enum_items =
-            Option.map
-              (List.map (function
-                | Enum_item (id, value) ->
-                    Enum_item (id, Option.map (expand_expr t ~depth) value)
-                | Enum_splice _ as e -> e))
+          let items =
+            option_shared
+              (map_shared (function
+                | Enum_item (id, value) as item ->
+                    let value' = option_shared (expand_expr t ~depth) value in
+                    if value' == value then item else Enum_item (id, value')
+                | Enum_splice _ as item -> item))
               es.enum_items
           in
-          S_enum { es with enum_items }
-      | S_struct (tag, fields) -> S_struct (tag, expand_fields t ~depth fields)
-      | S_union (tag, fields) -> S_union (tag, expand_fields t ~depth fields)
+          if items == es.enum_items then spec
+          else S_enum { es with enum_items = items }
+      | S_struct (tag, fields) ->
+          let fields' = expand_fields t ~depth fields in
+          if fields' == fields then spec else S_struct (tag, fields')
+      | S_union (tag, fields) ->
+          let fields' = expand_fields t ~depth fields in
+          if fields' == fields then spec else S_union (tag, fields')
       | spec -> spec)
     specs
 
-and expand_fields t ~depth = function
-  | None -> None
-  | Some fields ->
-      Some
-        (List.map
-           (fun f ->
-             { f_specs = expand_specs t ~depth f.f_specs;
-               f_declarators =
-                 List.map (expand_declarator t ~depth) f.f_declarators })
-           fields)
+and expand_fields t ~depth fields =
+  option_shared
+    (map_shared (fun f ->
+         let declarators =
+           map_shared (expand_declarator t ~depth) f.f_declarators
+         in
+         let specs = expand_specs t ~depth f.f_specs in
+         if specs == f.f_specs && declarators == f.f_declarators then f
+         else { f_specs = specs; f_declarators = declarators }))
+    fields
 
 and expand_declarator t ~depth (d : declarator) : declarator =
   match d with
   | D_ident _ | D_abstract | D_splice _ -> d
-  | D_pointer inner -> D_pointer (expand_declarator t ~depth inner)
+  | D_pointer inner ->
+      let inner' = expand_declarator t ~depth inner in
+      if inner' == inner then d else D_pointer inner'
   | D_array (inner, size) ->
-      D_array
-        (expand_declarator t ~depth inner,
-         Option.map (expand_expr t ~depth) size)
+      let size' = option_shared (expand_expr t ~depth) size in
+      let inner' = expand_declarator t ~depth inner in
+      if inner' == inner && size' == size then d else D_array (inner', size')
   | D_func (inner, params) ->
-      D_func
-        ( expand_declarator t ~depth inner,
-          List.map
-            (function
-              | P_decl (specs, pd) ->
-                  P_decl
-                    (expand_specs t ~depth specs, expand_declarator t ~depth pd)
-              | (P_name _ | P_ellipsis | P_splice _) as p -> p)
-            params )
+      let params' =
+        map_shared
+          (function
+            | P_decl (specs, pd) as p ->
+                let pd' = expand_declarator t ~depth pd in
+                let specs' = expand_specs t ~depth specs in
+                if specs' == specs && pd' == pd then p else P_decl (specs', pd')
+            | (P_name _ | P_ellipsis | P_splice _) as p -> p)
+          params
+      in
+      let inner' = expand_declarator t ~depth inner in
+      if inner' == inner && params' == params then d
+      else D_func (inner', params')
 
 and expand_ctype t ~depth (ct : ctype) : ctype =
-  { ct_specs = expand_specs t ~depth ct.ct_specs;
-    ct_decl = expand_declarator t ~depth ct.ct_decl }
+  let decl = expand_declarator t ~depth ct.ct_decl in
+  let specs = expand_specs t ~depth ct.ct_specs in
+  if specs == ct.ct_specs && decl == ct.ct_decl then ct
+  else { ct_specs = specs; ct_decl = decl }
 
+(** Expansion in a list position: a statement macro's statements, or the
+    one statement. *)
 and expand_stmts t ~depth (stmt : stmt) : stmt list =
-  let rs s = [ { stmt with s } ] in
   match stmt.s with
   | St_macro inv -> (
       try
@@ -609,53 +700,79 @@ and expand_stmts t ~depth (stmt : stmt) : stmt list =
       with Diag.Error d when recoverable t d ->
         record t d;
         [ mk_stmt ~loc:stmt.sloc St_null ])
-  | St_expr e -> rs (St_expr (expand_expr t ~depth e))
-  | St_compound items ->
-      (* a block opens an object-level scope for the semantic env *)
-      Senv.push_scope t.senv;
-      Fun.protect
-        ~finally:(fun () -> Senv.pop_scope t.senv)
-        (fun () -> rs (St_compound (expand_block_items t ~depth items)))
-  | St_if (c, th, el) ->
-      rs
-        (St_if
-           ( expand_expr t ~depth c,
-             expand_stmt1 t ~depth th,
-             Option.map (expand_stmt1 t ~depth) el ))
-  | St_while (c, body) ->
-      rs (St_while (expand_expr t ~depth c, expand_stmt1 t ~depth body))
-  | St_do (body, c) ->
-      rs (St_do (expand_stmt1 t ~depth body, expand_expr t ~depth c))
-  | St_for (i, c, s, body) ->
-      rs
-        (St_for
-           ( Option.map (expand_expr t ~depth) i,
-             Option.map (expand_expr t ~depth) c,
-             Option.map (expand_expr t ~depth) s,
-             expand_stmt1 t ~depth body ))
-  | St_switch (e, body) ->
-      rs (St_switch (expand_expr t ~depth e, expand_stmt1 t ~depth body))
-  | St_case (e, s) ->
-      rs (St_case (expand_expr t ~depth e, expand_stmt1 t ~depth s))
-  | St_default s -> rs (St_default (expand_stmt1 t ~depth s))
-  | St_return e -> rs (St_return (Option.map (expand_expr t ~depth) e))
-  | St_break | St_continue | St_goto _ | St_null -> [ stmt ]
-  | St_label (id, s) -> rs (St_label (id, expand_stmt1 t ~depth s))
-  | St_splice _ ->
-      error ~loc:stmt.sloc "placeholder left in object code"
+  | _ -> [ expand_stmt1 t ~depth stmt ]
 
 (** Expansion in a position holding exactly one statement: a
     list-returning macro is wrapped in a block. *)
 and expand_stmt1 t ~depth (stmt : stmt) : stmt =
-  match expand_stmts t ~depth stmt with
-  | [ s ] -> s
-  | [] -> mk_stmt ~loc:stmt.sloc St_null
-  | many ->
-      mk_stmt ~loc:stmt.sloc
-        (St_compound (List.map (fun s -> Bi_stmt s) many))
+  match stmt.s with
+  | St_macro _ -> (
+      match expand_stmts t ~depth stmt with
+      | [ s ] -> s
+      | [] -> mk_stmt ~loc:stmt.sloc St_null
+      | many ->
+          mk_stmt ~loc:stmt.sloc
+            (St_compound (List.map (fun s -> Bi_stmt s) many)))
+  | St_expr e ->
+      let e' = expand_expr t ~depth e in
+      if e' == e then stmt else { stmt with s = St_expr e' }
+  | St_compound items ->
+      (* a block opens an object-level scope for the semantic env *)
+      Senv.push_scope t.senv;
+      let items' =
+        match expand_block_items t ~depth items with
+        | items' -> items'
+        | exception e -> pop_scope_reraise t e
+      in
+      Senv.pop_scope t.senv;
+      if items' == items then stmt else { stmt with s = St_compound items' }
+  | St_if (c, th, el) ->
+      let el' = option_shared (expand_stmt1 t ~depth) el in
+      let th' = expand_stmt1 t ~depth th in
+      let c' = expand_expr t ~depth c in
+      if c' == c && th' == th && el' == el then stmt
+      else { stmt with s = St_if (c', th', el') }
+  | St_while (c, body) ->
+      let body' = expand_stmt1 t ~depth body in
+      let c' = expand_expr t ~depth c in
+      if c' == c && body' == body then stmt
+      else { stmt with s = St_while (c', body') }
+  | St_do (body, c) ->
+      let c' = expand_expr t ~depth c in
+      let body' = expand_stmt1 t ~depth body in
+      if c' == c && body' == body then stmt
+      else { stmt with s = St_do (body', c') }
+  | St_for (i, c, s, body) ->
+      let body' = expand_stmt1 t ~depth body in
+      let s' = option_shared (expand_expr t ~depth) s in
+      let c' = option_shared (expand_expr t ~depth) c in
+      let i' = option_shared (expand_expr t ~depth) i in
+      if i' == i && c' == c && s' == s && body' == body then stmt
+      else { stmt with s = St_for (i', c', s', body') }
+  | St_switch (e, body) ->
+      let body' = expand_stmt1 t ~depth body in
+      let e' = expand_expr t ~depth e in
+      if e' == e && body' == body then stmt
+      else { stmt with s = St_switch (e', body') }
+  | St_case (e, s) ->
+      let s' = expand_stmt1 t ~depth s in
+      let e' = expand_expr t ~depth e in
+      if e' == e && s' == s then stmt else { stmt with s = St_case (e', s') }
+  | St_default s ->
+      let s' = expand_stmt1 t ~depth s in
+      if s' == s then stmt else { stmt with s = St_default s' }
+  | St_return e ->
+      let e' = option_shared (expand_expr t ~depth) e in
+      if e' == e then stmt else { stmt with s = St_return e' }
+  | St_break | St_continue | St_goto _ | St_null -> stmt
+  | St_label (id, s) ->
+      let s' = expand_stmt1 t ~depth s in
+      if s' == s then stmt else { stmt with s = St_label (id, s') }
+  | St_splice _ ->
+      error ~loc:stmt.sloc "placeholder left in object code"
 
 and expand_block_items t ~depth (items : block_item list) : block_item list =
-  List.concat_map
+  concat_map_shared
     (function
       | Bi_decl ({ d = Decl_metadcl _; _ } as d) ->
           (* block-scope meta declaration: run it, emit nothing *)
@@ -663,13 +780,17 @@ and expand_block_items t ~depth (items : block_item list) : block_item list =
           (try with_invocation_budget t (fun () -> Interp.exec_decl t.env d)
            with Diag.Error diag when recoverable t diag -> record t diag);
           []
-      | Bi_decl d ->
-          List.map (fun d -> Bi_decl d) (expand_decls t ~depth d)
-      | Bi_stmt s -> List.map (fun s -> Bi_stmt s) (expand_stmts t ~depth s))
+      | Bi_decl d as item -> (
+          match expand_decls t ~depth d with
+          | [ d' ] when d' == d -> [ item ]
+          | ds -> List.map (fun d -> Bi_decl d) ds)
+      | Bi_stmt s as item -> (
+          match expand_stmts t ~depth s with
+          | [ s' ] when s' == s -> [ item ]
+          | ss -> List.map (fun s -> Bi_stmt s) ss))
     items
 
 and expand_decls t ~depth (decl : decl) : decl list =
-  let rd d = [ { decl with d } ] in
   match decl.d with
   | Decl_macro inv -> (
       try
@@ -681,33 +802,45 @@ and expand_decls t ~depth (decl : decl) : decl list =
         record t d;
         [])
   | Decl_plain (specs, idecls) ->
-      let specs = expand_specs t ~depth specs in
+      let specs' = expand_specs t ~depth specs in
+      let decl' =
+        if specs' == specs then decl
+        else { decl with d = Decl_plain (specs', idecls) }
+      in
       (* declared names enter the semantic env before their initializers
          are expanded (a name is in scope in its own initializer) *)
-      Of_ast.bind_decl t.senv { decl with d = Decl_plain (specs, idecls) };
-      let idecls =
-        List.map
+      Of_ast.bind_decl t.senv decl';
+      let idecls' =
+        map_shared
           (function
-            | Init_decl (d, init) ->
-                Init_decl
-                  ( expand_declarator t ~depth d,
-                    Option.map (expand_init t ~depth) init )
+            | Init_decl (d, init) as idecl ->
+                let init' = option_shared (expand_init t ~depth) init in
+                let d' = expand_declarator t ~depth d in
+                if d' == d && init' == init then idecl
+                else Init_decl (d', init')
             | Init_splice _ ->
                 error ~loc:decl.dloc "placeholder left in object code")
           idecls
       in
-      rd (Decl_plain (specs, idecls))
+      if idecls' == idecls then [ decl' ]
+      else [ { decl with d = Decl_plain (specs', idecls') } ]
   | Decl_fun (specs, d, kr, body) ->
       Of_ast.bind_decl t.senv decl;
-      let specs = expand_specs t ~depth specs in
-      let d = expand_declarator t ~depth d in
+      let specs' = expand_specs t ~depth specs in
+      let d' = expand_declarator t ~depth d in
       Senv.push_scope t.senv;
-      Fun.protect
-        ~finally:(fun () -> Senv.pop_scope t.senv)
-        (fun () ->
-          let kr = List.concat_map (expand_decls t ~depth) kr in
-          Of_ast.bind_params t.senv d kr;
-          rd (Decl_fun (specs, d, kr, expand_stmt1 t ~depth body)))
+      let kr', body' =
+        match
+          let kr' = concat_map_shared (expand_decls t ~depth) kr in
+          Of_ast.bind_params t.senv d' kr';
+          (kr', expand_stmt1 t ~depth body)
+        with
+        | r -> r
+        | exception e -> pop_scope_reraise t e
+      in
+      Senv.pop_scope t.senv;
+      if specs' == specs && d' == d && kr' == kr && body' == body then [ decl ]
+      else [ { decl with d = Decl_fun (specs', d', kr', body') } ]
   | Decl_macro_def md ->
       (* a macro-generating macro produced a new macro definition: its
          body was parsed and checked when the template was parsed;
@@ -722,9 +855,14 @@ and expand_decls t ~depth (decl : decl) : decl list =
         "meta declaration in a position where object code was expected"
   | Decl_splice _ -> error ~loc:decl.dloc "placeholder left in object code"
 
-and expand_init t ~depth = function
-  | I_expr e -> I_expr (expand_expr t ~depth e)
-  | I_list items -> I_list (List.map (expand_init t ~depth) items)
+and expand_init t ~depth init =
+  match init with
+  | I_expr e ->
+      let e' = expand_expr t ~depth e in
+      if e' == e then init else I_expr e'
+  | I_list items ->
+      let items' = map_shared (expand_init t ~depth) items in
+      if items' == items then init else I_list items'
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -767,7 +905,7 @@ let process_top (t : t) (decl : decl) : decl list =
 
 (** Expand a whole program to pure C. *)
 let expand_program (t : t) (prog : program) : program =
-  List.concat_map (process_top t) prog
+  concat_map_shared (process_top t) prog
 
 (* ------------------------------------------------------------------ *)
 (* Intra-file fragment parallelism                                     *)
@@ -778,8 +916,9 @@ let expand_program (t : t) (prog : program) : program =
    conservatively classifies each fragment.  Definition-bearing
    fragments are sequential *barriers*; runs of pure-invocation
    fragments between barriers expand speculatively on the domain
-   pool, on per-domain engines rolled back onto the run-start
-   checkpoint, and their results commit *in fragment order* on the
+   pool, a block of consecutive fragments per pool item, on
+   per-domain engines rolled back onto the run-start checkpoint, and
+   their results commit *in fragment order* on the
    main engine — or are discarded and re-expanded sequentially when
    commit-time validation finds the speculation observed state a
    predecessor has since changed.  The
@@ -814,55 +953,71 @@ type frag_plan = { fp_barrier : bool; fp_decls : decl list }
 
 (* Assign parsed top-level declarations to pre-scanned fragments by
    byte offset (a declaration belongs to the fragment containing its
-   start).  Token-level boundary errors only group declarations
-   unevenly; classification is re-derived from the AST on top of the
-   token-level verdict.  Fragments that end up empty are dropped. *)
+   start), in one merge pass over both lists.  Token-level boundary
+   errors only group declarations unevenly; classification is
+   re-derived from the AST on top of the token-level verdict.
+   Fragments that end up empty are dropped. *)
 let plan_fragments (frags : Prescan.fragment list) (prog : program) :
     frag_plan array =
-  let frags = Array.of_list frags in
-  let n = Array.length frags in
-  if n = 0 then
-    [| { fp_barrier = true; fp_decls = prog } |]
-  else begin
-    let buckets = Array.make n [] in
-    let barrier = Array.map (fun f -> f.Prescan.fg_barrier) frags in
-    let fi = ref 0 in
-    List.iter
-      (fun (d : decl) ->
-        let off = d.dloc.Loc.start_pos.Loc.offset in
-        while
-          !fi + 1 < n && frags.(!fi + 1).Prescan.fg_offset <= off
-        do
-          incr fi
-        done;
-        buckets.(!fi) <- d :: buckets.(!fi);
-        if decl_is_barrier d then barrier.(!fi) <- true)
-      prog;
-    let plan = ref [] in
-    for k = n - 1 downto 0 do
-      match buckets.(k) with
-      | [] -> ()
-      | ds -> plan := { fp_barrier = barrier.(k); fp_decls = List.rev ds }
-                      :: !plan
-    done;
-    Array.of_list !plan
-  end
+  let offset (d : decl) = d.dloc.Loc.start_pos.Loc.offset in
+  (* [decls]: the current fragment's declarations, newest first; [next]:
+     the fragments after it *)
+  let rec go plan next barrier decls prog =
+    match prog with
+    | d :: rest
+      when match next with
+           | f :: _ -> f.Prescan.fg_offset > offset d
+           | [] -> true ->
+        go plan next (barrier || decl_is_barrier d) (d :: decls) rest
+    | _ ->
+        let plan =
+          if decls = [] then plan
+          else { fp_barrier = barrier; fp_decls = List.rev decls } :: plan
+        in
+        (match next with
+        | [] -> plan
+        | f :: next -> go plan next f.Prescan.fg_barrier [] prog)
+  in
+  match frags with
+  | [] -> [| { fp_barrier = true; fp_decls = prog } |]
+  | f :: next ->
+      Array.of_list (List.rev (go [] next f.Prescan.fg_barrier [] prog))
 
-(* What a speculative worker hands back for one fragment.  All state
-   changes are *deltas against the run-start snapshot*, applied on the
-   main engine at commit; committing deltas in fragment order is
-   last-writer-wins, which is exactly the sequential outcome. *)
-type frag_commit = {
-  fr_prog : program;  (** expanded output of the fragment *)
-  fr_senv_delta : Senv.top_delta;
-  fr_genv_delta : (string * Value.t) list;
+(* The kinds of shared state a fragment can read or change, as bits:
+   per-kind [Senv] tables and the global meta bindings. *)
+let kind_vars = 1
+let kind_typedefs = 2
+let kind_layouts = 4
+let kind_globals = 8
+
+let senv_kinds (v, t, l) =
+  (if v then kind_vars else 0)
+  lor (if t then kind_typedefs else 0)
+  lor if l then kind_layouts else 0
+
+(* What a speculative worker hands back for a fragment it expanded
+   cleanly: its verdict is exactly what a lone speculation of the
+   fragment from the run-start state gets (see {!frag_speculate_block}).
+   Its [Senv] writes stay in the worker's write log, between [fm_since]
+   (the mark before it; [None] when it was the first of its worker's
+   run from the run-start state) and [fm_mark]: committing deltas in
+   fragment order is last-writer-wins, which is exactly the sequential
+   outcome. *)
+type frag_mark = {
+  fm_prog : program;  (** expanded output of the fragment *)
+  fm_since : Senv.mark option;
+  fm_mark : Senv.mark;
+  mutable fm_run : Senv.top_delta option;
+      (** on the last fragment of a worker run that ended in the state
+          it left: everything the run wrote, taken whole *)
+  fm_genv : (string * Value.t) list;
       (** global meta bindings the fragment added or rebound *)
-  fr_sreads : int * int * int;
-      (** [Senv] lookups (vars, typedefs, layouts) the fragment made *)
-  fr_greads : int;  (** global meta-binding lookups the fragment made *)
-  fr_fuel : int;
-  fr_nodes : int;
-  fr_invocations : int;
+  fm_reads : int;  (** the kinds the fragment read *)
+  fm_changes : int;
+      (** the kinds the fragment left different from the run start *)
+  fm_fuel : int;
+  fm_nodes : int;
+  fm_invocations : int;
 }
 
 (** Why a speculation could not commit — the labeled
@@ -898,7 +1053,7 @@ let count_abort (t : t) (cause : abort_cause) : unit =
     "speculation-abort"
 
 type frag_result =
-  | Frag_done of frag_commit
+  | Frag_done of frag_mark
   | Frag_abort of abort_cause
       (** validation failed on the worker; revalidate *)
   | Frag_fail
@@ -919,7 +1074,7 @@ type frag_ctx = {
   fx_main : t;  (** read-only from workers: configuration only *)
   fx_cp : checkpoint;  (** run-start checkpoint of the main engine *)
   fx_v0 : Digest.t;  (** [defs_version] at run start *)
-  fx_frag_ms : int;  (** per-fragment watchdog deadline *)
+  fx_frag_ms : int;  (** per-block watchdog deadline *)
 }
 
 let frag_run_counter = Atomic.make 0
@@ -959,116 +1114,166 @@ let frag_genv_delta (ctx : frag_ctx) (w : t) : (string * Value.t) list =
         | _ -> (name, v) :: acc)
       now []
 
-(* Expand one fragment speculatively on this domain's worker engine.
-   Never raises: every failure is contained in the result. *)
-let frag_speculate (ctx : frag_ctx) (decls : decl list) ~(index : int) :
-    frag_result =
+(* Expand one fragment on worker [w], which holds the run-start state
+   plus what the fragments of its run before this one wrote ([since]
+   marks where they stopped), and give its verdict with the kinds it
+   read.  Raises what the expansion raises. *)
+let frag_speculate_one (ctx : frag_ctx) (w : t) ~(since : Senv.mark option)
+    ~(index : int) (decls : decl list) : frag_result * int =
+  let b = w.env.Value.budget in
+  (* full per-file budget; reconciled against the main engine's
+     remaining pool at commit time *)
+  b.Value.fuel <- b.Value.fuel_initial;
+  b.Value.nodes <- b.Value.nodes_initial;
+  let rv0, rt0, rl0 = Senv.reads w.senv in
+  let greads0 = !(w.env.Value.greads) in
+  let gensym0 = Gensym.count w.gensym in
+  let anon0 = Senv.anon_count (Senv.tables w.senv) in
+  let meta0 = w.stats.meta_declarations_run in
+  let inv0 = w.stats.invocations_expanded in
+  let prog =
+    Obs.with_span ~cat:"expand"
+      ~args:(fun () ->
+        [ ("fragment_index", Obs.Int index); ("speculative", Obs.Bool true) ])
+      "fragment-expand"
+      (fun () ->
+        (let loc = match decls with d :: _ -> d.dloc | [] -> Loc.dummy in
+         Failpoint.hit ~watchdog:w.watchdog ~loc "engine/fragment");
+        expand_program w decls)
+  in
+  let rv, rt, rl = Senv.reads w.senv in
+  let reads =
+    senv_kinds (rv > rv0, rt > rt0, rl > rl0)
+    lor if !(w.env.Value.greads) > greads0 then kind_globals else 0
+  in
+  ( (if w.defs_version <> ctx.fx_v0 then Frag_abort Abort_defs_bump
+  else if
+    Gensym.count w.gensym <> gensym0
+    || Senv.anon_count (Senv.tables w.senv) <> anon0
+  then Frag_abort Abort_gensym_mint
+  else if w.stats.meta_declarations_run <> meta0 then
+    Frag_abort Abort_meta_decl
+  else
+    match Senv.changed ?since w.senv with
+    | None -> Frag_abort Abort_stale_read
+    | Some changed ->
+        let genv = frag_genv_delta ctx w in
+        Frag_done
+          {
+            fm_prog = prog;
+            fm_since = since;
+            fm_mark = Senv.mark w.senv;
+            fm_run = None;
+            fm_genv = genv;
+            fm_reads = reads;
+            fm_changes =
+              senv_kinds changed lor if genv <> [] then kind_globals else 0;
+            fm_fuel = b.Value.fuel_initial - b.Value.fuel;
+            fm_nodes = b.Value.nodes_initial - b.Value.nodes;
+            fm_invocations = w.stats.invocations_expanded - inv0;
+          }),
+    reads )
+
+(* Expand the fragments [first, stop) of [plan] on this domain's worker
+   engine, one after another from one rollback and one watchdog arming,
+   and give each its verdict.  Never raises: every failure is contained
+   in the result, which ends at the first [Frag_fail] (the fragments
+   after it are left to the sequential walk).
+
+   Each verdict is the one a lone speculation of the fragment from the
+   run-start state would get.  The worker's state before a fragment
+   differs from the run-start state only by what earlier fragments of
+   its run wrote into the top scope; a fragment that read none of the
+   kinds they changed ran exactly as it would have from the run start.
+   One that did, or that raised after they changed something, is
+   expanded again after a rollback; so is every fragment after an abort
+   or after a global write, whose deltas are measured from the run
+   start.  A run that ends in the state its last fragment left hands
+   over all it wrote in one delta. *)
+let frag_speculate_block (ctx : frag_ctx) (plan : frag_plan array)
+    ~(first : int) ~(stop : int) : frag_result array =
   match frag_worker ctx with
-  | exception _ -> Frag_fail
-  | fw -> (
+  | exception _ -> [| Frag_fail |]
+  | fw ->
       let w = fw.fw_engine in
-      let b = w.env.Value.budget in
-      let finish () = Watchdog.disarm w.watchdog in
-      try
+      let results = ref [] in
+      let since = ref None and changed = ref 0 in
+      (* the run's last fragment, while the worker is in its state *)
+      let last = ref None in
+      let close_run () =
+        Option.iter (fun m -> m.fm_run <- Some (Senv.written w.senv)) !last;
+        last := None
+      in
+      let restart () =
         rollback w ctx.fx_cp;
-        (* full per-file budget; reconciled against the main engine's
-           remaining pool at commit time *)
-        b.Value.fuel <- b.Value.fuel_initial;
-        b.Value.nodes <- b.Value.nodes_initial;
-        let sreads0 = Senv.reads w.senv in
-        let greads0 = !(w.env.Value.greads) in
-        let gensym0 = Gensym.count w.gensym in
-        let anon0 = Senv.anon_count (Senv.tables w.senv) in
-        let meta0 = w.stats.meta_declarations_run in
-        let inv0 = w.stats.invocations_expanded in
-        Watchdog.arm w.watchdog ~ms:ctx.fx_frag_ms;
-        let prog =
-          Obs.with_span ~cat:"expand"
-            ~args:(fun () ->
-              [ ("fragment_index", Obs.Int index);
-                ("speculative", Obs.Bool true) ])
-            "fragment-expand"
-            (fun () ->
-              (let loc =
-                 match decls with
-                 | d :: _ -> d.dloc
-                 | [] -> Loc.dummy
-               in
-               Failpoint.hit ~watchdog:w.watchdog ~loc "engine/fragment");
-              expand_program w decls)
-        in
-        finish ();
-        let sub3 (a, b, c) (a0, b0, c0) = (a - a0, b - b0, c - c0) in
-        if w.defs_version <> ctx.fx_v0 then Frag_abort Abort_defs_bump
-        else if
-          Gensym.count w.gensym <> gensym0
-          || Senv.anon_count (Senv.tables w.senv) <> anon0
-        then Frag_abort Abort_gensym_mint
-        else if w.stats.meta_declarations_run <> meta0 then
-          Frag_abort Abort_meta_decl
-        else
-          match Senv.diff_top w.senv with
-          | None -> Frag_abort Abort_stale_read
-          | Some senv_delta ->
-              Frag_done
-                {
-                  fr_prog = prog;
-                  fr_senv_delta = senv_delta;
-                  fr_genv_delta = frag_genv_delta ctx w;
-                  fr_sreads = sub3 (Senv.reads w.senv) sreads0;
-                  fr_greads = !(w.env.Value.greads) - greads0;
-                  fr_fuel = b.Value.fuel_initial - b.Value.fuel;
-                  fr_nodes = b.Value.nodes_initial - b.Value.nodes;
-                  fr_invocations = w.stats.invocations_expanded - inv0;
-                }
-      with _ ->
-        finish ();
-        Frag_fail)
+        since := None;
+        changed := 0;
+        last := None
+      in
+      let k = ref first in
+      (try
+         restart ();
+         Watchdog.arm w.watchdog ~ms:ctx.fx_frag_ms;
+         while !k < stop do
+           match
+             frag_speculate_one ctx w ~since:!since ~index:!k
+               plan.(!k).fp_decls
+           with
+           | exception _ when !changed <> 0 -> restart ()
+           | exception _ ->
+               results := Frag_fail :: !results;
+               k := stop
+           | _, reads when reads land !changed <> 0 -> restart ()
+           | (Frag_done m as r), _ ->
+               results := r :: !results;
+               last := Some m;
+               if m.fm_genv <> [] then begin
+                 close_run ();
+                 restart ()
+               end
+               else begin
+                 since := Some m.fm_mark;
+                 changed := !changed lor m.fm_changes
+               end;
+               incr k
+           | ((Frag_abort _ | Frag_fail) as r), _ ->
+               results := r :: !results;
+               restart ();
+               incr k
+         done;
+         close_run ()
+       with _ -> results := Frag_fail :: !results);
+      Watchdog.disarm w.watchdog;
+      Array.of_list (List.rev !results)
 
-(* Per-kind dirtiness of shared state *within one speculation run*: a
-   speculative result may only commit if everything it read is still
-   what the run-start snapshot said.  Flags are set by committed deltas
-   and by whatever a sequential re-expansion wrote (measured with the
-   [Senv] write odometers; global meta writes are unmeasured on the
-   main engine, so any re-expansion conservatively dirties globals). *)
-type frag_dirty = {
-  mutable fd_vars : bool;
-  mutable fd_typedefs : bool;
-  mutable fd_layouts : bool;
-  mutable fd_globals : bool;
-}
-
-let frag_commit_ok (t : t) (dirty : frag_dirty) ~(v0 : Digest.t)
-    (r : frag_commit) : bool =
+(* A speculative result may only commit if every kind of state it read
+   is still what the run-start snapshot said.  [dirty] holds the kinds
+   (the bits above) changed *within one speculation run*: by committed
+   fragments, and by whatever a sequential re-expansion wrote (measured
+   with the [Senv] write odometers; global meta writes are unmeasured
+   on the main engine, so any re-expansion conservatively dirties
+   globals). *)
+let frag_commit_ok (t : t) ~(dirty : int) ~(v0 : Digest.t) (m : frag_mark) :
+    bool =
   let b = t.env.Value.budget in
-  let rv, rt, rl = r.fr_sreads in
   t.defs_version = v0
-  && b.Value.fuel >= r.fr_fuel
-  && b.Value.nodes >= r.fr_nodes
-  && ((not dirty.fd_vars) || rv = 0)
-  && ((not dirty.fd_typedefs) || rt = 0)
-  && ((not dirty.fd_layouts) || rl = 0)
-  && ((not dirty.fd_globals) || r.fr_greads = 0)
+  && b.Value.fuel >= m.fm_fuel
+  && b.Value.nodes >= m.fm_nodes
+  && dirty land m.fm_reads = 0
 
-let frag_apply_commit (t : t) (dirty : frag_dirty) (r : frag_commit) : unit =
-  Senv.apply_top t.senv r.fr_senv_delta;
-  List.iter (fun (name, v) -> Value.bind_global t.env name v) r.fr_genv_delta;
-  let b = t.env.Value.budget in
-  b.Value.fuel <- b.Value.fuel - r.fr_fuel;
-  b.Value.nodes <- b.Value.nodes - r.fr_nodes;
-  t.stats.invocations_expanded <-
-    t.stats.invocations_expanded + r.fr_invocations;
-  let dv, dt, dl = Senv.delta_counts r.fr_senv_delta in
-  if dv > 0 then dirty.fd_vars <- true;
-  if dt > 0 then dirty.fd_typedefs <- true;
-  if dl > 0 then dirty.fd_layouts <- true;
-  if r.fr_genv_delta <> [] then dirty.fd_globals <- true
+(* Pool items per job in a speculation run: a worker takes a block of
+   consecutive fragments, so a run pays a rollback, a watchdog arming
+   and a commit per block, while four blocks per job leave the pool
+   room to even out blocks of unequal cost. *)
+let frag_blocks_per_job = 4
 
 (* The ordered walk: barriers and short runs expand sequentially on the
    main engine; runs of two or more pure fragments speculate on the
-   pool, then commit (or re-expand) in fragment order.  Raises exactly
-   like {!expand_program} — the caller's transactional wrapper handles
-   rollback. *)
+   pool in blocks, then commit (or re-expand) in fragment order.  Each
+   fragment passes or fails the commit rule on its own; consecutive
+   committed fragments of one worker run commit their [Senv] writes as
+   one delta.  Raises exactly like {!expand_program} — the caller's
+   transactional wrapper handles rollback. *)
 let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
     (plan : frag_plan array) : program =
   let n = Array.length plan in
@@ -1107,43 +1312,69 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
         { fx_run = 1 + Atomic.fetch_and_add frag_run_counter 1;
           fx_main = t; fx_cp = cp; fx_v0 = v0; fx_frag_ms = fragment_ms }
       in
+      let blocks = min (stop - base) (frag_blocks_per_job * jobs) in
+      let size = (stop - base + blocks - 1) / blocks in
       let results =
         Pool.map ~jobs
-          ~stop:(function Frag_fail -> true | _ -> false)
-          (stop - base)
+          ~stop:(Array.exists (function Frag_fail -> true | _ -> false))
+          blocks
           (fun k ->
-            frag_speculate ctx plan.(base + k).fp_decls ~index:(base + k))
+            let first = base + (k * size) in
+            frag_speculate_block ctx plan ~first
+              ~stop:(min stop (first + size)))
       in
-      let dirty =
-        { fd_vars = false; fd_typedefs = false; fd_layouts = false;
-          fd_globals = false }
+      let dirty = ref 0 in
+      (* committed fragments whose [Senv] writes are not applied yet:
+         consecutive in one worker's log, from the mark before the
+         first to the last fragment *)
+      let pending = ref None in
+      let flush () =
+        match !pending with
+        | None -> ()
+        | Some (since, last) ->
+            Senv.apply_top t.senv
+              (match (since, last.fm_run) with
+              | None, Some whole -> whole
+              | _ -> Senv.delta ?since last.fm_mark);
+            pending := None
       in
       let revalidate idx decls =
+        flush ();
         t.stats.fragments_revalidated <- t.stats.fragments_revalidated + 1;
-        let w0 = Senv.writes t.senv in
-        dirty.fd_globals <- true;
+        let wv0, wt0, wl0 = Senv.writes t.senv in
         seq_expand idx decls;
-        let wv0, wt0, wl0 = w0 in
         let wv, wt, wl = Senv.writes t.senv in
-        if wv > wv0 then dirty.fd_vars <- true;
-        if wt > wt0 then dirty.fd_typedefs <- true;
-        if wl > wl0 then dirty.fd_layouts <- true
+        dirty :=
+          !dirty lor kind_globals
+          lor senv_kinds (wv > wv0, wt > wt0, wl > wl0)
       in
       for k = base to stop - 1 do
         let decls = plan.(k).fp_decls in
-        match results.(k - base) with
-        | None ->
-            (* cancelled before it ran — plain sequential expansion,
-               not a revalidation *)
-            seq_expand k decls
-        | Some res -> (
+        let block = results.((k - base) / size) in
+        match block with
+        | Some rs when (k - base) mod size < Array.length rs -> (
             let s = t.stats in
             s.fragments_speculated <- s.fragments_speculated + 1;
-            match res with
-            | Frag_done r when frag_commit_ok t dirty ~v0 r ->
+            match rs.((k - base) mod size) with
+            | Frag_done m when frag_commit_ok t ~dirty:!dirty ~v0 m ->
                 s.fragments_committed <- s.fragments_committed + 1;
-                frag_apply_commit t dirty r;
-                chunks := r.fr_prog :: !chunks
+                (match (!pending, m.fm_since) with
+                | Some (since, last), Some before when before == last.fm_mark
+                  ->
+                    pending := Some (since, m)
+                | _ ->
+                    flush ();
+                    pending := Some (m.fm_since, m));
+                List.iter
+                  (fun (name, v) -> Value.bind_global t.env name v)
+                  m.fm_genv;
+                let b = t.env.Value.budget in
+                b.Value.fuel <- b.Value.fuel - m.fm_fuel;
+                b.Value.nodes <- b.Value.nodes - m.fm_nodes;
+                s.invocations_expanded <-
+                  s.invocations_expanded + m.fm_invocations;
+                dirty := !dirty lor m.fm_changes;
+                chunks := m.fm_prog :: !chunks
             | Frag_done _ ->
                 (* the worker's result was self-consistent; what it read
                    went stale under earlier commits/re-expansions *)
@@ -1153,7 +1384,13 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
                 count_abort t cause;
                 revalidate k decls
             | Frag_fail -> revalidate k decls)
+        | _ ->
+            (* cancelled before it ran — plain sequential expansion,
+               not a revalidation *)
+            flush ();
+            seq_expand k decls
       done;
+      flush ();
       i := stop
     end
   done;

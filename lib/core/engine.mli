@@ -129,7 +129,9 @@ val register_macro_def : t -> macro_def -> unit
 val expand_program : t -> program -> program
 (** Expand a parsed program to pure C.  In recovery mode, failed
     invocations become placeholder nodes and their diagnostics are
-    available from {!diagnostics}. *)
+    available from {!diagnostics}.  The result shares every
+    invocation-free subtree of [program] physically: a declaration
+    with no invocation in it is returned as it is. *)
 
 val prelude_source_name : string
 (** ["<prelude>"], the source name of the standard macro library. *)
@@ -154,8 +156,9 @@ val expand_source :
     parallelism on a cache miss: the file is split into top-level
     fragments, definition-bearing fragments expand sequentially as
     barriers, and runs of pure-invocation fragments between barriers
-    expand speculatively on [fragment_jobs] domains, each on its own
-    engine set to the run-start state, committing in fragment order.  A
+    expand speculatively on [fragment_jobs] domains, in blocks of
+    consecutive fragments, each worker on its own engine set to the
+    run-start state, committing in fragment order.  A
     speculation whose reads turn out stale at commit time is discarded
     and re-expanded sequentially, so the output — bytes, diagnostics,
     diagnostic order, first-fatal behavior, resource accounting — is

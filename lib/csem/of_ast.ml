@@ -10,39 +10,66 @@ open Ms2_syntax.Ast
 let const_int_of (e : expr) : int option =
   match e.e with E_const (Cint (v, _)) -> Some v | _ -> None
 
+(* The type-specifier keywords of a specifier list, as bits. *)
+let kw_void = 1
+let kw_float = 2
+let kw_double = 4
+let kw_char = 8
+let kw_short = 16
+let kw_long = 32
+let kw_int = 64
+let kw_signed = 128
+let kw_unsigned = 256
+
 let rec of_specs (senv : Senv.t) (specs : spec list) : Ctype.t =
-  let unsigned = List.mem S_unsigned specs in
-  let has s = List.mem s specs in
-  let named =
-    List.find_map (function S_named id -> Some id.id_name | _ -> None) specs
-  in
-  let enum = List.find_map (function S_enum es -> Some es | _ -> None) specs in
-  let su =
-    List.find_map
-      (function
-        | S_struct (tag, fields) -> Some (`Struct, tag, fields)
-        | S_union (tag, fields) -> Some (`Union, tag, fields)
-        | _ -> None)
-      specs
-  in
-  if has S_void then Ctype.Void
-  else if has S_float then Ctype.Floating { double = false }
-  else if has S_double then Ctype.Floating { double = true }
-  else if has S_char then Ctype.Integer { unsigned; rank = Ctype.Rchar }
-  else if has S_short then Ctype.Integer { unsigned; rank = Ctype.Rshort }
-  else if has S_long then Ctype.Integer { unsigned; rank = Ctype.Rlong }
-  else
-    match (enum, su, named) with
-    | Some es, _, _ -> of_enum senv es
-    | None, Some (kind, tag, fields), _ -> of_su senv kind tag fields
-    | None, None, Some name -> (
-        match Senv.find_typedef senv name with
-        | Some ty -> ty
-        | None -> Ctype.Unknown)
-    | None, None, None ->
-        if has S_int || has S_signed || has S_unsigned then
-          Ctype.Integer { unsigned; rank = Ctype.Rint }
-        else Ctype.Unknown
+  scan_specs senv 0 None None None specs
+
+(* One pass over the specifiers: the keywords present, and the first
+   enum, struct/union and typedef name, then the type they make. *)
+and scan_specs senv kw enum su named = function
+  | spec :: rest -> (
+      match spec with
+      | S_void -> scan_specs senv (kw lor kw_void) enum su named rest
+      | S_float -> scan_specs senv (kw lor kw_float) enum su named rest
+      | S_double -> scan_specs senv (kw lor kw_double) enum su named rest
+      | S_char -> scan_specs senv (kw lor kw_char) enum su named rest
+      | S_short -> scan_specs senv (kw lor kw_short) enum su named rest
+      | S_long -> scan_specs senv (kw lor kw_long) enum su named rest
+      | S_int -> scan_specs senv (kw lor kw_int) enum su named rest
+      | S_signed -> scan_specs senv (kw lor kw_signed) enum su named rest
+      | S_unsigned -> scan_specs senv (kw lor kw_unsigned) enum su named rest
+      | S_named id when Option.is_none named ->
+          scan_specs senv kw enum su (Some id.id_name) rest
+      | S_enum es when Option.is_none enum ->
+          scan_specs senv kw (Some es) su named rest
+      | S_struct (tag, fields) when Option.is_none su ->
+          scan_specs senv kw enum (Some (`Struct, tag, fields)) named rest
+      | S_union (tag, fields) when Option.is_none su ->
+          scan_specs senv kw enum (Some (`Union, tag, fields)) named rest
+      | _ -> scan_specs senv kw enum su named rest)
+  | [] -> (
+      let unsigned = kw land kw_unsigned <> 0 in
+      if kw land kw_void <> 0 then Ctype.Void
+      else if kw land kw_float <> 0 then Ctype.Floating { double = false }
+      else if kw land kw_double <> 0 then Ctype.Floating { double = true }
+      else if kw land kw_char <> 0 then
+        Ctype.Integer { unsigned; rank = Ctype.Rchar }
+      else if kw land kw_short <> 0 then
+        Ctype.Integer { unsigned; rank = Ctype.Rshort }
+      else if kw land kw_long <> 0 then
+        Ctype.Integer { unsigned; rank = Ctype.Rlong }
+      else
+        match (enum, su, named) with
+        | Some es, _, _ -> of_enum senv es
+        | None, Some (kind, tag, fields), _ -> of_su senv kind tag fields
+        | None, None, Some name -> (
+            match Senv.find_typedef senv name with
+            | Some ty -> ty
+            | None -> Ctype.Unknown)
+        | None, None, None ->
+            if kw land (kw_int lor kw_signed lor kw_unsigned) <> 0 then
+              Ctype.Integer { unsigned; rank = Ctype.Rint }
+            else Ctype.Unknown)
 
 and of_enum senv (es : enum_spec) : Ctype.t =
   let tag =
@@ -90,32 +117,30 @@ and of_su senv kind tag fields : Ctype.t =
 
 (** Standard C declarator reading: thread the type constructor down. *)
 and of_declarator senv (base : Ctype.t) (d : declarator) : string * Ctype.t =
-  let param_type p =
-    match p with
-    | P_decl (specs, pd) ->
-        let _, ty = of_declarator senv (of_specs senv specs) pd in
-        Ctype.decay ty
-    | P_name _ -> Ctype.Unknown (* K&R: typed by separate declarations *)
-    | P_ellipsis | P_splice _ -> Ctype.Unknown
-  in
-  let rec go d t =
-    match d with
-    | D_ident id -> (id.id_name, t)
-    | D_abstract -> ("", t)
-    | D_pointer inner -> go inner (Ctype.Pointer t)
-    | D_array (inner, size) ->
-        go inner (Ctype.Array (t, Option.bind size const_int_of))
-    | D_func (inner, []) ->
-        (* "()" — unprototyped in our subset (also matches "(void)") *)
-        go inner (Ctype.Func (None, t))
-    | D_func (inner, params) when List.mem P_ellipsis params ->
-        (* variadic prototype: treated as unprototyped for arity checks *)
-        go inner (Ctype.Func (None, t))
-    | D_func (inner, params) ->
-        go inner (Ctype.Func (Some (List.map param_type params), t))
-    | D_splice _ -> ("", Ctype.Unknown)
-  in
-  go d base
+  match d with
+  | D_ident id -> (id.id_name, base)
+  | D_abstract -> ("", base)
+  | D_pointer inner -> of_declarator senv (Ctype.Pointer base) inner
+  | D_array (inner, size) ->
+      let size = Option.bind size const_int_of in
+      of_declarator senv (Ctype.Array (base, size)) inner
+  | D_func (inner, []) ->
+      (* "()" — unprototyped in our subset (also matches "(void)") *)
+      of_declarator senv (Ctype.Func (None, base)) inner
+  | D_func (inner, params) when List.mem P_ellipsis params ->
+      (* variadic prototype: treated as unprototyped for arity checks *)
+      of_declarator senv (Ctype.Func (None, base)) inner
+  | D_func (inner, params) ->
+      let params = List.map (param_type senv) params in
+      of_declarator senv (Ctype.Func (Some params, base)) inner
+  | D_splice _ -> ("", Ctype.Unknown)
+
+and param_type senv = function
+  | P_decl (specs, pd) ->
+      let _, ty = of_declarator senv (of_specs senv specs) pd in
+      Ctype.decay ty
+  | P_name _ -> Ctype.Unknown (* K&R: typed by separate declarations *)
+  | P_ellipsis | P_splice _ -> Ctype.Unknown
 
 let of_type_name senv (ct : ctype) : Ctype.t =
   snd (of_declarator senv (of_specs senv ct.ct_specs) ct.ct_decl)

@@ -46,15 +46,20 @@ type t = {
   mutable writes_vars : int;
   mutable writes_typedefs : int;
   mutable writes_layouts : int;
-  (* The names written into the top scope (and layout table) since the
-     last [set_tables] to [log_base], kept only once [log_top_writes]
-     turns it on: a speculation worker diffs a fragment's writes in time
-     proportional to them, not to the whole top scope. *)
+  (* Once [log_top_writes] turns logging on, [set_tables] to [log_base]
+     opens a fresh top-level layer over the base's scopes ([floor]), so
+     the layer holds exactly the top-scope bindings written since (a
+     speculation worker's delta, built by its own writes), and the
+     bindings written into the layer and the layout table are logged,
+     so a worker measures a fragment's writes in time proportional to
+     them.  Without logging, [floor] is []: the top scope is the
+     outermost one. *)
   mutable logging : bool;
+  mutable floor : scope list;
   mutable log_base : tables;
-  mutable log_vars : string list;
-  mutable log_typedefs : string list;
-  mutable log_layouts : string list;
+  mutable log_vars : (string * Ctype.t) list;  (** newest first *)
+  mutable log_typedefs : (string * Ctype.t) list;
+  mutable log_layouts : (string * layout) list;
 }
 
 let empty_scope = { vars = Smap.empty; typedefs = Smap.empty }
@@ -70,6 +75,7 @@ let create () =
     writes_typedefs = 0;
     writes_layouts = 0;
     logging = false;
+    floor = [];
     log_base = tables;
     log_vars = [];
     log_typedefs = [];
@@ -79,8 +85,10 @@ let create () =
 let tables t = t.tables
 
 let set_tables t tables =
-  t.tables <- tables;
-  if t.logging then begin
+  if not t.logging then t.tables <- tables
+  else begin
+    t.tables <- { tables with scopes = empty_scope :: tables.scopes };
+    t.floor <- tables.scopes;
     t.log_base <- tables;
     t.log_vars <- [];
     t.log_typedefs <- [];
@@ -96,8 +104,9 @@ let push_scope t =
 
 let pop_scope t =
   match t.tables.scopes with
-  | [] | [ _ ] -> invalid_arg "Senv.pop_scope: global scope"
-  | _ :: rest -> t.tables <- { t.tables with scopes = rest }
+  | _ :: rest when rest != t.floor ->
+      t.tables <- { t.tables with scopes = rest }
+  | _ -> invalid_arg "Senv.pop_scope: global scope"
 
 let with_scope t f =
   push_scope t;
@@ -111,33 +120,34 @@ let fresh_tag t =
 
 let anon_count tables = tables.anon
 
-(* Replace the innermost scope by [f] of it; [true] when that scope is
-   the top (global) one, whose writes the odometers count. *)
-let update_scope t f : bool =
+(* Bind [name] in the innermost scope's variables or typedefs; [true]
+   when that scope is the top (global) one, whose writes the odometers
+   count. *)
+let bind_innermost t ~typedef name ty : bool =
   match t.tables.scopes with
-  | scope :: rest ->
-      t.tables <- { t.tables with scopes = f scope :: rest };
-      rest == []
+  | s :: rest ->
+      let s =
+        if typedef then { s with typedefs = Smap.add name ty s.typedefs }
+        else { s with vars = Smap.add name ty s.vars }
+      in
+      t.tables <- { t.tables with scopes = s :: rest };
+      rest == t.floor
   | [] -> assert false
 
 let add_var t name ty =
-  if update_scope t (fun s -> { s with vars = Smap.add name ty s.vars }) then begin
+  if bind_innermost t ~typedef:false name ty then begin
     t.writes_vars <- t.writes_vars + 1;
-    if t.logging then t.log_vars <- name :: t.log_vars
+    if t.logging then t.log_vars <- (name, ty) :: t.log_vars
   end
 
 let add_typedef t name ty =
-  if
-    update_scope t (fun s ->
-        { s with typedefs = Smap.add name ty s.typedefs })
-  then begin
+  if bind_innermost t ~typedef:true name ty then begin
     t.writes_typedefs <- t.writes_typedefs + 1;
-    if t.logging then t.log_typedefs <- name :: t.log_typedefs
+    if t.logging then t.log_typedefs <- (name, ty) :: t.log_typedefs
   end
 
 let add_layout t tag fields =
   t.writes_layouts <- t.writes_layouts + 1;
-  if t.logging then t.log_layouts <- tag :: t.log_layouts;
   let index =
     List.fold_left
       (fun index (name, ty) ->
@@ -146,8 +156,9 @@ let add_layout t tag fields =
         if Smap.mem name index then index else Smap.add name ty index)
       Smap.empty fields
   in
-  t.tables <-
-    { t.tables with layouts = Smap.add tag { fields; index } t.tables.layouts }
+  let layout = { fields; index } in
+  if t.logging then t.log_layouts <- (tag, layout) :: t.log_layouts;
+  t.tables <- { t.tables with layouts = Smap.add tag layout t.tables.layouts }
 
 let find tbl_of t name =
   let rec go = function
@@ -191,56 +202,114 @@ let field_type t tag field : Ctype.t =
 let reads t = (t.reads_vars, t.reads_typedefs, t.reads_layouts)
 let writes t = (t.writes_vars, t.writes_typedefs, t.writes_layouts)
 
-(** The top-scope difference between [t] and the tables it was last set
-    to: what a speculative fragment wrote, found by looking up each
-    logged name.  [None] when the environments are not at a comparable
-    fragment boundary (both must be a single open scope).
-    Unchanged-binding detection is physical first: a binding the
-    fragment did not touch is the very value the base holds. *)
-type top_delta = {
-  dl_vars : (string * Ctype.t) list;
-  dl_typedefs : (string * Ctype.t) list;
-  dl_layouts : (string * (string * Ctype.t) list) list;
+(** A point in a logging environment's write log: the tables it was
+    last {!set_tables} to, and the bindings written since, newest first.
+    The writes between two marks are the front of the later mark's logs
+    down to the earlier mark's (a suffix of them, by sharing), so a mark
+    costs one small record and keeps no version of the tables alive. *)
+type mark = {
+  mk_base : tables;
+  mk_vars : (string * Ctype.t) list;
+  mk_typedefs : (string * Ctype.t) list;
+  mk_layouts : (string * layout) list;
 }
 
-let diff_top (t : t) : top_delta option =
-  if not t.logging then invalid_arg "Senv.diff_top: writes are not logged";
-  let base = t.log_base in
-  match (t.tables.scopes, base.scopes) with
-  | [ top ], [ base_top ] ->
-      (* the changed bindings, in descending key order *)
-      let map_delta same log cur base =
-        List.fold_left
-          (fun acc name ->
-            let v = Smap.find name cur in
-            match Smap.find_opt name base with
-            | Some v0 when same v0 v -> acc
-            | _ -> (name, v) :: acc)
-          [] (List.sort_uniq String.compare log)
-      in
-      let same_type ty0 ty = ty0 == ty || ty0 = ty in
-      Some
-        {
-          dl_vars = map_delta same_type t.log_vars top.vars base_top.vars;
-          dl_typedefs =
-            map_delta same_type t.log_typedefs top.typedefs base_top.typedefs;
-          dl_layouts =
-            List.map
-              (fun (tag, layout) -> (tag, layout.fields))
-              (map_delta ( == ) t.log_layouts t.tables.layouts base.layouts);
-        }
+let mark t =
+  if not t.logging then invalid_arg "Senv.mark: writes are not logged";
+  { mk_base = t.log_base; mk_vars = t.log_vars;
+    mk_typedefs = t.log_typedefs; mk_layouts = t.log_layouts }
+
+(* The entries of [log] written after [stop] (a suffix of [log]). *)
+let rec exists_since p log stop =
+  log != stop
+  && match log with [] -> false | e :: rest -> p e || exists_since p rest stop
+
+(* The latest value of every name written after [stop], as a map. *)
+let rec latest_since log stop acc =
+  if log == stop then acc
+  else
+    match log with
+    | [] -> acc
+    | (name, v) :: rest ->
+        latest_since rest stop
+          (if Smap.mem name acc then acc else Smap.add name v acc)
+
+(* The logs [since] leaves off at ([] = everything since the base). *)
+let stops ~base = function
+  | None -> ([], [], [])
+  | Some s ->
+      if s.mk_base != base then invalid_arg "Senv: marks of different bases";
+      (s.mk_vars, s.mk_typedefs, s.mk_layouts)
+
+(* [t]'s top-level layer and its base's one scope, when both are at a
+   fragment boundary. *)
+let boundary t =
+  match (t.tables.scopes, t.log_base.scopes) with
+  | layer :: floor, [ base_top ] when t.logging && floor == t.log_base.scopes ->
+      Some (layer, base_top)
   | _ -> None
 
-let delta_counts (d : top_delta) : int * int * int =
-  (List.length d.dl_vars, List.length d.dl_typedefs, List.length d.dl_layouts)
+let same_type (ty0 : Ctype.t) ty = ty0 == ty || ty0 = ty
 
-(** Replay a delta into [t]'s innermost scope.  [add_layout] rebuilds
-    the field index exactly as the original binding would have, so the
-    committed state is indistinguishable from a sequential run. *)
+let changed ?since t : (bool * bool * bool) option =
+  match boundary t with
+  | None -> None
+  | Some (layer, base_top) ->
+      let sv, st, sl = stops ~base:t.log_base since in
+      let differs same cur base (name, _) =
+        match Smap.find_opt name base with
+        | Some v0 -> not (same v0 (Smap.find name cur))
+        | None -> true
+      in
+      Some
+        ( exists_since
+            (differs same_type layer.vars base_top.vars)
+            t.log_vars sv,
+          exists_since
+            (differs same_type layer.typedefs base_top.typedefs)
+            t.log_typedefs st,
+          exists_since
+            (differs ( == ) t.tables.layouts t.log_base.layouts)
+            t.log_layouts sl )
+
+(** Every top-scope binding written over a stretch of a write log,
+    valued as at its end.  Unchanged rewrites are kept: the tables a
+    delta lands on need not be the base it was measured from. *)
+type top_delta = {
+  dl_vars : Ctype.t Smap.t;
+  dl_typedefs : Ctype.t Smap.t;
+  dl_layouts : layout Smap.t;
+}
+
+let written t : top_delta =
+  match boundary t with
+  | None -> invalid_arg "Senv.written: not at a fragment boundary"
+  | Some (layer, _) ->
+      (* the layer is every write since the base *)
+      { dl_vars = layer.vars; dl_typedefs = layer.typedefs;
+        dl_layouts = latest_since t.log_layouts [] Smap.empty }
+
+let delta ?since (m : mark) : top_delta =
+  let sv, st, sl = stops ~base:m.mk_base since in
+  { dl_vars = latest_since m.mk_vars sv Smap.empty;
+    dl_typedefs = latest_since m.mk_typedefs st Smap.empty;
+    dl_layouts = latest_since m.mk_layouts sl Smap.empty }
+
+(** Lay a delta over [t]'s innermost scope and the layout table, the
+    delta's bindings winning: one map union per table.  Not counted by
+    the write odometers, which measure what an expansion on [t] wrote. *)
 let apply_top (t : t) (d : top_delta) : unit =
-  List.iter (fun (name, ty) -> add_var t name ty) d.dl_vars;
-  List.iter (fun (name, ty) -> add_typedef t name ty) d.dl_typedefs;
-  List.iter (fun (tag, fields) -> add_layout t tag fields) d.dl_layouts
+  let over base d = Smap.union (fun _ _ v -> Some v) base d in
+  match t.tables.scopes with
+  | scope :: rest ->
+      t.tables <-
+        { t.tables with
+          scopes =
+            { vars = over scope.vars d.dl_vars;
+              typedefs = over scope.typedefs d.dl_typedefs }
+            :: rest;
+          layouts = over t.tables.layouts d.dl_layouts }
+  | [] -> assert false
 
 (* The digest's text grows with the session and is rebuilt for every
    cache key; one buffer per domain is reused, so a key does not leave a

@@ -338,6 +338,104 @@ let mid_barrier_speculation () =
           "--fragment-jobs 2 took %.3f s, %.1fx the sequential %.3f s" t2
           (t2 /. t1) t1)
 
+(* Block-scale ledger: a pool item is a block of consecutive fragments,
+   so a worker meets anonymous structs (a gensym-mint abort), pointer
+   tests that read variables (stale once an anonymous struct re-expands
+   and writes one) and a macro-generating invocation (a definition bump
+   that fails every later fragment) in the middle of its blocks.  Every
+   fragment's verdict must still be what a lone speculation of it from
+   the run-start state gets, so the ledger is the same at every
+   [--fragment-jobs] and was read off the per-fragment implementation.
+   [MINTP(r)] mints only when [r] is a pointer, which it is after the
+   fragment before it in its block but not in the run-start state: its
+   verdict is a stale read, not a mint.  The pre-scanner folds
+   [def_tracer gen_one;] into the fragment before it, so 1,999
+   fragments speculate. *)
+let block_source =
+  let b = Buffer.create 80_000 in
+  Buffer.add_string b
+    "syntax exp DBL {| ( $$exp::e ) |} { return `( (2 * $(e)) ); }\n\
+     syntax exp ISPTR {| ( $$exp::e ) |}\n\
+     { if (is_pointer(e)) return `(1); return `(0); }\n\
+     syntax exp MINTP {| ( $$exp::e ) |}\n\
+     { if (is_pointer(e)) { @id t = gensym(\"t\"); } return `(0); }\n\
+     syntax decl def_tracer [] {| $$id::name ; |}\n\
+     {\n\
+     return list(`[syntax stmt $name {| ( $$exp::e ) ; |}\n\
+     {\n\
+     return `{ $e; };\n\
+     }]);\n\
+     }\n\
+     int *p0;\n";
+  for i = 1 to 1999 do
+    if i = 1950 then Buffer.add_string b "def_tracer gen_one;\n"
+    else if i mod 100 = 37 then
+      Printf.bprintf b "struct { int a; int b; } s%d;\n" i
+    else if i mod 50 = 11 then Printf.bprintf b "int q%d = ISPTR(p0);\n" i
+    else if i mod 100 = 73 then Printf.bprintf b "int *r%d;\n" i
+    else if i mod 100 = 74 then
+      Printf.bprintf b "int m%d = MINTP(r%d);\n" i (i - 1)
+    else Printf.bprintf b "int u%d(int x) { return DBL(x + %d); }\n" i i
+  done;
+  Buffer.contents b
+
+let block_ledger () =
+  let f = write_fixture "blocks" block_source in
+  with_files [ f ] (fun files ->
+      let file = List.hd files in
+      List.iter
+        (fun jobs ->
+          let c, out, _ =
+            check_identity ~jobs
+              ~what:(Printf.sprintf "blocks at %d jobs" jobs) "" files
+          in
+          Alcotest.(check int) "clean exit" 0 c;
+          Alcotest.(check bool) "expansion really happened" true
+            (contains ~sub:"2 * (x + 1999)" out);
+          let c, _, err =
+            run_cli
+              (Printf.sprintf
+                 "expand --fragment-jobs %d --stats --stats-format=json %s"
+                 jobs file)
+          in
+          Alcotest.(check int) "stats run exit" 0 c;
+          let what s = Printf.sprintf "%s at %d jobs" s jobs in
+          Alcotest.(check (triple int int int))
+            (what "speculated, committed, revalidated")
+            (1999, 1871, 128) (frag_counters err);
+          Alcotest.(check (list int))
+            (what "defs_bump, gensym_mint, meta_decl, stale_read")
+            [ 1; 20; 0; 107 ]
+            (List.map
+               (fun cause -> metric ("fragments.abort." ^ cause) err)
+               [ "defs_bump"; "gensym_mint"; "meta_decl"; "stale_read" ]))
+        [ 2; 4 ])
+
+(* A committed fragment's delta keeps a rewrite that restores the
+   run-start value.  [mk x] mints a name, so it re-expands on the main
+   engine and makes [x] a long there; the [int x;] after it commits,
+   and must put [x] back to int although int is what the run-start
+   state held.  A delta that dropped the rewrite as unchanged left [x]
+   a long, and the stale-read re-expansion of [q] printed [long]. *)
+let redeclaration_commits () =
+  let src =
+    "syntax exp TN {| ( $$exp::e ) |}\n\
+     { return `($(make_id(type_name_of(e)))); }\n\
+     syntax decl mk [] {| $$id::n ; |}\n\
+     { @id t = gensym(\"t\"); return list(`[long $n;]); }\n\
+     int x;\n\
+     typedef int t0;\n\
+     mk x;\n\
+     int x;\n"
+    ^ String.concat "" (List.init 6 (fun i -> Printf.sprintf "int p%d;\n" i))
+    ^ "int q = TN(x);\n"
+  in
+  let f = write_fixture "redecl" src in
+  with_files [ f ] (fun files ->
+      let _, out, _ = check_identity ~jobs:2 ~what:"redeclaration" "" files in
+      Alcotest.(check bool) "x is an int again" true
+        (contains ~sub:"int q = int;" out))
+
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide byte-identity                                           *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +598,10 @@ let () =
             escaped_lambda_commits;
           Alcotest.test_case "speculation after a mid-unit barrier is linear"
             `Quick mid_barrier_speculation;
+          Alcotest.test_case "block-scale ledger is per fragment" `Quick
+            block_ledger;
+          Alcotest.test_case "a rewrite to the run-start value commits"
+            `Quick redeclaration_commits;
         ] );
       ( "chaos",
         [
