@@ -47,17 +47,10 @@ let arm_failpoints = function
   | [] -> ()
   | spec -> Failpoint.arm_all spec
 
-(* Resolve [auto] (0) job counts: [jobs] units in flight (files, or
-   daemon workers) default to one per recommended domain, and each
-   unit's [fragment_jobs] to its share of the domains left over. *)
-let resolve_jobs ~jobs ~fragment_jobs =
-  let jobs = if jobs = 0 then Ms2_support.Pool.recommended () else jobs in
-  let fragment_jobs =
-    if fragment_jobs = 0 then
-      max 1 (Ms2_support.Pool.recommended () / max 1 jobs)
-    else fragment_jobs
-  in
-  (jobs, fragment_jobs)
+(* Resolve an [auto] (0) job count — files in flight, or daemon
+   workers — to one per recommended domain. *)
+let resolve_jobs jobs =
+  if jobs = 0 then Ms2_support.Pool.recommended () else jobs
 
 (* Budgets are counts: negative values are a usage error, caught at the
    command line rather than producing an instantly-exhausted budget. *)

@@ -128,28 +128,6 @@ let print_stats ~format ~jobs ~forked =
            budget %d\n"
           s.Ms2.Api.cache_bypass_trace s.Ms2.Api.cache_bypass_failpoints
           s.Ms2.Api.cache_bypass_budget;
-      if s.Ms2.Api.fragments_speculated > 0 then begin
-        Printf.eprintf
-          "fragments speculated: %d (committed %d, revalidated %d)\n"
-          s.Ms2.Api.fragments_speculated s.Ms2.Api.fragments_committed
-          s.Ms2.Api.fragments_revalidated;
-        let aborts =
-          s.Ms2.Api.fragments_abort_defs_bump
-          + s.Ms2.Api.fragments_abort_gensym_mint
-          + s.Ms2.Api.fragments_abort_meta_decl
-          + s.Ms2.Api.fragments_abort_stale_read
-          + s.Ms2.Api.fragments_abort_foreign_closure
-        in
-        if aborts > 0 then
-          Printf.eprintf
-            "  aborted for: defs bump %d, gensym mint %d, meta decl %d, \
-             stale read %d, foreign closure %d\n"
-            s.Ms2.Api.fragments_abort_defs_bump
-            s.Ms2.Api.fragments_abort_gensym_mint
-            s.Ms2.Api.fragments_abort_meta_decl
-            s.Ms2.Api.fragments_abort_stale_read
-            s.Ms2.Api.fragments_abort_foreign_closure
-      end;
       Printf.eprintf
         "pattern memo: %d hits, %d misses; FIRST-set memo: %d hits, %d \
          misses\n"
@@ -423,18 +401,11 @@ let jobs_arg =
              domain count.  Output and diagnostics are emitted in input \
              order either way.")
 
+(* Ignored: kept for perfbench until ROADMAP item 1 drops the flag. *)
 let fragment_jobs_arg =
   Arg.(value & opt jobs_conv 1 & info [ "fragment-jobs" ] ~docv:"N"
-       ~doc:"Expand top-level fragments $(i,within) each file on \
-             $(docv) parallel domains: definition-bearing fragments are \
-             sequential barriers, runs of pure-invocation fragments \
-             between them expand speculatively and commit in order, so \
-             output and diagnostics stay byte-identical to sequential \
-             expansion.  The default 1 disables it.  $(b,0) or \
-             $(b,auto) resolves to the recommended domain count divided \
-             by the resolved $(b,--jobs) value (the two compose by \
-             splitting the domain budget).  Files with few fragments, \
-             and $(b,--trace) runs, fall back to sequential expansion.")
+       ~doc:"Accepted and ignored: each file expands in one sequential \
+             walk.")
 
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ]
@@ -548,7 +519,7 @@ let write_output ~diag_format output text =
    it completes and the log is fsynced after each file, whichever
    worker ran it: a killed batch, rerun over the same file, replays
    every file it finished. *)
-let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(hygienic = false)
+let expand_batch ?(jobs = 1) ?(hygienic = false)
     ?(prelude = false) ?(trace = false)
     ?(line_directives = false) ?sourcemap ?(semantic_check = false)
     ?(stats = false) ?(stats_format = Stats_text) ?trace_out ?metrics
@@ -651,7 +622,7 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(hygienic = false)
       if trace_out <> None then Obs.start_recording ();
       let engine = match shared with Some e -> e | None -> new_engine () in
       let u =
-        Ms2.Api.expand_unit ~line_directives ~fragment_jobs engine ~source text
+        Ms2.Api.expand_unit ~line_directives engine ~source text
       in
       let checked =
         if semantic_check && Option.is_none u.u_fatal then
@@ -784,16 +755,12 @@ let expand_batch ?(jobs = 1) ?(fragment_jobs = 1) ?(hygienic = false)
 
 let expand_cmd =
   let run files output stats stats_format hygienic semantic_check prelude
-      trace trace_out metrics jobs fragment_jobs no_cache limits
+      trace trace_out metrics jobs _fragment_jobs no_cache limits
       failpoints keep_going line_directives sourcemap cache_file diag_format
       =
     arm_failpoints failpoints;
-    (* [--jobs auto]: one worker per recommended domain;
-       [--fragment-jobs auto]: N files in flight, each expanding on
-       recommended/N domains *)
-    let jobs, fragment_jobs = resolve_jobs ~jobs ~fragment_jobs in
     with_fragments ~diag_format files
-      (expand_batch ~jobs ~fragment_jobs ~hygienic ~prelude ~trace
+      (expand_batch ~jobs:(resolve_jobs jobs) ~hygienic ~prelude ~trace
          ~line_directives ?sourcemap ~semantic_check ~stats ~stats_format
          ?trace_out ?metrics
          ?cache_file:(if no_cache then None else cache_file)

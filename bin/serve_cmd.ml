@@ -64,8 +64,8 @@
       every ring to [--flight-dir] as one [ms2-flight-1] file and are
       remembered for the [health] admin method;
     - [health] and [metrics] admin methods serve the live state: RED
-      per-method counters/latency histograms plus engine/cache/
-      speculation counters, as [ms2-metrics-1] JSON; [--prometheus
+      per-method counters/latency histograms plus engine/cache
+      counters, as [ms2-metrics-1] JSON; [--prometheus
       FILE] additionally exports the registry in Prometheus text
       format about once a second (atomic writes);
     - [ms2c top] polls [health]/[metrics] into a terminal dashboard. *)
@@ -173,11 +173,6 @@ type state = {
   max_sessions : int;
   session_idle_ms : int;
   max_request_bytes : int;
-  fragment_jobs : int;
-      (** resolved [--fragment-jobs]: intra-request fragment parallelism
-          for large translation units (1 = off); requests below the
-          engine's fragment-count threshold expand sequentially either
-          way *)
   mutable conns : conn list;
   listen_fd : Unix.file_descr option;
   socket_path : string option;
@@ -539,9 +534,8 @@ let run_job (st : state) (req : Proto.request) ~(arrival : float)
   let loc = file_start_loc req.Proto.rq_source in
   let t0 = Unix.gettimeofday () in
   (* the domain's trace context covers the whole request: every span
-     and instant the engine records below — cache lookups, fragment
-     speculation (propagated into pool domains), transactions — is
-     stamped with this request's id *)
+     and instant the engine records below — cache lookups,
+     transactions — is stamped with this request's id *)
   Obs.set_trace (Some trace);
   Fun.protect ~finally:(fun () -> Obs.set_trace None) @@ fun () ->
   Obs.with_span ~cat:"serve"
@@ -578,7 +572,6 @@ let run_job (st : state) (req : Proto.request) ~(arrival : float)
           Diag.protect (fun () ->
               Failpoint.hit ~loc "serve/expand";
               Session.expand ss engine ?deadline_ms:remaining_ms
-                ~fragment_jobs:st.fragment_jobs
                 ~source:req.Proto.rq_source req.Proto.rq_text)
         with
         | Ok r -> r
@@ -735,8 +728,8 @@ let handle_admin (st : state) (c : conn) (req : Proto.request)
              ("anomalies", Json.List recent) ])
   | "metrics" ->
       (* the full registry — RED counters/histograms the serve path
-         maintains, plus every worker engine's [engine.*]/[cache.*]/
-         [fragments.*] published on demand.  Re-serialized through the
+         maintains, plus every worker engine's [engine.*]/[cache.*]
+         published on demand.  Re-serialized through the
          parser so the ms2-metrics-1 object embeds on one line. *)
       publish_all_metrics st;
       (match Json.parse (Obs.Metrics.to_json ()) with
@@ -1231,7 +1224,7 @@ let load_prelude_file (engine : Ms2.Api.engine) (path : string) : unit =
       | Result.Error d -> fatal "prelude failed: %s" (Diag.to_string d))
 
 let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
-    ~fragment_jobs ~socket ~pidfile ~write_pidfile ~max_pending
+    ~socket ~pidfile ~write_pidfile ~max_pending
     ~max_sessions ~session_idle_ms ~max_request_bytes ~cache_file
     ~snapshot_idle_ms ~slow_ms ~flight_dir ~prometheus () : unit =
   (* a disconnected client must never kill the daemon with SIGPIPE *)
@@ -1246,8 +1239,7 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
      when an anomaly fires.  This ring serves the event-loop domain;
      each worker domain enables its own in [worker_loop]. *)
   Obs.Flight.enable ();
-  (* [--fragment-jobs auto] splits the domain budget with --workers *)
-  let workers, fragment_jobs = resolve_jobs ~jobs:workers ~fragment_jobs in
+  let workers = resolve_jobs workers in
   let cache_file = if cache then cache_file else None in
   (* one store across the worker engines, so warm fragments replay
      whichever domain they land on; it is also the --cache-file's
@@ -1307,7 +1299,6 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
       max_sessions;
       session_idle_ms;
       max_request_bytes;
-      fragment_jobs;
       conns =
         (match listen_fd with
         | Some _ -> []
@@ -1346,7 +1337,6 @@ let run_server ~limits ~hygienic ~prelude ~prelude_file ~cache ~workers
   Log.info ~event:"serve.start" (fun () ->
       [ ("pid", Obs.Int (Unix.getpid ()));
         ("workers", Obs.Int (Array.length st.engines));
-        ("fragment_jobs", Obs.Int st.fragment_jobs);
         ("slow_ms", Obs.Int slow_ms) ]);
   serve_with_workers st
 
@@ -1536,16 +1526,6 @@ let workers_arg =
              while every worker is busy.  $(b,0) resolves to the \
              machine's recommended domain count.")
 
-let fragment_jobs_arg =
-  Arg.(value & opt nonneg_int 1 & info [ "fragment-jobs" ] ~docv:"N"
-       ~doc:"Expand large requests with $(docv) parallel domains \
-             $(i,within) the request (intra-file fragment parallelism; \
-             output stays byte-identical to sequential expansion).  \
-             Requests with few top-level fragments expand sequentially \
-             regardless.  $(b,0) resolves to the recommended domain \
-             count divided by the resolved $(b,--workers); the default \
-             1 disables it.")
-
 let cache_file_arg =
   Arg.(value & opt (some string) None & info [ "cache-file" ] ~docv:"FILE"
        ~doc:"Persist the shared expansion cache to $(docv): loaded on \
@@ -1591,8 +1571,8 @@ let log_level_arg =
              $(b,warn) or $(b,error).")
 
 let cmd : unit Cmd.t =
-  let run limits hygienic prelude prelude_file no_cache workers
-      fragment_jobs socket pidfile supervise_flag max_pending max_sessions
+  let run limits hygienic prelude prelude_file no_cache workers socket
+      pidfile supervise_flag max_pending max_sessions
       session_idle_ms max_request_bytes cache_file snapshot_idle_ms
       slow_ms flight_dir prometheus log_level failpoints =
     arm_failpoints failpoints;
@@ -1603,7 +1583,7 @@ let cmd : unit Cmd.t =
           log_level);
     let worker ~write_pidfile () =
       run_server ~limits ~hygienic ~prelude ~prelude_file
-        ~cache:(not no_cache) ~workers ~fragment_jobs ~socket ~pidfile
+        ~cache:(not no_cache) ~workers ~socket ~pidfile
         ~write_pidfile ~max_pending ~max_sessions ~session_idle_ms
         ~max_request_bytes ~cache_file ~snapshot_idle_ms ~slow_ms
         ~flight_dir ~prometheus ()
@@ -1624,7 +1604,7 @@ let cmd : unit Cmd.t =
              crash-safe supervision")
     Term.(
       const run $ limits_term $ hygienic_arg $ prelude_arg
-      $ prelude_file_arg $ no_cache_arg $ workers_arg $ fragment_jobs_arg
+      $ prelude_file_arg $ no_cache_arg $ workers_arg
       $ socket_arg $ pidfile_arg $ supervise_arg $ max_pending_arg
       $ max_sessions_arg $ session_idle_ms_arg $ max_request_bytes_arg
       $ cache_file_arg $ snapshot_idle_ms_arg $ slow_ms_arg

@@ -3,8 +3,8 @@
     Polls the daemon's admin surface ([health] + [metrics], protocol
     [ms2-serve-1]) over its Unix socket at a fixed interval and renders
     the RED view an operator wants at a glance: request rate, per-method
-    p50/p99 latency, error counts, cache hit rate, speculation
-    commit/abort rates, and the recent-anomaly tail from the flight
+    p50/p99 latency, error counts, cache hit rate, and the
+    recent-anomaly tail from the flight
     recorder.  Nothing here requires daemon cooperation beyond the two
     admin methods — [top] is a pure client and can watch a daemon it
     did not start.
@@ -268,17 +268,10 @@ type view = {
   v_methods : method_row list;
   v_cache_hits : int;
   v_cache_misses : int;
-  v_speculated : int;
-  v_committed : int;
-  v_aborts : (string * int) list;  (** cause -> count, fixed order *)
   v_shed : int;
   v_flight_dumps : int;
   v_anomalies : Json.t list;  (** newest first, as health reports *)
 }
-
-let abort_causes =
-  [ "defs_bump"; "gensym_mint"; "meta_decl"; "stale_read";
-    "foreign_closure" ]
 
 let latency_prefix = "serve.latency_ms."
 
@@ -362,12 +355,6 @@ let compute (prev : sample option) (cur : sample) : view =
     v_methods = methods;
     v_cache_hits = engine.Ms2.Api.cache_hits;
     v_cache_misses = engine.Ms2.Api.cache_misses;
-    v_speculated = counter m "fragments.speculated";
-    v_committed = counter m "fragments.committed";
-    v_aborts =
-      List.map
-        (fun c -> (c, counter m ("fragments.abort." ^ c)))
-        abort_causes;
     v_shed = counter m "serve.shed";
     v_flight_dumps = counter m "serve.flight_dumps";
     v_anomalies = anomalies;
@@ -423,18 +410,6 @@ let render_text (v : view) : string =
   line "cache      hits %d  misses %d  hit rate %s" v.v_cache_hits
     v.v_cache_misses
     (pct (ratio v.v_cache_hits (v.v_cache_hits + v.v_cache_misses)));
-  let aborted = List.fold_left (fun a (_, n) -> a + n) 0 v.v_aborts in
-  line "fragments  speculated %d  committed %d (%s)  aborted %d (%s)"
-    v.v_speculated v.v_committed
-    (pct (ratio v.v_committed v.v_speculated))
-    aborted
-    (pct (ratio aborted v.v_speculated));
-  (match List.filter (fun (_, n) -> n > 0) v.v_aborts with
-  | [] -> ()
-  | nz ->
-      line "           aborts by cause: %s"
-        (String.concat "  "
-           (List.map (fun (c, n) -> Printf.sprintf "%s %d" c n) nz)));
   line "";
   (match v.v_anomalies with
   | [] -> line "anomalies  (none)"
@@ -473,7 +448,6 @@ let render_json (v : view) : string =
             ("p99_ms", json_opt_float r.m_p99) ])
       v.v_methods
   in
-  let aborted = List.fold_left (fun a (_, n) -> a + n) 0 v.v_aborts in
   Json.to_string
     (Json.Obj
        [ ("schema", Json.Str "ms2-top-1");
@@ -497,16 +471,6 @@ let render_json (v : view) : string =
                json_opt_float
                  (ratio v.v_cache_hits (v.v_cache_hits + v.v_cache_misses)))
             ]);
-         ("fragments",
-          Json.Obj
-            [ ("speculated", Json.Int v.v_speculated);
-              ("committed", Json.Int v.v_committed);
-              ("aborted", Json.Int aborted);
-              ("commit_rate",
-               json_opt_float (ratio v.v_committed v.v_speculated));
-              ("aborts",
-               Json.Obj
-                 (List.map (fun (c, n) -> (c, Json.Int n)) v.v_aborts)) ]);
          ("shed", Json.Int v.v_shed);
          ("flight_dumps", Json.Int v.v_flight_dumps);
          ("anomalies", Json.List v.v_anomalies) ])
@@ -584,7 +548,7 @@ let cmd : unit Cmd.t =
   Cmd.v
     (Cmd.info "top"
        ~doc:"Watch a running serve daemon: request rates, per-method \
-             p50/p99 latency, cache hit rate, speculation commit/abort \
-             rates and recent anomalies, polled over its admin socket")
+             p50/p99 latency, cache hit rate and recent anomalies, polled \
+             over its admin socket")
     Term.(const run_top $ connect_arg $ interval_ms_arg $ once_arg
           $ format_arg)

@@ -103,8 +103,8 @@ let render_hits = Obs.Metrics.counter "cache.render_hits"
     (an expansion can be legal yet too deep to print recursively)
     becomes a located resource diagnostic; the expansion itself then
     stands committed, with [u_program] set. *)
-let expand_unit ?(line_directives = false) ?deadline_ms ?fragment_jobs
-    (engine : engine) ?(source = "<string>") (text : string) : unit_result =
+let expand_unit ?(line_directives = false) ?deadline_ms (engine : engine)
+    ?(source = "<string>") (text : string) : unit_result =
   let seen = Diag.count engine.Engine.diags in
   let result ?(out = { Pretty.text = ""; map = [||] }) program fatal =
     {
@@ -118,8 +118,7 @@ let expand_unit ?(line_directives = false) ?deadline_ms ?fragment_jobs
   in
   match
     Diag.protect (fun () ->
-        Engine.expand_source_entry engine ~source ?deadline_ms ?fragment_jobs
-          text)
+        Engine.expand_source_entry engine ~source ?deadline_ms text)
   with
   | Error d -> result None (Some d)
   | Ok x -> (
@@ -235,41 +234,10 @@ let c_bypass_failpoints =
 let c_bypass_budget =
   engine_counter "cache.bypass.budget" (fun s -> s.cache_bypass_budget)
 
-let c_speculated =
-  engine_counter "fragments.speculated" (fun s -> s.fragments_speculated)
-
-let c_committed =
-  engine_counter "fragments.committed" (fun s -> s.fragments_committed)
-
-let c_revalidated =
-  engine_counter "fragments.revalidated" (fun s -> s.fragments_revalidated)
-
-let c_abort_defs_bump =
-  engine_counter "fragments.abort.defs_bump" (fun s ->
-      s.fragments_abort_defs_bump)
-
-let c_abort_gensym_mint =
-  engine_counter "fragments.abort.gensym_mint" (fun s ->
-      s.fragments_abort_gensym_mint)
-
-let c_abort_meta_decl =
-  engine_counter "fragments.abort.meta_decl" (fun s ->
-      s.fragments_abort_meta_decl)
-
-let c_abort_stale_read =
-  engine_counter "fragments.abort.stale_read" (fun s ->
-      s.fragments_abort_stale_read)
-
-let c_abort_foreign_closure =
-  engine_counter "fragments.abort.foreign_closure" (fun s ->
-      s.fragments_abort_foreign_closure)
-
 let engine_counters =
   [ c_invocations; c_meta_runs; c_macros; c_fuel; c_nodes; c_hits; c_misses;
     c_evictions; c_bypasses; c_bypass_trace; c_bypass_failpoints;
-    c_bypass_budget; c_speculated; c_committed;
-    c_revalidated; c_abort_defs_bump; c_abort_gensym_mint; c_abort_meta_decl;
-    c_abort_stale_read; c_abort_foreign_closure ]
+    c_bypass_budget ]
 
 (** Set every per-engine registry counter to its sum over [engines].
     With [store] — the store those engines share in this process — the
@@ -312,14 +280,15 @@ let stats_of_counters (r : string -> int) : stats =
     cache_bypass_trace = v c_bypass_trace;
     cache_bypass_failpoints = v c_bypass_failpoints;
     cache_bypass_budget = v c_bypass_budget;
-    fragments_speculated = v c_speculated;
-    fragments_committed = v c_committed;
-    fragments_revalidated = v c_revalidated;
-    fragments_abort_defs_bump = v c_abort_defs_bump;
-    fragments_abort_gensym_mint = v c_abort_gensym_mint;
-    fragments_abort_meta_decl = v c_abort_meta_decl;
-    fragments_abort_stale_read = v c_abort_stale_read;
-    fragments_abort_foreign_closure = v c_abort_foreign_closure;
+    (* constant 0: kept for perfbench until ROADMAP item 1 drops them *)
+    fragments_speculated = 0;
+    fragments_committed = 0;
+    fragments_revalidated = 0;
+    fragments_abort_defs_bump = 0;
+    fragments_abort_gensym_mint = 0;
+    fragments_abort_meta_decl = 0;
+    fragments_abort_stale_read = 0;
+    fragments_abort_foreign_closure = 0;
     pattern_memo_hits = r (fst pattern_memo_hits);
     pattern_memo_misses = r (fst pattern_memo_misses);
     firstset_memo_hits = r (fst firstset_memo_hits);
@@ -471,9 +440,8 @@ module Session = struct
     s.sn_fuel <- s.sn_fuel + d.d_fuel;
     d
 
-  let expand (s : t) (e : engine) ?deadline_ms ?fragment_jobs
-      ?(source = "<request>") (text : string) :
-      (string * delta, Diag.t * delta) result =
+  let expand (s : t) (e : engine) ?deadline_ms ?(source = "<request>")
+      (text : string) : (string * delta, Diag.t * delta) result =
     (* enter: put the engine on this session's committed state.
        Unconditional — cheaper to restore than to track which session
        held the engine last, and idempotent when it is already ours. *)
@@ -482,7 +450,7 @@ module Session = struct
     Ms2_meta.Value.rearm_fuel e.Engine.env.Ms2_meta.Value.budget;
     let r0 = reading e in
     s.sn_requests <- s.sn_requests + 1;
-    let u = expand_unit e ~source ?deadline_ms ?fragment_jobs text in
+    let u = expand_unit e ~source ?deadline_ms text in
     let d = absorb_delta s e r0 in
     match u.u_fatal with
     | None ->

@@ -89,8 +89,8 @@ type unit_result = {
 }
 
 val expand_unit :
-  ?line_directives:bool -> ?deadline_ms:int ->
-  ?fragment_jobs:int -> engine -> ?source:string -> string -> unit_result
+  ?line_directives:bool -> ?deadline_ms:int -> engine -> ?source:string ->
+  string -> unit_result
 (** The one "expand a unit" step every driver shares: run
     {!Engine.expand_source_entry} on [engine] under {!Diag.protect},
     then render once with {!Ms2_syntax.Pretty.program} (a [render]
@@ -135,7 +135,7 @@ val stats : engine -> stats
 
 val publish_metrics : ?store:shared_cache -> stats list -> unit
 (** Publish engine statistics into the {!Ms2_support.Obs.Metrics}
-    registry: each [engine.*]/[cache.*]/[fragments.*] counter is set to
+    registry: each [engine.*]/[cache.*] counter is set to
     its sum over the given engines (absolute sets, so republishing is idempotent;
     call once before reporting).  [store] is the store those engines
     share in this process: when given, [cache.hits]/[misses]/[evictions]
@@ -208,17 +208,16 @@ module Session : sig
   val id : t -> string
 
   val expand :
-    t -> engine -> ?deadline_ms:int -> ?fragment_jobs:int -> ?source:string ->
-    string -> (string * delta, Diag.t * delta) result
+    t -> engine -> ?deadline_ms:int -> ?source:string -> string ->
+    (string * delta, Diag.t * delta) result
   (** Expand one fragment in this session on [engine], whatever state
       it held, and render it as pure C.  [deadline_ms] narrows the
-      fragment watchdog; [fragment_jobs] > 1 enables intra-file fragment
-      parallelism for this request (see {!Engine.expand_source}).  Each
-      call draws on a fresh fuel budget of the engine's [Limits.fuel]:
-      no request inherits what earlier ones consumed.  On [Error] the
-      session state is unchanged (the fragment rolled back); on [Ok] the
-      session's checkpoint has advanced.  Not reentrant: an engine runs
-      one fragment at a time, and so does a session. *)
+      fragment watchdog.  Each call draws on a fresh fuel budget of the
+      engine's [Limits.fuel]: no request inherits what earlier ones
+      consumed.  On [Error] the session state is unchanged (the fragment
+      rolled back); on [Ok] the session's checkpoint has advanced.  Not
+      reentrant: an engine runs one fragment at a time, and so does a
+      session. *)
 
   val reset : t -> unit
   (** Set the session back to its base; touches no engine. *)

@@ -25,7 +25,6 @@ module Tenv = Ms2_typing.Tenv
 module Of_cdecl = Ms2_typing.Of_cdecl
 module State = Ms2_parser.State
 module Parser = Ms2_parser.Parser
-module Prescan = Ms2_parser.Prescan
 module Value = Ms2_meta.Value
 module Interp = Ms2_meta.Interp
 module Fill = Ms2_meta.Fill
@@ -125,9 +124,9 @@ and program_state =
    shares its structure with the live session and with every other
    checkpoint.  No meta value refers to an engine (a closure reads
    globals from whichever session calls it), so a checkpoint taken on
-   one engine is rolled back on any other as it is: speculation
-   workers, per-file engines starting from one post-prelude state, and
-   a snapshot's restored entries. *)
+   one engine is rolled back on any other as it is: sessions served by
+   any worker, per-file engines starting from one post-prelude state,
+   and a snapshot's restored entries. *)
 and checkpoint = {
   cp_macros : State.macro_sig Smap.t;
   cp_compiled : State.compiled_pattern Smap.t;
@@ -908,495 +907,6 @@ let expand_program (t : t) (prog : program) : program =
   concat_map_shared (process_top t) prog
 
 (* ------------------------------------------------------------------ *)
-(* Intra-file fragment parallelism                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* One translation unit, many fragments: a cheap token pre-scan
-   ({!Ms2_parser.Prescan}) finds top-level fragment boundaries and
-   conservatively classifies each fragment.  Definition-bearing
-   fragments are sequential *barriers*; runs of pure-invocation
-   fragments between barriers expand speculatively on the domain
-   pool, a block of consecutive fragments per pool item, on
-   per-domain engines rolled back onto the run-start checkpoint, and
-   their results commit *in fragment order* on the
-   main engine — or are discarded and re-expanded sequentially when
-   commit-time validation finds the speculation observed state a
-   predecessor has since changed.  The
-   output is byte-identical to a sequential run by construction: every
-   committed result is proven equivalent to what the sequential walk
-   would have produced, and everything else *is* the sequential walk.
-
-   Validation is the [defs_version] discipline extended with read/write
-   odometers: a worker result is discarded unless
-     - the worker saw no definition activity (its [defs_version] still
-       equals the run-start digest, no gensym names or anonymous tags
-       were minted, no meta declarations ran), and
-     - the main engine's [defs_version] still equals the run-start
-       digest at commit time, and
-     - nothing the fragment *read* (per-kind [Senv] lookups, global meta
-       bindings) has been dirtied by an earlier commit or re-expansion
-       in the same run, and
-     - charging the fragment's fuel/node consumption cannot overdraw
-       the remaining global budget (a sequential run would have failed
-       inside the fragment, so it must re-run for real). *)
-
-(* AST-level hardening of the token classifier: anything that registers
-   definitions or runs meta code at top level is a barrier even if the
-   pre-scan missed it. *)
-let decl_is_barrier (d : decl) : bool =
-  match d.d with
-  | Decl_macro_def _ | Decl_metadcl _ -> true
-  | Decl_plain (specs, _) -> List.mem S_typedef specs || is_meta_top d
-  | _ -> is_meta_top d
-
-type frag_plan = { fp_barrier : bool; fp_decls : decl list }
-
-(* Assign parsed top-level declarations to pre-scanned fragments by
-   byte offset (a declaration belongs to the fragment containing its
-   start), in one merge pass over both lists.  Token-level boundary
-   errors only group declarations unevenly; classification is
-   re-derived from the AST on top of the token-level verdict.
-   Fragments that end up empty are dropped. *)
-let plan_fragments (frags : Prescan.fragment list) (prog : program) :
-    frag_plan array =
-  let offset (d : decl) = d.dloc.Loc.start_pos.Loc.offset in
-  (* [decls]: the current fragment's declarations, newest first; [next]:
-     the fragments after it *)
-  let rec go plan next barrier decls prog =
-    match prog with
-    | d :: rest
-      when match next with
-           | f :: _ -> f.Prescan.fg_offset > offset d
-           | [] -> true ->
-        go plan next (barrier || decl_is_barrier d) (d :: decls) rest
-    | _ ->
-        let plan =
-          if decls = [] then plan
-          else { fp_barrier = barrier; fp_decls = List.rev decls } :: plan
-        in
-        (match next with
-        | [] -> plan
-        | f :: next -> go plan next f.Prescan.fg_barrier [] prog)
-  in
-  match frags with
-  | [] -> [| { fp_barrier = true; fp_decls = prog } |]
-  | f :: next ->
-      Array.of_list (List.rev (go [] next f.Prescan.fg_barrier [] prog))
-
-(* The kinds of shared state a fragment can read or change, as bits:
-   per-kind [Senv] tables and the global meta bindings. *)
-let kind_vars = 1
-let kind_typedefs = 2
-let kind_layouts = 4
-let kind_globals = 8
-
-let senv_kinds (v, t, l) =
-  (if v then kind_vars else 0)
-  lor (if t then kind_typedefs else 0)
-  lor if l then kind_layouts else 0
-
-(* What a speculative worker hands back for a fragment it expanded
-   cleanly: its verdict is exactly what a lone speculation of the
-   fragment from the run-start state gets (see {!frag_speculate_block}).
-   Its [Senv] writes stay in the worker's write log, between [fm_since]
-   (the mark before it; [None] when it was the first of its worker's
-   run from the run-start state) and [fm_mark]: committing deltas in
-   fragment order is last-writer-wins, which is exactly the sequential
-   outcome. *)
-type frag_mark = {
-  fm_prog : program;  (** expanded output of the fragment *)
-  fm_since : Senv.mark option;
-  fm_mark : Senv.mark;
-  mutable fm_run : Senv.top_delta option;
-      (** on the last fragment of a worker run that ended in the state
-          it left: everything the run wrote, taken whole *)
-  fm_genv : (string * Value.t) list;
-      (** global meta bindings the fragment added or rebound *)
-  fm_reads : int;  (** the kinds the fragment read *)
-  fm_changes : int;
-      (** the kinds the fragment left different from the run start *)
-  fm_fuel : int;
-  fm_nodes : int;
-  fm_invocations : int;
-}
-
-(** Why a speculation could not commit — the labeled
-    [fragments.abort.*] breakdown.  A [Frag_done] that later fails
-    {!frag_commit_ok} (earlier commits dirtied what it read) counts as
-    [Abort_stale_read]; a worker that raised ([Frag_fail]) carries no
-    cause — the re-expansion will surface the real error. *)
-type abort_cause =
-  | Abort_defs_bump
-  | Abort_gensym_mint
-  | Abort_meta_decl
-  | Abort_stale_read
-
-let abort_cause_name = function
-  | Abort_defs_bump -> "defs_bump"
-  | Abort_gensym_mint -> "gensym_mint"
-  | Abort_meta_decl -> "meta_decl"
-  | Abort_stale_read -> "stale_read"
-
-let count_abort (t : t) (cause : abort_cause) : unit =
-  let s = t.stats in
-  (match cause with
-  | Abort_defs_bump ->
-      s.fragments_abort_defs_bump <- s.fragments_abort_defs_bump + 1
-  | Abort_gensym_mint ->
-      s.fragments_abort_gensym_mint <- s.fragments_abort_gensym_mint + 1
-  | Abort_meta_decl ->
-      s.fragments_abort_meta_decl <- s.fragments_abort_meta_decl + 1
-  | Abort_stale_read ->
-      s.fragments_abort_stale_read <- s.fragments_abort_stale_read + 1);
-  Obs.instant ~cat:"fragment"
-    ~args:(fun () -> [ ("cause", Obs.Str (abort_cause_name cause)) ])
-    "speculation-abort"
-
-type frag_result =
-  | Frag_done of frag_mark
-  | Frag_abort of abort_cause
-      (** validation failed on the worker; revalidate *)
-  | Frag_fail
-      (** the worker raised: revalidate, and stop later speculation so
-          first-fatal semantics match the sequential index *)
-
-(* Worker engines live in domain-local storage, stamped with the id of
-   the speculation run that created them: the pool spawns fresh domains
-   per call (empty DLS), but the calling domain is worker 0 and keeps
-   its slot across runs, so the slot must be re-keyed per run. *)
-type frag_worker_state = {
-  fw_run : int;  (** the speculation run this worker was created for *)
-  fw_engine : t;
-}
-
-type frag_ctx = {
-  fx_run : int;
-  fx_main : t;  (** read-only from workers: configuration only *)
-  fx_cp : checkpoint;  (** run-start checkpoint of the main engine *)
-  fx_v0 : Digest.t;  (** [defs_version] at run start *)
-  fx_frag_ms : int;  (** per-block watchdog deadline *)
-}
-
-let frag_run_counter = Atomic.make 0
-
-let frag_worker_slot : frag_worker_state option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let frag_worker (ctx : frag_ctx) : frag_worker_state =
-  let slot = Domain.DLS.get frag_worker_slot in
-  match !slot with
-  | Some fw when fw.fw_run = ctx.fx_run -> fw
-  | _ ->
-      let m = ctx.fx_main in
-      let w =
-        create ~limits:m.limits ~compile_patterns:m.compile_patterns
-          ~hygienic:m.env.Value.hygienic ~recover:false ~cache:false ()
-      in
-      Senv.log_top_writes w.senv;
-      let fw = { fw_run = ctx.fx_run; fw_engine = w } in
-      slot := Some fw;
-      fw
-
-(* Globals the fragment added or rebound, relative to the run-start
-   checkpoint.  Physical comparison against the checkpoint's value is
-   sound because {!Value.t} is structurally immutable: a binding that
-   still holds the very value the checkpoint recorded was not written
-   (or was rewritten to the identical value, which commits as a no-op
-   either way).  A fragment that wrote no global left the very map. *)
-let frag_genv_delta (ctx : frag_ctx) (w : t) : (string * Value.t) list =
-  let base = ctx.fx_cp.cp_globals and now = !(w.env.Value.globals) in
-  if now == base then []
-  else
-    Smap.fold
-      (fun name v acc ->
-        match Smap.find_opt name base with
-        | Some v0 when v == v0 -> acc
-        | _ -> (name, v) :: acc)
-      now []
-
-(* Expand one fragment on worker [w], which holds the run-start state
-   plus what the fragments of its run before this one wrote ([since]
-   marks where they stopped), and give its verdict with the kinds it
-   read.  Raises what the expansion raises. *)
-let frag_speculate_one (ctx : frag_ctx) (w : t) ~(since : Senv.mark option)
-    ~(index : int) (decls : decl list) : frag_result * int =
-  let b = w.env.Value.budget in
-  (* full per-file budget; reconciled against the main engine's
-     remaining pool at commit time *)
-  b.Value.fuel <- b.Value.fuel_initial;
-  b.Value.nodes <- b.Value.nodes_initial;
-  let rv0, rt0, rl0 = Senv.reads w.senv in
-  let greads0 = !(w.env.Value.greads) in
-  let gensym0 = Gensym.count w.gensym in
-  let anon0 = Senv.anon_count (Senv.tables w.senv) in
-  let meta0 = w.stats.meta_declarations_run in
-  let inv0 = w.stats.invocations_expanded in
-  let prog =
-    Obs.with_span ~cat:"expand"
-      ~args:(fun () ->
-        [ ("fragment_index", Obs.Int index); ("speculative", Obs.Bool true) ])
-      "fragment-expand"
-      (fun () ->
-        (let loc = match decls with d :: _ -> d.dloc | [] -> Loc.dummy in
-         Failpoint.hit ~watchdog:w.watchdog ~loc "engine/fragment");
-        expand_program w decls)
-  in
-  let rv, rt, rl = Senv.reads w.senv in
-  let reads =
-    senv_kinds (rv > rv0, rt > rt0, rl > rl0)
-    lor if !(w.env.Value.greads) > greads0 then kind_globals else 0
-  in
-  ( (if w.defs_version <> ctx.fx_v0 then Frag_abort Abort_defs_bump
-  else if
-    Gensym.count w.gensym <> gensym0
-    || Senv.anon_count (Senv.tables w.senv) <> anon0
-  then Frag_abort Abort_gensym_mint
-  else if w.stats.meta_declarations_run <> meta0 then
-    Frag_abort Abort_meta_decl
-  else
-    match Senv.changed ?since w.senv with
-    | None -> Frag_abort Abort_stale_read
-    | Some changed ->
-        let genv = frag_genv_delta ctx w in
-        Frag_done
-          {
-            fm_prog = prog;
-            fm_since = since;
-            fm_mark = Senv.mark w.senv;
-            fm_run = None;
-            fm_genv = genv;
-            fm_reads = reads;
-            fm_changes =
-              senv_kinds changed lor if genv <> [] then kind_globals else 0;
-            fm_fuel = b.Value.fuel_initial - b.Value.fuel;
-            fm_nodes = b.Value.nodes_initial - b.Value.nodes;
-            fm_invocations = w.stats.invocations_expanded - inv0;
-          }),
-    reads )
-
-(* Expand the fragments [first, stop) of [plan] on this domain's worker
-   engine, one after another from one rollback and one watchdog arming,
-   and give each its verdict.  Never raises: every failure is contained
-   in the result, which ends at the first [Frag_fail] (the fragments
-   after it are left to the sequential walk).
-
-   Each verdict is the one a lone speculation of the fragment from the
-   run-start state would get.  The worker's state before a fragment
-   differs from the run-start state only by what earlier fragments of
-   its run wrote into the top scope; a fragment that read none of the
-   kinds they changed ran exactly as it would have from the run start.
-   One that did, or that raised after they changed something, is
-   expanded again after a rollback; so is every fragment after an abort
-   or after a global write, whose deltas are measured from the run
-   start.  A run that ends in the state its last fragment left hands
-   over all it wrote in one delta. *)
-let frag_speculate_block (ctx : frag_ctx) (plan : frag_plan array)
-    ~(first : int) ~(stop : int) : frag_result array =
-  match frag_worker ctx with
-  | exception _ -> [| Frag_fail |]
-  | fw ->
-      let w = fw.fw_engine in
-      let results = ref [] in
-      let since = ref None and changed = ref 0 in
-      (* the run's last fragment, while the worker is in its state *)
-      let last = ref None in
-      let close_run () =
-        Option.iter (fun m -> m.fm_run <- Some (Senv.written w.senv)) !last;
-        last := None
-      in
-      let restart () =
-        rollback w ctx.fx_cp;
-        since := None;
-        changed := 0;
-        last := None
-      in
-      let k = ref first in
-      (try
-         restart ();
-         Watchdog.arm w.watchdog ~ms:ctx.fx_frag_ms;
-         while !k < stop do
-           match
-             frag_speculate_one ctx w ~since:!since ~index:!k
-               plan.(!k).fp_decls
-           with
-           | exception _ when !changed <> 0 -> restart ()
-           | exception _ ->
-               results := Frag_fail :: !results;
-               k := stop
-           | _, reads when reads land !changed <> 0 -> restart ()
-           | (Frag_done m as r), _ ->
-               results := r :: !results;
-               last := Some m;
-               if m.fm_genv <> [] then begin
-                 close_run ();
-                 restart ()
-               end
-               else begin
-                 since := Some m.fm_mark;
-                 changed := !changed lor m.fm_changes
-               end;
-               incr k
-           | ((Frag_abort _ | Frag_fail) as r), _ ->
-               results := r :: !results;
-               restart ();
-               incr k
-         done;
-         close_run ()
-       with _ -> results := Frag_fail :: !results);
-      Watchdog.disarm w.watchdog;
-      Array.of_list (List.rev !results)
-
-(* A speculative result may only commit if every kind of state it read
-   is still what the run-start snapshot said.  [dirty] holds the kinds
-   (the bits above) changed *within one speculation run*: by committed
-   fragments, and by whatever a sequential re-expansion wrote (measured
-   with the [Senv] write odometers; global meta writes are unmeasured
-   on the main engine, so any re-expansion conservatively dirties
-   globals). *)
-let frag_commit_ok (t : t) ~(dirty : int) ~(v0 : Digest.t) (m : frag_mark) :
-    bool =
-  let b = t.env.Value.budget in
-  t.defs_version = v0
-  && b.Value.fuel >= m.fm_fuel
-  && b.Value.nodes >= m.fm_nodes
-  && dirty land m.fm_reads = 0
-
-(* Pool items per job in a speculation run: a worker takes a block of
-   consecutive fragments, so a run pays a rollback, a watchdog arming
-   and a commit per block, while four blocks per job leave the pool
-   room to even out blocks of unequal cost. *)
-let frag_blocks_per_job = 4
-
-(* The ordered walk: barriers and short runs expand sequentially on the
-   main engine; runs of two or more pure fragments speculate on the
-   pool in blocks, then commit (or re-expand) in fragment order.  Each
-   fragment passes or fails the commit rule on its own; consecutive
-   committed fragments of one worker run commit their [Senv] writes as
-   one delta.  Raises exactly like {!expand_program} — the caller's
-   transactional wrapper handles rollback. *)
-let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
-    (plan : frag_plan array) : program =
-  let n = Array.length plan in
-  let chunks = ref [] in
-  let seq_expand idx decls =
-    let prog =
-      Obs.with_span ~cat:"expand"
-        ~args:(fun () ->
-          [ ("fragment_index", Obs.Int idx);
-            ("speculative", Obs.Bool false) ])
-        "fragment-expand"
-        (fun () -> expand_program t decls)
-    in
-    chunks := prog :: !chunks
-  in
-  let i = ref 0 in
-  while !i < n do
-    let j = ref !i in
-    while !j < n && not plan.(!j).fp_barrier do incr j done;
-    if !j - !i < 2 then begin
-      (* a barrier, or a lone pure fragment not worth a checkpoint *)
-      let stop = if !j = !i then !i + 1 else !j in
-      while !i < stop do
-        seq_expand !i plan.(!i).fp_decls;
-        incr i
-      done
-    end
-    else begin
-      let base = !i and stop = !j in
-      let v0 = t.defs_version in
-      let cp =
-        Obs.with_span ~cat:"txn" "speculation-checkpoint" (fun () ->
-            checkpoint t)
-      in
-      let ctx =
-        { fx_run = 1 + Atomic.fetch_and_add frag_run_counter 1;
-          fx_main = t; fx_cp = cp; fx_v0 = v0; fx_frag_ms = fragment_ms }
-      in
-      let blocks = min (stop - base) (frag_blocks_per_job * jobs) in
-      let size = (stop - base + blocks - 1) / blocks in
-      let results =
-        Pool.map ~jobs
-          ~stop:(Array.exists (function Frag_fail -> true | _ -> false))
-          blocks
-          (fun k ->
-            let first = base + (k * size) in
-            frag_speculate_block ctx plan ~first
-              ~stop:(min stop (first + size)))
-      in
-      let dirty = ref 0 in
-      (* committed fragments whose [Senv] writes are not applied yet:
-         consecutive in one worker's log, from the mark before the
-         first to the last fragment *)
-      let pending = ref None in
-      let flush () =
-        match !pending with
-        | None -> ()
-        | Some (since, last) ->
-            Senv.apply_top t.senv
-              (match (since, last.fm_run) with
-              | None, Some whole -> whole
-              | _ -> Senv.delta ?since last.fm_mark);
-            pending := None
-      in
-      let revalidate idx decls =
-        flush ();
-        t.stats.fragments_revalidated <- t.stats.fragments_revalidated + 1;
-        let wv0, wt0, wl0 = Senv.writes t.senv in
-        seq_expand idx decls;
-        let wv, wt, wl = Senv.writes t.senv in
-        dirty :=
-          !dirty lor kind_globals
-          lor senv_kinds (wv > wv0, wt > wt0, wl > wl0)
-      in
-      for k = base to stop - 1 do
-        let decls = plan.(k).fp_decls in
-        let block = results.((k - base) / size) in
-        match block with
-        | Some rs when (k - base) mod size < Array.length rs -> (
-            let s = t.stats in
-            s.fragments_speculated <- s.fragments_speculated + 1;
-            match rs.((k - base) mod size) with
-            | Frag_done m when frag_commit_ok t ~dirty:!dirty ~v0 m ->
-                s.fragments_committed <- s.fragments_committed + 1;
-                (match (!pending, m.fm_since) with
-                | Some (since, last), Some before when before == last.fm_mark
-                  ->
-                    pending := Some (since, m)
-                | _ ->
-                    flush ();
-                    pending := Some (m.fm_since, m));
-                List.iter
-                  (fun (name, v) -> Value.bind_global t.env name v)
-                  m.fm_genv;
-                let b = t.env.Value.budget in
-                b.Value.fuel <- b.Value.fuel - m.fm_fuel;
-                b.Value.nodes <- b.Value.nodes - m.fm_nodes;
-                s.invocations_expanded <-
-                  s.invocations_expanded + m.fm_invocations;
-                dirty := !dirty lor m.fm_changes;
-                chunks := m.fm_prog :: !chunks
-            | Frag_done _ ->
-                (* the worker's result was self-consistent; what it read
-                   went stale under earlier commits/re-expansions *)
-                count_abort t Abort_stale_read;
-                revalidate k decls
-            | Frag_abort cause ->
-                count_abort t cause;
-                revalidate k decls
-            | Frag_fail -> revalidate k decls)
-        | _ ->
-            (* cancelled before it ran — plain sequential expansion,
-               not a revalidation *)
-            flush ();
-            seq_expand k decls
-      done;
-      flush ();
-      i := stop
-    end
-  done;
-  List.concat (List.rev !chunks)
-
-(* ------------------------------------------------------------------ *)
 (* The fragment runner                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1405,11 +915,6 @@ let frag_commit_walk (t : t) ~(jobs : int) ~(fragment_ms : int)
 let fragment_start ~source : Loc.t =
   let p = { Loc.line = 1; col = 0; offset = 0 } in
   Loc.make ~source ~start_pos:p ~end_pos:p
-
-(* Files with fewer top-level fragments than this expand sequentially
-   even when speculation is on: too few to pay back the checkpoint and
-   the pool. *)
-let speculation_min_fragments = 8
 
 (* The prelude's source name ({!Prelude.source_name}).  Under hygiene a
    user unit may not spell a generated name, or a minted temporary could
@@ -1427,25 +932,9 @@ let prelude_source_name = "<prelude>"
     session stays usable for the next fragment.  The fragment watchdog
     ([limits.timeout_ms]) is armed for the duration; [deadline_ms] (a
     caller's remaining budget, e.g. a serve request's propagated
-    deadline) can only narrow it, never extend it.
-
-    The walk after the parse is the only choice: {!frag_commit_walk}
-    when [fragment_jobs > 1], the file has at least
-    {!speculation_min_fragments} fragments, and no mode needs a
-    faithful sequential event stream (trace, profile, recording);
-    {!expand_program} otherwise.  Both produce the same bytes. *)
-let expand_source_uncached (t : t) ?deadline_ms ~fragment_jobs ~source
-    (text : string) : program =
-  if fragment_jobs > 1 then
-    Option.iter
-      (fun fmt ->
-        Format.fprintf fmt
-          "fragments: expanding %s sequentially (trace mode is on)@." source)
-      t.trace;
-  let speculate =
-    fragment_jobs > 1 && t.trace = None
-    && not (Obs.Profile.enabled () || Obs.recording ())
-  in
+    deadline) can only narrow it, never extend it. *)
+let expand_source_uncached (t : t) ?deadline_ms ~source (text : string) :
+    program =
   let loc0 = fragment_start ~source in
   let cp = Obs.with_span ~cat:"txn" "checkpoint" (fun () -> checkpoint t) in
   let fragment_ms =
@@ -1469,21 +958,10 @@ let expand_source_uncached (t : t) ?deadline_ms ~fragment_jobs ~source
             text)
     in
     st.State.compile_patterns <- t.compile_patterns;
-    let frags = if speculate then Prescan.split st.State.stream else [] in
     let prog =
       Obs.with_span ~cat:"parse" "parse" (fun () -> Parser.parse_program st)
     in
-    let plan = if speculate then plan_fragments frags prog else [||] in
-    if Array.length plan < speculation_min_fragments then
-      Obs.with_span ~cat:"expand" "expand-walk" (fun () ->
-          expand_program t prog)
-    else
-      Obs.with_span ~cat:"expand"
-        ~args:(fun () ->
-          [ ("fragments", Obs.Int (Array.length plan));
-            ("jobs", Obs.Int fragment_jobs) ])
-        "expand-walk-fragments"
-        (fun () -> frag_commit_walk t ~jobs:fragment_jobs ~fragment_ms plan)
+    Obs.with_span ~cat:"expand" "expand-walk" (fun () -> expand_program t prog)
   in
   match run () with
   | prog ->
@@ -1612,13 +1090,8 @@ let decoded (prog : program) : stored_program = Atomic.make (Decoded prog)
     state; a miss runs for real and, when the run was clean (no new
     diagnostics), stores the result. *)
 let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
-    ?(fragment_jobs = 1) (text : string) : expansion =
-  (* fragment parallelism lives only in the *uncached* runner; the
-     cache layer (probe, store, bypass accounting) is identical either
-     way *)
-  let run_uncached () =
-    expand_source_uncached t ?deadline_ms ~fragment_jobs ~source text
-  in
+    (text : string) : expansion =
+  let run_uncached () = expand_source_uncached t ?deadline_ms ~source text in
   let uncached () =
     { x_program = decoded (run_uncached ()); x_entry = None; x_stored = false }
   in
@@ -2086,9 +1559,10 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
                   ld_entries = List.length accepted;
                   ld_dropped = dropped }))
 
-let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs (text : string)
-    : program =
-  let x = expand_source_entry t ?source ?deadline_ms ?fragment_jobs text in
+(* [fragment_jobs] is ignored; perfbench passes it until ROADMAP item 1. *)
+let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs:_
+    (text : string) : program =
+  let x = expand_source_entry t ?source ?deadline_ms text in
   (* this caller renders nothing, so a stored unit is appended now *)
   (match (x.x_entry, t.cache) with
   | Some (key, e), Some cache when x.x_stored -> append_entry cache ~key e

@@ -152,20 +152,8 @@ val expand_source :
     this call; it can never extend past [limits.timeout_ms].  It is not
     part of the cache key: a cache hit replays instantly regardless.
 
-    [fragment_jobs] (default 1 = off) > 1 enables intra-file fragment
-    parallelism on a cache miss: the file is split into top-level
-    fragments, definition-bearing fragments expand sequentially as
-    barriers, and runs of pure-invocation fragments between barriers
-    expand speculatively on [fragment_jobs] domains, in blocks of
-    consecutive fragments, each worker on its own engine set to the
-    run-start state, committing in fragment order.  A
-    speculation whose reads turn out stale at commit time is discarded
-    and re-expanded sequentially, so the output — bytes, diagnostics,
-    diagnostic order, first-fatal behavior, resource accounting — is
-    identical to a sequential run.  Files with fewer than 8 top-level
-    fragments, trace mode (announced in the trace log), and
-    profile/recording observability modes all degrade to the
-    sequential path.
+    [fragment_jobs] is ignored: kept for perfbench until ROADMAP item 1
+    drops it.
 
     A unit this call stores is appended to the store's snapshot file,
     if one is bound ({!load_store}), right away: this caller renders
@@ -182,12 +170,7 @@ type expansion
     stored as. *)
 
 val expand_source_entry :
-  t ->
-  ?source:string ->
-  ?deadline_ms:int ->
-  ?fragment_jobs:int ->
-  string ->
-  expansion
+  t -> ?source:string -> ?deadline_ms:int -> string -> expansion
 (** {!expand_source}, without decoding a restored entry's program. *)
 
 val expansion_program : expansion -> program

@@ -68,13 +68,6 @@ and env = {
           outside any invocation); shared by every {!derived}
           environment.  The template filler reads it to stamp the
           origin of every node it produces *)
-  greads : int ref;
-      (** monotonic odometer of lookups that resolved in the {e global}
-          map (a [ref] so {!derived} environments share it): the
-          speculative fragment commit protocol measures its delta to
-          learn whether a fragment observed shared [metadcl] state.
-          Misses are not counted — an unbound name either errors or
-          falls through to a builtin, neither of which can go stale. *)
 }
 
 (** Mutable resource counters.  [fuel] and [nodes] count *down*;
@@ -150,7 +143,6 @@ let create_env ?gensym ?budget () : env =
             "macro invocations inside meta code need an expansion engine");
     budget = (match budget with Some b -> b | None -> create_budget ());
     provenance = ref Loc.User;
-    greads = ref 0;
   }
 
 let push_scope env = env.scopes <- Local (Hashtbl.create 16) :: env.scopes
@@ -238,9 +230,6 @@ let bind env name v =
   | Frozen _ :: _ -> invalid_arg "Value.bind: no local scope"
   | [] -> bind_global env name v
 
-(* a hit in the globals observes shared state (see [greads]) *)
-let global_hit env = env.greads := !(env.greads) + 1
-
 let lookup env name : t option =
   let rec go = function
     | Local tbl :: rest -> (
@@ -249,10 +238,7 @@ let lookup env name : t option =
         | None -> go rest)
     | Frozen m :: rest -> (
         match Smap.find_opt name m with Some _ as v -> v | None -> go rest)
-    | [] ->
-        let v = Smap.find_opt name !(env.globals) in
-        if Option.is_some v then global_hit env;
-        v
+    | [] -> Smap.find_opt name !(env.globals)
   in
   go env.scopes
 
@@ -268,7 +254,6 @@ let assign env ~loc name v : bool =
                       by value" name
         else go rest
     | [] when Smap.mem name !(env.globals) ->
-        global_hit env;
         bind_global env name v;
         true
     | [] -> false

@@ -46,11 +46,6 @@ and env = {
       (** the expansion frame currently being filled ([User] outside any
           invocation); shared by derived environments, maintained by the
           engine, read by the template filler *)
-  greads : int ref;
-      (** monotonic odometer of lookups resolving in [globals]
-          (shared by derived environments): the speculative fragment
-          commit protocol measures its delta to learn whether a fragment
-          observed shared [metadcl] state *)
 }
 
 (** Countdown resource counters ([max_int] = effectively unlimited). *)
@@ -106,13 +101,11 @@ val bind_global : env -> string -> t -> unit
     frozen: a global is a closed value. *)
 
 val lookup : env -> string -> t option
-(** Local scopes first, then the globals (a global hit counts in
-    [greads]). *)
+(** Local scopes first, then the globals. *)
 
 val assign : env -> loc:Loc.t -> string -> t -> bool
 (** Rebind a bound variable where it is bound; [false] when unbound.  A
-    global counts in [greads] as a lookup does.  A [Frozen] variable is
-    an error at [loc]. *)
+    [Frozen] variable is an error at [loc]. *)
 
 val default_of_type : Mtype.t -> t
 (** Lists start empty, ints 0, strings empty; AST variables start

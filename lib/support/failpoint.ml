@@ -24,8 +24,7 @@ let view : (string * trigger) list Atomic.t = Atomic.make []
 let expansion_armed = Atomic.make false
 
 let sites =
-  [ "engine/fragment";  (* expand_source entry; in fragment-parallel
-                           mode, also each speculative fragment *)
+  [ "engine/fragment";  (* expand_source entry *)
     "engine/invoke";  (* macro invocation expansion *)
     "engine/register";  (* macro definition registration *)
     "interp/step";  (* every interpreted statement *)

@@ -170,7 +170,7 @@ let closures_and_mutation () =
 
 (* A lambda stored in a global holds the bindings it captured by value,
    frozen when it is stored: the session's meta state is closed, so a
-   rollback, a cache replay or a speculation worker cannot reach the
+   rollback, a cache replay or another session cannot reach the
    macro's locals through it. *)
 let escaped_lambdas_freeze () =
   let use setk =

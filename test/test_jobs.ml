@@ -287,13 +287,6 @@ let text_counters (err : string) : (string * int) list =
       ("  bypassed for: ",
        [ "cache.bypass.trace"; "cache.bypass.failpoints";
          "cache.bypass.budget" ]);
-      ("fragments speculated: ",
-       [ "fragments.speculated"; "fragments.committed";
-         "fragments.revalidated" ]);
-      ("  aborted for: ",
-       [ "fragments.abort.defs_bump"; "fragments.abort.gensym_mint";
-         "fragments.abort.meta_decl"; "fragments.abort.stale_read";
-         "fragments.abort.foreign_closure" ]);
       ("pattern memo: ",
        [ "parser.pattern_memo.hits"; "parser.pattern_memo.misses";
          "pattern.firstset.memo_hits"; "pattern.firstset.memo_misses" ]) ]
@@ -313,21 +306,6 @@ let text_counters (err : string) : (string * int) list =
             (List.length names) (List.length values);
           List.combine names values)
     (String.split_on_char '\n' err)
-
-(* A file whose 15 top-level uses speculate deterministically under
-   --fragment-jobs 2: 12 commit, the 3 anonymous structs revalidate. *)
-let speculating_file () =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "syntax exp TRPL {| ( $$exp::e ) |} { return `( (3 * $(e)) ); }\n";
-  for i = 0 to 11 do
-    Buffer.add_string b
-      (Printf.sprintf "int u%d(int x) { return TRPL(x + %d); }\n" i i);
-    if i mod 4 = 3 then
-      Buffer.add_string b
-        (Printf.sprintf "struct { int a; int b; } s%d;\n" i)
-  done;
-  write_fixture "spec" (Buffer.contents b)
 
 (* Two domains compile the same fresh patterns in lockstep: a spin
    barrier before each pattern sends both into the memo probe together,
@@ -378,7 +356,7 @@ let text_json_agree () =
      shared engine is published once, not once per file *)
   Tutil.with_fresh_path @@ fun snap ->
   with_files
-    [ good_file 1; good_file 2; good_file 3; speculating_file () ]
+    [ good_file 1; good_file 2; good_file 3; good_file 4 ]
     (fun files ->
       let args = String.concat " " files in
       let totals =
@@ -389,8 +367,7 @@ let text_json_agree () =
               (try Sys.remove snap with Sys_error _ -> ());
               let code, _, err =
                 run_cli
-                  (Printf.sprintf "expand %s --fragment-jobs 2 --stats %s %s"
-                     mode fmt args)
+                  (Printf.sprintf "expand %s --stats %s %s" mode fmt args)
               in
               Alcotest.(check int) (mode ^ " exit") 0 code;
               err
@@ -400,8 +377,7 @@ let text_json_agree () =
             Alcotest.(check bool)
               (mode ^ ": text prints the engine counters")
               true
-              (List.mem_assoc "engine.invocations_expanded" text
-              && List.mem_assoc "fragments.speculated" text);
+              (List.mem_assoc "engine.invocations_expanded" text);
             List.iter
               (fun (name, v) ->
                 Alcotest.(check int) (Printf.sprintf "%s: %s" mode name)
@@ -419,9 +395,7 @@ let text_json_agree () =
                 (Printf.sprintf "%s: %s as at --jobs 1" mode name)
                 (seq name) (json name))
             [ "engine.invocations_expanded"; "engine.macros_defined";
-              "engine.fuel_consumed"; "engine.nodes_produced";
-              "fragments.speculated"; "fragments.committed";
-              "fragments.revalidated" ])
+              "engine.fuel_consumed"; "engine.nodes_produced" ])
         (List.tl totals))
 
 (* Per-file engines fork when the batch keeps no store and run on the
@@ -462,9 +436,9 @@ let substrate_follows_store () =
         [ ("no store", "--jobs 2", true); ("cold", cache, false);
           ("warm", cache, false) ];
       (* nothing spawns a domain before the fork, which OCaml refuses
-         after one: not the prelude load, not the fragment pool *)
-      let _, _, m = expand "no store" "--jobs 2 --prelude --fragment-jobs 2" in
-      substrate "--prelude --fragment-jobs 2" m ~fork:true;
+         after one: not the prelude load *)
+      let _, _, m = expand "no store" "--jobs 2 --prelude" in
+      substrate "--prelude" m ~fork:true;
       let code, _, _ =
         run_cli (Printf.sprintf "expand --jobs 2 --jobs-mode=fork %s" args)
       in

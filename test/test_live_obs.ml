@@ -160,8 +160,8 @@ let expand d ~session text =
 
 (* The ring must be bounded regardless of traffic, and enabling it must
    NOT flip [Obs.recording ()] — the engine keys per-invocation span
-   capture and speculation degradation on that flag, so a daemon with
-   an always-on flight ring has to look "not recording" to it. *)
+   capture on that flag, so a daemon with an always-on flight ring has
+   to look "not recording" to it. *)
 let flight_ring_bounded () =
   Alcotest.(check bool) "recording off before" false (Obs.recording ());
   Obs.Flight.enable ();
@@ -315,15 +315,6 @@ let health_metrics_workers () =
         (Json.member metrics "schema" = Some (Json.Str "ms2-metrics-1"));
       Alcotest.(check int) "requests counted" 2
         (int_at metrics [ "counters"; "serve.requests.expand" ]);
-      (* the abort-cause counters are registered (zero is fine) *)
-      List.iter
-        (fun c ->
-          Alcotest.(check bool)
-            (Printf.sprintf "fragments.abort.%s present" c)
-            true
-            (int_at metrics [ "counters"; "fragments.abort." ^ c ] >= 0))
-        [ "defs_bump"; "gensym_mint"; "meta_decl"; "stale_read";
-          "foreign_closure" ];
       (* per-method latency histogram: count matches, cumulative
          buckets are monotone and end at the total count *)
       let h_lat =
