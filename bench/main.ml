@@ -204,17 +204,10 @@ let run_penalty () =
     penalty_names
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: compiled pattern parsers (paper §3's suggested speedup)   *)
+(* Ablation: automatic hygiene (paper §5)                              *)
 (* ------------------------------------------------------------------ *)
 
 let ablation_tests () =
-  let src = Workloads.mul_ms2 64 in
-  let run ~compile_patterns () =
-    let engine = Ms2.Engine.create ~compile_patterns () in
-    match Ms2.Api.expand ~source:"bench" engine src with
-    | Ok out -> Sys.opaque_identity (String.length out)
-    | Error e -> failwith e
-  in
   let hygiene_src = Workloads.exceptions 4 in
   let run_hygiene ~hygienic () =
     let engine = Ms2.Engine.create ~hygienic () in
@@ -223,11 +216,7 @@ let ablation_tests () =
     | Error e -> failwith e
   in
   Test.make_grouped ~name:"ablation"
-    [ Test.make ~name:"MUL x64, interpreted patterns"
-        (Staged.stage (run ~compile_patterns:false));
-      Test.make ~name:"MUL x64, compiled patterns"
-        (Staged.stage (run ~compile_patterns:true));
-      Test.make ~name:"exceptions x4, hygiene off"
+    [ Test.make ~name:"exceptions x4, hygiene off"
         (Staged.stage (run_hygiene ~hygienic:false));
       Test.make ~name:"exceptions x4, hygiene on"
         (Staged.stage (run_hygiene ~hygienic:true)) ]
@@ -309,8 +298,7 @@ let obs_guard_tests () =
 
 (* The counters the pipeline increments unconditionally on hot paths. *)
 let obs_hot_counters =
-  [ "fill.templates"; "parser.pattern_memo.hits";
-    "parser.pattern_memo.misses"; "pattern.firstset.memo_hits";
+  [ "fill.templates"; "pattern.firstset.memo_hits";
     "pattern.firstset.memo_misses"; "watchdog.clock_reads" ]
 
 (* (span sites crossed, counter increments) during one workload run *)
@@ -471,9 +459,7 @@ let run_time () =
     (measure_tests (t2_tests ()));
   print_estimates "Template parsing with placeholder type analysis (Fig. 2)"
     (measure_tests (fig2_tests ()));
-  print_estimates
-    "Ablation: compiled invocation parsers (paper: \"could be accelerated \
-     by a routine that compiled a parse routine for each macro's pattern\")"
+  print_estimates "Ablation: automatic hygiene (paper §5)"
     (measure_tests (ablation_tests ()))
 
 let run_sweep () =

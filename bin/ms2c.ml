@@ -128,10 +128,7 @@ let print_stats ~format ~jobs ~forked =
            budget %d\n"
           s.Ms2.Api.cache_bypass_trace s.Ms2.Api.cache_bypass_failpoints
           s.Ms2.Api.cache_bypass_budget;
-      Printf.eprintf
-        "pattern memo: %d hits, %d misses; FIRST-set memo: %d hits, %d \
-         misses\n"
-        s.Ms2.Api.pattern_memo_hits s.Ms2.Api.pattern_memo_misses
+      Printf.eprintf "FIRST-set memo: %d hits, %d misses\n"
         s.Ms2.Api.firstset_memo_hits s.Ms2.Api.firstset_memo_misses
 
 (* How a worker that shipped no result died, for the per-file
@@ -196,8 +193,8 @@ let run_pool ~jobs ~keep_going ~(source_of : int -> string)
            holds this file's counts only *)
         Obs.Metrics.reset ();
         let r = work i in
-        (* publish like every driver, so the snapshot also carries this
-           process's own gauges ([intern.spellings]) *)
+        (* publish like every driver, so the snapshot carries this
+           file's engine counters *)
         Ms2.Api.publish_metrics (Option.to_list r.w_stats);
         Marshal.to_channel result
           { r with w_metrics = Some (Obs.Metrics.snapshot ()) }

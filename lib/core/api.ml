@@ -28,13 +28,10 @@ include Counters
     the whole-process view, not any single worker's. *)
 type shared_cache = Engine.cached_run Cache.t
 
-(* The parser-side memos are process-global (shared by every engine);
-   their counters live in the metrics registry and are surfaced in
-   {!stats} so CLI/serve stats output shows them without a registry
-   walk. *)
+(* The FIRST-set memo is process-global (shared by every engine); its
+   counters live in the metrics registry and are surfaced in {!stats}
+   so CLI/serve stats output shows them without a registry walk. *)
 let memo_counter name = (name, Obs.Metrics.counter name)
-let pattern_memo_hits = memo_counter "parser.pattern_memo.hits"
-let pattern_memo_misses = memo_counter "parser.pattern_memo.misses"
 let firstset_memo_hits = memo_counter "pattern.firstset.memo_hits"
 let firstset_memo_misses = memo_counter "pattern.firstset.memo_misses"
 let memo_value (_, c) = Obs.Metrics.value c
@@ -60,11 +57,11 @@ let save_shared_cache = Engine.save_store
 
 let load_shared_cache = Engine.load_store
 
-let create_engine ?limits ?compile_patterns ?hygienic ?recover ?cache
-    ?cache_bytes ?cache_store ?(prelude = false) () =
+let create_engine ?limits ?hygienic ?recover ?cache ?cache_bytes
+    ?cache_store ?(prelude = false) () =
   let engine =
-    Engine.create ?limits ?compile_patterns ?hygienic ?recover ?cache
-      ?cache_bytes ?cache_store ()
+    Engine.create ?limits ?hygienic ?recover ?cache ?cache_bytes
+      ?cache_store ()
   in
   if prelude then Prelude.load engine;
   engine
@@ -186,8 +183,6 @@ let stats (engine : engine) : stats =
     fuel_consumed = Engine.fuel_consumed engine;
     nodes_produced = Engine.nodes_produced engine;
     cache_evictions = Engine.cache_evictions engine;
-    pattern_memo_hits = memo_value pattern_memo_hits;
-    pattern_memo_misses = memo_value pattern_memo_misses;
     firstset_memo_hits = memo_value firstset_memo_hits;
     firstset_memo_misses = memo_value firstset_memo_misses;
   }
@@ -243,9 +238,7 @@ let engine_counters =
     With [store] — the store those engines share in this process — the
     cache traffic is the store's merged view instead (each engine's own
     eviction count already {e is} the store's, so summing would multiply
-    it), and the store's occupancy gauges are published too.  The
-    interner's size, [intern.spellings], is a high-water mark: it never
-    drops below a reading absorbed from a forked worker. *)
+    it), and the store's occupancy gauges are published too. *)
 let publish_metrics ?(store : shared_cache option) (engines : stats list) :
     unit =
   List.iter
@@ -255,7 +248,6 @@ let publish_metrics ?(store : shared_cache option) (engines : stats list) :
         | Some s, Some read -> read s
         | _ -> List.fold_left (fun acc e -> acc + of_stats e) 0 engines))
     engine_counters;
-  Obs.Metrics.gauge_max "intern.spellings" (float_of_int (Intern.interned ()));
   Option.iter
     (fun s ->
       Obs.Metrics.gauge "cache.entries" (float_of_int (Cache.length s));
@@ -289,8 +281,9 @@ let stats_of_counters (r : string -> int) : stats =
     fragments_abort_meta_decl = 0;
     fragments_abort_stale_read = 0;
     fragments_abort_foreign_closure = 0;
-    pattern_memo_hits = r (fst pattern_memo_hits);
-    pattern_memo_misses = r (fst pattern_memo_misses);
+    (* constant 0: kept for perfbench; nothing compiles patterns *)
+    pattern_memo_hits = 0;
+    pattern_memo_misses = 0;
     firstset_memo_hits = r (fst firstset_memo_hits);
     firstset_memo_misses = r (fst firstset_memo_misses);
   }
@@ -338,8 +331,7 @@ let expand_checked ?(engine = Engine.create ~cache:false ()) ?source
     A session holds no engine (no meta value refers to one), so many
     sessions share an engine and a session may change engines between
     requests.  Engines sharing a store share the content-addressed
-    expansion cache (the string interner and compiled-pattern memos are
-    process-global), so every session benefits from every other
+    expansion cache, so every session benefits from every other
     session's warm cache — while the rollback boundary keeps the
     *semantic* state (macro tables, meta globals, symbol table,
     fresh-name counters) strictly per-session.  The engine-side cost is

@@ -45,7 +45,6 @@ val load_shared_cache : shared_cache -> string -> Engine.snapshot_load
 
 val create_engine :
   ?limits:Limits.t ->
-  ?compile_patterns:bool ->
   ?hygienic:bool ->
   ?recover:bool ->
   ?cache:bool ->
@@ -131,7 +130,8 @@ val expand_to_ast :
 val stats : engine -> stats
 (** A copy of the engine's counter record, with the fields the engine
     does not keep filled in: fuel and produced-AST accounting, its
-    store's evictions, and the process-global memo counters. *)
+    store's evictions, and the process-global FIRST-set memo counters
+    ([pattern_memo_hits] and [pattern_memo_misses] are always 0). *)
 
 val publish_metrics : ?store:shared_cache -> stats list -> unit
 (** Publish engine statistics into the {!Ms2_support.Obs.Metrics}
@@ -140,9 +140,7 @@ val publish_metrics : ?store:shared_cache -> stats list -> unit
     call once before reporting).  [store] is the store those engines
     share in this process: when given, [cache.hits]/[misses]/[evictions]
     are its merged view and its [cache.entries]/[cache.used_bytes]
-    gauges are published too.  The [intern.spellings] gauge reports
-    the process-wide interner's size ({!Ms2_support.Intern.interned}),
-    never below a reading already in the registry. *)
+    gauges are published too. *)
 
 val stats_of_counters : (string -> int) -> stats
 (** Read the {!stats} fields off a metrics dump, given its counter
@@ -176,10 +174,8 @@ val expand_checked :
     fragment rolls back (verified against {!Engine.fingerprint} on every
     failure) and can never poison another session.  Engines sharing a
     store share its expansion cache — a fragment cached by one session
-    replays for all of them — and the string interner and
-    compiled-pattern memos are process-global; macro tables, meta
-    globals, the symbol table and the fresh-name counters stay strictly
-    per-session. *)
+    replays for all of them; macro tables, meta globals, the symbol
+    table and the fresh-name counters stay strictly per-session. *)
 module Session : sig
   type t
 

@@ -43,9 +43,9 @@ type stats = {
   mutable fragments_abort_stale_read : int;
   mutable fragments_abort_foreign_closure : int;
   mutable pattern_memo_hits : int;
-      (** compiled-invocation-pattern memo hits ({e process-global}: the
-          memo is shared by every engine in the process) *)
-  mutable pattern_memo_misses : int;  (** … and misses (process-global) *)
+      (** this and [pattern_memo_misses] are always 0: kept for
+          perfbench, which reads them; nothing compiles patterns *)
+  mutable pattern_memo_misses : int;
   mutable firstset_memo_hits : int;
       (** FIRST-set ring memo hits (process-global) *)
   mutable firstset_memo_misses : int;  (** … and misses (process-global) *)

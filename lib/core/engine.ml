@@ -35,8 +35,7 @@ type t = {
   macros : State.macro_sig Smap.t ref;
       (** signatures; the ref is shared with every parser state the
           engine creates, so a parse registers into the engine's map *)
-  compiled : State.compiled_pattern Smap.t ref;
-      (** compiled invocation parsers, likewise shared *)
+  compiled : unit;  (** inert: kept for the perfbench tracer *)
   mutable defs : macro_def Smap.t;
   tenv : Tenv.t;
   env : Value.env;  (** meta environment; its [globals] persist *)
@@ -50,7 +49,7 @@ type t = {
   watchdog : Watchdog.t;
       (** wall-clock deadline (same object the budget polls): armed per
           fragment from [limits.timeout_ms], narrowed per invocation *)
-  compile_patterns : bool;
+  compile_patterns : bool;  (** always false: kept for the perfbench tracer *)
   mutable recover : bool;
       (** graceful degradation: a failed invocation is recorded in
           [diags] and replaced by a placeholder of its syntactic type
@@ -129,7 +128,6 @@ and program_state =
    and a snapshot's restored entries. *)
 and checkpoint = {
   cp_macros : State.macro_sig Smap.t;
-  cp_compiled : State.compiled_pattern Smap.t;
   cp_defs : macro_def Smap.t;
   cp_tenv : Mtype.t Smap.t list;  (** the {!Tenv} scope stack *)
   cp_globals : Value.t Smap.t;  (** the global meta scope *)
@@ -313,9 +311,8 @@ let pristine_defs : Digest.t = Digest.string "ms2: pristine macro tables"
 let create_store ?budget_bytes () : cached_run Cache.t =
   Cache.create ?budget_bytes ()
 
-let create ?(limits = Limits.default) ?(compile_patterns = true)
-    ?(hygienic = false) ?(recover = false) ?(cache = true) ?cache_bytes
-    ?cache_store () : t =
+let create ?(limits = Limits.default) ?(hygienic = false) ?(recover = false)
+    ?(cache = true) ?cache_bytes ?cache_store () : t =
   let gensym = Gensym.create () in
   let budget = Value.create_budget ~fuel:limits.Limits.fuel () in
   let env = Value.create_env ~gensym ~budget () in
@@ -325,7 +322,7 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
   let t =
     {
       macros = ref Smap.empty;
-      compiled = ref Smap.empty;
+      compiled = ();
       defs = Smap.empty;
       tenv = Tenv.create ();
       env;
@@ -333,7 +330,7 @@ let create ?(limits = Limits.default) ?(compile_patterns = true)
       gensym;
       limits;
       watchdog = budget.Value.watchdog;
-      compile_patterns;
+      compile_patterns = false;
       recover;
       diags = Diag.collector ~max_errors:limits.Limits.max_errors ();
       trace = None;
@@ -375,7 +372,6 @@ let nodes_produced (t : t) : int = Value.nodes_produced t.env.Value.budget
 let checkpoint (t : t) : checkpoint =
   {
     cp_macros = !(t.macros);
-    cp_compiled = !(t.compiled);
     cp_defs = t.defs;
     cp_tenv = t.tenv.Tenv.scopes;
     cp_globals = !(t.env.Value.globals);
@@ -388,7 +384,6 @@ let rollback (t : t) (cp : checkpoint) : unit =
   (* restore, not bump: see [cp_version] *)
   t.defs_version <- cp.cp_version;
   t.macros := cp.cp_macros;
-  t.compiled := cp.cp_compiled;
   t.defs <- cp.cp_defs;
   t.tenv.Tenv.scopes <- cp.cp_tenv;
   t.env.Value.globals := cp.cp_globals;
@@ -406,8 +401,8 @@ let rollback (t : t) (cp : checkpoint) : unit =
 let state_fingerprint ~scopes (cp : checkpoint) : string =
   let names map = String.concat "," (List.map fst (Smap.bindings map)) in
   let tables =
-    Printf.sprintf "macros=[%s] compiled=[%s] defs=[%s]" (names cp.cp_macros)
-      (names cp.cp_compiled) (names cp.cp_defs)
+    Printf.sprintf "macros=[%s] defs=[%s]" (names cp.cp_macros)
+      (names cp.cp_defs)
   in
   let globals =
     Smap.fold
@@ -480,10 +475,7 @@ let register_macro_def (t : t) (md : macro_def) : unit =
   t.macros :=
     Smap.add name
       { State.sig_ret = md.m_ret; sig_pattern = md.m_pattern }
-      !(t.macros);
-  if t.compile_patterns then
-    t.compiled :=
-      Smap.add name (Parser.compile_pattern md.m_pattern) !(t.compiled)
+      !(t.macros)
 
 let check_depth t ~loc depth =
   if depth > t.limits.Limits.max_depth then
@@ -951,13 +943,12 @@ let expand_source_uncached (t : t) ?deadline_ms ~source (text : string) :
         ~args:(fun () -> [ ("bytes", Obs.Int (String.length text)) ])
         "lex"
         (fun () ->
-          State.of_string ~macros:t.macros ~tenv:t.tenv ~compiled:t.compiled
-            ~watchdog:t.watchdog ~source
+          State.of_string ~macros:t.macros ~tenv:t.tenv ~watchdog:t.watchdog
+            ~source
             ~reject_reserved:
               (t.env.Value.hygienic && source <> prelude_source_name)
             text)
     in
-    st.State.compile_patterns <- t.compile_patterns;
     let prog =
       Obs.with_span ~cat:"parse" "parse" (fun () -> Parser.parse_program st)
     in
@@ -987,8 +978,7 @@ let expand_source_uncached (t : t) ?deadline_ms ~source (text : string) :
 (* Behavior flags that change the produced program or its locations;
    part of the cache key. *)
 let cache_flags (t : t) : string =
-  Printf.sprintf "hyg=%b rec=%b cp=%b" t.env.Value.hygienic t.recover
-    t.compile_patterns
+  Printf.sprintf "hyg=%b rec=%b" t.env.Value.hygienic t.recover
 
 (* Why the cache stood aside for a fragment.  Each reason has its own
    labeled counter so the split is visible in [stats] output; the
@@ -1236,29 +1226,21 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
    start, not an untyped decode of stale bytes, without anyone having
    to remember to bump [snapshot_format_version].
 
-   What does NOT survive the round trip, and how loading repairs it:
-
-   - Compiled invocation patterns are closures.  Writing strips each
-     entry's [cp_compiled] table down to its name list; loading
-     recompiles every pattern from the entry's own [cp_defs] (pattern
-     compilation is deterministic).  An entry whose patterns cannot be
-     rebuilt is dropped, never half-restored.
-   - Nothing else: a meta closure holds its parameters, its body and
-     what it captured, never an engine, so every entry marshals.
+   Every entry survives the round trip whole: a checkpoint is plain
+   data, and a meta closure holds its parameters, its body and what it
+   captured, never an engine.
 
    Keys need no repair: every part of a key, the definition digest
    included ({!pristine_defs}), is a digest of content, so it means the
    same state in any process, fork siblings and restarts included. *)
 
 let snapshot_magic = "MS2SNAP\001"
-let snapshot_format_version = 6
+let snapshot_format_version = 7
 
-(* An entry record; [pe_run]'s program, render slots and compiled
-   patterns are emptied (they travel in the program record,
-   [pe_rendered] and [pe_compiled]). *)
+(* An entry record; [pe_run]'s program and render slots are emptied
+   (they travel in the program record and [pe_rendered]). *)
 type persisted_entry = {
   pe_key : string;
-  pe_compiled : string list;  (** macro names to recompile at load *)
   pe_run : cached_run;
   pe_rendered : Pretty.result option array;
 }
@@ -1268,8 +1250,7 @@ type snapshot_save = { sv_entries : int; sv_bytes : int }
 type snapshot_load = {
   ld_entries : int;  (** entries restored into the store *)
   ld_dropped : int;
-      (** entries whose patterns could not be recompiled, plus a torn
-          final record *)
+      (** 1 when the final record was torn (a killed append), else 0 *)
   ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
   ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
   ld_rewritten : bool;  (** the file was rewritten before the first append *)
@@ -1312,18 +1293,10 @@ let whole (raw : string) = (raw, 0, String.length raw, Digest.string raw)
 (* One entry's pair of records.  A program still in its snapshot bytes
    is copied back out as is. *)
 let add_entry (b : Buffer.t) ~key (run : cached_run) : unit =
-  let cp = run.ca_post in
   let pe =
     {
       pe_key = key;
-      pe_compiled = List.map fst (Smap.bindings cp.cp_compiled);
-      pe_run =
-        {
-          run with
-          ca_program = no_program;
-          ca_rendered = [||];
-          ca_post = { cp with cp_compiled = Smap.empty };
-        };
+      pe_run = { run with ca_program = no_program; ca_rendered = [||] };
       pe_rendered = Array.map Atomic.get run.ca_rendered;
     }
   in
@@ -1459,31 +1432,6 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
       records,
     torn )
 
-(* Recompile the patterns [Marshal] could not carry; [None] drops the
-   entry. *)
-let recompile_entry ((pe, program) : persisted_entry * program_state) :
-    (string * cached_run) option =
-  let cp = pe.pe_run.ca_post in
-  match
-    List.fold_left
-      (fun compiled name ->
-        match Smap.find_opt name cp.cp_defs with
-        | None -> raise Exit
-        | Some md ->
-            Smap.add name (Parser.compile_pattern md.m_pattern) compiled)
-      Smap.empty pe.pe_compiled
-  with
-  | exception _ -> None
-  | compiled ->
-      Some
-        ( pe.pe_key,
-          {
-            pe.pe_run with
-            ca_program = Atomic.make program;
-            ca_rendered = Array.map Atomic.make pe.pe_rendered;
-            ca_post = { cp with cp_compiled = compiled };
-          } )
-
 let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
   Obs.with_span ~cat:"snapshot" "load" @@ fun () ->
   let degraded msg =
@@ -1536,28 +1484,30 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
                   (fun i (pe, _) -> Hashtbl.find last pe.pe_key = i)
                   records
               in
-              let accepted = List.filter_map recompile_entry live in
               List.iter
-                (fun (key, run) ->
-                  ignore (Cache.add cache ~size_bytes:(entry_size run) key run))
-                accepted;
-              let dropped =
-                List.length live - List.length accepted
-                + if torn then 1 else 0
-              in
-              Obs.Metrics.incr ~by:(List.length accepted)
+                (fun (pe, program) ->
+                  let run =
+                    {
+                      pe.pe_run with
+                      ca_program = Atomic.make program;
+                      ca_rendered = Array.map Atomic.make pe.pe_rendered;
+                    }
+                  in
+                  ignore
+                    (Cache.add cache ~size_bytes:(entry_size run) pe.pe_key run))
+                live;
+              Obs.Metrics.incr ~by:(List.length live)
                 (Obs.Metrics.counter "snapshot.load.entries");
-              if dropped > 0 then
-                Obs.Metrics.incr ~by:dropped
-                  (Obs.Metrics.counter "snapshot.load.dropped");
-              if torn then
-                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.torn");
+              if torn then begin
+                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.dropped");
+                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.torn")
+              end;
               let count = List.length records in
               bind ~count
                 ~rewrite:(torn || Cache.length cache <> count)
                 { cold_load with
-                  ld_entries = List.length accepted;
-                  ld_dropped = dropped }))
+                  ld_entries = List.length live;
+                  ld_dropped = (if torn then 1 else 0) }))
 
 (* [fragment_jobs] is ignored; perfbench passes it until ROADMAP item 1. *)
 let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs:_

@@ -36,7 +36,7 @@ type cached_run
 type t = {
   macros : State.macro_sig Smap.t ref;
       (** shared with every parser state the engine creates *)
-  compiled : State.compiled_pattern Smap.t ref;  (** likewise shared *)
+  compiled : unit;  (** inert: kept for the perfbench tracer *)
   mutable defs : macro_def Smap.t;
   tenv : Tenv.t;
   env : Value.env;  (** meta environment; its [globals] persist *)
@@ -46,7 +46,7 @@ type t = {
   watchdog : Watchdog.t;
       (** wall-clock deadline: armed per fragment, narrowed per
           invocation *)
-  compile_patterns : bool;
+  compile_patterns : bool;  (** always false: kept for the perfbench tracer *)
   mutable recover : bool;  (** graceful degradation on *)
   diags : Diag.collector;  (** diagnostics recorded by recovery mode *)
   mutable trace : Format.formatter option;
@@ -72,12 +72,10 @@ val create_store : ?budget_bytes:int -> unit -> cached_run Cache.t
     shard, merged counters (see {!Cache}). *)
 
 val create :
-  ?limits:Limits.t -> ?compile_patterns:bool -> ?hygienic:bool ->
+  ?limits:Limits.t -> ?hygienic:bool ->
   ?recover:bool -> ?cache:bool -> ?cache_bytes:int ->
   ?cache_store:cached_run Cache.t -> unit -> t
 (** @param limits resource bounds (default {!Limits.default})
-    @param compile_patterns compile invocation parsers at definition
-    time (default true; disable for the ablation benchmark)
     @param hygienic automatic renaming of template-introduced block
     locals (default false)
     @param recover record expansion failures and substitute placeholder
@@ -226,7 +224,7 @@ val cache_evictions : t -> int
     a restored entry means the same state in any process and is used
     as loaded.
 
-    Format 6 layout: [magic (8) | format (u32) | build id (16)], then
+    Format 7 layout: [magic (8) | format (u32) | build id (16)], then
     per entry a checksummed entry record and a checksummed program
     record, up to the end of the file. *)
 
@@ -238,8 +236,7 @@ type snapshot_save = {
 type snapshot_load = {
   ld_entries : int;  (** entries restored into the store *)
   ld_dropped : int;
-      (** entries whose patterns could not be recompiled, plus a torn
-          final record *)
+      (** 1 when the final record was torn (a killed append), else 0 *)
   ld_warnings : int;  (** 1 when integrity failed and the load degraded *)
   ld_error : string option;  (** the reason, when [ld_warnings > 0] *)
   ld_rewritten : bool;

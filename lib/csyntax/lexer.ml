@@ -153,9 +153,7 @@ let rec skip_trivia st =
 let lex_ident st =
   let start = st.pos in
   st.pos <- ident_end st.src st.len start;
-  (* Intern the spelling: a session lexes the same names thousands of
-     times, and canonical copies make every later equality/hash cheap. *)
-  let name = Intern.canon (String.sub st.src start (st.pos - start)) in
+  let name = String.sub st.src start (st.pos - start) in
   if st.reject_reserved && Gensym.is_reserved name then
     error st start
       "identifier %S uses the reserved generated-name marker %S" name

@@ -98,13 +98,11 @@ let to_string = function
 
 (** Token equality for pattern matching of invocation "buzz tokens".
     Literal tokens compare by value; [IDENT]s by spelling.  The physical
-    fast path covers both shared constant constructors and interned
-    identifier spellings (the lexer canonicalizes them, so two [IDENT]s
-    with one spelling usually share the payload too). *)
+    fast path covers the shared constant constructors. *)
 let equal (a : t) (b : t) =
   a == b
   || (match (a, b) with
-     | IDENT x, IDENT y -> x == y || String.equal x y
+     | IDENT x, IDENT y -> String.equal x y
      | _ -> a = b)
 
 let pp ppf t = Fmt.string ppf (to_string t)

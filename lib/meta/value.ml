@@ -307,21 +307,22 @@ let rec of_actual : Ast.actual -> t = function
 
 (* -- tuple field selection ------------------------------------------ *)
 
-(* Below this width a linear scan (pointer-compare fast path first: both
-   the selector and the stored field names are interned by the lexer) is
-   cheaper than any index. *)
+(* Below this width a linear scan is cheaper than any index. *)
 let tuple_index_threshold = 16
 
 (* Tiny identity-keyed cache of field indexes for wide tuples.  Keyed by
    the physical fields list, so a hot loop selecting from the same tuple
    value builds its index once.  Fixed size, round-robin eviction: the
-   cache can never retain more than [Array.length] dead tuples. *)
-let tuple_index_cache : ((string * t) list * t Intern.Tbl.t) option array =
+   cache can never retain more than [Array.length] dead tuples.  An
+   index is complete before it is published to a slot and never written
+   after, so domains read it concurrently. *)
+let tuple_index_cache :
+    ((string * t) list * (string, t) Hashtbl.t) option array =
   Array.make 8 None
 
 let tuple_index_next = ref 0
 
-let tuple_index (fields : (string * t) list) : t Intern.Tbl.t =
+let tuple_index (fields : (string * t) list) : (string, t) Hashtbl.t =
   let n = Array.length tuple_index_cache in
   let rec probe i =
     if i >= n then None
@@ -333,28 +334,27 @@ let tuple_index (fields : (string * t) list) : t Intern.Tbl.t =
   match probe 0 with
   | Some idx -> idx
   | None ->
-      let idx = Intern.Tbl.create (List.length fields * 2) in
+      let idx = Hashtbl.create (List.length fields * 2) in
       List.iter
         (fun (name, v) ->
-          let sym = Intern.intern name in
           (* first field wins, matching assoc-style resolution *)
-          if not (Intern.Tbl.mem idx sym) then Intern.Tbl.replace idx sym v)
+          if not (Hashtbl.mem idx name) then Hashtbl.replace idx name v)
         fields;
       tuple_index_cache.(!tuple_index_next) <- Some (fields, idx);
       tuple_index_next := (!tuple_index_next + 1) mod n;
       idx
 
 (** [tuple_field fields name] resolves a field of a [Vtuple] payload.
-    Narrow tuples use a pointer-fast-path scan; wide ones (≥ 16 fields)
-    go through a per-value memoized interned-key index, so repeated
-    selections cost O(1) instead of O(width). *)
+    Narrow tuples use a linear scan; wide ones (≥ 16 fields) go through
+    a per-value memoized index, so repeated selections cost O(1) instead
+    of O(width). *)
 let tuple_field (fields : (string * t) list) (name : string) : t option =
   let rec scan n = function
     | [] -> None
     | (f, v) :: rest ->
-        if f == name || String.equal f name then Some v
+        if String.equal f name then Some v
         else if n >= tuple_index_threshold then
-          Intern.Tbl.find_opt (tuple_index fields) (Intern.intern name)
+          Hashtbl.find_opt (tuple_index fields) name
         else scan (n + 1) rest
   in
   scan 0 fields

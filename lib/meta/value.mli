@@ -118,7 +118,7 @@ val of_actual : Ast.actual -> t
 
 val tuple_field : (string * t) list -> string -> t option
 (** Resolve a field of a [Vtuple] payload (first declaration wins).
-    Wide tuples (≥ 16 fields) resolve through a memoized interned-key
+    Wide tuples (≥ 16 fields) resolve through a memoized string-keyed
     index, so repeated selections are O(1) instead of O(width). *)
 
 val truthy : loc:Loc.t -> t -> bool

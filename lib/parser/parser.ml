@@ -73,77 +73,6 @@ let param_like = function
   | Mtype.Ast Sort.Param | Mtype.List (Mtype.Ast Sort.Param) -> true
   | _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Compiled-pattern memo                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* A compiled invocation parser depends only on the shape of its
-   pattern — tokens, binder names, specifiers — never on source
-   locations.  Re-expanding the same definition (a header of macro
-   definitions fed through the engine once per file, say) therefore
-   reuses the previously compiled closure: compilations are memoized
-   under a location-insensitive serialization of the pattern shape.
-   The table is bounded; at the cap it is cleared rather than grown, so
-   pathological definition churn costs only recompilation. *)
-let pattern_key (pat : pattern) : string =
-  let b = Buffer.create 64 in
-  let add_tok tok =
-    Buffer.add_string b (Token.to_string tok);
-    Buffer.add_char b '\x00'
-  in
-  let rec add_pat pat =
-    List.iter
-      (function
-        | Pe_token tok ->
-            Buffer.add_char b 't';
-            add_tok tok
-        | Pe_binder bd ->
-            Buffer.add_char b 'b';
-            Buffer.add_string b bd.b_name.id_name;
-            Buffer.add_char b '\x00';
-            add_spec bd.b_spec)
-      pat;
-    Buffer.add_char b ')'
-  and add_sep = function
-    | None -> Buffer.add_char b '-'
-    | Some tok ->
-        Buffer.add_char b '/';
-        add_tok tok
-  and add_spec = function
-    | Ps_sort s ->
-        Buffer.add_char b 's';
-        Buffer.add_string b (Sort.keyword s)
-    | Ps_plus (sep, p) ->
-        Buffer.add_char b '+';
-        add_sep sep;
-        add_spec p
-    | Ps_star (sep, p) ->
-        Buffer.add_char b '*';
-        add_sep sep;
-        add_spec p
-    | Ps_opt (tok, p) ->
-        Buffer.add_char b '?';
-        add_sep tok;
-        add_spec p
-    | Ps_tuple pat ->
-        Buffer.add_char b '.';
-        add_pat pat
-  in
-  add_pat pat;
-  Buffer.contents b
-
-let compiled_pattern_memo : (string, State.compiled_pattern) Hashtbl.t =
-  Hashtbl.create 64
-
-(* The memo is probed once per *pattern compilation* — macro definition
-   time, not token time — so a plain mutex covers concurrent domains.
-   Compiled closures are pure (State.t in, bindings out) and therefore
-   safe to share across domains once published. *)
-let compiled_pattern_memo_lock = Mutex.create ()
-let compiled_pattern_memo_cap = 512
-let c_pat_memo_hits = Obs.Metrics.counter "parser.pattern_memo.hits"
-let c_pat_memo_misses = Obs.Metrics.counter "parser.pattern_memo.misses"
-
 (* [peek_placeholder st] implements the paper's placeholder tokens: when
    the next token is [$] inside a template, parse the placeholder
    expression in the meta context, perform AST type analysis on it, and
@@ -1138,11 +1067,7 @@ and parse_macro_def st : macro_def =
      invocation sites following the definition parse correctly *)
   (match name with
   | Ii_id name when not st.in_template ->
-      register_macro st name.id_name { sig_ret = ret; sig_pattern = pattern };
-      st.compiled_patterns :=
-        if st.compile_patterns then
-          Smap.add name.id_name (compile_pattern pattern) !(st.compiled_patterns)
-        else Smap.remove name.id_name !(st.compiled_patterns)
+      register_macro st name.id_name { sig_ret = ret; sig_pattern = pattern }
   | Ii_id _ | Ii_splice _ -> ());
   let body =
     in_meta_mode st (fun () ->
@@ -1276,24 +1201,22 @@ and parse_invocation st (msig : macro_sig) : invocation =
   let l = loc st in
   Failpoint.hit ~watchdog:st.watchdog ~loc:l "parser/invocation";
   let name = expect_ident st in
-  let compiled = Smap.find_opt name.id_name !(st.compiled_patterns) in
   let actuals =
     (* the pattern-directed parse is a pipeline stage of its own in the
-       trace: one span per invocation, labeled with the macro and
-       whether its compiled parser was used *)
+       trace: one span per invocation, labeled with the macro *)
     Obs.with_span ~cat:"pattern"
-      ~args:(fun () ->
-        [ ("macro", Obs.Str name.id_name);
-          ("compiled", Obs.Bool (compiled <> None)) ])
+      ~args:(fun () -> [ ("macro", Obs.Str name.id_name) ])
       "pattern-match"
-      (fun () ->
-        match compiled with
-        | Some compiled -> compiled st
-        | None -> parse_pattern_actuals st msig.sig_pattern)
+      (fun () -> parse_pattern_actuals st msig.sig_pattern)
   in
   { inv_name = name; inv_actuals = actuals; inv_ret = msig.sig_ret;
     inv_loc = l }
 
+(* The one invocation matcher: it interprets the pattern at each use.
+   The paper's §3 suggests compiling a parse routine per macro, but
+   invocation parsing is "a relatively small part of compiling": a
+   compiled variant measured about 3% on a pattern-heavy benchmark
+   (EXPERIMENTS.md, A1), too little to keep a second matcher. *)
 and parse_pattern_actuals st (pat : pattern) : (string * actual) list =
   List.filter_map
     (function
@@ -1303,130 +1226,17 @@ and parse_pattern_actuals st (pat : pattern) : (string * actual) list =
       | Pe_binder b -> Some (b.b_name.id_name, parse_by_pspec st b.b_spec))
     pat
 
-(* ------------------------------------------------------------------ *)
-(* Compiled invocation parsers                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* "Even this process could be accelerated by a routine that compiled a
-   parse routine for each macro's pattern.  This specialized routine
-   would be associated with the macro keyword and called when needed."
-   (paper, §3.)  Compilation happens once, at macro definition time:
-   the pattern's interpretive dispatch (constructor matching, separator
-   lookups, FIRST-set computation for repetition continuation) is
-   resolved into a chain of closures. *)
-
-and compile_pspec (ps : pspec) : State.t -> actual =
-  match ps with
-  | Ps_sort sort -> fun st -> Act_node (parse_node st sort)
-  | Ps_plus (sep, p) ->
-      let elem = compile_pspec p in
-      let continue = compile_continue sep p in
-      fun st ->
-        let first = elem st in
-        let items = ref [ first ] in
-        while continue st do
-          items := elem st :: !items
-        done;
-        Act_list (List.rev !items)
-  | Ps_star (sep, p) ->
-      let elem = compile_pspec p in
-      let can_start =
-        let firsts = Firstset.of_pspec p in
-        fun st -> List.exists (fun c -> Firstset.matches c (peek st)) firsts
-      in
-      let continue = compile_continue sep p in
-      fun st ->
-        if not (can_start st) then Act_list []
-        else begin
-          let items = ref [ elem st ] in
-          while continue st do
-            items := elem st :: !items
-          done;
-          Act_list (List.rev !items)
-        end
-  | Ps_opt (Some tok, p) ->
-      let elem = compile_pspec p in
-      fun st -> if accept st tok then Act_list [ elem st ] else Act_list []
-  | Ps_opt (None, p) ->
-      let elem = compile_pspec p in
-      let firsts = Firstset.of_pspec p in
-      fun st ->
-        if List.exists (fun c -> Firstset.matches c (peek st)) firsts then
-          Act_list [ elem st ]
-        else Act_list []
-  | Ps_tuple pat ->
-      let compiled = compile_pattern pat in
-      fun st -> Act_tuple (compiled st)
-
-and compile_continue sep p : State.t -> bool =
-  match sep with
-  | Some tok -> fun st -> accept st tok
-  | None ->
-      let firsts = Firstset.of_pspec p in
-      fun st -> List.exists (fun c -> Firstset.matches c (peek st)) firsts
-
-and compile_pattern (pat : pattern) : State.compiled_pattern =
-  let key = pattern_key pat in
-  let locked f = Mutex.protect compiled_pattern_memo_lock f in
-  match locked (fun () -> Hashtbl.find_opt compiled_pattern_memo key) with
-  | Some compiled ->
-      Obs.Metrics.incr c_pat_memo_hits;
-      compiled
-  | None ->
-      let compiled = compile_pattern_uncached pat in
-      (* Counted at the locked insert, not at the probe: the domain that
-         inserts counts the miss and a racer that finds the key counts a
-         hit, so the totals are the same whatever the interleaving. *)
-      locked (fun () ->
-          match Hashtbl.find_opt compiled_pattern_memo key with
-          | Some winner ->
-              Obs.Metrics.incr c_pat_memo_hits;
-              winner
-          | None ->
-              if Hashtbl.length compiled_pattern_memo
-                 >= compiled_pattern_memo_cap
-              then Hashtbl.reset compiled_pattern_memo;
-              Hashtbl.add compiled_pattern_memo key compiled;
-              Obs.Metrics.incr c_pat_memo_misses;
-              compiled)
-
-and compile_pattern_uncached (pat : pattern) : State.compiled_pattern =
-  let steps =
-    List.map
-      (function
-        | Pe_token tok ->
-            fun st ->
-              expect st tok;
-              None
-        | Pe_binder b ->
-            let parse = compile_pspec b.b_spec in
-            let name = b.b_name.id_name in
-            fun st -> Some (name, parse st))
-      pat
-  in
-  fun st ->
-    if Failpoint.armed () then
-      Failpoint.hit ~watchdog:st.watchdog ~loc:(loc st) "parser/pattern";
-    List.filter_map (fun step -> step st) steps
-
 and parse_by_pspec st (ps : pspec) : actual =
   match ps with
   | Ps_sort sort -> Act_node (parse_node st sort)
   | Ps_plus (sep, p) ->
       let first = parse_by_pspec st p in
       Act_list (first :: parse_repetition_tail st sep p)
-  | Ps_star (sep, p) -> (
-      match sep with
-      | None ->
-          if pspec_can_start st p then
-            let first = parse_by_pspec st p in
-            Act_list (first :: parse_repetition_tail st None p)
-          else Act_list []
-      | Some _ ->
-          if pspec_can_start st p then
-            let first = parse_by_pspec st p in
-            Act_list (first :: parse_repetition_tail st sep p)
-          else Act_list [])
+  | Ps_star (sep, p) ->
+      if pspec_can_start st p then
+        let first = parse_by_pspec st p in
+        Act_list (first :: parse_repetition_tail st sep p)
+      else Act_list []
   | Ps_opt (Some tok, p) ->
       if accept st tok then Act_list [ parse_by_pspec st p ]
       else Act_list []

@@ -29,10 +29,6 @@ val parse_node : State.t -> Sort.t -> node
 val parse_by_pspec : State.t -> pspec -> actual
 val parse_program : State.t -> program
 
-val compile_pattern : pattern -> State.compiled_pattern
-(** Compile a macro pattern into a specialized invocation parser (the
-    acceleration the paper suggests in §3). *)
-
 (** {1 String entry points} *)
 
 val program_of_string :

@@ -18,9 +18,7 @@ type macro_sig = { sig_ret : Mtype.t; sig_pattern : Ast.pattern }
 
 type t = {
   mutable compile_patterns : bool;
-      (** compile each macro's pattern to a specialized parse routine at
-          definition time (the acceleration the paper suggests in §3);
-          disable for the ablation benchmark *)
+      (** ignored: kept for the perfbench tracer, which sets it *)
   stream : Lexer.stream;
   toks : Token.t array;  (** [stream.toks] *)
   mutable pos : int;
@@ -42,21 +40,14 @@ type t = {
           end position).  This implements the paper's placeholder tokens:
           the "tokenizer" parses and types the [$]-expression once, and
           every parser routine can then look at its type. *)
-  compiled_patterns : compiled_pattern Smap.t ref;
-      (** specialized parse routines, keyed by macro name; shared with
-          the engine like [macros] *)
   watchdog : Watchdog.t;
       (** wall-clock deadline, polled as tokens are consumed so a parse
           driven by a pathological pattern is bounded in time *)
 }
 
-(** A compiled invocation parser: runs the pattern against the input and
-    returns the actual-parameter bindings. *)
-and compiled_pattern = t -> (string * Ast.actual) list
-
-let create ?macros ?tenv ?compiled ?watchdog (stream : Lexer.stream) : t =
+let create ?macros ?tenv ?watchdog (stream : Lexer.stream) : t =
   {
-    compile_patterns = true;
+    compile_patterns = false;
     stream;
     toks = stream.Lexer.toks;
     pos = 0;
@@ -68,15 +59,13 @@ let create ?macros ?tenv ?compiled ?watchdog (stream : Lexer.stream) : t =
     in_template = false;
     in_meta = false;
     ph_cache = None;
-    compiled_patterns =
-      (match compiled with Some c -> c | None -> ref Smap.empty);
     watchdog =
       (match watchdog with Some w -> w | None -> Watchdog.create ());
   }
 
-let of_string ?origin ?macros ?tenv ?compiled ?watchdog
+let of_string ?origin ?macros ?tenv ?compiled:(_ : unit option) ?watchdog
     ?(source = "<string>") ?(reject_reserved = false) text =
-  create ?macros ?tenv ?compiled ?watchdog
+  create ?macros ?tenv ?watchdog
     (Lexer.scan ?origin ~source ~reject_reserved text)
 
 (* ------------------------------------------------------------------ *)

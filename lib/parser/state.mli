@@ -2,9 +2,9 @@
 
     The parser is fully re-entrant, as the paper requires: all state
     lives in a {!t} value, and nested parses share only the macro
-    signature/compiled-parser tables and the meta type environment they
-    were given.  The record is exposed because the grammar module
-    ([Parser]) and the engine drive it directly. *)
+    signature table and the meta type environment they were given.
+    The record is exposed because the grammar module ([Parser]) and the
+    engine drive it directly. *)
 
 open Ms2_syntax
 open Ms2_support
@@ -17,8 +17,7 @@ type macro_sig = { sig_ret : Mtype.t; sig_pattern : Ast.pattern }
 
 type t = {
   mutable compile_patterns : bool;
-      (** compile each macro's pattern to a specialized parse routine at
-          definition time (paper §3's suggested acceleration) *)
+      (** ignored: kept for the perfbench tracer, which sets it *)
   stream : Lexer.stream;
   toks : Token.t array;  (** [stream.toks] *)
   mutable pos : int;
@@ -34,17 +33,13 @@ type t = {
   mutable in_meta : bool;  (** templates, lambdas, meta decls are live *)
   mutable ph_cache : (int * (Ast.expr * Mtype.t) * int) option;
       (** the paper's placeholder tokens: (start, parsed+typed, end) *)
-  compiled_patterns : compiled_pattern Smap.t ref;
   watchdog : Watchdog.t;
       (** wall-clock deadline, polled on every token consumed *)
 }
 
-and compiled_pattern = t -> (string * Ast.actual) list
-
 val create :
   ?macros:macro_sig Smap.t ref ->
   ?tenv:Tenv.t ->
-  ?compiled:compiled_pattern Smap.t ref ->
   ?watchdog:Watchdog.t ->
   Lexer.stream ->
   t
@@ -53,14 +48,15 @@ val of_string :
   ?origin:Ms2_support.Loc.origin ->
   ?macros:macro_sig Smap.t ref ->
   ?tenv:Tenv.t ->
-  ?compiled:compiled_pattern Smap.t ref ->
+  ?compiled:unit ->
   ?watchdog:Watchdog.t ->
   ?source:string ->
   ?reject_reserved:bool ->
   string ->
   t
 (** [?origin] is forwarded to {!Ms2_syntax.Lexer.scan}: provenance
-    carried by every token (and thus AST) location. *)
+    carried by every token (and thus AST) location.  [?compiled] is
+    ignored; the perfbench tracer still passes it. *)
 
 (** {1 Token access} *)
 

@@ -32,7 +32,6 @@ let sites =
     "builtins/call";  (* primitive dispatch *)
     "fill/alloc";  (* template fill entry *)
     "parser/token";  (* every token consumed *)
-    "parser/pattern";  (* compiled invocation-pattern execution *)
     "parser/invocation";  (* invocation parse entry *)
     (* serve-daemon request lifecycle (ms2c serve); never reached by the
        in-process engine pipeline, so the engine-level sweep in

@@ -455,8 +455,6 @@ module Metrics = struct
     | Some v0 when v0 >= v -> ()
     | _ -> Hashtbl.replace gauges name v
 
-  let gauge_max name v = locked (fun () -> gauge_max_locked name v)
-
   (* assumes [registry_mutex] held *)
   let histogram_locked name =
     match Hashtbl.find_opt histograms name with

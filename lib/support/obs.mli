@@ -167,10 +167,6 @@ module Metrics : sig
   val gauge : string -> float -> unit
   (** Set a named gauge to a point-in-time value. *)
 
-  val gauge_max : string -> float -> unit
-  (** Raise a named gauge to at least [v]: for a high-water mark that
-      may already hold a larger reading absorbed from another process. *)
-
   type histogram
 
   val histogram : string -> histogram

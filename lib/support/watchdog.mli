@@ -3,8 +3,8 @@
     Fuel counts interpreter steps, but a pathological pattern parse or a
     blocking primitive consumes no fuel while stalling forever.  A
     watchdog is an absolute wall-clock deadline polled at the pipeline's
-    hot points (the interpreter fuel hook, the parser's token advance,
-    compiled-pattern execution).  The poll is counter-gated: the clock
+    hot points (the interpreter fuel hook, the parser's token
+    advance).  The poll is counter-gated: the clock
     is read once every few hundred polls, so the clean-path cost is a
     decrement and a branch.
 

@@ -150,10 +150,10 @@ let return_type_violation () =
     "syntax stmt ok {| |} { return `{f();}; }\nint g() { ok return 0; }"
     "int g() { f(); return 0; }"
 
-let compiled_patterns_agree () =
-  (* the compiled invocation parsers (paper §3's suggested acceleration)
-     must produce the same expansions as the interpretive path *)
-  let src =
+let pattern_matcher_golden () =
+  (* the interpretive invocation matcher on separated and optional
+     repetitions, one-or-more repetition and a nested tuple *)
+  check_expands
     "metadcl @decl none[];\n\
      syntax decl reg [] {| $$id::name ( $$*/, exp::args ) $$?at num::pos \
      ; |} {\n\
@@ -166,15 +166,9 @@ let compiled_patterns_agree () =
      reg alpha(1, 2, 3) at 7;\n\
      reg beta();\n\
      int f() { loopy [ a(); b(); ] (key, 41 + 1) return 0; }"
-  in
-  let run ~compile_patterns =
-    let engine = Ms2.Engine.create ~compile_patterns () in
-    match Ms2.Api.expand ~source:"t" engine src with
-    | Ok out -> norm out
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check string) "identical expansions" (run ~compile_patterns:false)
-    (run ~compile_patterns:true)
+    "int alpha;\n\
+     int beta;\n\
+     int f() { { setup(key, 41 + 1); a(); b(); } return 0; }"
 
 let tracing () =
   let engine = Ms2.Engine.create () in
@@ -199,8 +193,7 @@ let tracing () =
 let parse_with (engine : Ms2.Engine.t) text =
   let st =
     Ms2_parser.State.of_string ~macros:engine.Ms2.Engine.macros
-      ~tenv:engine.Ms2.Engine.tenv ~compiled:engine.Ms2.Engine.compiled
-      ~source:"t.mc" text
+      ~tenv:engine.Ms2.Engine.tenv ~source:"t.mc" text
   in
   fail_diag (fun () -> Ms2_parser.Parser.parse_program st)
 
@@ -330,8 +323,7 @@ let () =
           tc "statistics" stats;
           tc "output is pure C" output_purity;
           tc "well-typed returns pass conformance" return_type_violation;
-          tc "compiled and interpreted patterns agree"
-            compiled_patterns_agree;
+          tc "invocation matcher golden" pattern_matcher_golden;
           tc "expansion tracing" tracing ] );
       ( "walk",
         [ tc "invocation-free declarations are shared"

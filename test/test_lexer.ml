@@ -165,8 +165,8 @@ let macro_origin_reaches_nodes () =
   | _ -> Alcotest.fail "expected one function"
 
 (* The stream keeps no per-token location, so lexing a large unit
-   allocates a handful of minor words per token: the boxed token, its
-   spelling and the interner's entry for a fresh name.  Arrays this size
+   allocates a handful of minor words per token: the boxed token and
+   its spelling.  Arrays this size
    go to the major heap and are not counted. *)
 let allocation_per_token () =
   let b = Buffer.create (16000 * 32) in

@@ -342,17 +342,6 @@ let health_metrics_workers () =
           0 buckets
       in
       Alcotest.(check int) "+Inf bucket equals count" count last;
-      (* the interner's size is a gauge, and it grows with the fresh
-         identifiers the requests below carry *)
-      let spellings metrics =
-        match
-          Option.bind (Json.member metrics "gauges") (fun g ->
-              Option.bind (Json.member g "intern.spellings") Json.number)
-        with
-        | Some v -> v
-        | None -> Alcotest.fail "no intern.spellings gauge"
-      in
-      let spellings0 = spellings metrics in
       (* the engine counters cover the whole daemon: six two-invocation
          requests spread over both workers add up, whichever worker ran
          them (sessions a and b already hold one invocation and one
@@ -373,11 +362,6 @@ let health_metrics_workers () =
       Alcotest.(check int) "two invocations a request" 13 invocations;
       let m = rpc d [ ("method", Json.Str "metrics") ] in
       let counter name = int_at m [ "metrics"; "counters"; name ] in
-      (match Json.member m "metrics" with
-      | Some metrics ->
-          Alcotest.(check bool) "intern.spellings grows" true
-            (spellings metrics > spellings0)
-      | None -> Alcotest.fail "no metrics member");
       Alcotest.(check int) "engine.invocations_expanded sums the workers"
         invocations
         (counter "engine.invocations_expanded");

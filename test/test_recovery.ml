@@ -234,11 +234,12 @@ let skew_version s =
   Bytes.set b 8 (Char.chr 0xEE);
   Bytes.to_string b
 
-(* a snapshot from the format before checkpoints held maps: same magic
-   and build, format version 3 *)
-let format_3 s =
+(* a snapshot stamped with an older format version, same magic and
+   build: 3 is the format before checkpoints held maps, 6 the one whose
+   entries carried compiled-pattern name lists *)
+let format_version v s =
   let b = Bytes.of_string s in
-  Bytes.set_int32_le b 8 3l;
+  Bytes.set_int32_le b 8 v;
   Bytes.to_string b
 
 (* a snapshot stamped by a different build of the binary: magic and
@@ -1047,7 +1048,9 @@ let () =
           Alcotest.test_case "version skew degrades cold" `Quick
             (corrupt_load ~label:"version-skewed" skew_version);
           Alcotest.test_case "format 3 degrades cold" `Quick
-            (corrupt_load ~label:"format-3" format_3);
+            (corrupt_load ~label:"format-3" (format_version 3l));
+          Alcotest.test_case "format 6 degrades cold" `Quick
+            (corrupt_load ~label:"format-6" (format_version 6l));
           Alcotest.test_case "foreign build degrades cold" `Quick
             (corrupt_load ~label:"foreign-build" skew_build);
           Alcotest.test_case "save/load failpoints are soft" `Quick

@@ -1,5 +1,5 @@
 (** Unit tests for the support library: locations, diagnostics, the
-    string interner, the domain pool. *)
+    domain pool. *)
 
 open Ms2_support
 
@@ -189,73 +189,6 @@ let gensym_prefixes () =
   Ms2_support.Gensym.set g 0;
   Alcotest.(check int) "reset" 0 (Ms2_support.Gensym.count g)
 
-(* Words allocated by the calling domain so far, minor and major heap
-   alike: a large bucket array goes straight to the major heap. *)
-let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
-
-(* Every spelling in C is potentially new, so an insert must cost O(1)
-   amortized: copying a bucket array per insert would allocate ≥ 1,024
-   words for every fresh spelling. *)
-let intern_is_linear () =
-  let n = 10_000 in
-  let names = Array.init n (Printf.sprintf "__intern_linear_%d") in
-  let before = allocated_words () in
-  Array.iter (fun s -> ignore (Intern.intern s)) names;
-  let per_spelling = (allocated_words () -. before) /. float_of_int n in
-  if per_spelling > 100. then
-    Alcotest.failf "interning allocated %.0f words per fresh spelling"
-      per_spelling
-
-(* Two domains intern the same [n] fresh spellings, each in its own
-   order: they must agree on one symbol per spelling, the uids must be
-   exactly the next [n], and the table must grow by exactly [n]. *)
-let race_intern ~tag n order_a order_b =
-  let base = Intern.interned () in
-  let spell i = Printf.sprintf "__intern_%s_%d" tag i in
-  let ready = Atomic.make 0 in
-  let race order =
-    Domain.spawn (fun () ->
-        let out = Array.make n None in
-        Atomic.incr ready;
-        while Atomic.get ready < 2 do
-          Domain.cpu_relax ()
-        done;
-        for k = 0 to n - 1 do
-          let i = order k in
-          out.(i) <- Some (Intern.intern (spell i))
-        done;
-        Array.map Option.get out)
-  in
-  let da = race order_a and db = race order_b in
-  let a = Domain.join da and b = Domain.join db in
-  Array.iteri
-    (fun i sym ->
-      if sym != b.(i) then
-        Alcotest.failf "two symbols for %S (uids %d and %d)" (spell i)
-          sym.Intern.uid b.(i).Intern.uid;
-      if Intern.str sym <> spell i then
-        Alcotest.failf "%S interned as %S" (spell i) (Intern.str sym))
-    a;
-  let uids =
-    List.sort Int.compare (Array.to_list (Array.map (fun s -> s.Intern.uid) a))
-  in
-  Alcotest.(check (list int))
-    (tag ^ ": dense uids") (List.init n (fun i -> base + i)) uids;
-  Alcotest.(check int) (tag ^ ": interned grows by exactly n") (base + n)
-    (Intern.interned ())
-
-let intern_concurrent () =
-  (* growths happen at 768 * 2^k symbols: from below 12,288, 30,000
-     inserts cross at least two of them *)
-  Alcotest.(check bool) "window crosses two doublings" true
-    (Intern.interned () < 12_288);
-  race_intern ~tag:"opposite" 30_000 Fun.id (fun k -> 30_000 - 1 - k);
-  (* in the same order the domains contend on nearly every spelling,
-     so the re-check under the lock decides who inserts *)
-  race_intern ~tag:"same" 10_000 Fun.id Fun.id
-
 (* ------------------------------------------------------------------ *)
 (* Domain pool                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -322,9 +255,7 @@ let () =
           Tutil.tc "phase names" diag_phases;
           Tutil.tc "diagnostics raise and render" diag_raise_and_protect;
           Tutil.tc "protect is selective" protect_is_selective;
-          Tutil.tc "gensym prefixes" gensym_prefixes;
-          Tutil.tc "interning is linear" intern_is_linear;
-          Tutil.tc "interning races agree" intern_concurrent ] );
+          Tutil.tc "gensym prefixes" gensym_prefixes ] );
       ( "pool",
         [ Tutil.tc "results in input order" pool_input_order;
           Tutil.tc "stop keeps every earlier item"

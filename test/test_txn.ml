@@ -22,16 +22,15 @@ module Engine = Ms2.Engine
 (* Fixture fragments                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Session state the sweep must preserve: a macro (with its compiled
-   pattern), a [metadcl] global, and a meta function. *)
+(* Session state the sweep must preserve: a macro, a [metadcl] global,
+   and a meta function. *)
 let prime_src =
   "syntax stmt primed {| ; |} { return `{y = y + 1;}; }\n\
    metadcl int gcount;\n\
    @stmt dup(@stmt s) { return `{{ $s $s }}; }\n"
 
 (* Traverses every failpoint site: defines a macro (engine/register),
-   invokes macros (parser/invocation, parser/pattern via the primed
-   macro's compiled parser, engine/invoke), runs meta statements
+   invokes macros (parser/invocation, engine/invoke), runs meta statements
    (interp/step), calls a meta function (interp/call) and a builtin
    (builtins/call), and fills templates (fill/alloc); parser/token and
    engine/fragment fire on any fragment at all. *)
@@ -717,6 +716,35 @@ let session_fuel_per_request () =
     (List.fold_left (fun acc (_, fuel) -> acc + fuel) 0 runs)
     (Ms2.Api.stats engine).Ms2.Api.fuel_consumed
 
+(* A session's state is plain data in its checkpoint, and no table
+   outside it grows with the names a request carries: after a reset
+   and a rollback to the base, the live heap is back where it was.
+   Four batches of 5,000 fresh names, one request a line, go through
+   one session; the first batch warms up, so batch 4 is measured
+   against batch 2. *)
+let session_heap_levels_off () =
+  let engine = Ms2.Api.create_engine ~cache:false () in
+  let base = Ms2.Api.checkpoint engine in
+  let s = Ms2.Api.Session.create base ~id:"plateau" in
+  let live_after_batch k =
+    for i = 1 to 5_000 do
+      let line = Printf.sprintf "int plat_%d_%d = %d;\n" k i i in
+      match Ms2.Api.Session.expand s engine line with
+      | Ok _ -> ()
+      | Error (d, _) -> Alcotest.failf "%s: %s" line (Diag.to_string d)
+    done;
+    Ms2.Api.Session.reset s;
+    Ms2.Api.rollback engine base;
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  match List.map live_after_batch [ 1; 2; 3; 4 ] with
+  | [ _; w2; _; w4 ] ->
+      if w4 - w2 > 1_000 then
+        Alcotest.failf "the live heap grew by %d words from batch 2 to 4"
+          (w4 - w2)
+  | _ -> assert false
+
 let () =
   Alcotest.run "txn"
     [ ("failpoint sweep", sweep_cases);
@@ -740,7 +768,8 @@ let () =
             session_moves_between_engines;
           tc "a rolled-back write through a lambda does not stick"
             session_found_case;
-          tc "a session request's fuel is its own" session_fuel_per_request
+          tc "a session request's fuel is its own" session_fuel_per_request;
+          tc "a reset session's heap levels off" session_heap_levels_off
         ] );
       ( "watchdog",
         [ tc "fragment deadline bounds a stalling macro" fragment_deadline;

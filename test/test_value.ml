@@ -123,6 +123,46 @@ let printing () =
   Alcotest.(check string) "builtin" "<builtin map>"
     (to_string (Vbuiltin "map"))
 
+(* A 20-field tuple: field [i] is [f<i>] holding [i], except that the
+   19th repeats the 18th's name.  Fields from the 17th on resolve
+   through the wide-tuple index. *)
+let wide_tuple () =
+  List.init 20 (fun k ->
+      let i = k + 1 in
+      ((if i = 19 then "f18" else Printf.sprintf "f%d" i), Value.Vint i))
+
+let wide_lookups fields =
+  let get name =
+    match Value.tuple_field fields name with
+    | Some (Value.Vint i) -> Some i
+    | Some v -> Alcotest.failf "%s: a %s" name (Value.type_name v)
+    | None -> None
+  in
+  [ get "f1"; get "f16"; get "f17"; get "f20"; get "nope"; get "f18";
+    (* not physically equal to the stored name *)
+    get (String.concat "" [ "f"; "20" ]) ]
+
+let wide_expected =
+  [ Some 1; Some 16; Some 17; Some 20; None; Some 18; Some 20 ]
+
+let tuple_field_wide () =
+  let check = Alcotest.(check (list (option int))) in
+  check "one domain" wide_expected (wide_lookups (wide_tuple ()));
+  (* two domains at once, over more tuples than the index cache holds,
+     so they build, publish and evict indexes under each other *)
+  let tuples = Array.init 12 (fun _ -> wide_tuple ()) in
+  let run () =
+    let ok = ref true in
+    for r = 1 to 500 do
+      ok := !ok && wide_lookups tuples.(r mod 12) = wide_expected
+    done;
+    !ok
+  in
+  let d = Domain.spawn run in
+  let here = run () in
+  Alcotest.(check (pair bool bool)) "two domains" (true, true)
+    (here, Domain.join d)
+
 let () =
   Alcotest.run "value"
     [ ( "value",
@@ -131,4 +171,5 @@ let () =
           tc "default values" defaults;
           tc "environments" environments;
           tc "globals freeze lambdas" globals_freeze_lambdas;
-          tc "printing" printing ] ) ]
+          tc "printing" printing;
+          tc "wide tuple field selection" tuple_field_wide ] ) ]
