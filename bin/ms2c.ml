@@ -544,8 +544,8 @@ let expand_batch ?(jobs = 1) ?(hygienic = false)
   let store =
     Option.map (fun _ -> Ms2.Api.create_shared_cache ()) cache_file
   in
-  (* no domain runs before the fork: the snapshot load that spawns one
-     happens only when there is a store *)
+  (* a store is shared between workers, so only a batch without one
+     forks *)
   let forked = per_file && Option.is_none store in
   (* the snapshot load and the last save point run on the driver,
      outside any file's recording: they get a trace track of their
@@ -637,7 +637,7 @@ let expand_batch ?(jobs = 1) ?(hygienic = false)
         w_recovered = u.u_recovered <> [];
         w_out = u.u_output;
         (* the map rides the result pipe only when wanted *)
-        w_map = (if want_map then u.u_map else [||]);
+        w_map = (if want_map then Lazy.force u.u_map else [||]);
         w_findings =
           (match checked with
           | Some p when per_file -> Ms2.Api.check_program p

@@ -78,7 +78,10 @@ let rollback = Engine.rollback
 (** One unit's expansion, rendered: see {!expand_unit}. *)
 type unit_result = {
   u_output : string;  (** rendered C; [""] when fatal *)
-  u_map : Loc.t array;  (** its line-by-line source map *)
+  u_map : Loc.t array Lazy.t;
+      (** its line-by-line source map.  Lazy: a hit that replayed a
+          restored entry's render decodes the map only when this is
+          forced *)
   u_program : Ms2_syntax.Ast.program Lazy.t option;
       (** the expansion; [None] when it failed (and rolled back).  Lazy:
           a hit that replayed its stored render decodes a restored
@@ -103,10 +106,10 @@ let render_hits = Obs.Metrics.counter "cache.render_hits"
 let expand_unit ?(line_directives = false) ?deadline_ms (engine : engine)
     ?(source = "<string>") (text : string) : unit_result =
   let seen = Diag.count engine.Engine.diags in
-  let result ?(out = { Pretty.text = ""; map = [||] }) program fatal =
+  let result ?(text = "") ?(map = Lazy.from_val [||]) program fatal =
     {
-      u_output = out.text;
-      u_map = out.map;
+      u_output = text;
+      u_map = map;
       u_program = program;
       u_fatal = fatal;
       u_recovered =
@@ -121,9 +124,9 @@ let expand_unit ?(line_directives = false) ?deadline_ms (engine : engine)
   | Ok x -> (
       let program = Some (lazy (Engine.expansion_program x)) in
       match Engine.rendered x ~line_directives with
-      | Some out ->
+      | Some (text, map) ->
           Obs.Metrics.incr render_hits;
-          result ~out program None
+          result ~text ~map program None
       | None -> (
           match
             Obs.with_span ~cat:"render" "render" (fun () ->
@@ -131,7 +134,7 @@ let expand_unit ?(line_directives = false) ?deadline_ms (engine : engine)
           with
           | out ->
               Engine.remember_render engine x ~line_directives out;
-              result ~out program None
+              result ~text:out.text ~map:(Lazy.from_val out.map) program None
           | exception Stack_overflow ->
               let p = { Loc.line = 1; col = 0; offset = 0 } in
               result program

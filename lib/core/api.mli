@@ -76,12 +76,15 @@ val rollback : engine -> checkpoint -> unit
 (** One unit's expansion, rendered. *)
 type unit_result = {
   u_output : string;  (** rendered C; [""] when fatal *)
-  u_map : Loc.t array;
-      (** its line-by-line source map (see {!Ms2_syntax.Pretty.result}) *)
+  u_map : Loc.t array Lazy.t;
+      (** its line-by-line source map (see {!Ms2_syntax.Pretty.result}).
+          A hit that replayed a restored entry's render decodes the map
+          only when this is forced *)
   u_program : Ms2_syntax.Ast.program Lazy.t option;
       (** the expansion; [None] when it failed (and rolled back).  A
-          hit that replayed a stored render decodes a restored entry's
-          program only when this is forced *)
+          hit that replayed a stored render asks a restored entry for
+          its program only when this is forced, and an entry that
+          keeps none re-derives it ({!Engine.expansion_program}) *)
   u_fatal : Diag.t option;  (** why the unit produced no output *)
   u_recovered : Diag.t list;
       (** recovered diagnostics this unit added, oldest first *)

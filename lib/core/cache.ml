@@ -159,7 +159,9 @@ let key ~defs_version ~(env : Value.env) ~tenv ~senv ~(limits : Limits.t)
   Buffer.add_char b '|';
   Buffer.add_string b source;
   Buffer.add_char b '|';
-  Buffer.add_string b text;
+  (* the text by its digest: a unit is hundreds of kilobytes, and
+     copying it into the buffer would copy it twice *)
+  Buffer.add_string b (Digest.string text);
   Digest.string (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)

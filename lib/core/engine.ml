@@ -79,8 +79,9 @@ type t = {
     through the same rollback the transaction layer uses), and the run's
     resource/statistics deltas. *)
 and cached_run = {
-  ca_program : stored_program;
-  ca_rendered : Pretty.result option Atomic.t array;
+  ca_program : program stored;
+      (** [Absent] only in an entry a snapshot restored with a render *)
+  ca_rendered : render option Atomic.t array;
       (** the program's first render, one slot per [line_directives]
           value ([false], [true]): a hit whose slot is filled replays
           the text and line map without rendering again.  Filled once,
@@ -101,15 +102,22 @@ and cached_run = {
           them to the profiler as cache-satisfied invocations *)
 }
 
-(** A stored run's program: decoded, or — for an entry a snapshot load
-    restored — still marshalled, as [len] bytes at [off] in the
-    snapshot file's contents [raw] (sliced, not copied), decoded on
-    first demand by {!program_of}. *)
-and stored_program = program_state Atomic.t
+(** A render: its text, and its line map, which only [--sourcemap] and
+    [--line-directives] read. *)
+and render = { rd_text : string; rd_map : Loc.t array stored }
 
-and program_state =
-  | Decoded of program
-  | Encoded of { raw : string; off : int; len : int; digest : string }
+(** A program or a line map held by an entry: decoded, or — in an entry
+    a snapshot load restored — still marshalled, as [len] bytes at [off]
+    in the snapshot file's contents [raw] (sliced, not copied), decoded
+    on first demand by {!force}.  [Absent] is a program only: a snapshot
+    keeps no program behind a stored render, and {!force} re-derives
+    one when it is asked for. *)
+and 'a stored = 'a stored_state Atomic.t
+
+and 'a stored_state =
+  | Decoded of 'a
+  | Encoded of { raw : string; off : int; len : int }
+  | Absent
 
 (* A checkpoint captures every piece of session state a run reads:
    macro tables, the meta type environment, the global meta
@@ -1023,24 +1031,44 @@ let cache_key (t : t) ~source (text : string) : (string, bypass) result =
              text))
 
 (* OCaml 5's [Lazy] is not safe to force from two domains at once, so
-   a restored program is decoded under one process-wide lock; the
-   decoded tree then replaces the bytes, and later readers take the
-   atomic fast path without locking. *)
+   a restored value is decoded, or a program re-derived, under one
+   process-wide lock; the result then replaces the bytes, and later
+   readers take the atomic fast path without locking. *)
 let decode_lock = Mutex.create ()
 
-let program_of (p : stored_program) : program =
-  match Atomic.get p with
-  | Decoded prog -> prog
-  | Encoded _ ->
-      Mutex.protect decode_lock (fun () ->
-          match Atomic.get p with
-          | Decoded prog -> prog
-          | Encoded { raw; off; _ } ->
-              (* the bytes' digest was checked when the snapshot loaded *)
-              let prog : program = Marshal.from_string raw off in
-              Atomic.set p (Decoded prog);
-              Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.decoded");
-              prog)
+let force ?rederive (cell : 'a stored) : 'a =
+  match Atomic.get cell with
+  | Decoded v -> v
+  | Encoded _ | Absent -> (
+      Mutex.protect decode_lock @@ fun () ->
+      let fill v counter =
+        Atomic.set cell (Decoded v);
+        Obs.Metrics.incr (Obs.Metrics.counter counter);
+        v
+      in
+      match (Atomic.get cell, rederive) with
+      | Decoded v, _ -> v
+      | Encoded { raw; off; _ }, _ ->
+          (* the bytes' digest was checked when the snapshot loaded *)
+          fill (Marshal.from_string raw off) "snapshot.load.decoded"
+      | Absent, Some rederive -> fill (rederive ()) "snapshot.load.rederived"
+      | Absent, None -> invalid_arg "Engine.force: no program to re-derive")
+
+(* A restored entry that holds a render keeps no program.  Asked for
+   one, the engine expands the unit again on a scratch engine rolled
+   back to the state the lookup saw: equal keys give equal programs,
+   the premise every hit rests on, and the replayed session is not
+   touched.  Made before the replay, which moves the session on. *)
+let rederiver (t : t) ~source (text : string) : unit -> program =
+  let pre = checkpoint t in
+  let limits = t.limits
+  and hygienic = t.env.Value.hygienic
+  and recover = t.recover in
+  fun () ->
+    Obs.with_span ~cat:"snapshot" "rederive" @@ fun () ->
+    let scratch = create ~limits ~hygienic ~recover ~cache:false () in
+    rollback scratch pre;
+    expand_source_uncached scratch ~source text
 
 (* Replay a cached run: restore the recorded post-run session state
    through the same rollback the transaction layer uses, and apply the
@@ -1069,12 +1097,14 @@ let replay (t : t) (e : cached_run) ~source : unit =
 (** What {!expand_source_entry} produced: the program, and the cache
     entry (with its key) the result was replayed from or stored as. *)
 type expansion = {
-  x_program : stored_program;
+  x_program : program stored;
   x_entry : (string * cached_run) option;
   x_stored : bool;  (** the entry was stored by this expansion *)
+  x_rederive : (unit -> program) option;
+      (** a hit's way back to an [Absent] program *)
 }
 
-let decoded (prog : program) : stored_program = Atomic.make (Decoded prog)
+let decoded (v : 'a) : 'a stored = Atomic.make (Decoded v)
 
 (** Cached expansion.  A hit replays the recorded output and post-run
     state; a miss runs for real and, when the run was clean (no new
@@ -1083,7 +1113,8 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
     (text : string) : expansion =
   let run_uncached () = expand_source_uncached t ?deadline_ms ~source text in
   let uncached () =
-    { x_program = decoded (run_uncached ()); x_entry = None; x_stored = false }
+    { x_program = decoded (run_uncached ()); x_entry = None; x_stored = false;
+      x_rederive = None }
   in
   Obs.with_span ~cat:"fragment"
     ~args:(fun () ->
@@ -1108,9 +1139,15 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
           | Some e when b.Value.fuel >= e.ca_fuel && b.Value.nodes >= e.ca_nodes
             ->
               t.stats.cache_hits <- t.stats.cache_hits + 1;
+              (* a cell leaves [Absent] only to be filled *)
+              let x_rederive =
+                match Atomic.get e.ca_program with
+                | Absent -> Some (rederiver t ~source text)
+                | Decoded _ | Encoded _ -> None
+              in
               replay t e ~source;
               { x_program = e.ca_program; x_entry = Some (key, e);
-                x_stored = false }
+                x_stored = false; x_rederive }
           | Some _ ->
               (* a replay would overdraw the remaining global budget —
                  the real run must happen (and fail) for real *)
@@ -1176,8 +1213,10 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                    one whose entry went in appends it *)
                 let stored = Cache.add cache key ~size_bytes entry in
                 { x_program = program; x_entry = Some (key, entry);
-                  x_stored = stored })
-              else { x_program = program; x_entry = None; x_stored = false }))
+                  x_stored = stored; x_rederive = None })
+              else
+                { x_program = program; x_entry = None; x_stored = false;
+                  x_rederive = None }))
 
 (* ------------------------------------------------------------------ *)
 (* Durable cache snapshots                                             *)
@@ -1188,17 +1227,27 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
    the same file replays every unit it finished.  It is an append-only
    log:
 
-     magic (8) | format version (u32) | build id (16) |
-     [ entry record | program record ] ... up to the end of the file
+     magic (8) | format version (u32) | build stamp (16) |
+     [ entry record | second record ] ... up to the end of the file
 
    where a record is [ payload length (u32) | MD5(payload) (16) |
-   payload ].  The entry record is everything but the expanded program
-   (key, post-state checkpoint, counters, the rendered outputs); the
-   program record is the marshalled program alone, by far the larger
-   of the two.  A load unmarshals entry records and keeps program
-   records as bytes, so a hit that replays its rendered text never pays
-   for the AST ({!program_of} decodes it on first demand), and a
-   rewrite copies those bytes and their digest back out unchanged.
+   payload ].  The entry record holds the key, the post-state
+   checkpoint, the counters and the text of each stored render.  What
+   the second record holds depends on the entry.  An entry with a
+   render gets a map record: per render slot, [ length (u32) |
+   marshalled line map ], length 0 for an empty slot.  An entry with
+   no render (the prelude, and callers that render nothing) gets a
+   program record, the marshalled program.
+
+   A load unmarshals the entry records and nothing else, so a hit that
+   replays its stored text decodes no more.  A line map stays bytes
+   until [--sourcemap] or [--line-directives] asks for it, and a
+   program until a caller asks for the AST ({!force}).  An entry kept
+   with a render has no program at all: asked for its AST (the
+   [--semantic-check] path, or a render for the other
+   [--line-directives] value), the engine expands the unit again
+   ({!rederiver}).  A rewrite copies still-marshalled bytes back out
+   as they are.
 
    A stored unit appends its pair the moment it completes: when its
    first render is attached ({!remember_render}), so a warm rerun
@@ -1219,30 +1268,30 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
    beyond a torn tail is not worth the risk surface: a snapshot is an
    optimization, and the only unforgivable outcome is a wrong replay.
    [Marshal.from_string] only ever runs on bytes whose digest matched,
-   i.e. bytes this code wrote — and the header's build id
-   ({!Build_id.digest}, the fingerprint of the executable image)
-   further pins "this code" to THIS build of the binary: a snapshot
-   left on disk across an upgrade whose value layout changed is a cold
-   start, not an untyped decode of stale bytes, without anyone having
-   to remember to bump [snapshot_format_version].
+   i.e. bytes this code wrote — and the header's build stamp
+   ({!Build_id.digest}, an MD5 of the sources made when the binary was
+   built) further pins "this code" to THIS build: a snapshot left on
+   disk across an upgrade whose value layout changed is a cold start,
+   not an untyped decode of stale bytes, without anyone having to
+   remember to bump [snapshot_format_version].
 
-   Every entry survives the round trip whole: a checkpoint is plain
+   An entry record needs no repair after a load: a checkpoint is plain
    data, and a meta closure holds its parameters, its body and what it
-   captured, never an engine.
-
-   Keys need no repair: every part of a key, the definition digest
-   included ({!pristine_defs}), is a digest of content, so it means the
-   same state in any process, fork siblings and restarts included. *)
+   captured, never an engine.  Keys need none either: every part of a
+   key, the definition digest included ({!pristine_defs}), is a digest
+   of content, so it means the same state in any process, fork
+   siblings and restarts included. *)
 
 let snapshot_magic = "MS2SNAP\001"
-let snapshot_format_version = 7
+let snapshot_format_version = 8
 
 (* An entry record; [pe_run]'s program and render slots are emptied
-   (they travel in the program record and [pe_rendered]). *)
+   (the renders' texts travel in [pe_texts], the rest in the second
+   record). *)
 type persisted_entry = {
   pe_key : string;
   pe_run : cached_run;
-  pe_rendered : Pretty.result option array;
+  pe_texts : string option array;
 }
 
 type snapshot_save = { sv_entries : int; sv_bytes : int }
@@ -1264,47 +1313,70 @@ let header () =
   let b = Buffer.create 28 in
   Buffer.add_string b snapshot_magic;
   Buffer.add_int32_le b (Int32.of_int snapshot_format_version);
-  Buffer.add_string b (Build_id.digest ());
+  Buffer.add_string b Build_id.digest;
   Buffer.contents b
 
-(* the map's locations are shared with the program; its spine and the
-   text are what a render adds to an entry *)
-let render_bytes (out : Pretty.result) : int =
-  String.length out.Pretty.text
-  + (Sys.word_size / 8 * Array.length out.Pretty.map)
+(* the map's locations are shared with the program; its spine (or,
+   still marshalled, its bytes) and the text are what a render adds to
+   an entry *)
+let render_bytes (r : render) : int =
+  String.length r.rd_text
+  +
+  match Atomic.get r.rd_map with
+  | Decoded map -> Sys.word_size / 8 * Array.length map
+  | Encoded { len; _ } -> len
+  | Absent -> 0
 
 let entry_size (run : cached_run) : int =
   Array.fold_left
     (fun n slot ->
-      match Atomic.get slot with Some out -> n + render_bytes out | None -> n)
+      match Atomic.get slot with Some r -> n + render_bytes r | None -> n)
     run.ca_size run.ca_rendered
 
 (* stands in for the program inside an entry record *)
-let no_program : stored_program = decoded []
+let no_program : program stored = Atomic.make Absent
 
-(* a record's payload: [len] bytes at [off] in [raw], and their MD5 *)
-let add_record (b : Buffer.t) (raw, off, len, digest) : unit =
+(* a record whose payload is [len] bytes at [off] in [raw] *)
+let add_record (b : Buffer.t) (raw, off, len) : unit =
   Buffer.add_int32_le b (Int32.of_int len);
-  Buffer.add_string b digest;
+  Buffer.add_string b (Digest.substring raw off len);
   Buffer.add_substring b raw off len
 
-let whole (raw : string) = (raw, 0, String.length raw, Digest.string raw)
+let whole (raw : string) = (raw, 0, String.length raw)
 
-(* One entry's pair of records.  A program still in its snapshot bytes
-   is copied back out as is. *)
+(* a stored value's marshalled bytes: the snapshot bytes it was loaded
+   from, as they are, or marshalled now *)
+let marshalled (cell : 'a stored) : string * int * int =
+  match Atomic.get cell with
+  | Encoded { raw; off; len } -> (raw, off, len)
+  | Decoded v -> whole (Marshal.to_string v [])
+  | Absent -> invalid_arg "Engine.marshalled: an absent program"
+
+(* One entry's pair of records: the entry record, then its map record
+   when it holds a render, else its program record. *)
 let add_entry (b : Buffer.t) ~key (run : cached_run) : unit =
+  let renders = Array.map Atomic.get run.ca_rendered in
   let pe =
     {
       pe_key = key;
       pe_run = { run with ca_program = no_program; ca_rendered = [||] };
-      pe_rendered = Array.map Atomic.get run.ca_rendered;
+      pe_texts = Array.map (Option.map (fun r -> r.rd_text)) renders;
     }
   in
   add_record b (whole (Marshal.to_string pe []));
-  add_record b
-    (match Atomic.get run.ca_program with
-    | Encoded { raw; off; len; digest } -> (raw, off, len, digest)
-    | Decoded prog -> whole (Marshal.to_string prog []))
+  if Array.exists Option.is_some renders then begin
+    let maps = Buffer.create 65536 in
+    Array.iter
+      (function
+        | None -> Buffer.add_int32_le maps 0l
+        | Some r ->
+            let raw, off, len = marshalled r.rd_map in
+            Buffer.add_int32_le maps (Int32.of_int len);
+            Buffer.add_substring maps raw off len)
+      renders;
+    add_record b (whole (Buffer.contents maps))
+  end
+  else add_record b (marshalled run.ca_program)
 
 (* Append a stored entry to the store's log, if a snapshot file is
    bound to it.  A failure is counted here and reported by the next
@@ -1367,14 +1439,44 @@ let save_store (cache : cached_run Cache.t) (path : string) :
 
 exception Corrupt of string
 
+(* A restored entry's run, from its entry record and its second record
+   ([len] bytes at [off] in [raw]).  Nothing in the second record is
+   decoded: its maps, or its program, stay slices of [raw]. *)
+let restore_run ~record raw (pe : persisted_entry) (off, len) : cached_run =
+  if Array.exists Option.is_some pe.pe_texts then begin
+    let pos = ref off in
+    let slot text =
+      let n =
+        if !pos + 4 > off + len then -1
+        else Int32.to_int (String.get_int32_le raw !pos)
+      in
+      let map_off = !pos + 4 in
+      if n < 0 || map_off + n > off + len || (n = 0) <> (text = None) then
+        raise (Corrupt (Printf.sprintf "record %d map lengths" record));
+      pos := map_off + n;
+      Atomic.make
+        (Option.map
+           (fun rd_text ->
+             { rd_text;
+               rd_map = Atomic.make (Encoded { raw; off = map_off; len = n })
+             })
+           text)
+    in
+    let ca_rendered = Array.map slot pe.pe_texts in
+    { pe.pe_run with ca_program = Atomic.make Absent; ca_rendered }
+  end
+  else
+    {
+      pe.pe_run with
+      ca_program = Atomic.make (Encoded { raw; off; len });
+      ca_rendered = Array.map (fun _ -> Atomic.make None) pe.pe_texts;
+    }
+
 (* The entries of a snapshot, oldest first, and whether a torn final
-   pair was dropped.  [build_id] yields the running build's
-   fingerprint: {!load_store} computes it on a helper domain while the
-   records' checksums are verified here, and only bytes from this very
-   build are ever unmarshalled — the records are decoded after the
-   comparison. *)
-let parse_snapshot ~(build_id : unit -> string) (raw : string) :
-    (persisted_entry * program_state) list * bool =
+   pair was dropped.  Only bytes from this very build are ever
+   unmarshalled: the stamp is compared first, and the entry records are
+   decoded after every checksum is verified. *)
+let parse_snapshot (raw : string) : (string * cached_run) list * bool =
   let len = String.length raw in
   let pos = ref 0 in
   let get_str n what =
@@ -1390,10 +1492,11 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
       (Corrupt
          (Printf.sprintf "format version %d (this build reads %d)" fv
             snapshot_format_version));
-  let file_build = get_str 16 "build id" in
-  (* one checksummed record, as (offset, length, digest) in [raw]:
-     payloads are read in place, never copied.  [None]: the record runs
-     past the end of the file *)
+  if get_str 16 "build stamp" <> Build_id.digest then
+    raise (Corrupt "written by a different build of this binary");
+  (* one checksummed record, as (offset, length) in [raw]: payloads are
+     read in place, never copied.  [None]: the record runs past the end
+     of the file *)
   let get_record i what =
     if !pos + 20 > len then None
     else
@@ -1407,7 +1510,7 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
         if Digest.substring raw off n <> digest then
           raise
             (Corrupt (Printf.sprintf "record %d %s checksum mismatch" i what));
-        Some (off, n, digest)
+        Some (off, n)
       end
   in
   let rec records i acc =
@@ -1415,20 +1518,19 @@ let parse_snapshot ~(build_id : unit -> string) (raw : string) :
     else
       match get_record i "entry" with
       | None -> (List.rev acc, true)
-      | Some (meta, _, _) -> (
-          match get_record i "program" with
+      | Some entry -> (
+          match get_record i "map or program" with
           | None -> (List.rev acc, true)
-          | Some program -> records (i + 1) ((meta, program) :: acc))
+          | Some second -> records (i + 1) ((entry, second) :: acc))
   in
   let records, torn = records 1 [] in
-  if file_build <> build_id () then
-    raise (Corrupt "written by a different build of this binary");
   ( List.mapi
-      (fun i (meta, (off, len, digest)) ->
-        match (Marshal.from_string raw meta : persisted_entry) with
+      (fun i ((off, _), second) ->
+        let record = i + 1 in
+        match (Marshal.from_string raw off : persisted_entry) with
         | exception _ ->
-            raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
-        | pe -> (pe, Encoded { raw; off; len; digest }))
+            raise (Corrupt (Printf.sprintf "record %d undecodable" record))
+        | pe -> (pe.pe_key, restore_run ~record raw pe second))
       records,
     torn )
 
@@ -1456,8 +1558,6 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
       (* missing, or killed between creating the file and appending *)
       bind ~count:0 ~rewrite:false cold_load
   | _ | (exception Unix.Unix_error _) -> (
-      let build_id = Build_id.digest_async () in
-      Fun.protect ~finally:(fun () -> ignore (build_id ())) @@ fun () ->
       match
         Failpoint.hit ~loc:Loc.dummy "snapshot/load";
         In_channel.with_open_bin path (fun ic ->
@@ -1467,7 +1567,7 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
       | exception Sys_error msg -> unreadable msg
       | exception End_of_file -> unreadable (path ^ ": shrank while being read")
       | raw -> (
-          match parse_snapshot ~build_id raw with
+          match parse_snapshot raw with
           | exception Corrupt msg ->
               bind ~count:0 ~rewrite:true
                 (degraded (Printf.sprintf "%s: %s" path msg))
@@ -1476,38 +1576,27 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
                 (degraded (path ^ ": unreadable snapshot"))
           | records, torn ->
               let last = Hashtbl.create 64 in
-              List.iteri
-                (fun i (pe, _) -> Hashtbl.replace last pe.pe_key i)
-                records;
+              List.iteri (fun i (key, _) -> Hashtbl.replace last key i) records;
               let live =
-                List.filteri
-                  (fun i (pe, _) -> Hashtbl.find last pe.pe_key = i)
-                  records
+                List.filteri (fun i (key, _) -> Hashtbl.find last key = i) records
               in
               List.iter
-                (fun (pe, program) ->
-                  let run =
-                    {
-                      pe.pe_run with
-                      ca_program = Atomic.make program;
-                      ca_rendered = Array.map Atomic.make pe.pe_rendered;
-                    }
-                  in
-                  ignore
-                    (Cache.add cache ~size_bytes:(entry_size run) pe.pe_key run))
+                (fun (key, run) ->
+                  ignore (Cache.add cache ~size_bytes:(entry_size run) key run))
                 live;
               Obs.Metrics.incr ~by:(List.length live)
                 (Obs.Metrics.counter "snapshot.load.entries");
-              if torn then begin
-                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.dropped");
-                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.torn")
-              end;
+              if torn then
+                Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.torn");
               let count = List.length records in
               bind ~count
                 ~rewrite:(torn || Cache.length cache <> count)
                 { cold_load with
                   ld_entries = List.length live;
                   ld_dropped = (if torn then 1 else 0) }))
+
+let expansion_program (x : expansion) : program =
+  force ?rederive:x.x_rederive x.x_program
 
 (* [fragment_jobs] is ignored; perfbench passes it until ROADMAP item 1. *)
 let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs:_
@@ -1517,26 +1606,29 @@ let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs:_
   (match (x.x_entry, t.cache) with
   | Some (key, e), Some cache when x.x_stored -> append_entry cache ~key e
   | _ -> ());
-  program_of x.x_program
-
-let expansion_program (x : expansion) : program = program_of x.x_program
+  expansion_program x
 
 let render_slot ~line_directives = if line_directives then 1 else 0
 
-let rendered (x : expansion) ~line_directives : Pretty.result option =
+let rendered (x : expansion) ~line_directives :
+    (string * Loc.t array Lazy.t) option =
   match x.x_entry with
-  | Some (_, e) -> Atomic.get e.ca_rendered.(render_slot ~line_directives)
+  | Some (_, e) ->
+      Option.map
+        (fun r -> (r.rd_text, lazy (force r.rd_map)))
+        (Atomic.get e.ca_rendered.(render_slot ~line_directives))
   | None -> None
 
 let remember_render (t : t) (x : expansion) ~line_directives
     (out : Pretty.result) : unit =
   match (x.x_entry, t.cache) with
   | Some (key, e), Some cache ->
+      let r = { rd_text = out.Pretty.text; rd_map = decoded out.Pretty.map } in
       if
         Atomic.compare_and_set
           e.ca_rendered.(render_slot ~line_directives)
-          None (Some out)
-      then Cache.charge cache key e (render_bytes out);
+          None (Some r)
+      then Cache.charge cache key e (render_bytes r);
       (* a stored unit is appended with its first render attached *)
       if x.x_stored then append_entry cache ~key e
   | _ -> ()

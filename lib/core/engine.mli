@@ -169,16 +169,24 @@ type expansion
 
 val expand_source_entry :
   t -> ?source:string -> ?deadline_ms:int -> string -> expansion
-(** {!expand_source}, without decoding a restored entry's program. *)
+(** {!expand_source}, without asking a restored entry for its program. *)
 
 val expansion_program : expansion -> program
 (** The program.  An entry restored from a snapshot keeps its program
-    marshalled until this first asks for it; the decode runs under a
-    lock, so domains that ask at once get the same tree. *)
+    marshalled until this first asks for it, or, when the entry holds a
+    render, keeps none: this then expands the unit again on a scratch
+    engine rolled back to the state the cache lookup saw, and leaves
+    the session alone ([snapshot.load.rederived] counts these).  Either
+    runs under a lock, so domains that ask at once get the same
+    tree. *)
 
 val rendered :
-  expansion -> line_directives:bool -> Ms2_syntax.Pretty.result option
-(** The render stored in the expansion's cache entry for this flag. *)
+  expansion ->
+  line_directives:bool ->
+  (string * Loc.t array Lazy.t) option
+(** The render stored in the expansion's cache entry for this flag: its
+    text, and its line map, which a restored entry decodes when the
+    lazy value is forced ([snapshot.load.decoded] counts these). *)
 
 val remember_render :
   t -> expansion -> line_directives:bool -> Ms2_syntax.Pretty.result -> unit
@@ -213,7 +221,8 @@ val cache_evictions : t -> int
     or when {!expand_source} stores it — and the file is rewritten whole
     ({!save_store}) only to drop what the store did not keep.  Every
     record is length-prefixed and checksummed, and the header carries
-    the writing binary's {!Build_id} fingerprint.  A record cut short
+    the writing binary's {!Build_id.digest}, a stamp made at build
+    time from the sources.  A record cut short
     at the end of the file (a killed append) is dropped and the rest
     kept; {e any} other integrity failure (bit-flip, format skew, a
     snapshot written by a different build — [Marshal] only ever
@@ -224,9 +233,11 @@ val cache_evictions : t -> int
     a restored entry means the same state in any process and is used
     as loaded.
 
-    Format 7 layout: [magic (8) | format (u32) | build id (16)], then
-    per entry a checksummed entry record and a checksummed program
-    record, up to the end of the file. *)
+    Format 8 layout: [magic (8) | format (u32) | build stamp (16)],
+    then per entry a checksummed entry record (key, post-state,
+    counters, render texts) and a checksummed second record, up to the
+    end of the file.  The second record holds the renders' line maps
+    when the entry holds a render, else the marshalled program. *)
 
 type snapshot_save = {
   sv_entries : int;  (** entries written: every live entry *)
@@ -248,17 +259,14 @@ val load_store : cached_run Cache.t -> string -> snapshot_load
 (** Restore a snapshot into [cache] and bind the store to [path]: from
     then on every entry the store gains is appended there.  When the
     file holds records the store did not keep it is rewritten first
-    ({!save_store}).  Unless it is already known, the running
-    executable's fingerprint ({!Build_id.digest_async}) is computed on
-    a helper domain while the records' checksums are verified; OCaml
-    forbids [Unix.fork] in a process that ever spawned a domain, so a
-    process that forks must not load a snapshot first.  A missing or empty
-    file is a silent cold start; a corrupt file is a cold start with
+    ({!save_store}).  Starts no domain.  A missing or empty file is a
+    silent cold start; a corrupt file is a cold start with
     [ld_warnings = 1] and the reason in [ld_error]; a file that cannot
     be read is left alone and never appended to.  Never raises.  Every
-    record's checksum is verified, but each entry's program stays
-    marshalled until first demanded ({!expansion_program}).  Subject to
-    the [snapshot/load] failpoint. *)
+    record's checksum is verified, but only the entry records are
+    decoded: line maps and programs stay marshalled until first
+    demanded ({!rendered}, {!expansion_program}).  Subject to the
+    [snapshot/load] failpoint. *)
 
 val save_store :
   cached_run Cache.t -> string -> (snapshot_save, string) result

@@ -329,7 +329,7 @@ let render_replay_byte_identical () =
         in
         Option.iter (fun d -> Alcotest.failf "fatal: %s" (Diag.to_string d))
           u.Ms2.Api.u_fatal;
-        (u.Ms2.Api.u_output, u.Ms2.Api.u_map))
+        (u.Ms2.Api.u_output, Lazy.force u.Ms2.Api.u_map))
       steps
   in
   let uncached = run ~cache:false in
@@ -367,45 +367,70 @@ let render_replay_keeps_program () =
     (List.for_all (( = ) (List.hd programs)) programs)
 
 (* Two domains hit the same restored entry at once and both need its
-   program (the --semantic-check path): the marshalled program is
-   decoded once, under the lock, and both get the same tree. *)
+   program (the --semantic-check path).  Stored without a render, the
+   entry keeps its program marshalled, and it is decoded once, under
+   the lock.  Stored with one, the snapshot keeps no program: it is
+   re-derived once, on a scratch engine, and neither session moves
+   from where its replay put it.  Either way both get the tree a cold
+   expansion makes. *)
 let concurrent_decode () =
   let path = Filename.temp_file "ms2_cache_decode" ".snap" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let s1 = Ms2.Api.create_shared_cache () in
-  let e1 = Ms2.Api.create_engine ~cache_store:s1 () in
-  ignore (expand_ok e1 defs);
   let reference =
-    match Ms2.Api.expand_to_ast ~engine:e1 ~source:"cache.mc" uses with
+    let e = Ms2.Api.create_engine ~cache:false () in
+    ignore (expand_ok e defs);
+    match Ms2.Api.expand_to_ast ~engine:e ~source:"cache.mc" uses with
     | Ok p -> p
     | Error d -> Alcotest.failf "reference: %s" (Diag.to_string d)
   in
-  (match Ms2.Api.save_shared_cache s1 path with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "save: %s" e);
-  for round = 1 to 5 do
-    let s2 = Ms2.Api.create_shared_cache () in
-    let l = Ms2.Api.load_shared_cache s2 path in
-    Alcotest.(check (option string)) "clean load" None l.Engine.ld_error;
-    let decodes = Obs.Metrics.counter "snapshot.load.decoded" in
-    let d0 = Obs.Metrics.value decodes in
-    let ready = Atomic.make 0 in
-    let worker () =
-      let e = Ms2.Api.create_engine ~cache_store:s2 () in
-      ignore (expand_ok e defs);
-      Atomic.incr ready;
-      while Atomic.get ready < 2 do Domain.cpu_relax () done;
-      match Ms2.Api.expand_to_ast ~engine:e ~source:"cache.mc" uses with
-      | Ok p -> (p, (Ms2.Api.stats e).Ms2.Api.cache_hits)
-      | Error d -> failwith (Diag.to_string d)
-    in
-    let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
-    let p1, h1 = Domain.join d1 and p2, h2 = Domain.join d2 in
-    Alcotest.(check bool) (Printf.sprintf "round %d: both hit" round) true
-      (h1 = 2 && h2 = 2);
-    Alcotest.(check bool) "equal programs" true (p1 = p2 && p1 = reference);
-    Alcotest.(check int) "decoded once" 1 (Obs.Metrics.value decodes - d0)
-  done
+  List.iter
+    (fun (label, store_uses, counter) ->
+      let s1 = Ms2.Api.create_shared_cache () in
+      let e1 = Ms2.Api.create_engine ~cache_store:s1 () in
+      ignore (expand_ok e1 defs);
+      store_uses e1;
+      (match Ms2.Api.save_shared_cache s1 path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "save: %s" e);
+      for round = 1 to 5 do
+        let s2 = Ms2.Api.create_shared_cache () in
+        let l = Ms2.Api.load_shared_cache s2 path in
+        Alcotest.(check (option string)) "clean load" None l.Engine.ld_error;
+        let demands = Obs.Metrics.counter counter in
+        let d0 = Obs.Metrics.value demands in
+        let ready = Atomic.make 0 in
+        let worker () =
+          let e = Ms2.Api.create_engine ~cache_store:s2 () in
+          ignore (expand_ok e defs);
+          let u = Ms2.Api.expand_unit e ~source:"cache.mc" uses in
+          let replayed = Engine.fingerprint e in
+          Atomic.incr ready;
+          while Atomic.get ready < 2 do Domain.cpu_relax () done;
+          match u.Ms2.Api.u_program with
+          | Some p ->
+              let p = Lazy.force p in
+              ( p,
+                (Ms2.Api.stats e).Ms2.Api.cache_hits,
+                Engine.fingerprint e = replayed )
+          | None -> failwith "no program"
+        in
+        let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+        let p1, h1, still1 = Domain.join d1 and p2, h2, still2 = Domain.join d2 in
+        let what = Printf.sprintf "%s, round %d: " label round in
+        Alcotest.(check bool) (what ^ "both hit") true (h1 = 2 && h2 = 2);
+        Alcotest.(check bool) (what ^ "equal programs") true
+          (p1 = p2 && p1 = reference);
+        Alcotest.(check bool) (what ^ "sessions unmoved") true
+          (still1 && still2);
+        Alcotest.(check int) (what ^ "once") 1 (Obs.Metrics.value demands - d0)
+      done)
+    [ ( "decoded",
+        (fun e ->
+          ignore (Ms2.Api.expand_to_ast ~engine:e ~source:"cache.mc" uses)),
+        "snapshot.load.decoded" );
+      ( "re-derived",
+        (fun e -> ignore (Ms2.Api.expand_unit e ~source:"cache.mc" uses)),
+        "snapshot.load.rederived" ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: one engine shared by generated multi-file inputs      *)

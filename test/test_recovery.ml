@@ -236,14 +236,15 @@ let skew_version s =
 
 (* a snapshot stamped with an older format version, same magic and
    build: 3 is the format before checkpoints held maps, 6 the one whose
-   entries carried compiled-pattern name lists *)
+   entries carried compiled-pattern name lists, 7 the one that kept
+   every program and held line maps in its entry records *)
 let format_version v s =
   let b = Bytes.of_string s in
   Bytes.set_int32_le b 8 v;
   Bytes.to_string b
 
 (* a snapshot stamped by a different build of the binary: magic and
-   format version intact, build fingerprint (bytes 12-27) flipped *)
+   format version intact, build stamp (bytes 12-27) flipped *)
 let skew_build s =
   let b = Bytes.of_string s in
   Bytes.set b 12 (Char.chr (Char.code (Bytes.get b 12) lxor 0x01));
@@ -832,6 +833,82 @@ let warm_semantic_check_shares_decode () =
           (read_file (out name))
       done)
 
+(* A plain run primes a snapshot whose entries hold each unit's render
+   and no program.  Warm reruns that want more than the stored text —
+   the line map (--sourcemap), the other render slot
+   (--line-directives), the AST (--semantic-check) — print what
+   --no-cache prints byte for byte, maps and findings included.  The
+   maps are decoded and the ASTs re-derived, one per unit; a plain warm
+   rerun decodes nothing past the entry records. *)
+let warm_identity_beyond_the_text () =
+  in_temp_dir (fun dir ->
+      let finding = Filename.concat dir "finding.mc" in
+      write_file finding
+        (defs
+       ^ "struct pt { int x; };\n\
+          int bad(int hDC)\n\
+          {\n\
+         \  struct pt p;\n\
+         \  Painting { line(3, 4); }\n\
+         \  return p;\n\
+          }\n");
+      let files = corpus_files dir 2 @ [ finding ] in
+      let snap = Filename.concat dir "warm.snap" in
+      let path name = Filename.concat dir name in
+      let expand name flags =
+        let code =
+          run_ms2c
+            (Printf.sprintf "expand --jobs 2 %s %s -o %s" flags
+               (quoted_list files)
+               (quote (path (name ^ ".c"))))
+            ~out:(path "ignore")
+            ~err:(path (name ^ ".err"))
+        in
+        (code, read_file (path (name ^ ".c")), read_file (path (name ^ ".err")))
+      in
+      ignore (expand "prime" ("--cache-file " ^ quote snap));
+      List.iter
+        (fun (leg, flags, decoded, rederived) ->
+          let map name =
+            if leg = "sourcemap" then "--sourcemap " ^ quote (path (name ^ ".map"))
+            else ""
+          in
+          let metrics = path (leg ^ ".json") in
+          let cold = expand (leg ^ "-ref") (String.concat " " [ flags; map "ref"; "--no-cache" ]) in
+          let warm =
+            expand (leg ^ "-warm")
+              (String.concat " "
+                 [ flags; map "warm"; "--cache-file"; quote snap; "--metrics";
+                   quote metrics ])
+          in
+          Alcotest.(check (triple int string string))
+            (leg ^ ": exit, output and findings are --no-cache's") cold warm;
+          if leg = "semantic-check" then
+            check_contains ~msg:"the check finds the bad return"
+              ~sub:"returning a value of type struct pt"
+              (let _, _, err = cold in err);
+          if leg = "sourcemap" then
+            Alcotest.(check string) "the map is --no-cache's"
+              (read_file (path "ref.map")) (read_file (path "warm.map"));
+          let counter name =
+            match Json.parse (read_file metrics) with
+            | Error e -> Alcotest.failf "%s: metrics: %s" leg e
+            | Ok j ->
+                Option.value ~default:0
+                  (Option.bind (Json.member j "counters") (fun c ->
+                       Option.bind (Json.member c name) Json.int))
+          in
+          Alcotest.(check int) (leg ^ ": every unit hits") 3
+            (counter "cache.hits");
+          Alcotest.(check int) (leg ^ ": maps decoded") decoded
+            (counter "snapshot.load.decoded");
+          Alcotest.(check int) (leg ^ ": programs re-derived") rederived
+            (counter "snapshot.load.rederived"))
+        [ ("plain", "", 0, 0);
+          ("sourcemap", "", 3, 0);
+          ("line-directives", "--line-directives", 0, 3);
+          ("semantic-check", "--semantic-check", 0, 3) ])
+
 (* ------------------------------------------------------------------ *)
 (* Daemon: corrupted --cache-file and pidfile reclaim                  *)
 (* ------------------------------------------------------------------ *)
@@ -1051,6 +1128,8 @@ let () =
             (corrupt_load ~label:"format-3" (format_version 3l));
           Alcotest.test_case "format 6 degrades cold" `Quick
             (corrupt_load ~label:"format-6" (format_version 6l));
+          Alcotest.test_case "format 7 degrades cold" `Quick
+            (corrupt_load ~label:"format-7" (format_version 7l));
           Alcotest.test_case "foreign build degrades cold" `Quick
             (corrupt_load ~label:"foreign-build" skew_build);
           Alcotest.test_case "save/load failpoints are soft" `Quick
@@ -1078,6 +1157,8 @@ let () =
             warm_run_leaves_snapshot_unwritten;
           Alcotest.test_case "--semantic-check decodes a shared entry" `Quick
             warm_semantic_check_shares_decode;
+          Alcotest.test_case "maps, renders and findings are --no-cache's"
+            `Quick warm_identity_beyond_the_text;
           Alcotest.test_case "snapshot spans on the driver track" `Quick
             snapshot_spans_traced ] );
       ( "daemon",
