@@ -82,9 +82,8 @@ type unit_result = {
           only when this is forced *)
   u_program : Ms2_syntax.Ast.program Lazy.t option;
       (** the expansion; [None] when it failed (and rolled back).  A
-          hit that replayed a stored render asks a restored entry for
-          its program only when this is forced, and an entry that
-          keeps none re-derives it ({!Engine.expansion_program}) *)
+          hit that replayed a stored render decodes a restored entry's
+          program only when this is forced *)
   u_fatal : Diag.t option;  (** why the unit produced no output *)
   u_recovered : Diag.t list;
       (** recovered diagnostics this unit added, oldest first *)

@@ -80,7 +80,6 @@ type t = {
     resource/statistics deltas. *)
 and cached_run = {
   ca_program : program stored;
-      (** [Absent] only in an entry a snapshot restored with a render *)
   ca_rendered : render option Atomic.t array;
       (** the program's first render, one slot per [line_directives]
           value ([false], [true]): a hit whose slot is filled replays
@@ -108,16 +107,14 @@ and render = { rd_text : string; rd_map : Loc.t array stored }
 
 (** A program or a line map held by an entry: decoded, or — in an entry
     a snapshot load restored — still marshalled, as [len] bytes at [off]
-    in the snapshot file's contents [raw] (sliced, not copied), decoded
-    on first demand by {!force}.  [Absent] is a program only: a snapshot
-    keeps no program behind a stored render, and {!force} re-derives
-    one when it is asked for. *)
+    in [raw] (the snapshot file's contents, sliced and not copied, for a
+    program; the string its entry record held, for a line map), decoded
+    on first demand by {!force}. *)
 and 'a stored = 'a stored_state Atomic.t
 
 and 'a stored_state =
   | Decoded of 'a
   | Encoded of { raw : string; off : int; len : int }
-  | Absent
 
 (* A checkpoint captures every piece of session state a run reads:
    macro tables, the meta type environment, the global meta
@@ -1031,44 +1028,24 @@ let cache_key (t : t) ~source (text : string) : (string, bypass) result =
              text))
 
 (* OCaml 5's [Lazy] is not safe to force from two domains at once, so
-   a restored value is decoded, or a program re-derived, under one
-   process-wide lock; the result then replaces the bytes, and later
-   readers take the atomic fast path without locking. *)
+   a restored value is decoded under one process-wide lock; the decoded
+   value then replaces the bytes, and later readers take the atomic
+   fast path without locking. *)
 let decode_lock = Mutex.create ()
 
-let force ?rederive (cell : 'a stored) : 'a =
+let force (cell : 'a stored) : 'a =
   match Atomic.get cell with
   | Decoded v -> v
-  | Encoded _ | Absent -> (
+  | Encoded _ -> (
       Mutex.protect decode_lock @@ fun () ->
-      let fill v counter =
-        Atomic.set cell (Decoded v);
-        Obs.Metrics.incr (Obs.Metrics.counter counter);
-        v
-      in
-      match (Atomic.get cell, rederive) with
-      | Decoded v, _ -> v
-      | Encoded { raw; off; _ }, _ ->
+      match Atomic.get cell with
+      | Decoded v -> v
+      | Encoded { raw; off; _ } ->
           (* the bytes' digest was checked when the snapshot loaded *)
-          fill (Marshal.from_string raw off) "snapshot.load.decoded"
-      | Absent, Some rederive -> fill (rederive ()) "snapshot.load.rederived"
-      | Absent, None -> invalid_arg "Engine.force: no program to re-derive")
-
-(* A restored entry that holds a render keeps no program.  Asked for
-   one, the engine expands the unit again on a scratch engine rolled
-   back to the state the lookup saw: equal keys give equal programs,
-   the premise every hit rests on, and the replayed session is not
-   touched.  Made before the replay, which moves the session on. *)
-let rederiver (t : t) ~source (text : string) : unit -> program =
-  let pre = checkpoint t in
-  let limits = t.limits
-  and hygienic = t.env.Value.hygienic
-  and recover = t.recover in
-  fun () ->
-    Obs.with_span ~cat:"snapshot" "rederive" @@ fun () ->
-    let scratch = create ~limits ~hygienic ~recover ~cache:false () in
-    rollback scratch pre;
-    expand_source_uncached scratch ~source text
+          let v = Marshal.from_string raw off in
+          Atomic.set cell (Decoded v);
+          Obs.Metrics.incr (Obs.Metrics.counter "snapshot.load.decoded");
+          v)
 
 (* Replay a cached run: restore the recorded post-run session state
    through the same rollback the transaction layer uses, and apply the
@@ -1100,8 +1077,6 @@ type expansion = {
   x_program : program stored;
   x_entry : (string * cached_run) option;
   x_stored : bool;  (** the entry was stored by this expansion *)
-  x_rederive : (unit -> program) option;
-      (** a hit's way back to an [Absent] program *)
 }
 
 let decoded (v : 'a) : 'a stored = Atomic.make (Decoded v)
@@ -1113,8 +1088,7 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
     (text : string) : expansion =
   let run_uncached () = expand_source_uncached t ?deadline_ms ~source text in
   let uncached () =
-    { x_program = decoded (run_uncached ()); x_entry = None; x_stored = false;
-      x_rederive = None }
+    { x_program = decoded (run_uncached ()); x_entry = None; x_stored = false }
   in
   Obs.with_span ~cat:"fragment"
     ~args:(fun () ->
@@ -1139,15 +1113,9 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
           | Some e when b.Value.fuel >= e.ca_fuel && b.Value.nodes >= e.ca_nodes
             ->
               t.stats.cache_hits <- t.stats.cache_hits + 1;
-              (* a cell leaves [Absent] only to be filled *)
-              let x_rederive =
-                match Atomic.get e.ca_program with
-                | Absent -> Some (rederiver t ~source text)
-                | Decoded _ | Encoded _ -> None
-              in
               replay t e ~source;
               { x_program = e.ca_program; x_entry = Some (key, e);
-                x_stored = false; x_rederive }
+                x_stored = false }
           | Some _ ->
               (* a replay would overdraw the remaining global budget —
                  the real run must happen (and fail) for real *)
@@ -1213,10 +1181,8 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
                    one whose entry went in appends it *)
                 let stored = Cache.add cache key ~size_bytes entry in
                 { x_program = program; x_entry = Some (key, entry);
-                  x_stored = stored; x_rederive = None })
-              else
-                { x_program = program; x_entry = None; x_stored = false;
-                  x_rederive = None }))
+                  x_stored = stored })
+              else { x_program = program; x_entry = None; x_stored = false }))
 
 (* ------------------------------------------------------------------ *)
 (* Durable cache snapshots                                             *)
@@ -1228,26 +1194,18 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
    log:
 
      magic (8) | format version (u32) | build stamp (16) |
-     [ entry record | second record ] ... up to the end of the file
+     [ entry record | program record ] ... up to the end of the file
 
    where a record is [ payload length (u32) | MD5(payload) (16) |
-   payload ].  The entry record holds the key, the post-state
-   checkpoint, the counters and the text of each stored render.  What
-   the second record holds depends on the entry.  An entry with a
-   render gets a map record: per render slot, [ length (u32) |
-   marshalled line map ], length 0 for an empty slot.  An entry with
-   no render (the prelude, and callers that render nothing) gets a
-   program record, the marshalled program.
-
-   A load unmarshals the entry records and nothing else, so a hit that
-   replays its stored text decodes no more.  A line map stays bytes
-   until [--sourcemap] or [--line-directives] asks for it, and a
-   program until a caller asks for the AST ({!force}).  An entry kept
-   with a render has no program at all: asked for its AST (the
-   [--semantic-check] path, or a render for the other
-   [--line-directives] value), the engine expands the unit again
-   ({!rederiver}).  A rewrite copies still-marshalled bytes back out
-   as they are.
+   payload ].  The entry record is everything but the expanded program
+   (key, post-state checkpoint, counters, and each stored render's
+   text with its line map marshalled on its own, as a string); the
+   program record is the marshalled program alone, the larger of the
+   two.  A load unmarshals the entry records and nothing else: line
+   maps stay strings and program records stay bytes until something
+   asks for them ({!force}), so a hit that replays its rendered text
+   decodes no line map and no AST, and a rewrite copies the bytes back
+   out unchanged.
 
    A stored unit appends its pair the moment it completes: when its
    first render is attached ({!remember_render}), so a warm rerun
@@ -1275,23 +1233,24 @@ let expand_source_entry (t : t) ?(source = "<string>") ?deadline_ms
    not an untyped decode of stale bytes, without anyone having to
    remember to bump [snapshot_format_version].
 
-   An entry record needs no repair after a load: a checkpoint is plain
+   Every entry survives the round trip whole: a checkpoint is plain
    data, and a meta closure holds its parameters, its body and what it
-   captured, never an engine.  Keys need none either: every part of a
-   key, the definition digest included ({!pristine_defs}), is a digest
-   of content, so it means the same state in any process, fork
-   siblings and restarts included. *)
+   captured, never an engine.
+
+   Keys need no repair: every part of a key, the definition digest
+   included ({!pristine_defs}), is a digest of content, so it means the
+   same state in any process, fork siblings and restarts included. *)
 
 let snapshot_magic = "MS2SNAP\001"
 let snapshot_format_version = 8
 
 (* An entry record; [pe_run]'s program and render slots are emptied
-   (the renders' texts travel in [pe_texts], the rest in the second
-   record). *)
+   (the program travels in the program record, each render as its text
+   and its marshalled line map in [pe_rendered]). *)
 type persisted_entry = {
   pe_key : string;
   pe_run : cached_run;
-  pe_texts : string option array;
+  pe_rendered : (string * string) option array;
 }
 
 type snapshot_save = { sv_entries : int; sv_bytes : int }
@@ -1325,7 +1284,6 @@ let render_bytes (r : render) : int =
   match Atomic.get r.rd_map with
   | Decoded map -> Sys.word_size / 8 * Array.length map
   | Encoded { len; _ } -> len
-  | Absent -> 0
 
 let entry_size (run : cached_run) : int =
   Array.fold_left
@@ -1334,7 +1292,7 @@ let entry_size (run : cached_run) : int =
     run.ca_size run.ca_rendered
 
 (* stands in for the program inside an entry record *)
-let no_program : program stored = Atomic.make Absent
+let no_program : program stored = decoded []
 
 (* a record whose payload is [len] bytes at [off] in [raw] *)
 let add_record (b : Buffer.t) (raw, off, len) : unit =
@@ -1344,39 +1302,30 @@ let add_record (b : Buffer.t) (raw, off, len) : unit =
 
 let whole (raw : string) = (raw, 0, String.length raw)
 
-(* a stored value's marshalled bytes: the snapshot bytes it was loaded
-   from, as they are, or marshalled now *)
+(* a stored value's marshalled bytes: the bytes it was loaded from, as
+   they are, or marshalled now *)
 let marshalled (cell : 'a stored) : string * int * int =
   match Atomic.get cell with
   | Encoded { raw; off; len } -> (raw, off, len)
   | Decoded v -> whole (Marshal.to_string v [])
-  | Absent -> invalid_arg "Engine.marshalled: an absent program"
 
-(* One entry's pair of records: the entry record, then its map record
-   when it holds a render, else its program record. *)
+(* One entry's pair of records. *)
 let add_entry (b : Buffer.t) ~key (run : cached_run) : unit =
-  let renders = Array.map Atomic.get run.ca_rendered in
+  let render r =
+    let raw, off, len = marshalled r.rd_map in
+    (r.rd_text, String.sub raw off len)
+  in
   let pe =
     {
       pe_key = key;
       pe_run = { run with ca_program = no_program; ca_rendered = [||] };
-      pe_texts = Array.map (Option.map (fun r -> r.rd_text)) renders;
+      pe_rendered =
+        Array.map (fun slot -> Option.map render (Atomic.get slot))
+          run.ca_rendered;
     }
   in
   add_record b (whole (Marshal.to_string pe []));
-  if Array.exists Option.is_some renders then begin
-    let maps = Buffer.create 65536 in
-    Array.iter
-      (function
-        | None -> Buffer.add_int32_le maps 0l
-        | Some r ->
-            let raw, off, len = marshalled r.rd_map in
-            Buffer.add_int32_le maps (Int32.of_int len);
-            Buffer.add_substring maps raw off len)
-      renders;
-    add_record b (whole (Buffer.contents maps))
-  end
-  else add_record b (marshalled run.ca_program)
+  add_record b (marshalled run.ca_program)
 
 (* Append a stored entry to the store's log, if a snapshot file is
    bound to it.  A failure is counted here and reported by the next
@@ -1439,38 +1388,19 @@ let save_store (cache : cached_run Cache.t) (path : string) :
 
 exception Corrupt of string
 
-(* A restored entry's run, from its entry record and its second record
-   ([len] bytes at [off] in [raw]).  Nothing in the second record is
-   decoded: its maps, or its program, stay slices of [raw]. *)
-let restore_run ~record raw (pe : persisted_entry) (off, len) : cached_run =
-  if Array.exists Option.is_some pe.pe_texts then begin
-    let pos = ref off in
-    let slot text =
-      let n =
-        if !pos + 4 > off + len then -1
-        else Int32.to_int (String.get_int32_le raw !pos)
-      in
-      let map_off = !pos + 4 in
-      if n < 0 || map_off + n > off + len || (n = 0) <> (text = None) then
-        raise (Corrupt (Printf.sprintf "record %d map lengths" record));
-      pos := map_off + n;
-      Atomic.make
-        (Option.map
-           (fun rd_text ->
-             { rd_text;
-               rd_map = Atomic.make (Encoded { raw; off = map_off; len = n })
-             })
-           text)
-    in
-    let ca_rendered = Array.map slot pe.pe_texts in
-    { pe.pe_run with ca_program = Atomic.make Absent; ca_rendered }
-  end
-  else
-    {
-      pe.pe_run with
-      ca_program = Atomic.make (Encoded { raw; off; len });
-      ca_rendered = Array.map (fun _ -> Atomic.make None) pe.pe_texts;
-    }
+(* A restored entry's run: its program record ([len] bytes at [off] in
+   [raw]) and its line maps stay marshalled. *)
+let restore_run raw (pe : persisted_entry) (off, len) : cached_run =
+  let render (rd_text, map) =
+    let len = String.length map in
+    { rd_text; rd_map = Atomic.make (Encoded { raw = map; off = 0; len }) }
+  in
+  {
+    pe.pe_run with
+    ca_program = Atomic.make (Encoded { raw; off; len });
+    ca_rendered =
+      Array.map (fun r -> Atomic.make (Option.map render r)) pe.pe_rendered;
+  }
 
 (* The entries of a snapshot, oldest first, and whether a torn final
    pair was dropped.  Only bytes from this very build are ever
@@ -1519,18 +1449,17 @@ let parse_snapshot (raw : string) : (string * cached_run) list * bool =
       match get_record i "entry" with
       | None -> (List.rev acc, true)
       | Some entry -> (
-          match get_record i "map or program" with
+          match get_record i "program" with
           | None -> (List.rev acc, true)
-          | Some second -> records (i + 1) ((entry, second) :: acc))
+          | Some program -> records (i + 1) ((entry, program) :: acc))
   in
   let records, torn = records 1 [] in
   ( List.mapi
-      (fun i ((off, _), second) ->
-        let record = i + 1 in
+      (fun i ((off, _), program) ->
         match (Marshal.from_string raw off : persisted_entry) with
         | exception _ ->
-            raise (Corrupt (Printf.sprintf "record %d undecodable" record))
-        | pe -> (pe.pe_key, restore_run ~record raw pe second))
+            raise (Corrupt (Printf.sprintf "record %d undecodable" (i + 1)))
+        | pe -> (pe.pe_key, restore_run raw pe program))
       records,
     torn )
 
@@ -1595,8 +1524,7 @@ let load_store (cache : cached_run Cache.t) (path : string) : snapshot_load =
                   ld_entries = List.length live;
                   ld_dropped = (if torn then 1 else 0) }))
 
-let expansion_program (x : expansion) : program =
-  force ?rederive:x.x_rederive x.x_program
+let expansion_program (x : expansion) : program = force x.x_program
 
 (* [fragment_jobs] is ignored; perfbench passes it until ROADMAP item 1. *)
 let expand_source (t : t) ?source ?deadline_ms ?fragment_jobs:_

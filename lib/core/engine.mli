@@ -169,16 +169,12 @@ type expansion
 
 val expand_source_entry :
   t -> ?source:string -> ?deadline_ms:int -> string -> expansion
-(** {!expand_source}, without asking a restored entry for its program. *)
+(** {!expand_source}, without decoding a restored entry's program. *)
 
 val expansion_program : expansion -> program
 (** The program.  An entry restored from a snapshot keeps its program
-    marshalled until this first asks for it, or, when the entry holds a
-    render, keeps none: this then expands the unit again on a scratch
-    engine rolled back to the state the cache lookup saw, and leaves
-    the session alone ([snapshot.load.rederived] counts these).  Either
-    runs under a lock, so domains that ask at once get the same
-    tree. *)
+    marshalled until this first asks for it; the decode runs under a
+    lock, so domains that ask at once get the same tree. *)
 
 val rendered :
   expansion ->
@@ -235,9 +231,9 @@ val cache_evictions : t -> int
 
     Format 8 layout: [magic (8) | format (u32) | build stamp (16)],
     then per entry a checksummed entry record (key, post-state,
-    counters, render texts) and a checksummed second record, up to the
-    end of the file.  The second record holds the renders' line maps
-    when the entry holds a render, else the marshalled program. *)
+    counters, and each render's text with its line map marshalled on
+    its own) and a checksummed program record, up to the end of the
+    file. *)
 
 type snapshot_save = {
   sv_entries : int;  (** entries written: every live entry *)

@@ -367,24 +367,34 @@ let render_replay_keeps_program () =
     (List.for_all (( = ) (List.hd programs)) programs)
 
 (* Two domains hit the same restored entry at once and both need its
-   program (the --semantic-check path).  Stored without a render, the
-   entry keeps its program marshalled, and it is decoded once, under
-   the lock.  Stored with one, the snapshot keeps no program: it is
-   re-derived once, on a scratch engine, and neither session moves
-   from where its replay put it.  Either way both get the tree a cold
-   expansion makes. *)
+   program (the --semantic-check path) and its line map (--sourcemap).
+   Stored without a render, the entry's hit renders, which decodes the
+   marshalled program once, under the lock.  Stored with one, the hit
+   replays the render, and forcing the program and the map decodes
+   each once.  Both domains get the tree and the map a cold expansion
+   makes, and forcing them leaves each session where its replay put
+   it. *)
 let concurrent_decode () =
   let path = Filename.temp_file "ms2_cache_decode" ".snap" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let reference =
+  let expand_forced e =
+    let u = Ms2.Api.expand_unit e ~source:"cache.mc" uses in
+    let replayed = Engine.fingerprint e in
+    match u.Ms2.Api.u_program with
+    | Some p ->
+        let p = Lazy.force p in
+        let map = Lazy.force u.Ms2.Api.u_map in
+        (p, map, Engine.fingerprint e = replayed)
+    | None -> failwith "no program"
+  in
+  let reference, reference_map, _ =
     let e = Ms2.Api.create_engine ~cache:false () in
     ignore (expand_ok e defs);
-    match Ms2.Api.expand_to_ast ~engine:e ~source:"cache.mc" uses with
-    | Ok p -> p
-    | Error d -> Alcotest.failf "reference: %s" (Diag.to_string d)
+    expand_forced e
   in
+  let decodes = Obs.Metrics.counter "snapshot.load.decoded" in
   List.iter
-    (fun (label, store_uses, counter) ->
+    (fun (label, store_uses, decoded) ->
       let s1 = Ms2.Api.create_shared_cache () in
       let e1 = Ms2.Api.create_engine ~cache_store:s1 () in
       ignore (expand_ok e1 defs);
@@ -396,41 +406,37 @@ let concurrent_decode () =
         let s2 = Ms2.Api.create_shared_cache () in
         let l = Ms2.Api.load_shared_cache s2 path in
         Alcotest.(check (option string)) "clean load" None l.Engine.ld_error;
-        let demands = Obs.Metrics.counter counter in
-        let d0 = Obs.Metrics.value demands in
+        let d0 = Obs.Metrics.value decodes in
         let ready = Atomic.make 0 in
         let worker () =
           let e = Ms2.Api.create_engine ~cache_store:s2 () in
           ignore (expand_ok e defs);
-          let u = Ms2.Api.expand_unit e ~source:"cache.mc" uses in
-          let replayed = Engine.fingerprint e in
           Atomic.incr ready;
           while Atomic.get ready < 2 do Domain.cpu_relax () done;
-          match u.Ms2.Api.u_program with
-          | Some p ->
-              let p = Lazy.force p in
-              ( p,
-                (Ms2.Api.stats e).Ms2.Api.cache_hits,
-                Engine.fingerprint e = replayed )
-          | None -> failwith "no program"
+          let p, map, unmoved = expand_forced e in
+          (p, map, unmoved, (Ms2.Api.stats e).Ms2.Api.cache_hits)
         in
         let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
-        let p1, h1, still1 = Domain.join d1 and p2, h2, still2 = Domain.join d2 in
+        let p1, m1, still1, h1 = Domain.join d1
+        and p2, m2, still2, h2 = Domain.join d2 in
         let what = Printf.sprintf "%s, round %d: " label round in
         Alcotest.(check bool) (what ^ "both hit") true (h1 = 2 && h2 = 2);
         Alcotest.(check bool) (what ^ "equal programs") true
           (p1 = p2 && p1 = reference);
+        Alcotest.(check bool) (what ^ "equal maps") true
+          (m1 = m2 && m1 = reference_map);
         Alcotest.(check bool) (what ^ "sessions unmoved") true
           (still1 && still2);
-        Alcotest.(check int) (what ^ "once") 1 (Obs.Metrics.value demands - d0)
+        Alcotest.(check int) (what ^ "decoded once each") decoded
+          (Obs.Metrics.value decodes - d0)
       done)
-    [ ( "decoded",
+    [ ( "no render",
         (fun e ->
           ignore (Ms2.Api.expand_to_ast ~engine:e ~source:"cache.mc" uses)),
-        "snapshot.load.decoded" );
-      ( "re-derived",
+        1 );
+      ( "with a render",
         (fun e -> ignore (Ms2.Api.expand_unit e ~source:"cache.mc" uses)),
-        "snapshot.load.rederived" ) ]
+        2 ) ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: one engine shared by generated multi-file inputs      *)
